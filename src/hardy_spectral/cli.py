@@ -23,7 +23,8 @@ from .report import VerificationReport, emit_report
 from .resistance import effective_resistance
 from .rng import Xorshift64Star
 from .spectral import dirichlet_eigenvalue, neumann_eigenvalue
-from .suite import ALL_SUITES, DEFAULT_SAMPLES, DEFAULT_TOLERANCE, run_suite
+from .suite import (ALL_SUITES, DEFAULT_SAMPLES, DEFAULT_TOLERANCE, _timed,
+                    run_suite)
 from .wgr import parse_wgr, serialize_wgr
 
 
@@ -74,11 +75,12 @@ def _cmd_analyze(args) -> int:
 
     quantities: dict[str, float] = {}
     witnesses: dict[str, list[int]] = {}
+    timing_ms: dict[str, float] = {}
     notes: list[str] = []
 
     def compute(name, fn):
         try:
-            return fn()
+            return _timed(timing_ms, name, fn)
         except errors.HardySpectralError as exc:
             notes.append(f"{name} unavailable: {exc}")
             return None
@@ -119,7 +121,7 @@ def _cmd_analyze(args) -> int:
         graph_summary={"vertex_count": graph.vertex_count,
                        "edge_count": graph.edge_count,
                        "mass_total": graph.total_mass},
-        quantities=quantities, witnesses=witnesses)
+        quantities=quantities, witnesses=witnesses, timing_ms=timing_ms)
     sys.stdout.write(emit_report(report, fmt, include_timing=args.timing))
     for note in notes:
         print(note, file=sys.stderr)

@@ -10,13 +10,23 @@ explicit size guards; paths get an O(N) tail-set scan, and a level-set
 sweep of the fundamental eigenvector provides a cheap upper bound for the
 two-sided quantity on larger graphs.
 
-Every enumeration breaks ties by the lexicographic order of
-(value, canonical key of A, canonical key of B) so witnesses are identical
-across runs and schedules.
+Every energy comes from the Kron-reduction kernel of resistance.py,
+which eliminates the vertices C outside A u B. The enumerations go by
+eliminated sets: all sets C of one size are solved in one batch, every
+pair (A, B) that shares C rides along as one more right-hand side, and
+the batches run in chunks of bounded memory, keeping only a running
+minimum.
+
+Ties are decided by the canonical keys (A's, then B's), never by the
+order of the arithmetic: every ratio within the relative window TIE_RTOL
+of the minimum counts as tied and the smallest key wins, so witnesses are
+identical across runs and schedules.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +35,8 @@ import numpy as np
 from . import errors
 from .graph import (VertexSet, WeightedGraph, is_canonical_path, path_graph,
                     validate)
-from .resistance import _energy_given_laplacian
-from .spectral import laplacian, neumann_eigenvalue
+from .resistance import kron_energies, pair_energy
+from .spectral import neumann_eigenvalue
 
 DIRICHLET_ENUM_LIMIT = 20
 NEUMANN_ENUM_LIMIT = 12
@@ -37,6 +47,13 @@ PATH_TAILSET = "path-tailset"
 SWEEP_HEURISTIC = "sweep-heuristic"
 
 LEVEL_GROUP_RTOL = 1e-9
+
+# Sets that tie in exact arithmetic come out of different batched solves
+# a few ulps apart; ratios this close to the minimum count as tied.
+TIE_RTOL = 64 * np.finfo(float).eps
+# Upper bound on the numbers gathered for one chunk of eliminated sets,
+# which bounds the enumerations' working memory (2^15 doubles = 256 KiB).
+CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -65,15 +82,52 @@ def _mass_by_mask(masses: list[float], nbits: int) -> np.ndarray:
     return out
 
 
-def _mask_ids(mask: int, universe: list[int]) -> list[int]:
-    ids = []
-    i = 0
-    while mask:
-        if mask & 1:
-            ids.append(universe[i])
-        mask >>= 1
-        i += 1
-    return ids
+def _combination_chunks(m: int, k: int, per_row: int):
+    """All k-subsets of range(m) in lexicographic order, as (rows, k)
+    arrays of at most CHUNK_ENTRIES / per_row rows, where per_row is the
+    count of numbers a caller gathers for one subset."""
+    combos = itertools.combinations(range(m), k)
+    rows = max(1, CHUNK_ENTRIES // per_row)
+    while chunk := list(itertools.islice(combos, rows)):
+        yield np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp,
+                          count=len(chunk) * k).reshape(len(chunk), k)
+
+
+class _RunningMin:
+    """Minimum over batches of (ratio, key) candidates, where candidates
+    within TIE_RTOL of the smallest ratio tie and the smallest key wins.
+
+    The result does not depend on how the batches are cut: every candidate
+    that could still win is kept, as a front sorted by key whose ratios
+    fall as the keys rise (a candidate with a smaller key and a ratio as
+    small always beats it). The front holds distinct doubles inside the
+    window, so it stays short even when millions of sets tie.
+    """
+
+    def __init__(self):
+        self.floor = math.inf
+        self.front: list[tuple[object, float]] = []
+
+    def offer(self, ratios: np.ndarray, keys) -> None:
+        """Merge one batch; ratios[i] belongs to the candidate keys[i]."""
+        if ratios.size == 0:
+            return
+        self.floor = min(self.floor, float(ratios.min()))
+        cutoff = self.floor * (1.0 + TIE_RTOL)
+        fresh = [(keys[i], float(ratios[i])) for i in np.flatnonzero(ratios <= cutoff)]
+        front: list[tuple[object, float]] = []
+        for key, ratio in sorted(self.front + fresh, key=lambda c: c[0]):
+            if ratio <= cutoff and (not front or ratio < front[-1][1]):
+                front.append((key, ratio))
+        self.front = front
+
+    @property
+    def winner(self) -> Optional[tuple[float, object]]:
+        """(ratio, key) of the winning candidate, or None if none came."""
+        if not self.front:
+            return None
+        key, ratio = self.front[0]
+        return ratio, key
 
 
 def hardy_path(path: WeightedGraph) -> ContentResult:
@@ -115,43 +169,61 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     """Minimum of R(S,A)^{-1} / mu(A) over nonempty A disjoint from the
     boundary, by enumerating all subsets of the interior.
 
-    Zero-mass subsets are skipped (their ratio is +inf). Guarded at
-    interior size 20.
+    Each A is scored by eliminating C = interior \\ A (see resistance.py),
+    with the boundary as the other side; the sets C of one size are solved
+    in one batch, in chunks. Zero-mass subsets are skipped (their ratio is
+    +inf). Guarded at interior size 20.
     """
     validate(graph)
     n = graph.vertex_count
     bset = set(boundary.members)
     if not bset or len(bset) >= n or any(not (0 <= v < n) for v in bset):
         raise errors.BadBoundary(f"boundary must be a proper nonempty subset of 0..{n-1}")
-    interior = [v for v in range(n) if v not in bset]
-    if len(interior) > DIRICHLET_ENUM_LIMIT:
-        raise errors.TooLarge(len(interior), DIRICHLET_ENUM_LIMIT)
+    interior = np.array([v for v in range(n) if v not in bset], dtype=np.intp)
+    f = interior.size
+    if f > DIRICHLET_ENUM_LIMIT:
+        raise errors.TooLarge(f, DIRICHLET_ENUM_LIMIT)
 
-    lap, _, _ = laplacian(graph)
-    b_ids = np.array(sorted(bset))
-    mass = _mass_by_mask([graph.masses[v] for v in interior], len(interior))
-
-    best: Optional[tuple[float, int]] = None
-    for mask in range(1, 1 << len(interior)):
-        mu = mass[mask]
-        if mu == 0.0:
-            continue
-        a_ids = np.array(_mask_ids(mask, interior))
-        ratio = _energy_given_laplacian(lap, a_ids, b_ids) / mu
-        cand = (ratio, VertexSet.of(a_ids).canonical_key)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
+    # Everything below is indexed by position in the interior. The interior
+    # is sorted, so masks of positions order sets as canonical keys do, and
+    # they fit an int64 whatever the vertex ids are.
+    w = graph.conductance_matrix[interior]
+    w_ii = w[:, interior]
+    ground = w[:, sorted(bset)].sum(axis=1)  # W(v, S)
+    lap = graph.laplacian_matrix[np.ix_(interior, interior)]
+    mass = graph.mass_vector[interior]
+    bits = np.int64(1) << np.arange(f)
+    best = _RunningMin()
+    for c in range(f):
+        for inner in _combination_chunks(f, c, c * (c + 2) + 3 * f):
+            in_a = np.ones((len(inner), f))
+            in_a[np.arange(len(inner))[:, None], inner] = 0.0
+            mu = in_a @ mass
+            keep = mu > 0.0
+            inner, in_a = inner[keep], in_a[keep]
+            to_a = np.take_along_axis(in_a @ w_ii, inner, axis=1)  # W(C, A)
+            energy = kron_energies(lap, inner, to_a[:, :, None], ground[inner][:, :, None],
+                                   (in_a @ ground)[:, None])
+            best.offer(energy[:, 0] / mu[keep], bits.sum() - bits[inner].sum(axis=1))
+    winner = best.winner
+    if winner is None:
         raise errors.ZeroInteriorMass("every interior subset has zero mass")
-    return ContentResult(value=best[0], witness_a=VertexSet.from_mask(best[1]),
-                         witness_b=None, method=EXACT_ENUMERATION)
+    value, key = winner
+    witness = VertexSet.of(v for p, v in enumerate(interior) if int(key) >> p & 1)
+    return ContentResult(value=value, witness_a=witness, witness_b=None,
+                         method=EXACT_ENUMERATION)
 
 
 def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
     """Minimum of (mu(A)^{-1} + mu(B)^{-1}) / R(A,B) over disjoint nonempty
-    pairs, by enumerating all 3^n assignments of vertices to A, B, or
-    neither. The (A,B) ~ (B,A) symmetry is removed by keeping the
-    orientation whose A has the smaller canonical key. Guarded at n = 12.
+    pairs.
+
+    Each unordered pair is scored once, oriented so that A has the smaller
+    canonical key, which for disjoint sets means B holds the largest vertex
+    of A u B. The enumeration runs over the eliminated set C = V \\ (A u B):
+    the sets C of one size are solved in one batch, in chunks, and each
+    one's solve serves all 2^(n-|C|-1) - 1 splits of V \\ C into A and B.
+    Guarded at n = 12.
     """
     validate(graph)
     n = graph.vertex_count
@@ -161,30 +233,36 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
         if m <= 0.0:
             raise errors.ZeroMass(v)
 
-    lap, _, _ = laplacian(graph)
-    verts = list(range(n))
-    mass = _mass_by_mask(list(graph.masses), n)
-    ids = [np.array(_mask_ids(mask, verts)) for mask in range(1 << n)]
-
-    full = (1 << n) - 1
-    best: Optional[tuple[float, int, int]] = None
-    for a_mask in range(1, full):
-        comp = full ^ a_mask
-        inv_a = 1.0 / mass[a_mask]
-        b_mask = 0
-        while True:
-            b_mask = (b_mask - comp) & comp
-            if b_mask == 0:
-                break
-            if b_mask > a_mask:
-                energy = _energy_given_laplacian(lap, ids[a_mask], ids[b_mask])
-                ratio = (inv_a + 1.0 / mass[b_mask]) * energy
-                cand = (ratio, a_mask, b_mask)
-                if best is None or cand < best:
-                    best = cand
-    assert best is not None  # n >= 2 always yields a pair
-    return ContentResult(value=best[0], witness_a=VertexSet.from_mask(best[1]),
-                         witness_b=VertexSet.from_mask(best[2]),
+    w = graph.conductance_matrix
+    mass = graph.mass_vector
+    best = _RunningMin()
+    for c in range(n - 1):
+        r = n - c
+        # one row per split of the r vertices outside C: A is any nonempty
+        # set of positions but the last, which B always holds
+        a_bits = np.arange(1, 1 << (r - 1))[:, None] >> np.arange(r) & 1
+        in_a = a_bits.astype(float)
+        in_b = 1.0 - in_a
+        per_row = len(in_a) * (2 * c + r + 4) + r * (r + c) + c * c
+        for inner in _combination_chunks(n, c, per_row):
+            rows = np.arange(len(inner))[:, None]
+            outside = np.ones((len(inner), n), dtype=bool)
+            outside[rows, inner] = False
+            outer = np.nonzero(outside)[1].reshape(len(inner), r)
+            w_cr = w[inner[:, :, None], outer[:, None, :]]
+            direct = ((in_a @ w[outer[:, :, None], outer[:, None, :]]) * in_b).sum(axis=2)
+            energy = kron_energies(graph.laplacian_matrix, inner, w_cr @ in_a.T,
+                                   w_cr @ in_b.T, direct)
+            mu = mass[outer]
+            ratio = (1.0 / (mu @ in_a.T) + 1.0 / (mu @ in_b.T)) * energy
+            outer_bits = np.int64(1) << outer  # 2n <= 24 bits per pair key
+            a_key = outer_bits @ a_bits.T
+            b_key = outer_bits.sum(axis=1)[:, None] - a_key
+            best.offer(ratio.ravel(), ((a_key << n) | b_key).ravel())
+    value, key = best.winner  # n >= 2 always yields a pair
+    key = int(key)
+    return ContentResult(value=value, witness_a=VertexSet.from_mask(key >> n),
+                         witness_b=VertexSet.from_mask(key & ((1 << n) - 1)),
                          method=EXACT_ENUMERATION)
 
 
@@ -194,29 +272,25 @@ def neumann_content_sweep(graph: WeightedGraph) -> ContentResult:
 
     For every threshold pair (t-, t+) among the eigenvector's distinct
     values with t- < 0 <= t+, score the pair A = {x <= t-}, B = {x >= t+}
-    and keep the best. Never below the exact value, often equal to it.
+    and keep the best, with the same tie rule as the exact enumeration.
+    Never below the exact value, often equal to it.
     """
     x = neumann_eigenvalue(graph).eigenvector
-    lap, _, _ = laplacian(graph)
     values = sorted(set(float(v) for v in x))
-    neg = [t for t in values if t < 0.0]
-    pos = [t for t in values if t >= 0.0]
+    a_sets = [VertexSet.of(np.flatnonzero(x <= t)) for t in values if t < 0.0]
+    b_sets = [VertexSet.of(np.flatnonzero(x >= t)) for t in values if t >= 0.0]
 
-    best: Optional[tuple[float, int, int]] = None
-    for t_minus in neg:
-        a = VertexSet.of(np.flatnonzero(x <= t_minus))
-        a_ids = np.array(a.members)
-        inv_a = 1.0 / graph.mass_of(a)
-        for t_plus in pos:
-            b = VertexSet.of(np.flatnonzero(x >= t_plus))
-            energy = _energy_given_laplacian(lap, a_ids, np.array(b.members))
-            ratio = (inv_a + 1.0 / graph.mass_of(b)) * energy
-            cand = (ratio, a.canonical_key, b.canonical_key)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None  # eigenvector always takes both signs
-    return ContentResult(value=best[0], witness_a=VertexSet.from_mask(best[1]),
-                         witness_b=VertexSet.from_mask(best[2]),
+    ratios, keys = [], []
+    for a in a_sets:
+        for b in b_sets:
+            energy = pair_energy(graph, a, b)
+            ratios.append((1.0 / graph.mass_of(a) + 1.0 / graph.mass_of(b)) * energy)
+            keys.append((a.canonical_key, b.canonical_key))
+    best = _RunningMin()
+    best.offer(np.array(ratios), keys)
+    value, (a_key, b_key) = best.winner  # eigenvector always takes both signs
+    return ContentResult(value=value, witness_a=VertexSet.from_mask(a_key),
+                         witness_b=VertexSet.from_mask(b_key),
                          method=SWEEP_HEURISTIC)
 
 

@@ -78,9 +78,13 @@ class LinalgError(HardySpectralError):
 
 
 class NotPositiveDefinite(LinalgError):
+    """`pivot_index` is None when the failing pivot is not known, as in a
+    batched LAPACK solve."""
+
     def __init__(self, pivot_index):
         self.pivot_index = pivot_index
-        super().__init__(f"matrix is not positive definite (pivot {pivot_index})")
+        where = "" if pivot_index is None else f" (pivot {pivot_index})"
+        super().__init__(f"matrix is not positive definite{where}")
 
 
 class NoConvergence(LinalgError):

@@ -131,6 +131,33 @@ class WeightedGraph:
     def conductance_of(self) -> dict[tuple[int, int], float]:
         return {(u, v): k for (u, v, k) in self.edges}
 
+    @cached_property
+    def conductance_matrix(self) -> np.ndarray:
+        """W, the symmetric matrix of edge conductances (zero diagonal),
+        read-only."""
+        n = self.vertex_count
+        adj = np.zeros((n, n))
+        for (u, v, k) in self.edges:
+            adj[u, v] = k
+            adj[v, u] = k
+        adj.flags.writeable = False
+        return adj
+
+    @cached_property
+    def laplacian_matrix(self) -> np.ndarray:
+        """L = D - W, read-only. Degrees are row sums of W, so L's rows sum
+        to zero exactly."""
+        adj = self.conductance_matrix
+        lap = np.diag(adj.sum(axis=1)) - adj
+        lap.flags.writeable = False
+        return lap
+
+    @cached_property
+    def _validated(self) -> bool:
+        # cached only on success; a graph that fails raises on every call
+        _check_invariants(self)
+        return True
+
     def degree(self, v: int) -> float:
         return float(sum(k for (a, b, k) in self.edges if a == v or b == v))
 
@@ -203,7 +230,12 @@ def components(graph: WeightedGraph) -> list[list[int]]:
 
 def validate(graph: WeightedGraph) -> None:
     """Raise unless the graph is simple, connected, with conductances > 0
-    and masses >= 0."""
+    and masses >= 0. The checks run once per graph: graphs are immutable,
+    so a success is cached on the graph."""
+    graph._validated  # noqa: B018
+
+
+def _check_invariants(graph: WeightedGraph) -> None:
     for v, m in enumerate(graph.masses):
         if not (m >= 0.0):
             raise errors.NegativeMass(v, m)

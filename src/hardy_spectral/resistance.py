@@ -1,8 +1,24 @@
-"""Effective resistance between disjoint vertex sets.
+"""Effective resistance between disjoint vertex sets, and the one energy
+kernel that every resistance and content quantity goes through.
 
 1/R(A, B) is the minimum energy of a potential held at 1 on A and 0 on B;
-masses play no role. The primary route is one SPD solve for the harmonic
-extension; a pseudoinverse route exists purely as a cross-check oracle.
+masses play no role. Eliminating every other vertex, C = V \\ (A u B),
+by Kron reduction leaves a network on A u B whose conductances are the
+Schur complement of L_CC. With both sides held fixed, the energy is the
+total reduced conductance between A and B:
+
+    1/R(A, B) = W(A, B) + W(A, C) L_CC^{-1} W(C, B),
+
+where W(X, Y) sums the edge conductances from X to Y (a vector over C
+when one side is C). Every term is a sum of nonnegative numbers, since
+L_CC^{-1} is entrywise nonnegative, so nothing cancels; and an edge
+inside A or inside B never enters the computation, however stiff it is.
+When A u B = V nothing is eliminated and the energy is W(A, B), the
+crossing conductance.
+
+`kron_energies` evaluates this for many pairs at once: one batched LAPACK
+solve per eliminated set C, with one right-hand side per pair (A, B) that
+shares C. A pseudoinverse route exists purely as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -10,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from .graph import VertexSet, WeightedGraph
-from .linalg import cholesky_solve, jacobi_eigen, quadratic_form
-from .spectral import harmonic_extension, laplacian
+from .graph import VertexSet, WeightedGraph, validate
+from .linalg import jacobi_eigen
+from .spectral import laplacian
 
 _KERNEL_CUTOFF = 1e-10
 
@@ -27,40 +43,39 @@ def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
         raise errors.LengthMismatch("vertex id out of range")
 
 
-def _energy_given_laplacian(lap: np.ndarray, a_ids, b_ids) -> float:
-    """Minimum energy with potential 1 on a_ids and 0 on b_ids: the inner
-    routine shared by the public function and the content enumerations,
-    which call it many times against one prebuilt Laplacian."""
-    n = lap.shape[0]
-    x = np.zeros(n)
-    x[a_ids] = 1.0
-    outside = np.ones(n, dtype=bool)
-    outside[a_ids] = False
-    outside[b_ids] = False
-    free = np.flatnonzero(outside)
-    if free.size:
-        rhs = -lap[np.ix_(free, a_ids)].sum(axis=1)
-        x[free] = cholesky_solve(lap[np.ix_(free, free)], rhs)
-    return float(x @ (lap @ x))
+def kron_energies(lap: np.ndarray, inner: np.ndarray, to_a: np.ndarray,
+                  to_b: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """Energies 1/R(A, B), shape (m, s): row i eliminates the vertices
+    C = inner[i], given as indices into `lap` (all rows share one size c),
+    and carries s pairs (A, B) disjoint from C. For pair j, to_a[i, :, j]
+    and to_b[i, :, j] are W(C, A) and W(C, B) (shape (m, c, s)), and
+    direct[i, j] is W(A, B). A singular L_CC, which a connected graph
+    never has, raises."""
+    try:
+        y = np.linalg.solve(lap[inner[:, :, None], inner[:, None, :]], to_b)
+    except np.linalg.LinAlgError:
+        raise errors.NotPositiveDefinite(None) from None
+    return direct + np.einsum("mcs,mcs->ms", to_a, y)
+
+
+def pair_energy(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> float:
+    """1/R(A, B) for one pair of disjoint nonempty sets."""
+    w = graph.conductance_matrix
+    a_ids, b_ids = list(a.members), list(b.members)
+    inner = np.array(a.union(b).complement(graph.vertex_count).members, dtype=np.intp)
+    to_a = w[np.ix_(inner, a_ids)].sum(axis=1)
+    to_b = w[np.ix_(inner, b_ids)].sum(axis=1)
+    direct = w[np.ix_(a_ids, b_ids)].sum()
+    energy = kron_energies(graph.laplacian_matrix, inner[None], to_a[None, :, None],
+                           to_b[None, :, None], np.array([[direct]]))
+    return float(energy[0, 0])
 
 
 def effective_resistance(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> float:
-    """R(A, B) via the harmonic extension of the unit voltage drop.
-
-    When A and B exhaust the vertices there is nothing to extend and the
-    energy is just the total conductance of the crossing edges.
-    """
+    """R(A, B): Kron-reduce the network onto A u B."""
     _check_sets(graph, a, b)
-    if len(a) + len(b) == graph.vertex_count:
-        in_a, in_b = set(a.members), set(b.members)
-        cut = sum(k for (u, v, k) in graph.edges
-                  if (u in in_a and v in in_b) or (u in in_b and v in in_a))
-        return 1.0 / cut
-    fixed = {v: 1.0 for v in a}
-    fixed.update({v: 0.0 for v in b})
-    x = harmonic_extension(graph, fixed)
-    lap, _, _ = laplacian(graph)
-    return 1.0 / quadratic_form(lap, x)
+    validate(graph)
+    return 1.0 / pair_energy(graph, a, b)
 
 
 def resistance_via_pseudoinverse(graph: WeightedGraph, a: int, b: int) -> float:

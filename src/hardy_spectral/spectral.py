@@ -35,17 +35,11 @@ class SpectralResult:
 
 
 def laplacian(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble (L, M, D): Laplacian, diagonal mass matrix, diagonal degree
-    matrix. Degrees are row sums of the adjacency matrix, so L's rows sum
+    """(L, M, D): Laplacian, diagonal mass matrix, diagonal degree matrix.
+    L is the graph's cached read-only `laplacian_matrix`, whose rows sum
     to zero exactly."""
-    n = graph.vertex_count
-    adj = np.zeros((n, n))
-    for (u, v, k) in graph.edges:
-        adj[u, v] = k
-        adj[v, u] = k
-    deg = adj.sum(axis=1)
-    lap = np.diag(deg) - adj
-    return lap, np.diag(graph.mass_vector), np.diag(deg)
+    lap = graph.laplacian_matrix
+    return lap, np.diag(graph.mass_vector), np.diag(np.diag(lap))
 
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:

@@ -77,10 +77,10 @@ class _Contribution:
     checks: list[Check] = field(default_factory=list)
 
 
-def _timed(contrib: _Contribution, name: str, fn: Callable):
+def _timed(timing_ms: dict[str, float], name: str, fn: Callable):
     start = time.perf_counter()
     value = fn()
-    contrib.timing_ms[name] = (time.perf_counter() - start) * 1000.0
+    timing_ms[name] = (time.perf_counter() - start) * 1000.0
     return value
 
 
@@ -120,7 +120,7 @@ def run_suite(graph: WeightedGraph, *,
     shared = _Contribution()
     if needs_lambda2:
         try:
-            res = _timed(shared, "lambda2", lambda: neumann_eigenvalue(graph))
+            res = _timed(shared.timing_ms, "lambda2", lambda: neumann_eigenvalue(graph))
             lambda2 = res.eigenvalue
             eigvec = res.eigenvector
             shared.quantities["lambda2"] = lambda2
@@ -150,10 +150,10 @@ def run_suite(graph: WeightedGraph, *,
         if boundary is None:
             c.checks.append(check_error("dirichlet", "no boundary set given"))
             return c
-        lam = _timed(c, "lambda_dirichlet",
+        lam = _timed(c.timing_ms, "lambda_dirichlet",
                      lambda: dirichlet_eigenvalue(graph, boundary)).eigenvalue
         c.quantities["lambda_dirichlet"] = lam
-        psi = _timed(c, "psi_dirichlet", lambda: dirichlet_content_exact(graph, boundary))
+        psi = _timed(c.timing_ms, "psi_dirichlet", lambda: dirichlet_content_exact(graph, boundary))
         c.quantities["psi_dirichlet"] = psi.value
         c.witnesses["psi_dirichlet_a"] = list(psi.witness_a.members)
         c.checks.append(check_le("dirichlet_lower", psi.value / 4.0, lam, tolerance))
@@ -165,13 +165,23 @@ def run_suite(graph: WeightedGraph, *,
         if lambda2 is None:
             c.checks.append(check_error("neumann", lambda2_error or "no fundamental mode"))
             return c
-        psi2 = _timed(c, "psi2", lambda: neumann_content_exact(graph))
-        c.quantities["psi2"] = psi2.value
-        c.quantities["h2"] = psi2.hardy
-        c.witnesses["psi2_a"] = list(psi2.witness_a.members)
-        c.witnesses["psi2_b"] = list(psi2.witness_b.members)
-        sweep = _timed(c, "psi2_sweep", lambda: neumann_content_sweep(graph))
+        try:
+            psi2 = _timed(c.timing_ms, "psi2", lambda: neumann_content_exact(graph))
+        except errors.TooLarge as exc:
+            psi2 = None
+            c.checks.append(check_error("neumann", str(exc)))
+        else:
+            c.quantities["psi2"] = psi2.value
+            c.quantities["h2"] = psi2.hardy
+            c.witnesses["psi2_a"] = list(psi2.witness_a.members)
+            c.witnesses["psi2_b"] = list(psi2.witness_b.members)
+        sweep = _timed(c.timing_ms, "psi2_sweep", lambda: neumann_content_sweep(graph))
         c.quantities["psi2_sweep"] = sweep.value
+        if psi2 is None:
+            # beyond the guard the sweep still bounds lambda2 from above,
+            # because psi2 <= psi2_sweep
+            c.checks.append(check_le("neumann_upper_sweep", lambda2, sweep.value, tolerance))
+            return c
         c.checks.append(check_le("neumann_lower", psi2.value / 4.0, lambda2, tolerance))
         c.checks.append(check_le("neumann_upper", lambda2, psi2.value, tolerance))
         c.checks.append(check_le("sweep_sound", psi2.value, sweep.value, tolerance))
@@ -182,7 +192,7 @@ def run_suite(graph: WeightedGraph, *,
         if lambda2 is None:
             c.checks.append(check_error("cheeger", lambda2_error or "no fundamental mode"))
             return c
-        phi = _timed(c, "phi", lambda: isoperimetric_exact(graph))
+        phi = _timed(c.timing_ms, "phi", lambda: isoperimetric_exact(graph))
         c.quantities["phi"] = phi.value
         c.witnesses["phi_a"] = list(phi.witness_a.members)
         worst = max(graph.degree(v) / graph.masses[v] for v in range(graph.vertex_count))

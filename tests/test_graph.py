@@ -58,6 +58,12 @@ class TestValidate:
     def test_zero_mass_is_allowed(self):
         validate(WeightedGraph((0.0, 1.0), ((0, 1, 1.0),)))
 
+    def test_failure_raises_on_every_call(self):
+        g = WeightedGraph((1.0, 1.0, 1.0), ((0, 1, 1.0),))
+        for _ in range(2):
+            with pytest.raises(errors.Disconnected):
+                validate(g)
+
 
 class TestPathGraph:
     def test_single_edge(self):

@@ -155,6 +155,17 @@ class TestRunSuite:
         bad = [c for c in rep.checks if not c.holds]
         assert bad and "guard" in bad[0].reason
 
+    def test_neumann_guard_keeps_sweep_upper_bound(self):
+        g = random_graph(13, 0.4, (0.1, 10.0), (0.1, 10.0), seed=1)
+        rep = run_suite(g, suites=["neumann"], seed=1)
+        rows = {c.name: c for c in rep.checks}
+        assert list(rows) == ["neumann", "neumann_upper_sweep"]
+        assert not rows["neumann"].holds and "guard" in rows["neumann"].reason
+        assert rows["neumann_upper_sweep"].holds
+        assert rows["neumann_upper_sweep"].lhs == rep.quantities["lambda2"]
+        assert rows["neumann_upper_sweep"].rhs == rep.quantities["psi2_sweep"]
+        assert "psi2" not in rep.quantities
+
     def test_missing_boundary_becomes_failed_check(self, p3):
         rep = run_suite(p3, suites=["dirichlet"], seed=1)
         assert not rep.all_hold
@@ -180,7 +191,7 @@ class TestCli:
     def test_resistance_series_law(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["resistance", path, "--a", "v0", "--b", "v2"]) == 0
-        assert capsys.readouterr().out.strip() == "2.0000000000000004"
+        assert capsys.readouterr().out.strip() == "2.0"
 
     def test_verify_success_exit_zero(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
@@ -213,6 +224,16 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["quantities"]["lambda2"] == pytest.approx(1.0)
         assert doc["checks"] == []
+
+    def test_analyze_timing_only_when_asked(self, tmp_path, capsys):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        assert main(["analyze", path, "--boundary", "v0", "--json", "--timing"]) == 0
+        timed = json.loads(capsys.readouterr().out)["timing_ms"]
+        assert sorted(timed) == sorted(["lambda2", "psi2", "phi", "lambda_dirichlet",
+                                        "psi_dirichlet"])
+        assert all(ms >= 0.0 for ms in timed.values())
+        assert main(["analyze", path, "--boundary", "v0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["timing_ms"] == {}
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)

@@ -26,6 +26,12 @@ class TestLaplacian:
         lap, _, _ = laplacian(p3)
         assert lap.tolist() == [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
 
+    def test_assembled_once_and_read_only(self, p3):
+        lap, _, _ = laplacian(p3)
+        assert laplacian(p3)[0] is lap
+        with pytest.raises(ValueError):
+            lap[0, 0] = 5.0
+
     def test_rows_sum_to_zero(self):
         for i in range(10):
             g = corpus_graph(i)
