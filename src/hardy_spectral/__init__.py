@@ -15,8 +15,8 @@ from .content import (ContentResult, dirichlet_content_exact, hardy_path,
 from .graph import (PinchedGraph, VertexSet, WeightedGraph, components,
                     contract, path_graph, pinch, random_graph, split_edge,
                     validate)
-from .linalg import (EigenDecomposition, cholesky_factor, cholesky_solve,
-                     jacobi_eigen, quadratic_form)
+from .linalg import (EigenDecomposition, cholesky_solve, jacobi_eigen,
+                     quadratic_form)
 from .report import VerificationReport, emit_report
 from .resistance import effective_resistance, resistance_via_pseudoinverse
 from .rng import Xorshift64Star
@@ -33,8 +33,7 @@ __all__ = [
     "neumann_content_sweep",
     "PinchedGraph", "VertexSet", "WeightedGraph", "components", "contract",
     "path_graph", "pinch", "random_graph", "split_edge", "validate",
-    "EigenDecomposition", "cholesky_factor", "cholesky_solve", "jacobi_eigen",
-    "quadratic_form",
+    "EigenDecomposition", "cholesky_solve", "jacobi_eigen", "quadratic_form",
     "VerificationReport", "emit_report",
     "effective_resistance", "resistance_via_pseudoinverse",
     "Xorshift64Star",

@@ -36,7 +36,7 @@ from . import errors
 from .graph import (VertexSet, WeightedGraph, is_canonical_path, path_graph,
                     validate)
 from .resistance import kron_energies, pair_energy
-from .spectral import neumann_eigenvalue
+from .spectral import TIE_RTOL, neumann_eigenvalue
 
 DIRICHLET_ENUM_LIMIT = 20
 NEUMANN_ENUM_LIMIT = 12
@@ -48,9 +48,6 @@ SWEEP_HEURISTIC = "sweep-heuristic"
 
 LEVEL_GROUP_RTOL = 1e-9
 
-# Sets that tie in exact arithmetic come out of different batched solves
-# a few ulps apart; ratios this close to the minimum count as tied.
-TIE_RTOL = 64 * np.finfo(float).eps
 # Upper bound on the numbers gathered for one chunk of eliminated sets,
 # which bounds the enumerations' working memory (2^15 doubles = 256 KiB).
 CHUNK_ENTRIES = 1 << 15

@@ -78,19 +78,12 @@ class LinalgError(HardySpectralError):
 
 
 class NotPositiveDefinite(LinalgError):
-    """`pivot_index` is None when the failing pivot is not known, as in a
-    batched LAPACK solve."""
-
-    def __init__(self, pivot_index):
-        self.pivot_index = pivot_index
-        where = "" if pivot_index is None else f" (pivot {pivot_index})"
-        super().__init__(f"matrix is not positive definite{where}")
+    def __init__(self):
+        super().__init__("matrix is not positive definite")
 
 
 class NoConvergence(LinalgError):
-    def __init__(self, sweeps):
-        self.sweeps = sweeps
-        super().__init__(f"eigensolver did not converge in {sweeps} sweeps")
+    """The eigensolver gave no usable answer."""
 
 
 class DimensionMismatch(LinalgError):

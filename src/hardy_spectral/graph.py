@@ -202,27 +202,29 @@ class PinchedGraph:
 # validation
 # ---------------------------------------------------------------------------
 
-def components(graph: WeightedGraph) -> list[list[int]]:
-    """Connected components as sorted id lists, ordered by smallest member."""
-    n = graph.vertex_count
-    adj: list[list[int]] = [[] for _ in range(n)]
+def components(graph: WeightedGraph,
+               vertices: Optional[Iterable[int]] = None) -> list[list[int]]:
+    """Connected components of the subgraph induced on `vertices` (default:
+    every vertex) as sorted id lists, ordered by smallest member."""
+    keep = range(graph.vertex_count) if vertices is None else sorted(set(vertices))
+    adj: dict[int, list[int]] = {v: [] for v in keep}
     for (u, v, _k) in graph.edges:
-        if u != v:
+        if u != v and u in adj and v in adj:
             adj[u].append(v)
             adj[v].append(u)
-    seen = [False] * n
+    seen: set[int] = set()
     out = []
-    for root in range(n):
-        if seen[root]:
+    for root in keep:
+        if root in seen:
             continue
         stack, comp = [root], []
-        seen[root] = True
+        seen.add(root)
         while stack:
             x = stack.pop()
             comp.append(x)
             for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
+                if y not in seen:
+                    seen.add(y)
                     stack.append(y)
         out.append(sorted(comp))
     return out

@@ -1,11 +1,13 @@
-"""Dense symmetric linear algebra sized for desk-scale graphs: a Cholesky
-solver for the SPD systems behind harmonic extensions and resistances, and
-a cyclic-by-row Jacobi eigensolver.
+"""Dense symmetric linear algebra sized for desk-scale graphs, on LAPACK
+through numpy: a Cholesky solve for the SPD systems behind harmonic
+extensions, and a full symmetric eigendecomposition.
 
-Jacobi is chosen over faster methods because the rotation sequence is fully
-deterministic, which keeps eigenvector fixtures stable across runs. Inputs
-are plain numpy arrays; symmetry is required exactly (our assemblers
-produce it by construction).
+Inputs are plain numpy arrays; symmetry is required exactly (our
+assemblers produce it by construction), so LAPACK, which reads one
+triangle, sees the matrix the caller meant. LAPACK is deterministic for a
+fixed build, so results repeat from run to run; callers that choose among
+values equal in exact arithmetic (eigenvector signs, tied eigenvalues)
+decide within a window, never by the last ulp.
 """
 
 from __future__ import annotations
@@ -16,20 +18,14 @@ import numpy as np
 
 from . import errors
 
-_EPS = np.finfo(float).eps
-
-JACOBI_REL_THRESHOLD = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Full spectrum: eigenvalues ascending, orthonormal eigenvector columns
-    aligned with them, and the off-diagonal Frobenius norm at termination."""
+    """Full spectrum: eigenvalues ascending and orthonormal eigenvector
+    columns aligned with them."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    offdiag_residual: float
 
 
 def _require_square_symmetric(a: np.ndarray) -> np.ndarray:
@@ -41,107 +37,30 @@ def _require_square_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = a.
-
-    A pivot below n * eps * max(diag) means the matrix is not (numerically)
-    positive definite and raises with the offending index.
-    """
-    a = _require_square_symmetric(a)
-    n = a.shape[0]
-    tol = n * _EPS * max(float(np.max(np.diag(a))), 0.0)
-    ell = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - ell[j, :j] @ ell[j, :j]
-        if pivot <= tol:
-            raise errors.NotPositiveDefinite(j)
-        d = np.sqrt(pivot)
-        ell[j, j] = d
-        if j + 1 < n:
-            ell[j + 1:, j] = (a[j + 1:, j] - ell[j + 1:, :j] @ ell[j, :j]) / d
-    return ell
-
-
 def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ x = rhs for symmetric positive definite a."""
+    """Solve a @ x = rhs for symmetric positive definite a: a = L L^T, then
+    one solve with L and one with L^T."""
+    a = _require_square_symmetric(a)
     rhs = np.asarray(rhs, dtype=float)
-    ell = cholesky_factor(a)
-    n = ell.shape[0]
+    n = a.shape[0]
     if rhs.shape != (n,):
         raise errors.DimensionMismatch(f"rhs shape {rhs.shape} != ({n},)")
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = (rhs[i] - ell[i, :i] @ y[:i]) / ell[i, i]
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - ell[i + 1:, i] @ x[i + 1:]) / ell[i, i]
-    return x
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    # norm of the matrix with its diagonal zeroed; subtracting squared norms
-    # instead would cancel catastrophically near convergence
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b, "fro"))
+    try:
+        ell = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise errors.NotPositiveDefinite() from None
+    return np.linalg.solve(ell.T, np.linalg.solve(ell, rhs))
 
 
 def jacobi_eigen(a: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition by cyclic-by-row Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    1e-12 * ||a||_F (or 100 sweeps, which raises; never seen at n <= 64).
-    Eigenvalues are sorted ascending with a stable permutation applied to
-    the eigenvector columns.
-    """
+    """Full eigendecomposition of a symmetric matrix (LAPACK `syevd`),
+    eigenvalues ascending."""
     a = _require_square_symmetric(a)
-    n = a.shape[0]
-    w = a.copy()
-    q = np.eye(n)
-    threshold = JACOBI_REL_THRESHOLD * float(np.linalg.norm(a, "fro"))
-
-    off = _offdiag_norm(w)
-    sweeps = 0
-    while off > threshold:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise errors.NoConvergence(sweeps)
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = w[p, r]
-                if apr == 0.0:
-                    continue
-                h = w[r, r] - w[p, p]
-                if abs(apr) < abs(h) * 1e-36:
-                    t = apr / h  # limit of the stable formula, avoids overflow
-                else:
-                    theta = h / (2.0 * apr)
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                    else:
-                        t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                col_p, col_r = w[:, p].copy(), w[:, r].copy()
-                w[:, p] = c * col_p - s * col_r
-                w[:, r] = s * col_p + c * col_r
-                row_p, row_r = w[p, :].copy(), w[r, :].copy()
-                w[p, :] = c * row_p - s * row_r
-                w[r, :] = s * row_p + c * row_r
-                w[p, r] = 0.0
-                w[r, p] = 0.0
-
-                qp, qr = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = c * qp - s * qr
-                q[:, r] = s * qp + c * qr
-        sweeps += 1
-        off = _offdiag_norm(w)
-
-    eigs = np.diag(w).copy()
-    order = np.argsort(eigs, kind="stable")
-    return EigenDecomposition(eigenvalues=eigs[order],
-                              eigenvectors=q[:, order],
-                              offdiag_residual=off)
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        raise errors.NoConvergence("symmetric eigensolver did not converge") from None
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def quadratic_form(a: np.ndarray, x: np.ndarray) -> float:

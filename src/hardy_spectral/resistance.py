@@ -54,7 +54,7 @@ def kron_energies(lap: np.ndarray, inner: np.ndarray, to_a: np.ndarray,
     try:
         y = np.linalg.solve(lap[inner[:, :, None], inner[:, None, :]], to_b)
     except np.linalg.LinAlgError:
-        raise errors.NotPositiveDefinite(None) from None
+        raise errors.NotPositiveDefinite() from None
     return direct + np.einsum("mcs,mcs->ms", to_a, y)
 
 

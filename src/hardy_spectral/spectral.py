@@ -4,7 +4,18 @@ Both problems reduce to ordinary symmetric eigenproblems by whitening with
 the diagonal mass matrix: the fundamental (Neumann) eigenvalue is the
 second-smallest eigenvalue of M^{-1/2} L M^{-1/2}, and the boundary-pinned
 (Dirichlet) eigenvalue is the smallest eigenvalue of the same whitening
-applied to the interior principal submatrix.
+applied to the interior principal submatrix, one connected piece of the
+interior at a time.
+
+LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
+which on stiff graphs swamps the small differences across stiff edges. So
+each eigenvector is polished by inverse iteration on the Laplacian, whose
+M-matrix solves keep those differences, and the eigenvalue is its
+Rayleigh quotient with the energy summed over the edges, where no terms
+cancel. Values equal in exact arithmetic may still differ in the last
+ulps, so every choice among them (the piece that carries the Dirichlet
+mode, the entry that fixes a sign) treats values within the relative
+window TIE_RTOL as tied and gives the lowest vertex id the win.
 """
 
 from __future__ import annotations
@@ -15,11 +26,14 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import errors
-from .graph import VertexSet, WeightedGraph, validate
+from .graph import VertexSet, WeightedGraph, components, validate
 from .linalg import cholesky_solve, jacobi_eigen, quadratic_form
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
+
+TIE_RTOL = 64 * np.finfo(float).eps
+POLISH_STEPS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +58,35 @@ def laplacian(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:
     """Flip so the largest-magnitude entry (lowest id on ties) is positive."""
-    i = int(np.argmax(np.abs(x)))
+    mag = np.abs(x)
+    i = int(np.argmax(mag >= np.max(mag) * (1.0 - TIE_RTOL)))
     return -x if x[i] < 0.0 else x
+
+
+def _eigenpair(graph: WeightedGraph, vertices: list[int],
+               k: int) -> tuple[float, np.ndarray]:
+    """The k-th smallest eigenpair of L x = lam M x with x held at zero off
+    `vertices`, as a full-length x of unit mass norm: eigh on the whitened
+    block, then POLISH_STEPS steps of inverse iteration. k = 1 is the
+    Neumann mode (`vertices` is all of V): its solves ground the first
+    vertex and remove the constant mode."""
+    lap, mass = graph.laplacian_matrix, graph.mass_vector
+    d = 1.0 / np.sqrt(mass[vertices])
+    dec = jacobi_eigen(lap[np.ix_(vertices, vertices)] * np.outer(d, d))
+    x = np.zeros(graph.vertex_count)
+    x[vertices] = d * dec.eigenvectors[:, k]
+    free = vertices[k:]
+    for _ in range(POLISH_STEPS):
+        y = np.zeros_like(x)
+        try:
+            y[free] = np.linalg.solve(lap[np.ix_(free, free)], (mass * x)[free])
+        except np.linalg.LinAlgError:
+            raise errors.NotPositiveDefinite() from None
+        if k:
+            y -= (mass @ y) / mass.sum()
+        x = y / np.sqrt(mass @ (y * y))
+    diff = x[:, None] - x[None, :]
+    return 0.5 * float(np.sum(graph.conductance_matrix * diff * diff)), x
 
 
 def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
@@ -58,13 +99,15 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
         if m <= 0.0:
             raise errors.ZeroMass(v)
 
-    lap, mass, _ = laplacian(graph)
-    d = 1.0 / np.sqrt(graph.mass_vector)
-    white = lap * np.outer(d, d)
-    dec = jacobi_eigen(white)
-    lam = float(dec.eigenvalues[1])
-    x = _canonical_sign(d * dec.eigenvectors[:, 1])
-    residual = float(np.linalg.norm(lap @ x - lam * (mass @ x)))
+    lam, x = _eigenpair(graph, list(range(graph.vertex_count)), 1)
+    x = _canonical_sign(x)
+    # the exact mode is positive and takes both signs (it is mass-orthogonal
+    # to the constants); weights too stiff for doubles can break either
+    if not (lam > 0.0 and np.any(x > 0.0) and np.any(x < 0.0)):
+        raise errors.NoConvergence(
+            f"fundamental mode not resolved in double precision (lambda2 = {lam!r})")
+    eq = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
+    residual = float(np.linalg.norm(eq))
     x.flags.writeable = False
     return SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual,
                           kind=NEUMANN)
@@ -77,6 +120,11 @@ def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralR
     enter, so zero-mass vertices are fine there, but every interior vertex
     needs positive mass. The returned eigenvector is zero-padded onto the
     boundary (it is an eigenvector of the interior submatrix, not of L).
+
+    Each connected piece of the interior is its own eigenproblem, and the
+    eigenvalue is the smallest of theirs. The eigenvector lives on one
+    piece, the lowest-id one among the tied pieces, so it never mixes
+    decoupled blocks and keeps one sign.
     """
     validate(graph)
     n = graph.vertex_count
@@ -88,17 +136,12 @@ def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralR
         if graph.masses[v] <= 0.0:
             raise errors.ZeroMass(v)
 
-    lap, _, _ = laplacian(graph)
-    sub = lap[np.ix_(interior, interior)]
-    d = 1.0 / np.sqrt(graph.mass_vector[interior])
-    dec = jacobi_eigen(sub * np.outer(d, d))
-    lam = float(dec.eigenvalues[0])
-    x = np.zeros(n)
-    x[interior] = d * dec.eigenvectors[:, 0]
+    pieces = [_eigenpair(graph, piece, 0) for piece in components(graph, interior)]
+    floor = min(lam for lam, _ in pieces)
+    lam, x = next(p for p in pieces if p[0] <= floor * (1.0 + TIE_RTOL))
     x = _canonical_sign(x)
-
-    m_int = graph.mass_vector[interior]
-    residual = float(np.linalg.norm(sub @ x[interior] - lam * m_int * x[interior]))
+    eq = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
+    residual = float(np.linalg.norm(eq[interior]))
     x.flags.writeable = False
     return SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual,
                           kind=DIRICHLET, boundary=VertexSet.of(bset))

@@ -1,18 +1,16 @@
 """Verification suites: recompute every bound the library promises on one
 graph and report each comparison as a tolerance-aware check.
 
-Suites are independent and may run on a small thread pool (capped by the
-HARDY_SPECTRAL_THREADS environment variable, default 1); all random draws
-happen up front on the calling thread and results merge in a fixed order,
-so a report depends only on the inputs and the seed.
+Suites run one after another on the calling thread, in the fixed order of
+ALL_SUITES. All random draws happen up front from the seeded generator,
+LAPACK is deterministic for a fixed build, and every tie is decided
+within a window, so a report depends only on the inputs and the seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,14 +31,6 @@ ALL_SUITES = ("dirichlet", "neumann", "cheeger", "pinch", "ressum", "path-reduct
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 10
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HARDY_SPECTRAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _random_mixed_sign_f(rng: Xorshift64Star, n: int) -> list[float]:
@@ -259,8 +249,6 @@ def run_suite(graph: WeightedGraph, *,
         "ressum": suite_ressum,
         "path-reduction": suite_path_reduction,
     }
-    ordered = [s for s in ALL_SUITES if s in wanted]
-    thunks = [runners[s] for s in ordered]
 
     def guarded(fn: Callable[[], _Contribution]) -> _Contribution:
         try:
@@ -270,12 +258,7 @@ def run_suite(graph: WeightedGraph, *,
             c.checks.append(check_error(fn.__name__.removeprefix("suite_"), str(exc)))
             return c
 
-    workers = _worker_count()
-    if workers > 1 and len(thunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            contributions = list(pool.map(guarded, thunks))
-    else:
-        contributions = [guarded(t) for t in thunks]
+    contributions = [guarded(runners[s]) for s in ALL_SUITES if s in wanted]
 
     for c in [shared] + contributions:
         report.quantities.update(c.quantities)

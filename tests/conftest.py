@@ -36,6 +36,20 @@ def corpus_path(i: int, max_interior: int = 10) -> WeightedGraph:
     return path_graph(masses, kappas)
 
 
+def stiff_graph(seed: int, ratio: float, mass_ratio: float = 1.0,
+                n: int = 7, extra: int = 5) -> WeightedGraph:
+    """Random recursive tree on 0..n-1 plus `extra` distinct non-tree
+    edges; each conductance is 1 or `ratio` and each mass 1 or
+    `mass_ratio`, by coin flips in edge order, then vertex order."""
+    rng = Xorshift64Star(seed)
+    tree = {(rng.below(v), v) for v in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    pairs = sorted(tree | set(rng.sample_without_replacement(others, extra)))
+    edges = tuple((u, v, ratio if rng.below(2) else 1.0) for (u, v) in pairs)
+    masses = tuple(mass_ratio if rng.below(2) else 1.0 for _ in range(n))
+    return WeightedGraph(masses, edges)
+
+
 def random_vector(rng: Xorshift64Star, n: int, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:
     return np.array([rng.uniform_in(lo, hi) for _ in range(n)])
 

@@ -156,7 +156,7 @@ class TestNeumannSweep:
         res = neumann_content_sweep(p3)
         assert res.value == pytest.approx(1.0)
         assert res.method == SWEEP_HEURISTIC
-        assert (res.witness_a.members, res.witness_b.members) == ((0,), (2,))
+        assert (res.witness_a.members, res.witness_b.members) == ((2,), (0,))
 
     def test_never_below_exact(self):
         for i in range(25):

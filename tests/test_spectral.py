@@ -4,11 +4,11 @@ import pytest
 from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_eigenvalue,
                             harmonic_extension, laplacian, neumann_eigenvalue,
                             path_graph, pinch, quadratic_form,
-                            rayleigh_quotient)
+                            rayleigh_quotient, run_suite)
 from hardy_spectral import errors
 from hardy_spectral.rng import Xorshift64Star
 
-from conftest import corpus_boundary, corpus_graph, random_vector
+from conftest import corpus_boundary, corpus_graph, random_vector, stiff_graph
 
 GOLDEN = (3 - 5 ** 0.5) / 2  # smallest eigenvalue of [[2,-1],[-1,1]]
 UNIFORM_N3_DIRICHLET = 0.19806226419516171  # smallest eig of the N=3 interior block
@@ -263,3 +263,92 @@ class TestScaleCovariance:
             scaled = WeightedGraph(tuple(c * m for m in g.masses), g.edges)
             assert neumann_eigenvalue(scaled).eigenvalue == pytest.approx(
                 neumann_eigenvalue(g).eigenvalue / c, rel=1e-10)
+
+
+def spider(legs: int, length: int, seed: int) -> tuple[WeightedGraph, int, list[set[int]]]:
+    """Unit-weight spider with shuffled ids: (graph, centre id, the legs'
+    id sets)."""
+    n = 1 + legs * length
+    ids = Xorshift64Star(seed).sample_without_replacement(list(range(n)), n)
+    edges, leg_sets = [], []
+    for leg in range(legs):
+        chain = [0] + [1 + leg * length + j for j in range(length)]
+        edges += [(ids[a], ids[b]) for a, b in zip(chain, chain[1:])]
+        leg_sets.append({ids[v] for v in chain[1:]})
+    edges = tuple(sorted((min(u, v), max(u, v), 1.0) for u, v in edges))
+    return WeightedGraph((1.0,) * n, edges), ids[0], leg_sets
+
+
+class TestSplitInterior:
+    """A boundary that cuts the interior into pieces: each piece is its own
+    eigenproblem, and the ground state must live on one piece only."""
+
+    CASES = [spider(3, 4, 1), spider(4, 3, 0), spider(5, 4, 0),
+             (path_graph([1.0] * 5, [1.0] * 4), 2, [{0, 1}, {3, 4}])]
+
+    @pytest.mark.parametrize("graph,centre,pieces", CASES,
+                             ids=["spider-3x4", "spider-4x3", "spider-5x4", "path-5"])
+    def test_tied_pieces_lowest_id_wins(self, graph, centre, pieces):
+        boundary = VertexSet.of([centre])
+        rep = run_suite(graph, boundary=boundary, suites=["path-reduction"])
+        assert rep.all_hold, rep.checks
+        x = dirichlet_eigenvalue(graph, boundary).eigenvector
+        support = set(np.flatnonzero(x).tolist())
+        assert support == min(pieces, key=min)
+        assert np.all(x >= 0.0)
+
+    def test_smallest_piece_eigenvalue_wins(self):
+        # boundary {1} leaves {0} (eigenvalue 1) and the path {2, 3, 4}
+        # (eigenvalue 2 - 2 cos(pi/7)), which holds the ground state
+        g = path_graph([1.0] * 5, [1.0] * 4)
+        res = dirichlet_eigenvalue(g, VertexSet.of([1]))
+        assert res.eigenvalue == pytest.approx(2 - 2 * np.cos(np.pi / 7), rel=1e-13)
+        assert set(np.flatnonzero(res.eigenvector).tolist()) == {2, 3, 4}
+
+
+class TestStiffGraphs:
+    """Seeded 7-vertex graphs whose conductances (and masses) are 1 or
+    1e3. eigh alone leaves the small eigenvector differences across the
+    stiff edges wrong enough to fail a path reduction."""
+
+    @pytest.mark.parametrize("mass_ratio", [1.0, 1e3])
+    def test_every_report_holds(self, mass_ratio):
+        for seed in range(100):
+            g = stiff_graph(seed, 1e3, mass_ratio)
+            rep = run_suite(g, boundary=VertexSet.of([0]), seed=seed)
+            assert rep.all_hold, (seed, [c for c in rep.checks if not c.holds])
+
+    def test_eigenvalues_match_mpmath_at_ratio_1e6(self):
+        # without the inverse-iteration polish, eigh's eigenvectors give
+        # errors up to 7e-8 (lambda2) and 3e-10 (Dirichlet) on these graphs
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(g, vertices, k):
+            # k-th smallest eigenvalue of M^-1/2 L M^-1/2 on `vertices`
+            a = mpmath.matrix(len(vertices), len(vertices))
+            for i, u in enumerate(vertices):
+                for j, v in enumerate(vertices):
+                    lap_uv = (sum(mpmath.mpf(c) for (p, q, c) in g.edges if u in (p, q))
+                              if u == v else
+                              -sum(mpmath.mpf(c) for (p, q, c) in g.edges if {p, q} == {u, v}))
+                    a[i, j] = lap_uv / mpmath.sqrt(mpmath.mpf(g.masses[u]) * g.masses[v])
+            return float(sorted(mpmath.eigsy(a, eigvals_only=True))[k])
+
+        for seed in range(20):
+            g = stiff_graph(seed, 1e6, 1e6)
+            with mpmath.workdps(50):
+                lam_d = oracle(g, list(range(1, g.vertex_count)), 0)
+                lam_2 = oracle(g, list(range(g.vertex_count)), 1)
+            assert dirichlet_eigenvalue(g, VertexSet.of([0])).eigenvalue == \
+                pytest.approx(lam_d, rel=1e-10, abs=0.0)
+            assert neumann_eigenvalue(g).eigenvalue == pytest.approx(lam_2, rel=1e-10, abs=0.0)
+
+    def test_unresolved_fundamental_mode_is_a_typed_error(self):
+        # at ratio 1e16 a unit conductance is below the rounding of its
+        # stiff neighbours, and the second mode comes out one-signed
+        g = stiff_graph(1, 1e16, 1e16)
+        with pytest.raises(errors.NoConvergence):
+            neumann_eigenvalue(g)
+        rep = run_suite(g, boundary=VertexSet.of([0]), suites=["neumann", "cheeger", "pinch"])
+        assert [c.name for c in rep.checks] == ["neumann", "cheeger", "pinch"]
+        assert not any(c.holds for c in rep.checks)
