@@ -15,7 +15,10 @@ which eliminates the vertices C outside A u B. The enumerations go by
 eliminated sets: all sets C of one size are solved in one batch, every
 pair (A, B) that shares C rides along as one more right-hand side, and
 the batches run in chunks of bounded memory, keeping only a running
-minimum.
+minimum. The isoperimetric constant needs no energy: its cut enumeration
+runs over the masks of A in chunks the same way, with the cuts as one
+matrix-vector product per chunk and both sides' masses read from one
+table of subset masses.
 
 Ties are decided by the canonical keys (A's, then B's), never by the
 order of the arithmetic: every ratio within the relative window TIE_RTOL
@@ -71,11 +74,15 @@ class ContentResult:
         return 1.0 / self.value
 
 
-def _mass_by_mask(masses: list[float], nbits: int) -> np.ndarray:
+def _mass_by_mask(masses: np.ndarray) -> np.ndarray:
+    """mu(mask) for every mask of the vertices, each summed as
+    mu(mask without its lowest bit) + mu(lowest bit): the masks whose
+    lowest bit is b are filled in one step, from the highest b down."""
+    nbits = len(masses)
     out = np.zeros(1 << nbits)
-    for mask in range(1, 1 << nbits):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] + masses[low.bit_length() - 1]
+    for b in range(nbits - 1, -1, -1):
+        high = np.arange(1 << (nbits - 1 - b)) << (b + 1)
+        out[high | (1 << b)] = out[high] + masses[b]
     return out
 
 
@@ -293,7 +300,13 @@ def neumann_content_sweep(graph: WeightedGraph) -> ContentResult:
 
 def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
     """Minimum cut conductance over the lighter side's mass, over all
-    bipartitions (vertex 0 fixed on the A side). Guarded at n = 20."""
+    bipartitions (vertex 0 fixed on the A side, so A's mask is odd).
+
+    The masks run in chunks of bounded memory: one row of crossing
+    indicators per mask, one matrix-vector product for the cuts, and the
+    running minimum with the mask as key, so ratios within TIE_RTOL tie
+    and the smallest mask wins. Guarded at n = 20.
+    """
     validate(graph)
     n = graph.vertex_count
     if n > ISOPERIMETRIC_ENUM_LIMIT:
@@ -304,25 +317,19 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
         if m <= 0.0:
             raise errors.ZeroMass(v)
 
-    u_arr = np.array([e[0] for e in graph.edges])
-    v_arr = np.array([e[1] for e in graph.edges])
-    k_arr = np.array([e[2] for e in graph.edges])
-    mass = _mass_by_mask(list(graph.masses), n)
-    total = mass[(1 << n) - 1]
-
-    best: Optional[tuple[float, int]] = None
-    for t in range(1 << (n - 1)):
-        a_mask = (t << 1) | 1
-        if a_mask == (1 << n) - 1:
-            continue
-        crossing = ((a_mask >> u_arr) & 1) != ((a_mask >> v_arr) & 1)
-        cut = float(k_arr[crossing].sum())
-        ratio = cut / min(mass[a_mask], total - mass[a_mask])
-        cand = (ratio, a_mask)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return ContentResult(value=best[0], witness_a=VertexSet.from_mask(best[1]),
+    u, v, k = (np.array(col) for col in zip(*graph.edges))
+    mass = _mass_by_mask(graph.mass_vector)
+    full = (1 << n) - 1
+    rows = max(1, CHUNK_ENTRIES // len(k))
+    best = _RunningMin()
+    # t runs below full >> 1: the last t would put every vertex in A
+    for start in range(0, full >> 1, rows):
+        a = (np.arange(start, min(start + rows, full >> 1), dtype=np.int64) << 1) | 1
+        crossing = ((a[:, None] >> u) ^ (a[:, None] >> v)) & 1
+        # each side's mass is read from the table: total - mu(A) would cancel
+        best.offer((crossing @ k) / np.minimum(mass[a], mass[full ^ a]), a)
+    value, key = best.winner  # n >= 2 always yields a cut
+    return ContentResult(value=value, witness_a=VertexSet.from_mask(int(key)),
                          witness_b=None, method=EXACT_ENUMERATION)
 
 

@@ -50,12 +50,16 @@ def kron_energies(lap: np.ndarray, inner: np.ndarray, to_a: np.ndarray,
     and carries s pairs (A, B) disjoint from C. For pair j, to_a[i, :, j]
     and to_b[i, :, j] are W(C, A) and W(C, B) (shape (m, c, s)), and
     direct[i, j] is W(A, B). A singular L_CC, which a connected graph
-    never has, raises."""
+    never has, raises; so does an energy that is not positive, which only
+    a solve swamped by rounding (weight ratios near 1e16) can return."""
     try:
         y = np.linalg.solve(lap[inner[:, :, None], inner[:, None, :]], to_b)
     except np.linalg.LinAlgError:
         raise errors.NotPositiveDefinite() from None
-    return direct + np.einsum("mcs,mcs->ms", to_a, y)
+    energy = direct + np.einsum("mcs,mcs->ms", to_a, y)
+    if not np.all(energy > 0.0):
+        raise errors.NotPositiveDefinite()
+    return energy
 
 
 def pair_energy(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> float:

@@ -1,20 +1,23 @@
 """The Kron-reduction energy kernel against oracles that share no code
 with it: per-set harmonic extensions solved with numpy.linalg.solve, and
-50-digit mpmath solves for badly scaled weights."""
+50-digit mpmath solves for badly scaled weights. The cut enumeration
+behind phi against networkx cut sizes and exact rational arithmetic."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_content_exact,
-                            effective_resistance, neumann_content_exact,
-                            hardy_path, neumann_content_sweep, neumann_eigenvalue,
-                            path_graph, random_graph)
-from hardy_spectral.content import DIRICHLET_ENUM_LIMIT, NEUMANN_ENUM_LIMIT
+                            effective_resistance, errors, isoperimetric_exact,
+                            neumann_content_exact, hardy_path, neumann_content_sweep,
+                            neumann_eigenvalue, path_graph, random_graph)
+from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
+                                    NEUMANN_ENUM_LIMIT, _mass_by_mask)
 from hardy_spectral.rng import Xorshift64Star
 
-from conftest import corpus_boundary, corpus_graph
+from conftest import corpus_boundary, corpus_graph, stiff_graph
 
 # Exact ties come out of floating point a few ulps apart; genuinely
 # different ratios on the symmetric graphs below differ by far more.
@@ -257,6 +260,12 @@ class TestExtremeWeights:
         r = effective_resistance(g, VertexSet.of(a), VertexSet.of(b))
         assert r == pytest.approx(expected, rel=1e-12)
 
+    def test_nonpositive_energy_is_a_typed_error(self):
+        # at ratio 1e16 rounding swamps a solve and the energy comes out
+        # negative; the exact value is positive
+        with pytest.raises(errors.NotPositiveDefinite):
+            neumann_content_exact(stiff_graph(21, 1e16, 1e16))
+
     def test_stiff_path_contents(self):
         g = path_graph([1.0, 2.0, 1.0, 3.0, 1.0, 2.0], [1e15, 1.0, 2.0, 1.0, 0.5])
         s = VertexSet.of([0])
@@ -282,6 +291,89 @@ class TestLargeVertexIds:
         assert max(a) >= 63
 
 
+def exact_phi_candidates(g):
+    """(ratio, mask of A) for every bipartition (A, V \\ A) with vertex 0 in
+    A, in exact rational arithmetic."""
+    n = g.vertex_count
+    masses = [Fraction(m) for m in g.masses]
+    edges = [(u, v, Fraction(k)) for (u, v, k) in g.edges]
+    out = []
+    for mask in range(1, (1 << n) - 1, 2):
+        cut = sum(k for (u, v, k) in edges if (mask >> u ^ mask >> v) & 1)
+        mu_a = sum(m for v, m in enumerate(masses) if mask >> v & 1)
+        mu_b = sum(m for v, m in enumerate(masses) if not mask >> v & 1)
+        out.append((cut / min(mu_a, mu_b), mask))
+    return out
+
+
+def nx_phi_candidates(nx, g):
+    """(ratio, mask of A) for every bipartition, the cut from networkx."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_weighted_edges_from(g.edges)
+    out = []
+    for mask in range(1, (1 << g.vertex_count) - 1, 2):
+        a = [v for v in range(g.vertex_count) if mask >> v & 1]
+        b = [v for v in range(g.vertex_count) if not mask >> v & 1]
+        mu = min(sum(g.masses[v] for v in a), sum(g.masses[v] for v in b))
+        out.append((nx.cut_size(h, a, b, weight="weight") / mu, mask))
+    return out
+
+
+def grid(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return uniform(rows * cols, sorted(right + down))
+
+
+UNIFORM_FAMILIES = (
+    [uniform(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
+    + [uniform(n, itertools.combinations(range(n), 2)) for n in range(3, 11)]
+    + [uniform(n, [(0, v) for v in range(1, n)]) for n in range(3, 11)]
+    + [uniform(n, [(v, n - 1) for v in range(n - 1)]) for n in (4, 7)]
+    + [grid(r, c) for (r, c) in [(2, 2), (2, 3), (3, 3), (2, 5), (2, 7)]]
+)
+
+
+class TestIsoperimetricOracle:
+    def test_networkx_cuts_on_the_corpus(self):
+        nx = pytest.importorskip("networkx")
+        for i in range(24):
+            g = corpus_graph(i, 3, 10)
+            res = isoperimetric_exact(g)
+            ratio, mask = smallest_key_in_tie_class(nx_phi_candidates(nx, g))
+            assert res.value == pytest.approx(ratio, rel=1e-12)
+            assert res.witness_a == VertexSet.from_mask(mask)
+
+    def test_exact_ties_pick_the_smallest_mask(self):
+        # unit weights: every minimiser is exactly tied with its mirror
+        # images, and the smallest mask among them is the witness
+        for g in UNIFORM_FAMILIES:
+            cands = exact_phi_candidates(g)
+            floor = min(c[0] for c in cands)
+            tied = [mask for ratio, mask in cands if ratio == floor]
+            assert len(tied) > 1
+            res = isoperimetric_exact(g)
+            assert res.value == pytest.approx(float(floor), rel=1e-15, abs=0.0)
+            assert res.witness_a == VertexSet.from_mask(min(tied))
+
+    def test_weight_ratio_1e16_against_exact_rationals(self):
+        # total - mu(A) for the other side's mass cancels at this ratio
+        for seed in range(20):
+            g = stiff_graph(seed, 1e16, 1e16)
+            exact = min(c[0] for c in exact_phi_candidates(g))
+            assert isoperimetric_exact(g).value == pytest.approx(float(exact), rel=1e-15,
+                                                                 abs=0.0)
+
+    def test_mass_table_matches_the_bitwise_loop(self):
+        masses = [2.0 ** (7 * i) / 3.0 for i in range(-5, 6)]
+        table = _mass_by_mask(np.array(masses))
+        for mask in range(1, 1 << len(masses)):
+            low = mask & -mask
+            assert table[mask] == table[mask ^ low] + masses[low.bit_length() - 1]
+        assert table[0] == 0.0
+
+
 class TestGuardSizes:
     def test_psi2_at_the_guard(self):
         g = random_graph(NEUMANN_ENUM_LIMIT, 0.4, (0.1, 10.0), (0.1, 10.0), seed=5)
@@ -305,3 +397,31 @@ class TestGuardSizes:
         lam = np.linalg.eigvalsh(oracle_laplacian(g)[np.ix_(interior, interior)]
                                  * np.outer(d, d))[0]
         assert res.value / 4 <= lam <= res.value
+
+    def test_phi_at_the_guard(self):
+        nx = pytest.importorskip("networkx")
+        n = ISOPERIMETRIC_ENUM_LIMIT
+        g = random_graph(n, 0.3, (0.1, 10.0), (0.1, 10.0), seed=5)
+        res = isoperimetric_exact(g)
+        h = nx.Graph()
+        h.add_weighted_edges_from(g.edges)
+        a = res.witness_a.members
+        b = res.witness_a.complement(n).members
+
+        def ratio(a, b):
+            return nx.cut_size(h, a, b, weight="weight") / min(g.mass_of(VertexSet.of(a)),
+                                                               g.mass_of(VertexSet.of(b)))
+
+        assert 0 in a and b
+        assert res.value == pytest.approx(ratio(a, b), rel=1e-12)
+        # no level-set cut of a LAPACK Fiedler vector beats the enumeration,
+        # and the Cheeger bounds hold
+        d = 1 / np.sqrt(g.mass_vector)
+        lams, vecs = np.linalg.eigh(oracle_laplacian(g) * np.outer(d, d))
+        order = np.argsort(vecs[:, 1] * d)
+        for cut in range(1, n):
+            side = order[:cut].tolist()
+            rest = order[cut:].tolist()
+            assert res.value <= ratio(side, rest) * (1 + 1e-12)
+        worst = max(g.degree(v) / g.masses[v] for v in range(n))
+        assert lams[1] / 2 <= res.value <= np.sqrt(2 * lams[1] * worst)

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from hardy_spectral import (VertexSet, emit_report, parse_wgr, path_graph,
-                            random_graph, run_suite, serialize_wgr)
-from hardy_spectral import errors
+from hardy_spectral import (VertexSet, dirichlet_eigenvalue, emit_report, parse_wgr,
+                            path_graph, random_graph, run_suite, serialize_wgr)
+from hardy_spectral import errors, suite
 from hardy_spectral.cli import main
 from hardy_spectral.report import (VerificationReport, check_eq, check_ge,
                                    check_le)
@@ -170,6 +170,34 @@ class TestRunSuite:
                             seed=seed)
             assert rep.checks
 
+    def test_weight_ratio_1e16_never_raises(self):
+        # rounding swamps some energies at this ratio; those rows fail
+        for seed in range(100):
+            rep = run_suite(stiff_graph(seed, 1e16, 1e16), boundary=VertexSet.of([0]),
+                            seed=seed)
+            assert rep.checks
+
+    def test_dirichlet_ground_state_solved_once(self, p3, monkeypatch):
+        calls = []
+
+        def counted(graph, boundary):
+            calls.append(graph)
+            return dirichlet_eigenvalue(graph, boundary)
+
+        monkeypatch.setattr(suite, "dirichlet_eigenvalue", counted)
+        rep = run_suite(p3, boundary=VertexSet.of([0]), suites=["dirichlet", "path-reduction"])
+        # the other call solves the level-set quotient path
+        assert rep.all_hold and len(calls) == 2 and calls[0] is p3 and calls[1] is not p3
+        assert list(rep.quantities) == ["lambda_dirichlet", "psi_dirichlet"]
+
+    def test_dirichlet_failure_reported_by_both_suites(self, p3):
+        rep = run_suite(p3, boundary=VertexSet.of([0, 1, 2]),
+                        suites=["dirichlet", "path-reduction"])
+        rows = {c.name: c for c in rep.checks}
+        assert list(rows) == ["dirichlet", "path_reduction"]
+        assert not any(c.holds for c in rows.values())
+        assert rows["dirichlet"].reason == rows["path_reduction"].reason
+
     def test_missing_boundary_becomes_failed_check(self, p3):
         rep = run_suite(p3, suites=["dirichlet"], seed=1)
         assert not rep.all_hold
@@ -215,6 +243,13 @@ class TestCli:
         assert main(["verify", path]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert not all(c["holds"] for c in doc["checks"])
+
+    def test_verify_weight_ratio_1e16_exit_one(self, tmp_path, capsys):
+        g = stiff_graph(21, 1e16, 1e16)
+        path = self._write(tmp_path, "stiff.wgr", serialize_wgr(g, VertexSet.of([0])))
+        assert main(["verify", path]) == 1
+        rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not rows["neumann"]["holds"]
 
     def test_verify_reports_are_reproducible(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
