@@ -15,10 +15,9 @@ from .content import (ContentResult, dirichlet_content_exact, hardy_path,
 from .graph import (PinchedGraph, VertexSet, WeightedGraph, components,
                     contract, path_graph, pinch, random_graph, split_edge,
                     validate)
-from .linalg import (EigenDecomposition, cholesky_solve, jacobi_eigen,
-                     quadratic_form)
+from .linalg import EigenDecomposition, cholesky_solve, jacobi_eigen
 from .report import VerificationReport, emit_report
-from .resistance import effective_resistance, resistance_via_pseudoinverse
+from .resistance import effective_resistance
 from .rng import Xorshift64Star
 from .spectral import (SpectralResult, dirichlet_eigenvalue,
                        harmonic_extension, laplacian, neumann_eigenvalue,
@@ -33,9 +32,9 @@ __all__ = [
     "neumann_content_sweep",
     "PinchedGraph", "VertexSet", "WeightedGraph", "components", "contract",
     "path_graph", "pinch", "random_graph", "split_edge", "validate",
-    "EigenDecomposition", "cholesky_solve", "jacobi_eigen", "quadratic_form",
+    "EigenDecomposition", "cholesky_solve", "jacobi_eigen",
     "VerificationReport", "emit_report",
-    "effective_resistance", "resistance_via_pseudoinverse",
+    "effective_resistance",
     "Xorshift64Star",
     "SpectralResult", "dirichlet_eigenvalue", "harmonic_extension",
     "laplacian", "neumann_eigenvalue", "rayleigh_quotient",

@@ -16,15 +16,12 @@ from typing import Optional
 
 from . import errors
 from ._version import __version__
-from .content import (dirichlet_content_exact, isoperimetric_exact,
-                      neumann_content_exact)
 from .graph import VertexSet, WeightedGraph, path_graph, random_graph
-from .report import VerificationReport, emit_report
+from .report import emit_report
 from .resistance import effective_resistance
 from .rng import Xorshift64Star
-from .spectral import dirichlet_eigenvalue, neumann_eigenvalue
-from .suite import (ALL_SUITES, DEFAULT_SAMPLES, DEFAULT_TOLERANCE, _timed,
-                    run_suite)
+from .suite import (ALL_SUITES, DEFAULT_SAMPLES, DEFAULT_TOLERANCE, Quantities,
+                    blank_report, run_suite)
 from .wgr import parse_wgr, serialize_wgr
 
 
@@ -73,56 +70,26 @@ def _cmd_analyze(args) -> int:
     graph, file_boundary = _load(args.file)
     boundary = _ids_for(graph, args.boundary) if args.boundary else file_boundary
 
-    quantities: dict[str, float] = {}
-    witnesses: dict[str, list[int]] = {}
-    timing_ms: dict[str, float] = {}
-    notes: list[str] = []
-
-    def compute(name, fn):
+    report = blank_report(graph, None, DEFAULT_TOLERANCE)
+    quantities = Quantities(graph, boundary)
+    names = ["lambda2", "psi2", "phi"]
+    if boundary is not None:
+        names += ["lambda_dirichlet", "psi_dirichlet"]
+    notes = []
+    for name in names:
         try:
-            return _timed(timing_ms, name, fn)
+            quantities.record(report, name)
         except errors.HardySpectralError as exc:
             notes.append(f"{name} unavailable: {exc}")
-            return None
-
-    lam2 = compute("lambda2", lambda: neumann_eigenvalue(graph))
-    if lam2 is not None:
-        quantities["lambda2"] = lam2.eigenvalue
-    psi2 = compute("psi2", lambda: neumann_content_exact(graph))
-    if psi2 is not None:
-        quantities["psi2"] = psi2.value
-        quantities["h2"] = psi2.hardy
-        witnesses["psi2_a"] = list(psi2.witness_a.members)
-        witnesses["psi2_b"] = list(psi2.witness_b.members)
-    phi = compute("phi", lambda: isoperimetric_exact(graph))
-    if phi is not None:
-        quantities["phi"] = phi.value
-        witnesses["phi_a"] = list(phi.witness_a.members)
-    if boundary is not None:
-        lam = compute("lambda_dirichlet", lambda: dirichlet_eigenvalue(graph, boundary))
-        if lam is not None:
-            quantities["lambda_dirichlet"] = lam.eigenvalue
-        psi = compute("psi_dirichlet", lambda: dirichlet_content_exact(graph, boundary))
-        if psi is not None:
-            quantities["psi_dirichlet"] = psi.value
-            witnesses["psi_dirichlet_a"] = list(psi.witness_a.members)
 
     fmt = _format_choice(args)
     if fmt is None:
-        for name, value in quantities.items():
+        for name, value in report.quantities.items():
             print(f"{name} = {value!r}")
-        for name, ids in witnesses.items():
+        for name, ids in report.witnesses.items():
             print(f"{name} = {ids}")
-        for note in notes:
-            print(note, file=sys.stderr)
-        return 0
-    report = VerificationReport(
-        tool_version=__version__, seed=None, tolerance=DEFAULT_TOLERANCE,
-        graph_summary={"vertex_count": graph.vertex_count,
-                       "edge_count": graph.edge_count,
-                       "mass_total": graph.total_mass},
-        quantities=quantities, witnesses=witnesses, timing_ms=timing_ms)
-    sys.stdout.write(emit_report(report, fmt, include_timing=args.timing))
+    else:
+        sys.stdout.write(emit_report(report, fmt, include_timing=args.timing))
     for note in notes:
         print(note, file=sys.stderr)
     return 0

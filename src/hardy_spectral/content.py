@@ -36,10 +36,11 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .graph import (VertexSet, WeightedGraph, is_canonical_path, path_graph,
-                    validate)
+from .graph import (VertexSet, WeightedGraph, as_potential, interior_of,
+                    is_canonical_path, path_graph, require_both_signs,
+                    require_positive_mass, validate)
 from .resistance import kron_energies, pair_energy
-from .spectral import TIE_RTOL, neumann_eigenvalue
+from .spectral import TIE_RTOL
 
 DIRICHLET_ENUM_LIMIT = 20
 NEUMANN_ENUM_LIMIT = 12
@@ -179,11 +180,7 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     +inf). Guarded at interior size 20.
     """
     validate(graph)
-    n = graph.vertex_count
-    bset = set(boundary.members)
-    if not bset or len(bset) >= n or any(not (0 <= v < n) for v in bset):
-        raise errors.BadBoundary(f"boundary must be a proper nonempty subset of 0..{n-1}")
-    interior = np.array([v for v in range(n) if v not in bset], dtype=np.intp)
+    interior = np.array(interior_of(graph, boundary), dtype=np.intp)
     f = interior.size
     if f > DIRICHLET_ENUM_LIMIT:
         raise errors.TooLarge(f, DIRICHLET_ENUM_LIMIT)
@@ -193,7 +190,7 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     # they fit an int64 whatever the vertex ids are.
     w = graph.conductance_matrix[interior]
     w_ii = w[:, interior]
-    ground = w[:, sorted(bset)].sum(axis=1)  # W(v, S)
+    ground = w[:, list(boundary.members)].sum(axis=1)  # W(v, S)
     lap = graph.laplacian_matrix[np.ix_(interior, interior)]
     mass = graph.mass_vector[interior]
     bits = np.int64(1) << np.arange(f)
@@ -233,9 +230,7 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
     n = graph.vertex_count
     if n > NEUMANN_ENUM_LIMIT:
         raise errors.TooLarge(n, NEUMANN_ENUM_LIMIT)
-    for v, m in enumerate(graph.masses):
-        if m <= 0.0:
-            raise errors.ZeroMass(v)
+    require_positive_mass(graph)
 
     w = graph.conductance_matrix
     mass = graph.mass_vector
@@ -270,16 +265,18 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
                          method=EXACT_ENUMERATION)
 
 
-def neumann_content_sweep(graph: WeightedGraph) -> ContentResult:
-    """Upper bound on the two-sided content from level sets of the
-    fundamental eigenvector.
+def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
+    """Upper bound on the two-sided content from level sets of a potential
+    x taking both strict signs, normally the fundamental eigenvector.
 
-    For every threshold pair (t-, t+) among the eigenvector's distinct
-    values with t- < 0 <= t+, score the pair A = {x <= t-}, B = {x >= t+}
-    and keep the best, with the same tie rule as the exact enumeration.
-    Never below the exact value, often equal to it.
+    For every threshold pair (t-, t+) among x's distinct values with
+    t- < 0 <= t+, score the pair A = {x <= t-}, B = {x >= t+} and keep the
+    best, with the same tie rule as the exact enumeration. Never below the
+    exact value, often equal to it when x is the fundamental mode.
     """
-    x = neumann_eigenvalue(graph).eigenvector
+    validate(graph)
+    x = as_potential(graph, x)
+    require_both_signs(x)
     values = sorted(set(float(v) for v in x))
     a_sets = [VertexSet.of(np.flatnonzero(x <= t)) for t in values if t < 0.0]
     b_sets = [VertexSet.of(np.flatnonzero(x >= t)) for t in values if t >= 0.0]
@@ -292,7 +289,7 @@ def neumann_content_sweep(graph: WeightedGraph) -> ContentResult:
             keys.append((a.canonical_key, b.canonical_key))
     best = _RunningMin()
     best.offer(np.array(ratios), keys)
-    value, (a_key, b_key) = best.winner  # eigenvector always takes both signs
+    value, (a_key, b_key) = best.winner  # x takes both signs, so a pair came
     return ContentResult(value=value, witness_a=VertexSet.from_mask(a_key),
                          witness_b=VertexSet.from_mask(b_key),
                          method=SWEEP_HEURISTIC)
@@ -313,9 +310,7 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
         raise errors.TooLarge(n, ISOPERIMETRIC_ENUM_LIMIT)
     if n < 2:
         raise errors.EmptySet("isoperimetric constant needs two vertices")
-    for v, m in enumerate(graph.masses):
-        if m <= 0.0:
-            raise errors.ZeroMass(v)
+    require_positive_mass(graph)
 
     u, v, k = (np.array(col) for col in zip(*graph.edges))
     mass = _mass_by_mask(graph.mass_vector)
@@ -347,19 +342,15 @@ def level_set_quotient(graph: WeightedGraph, boundary: VertexSet,
     state of (graph, boundary).
     """
     validate(graph)
-    x = np.asarray(x, dtype=float)
+    x = as_potential(graph, x)
     n = graph.vertex_count
-    if x.shape != (n,):
-        raise errors.DimensionMismatch(f"potential shape {x.shape} != ({n},)")
-    bset = set(boundary.members)
-    if not bset or len(bset) >= n:
-        raise errors.BadBoundary("boundary must be a proper nonempty subset")
+    interior_of(graph, boundary)
 
     scale = float(np.max(np.abs(x)))
     if scale == 0.0:
         raise errors.ZeroVector("potential is identically zero")
     tol = LEVEL_GROUP_RTOL * scale
-    for v in bset:
+    for v in boundary:
         if abs(x[v]) > tol:
             raise errors.BoundaryNotZero(f"x[{v}] = {x[v]!r} on the boundary")
 

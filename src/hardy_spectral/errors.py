@@ -124,10 +124,6 @@ class SetsOverlap(HardySpectralError):
     pass
 
 
-class SameVertex(HardySpectralError):
-    pass
-
-
 # -- content enumeration ---------------------------------------------------
 
 class TooLarge(HardySpectralError):

@@ -114,10 +114,6 @@ class WeightedGraph:
         return len(self.edges)
 
     @property
-    def all_masses_positive(self) -> bool:
-        return all(m > 0.0 for m in self.masses)
-
-    @property
     def total_mass(self) -> float:
         return float(sum(self.masses))
 
@@ -235,6 +231,39 @@ def validate(graph: WeightedGraph) -> None:
     and masses >= 0. The checks run once per graph: graphs are immutable,
     so a success is cached on the graph."""
     graph._validated  # noqa: B018
+
+
+def require_positive_mass(graph: WeightedGraph,
+                          vertices: Optional[Iterable[int]] = None) -> None:
+    """Raise ZeroMass for the first of `vertices` (default: all) with mass <= 0."""
+    for v in range(graph.vertex_count) if vertices is None else vertices:
+        if graph.masses[v] <= 0.0:
+            raise errors.ZeroMass(v)
+
+
+def as_potential(graph: WeightedGraph, x) -> np.ndarray:
+    """x as a float vector with one entry per vertex, else DimensionMismatch."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (graph.vertex_count,):
+        raise errors.DimensionMismatch(f"potential shape {x.shape} != ({graph.vertex_count},)")
+    return x
+
+
+def require_both_signs(x) -> None:
+    """Raise SignCondition unless x has entries of both strict signs."""
+    x = np.asarray(x)
+    if not (np.any(x > 0.0) and np.any(x < 0.0)):
+        raise errors.SignCondition("potential must take both strict signs")
+
+
+def interior_of(graph: WeightedGraph, boundary: VertexSet) -> list[int]:
+    """The vertices off the boundary, in id order; raise BadBoundary unless
+    the boundary is a proper nonempty subset of the vertex ids."""
+    n = graph.vertex_count
+    bset = set(boundary.members)
+    if not bset or len(bset) >= n or any(not (0 <= v < n) for v in bset):
+        raise errors.BadBoundary(f"boundary must be a proper nonempty subset of 0..{n-1}")
+    return [v for v in range(n) if v not in bset]
 
 
 def _check_invariants(graph: WeightedGraph) -> None:
@@ -455,11 +484,8 @@ def pinch(graph: WeightedGraph, f: Iterable[float]) -> PinchedGraph:
     f = [float(x) for x in f]
     if len(f) != graph.vertex_count:
         raise errors.LengthMismatch("potential length != vertex count")
-    if not graph.all_masses_positive:
-        bad = min(v for v, m in enumerate(graph.masses) if m <= 0.0)
-        raise errors.ZeroMass(bad)
-    if not (any(x > 0.0 for x in f) and any(x < 0.0 for x in f)):
-        raise errors.SignCondition("potential must take both strict signs")
+    require_positive_mass(graph)
+    require_both_signs(f)
 
     n = graph.vertex_count
     masses = list(graph.masses)

@@ -61,14 +61,3 @@ def jacobi_eigen(a: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError:
         raise errors.NoConvergence("symmetric eigensolver did not converge") from None
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def quadratic_form(a: np.ndarray, x: np.ndarray) -> float:
-    """x^T a x. For a graph Laplacian this equals the conductance-weighted
-    sum of squared edge differences."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or x.shape != (a.shape[0],):
-        raise errors.DimensionMismatch(
-            f"matrix {a.shape} incompatible with vector {x.shape}")
-    return float(x @ (a @ x))

@@ -18,7 +18,7 @@ crossing conductance.
 
 `kron_energies` evaluates this for many pairs at once: one batched LAPACK
 solve per eliminated set C, with one right-hand side per pair (A, B) that
-shares C. A pseudoinverse route exists purely as a cross-check oracle.
+shares C.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ import numpy as np
 
 from . import errors
 from .graph import VertexSet, WeightedGraph, validate
-from .linalg import jacobi_eigen
-from .spectral import laplacian
-
-_KERNEL_CUTOFF = 1e-10
 
 
 def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
@@ -80,23 +76,3 @@ def effective_resistance(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> fl
     _check_sets(graph, a, b)
     validate(graph)
     return 1.0 / pair_energy(graph, a, b)
-
-
-def resistance_via_pseudoinverse(graph: WeightedGraph, a: int, b: int) -> float:
-    """Oracle route for singleton sets: chi^T L^+ chi with the pseudoinverse
-    built from the full eigendecomposition (kernel eigenvalues zeroed)."""
-    if a == b:
-        raise errors.SameVertex(f"need two distinct vertices, got {a} twice")
-    n = graph.vertex_count
-    if not (0 <= a < n and 0 <= b < n):
-        raise errors.LengthMismatch("vertex id out of range")
-    lap, _, _ = laplacian(graph)
-    dec = jacobi_eigen(lap)
-    cutoff = _KERNEL_CUTOFF * float(np.max(np.abs(dec.eigenvalues)))
-    keep = np.abs(dec.eigenvalues) > cutoff
-    inv = np.zeros_like(dec.eigenvalues)
-    inv[keep] = 1.0 / dec.eigenvalues[keep]
-    pinv = (dec.eigenvectors * inv) @ dec.eigenvectors.T
-    chi = np.zeros(n)
-    chi[a], chi[b] = 1.0, -1.0
-    return float(chi @ pinv @ chi)

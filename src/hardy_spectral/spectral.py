@@ -26,8 +26,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import errors
-from .graph import VertexSet, WeightedGraph, components, validate
-from .linalg import cholesky_solve, jacobi_eigen, quadratic_form
+from .graph import (VertexSet, WeightedGraph, as_potential, components,
+                    interior_of, require_positive_mass, validate)
+from .linalg import cholesky_solve, jacobi_eigen
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -63,6 +64,13 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
     return -x if x[i] < 0.0 else x
 
 
+def _edge_energy(graph: WeightedGraph, x: np.ndarray) -> float:
+    """x^T L x summed over the edges, 0.5 * sum W_ij (x_i - x_j)^2, so no
+    terms cancel."""
+    diff = x[:, None] - x[None, :]
+    return 0.5 * float(np.sum(graph.conductance_matrix * diff * diff))
+
+
 def _eigenpair(graph: WeightedGraph, vertices: list[int],
                k: int) -> tuple[float, np.ndarray]:
     """The k-th smallest eigenpair of L x = lam M x with x held at zero off
@@ -85,8 +93,7 @@ def _eigenpair(graph: WeightedGraph, vertices: list[int],
         if k:
             y -= (mass @ y) / mass.sum()
         x = y / np.sqrt(mass @ (y * y))
-    diff = x[:, None] - x[None, :]
-    return 0.5 * float(np.sum(graph.conductance_matrix * diff * diff)), x
+    return _edge_energy(graph, x), x
 
 
 def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
@@ -95,9 +102,7 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
     validate(graph)
     if graph.vertex_count < 2:
         raise errors.DimensionMismatch("need at least two vertices")
-    for v, m in enumerate(graph.masses):
-        if m <= 0.0:
-            raise errors.ZeroMass(v)
+    require_positive_mass(graph)
 
     lam, x = _eigenpair(graph, list(range(graph.vertex_count)), 1)
     x = _canonical_sign(x)
@@ -127,14 +132,8 @@ def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralR
     decoupled blocks and keeps one sign.
     """
     validate(graph)
-    n = graph.vertex_count
-    bset = set(boundary.members)
-    if not bset or len(bset) >= n or any(not (0 <= v < n) for v in bset):
-        raise errors.BadBoundary(f"boundary must be a proper nonempty subset of 0..{n-1}")
-    interior = [v for v in range(n) if v not in bset]
-    for v in interior:
-        if graph.masses[v] <= 0.0:
-            raise errors.ZeroMass(v)
+    interior = interior_of(graph, boundary)
+    require_positive_mass(graph, interior)
 
     pieces = [_eigenpair(graph, piece, 0) for piece in components(graph, interior)]
     floor = min(lam for lam, _ in pieces)
@@ -144,7 +143,7 @@ def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralR
     residual = float(np.linalg.norm(eq[interior]))
     x.flags.writeable = False
     return SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual,
-                          kind=DIRICHLET, boundary=VertexSet.of(bset))
+                          kind=DIRICHLET, boundary=VertexSet.of(boundary))
 
 
 def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.ndarray:
@@ -176,16 +175,12 @@ def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
                       boundary: Optional[VertexSet] = None) -> float:
     """x^T L x / x^T M x; an upper bound on the matching eigenvalue for any
     feasible x. With a boundary, x must vanish there exactly."""
-    x = np.asarray(x, dtype=float)
-    n = graph.vertex_count
-    if x.shape != (n,):
-        raise errors.DimensionMismatch(f"potential shape {x.shape} != ({n},)")
+    x = as_potential(graph, x)
     if boundary is not None:
         for v in boundary:
             if x[v] != 0.0:
                 raise errors.BoundaryViolated(f"x[{v}] = {x[v]!r} on the boundary")
-    lap, mass, _ = laplacian(graph)
-    denom = quadratic_form(mass, x)
+    denom = float(x @ (graph.mass_vector * x))
     if denom == 0.0:
         raise errors.ZeroVector("mass-weighted norm of x is zero")
-    return quadratic_form(lap, x) / denom
+    return _edge_energy(graph, x) / denom

@@ -9,7 +9,7 @@ within a window, so a report depends only on the inputs and the seed.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from .report import (Check, VerificationReport, check_eq, check_error,
                      check_ge, check_le)
 from .resistance import effective_resistance
 from .rng import Xorshift64Star
-from .spectral import dirichlet_eigenvalue, neumann_eigenvalue
+from .spectral import SpectralResult, dirichlet_eigenvalue, neumann_eigenvalue
 
 ALL_SUITES = ("dirichlet", "neumann", "cheeger", "pinch", "ressum", "path-reduction")
 
@@ -68,11 +68,73 @@ class _Contribution:
     checks: list[Check] = field(default_factory=list)
 
 
-def _timed(timing_ms: dict[str, float], name: str, fn: Callable):
-    start = time.perf_counter()
-    value = fn()
-    timing_ms[name] = (time.perf_counter() - start) * 1000.0
-    return value
+# how each quantity is solved, given the memo that holds the others
+_SOLVERS = {
+    "lambda2": lambda q: neumann_eigenvalue(q.graph),
+    "psi2": lambda q: neumann_content_exact(q.graph),
+    "psi2_sweep": lambda q: neumann_content_sweep(q.graph, q.get("lambda2").eigenvector),
+    "phi": lambda q: isoperimetric_exact(q.graph),
+    "lambda_dirichlet": lambda q: dirichlet_eigenvalue(q.graph, q.pinned()),
+    "psi_dirichlet": lambda q: dirichlet_content_exact(q.graph, q.pinned()),
+}
+
+
+class Quantities:
+    """The quantities `verify` and `analyze` report for one graph and
+    boundary, each solved at most once, on first use. A typed failure is
+    kept too: asking again raises it again instead of solving again. A
+    quantity enters a report only through `record`."""
+
+    def __init__(self, graph: WeightedGraph, boundary: Optional[VertexSet]):
+        self.graph = graph
+        self.boundary = boundary
+        self._solved: dict[str, tuple[object, float]] = {}
+
+    def pinned(self) -> VertexSet:
+        if self.boundary is None:
+            raise errors.BadBoundary("no boundary set given")
+        return self.boundary
+
+    def get(self, name: str):
+        """The result for `name` (a key of _SOLVERS), or its typed error."""
+        if name not in self._solved:
+            start = time.perf_counter()
+            try:
+                result = _SOLVERS[name](self)
+            except errors.HardySpectralError as exc:
+                result = exc
+            self._solved[name] = (result, (time.perf_counter() - start) * 1000.0)
+        result = self._solved[name][0]
+        if isinstance(result, errors.HardySpectralError):
+            raise result
+        return result
+
+    def record(self, into, name: str):
+        """Solve `name` and write its value, witnesses and solve time into
+        `into` (a report or a suite's contribution); return the result."""
+        result = self.get(name)
+        into.timing_ms[name] = self._solved[name][1]
+        if isinstance(result, SpectralResult):
+            into.quantities[name] = result.eigenvalue
+            return result
+        into.quantities[name] = result.value
+        if name == "psi2":
+            into.quantities["h2"] = result.hardy
+        if name != "psi2_sweep":  # the sweep's level sets are not reported
+            into.witnesses[f"{name}_a"] = list(result.witness_a.members)
+            if result.witness_b is not None:
+                into.witnesses[f"{name}_b"] = list(result.witness_b.members)
+        return result
+
+
+def blank_report(graph: WeightedGraph, seed: Optional[int],
+                 tolerance: float) -> VerificationReport:
+    """A report on `graph` with nothing recorded yet."""
+    return VerificationReport(
+        tool_version=__version__, seed=seed, tolerance=tolerance,
+        graph_summary={"vertex_count": graph.vertex_count,
+                       "edge_count": graph.edge_count,
+                       "mass_total": graph.total_mass})
 
 
 def run_suite(graph: WeightedGraph, *,
@@ -92,31 +154,14 @@ def run_suite(graph: WeightedGraph, *,
         if s not in ALL_SUITES:
             raise ValueError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
 
-    report = VerificationReport(
-        tool_version=__version__,
-        seed=seed,
-        tolerance=tolerance,
-        graph_summary={
-            "vertex_count": graph.vertex_count,
-            "edge_count": graph.edge_count,
-            "mass_total": graph.total_mass,
-        },
-    )
+    report = blank_report(graph, seed, tolerance)
 
-    # shared fundamental mode, computed once up front
-    needs_lambda2 = any(s in wanted for s in ("neumann", "cheeger", "pinch"))
-    lambda2 = None
-    eigvec = None
-    lambda2_error: Optional[str] = None
-    shared = _Contribution()
-    if needs_lambda2:
-        try:
-            res = _timed(shared.timing_ms, "lambda2", lambda: neumann_eigenvalue(graph))
-            lambda2 = res.eigenvalue
-            eigvec = res.eigenvector
-            shared.quantities["lambda2"] = lambda2
-        except errors.HardySpectralError as exc:
-            lambda2_error = str(exc)
+    # the fundamental mode is solved up front, so it comes first in the
+    # report; a suite that needs it and finds it failed reports the error
+    q = Quantities(graph, boundary)
+    if any(s in wanted for s in ("neumann", "cheeger", "pinch")):
+        with contextlib.suppress(errors.HardySpectralError):
+            q.record(report, "lambda2")
 
     # all randomness drawn here, in a fixed order
     rng = Xorshift64Star(seed)
@@ -136,43 +181,23 @@ def run_suite(graph: WeightedGraph, *,
             except errors.HardySpectralError as exc:
                 ressum_draws.append(exc)
 
-    # the boundary-pinned ground state, shared by two suites; a failure is
-    # not cached, so each suite reports it under its own row
-    @functools.cache
-    def dirichlet_ground_state():
-        return dirichlet_eigenvalue(graph, boundary)
-
     def suite_dirichlet() -> _Contribution:
         c = _Contribution()
-        if boundary is None:
-            c.checks.append(check_error("dirichlet", "no boundary set given"))
-            return c
-        lam = _timed(c.timing_ms, "lambda_dirichlet", dirichlet_ground_state).eigenvalue
-        c.quantities["lambda_dirichlet"] = lam
-        psi = _timed(c.timing_ms, "psi_dirichlet", lambda: dirichlet_content_exact(graph, boundary))
-        c.quantities["psi_dirichlet"] = psi.value
-        c.witnesses["psi_dirichlet_a"] = list(psi.witness_a.members)
+        lam = q.record(c, "lambda_dirichlet").eigenvalue
+        psi = q.record(c, "psi_dirichlet")
         c.checks.append(check_le("dirichlet_lower", psi.value / 4.0, lam, tolerance))
         c.checks.append(check_le("dirichlet_upper", lam, psi.value, tolerance))
         return c
 
     def suite_neumann() -> _Contribution:
         c = _Contribution()
-        if lambda2 is None:
-            c.checks.append(check_error("neumann", lambda2_error or "no fundamental mode"))
-            return c
+        lambda2 = q.get("lambda2").eigenvalue
         try:
-            psi2 = _timed(c.timing_ms, "psi2", lambda: neumann_content_exact(graph))
+            psi2 = q.record(c, "psi2")
         except errors.TooLarge as exc:
             psi2 = None
             c.checks.append(check_error("neumann", str(exc)))
-        else:
-            c.quantities["psi2"] = psi2.value
-            c.quantities["h2"] = psi2.hardy
-            c.witnesses["psi2_a"] = list(psi2.witness_a.members)
-            c.witnesses["psi2_b"] = list(psi2.witness_b.members)
-        sweep = _timed(c.timing_ms, "psi2_sweep", lambda: neumann_content_sweep(graph))
-        c.quantities["psi2_sweep"] = sweep.value
+        sweep = q.record(c, "psi2_sweep")
         if psi2 is None:
             # beyond the guard the sweep still bounds lambda2 from above,
             # because psi2 <= psi2_sweep
@@ -185,12 +210,8 @@ def run_suite(graph: WeightedGraph, *,
 
     def suite_cheeger() -> _Contribution:
         c = _Contribution()
-        if lambda2 is None:
-            c.checks.append(check_error("cheeger", lambda2_error or "no fundamental mode"))
-            return c
-        phi = _timed(c.timing_ms, "phi", lambda: isoperimetric_exact(graph))
-        c.quantities["phi"] = phi.value
-        c.witnesses["phi_a"] = list(phi.witness_a.members)
+        lambda2 = q.get("lambda2").eigenvalue
+        phi = q.record(c, "phi")
         worst = max(graph.degree(v) / graph.masses[v] for v in range(graph.vertex_count))
         c.checks.append(check_le("cheeger_lower", lambda2 / 2.0, phi.value, tolerance))
         c.checks.append(check_le("cheeger_upper", phi.value,
@@ -199,11 +220,10 @@ def run_suite(graph: WeightedGraph, *,
 
     def suite_pinch() -> _Contribution:
         c = _Contribution()
-        if lambda2 is None:
-            c.checks.append(check_error("pinch", lambda2_error or "no fundamental mode"))
-            return c
+        mode = q.get("lambda2")
+        lambda2 = mode.eigenvalue
         try:
-            _, worst_side = _pinch_sides(graph, quantize_zeros(eigvec))
+            _, worst_side = _pinch_sides(graph, quantize_zeros(mode.eigenvector))
             c.checks.append(check_eq("pinch_eigenvector", worst_side, lambda2, tolerance))
         except errors.HardySpectralError as exc:
             c.checks.append(check_error("pinch_eigenvector", str(exc)))
@@ -235,11 +255,8 @@ def run_suite(graph: WeightedGraph, *,
 
     def suite_path_reduction() -> _Contribution:
         c = _Contribution()
-        if boundary is None:
-            c.checks.append(check_error("path_reduction", "no boundary set given"))
-            return c
         try:
-            res = dirichlet_ground_state()
+            res = q.get("lambda_dirichlet")
             quotient, _levels = level_set_quotient(graph, boundary, res.eigenvector)
             lam_path = dirichlet_eigenvalue(quotient, VertexSet.of([0])).eigenvalue
             c.checks.append(check_eq("path_reduction", lam_path, res.eigenvalue, tolerance))
@@ -260,13 +277,12 @@ def run_suite(graph: WeightedGraph, *,
         try:
             return fn()
         except errors.HardySpectralError as exc:
-            c = _Contribution()
-            c.checks.append(check_error(fn.__name__.removeprefix("suite_"), str(exc)))
-            return c
+            return _Contribution(checks=[check_error(fn.__name__.removeprefix("suite_"),
+                                                     str(exc))])
 
     contributions = [guarded(runners[s]) for s in ALL_SUITES if s in wanted]
 
-    for c in [shared] + contributions:
+    for c in contributions:
         report.quantities.update(c.quantities)
         report.witnesses.update(c.witnesses)
         report.timing_ms.update(c.timing_ms)

@@ -54,6 +54,25 @@ def random_vector(rng: Xorshift64Star, n: int, lo: float = -2.0, hi: float = 2.0
     return np.array([rng.uniform_in(lo, hi) for _ in range(n)])
 
 
+def oracle_laplacian(g: WeightedGraph) -> np.ndarray:
+    """L assembled from the edge list, sharing no code with the library."""
+    lap = np.zeros((g.vertex_count, g.vertex_count))
+    for (u, v, k) in g.edges:
+        lap[u, u] += k
+        lap[v, v] += k
+        lap[u, v] -= k
+        lap[v, u] -= k
+    return lap
+
+
+def resistance_via_pseudoinverse(g: WeightedGraph, a: int, b: int) -> float:
+    """Oracle route for two distinct vertices: chi^T L^+ chi with
+    chi = e_a - e_b and the pseudoinverse from numpy."""
+    chi = np.zeros(g.vertex_count)
+    chi[a], chi[b] = 1.0, -1.0
+    return float(chi @ np.linalg.pinv(oracle_laplacian(g), hermitian=True) @ chi)
+
+
 def edge_energy(graph: WeightedGraph, x) -> float:
     """Independent quadratic-form oracle: conductance-weighted sum of
     squared differences over the edges."""

@@ -17,13 +17,13 @@ from hardy_spectral import (VertexSet, dirichlet_content_exact,
                             dirichlet_eigenvalue, effective_resistance,
                             hardy_path, isoperimetric_exact,
                             level_set_quotient, neumann_content_exact,
-                            neumann_eigenvalue, pinch, random_graph,
-                            resistance_via_pseudoinverse)
+                            neumann_eigenvalue, pinch)
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.suite import _pinch_sides, _random_mixed_sign_f
 
-from conftest import corpus_boundary, corpus_graph, corpus_path, p3  # noqa: F401
+from conftest import (corpus_boundary, corpus_graph, corpus_path,  # noqa: F401
+                      p3, resistance_via_pseudoinverse)
 from test_resistance import contracted_resistance
 
 CORPUS_SIZE = 200

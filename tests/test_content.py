@@ -150,10 +150,11 @@ class TestNeumannContent:
 
 class TestNeumannSweep:
     def test_two_node_is_exact(self, two_node):
-        assert neumann_content_sweep(two_node).value == pytest.approx(4.5)
+        x = neumann_eigenvalue(two_node).eigenvector
+        assert neumann_content_sweep(two_node, x).value == pytest.approx(4.5)
 
     def test_p3_finds_the_endpoints(self, p3):
-        res = neumann_content_sweep(p3)
+        res = neumann_content_sweep(p3, neumann_eigenvalue(p3).eigenvector)
         assert res.value == pytest.approx(1.0)
         assert res.method == SWEEP_HEURISTIC
         assert (res.witness_a.members, res.witness_b.members) == ((2,), (0,))
@@ -162,8 +163,18 @@ class TestNeumannSweep:
         for i in range(25):
             g = corpus_graph(i)
             exact = neumann_content_exact(g).value
-            sweep = neumann_content_sweep(g).value
+            sweep = neumann_content_sweep(g, neumann_eigenvalue(g).eigenvector).value
             assert sweep >= exact - 1e-12
+
+    def test_wrong_shape_rejected(self, p3):
+        with pytest.raises(errors.DimensionMismatch):
+            neumann_content_sweep(p3, np.array([-1.0, 1.0]))
+
+    def test_one_signed_potential_rejected(self, p3):
+        # without both strict signs there is no (A, B) pair to score
+        for x in ([0.0, 1.0, 2.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(errors.SignCondition):
+                neumann_content_sweep(p3, np.array(x))
 
 
 class TestIsoperimetric:

@@ -17,21 +17,11 @@ from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIM
                                     NEUMANN_ENUM_LIMIT, _mass_by_mask)
 from hardy_spectral.rng import Xorshift64Star
 
-from conftest import corpus_boundary, corpus_graph, stiff_graph
+from conftest import corpus_boundary, corpus_graph, oracle_laplacian, stiff_graph
 
 # Exact ties come out of floating point a few ulps apart; genuinely
 # different ratios on the symmetric graphs below differ by far more.
 TIE_CLASS_RTOL = 1e-9
-
-
-def oracle_laplacian(g: WeightedGraph) -> np.ndarray:
-    lap = np.zeros((g.vertex_count, g.vertex_count))
-    for (u, v, k) in g.edges:
-        lap[u, u] += k
-        lap[v, v] += k
-        lap[u, v] -= k
-        lap[v, u] -= k
-    return lap
 
 
 def oracle_energy(lap: np.ndarray, ones, zeros) -> float:
@@ -126,7 +116,7 @@ class TestNumpyOracle:
     def test_sweep_values_and_witnesses(self):
         for i in range(24):
             g = corpus_graph(i)
-            res = neumann_content_sweep(g)
+            res = neumann_content_sweep(g, neumann_eigenvalue(g).eigenvector)
             ratio, _, a, b = min(sweep_candidates(g))
             assert res.value == pytest.approx(ratio, rel=1e-10)
             assert (res.witness_a.members, res.witness_b.members) == (tuple(a), tuple(b))
@@ -189,7 +179,7 @@ class TestExactTies:
         g = TIE_GRAPHS["star"]
         cands = sweep_candidates(g)
         _, _, a, b = smallest_key_in_tie_class(cands)
-        res = neumann_content_sweep(g)
+        res = neumann_content_sweep(g, neumann_eigenvalue(g).eigenvector)
         assert (res.witness_a.members, res.witness_b.members) == (tuple(a), tuple(b))
 
 
@@ -272,7 +262,8 @@ class TestExtremeWeights:
         assert dirichlet_content_exact(g, s).value == pytest.approx(hardy_path(g).value,
                                                                     rel=1e-12)
         psi2 = neumann_content_exact(g).value
-        assert psi2 <= neumann_content_sweep(g).value * (1 + 1e-12)
+        sweep = neumann_content_sweep(g, neumann_eigenvalue(g).eigenvector)
+        assert psi2 <= sweep.value * (1 + 1e-12)
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             expected = min(c[0] for c in psi2_candidates(g, mp_energy_fn(mpmath, g)))
@@ -382,7 +373,8 @@ class TestGuardSizes:
         expected = (1 / g.mass_of(res.witness_a) + 1 / g.mass_of(res.witness_b)) \
             * oracle_energy(oracle_laplacian(g), a, b)
         assert res.value == pytest.approx(expected, rel=1e-10)
-        assert res.value <= neumann_content_sweep(g).value * (1 + 1e-12)
+        sweep = neumann_content_sweep(g, neumann_eigenvalue(g).eigenvector)
+        assert res.value <= sweep.value * (1 + 1e-12)
 
     def test_psi_at_the_guard(self):
         g = random_graph(DIRICHLET_ENUM_LIMIT + 1, 0.3, (0.1, 10.0), (0.1, 10.0), seed=5)

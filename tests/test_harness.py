@@ -1,17 +1,20 @@
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hardy_spectral import (VertexSet, dirichlet_eigenvalue, emit_report, parse_wgr,
                             path_graph, random_graph, run_suite, serialize_wgr)
-from hardy_spectral import errors, suite
+from hardy_spectral import errors, spectral, suite
 from hardy_spectral.cli import main
 from hardy_spectral.report import (VerificationReport, check_eq, check_ge,
                                    check_le)
 
-from conftest import stiff_graph
+from conftest import corpus_graph, stiff_graph
 
 P3_TEXT = """\
 # three vertices in a row
@@ -190,6 +193,27 @@ class TestRunSuite:
         assert rep.all_hold and len(calls) == 2 and calls[0] is p3 and calls[1] is not p3
         assert list(rep.quantities) == ["lambda_dirichlet", "psi_dirichlet"]
 
+    def test_neumann_mode_solved_once(self, monkeypatch):
+        # the sweep reads the mode the run already holds; a mode that fails
+        # is raised again for each suite that needs it, never solved again
+        solves = []
+
+        def counted(graph, vertices, k):
+            if k == 1:
+                solves.append(graph)
+            return eigenpair(graph, vertices, k)
+
+        eigenpair = spectral._eigenpair
+        monkeypatch.setattr(spectral, "_eigenpair", counted)
+        rep = run_suite(corpus_graph(5), boundary=VertexSet.of([0]), seed=1)
+        assert rep.all_hold and len(solves) == 1
+        solves.clear()
+        rep = run_suite(stiff_graph(1, 1e16, 1e16), boundary=VertexSet.of([0]), seed=1)
+        rows = {c.name: c for c in rep.checks}
+        assert len(solves) == 1 and "lambda2" not in rep.quantities
+        reasons = {rows[name].reason for name in ("neumann", "cheeger", "pinch")}
+        assert len(reasons) == 1 and "fundamental mode" in reasons.pop()
+
     def test_dirichlet_failure_reported_by_both_suites(self, p3):
         rep = run_suite(p3, boundary=VertexSet.of([0, 1, 2]),
                         suites=["dirichlet", "path-reduction"])
@@ -281,6 +305,26 @@ class TestCli:
         assert main(["analyze", path, "--boundary", "v0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["timing_ms"] == {}
 
+    def test_analyze_and_verify_agree_bit_for_bit(self, tmp_path, capsys):
+        path = self._write(tmp_path, "g.wgr", serialize_wgr(corpus_graph(4)))
+        assert main(["analyze", path, "--json", "--boundary", "v0"]) == 0
+        analyzed = json.loads(capsys.readouterr().out)
+        assert main(["verify", path]) == 0
+        verified = json.loads(capsys.readouterr().out)
+        for key in ("quantities", "witnesses"):
+            shared = analyzed[key].keys() & verified[key].keys()
+            assert len(shared) == len(analyzed[key])
+            assert all(analyzed[key][k] == verified[key][k] for k in shared)
+
+    def test_analyze_beyond_the_psi2_guard(self, tmp_path, capsys):
+        g = random_graph(13, 0.2, (0.1, 10.0), (0.1, 10.0), seed=1)
+        path = self._write(tmp_path, "big.wgr", serialize_wgr(g))
+        assert main(["analyze", path]) == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("psi2 unavailable: ") and "guard 12" in err
+        assert [line.split(" = ")[0] for line in out.splitlines()] == [
+            "lambda2", "phi", "phi_a"]
+
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["resistance", path, "--a", "nope", "--b", "v2"]) == 2
@@ -316,3 +360,17 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "lambda2" in proc.stdout
+
+
+class TestBenchNames:
+    def test_every_traced_name_resolves(self):
+        # the benchmark traces library functions by name; one that is
+        # renamed or deleted must fail here, not only in the benchmark
+        spans_py = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", spans_py)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for name in spans.TRACED + spans.ROWS:
+            module_name, attr = name.rsplit(".", 1)
+            module = importlib.import_module(f"{spans.PACKAGE}.{module_name}")
+            assert callable(getattr(module, attr, None)), name

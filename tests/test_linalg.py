@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardy_spectral import (cholesky_solve, jacobi_eigen, laplacian,
-                            quadratic_form)
+from hardy_spectral import cholesky_solve, jacobi_eigen, laplacian
 from hardy_spectral import errors
 from hardy_spectral.rng import Xorshift64Star
 
@@ -98,19 +97,18 @@ class TestJacobi:
 class TestQuadraticForm:
     def test_constant_vector_in_laplacian_kernel(self, triangle):
         lap, _, _ = laplacian(triangle)
-        assert quadratic_form(lap, np.ones(3)) == 0.0
+        x = np.ones(3)
+        assert x @ lap @ x == 0.0
 
     def test_single_edge(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert quadratic_form(lap, np.array([0.0, 1.0])) == 1.0
+        x = np.array([0.0, 1.0])
+        assert x @ lap @ x == 1.0
 
     def test_path_energy(self, p3):
         lap, _, _ = laplacian(p3)
-        assert quadratic_form(lap, np.array([0.0, 1.0, 3.0])) == pytest.approx(5.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(errors.DimensionMismatch):
-            quadratic_form(np.eye(2), np.zeros(3))
+        x = np.array([0.0, 1.0, 3.0])
+        assert x @ lap @ x == pytest.approx(5.0)
 
     def test_matches_edge_sum_on_random_graphs(self):
         rng = Xorshift64Star(3)
@@ -118,7 +116,7 @@ class TestQuadraticForm:
             g = corpus_graph(i)
             x = random_vector(rng, g.vertex_count)
             lap, _, _ = laplacian(g)
-            assert quadratic_form(lap, x) == pytest.approx(
+            assert x @ lap @ x == pytest.approx(
                 edge_energy(g, x), rel=1e-12, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -132,5 +130,5 @@ class TestQuadraticForm:
                           ((0, 1, kappas[0]), (0, 2, kappas[1]), (1, 2, kappas[2])))
         lap, _, _ = laplacian(g)
         x = np.array(xs)
-        assert quadratic_form(lap, x) == pytest.approx(
+        assert x @ lap @ x == pytest.approx(
             edge_energy(g, x), rel=1e-12, abs=1e-9)

@@ -1,12 +1,11 @@
 import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, contract,
-                            effective_resistance, path_graph,
-                            resistance_via_pseudoinverse)
+                            effective_resistance, path_graph)
 from hardy_spectral import errors
 from hardy_spectral.rng import Xorshift64Star
 
-from conftest import corpus_graph
+from conftest import corpus_graph, resistance_via_pseudoinverse
 
 
 def contracted_resistance(g, a: VertexSet, b: VertexSet) -> float:
@@ -67,10 +66,6 @@ class TestErrors:
     def test_empty(self, p3):
         with pytest.raises(errors.EmptySet):
             effective_resistance(p3, VertexSet.of([]), VertexSet.of([1]))
-
-    def test_same_vertex(self, p3):
-        with pytest.raises(errors.SameVertex):
-            resistance_via_pseudoinverse(p3, 1, 1)
 
 
 class TestOracleAgreement:
