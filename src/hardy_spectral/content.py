@@ -39,7 +39,7 @@ from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, interior_of,
                     is_canonical_path, path_graph, require_both_signs,
                     require_positive_mass, validate)
-from .resistance import kron_energies, pair_energy
+from .resistance import kron_energies, pair_energies
 from .spectral import TIE_RTOL
 
 DIRICHLET_ENUM_LIMIT = 20
@@ -99,8 +99,9 @@ def _combination_chunks(m: int, k: int, per_row: int):
 
 
 class _RunningMin:
-    """Minimum over batches of (ratio, key) candidates, where candidates
-    within TIE_RTOL of the smallest ratio tie and the smallest key wins.
+    """Minimum over batches of (ratio, key) candidates with distinct
+    integer keys, where candidates within TIE_RTOL of the smallest ratio
+    tie and the smallest key wins.
 
     The result does not depend on how the batches are cut: every candidate
     that could still win is kept, as a front sorted by key whose ratios
@@ -111,28 +112,35 @@ class _RunningMin:
 
     def __init__(self):
         self.floor = math.inf
-        self.front: list[tuple[object, float]] = []
+        self.ratios = np.empty(0)
+        self.keys = np.empty(0, dtype=np.int64)
 
-    def offer(self, ratios: np.ndarray, keys) -> None:
+    def offer(self, ratios: np.ndarray, keys: np.ndarray) -> None:
         """Merge one batch; ratios[i] belongs to the candidate keys[i]."""
         if ratios.size == 0:
             return
         self.floor = min(self.floor, float(ratios.min()))
         cutoff = self.floor * (1.0 + TIE_RTOL)
-        fresh = [(keys[i], float(ratios[i])) for i in np.flatnonzero(ratios <= cutoff)]
-        front: list[tuple[object, float]] = []
-        for key, ratio in sorted(self.front + fresh, key=lambda c: c[0]):
-            if ratio <= cutoff and (not front or ratio < front[-1][1]):
-                front.append((key, ratio))
-        self.front = front
+        near = ratios <= cutoff
+        if not near.any():  # the floor held and nothing new came near it
+            return
+        ratios = np.concatenate([self.ratios, ratios[near]])
+        keys = np.concatenate([self.keys, keys[near]])
+        near = ratios <= cutoff  # a lower floor can drop part of the front
+        order = np.lexsort((ratios[near], keys[near]))
+        ratios, keys = ratios[near][order], keys[near][order]
+        # a candidate stays only if its ratio is below that of every
+        # candidate with a smaller key
+        smaller_keys = np.minimum.accumulate(np.concatenate(([math.inf], ratios[:-1])))
+        stays = ratios < smaller_keys
+        self.ratios, self.keys = ratios[stays], keys[stays]
 
     @property
-    def winner(self) -> Optional[tuple[float, object]]:
+    def winner(self) -> Optional[tuple[float, int]]:
         """(ratio, key) of the winning candidate, or None if none came."""
-        if not self.front:
+        if not self.ratios.size:
             return None
-        key, ratio = self.front[0]
-        return ratio, key
+        return float(self.ratios[0]), int(self.keys[0])
 
 
 def hardy_path(path: WeightedGraph) -> ContentResult:
@@ -203,7 +211,8 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
             keep = mu > 0.0
             inner, in_a = inner[keep], in_a[keep]
             to_a = np.take_along_axis(in_a @ w_ii, inner, axis=1)  # W(C, A)
-            energy = kron_energies(lap, inner, to_a[:, :, None], ground[inner][:, :, None],
+            energy = kron_energies(lap[inner[:, :, None], inner[:, None, :]],
+                                   to_a[:, :, None], ground[inner][:, :, None],
                                    (in_a @ ground)[:, None])
             best.offer(energy[:, 0] / mu[keep], bits.sum() - bits[inner].sum(axis=1))
     winner = best.winner
@@ -250,8 +259,8 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
             outer = np.nonzero(outside)[1].reshape(len(inner), r)
             w_cr = w[inner[:, :, None], outer[:, None, :]]
             direct = ((in_a @ w[outer[:, :, None], outer[:, None, :]]) * in_b).sum(axis=2)
-            energy = kron_energies(graph.laplacian_matrix, inner, w_cr @ in_a.T,
-                                   w_cr @ in_b.T, direct)
+            lap = graph.laplacian_matrix[inner[:, :, None], inner[:, None, :]]
+            energy = kron_energies(lap, w_cr @ in_a.T, w_cr @ in_b.T, direct)
             mu = mass[outer]
             ratio = (1.0 / (mu @ in_a.T) + 1.0 / (mu @ in_b.T)) * energy
             outer_bits = np.int64(1) << outer  # 2n <= 24 bits per pair key
@@ -281,17 +290,23 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     a_sets = [VertexSet.of(np.flatnonzero(x <= t)) for t in values if t < 0.0]
     b_sets = [VertexSet.of(np.flatnonzero(x >= t)) for t in values if t >= 0.0]
 
-    ratios, keys = [], []
-    for a in a_sets:
-        for b in b_sets:
-            energy = pair_energy(graph, a, b)
-            ratios.append((1.0 / graph.mass_of(a) + 1.0 / graph.mass_of(b)) * energy)
-            keys.append((a.canonical_key, b.canonical_key))
+    energies = pair_energies([(graph, a, b) for a in a_sets for b in b_sets])
+    failed = errors.first_error(energies)
+    if failed is not None:
+        raise failed
+    mu_a = np.array([graph.mass_of(a) for a in a_sets])
+    mu_b = np.array([graph.mass_of(b) for b in b_sets])
+    ratios = (1.0 / mu_a[:, None] + 1.0 / mu_b[None, :]) * np.reshape(energies, (len(a_sets), -1))
+    # A's sets grow and B's shrink along `values`, so their canonical keys
+    # rise and fall with the index; a pair's key is its rank in the order
+    # of (A's key, B's key)
+    nb = len(b_sets)
+    ranks = np.arange(len(a_sets))[:, None] * nb + np.arange(nb - 1, -1, -1)
     best = _RunningMin()
-    best.offer(np.array(ratios), keys)
-    value, (a_key, b_key) = best.winner  # x takes both signs, so a pair came
-    return ContentResult(value=value, witness_a=VertexSet.from_mask(a_key),
-                         witness_b=VertexSet.from_mask(b_key),
+    best.offer(ratios.ravel(), ranks.ravel())
+    value, rank = best.winner  # x takes both signs, so a pair came
+    i, j = divmod(rank, nb)
+    return ContentResult(value=value, witness_a=a_sets[i], witness_b=b_sets[nb - 1 - j],
                          method=SWEEP_HEURISTIC)
 
 
@@ -312,7 +327,7 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
         raise errors.EmptySet("isoperimetric constant needs two vertices")
     require_positive_mass(graph)
 
-    u, v, k = (np.array(col) for col in zip(*graph.edges))
+    u, v, k = graph.edge_arrays
     mass = _mass_by_mask(graph.mass_vector)
     full = (1 << n) - 1
     rows = max(1, CHUNK_ENTRIES // len(k))

@@ -6,6 +6,11 @@ class HardySpectralError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def first_error(results):
+    """The first typed error among a batch call's per-item results, or None."""
+    return next((r for r in results if isinstance(r, HardySpectralError)), None)
+
+
 # -- graph validation ------------------------------------------------------
 
 class GraphValidationError(HardySpectralError):

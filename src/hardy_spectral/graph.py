@@ -8,6 +8,7 @@ dense integers 0..n-1 so subsets can be carried as bitmasks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -128,14 +129,24 @@ class WeightedGraph:
         return {(u, v): k for (u, v, k) in self.edges}
 
     @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, k): the edges' endpoints and conductances as read-only
+        arrays, in edge order."""
+        u = np.array([e[0] for e in self.edges], dtype=np.intp)
+        v = np.array([e[1] for e in self.edges], dtype=np.intp)
+        k = np.array([e[2] for e in self.edges], dtype=float)
+        for a in (u, v, k):
+            a.flags.writeable = False
+        return u, v, k
+
+    @cached_property
     def conductance_matrix(self) -> np.ndarray:
         """W, the symmetric matrix of edge conductances (zero diagonal),
         read-only."""
-        n = self.vertex_count
-        adj = np.zeros((n, n))
-        for (u, v, k) in self.edges:
-            adj[u, v] = k
-            adj[v, u] = k
+        u, v, k = self.edge_arrays
+        adj = np.zeros((self.vertex_count, self.vertex_count))
+        adj[u, v] = k
+        adj[v, u] = k
         adj.flags.writeable = False
         return adj
 
@@ -252,7 +263,7 @@ def as_potential(graph: WeightedGraph, x) -> np.ndarray:
 def require_both_signs(x) -> None:
     """Raise SignCondition unless x has entries of both strict signs."""
     x = np.asarray(x)
-    if not (np.any(x > 0.0) and np.any(x < 0.0)):
+    if not ((x > 0.0).any() and (x < 0.0).any()):
         raise errors.SignCondition("potential must take both strict signs")
 
 
@@ -481,46 +492,46 @@ def pinch(graph: WeightedGraph, f: Iterable[float]) -> PinchedGraph:
     preserved. Signs are tested strictly: a vertex with f_v == 0.0 lies on
     the zero set and its edges are never split.
     """
-    f = [float(x) for x in f]
-    if len(f) != graph.vertex_count:
-        raise errors.LengthMismatch("potential length != vertex count")
+    f = as_potential(graph, f)
     require_positive_mass(graph)
     require_both_signs(f)
 
     n = graph.vertex_count
-    masses = list(graph.masses)
-    values = list(f)
-    origin: list[Origin] = list(range(n))
-    new_edges: list[Edge] = []
-    for (u, v, k) in graph.edges:
-        fu, fv = f[u], f[v]
-        if fu > fv:
-            u, v, fu, fv = v, u, fv, fu
-        if fu < 0.0 < fv:
-            alpha = -fu / (fv - fu)
-            if not (0.0 < alpha < 1.0):
-                raise errors.SignCondition(
-                    f"crossing on edge ({u},{v}) is unresolvable in floating "
-                    f"point; quantize near-zero values of f first")
-            s = len(masses)
-            masses.append(0.0)
-            values.append(0.0)
-            origin.append((min(u, v), max(u, v)))
-            new_edges.append((u, s, k / alpha))
-            new_edges.append((s, v, k / (1.0 - alpha)))
-        else:
-            new_edges.append((u, v, k))
+    u, v, k = graph.edge_arrays
+    fu, fv = f[u], f[v]
+    f_lo, f_hi = np.minimum(fu, fv), np.maximum(fu, fv)
+    cross = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
+    alpha = -f_lo[cross] / (f_hi[cross] - f_lo[cross])
+    # each crossing edge runs from its negative end `lo` to its positive end `hi`
+    flip = fu[cross] > fv[cross]
+    lo = np.where(flip, v[cross], u[cross])
+    hi = np.where(flip, u[cross], v[cross])
+    unresolved = ~((0.0 < alpha) & (alpha < 1.0))
+    if unresolved.any():
+        e = np.argmax(unresolved)
+        raise errors.SignCondition(
+            f"crossing on edge ({lo[e]},{hi[e]}) is unresolvable in floating "
+            f"point; quantize near-zero values of f first")
+    kept = np.ones(len(k), dtype=bool)
+    kept[cross] = False
+    inserted = range(n, n + cross.size)  # in edge order
+    new_edges = list(itertools.compress(graph.edges, kept.tolist()))
+    new_edges += zip(lo.tolist(), inserted, (k[cross] / alpha).tolist())
+    new_edges += zip(inserted, hi.tolist(), (k[cross] / (1.0 - alpha)).tolist())
+    origin: list[Origin] = [*range(n), *zip(u[cross].tolist(), v[cross].tolist())]
+    masses = graph.masses + (0.0,) * cross.size
+    values = np.concatenate([f, np.zeros(cross.size)])
 
     labels = None
     if graph.labels is not None:
         labels = graph.labels + tuple(
             f"{graph.labels[o[0]]}x{graph.labels[o[1]]}" for o in origin[n:])
-    g2 = WeightedGraph(tuple(masses), tuple(new_edges), labels)
+    g2 = WeightedGraph(masses, tuple(new_edges), labels)
     validate(g2)
 
-    zero = VertexSet.of(v for v, x in enumerate(values) if x == 0.0)
-    nonpos = VertexSet.of(v for v, x in enumerate(values) if x <= 0.0)
-    nonneg = VertexSet.of(v for v, x in enumerate(values) if x >= 0.0)
-    return PinchedGraph(graph=g2, f_extended=tuple(values), zero_set=zero,
-                        nonpositive_set=nonpos, nonnegative_set=nonneg,
-                        origin=tuple(origin))
+    def where(mask: np.ndarray) -> VertexSet:
+        return VertexSet(tuple(np.flatnonzero(mask).tolist()))
+
+    return PinchedGraph(graph=g2, f_extended=tuple(values.tolist()),
+                        zero_set=where(values == 0.0), nonpositive_set=where(values <= 0.0),
+                        nonnegative_set=where(values >= 0.0), origin=tuple(origin))

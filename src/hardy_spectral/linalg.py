@@ -1,6 +1,7 @@
 """Dense symmetric linear algebra sized for desk-scale graphs, on LAPACK
 through numpy: a Cholesky solve for the SPD systems behind harmonic
-extensions, and a full symmetric eigendecomposition.
+extensions, a full symmetric eigendecomposition, and `by_size`, which
+runs many small problems as one stacked LAPACK call per problem size.
 
 Inputs are plain numpy arrays; symmetry is required exactly (our
 assemblers produce it by construction), so LAPACK, which reads one
@@ -12,7 +13,9 @@ decide within a window, never by the last ulp.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -28,11 +31,14 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _require_square_symmetric(a: np.ndarray) -> np.ndarray:
+def _require_square_symmetric(a: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """a as floats, else DimensionMismatch unless it is a square matrix
+    (with `stacked`, a stack of them) and NotSymmetric unless each matrix
+    is exactly symmetric."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != (3 if stacked else 2) or a.shape[-1] != a.shape[-2]:
         raise errors.DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, a.swapaxes(-1, -2)):
         raise errors.NotSymmetric("matrix is not exactly symmetric")
     return a
 
@@ -53,11 +59,40 @@ def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def jacobi_eigen(a: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix (LAPACK `syevd`),
-    eigenvalues ascending."""
-    a = _require_square_symmetric(a)
+    """Full eigendecomposition (LAPACK `syevd`), eigenvalues ascending, of
+    a symmetric matrix (n, n) or of each matrix of a stack (g, n, n); a
+    stack gives eigenvalues (g, n) and eigenvectors (g, n, n). LAPACK
+    solves each matrix of a stack on its own, so its decomposition does
+    not depend on the rest of the stack."""
+    a = _require_square_symmetric(a, stacked=np.ndim(a) == 3)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError:
         raise errors.NoConvergence("symmetric eigensolver did not converge") from None
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def by_size(rows: Sequence, size: Callable[[object], Hashable],
+            solve: Callable[[list], Sequence]) -> list:
+    """solve(group) once for each group of rows of equal size(row), where
+    solve maps a list of rows to one result per row. Returns the results
+    in row order. A group whose call raises a typed error is solved again
+    one row at a time, so the error lands only on the rows that cause it:
+    those get the error object in place of a result."""
+    groups: dict[Hashable, list[int]] = defaultdict(list)
+    for i, row in enumerate(rows):
+        groups[size(row)].append(i)
+    out: list = [None] * len(rows)
+    for members in groups.values():
+        try:
+            results = list(solve([rows[i] for i in members]))
+        except errors.HardySpectralError:
+            results = []
+            for i in members:
+                try:
+                    results.append(solve([rows[i]])[0])
+                except errors.HardySpectralError as exc:
+                    results.append(exc)
+        for i, result in zip(members, results):
+            out[i] = result
+    return out

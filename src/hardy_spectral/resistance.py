@@ -17,16 +17,21 @@ When A u B = V nothing is eliminated and the energy is W(A, B), the
 crossing conductance.
 
 `kron_energies` evaluates this for many pairs at once: one batched LAPACK
-solve per eliminated set C, with one right-hand side per pair (A, B) that
-shares C.
+solve over a stack of blocks L_CC, with one right-hand side per pair
+(A, B) that shares C. The blocks are gathered by the caller, so one stack
+can hold rows of different graphs: `pair_energies` scores pairs from
+many graphs, one stack per size of C.
 """
 
 from __future__ import annotations
+
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import errors
 from .graph import VertexSet, WeightedGraph, validate
+from .linalg import by_size
 
 
 def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
@@ -39,17 +44,17 @@ def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
         raise errors.LengthMismatch("vertex id out of range")
 
 
-def kron_energies(lap: np.ndarray, inner: np.ndarray, to_a: np.ndarray,
-                  to_b: np.ndarray, direct: np.ndarray) -> np.ndarray:
-    """Energies 1/R(A, B), shape (m, s): row i eliminates the vertices
-    C = inner[i], given as indices into `lap` (all rows share one size c),
-    and carries s pairs (A, B) disjoint from C. For pair j, to_a[i, :, j]
-    and to_b[i, :, j] are W(C, A) and W(C, B) (shape (m, c, s)), and
+def kron_energies(blocks: np.ndarray, to_a: np.ndarray, to_b: np.ndarray,
+                  direct: np.ndarray) -> np.ndarray:
+    """Energies 1/R(A, B), shape (m, s): row i eliminates a set C whose
+    block L_CC is blocks[i] (all rows share one size c), and carries s
+    pairs (A, B) disjoint from C. For pair j, to_a[i, :, j] and
+    to_b[i, :, j] are W(C, A) and W(C, B) (shape (m, c, s)), and
     direct[i, j] is W(A, B). A singular L_CC, which a connected graph
     never has, raises; so does an energy that is not positive, which only
     a solve swamped by rounding (weight ratios near 1e16) can return."""
     try:
-        y = np.linalg.solve(lap[inner[:, :, None], inner[:, None, :]], to_b)
+        y = np.linalg.solve(blocks, to_b)
     except np.linalg.LinAlgError:
         raise errors.NotPositiveDefinite() from None
     energy = direct + np.einsum("mcs,mcs->ms", to_a, y)
@@ -58,21 +63,44 @@ def kron_energies(lap: np.ndarray, inner: np.ndarray, to_a: np.ndarray,
     return energy
 
 
-def pair_energy(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> float:
-    """1/R(A, B) for one pair of disjoint nonempty sets."""
-    w = graph.conductance_matrix
-    a_ids, b_ids = list(a.members), list(b.members)
-    inner = np.array(a.union(b).complement(graph.vertex_count).members, dtype=np.intp)
-    to_a = w[np.ix_(inner, a_ids)].sum(axis=1)
-    to_b = w[np.ix_(inner, b_ids)].sum(axis=1)
-    direct = w[np.ix_(a_ids, b_ids)].sum()
-    energy = kron_energies(graph.laplacian_matrix, inner[None], to_a[None, :, None],
-                           to_b[None, :, None], np.array([[direct]]))
-    return float(energy[0, 0])
+def pair_energies(
+        pairs: Sequence[tuple[WeightedGraph, VertexSet, VertexSet]],
+) -> list[Union[float, errors.HardySpectralError]]:
+    """1/R(A, B) for each (graph, A, B) of disjoint nonempty sets, or the
+    typed error that pair raises. The pairs may come from different
+    graphs: their rows are stacked by the size of C, one kron_energies
+    call per size (see `linalg.by_size`)."""
+    out: list = [None] * len(pairs)
+    rows = []  # (pair, eliminated vertices C)
+    for i, (graph, a, b) in enumerate(pairs):
+        try:
+            _check_sets(graph, a, b)
+            validate(graph)
+        except errors.HardySpectralError as exc:
+            out[i] = exc
+            continue
+        rows.append((i, a.union(b).complement(graph.vertex_count).members))
+
+    def solve(group):
+        parts = []
+        for i, inner in group:
+            graph, a, b = pairs[i]
+            w_c = graph.conductance_matrix[inner, :]
+            parts.append((graph.laplacian_matrix[inner, :][:, inner],
+                          w_c[:, a.members].sum(axis=1), w_c[:, b.members].sum(axis=1),
+                          graph.conductance_matrix[a.members, :][:, b.members].sum()))
+        blocks, to_a, to_b, direct = (np.stack(column) for column in zip(*parts))
+        return kron_energies(blocks, to_a[:, :, None], to_b[:, :, None],
+                             direct[:, None])[:, 0].tolist()
+
+    for (i, _), energy in zip(rows, by_size(rows, lambda r: len(r[1]), solve)):
+        out[i] = energy
+    return out
 
 
 def effective_resistance(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> float:
     """R(A, B): Kron-reduce the network onto A u B."""
-    _check_sets(graph, a, b)
-    validate(graph)
-    return 1.0 / pair_energy(graph, a, b)
+    [energy] = pair_energies([(graph, a, b)])
+    if isinstance(energy, errors.HardySpectralError):
+        raise energy
+    return 1.0 / energy

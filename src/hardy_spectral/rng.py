@@ -54,8 +54,17 @@ class Xorshift64Star:
 
     def gaussian_like(self) -> float:
         """Irwin-Hall approximation: sum of 12 uniforms minus 6. Mean 0,
-        variance 1, no transcendental functions."""
-        return sum(self.uniform() for _ in range(12)) - 6.0
+        variance 1, no transcendental functions. The twelve steps of
+        next_u64 and uniform run inline, summed in draw order."""
+        s = self._state
+        total = 0.0
+        for _ in range(12):
+            s ^= s >> 12
+            s = (s ^ (s << 25)) & _MASK64
+            s ^= s >> 27
+            total += (((s * _MULT) & _MASK64) >> 11) * 2.0**-53
+        self._state = s
+        return total - 6.0
 
     def sample_without_replacement(self, population: list[int], k: int) -> list[int]:
         """k distinct elements, drawn by repeated index selection from the

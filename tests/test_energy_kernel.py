@@ -14,7 +14,8 @@ from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_content_exact,
                             neumann_content_exact, hardy_path, neumann_content_sweep,
                             neumann_eigenvalue, path_graph, random_graph)
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
-                                    NEUMANN_ENUM_LIMIT, _mass_by_mask)
+                                    NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
+from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
 from conftest import corpus_boundary, corpus_graph, oracle_laplacian, stiff_graph
@@ -174,6 +175,24 @@ class TestExactTies:
         floor = min(c[0] for c in cands)
         assert sum(c[0] <= floor * (1 + TIE_CLASS_RTOL) for c in cands) > 1
         assert dirichlet_content_exact(g, s).witness_a.members == a
+
+    def test_running_min_ignores_how_batches_are_cut(self):
+        # ratios drawn from a few values a couple of ulps apart, so the
+        # window holds many exact and near ties; the reference scans all
+        # candidates at once
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            m = int(rng.integers(1, 400))
+            ratios = (1.0 + rng.integers(0, 4, m) * 2e-16 + rng.integers(0, 3, m) * 1e-3)
+            ratios = ratios * float(rng.uniform(0.5, 2.0))
+            keys = rng.permutation(10 * m)[:m].astype(np.int64)
+            near = ratios <= ratios.min() * (1.0 + TIE_RTOL)
+            expected = min(zip(keys[near].tolist(), ratios[near].tolist()))
+            best = _RunningMin()
+            cuts = np.sort(rng.integers(0, m + 1, int(rng.integers(0, 6))))
+            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, m]):
+                best.offer(ratios[lo:hi], keys[lo:hi])
+            assert best.winner == expected[::-1]
 
     def test_star_sweep_picks_smallest_key(self):
         g = TIE_GRAPHS["star"]

@@ -240,6 +240,41 @@ class TestPinch:
         with pytest.raises(errors.SignCondition):
             pinch(p3, [1.0, 2.0, 0.0])
 
+    def test_matches_a_per_edge_reference(self):
+        # the same arithmetic as the array code, one edge at a time
+        def reference(g, f):
+            masses, edges, values = list(g.masses), [], list(f)
+            for (u, v, k) in g.edges:
+                fu, fv = f[u], f[v]
+                if fu > fv:
+                    u, v, fu, fv = v, u, fv, fu
+                if fu < 0.0 < fv:
+                    alpha = -fu / (fv - fu)
+                    s = len(masses)
+                    masses.append(0.0)
+                    values.append(0.0)
+                    edges += [(u, s, k / alpha), (s, v, k / (1.0 - alpha))]
+                else:
+                    edges.append((u, v, k))
+            return WeightedGraph(tuple(masses), tuple(edges)), tuple(values)
+
+        rng = Xorshift64Star(37)
+        for i in range(40):
+            g = corpus_graph(i)
+            f = [rng.uniform_in(-1, 1) for _ in range(g.vertex_count)]
+            f[rng.below(g.vertex_count)] = 0.0
+            f[0], f[1] = -1.0, 1.0
+            p = pinch(g, f)
+            graph, values = reference(g, f)
+            assert (p.graph.masses, p.graph.edges, p.f_extended) == \
+                (graph.masses, graph.edges, values)
+
+    def test_wrong_length_is_a_dimension_mismatch(self, p3):
+        # the same error class as every other potential-taking function
+        for f in ([1.0, -1.0], [1.0, 0.0, -1.0, 2.0]):
+            with pytest.raises(errors.DimensionMismatch):
+                pinch(p3, f)
+
     def test_zero_mass_input_rejected(self):
         g = WeightedGraph((0.0, 1.0), ((0, 1, 1.0),))
         with pytest.raises(errors.ZeroMass):

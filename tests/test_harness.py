@@ -198,13 +198,13 @@ class TestRunSuite:
         # is raised again for each suite that needs it, never solved again
         solves = []
 
-        def counted(graph, vertices, k):
+        def counted(blocks, ground, mass, k):
             if k == 1:
-                solves.append(graph)
-            return eigenpair(graph, vertices, k)
+                solves.append(blocks)
+            return eigenpairs(blocks, ground, mass, k)
 
-        eigenpair = spectral._eigenpair
-        monkeypatch.setattr(spectral, "_eigenpair", counted)
+        eigenpairs = spectral._eigenpairs
+        monkeypatch.setattr(spectral, "_eigenpairs", counted)
         rep = run_suite(corpus_graph(5), boundary=VertexSet.of([0]), seed=1)
         assert rep.all_hold and len(solves) == 1
         solves.clear()

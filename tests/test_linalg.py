@@ -93,6 +93,22 @@ class TestJacobi:
         with pytest.raises(errors.NotSymmetric):
             jacobi_eigen(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
+    def test_stack_decomposes_each_matrix_as_alone(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            a = rng.standard_normal((5, n, n))
+            a = a + a.swapaxes(1, 2)
+            dec = jacobi_eigen(a)
+            for i in range(5):
+                alone = jacobi_eigen(a[i])
+                assert np.array_equal(dec.eigenvalues[i], alone.eigenvalues)
+                assert np.array_equal(dec.eigenvectors[i], alone.eigenvectors)
+        a[2, 0, -1] += 1.0
+        with pytest.raises(errors.NotSymmetric):
+            jacobi_eigen(a)
+        with pytest.raises(errors.DimensionMismatch):
+            jacobi_eigen(np.zeros((2, 3, 4)))
+
 
 class TestQuadraticForm:
     def test_constant_vector_in_laplacian_kernel(self, triangle):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_eigenvalue,
-                            harmonic_extension, laplacian, neumann_eigenvalue,
-                            path_graph, pinch,
+from hardy_spectral import (VertexSet, WeightedGraph, components, dirichlet_eigenvalue,
+                            dirichlet_eigenvalues, harmonic_extension, laplacian,
+                            neumann_eigenvalue, path_graph, pinch,
                             rayleigh_quotient, run_suite)
-from hardy_spectral import errors
+from hardy_spectral import errors, spectral, suite
+from hardy_spectral.graph import interior_of
 from hardy_spectral.rng import Xorshift64Star
+from hardy_spectral.suite import _random_mixed_sign_f, _worst_sides
 
 from conftest import corpus_boundary, corpus_graph, random_vector, stiff_graph
 
@@ -352,3 +354,73 @@ class TestStiffGraphs:
         rep = run_suite(g, boundary=VertexSet.of([0]), suites=["neumann", "cheeger", "pinch"])
         assert [c.name for c in rep.checks] == ["neumann", "cheeger", "pinch"]
         assert not any(c.holds for c in rep.checks)
+
+
+class TestBatchedDirichlet:
+    """dirichlet_eigenvalues stacks the pieces of many problems by size;
+    a problem's answer must not depend on the batch it is solved in."""
+
+    @staticmethod
+    def same(a, b):
+        return (a.eigenvalue == b.eigenvalue and a.residual == b.residual
+                and np.array_equal(a.eigenvector, b.eigenvector) and a.boundary == b.boundary)
+
+    def test_batch_matches_solo_bit_for_bit(self):
+        rng = Xorshift64Star(401)
+        problems = []
+        for i in range(30):
+            g = corpus_graph(i)
+            for _ in range(5):
+                p = pinch(g, _random_mixed_sign_f(rng, g.vertex_count))
+                problems += [(p.graph, p.nonnegative_set), (p.graph, p.nonpositive_set)]
+        for seed in range(20):
+            g = stiff_graph(seed, 1e9, 1e9)
+            problems += [(g, VertexSet.of([0])), (g, corpus_boundary(g, seed))]
+        batch = dirichlet_eigenvalues(problems)
+        assert len(batch) == len(problems) == 340
+        for (g, boundary), res in zip(problems, batch):
+            assert self.same(res, dirichlet_eigenvalue(g, boundary))
+
+    def test_failing_problem_keeps_the_others_solo(self):
+        # the 1e-17 edge vanishes next to 1 on the diagonal, so pinching it
+        # leaves the piece {1, 2, 3} with an exactly singular L_PP; the
+        # third potential's size-3 piece shares its stack
+        g = path_graph([1.0] * 4, [1e-17, 1.0, 1.0])
+        fs = [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]]
+        pinched = [pinch(g, f) for f in fs]
+        problems = [(p.graph, side) for p in pinched
+                    for side in (p.nonnegative_set, p.nonpositive_set)]
+        problems.insert(2, (g, VertexSet.of([])))  # fails its guard
+        batch = dirichlet_eigenvalues(problems)
+        assert isinstance(batch[2], errors.BadBoundary)
+        assert isinstance(batch[4], errors.NotPositiveDefinite)
+        for i in (0, 1, 3, 5, 6):
+            assert self.same(batch[i], dirichlet_eigenvalue(*problems[i]))
+        # each potential keeps its own outcome, hence its own pinch row
+        worst = _worst_sides(g, fs)
+        assert isinstance(worst[1], errors.NotPositiveDefinite)
+        assert [worst[0], worst[2]] == [_worst_sides(g, [fs[0]])[0], _worst_sides(g, [fs[2]])[0]]
+
+    def test_one_stacked_eigh_per_piece_size(self, monkeypatch):
+        pinched, stacks = [], []
+
+        def counted_pinch(graph, f):
+            pinched.append(pinch(graph, f))
+            return pinched[-1]
+
+        def counted_eigenpairs(blocks, ground, mass, k):
+            if k == 0:
+                stacks.append(blocks.shape)
+            return eigenpairs(blocks, ground, mass, k)
+
+        eigenpairs = spectral._eigenpairs
+        monkeypatch.setattr(suite, "pinch", counted_pinch)
+        monkeypatch.setattr(spectral, "_eigenpairs", counted_eigenpairs)
+        g = corpus_graph(7, 8, 8)
+        rep = run_suite(g, suites=["pinch"], seed=3)
+        assert rep.all_hold and len(rep.checks) == 11 and len(pinched) == 11
+        sizes = [len(piece) for p in pinched for side in (p.nonnegative_set, p.nonpositive_set)
+                 for piece in components(p.graph, interior_of(p.graph, side))]
+        assert len(sizes) > len(set(sizes))
+        assert sorted(shape[1] for shape in stacks) == sorted(set(sizes))
+        assert sum(shape[0] for shape in stacks) == len(sizes)
