@@ -38,7 +38,7 @@ import numpy as np
 from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, interior_of,
                     is_canonical_path, path_graph, require_both_signs,
-                    require_positive_mass, validate)
+                    require_positive_mass)
 from .resistance import kron_energies, pair_energies
 from .spectral import TIE_RTOL
 
@@ -151,7 +151,6 @@ def hardy_path(path: WeightedGraph) -> ContentResult:
     (sum_{i>=k} mu_i), found in one pass over prefix resistances and
     suffix masses. Smallest k wins ties.
     """
-    validate(path)
     if not is_canonical_path(path):
         raise errors.NotAPath("expected edges exactly (0,1), (1,2), ...")
     n = path.vertex_count
@@ -187,7 +186,6 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     in one batch, in chunks. Zero-mass subsets are skipped (their ratio is
     +inf). Guarded at interior size 20.
     """
-    validate(graph)
     interior = np.array(interior_of(graph, boundary), dtype=np.intp)
     f = interior.size
     if f > DIRICHLET_ENUM_LIMIT:
@@ -235,7 +233,6 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
     one's solve serves all 2^(n-|C|-1) - 1 splits of V \\ C into A and B.
     Guarded at n = 12.
     """
-    validate(graph)
     n = graph.vertex_count
     if n > NEUMANN_ENUM_LIMIT:
         raise errors.TooLarge(n, NEUMANN_ENUM_LIMIT)
@@ -283,7 +280,6 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     best, with the same tie rule as the exact enumeration. Never below the
     exact value, often equal to it when x is the fundamental mode.
     """
-    validate(graph)
     x = as_potential(graph, x)
     require_both_signs(x)
     values = sorted(set(float(v) for v in x))
@@ -319,7 +315,6 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
     running minimum with the mask as key, so ratios within TIE_RTOL tie
     and the smallest mask wins. Guarded at n = 20.
     """
-    validate(graph)
     n = graph.vertex_count
     if n > ISOPERIMETRIC_ENUM_LIMIT:
         raise errors.TooLarge(n, ISOPERIMETRIC_ENUM_LIMIT)
@@ -356,7 +351,6 @@ def level_set_quotient(graph: WeightedGraph, boundary: VertexSet,
     vertex 0 and preserves the Dirichlet eigenvalue when x is the ground
     state of (graph, boundary).
     """
-    validate(graph)
     x = as_potential(graph, x)
     n = graph.vertex_count
     interior_of(graph, boundary)

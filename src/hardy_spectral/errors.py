@@ -26,13 +26,14 @@ class Disconnected(GraphValidationError):
 class NonPositiveConductance(GraphValidationError):
     def __init__(self, edge):
         self.edge = edge
-        super().__init__(f"edge {edge[0]}-{edge[1]} has conductance {edge[2]} <= 0")
+        super().__init__(f"edge {edge[0]}-{edge[1]} has conductance {edge[2]}; "
+                         "conductances must be finite and > 0")
 
 
 class NegativeMass(GraphValidationError):
     def __init__(self, vertex, mass):
         self.vertex = vertex
-        super().__init__(f"vertex {vertex} has negative mass {mass}")
+        super().__init__(f"vertex {vertex} has mass {mass}; masses must be finite and >= 0")
 
 
 class SelfLoop(GraphValidationError):

@@ -3,12 +3,15 @@ are built on: edge splitting, set contraction, and pinching at the zero
 level set of a potential.
 
 Graphs are immutable; every operation returns a new graph. Vertices are
-dense integers 0..n-1 so subsets can be carried as bitmasks.
+dense integers 0..n-1 so subsets can be carried as bitmasks. A graph is
+valid once built: the constructor checks the rule the eigenvalue bounds
+need (see :func:`validate`), so no later code checks it again.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -78,10 +81,11 @@ class VertexSet:
 class WeightedGraph:
     """Undirected graph with vertex masses and edge conductances.
 
-    `masses[v]` is the mass of vertex v (>= 0; zero masses only arise from
-    split/pinch insertions). `edges` holds (u, v, conductance) with u < v,
-    sorted. Construction checks shape only; semantic invariants (simple,
-    connected, positive conductances) live in :func:`validate`.
+    `masses[v]` is the mass of vertex v (finite and >= 0; zero masses only
+    arise from split/pinch insertions). `edges` holds (u, v, conductance)
+    with u < v, sorted. Construction normalises the edges and then runs
+    :func:`validate`, so every graph that exists is simple and connected,
+    with finite positive conductances and finite nonnegative masses.
     """
 
     masses: tuple[float, ...]
@@ -105,6 +109,7 @@ class WeightedGraph:
         norm.sort(key=lambda e: (e[0], e[1]))
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        validate(self)
 
     @property
     def vertex_count(self) -> int:
@@ -123,10 +128,6 @@ class WeightedGraph:
         m = np.array(self.masses, dtype=float)
         m.flags.writeable = False
         return m
-
-    @cached_property
-    def conductance_of(self) -> dict[tuple[int, int], float]:
-        return {(u, v): k for (u, v, k) in self.edges}
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,12 +159,6 @@ class WeightedGraph:
         lap = np.diag(adj.sum(axis=1)) - adj
         lap.flags.writeable = False
         return lap
-
-    @cached_property
-    def _validated(self) -> bool:
-        # cached only on success; a graph that fails raises on every call
-        _check_invariants(self)
-        return True
 
     def degree(self, v: int) -> float:
         return float(sum(k for (a, b, k) in self.edges if a == v or b == v))
@@ -238,10 +233,22 @@ def components(graph: WeightedGraph,
 
 
 def validate(graph: WeightedGraph) -> None:
-    """Raise unless the graph is simple, connected, with conductances > 0
-    and masses >= 0. The checks run once per graph: graphs are immutable,
-    so a success is cached on the graph."""
-    graph._validated  # noqa: B018
+    """Raise unless the graph is simple, connected, with conductances
+    finite and > 0 and masses finite and >= 0. Checks the masses, then the
+    edges in sorted order, then connectivity. The constructor runs it."""
+    for v, m in enumerate(graph.masses):
+        if not (0.0 <= m < math.inf):
+            raise errors.NegativeMass(v, m)
+    for i, (u, v, k) in enumerate(graph.edges):
+        if u == v:
+            raise errors.SelfLoop(u)
+        if i and graph.edges[i - 1][:2] == (u, v):
+            raise errors.DuplicateEdge((u, v))
+        if not (0.0 < k < math.inf):
+            raise errors.NonPositiveConductance((u, v, k))
+    comps = components(graph)
+    if len(comps) > 1:
+        raise errors.Disconnected(comps)
 
 
 def require_positive_mass(graph: WeightedGraph,
@@ -277,24 +284,6 @@ def interior_of(graph: WeightedGraph, boundary: VertexSet) -> list[int]:
     return [v for v in range(n) if v not in bset]
 
 
-def _check_invariants(graph: WeightedGraph) -> None:
-    for v, m in enumerate(graph.masses):
-        if not (m >= 0.0):
-            raise errors.NegativeMass(v, m)
-    seen_pairs = set()
-    for (u, v, k) in graph.edges:
-        if u == v:
-            raise errors.SelfLoop(u)
-        if (u, v) in seen_pairs:
-            raise errors.DuplicateEdge((u, v))
-        seen_pairs.add((u, v))
-        if not (k > 0.0):
-            raise errors.NonPositiveConductance((u, v, k))
-    comps = components(graph)
-    if len(comps) > 1:
-        raise errors.Disconnected(comps)
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -308,9 +297,7 @@ def path_graph(masses: Iterable[float], conductances: Iterable[float]) -> Weight
             f"{len(masses)} masses need {len(masses) - 1} conductances, "
             f"got {len(conductances)}")
     edges = tuple((i, i + 1, k) for i, k in enumerate(conductances))
-    g = WeightedGraph(tuple(masses), edges)
-    validate(g)
-    return g
+    return WeightedGraph(tuple(masses), edges)
 
 
 def is_canonical_path(graph: WeightedGraph) -> bool:
@@ -386,9 +373,7 @@ def random_graph(n: int,
     masses = tuple(rng.uniform_in(*mass_range) for _ in range(n))
     pairs = sorted(tree + extra)
     edges = tuple((u, v, rng.uniform_in(*conductance_range)) for (u, v) in pairs)
-    g = WeightedGraph(masses, edges)
-    validate(g)
-    return g
+    return WeightedGraph(masses, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +401,8 @@ def split_edge(graph: WeightedGraph, edge: tuple[int, int],
     onto the chain.
     """
     u, v = (edge[0], edge[1]) if edge[0] < edge[1] else (edge[1], edge[0])
-    if (u, v) not in graph.conductance_of:
+    # every edge of a valid graph has conductance > 0, and W is zero elsewhere
+    if not (0 <= u < v < graph.vertex_count and graph.conductance_matrix[u, v] > 0.0):
         raise errors.NoSuchEdge(u, v)
     fr = [float(a) for a in fractions]
     if not fr or any(a <= 0.0 for a in fr):
@@ -424,7 +410,7 @@ def split_edge(graph: WeightedGraph, edge: tuple[int, int],
     if abs(sum(fr) - 1.0) > 1e-12:
         raise errors.FractionsInvalid(f"fractions sum to {sum(fr)!r}, not 1")
 
-    kappa = graph.conductance_of[(u, v)]
+    kappa = float(graph.conductance_matrix[u, v])
     if len(fr) == 1:
         return graph
 
@@ -438,9 +424,7 @@ def split_edge(graph: WeightedGraph, edge: tuple[int, int],
     if graph.labels is not None:
         labels = graph.labels + tuple(f"{graph.labels[u]}*{graph.labels[v]}.{i}"
                                       for i in range(len(fr) - 1))
-    g = WeightedGraph(masses, tuple(new_edges), labels)
-    validate(g)
-    return g
+    return WeightedGraph(masses, tuple(new_edges), labels)
 
 
 def contract(graph: WeightedGraph, vs: VertexSet) -> tuple[WeightedGraph, int]:
@@ -476,9 +460,7 @@ def contract(graph: WeightedGraph, vs: VertexSet) -> tuple[WeightedGraph, int]:
         labels = tuple(graph.labels[v] for v in survivors) + (
             "+".join(graph.labels[v] for v in vs.members),)
     edges = tuple((a, b, k) for (a, b), k in sorted(acc.items()))
-    g = WeightedGraph(masses, edges, labels)
-    validate(g)
-    return g, merged
+    return WeightedGraph(masses, edges, labels), merged
 
 
 def pinch(graph: WeightedGraph, f: Iterable[float]) -> PinchedGraph:
@@ -527,7 +509,6 @@ def pinch(graph: WeightedGraph, f: Iterable[float]) -> PinchedGraph:
         labels = graph.labels + tuple(
             f"{graph.labels[o[0]]}x{graph.labels[o[1]]}" for o in origin[n:])
     g2 = WeightedGraph(masses, tuple(new_edges), labels)
-    validate(g2)
 
     def where(mask: np.ndarray) -> VertexSet:
         return VertexSet(tuple(np.flatnonzero(mask).tolist()))

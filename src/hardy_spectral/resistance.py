@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import errors
-from .graph import VertexSet, WeightedGraph, validate
+from .graph import VertexSet, WeightedGraph
 from .linalg import by_size
 
 
@@ -75,7 +75,6 @@ def pair_energies(
     for i, (graph, a, b) in enumerate(pairs):
         try:
             _check_sets(graph, a, b)
-            validate(graph)
         except errors.HardySpectralError as exc:
             out[i] = exc
             continue

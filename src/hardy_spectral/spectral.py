@@ -30,7 +30,7 @@ import numpy as np
 
 from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, components,
-                    interior_of, require_positive_mass, validate)
+                    interior_of, require_positive_mass)
 from .linalg import by_size, cholesky_solve, jacobi_eigen
 
 NEUMANN = "neumann"
@@ -52,12 +52,10 @@ class SpectralResult:
     boundary: Optional[VertexSet] = None
 
 
-def laplacian(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, M, D): Laplacian, diagonal mass matrix, diagonal degree matrix.
-    L is the graph's cached read-only `laplacian_matrix`, whose rows sum
-    to zero exactly."""
-    lap = graph.laplacian_matrix
-    return lap, np.diag(graph.mass_vector), np.diag(np.diag(lap))
+def laplacian(graph: WeightedGraph) -> np.ndarray:
+    """L = D - W, the graph's cached read-only `laplacian_matrix`, whose
+    rows sum to zero exactly."""
+    return graph.laplacian_matrix
 
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:
@@ -108,7 +106,6 @@ def _eigenpairs(blocks: np.ndarray, ground: np.ndarray, mass: np.ndarray,
 def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
     """Fundamental vibration mode: min of x^T L x / x^T M x over x with
     x^T M 1 = 0. Requires all masses positive and a connected graph."""
-    validate(graph)
     n = graph.vertex_count
     if n < 2:
         raise errors.DimensionMismatch("need at least two vertices")
@@ -152,7 +149,6 @@ def dirichlet_eigenvalues(
     pieces = []  # (problem, piece, W(v, boundary) for every vertex v)
     for i, (graph, boundary) in enumerate(problems):
         try:
-            validate(graph)
             interior = interior_of(graph, boundary)
             require_positive_mass(graph, interior)
         except errors.HardySpectralError as exc:
@@ -208,7 +204,6 @@ def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.n
     """
     if not fixed:
         raise errors.EmptyFixedSet("need at least one fixed vertex")
-    validate(graph)
     n = graph.vertex_count
     if any(not (0 <= v < n) for v in fixed):
         raise errors.LengthMismatch("fixed vertex id out of range")
@@ -218,7 +213,7 @@ def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.n
         x[v] = float(val)
     free = [v for v in range(n) if v not in fixed]
     if free:
-        lap, _, _ = laplacian(graph)
+        lap = laplacian(graph)
         fixed_ids = sorted(fixed)
         rhs = -(lap[np.ix_(free, fixed_ids)] @ x[fixed_ids])
         x[free] = cholesky_solve(lap[np.ix_(free, free)], rhs)

@@ -20,7 +20,7 @@ from ._version import __version__
 from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
-from .graph import VertexSet, WeightedGraph, pinch, quantize_zeros, validate
+from .graph import VertexSet, WeightedGraph, pinch, quantize_zeros
 from .report import (Check, VerificationReport, check_eq, check_error,
                      check_ge, check_le)
 from .resistance import pair_energies
@@ -164,7 +164,6 @@ def run_suite(graph: WeightedGraph, *,
     Enumeration guards and solver failures do not abort the run; they show
     up as failed checks carrying the error message.
     """
-    validate(graph)
     wanted = list(ALL_SUITES) if suites is None else list(suites)
     for s in wanted:
         if s not in ALL_SUITES:

@@ -16,7 +16,7 @@ import math
 from typing import Optional
 
 from . import errors
-from .graph import VertexSet, WeightedGraph, validate
+from .graph import VertexSet, WeightedGraph
 
 
 def _parse_number(token: str, lineno: int, what: str) -> float:
@@ -30,13 +30,13 @@ def _parse_number(token: str, lineno: int, what: str) -> float:
 
 
 def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
-    """Parse a .wgr document into a validated graph and its optional
-    boundary set."""
+    """Parse a .wgr document into a graph and its optional boundary set.
+    Numbers are checked here, with their line; the graph rule (simple,
+    connected, weights in range) is checked by the graph's constructor."""
     names: dict[str, int] = {}
     masses: list[float] = []
     labels: list[str] = []
     edges: list[tuple[int, int, float]] = []
-    edge_pairs: set[tuple[int, int]] = set()
     boundary: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -60,14 +60,8 @@ def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
             for name in tokens[1:3]:
                 if name not in names:
                     raise errors.UnknownVertex(name, lineno)
-            u, v = names[tokens[1]], names[tokens[2]]
-            key = (min(u, v), max(u, v))
-            if u == v:
-                raise errors.SelfLoop(u)
-            if key in edge_pairs:
-                raise errors.DuplicateEdge(key)
-            edge_pairs.add(key)
-            edges.append((u, v, _parse_number(tokens[3], lineno, "conductance")))
+            edges.append((names[tokens[1]], names[tokens[2]],
+                          _parse_number(tokens[3], lineno, "conductance")))
         elif kind == "boundary":
             if len(tokens) != 2:
                 raise errors.ParseError(lineno, "expected: boundary <name>")
@@ -83,7 +77,6 @@ def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
     if not masses:
         raise errors.ParseError(0, "no vertices declared")
     graph = WeightedGraph(tuple(masses), tuple(edges), tuple(labels))
-    validate(graph)
     return graph, (VertexSet.of(boundary) if boundary else None)
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardy_spectral import (VertexSet, WeightedGraph, components, contract,
                             laplacian, path_graph, pinch,
@@ -36,33 +40,81 @@ class TestValidate:
 
     def test_no_edges_is_disconnected(self):
         with pytest.raises(errors.Disconnected) as exc:
-            validate(WeightedGraph((1.0, 1.0), ()))
+            WeightedGraph((1.0, 1.0), ())
         assert exc.value.components == [[0], [1]]
 
     def test_zero_conductance(self):
         with pytest.raises(errors.NonPositiveConductance):
-            validate(WeightedGraph((1.0, 1.0), ((0, 1, 0.0),)))
+            WeightedGraph((1.0, 1.0), ((0, 1, 0.0),))
 
     def test_negative_mass(self):
         with pytest.raises(errors.NegativeMass):
-            validate(WeightedGraph((1.0, -0.5), ((0, 1, 1.0),)))
+            WeightedGraph((1.0, -0.5), ((0, 1, 1.0),))
 
     def test_self_loop(self):
         with pytest.raises(errors.SelfLoop):
-            validate(WeightedGraph((1.0, 1.0), ((0, 1, 1.0), (1, 1, 2.0))))
+            WeightedGraph((1.0, 1.0), ((0, 1, 1.0), (1, 1, 2.0)))
 
     def test_duplicate_edge(self):
         with pytest.raises(errors.DuplicateEdge):
-            validate(WeightedGraph((1.0, 1.0), ((0, 1, 1.0), (1, 0, 2.0))))
+            WeightedGraph((1.0, 1.0), ((0, 1, 1.0), (1, 0, 2.0)))
 
     def test_zero_mass_is_allowed(self):
         validate(WeightedGraph((0.0, 1.0), ((0, 1, 1.0),)))
 
-    def test_failure_raises_on_every_call(self):
-        g = WeightedGraph((1.0, 1.0, 1.0), ((0, 1, 1.0),))
-        for _ in range(2):
-            with pytest.raises(errors.Disconnected):
-                validate(g)
+    def test_invalid_graph_cannot_be_constructed(self):
+        with pytest.raises(errors.Disconnected) as exc:
+            WeightedGraph((1.0, 1.0, 1.0), ((0, 1, 1.0),))
+        assert exc.value.components == [[0, 1], [2]]
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_non_finite_conductance(self, k):
+        with pytest.raises(errors.NonPositiveConductance):
+            WeightedGraph((1, 1, 1), ((0, 1, k), (1, 2, 1)))
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_non_finite_mass(self, m):
+        with pytest.raises(errors.NegativeMass):
+            WeightedGraph((1, m, 1), ((0, 1, 1), (1, 2, 1)))
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_construction_matches_an_independent_oracle(self, data):
+        nx = pytest.importorskip("networkx")
+        n = data.draw(st.integers(1, 5))
+        vertex = st.integers(0, n - 1)
+        # a spanning tree, extra pairs (self-loops and repeats allowed), at
+        # most one pair dropped, each pair in either orientation
+        pairs = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        pairs += data.draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+        if pairs and data.draw(st.booleans()):
+            del pairs[data.draw(st.integers(0, len(pairs) - 1))]
+        edges = [((v, u) if data.draw(st.booleans()) else (u, v))
+                 + (data.draw(st.sampled_from([0.5, 2.0])),) for (u, v) in pairs]
+        masses = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n, max_size=n))
+        # at most one mass or conductance out of range (a zero mass is valid)
+        bad = st.sampled_from([-1.0, 0.0, math.inf, -math.inf, math.nan])
+        spot = data.draw(st.sampled_from([None, "mass", "edge"]))
+        if spot == "mass":
+            masses[data.draw(st.integers(0, n - 1))] = data.draw(bad)
+        elif spot == "edge" and edges:
+            i = data.draw(st.integers(0, len(edges) - 1))
+            edges[i] = edges[i][:2] + (data.draw(bad),)
+
+        keys = [frozenset((u, v)) for (u, v, _k) in edges]
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from((u, v) for (u, v, _k) in edges)
+        valid = (all(math.isfinite(m) and m >= 0 for m in masses)
+                 and all(math.isfinite(k) and k > 0 for (_u, _v, k) in edges)
+                 and all(u != v for (u, v, _k) in edges)
+                 and len(set(keys)) == len(keys)
+                 and nx.is_connected(nxg))
+        if valid:
+            WeightedGraph(tuple(masses), tuple(edges))
+        else:
+            with pytest.raises(errors.GraphValidationError):
+                WeightedGraph(tuple(masses), tuple(edges))
 
 
 class TestPathGraph:
@@ -163,8 +215,8 @@ class TestSplitEdge:
         y = np.array([1.0, 5.0,
                       1.0 + 4.0 * 0.2,
                       1.0 + 4.0 * 0.5])
-        lap_g, _, _ = laplacian(g)
-        lap_s, _, _ = laplacian(s)
+        lap_g = laplacian(g)
+        lap_s = laplacian(s)
         assert y @ lap_s @ y == pytest.approx(x @ lap_g @ x, rel=1e-12)
 
     def test_quadratic_form_preserved_on_random_graphs(self):
@@ -178,8 +230,8 @@ class TestSplitEdge:
             s = split_edge(g, (u, v), fr)
             x = random_vector(rng, g.vertex_count)
             y = harmonic_extension(s, {w: x[w] for w in range(g.vertex_count)})
-            lap_g, _, _ = laplacian(g)
-            lap_s, _, _ = laplacian(s)
+            lap_g = laplacian(g)
+            lap_s = laplacian(s)
             assert y @ lap_s @ y == pytest.approx(x @ lap_g @ x, rel=1e-12, abs=1e-12)
 
 
@@ -321,8 +373,8 @@ class TestPinch:
             f = [rng.uniform_in(-1, 1) for _ in range(g.vertex_count)]
             f[0], f[1] = -1.0, 1.0
             p = pinch(g, f)
-            lap_g, _, _ = laplacian(g)
-            lap_p, _, _ = laplacian(p.graph)
+            lap_g = laplacian(g)
+            lap_p = laplacian(p.graph)
             y, x = np.array(p.f_extended), np.array(f)
             assert y @ lap_p @ y == pytest.approx(x @ lap_g @ x, rel=1e-10)
 
