@@ -10,6 +10,7 @@ effective resistance. Exit codes: 0 success, 1 failed verification check,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -140,7 +141,10 @@ def _cmd_resistance(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and every call gets its own namespace."""
     parser = argparse.ArgumentParser(
         prog="hardy-spectral",
         description="Eigenvalue bounds and verification suites for weighted graphs")
@@ -191,8 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -10,15 +10,18 @@ explicit size guards; paths get an O(N) tail-set scan, and a level-set
 sweep of the fundamental eigenvector provides a cheap upper bound for the
 two-sided quantity on larger graphs.
 
-Every energy comes from the Kron-reduction kernel of resistance.py,
-which eliminates the vertices C outside A u B. The enumerations go by
-eliminated sets: all sets C of one size are solved in one batch, every
-pair (A, B) that shares C rides along as one more right-hand side, and
-the batches run in chunks of bounded memory, keeping only a running
-minimum. The isoperimetric constant needs no energy: its cut enumeration
-runs over the masks of A in chunks the same way, with the cuts as one
-matrix-vector product per chunk and both sides' masses read from one
-table of subset masses.
+Both enumerations walk a decision tree over the vertices, one vertex per
+level: a vertex either joins a terminal node (A, or B for the two-sided
+quantity) or is eliminated by Kron reduction. Sets that share a prefix
+share its eliminations, and every step only adds nonnegative terms
+(`w_ik += w_ij w_jk / d_j`, with `d_j` a sum of conductances), so
+nothing cancels. The walk is depth first over stacks of partial networks,
+each level one vectorised step for the whole stack; a stack is cut in
+half while its children would exceed CHUNK_ENTRIES numbers, keeping only
+a running minimum. The isoperimetric constant needs no energy: its cut
+enumeration runs over the masks of A in chunks of the same bound, with
+the cuts as one matrix-vector product per chunk and both sides' masses
+read from one table of subset masses.
 
 Ties are decided by the canonical keys (A's, then B's), never by the
 order of the arithmetic: every ratio within the relative window TIE_RTOL
@@ -28,7 +31,7 @@ identical across runs and schedules.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,7 +42,7 @@ from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, interior_of,
                     is_canonical_path, path_graph, require_both_signs,
                     require_positive_mass)
-from .resistance import kron_energies, pair_energies
+from .resistance import pair_energies
 from .spectral import TIE_RTOL
 
 DIRICHLET_ENUM_LIMIT = 20
@@ -52,8 +55,9 @@ SWEEP_HEURISTIC = "sweep-heuristic"
 
 LEVEL_GROUP_RTOL = 1e-9
 
-# Upper bound on the numbers gathered for one chunk of eliminated sets,
-# which bounds the enumerations' working memory (2^15 doubles = 256 KiB).
+# Upper bound on the numbers gathered for one stack of partial networks
+# or one chunk of cut masks, which bounds the enumerations' working
+# memory (2^15 doubles = 256 KiB).
 CHUNK_ENTRIES = 1 << 15
 
 
@@ -85,17 +89,6 @@ def _mass_by_mask(masses: np.ndarray) -> np.ndarray:
         high = np.arange(1 << (nbits - 1 - b)) << (b + 1)
         out[high | (1 << b)] = out[high] + masses[b]
     return out
-
-
-def _combination_chunks(m: int, k: int, per_row: int):
-    """All k-subsets of range(m) in lexicographic order, as (rows, k)
-    arrays of at most CHUNK_ENTRIES / per_row rows, where per_row is the
-    count of numbers a caller gathers for one subset."""
-    combos = itertools.combinations(range(m), k)
-    rows = max(1, CHUNK_ENTRIES // per_row)
-    while chunk := list(itertools.islice(combos, rows)):
-        yield np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp,
-                          count=len(chunk) * k).reshape(len(chunk), k)
 
 
 class _RunningMin:
@@ -143,6 +136,81 @@ class _RunningMin:
         return float(self.ratios[0]), int(self.keys[0])
 
 
+def _branch(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: int,
+            choices: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide the first node of every network in a stack.
+
+    A stack of m networks is a (k, k, m) array of conductances among each
+    network's undecided vertices, then its two terminal nodes; mu and key,
+    shaped (2, m), hold each terminal's mass and mask. `choices` lists
+    (keep, terminal): the networks marked by keep (None for all) get a
+    child in which the first node merges into that terminal, or is
+    Kron-eliminated for terminal None. Elimination adds w_ij w_jk / d_j
+    to each w_ik, with d_j the sum of the first node's conductances, and
+    a merge adds them to the terminal's. Diagonal entries are never read.
+    """
+    row, rest = net[0, 1:], net[1:, 1:]
+    picks = [slice(None) if keep is None or keep.all() else np.flatnonzero(keep)
+             for keep, _ in choices]
+    sizes = [row.shape[1] if isinstance(rows, slice) else len(rows) for rows in picks]
+    out = np.empty(rest.shape[:2] + (sum(sizes),))
+    out_mu = np.empty((2, out.shape[2]))
+    out_key = np.empty((2, out.shape[2]), dtype=np.int64)
+    at = 0
+    for rows, size, (_, terminal) in zip(picks, sizes, choices):
+        here = slice(at, at + size)
+        at += size
+        r, child = row[:, rows], out[:, :, here]
+        out_mu[:, here], out_key[:, here] = mu[:, rows], key[:, rows]
+        if terminal is None:
+            np.multiply(r[:, None], r[None, :], out=child)
+            # summed in row order, the same for any stack size
+            child /= functools.reduce(np.add, r)
+            child += rest[:, :, rows]
+        else:
+            child[...] = rest[:, :, rows]
+            child[terminal - 2] += r
+            child[:, terminal - 2] += r
+            out_mu[terminal, here] += mass
+            out_key[terminal, here] |= bit
+    return out, out_mu, out_key
+
+
+def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, options,
+                  score) -> Optional[tuple[float, int]]:
+    """(ratio, key) of the winning leaf of a decision tree of Kron
+    eliminations, walked depth first over stacks of partial networks, or
+    None if no leaf is scored.
+
+    `network` is the (k, k) network of the vertices in the order they are
+    decided, then the two terminal nodes (see _branch); the i-th vertex
+    decided has mass mass[i] and key mask bits[i]. options(key, left)
+    gives the choices of _branch for a stack whose vertex at hand leaves
+    `left` vertices undecided; score(energy, mu, key) turns the reduced
+    conductance between the terminals at the leaves into (ratios, keys).
+    A stack whose children would exceed CHUNK_ENTRIES numbers is cut in
+    half first; the deferred half is copied, so it does not keep its
+    parent alive.
+    """
+    f = len(mass)
+    best = _RunningMin()
+    pending = [(network[:, :, None], np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int64))]
+    while pending:
+        net, mu, key = stack = pending.pop()
+        k, _, m = net.shape
+        if k == 2:
+            best.offer(*score(net[0, 1], mu, key))
+            continue
+        choices = options(key, k - 3)
+        if m > 1 and len(choices) * m * (k - 1) ** 2 > CHUNK_ENTRIES:
+            pending.append(tuple(x[..., m // 2:].copy() for x in stack))
+            pending.append(tuple(x[..., :m // 2] for x in stack))
+        else:
+            i = f + 2 - k
+            pending.append(_branch(net, mu, key, mass[i], bits[i], choices))
+    return best.winner
+
+
 def hardy_path(path: WeightedGraph) -> ContentResult:
     """Tail-set scan of a path with boundary vertex 0.
 
@@ -181,39 +249,31 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     """Minimum of R(S,A)^{-1} / mu(A) over nonempty A disjoint from the
     boundary, by enumerating all subsets of the interior.
 
-    Each A is scored by eliminating C = interior \\ A (see resistance.py),
-    with the boundary as the other side; the sets C of one size are solved
-    in one batch, in chunks. Zero-mass subsets are skipped (their ratio is
-    +inf). Guarded at interior size 20.
+    The boundary is collapsed into one grounded node S, and the interior
+    is taken in id order: each vertex merges into A or is eliminated (see
+    _tree_minimum). At a leaf the reduced A-S conductance is the energy
+    1/R(S, A). Zero-mass subsets are skipped (their ratio is +inf).
+    Guarded at interior size 20.
     """
     interior = np.array(interior_of(graph, boundary), dtype=np.intp)
     f = interior.size
     if f > DIRICHLET_ENUM_LIMIT:
         raise errors.TooLarge(f, DIRICHLET_ENUM_LIMIT)
 
-    # Everything below is indexed by position in the interior. The interior
-    # is sorted, so masks of positions order sets as canonical keys do, and
-    # they fit an int64 whatever the vertex ids are.
+    # Keys are masks of positions in the interior. The interior is sorted,
+    # so they order sets as canonical keys do, and they fit an int64
+    # whatever the vertex ids are. The terminals are A, then S.
     w = graph.conductance_matrix[interior]
-    w_ii = w[:, interior]
-    ground = w[:, list(boundary.members)].sum(axis=1)  # W(v, S)
-    lap = graph.laplacian_matrix[np.ix_(interior, interior)]
-    mass = graph.mass_vector[interior]
-    bits = np.int64(1) << np.arange(f)
-    best = _RunningMin()
-    for c in range(f):
-        for inner in _combination_chunks(f, c, c * (c + 2) + 3 * f):
-            in_a = np.ones((len(inner), f))
-            in_a[np.arange(len(inner))[:, None], inner] = 0.0
-            mu = in_a @ mass
-            keep = mu > 0.0
-            inner, in_a = inner[keep], in_a[keep]
-            to_a = np.take_along_axis(in_a @ w_ii, inner, axis=1)  # W(C, A)
-            energy = kron_energies(lap[inner[:, :, None], inner[:, None, :]],
-                                   to_a[:, :, None], ground[inner][:, :, None],
-                                   (in_a @ ground)[:, None])
-            best.offer(energy[:, 0] / mu[keep], bits.sum() - bits[inner].sum(axis=1))
-    winner = best.winner
+    net = np.zeros((f + 2, f + 2))
+    net[:f, :f] = w[:, interior]
+    net[:f, -1] = net[-1, :f] = w[:, list(boundary.members)].sum(axis=1)  # W(v, S)
+
+    def score(energy, mu, key):
+        keep = mu[0] > 0.0
+        return energy[keep] / mu[0][keep], key[0][keep]
+
+    winner = _tree_minimum(net, graph.mass_vector[interior], np.int64(1) << np.arange(f),
+                           lambda key, left: [(None, 0), (None, None)], score)
     if winner is None:
         raise errors.ZeroInteriorMass("every interior subset has zero mass")
     value, key = winner
@@ -228,43 +288,35 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
 
     Each unordered pair is scored once, oriented so that A has the smaller
     canonical key, which for disjoint sets means B holds the largest vertex
-    of A u B. The enumeration runs over the eliminated set C = V \\ (A u B):
-    the sets C of one size are solved in one batch, in chunks, and each
-    one's solve serves all 2^(n-|C|-1) - 1 splits of V \\ C into A and B.
-    Guarded at n = 12.
+    of A u B. The vertices are taken from the highest id down, and each is
+    eliminated or merges into A or B (see _tree_minimum): the first vertex
+    that is not eliminated goes to B, and A opens only once B is nonempty.
+    A branch with B empty is dropped once it can no longer fill both sides,
+    and a leaf with A empty is skipped. At a leaf the reduced A-B
+    conductance is the energy 1/R(A, B). Guarded at n = 12.
     """
     n = graph.vertex_count
     if n > NEUMANN_ENUM_LIMIT:
         raise errors.TooLarge(n, NEUMANN_ENUM_LIMIT)
     require_positive_mass(graph)
 
-    w = graph.conductance_matrix
-    mass = graph.mass_vector
-    best = _RunningMin()
-    for c in range(n - 1):
-        r = n - c
-        # one row per split of the r vertices outside C: A is any nonempty
-        # set of positions but the last, which B always holds
-        a_bits = np.arange(1, 1 << (r - 1))[:, None] >> np.arange(r) & 1
-        in_a = a_bits.astype(float)
-        in_b = 1.0 - in_a
-        per_row = len(in_a) * (2 * c + r + 4) + r * (r + c) + c * c
-        for inner in _combination_chunks(n, c, per_row):
-            rows = np.arange(len(inner))[:, None]
-            outside = np.ones((len(inner), n), dtype=bool)
-            outside[rows, inner] = False
-            outer = np.nonzero(outside)[1].reshape(len(inner), r)
-            w_cr = w[inner[:, :, None], outer[:, None, :]]
-            direct = ((in_a @ w[outer[:, :, None], outer[:, None, :]]) * in_b).sum(axis=2)
-            lap = graph.laplacian_matrix[inner[:, :, None], inner[:, None, :]]
-            energy = kron_energies(lap, w_cr @ in_a.T, w_cr @ in_b.T, direct)
-            mu = mass[outer]
-            ratio = (1.0 / (mu @ in_a.T) + 1.0 / (mu @ in_b.T)) * energy
-            outer_bits = np.int64(1) << outer  # 2n <= 24 bits per pair key
-            a_key = outer_bits @ a_bits.T
-            b_key = outer_bits.sum(axis=1)[:, None] - a_key
-            best.offer(ratio.ravel(), ((a_key << n) | b_key).ravel())
-    value, key = best.winner  # n >= 2 always yields a pair
+    # the vertices from the highest id down, then the terminals A and B
+    net = np.zeros((n + 2, n + 2))
+    net[:n, :n] = graph.conductance_matrix[::-1, ::-1]
+
+    def options(key, left):
+        has_b = key[1] != 0
+        # eliminate (while B is empty, only if two vertices would remain to
+        # fill both sides), join A once B has a vertex, or join B
+        return [(has_b | (left > 1), None), (has_b, 0), (None, 1)]
+
+    def score(energy, mu, key):
+        keep = key[0] != 0  # B always has a vertex at a leaf
+        mu_a, mu_b, key_a, key_b = (x[keep] for x in (*mu, *key))
+        return (1.0 / mu_a + 1.0 / mu_b) * energy[keep], (key_a << n) | key_b
+
+    value, key = _tree_minimum(net, graph.mass_vector[::-1], np.int64(1) << np.arange(n)[::-1],
+                               options, score)  # n >= 2 always yields a pair
     key = int(key)
     return ContentResult(value=value, witness_a=VertexSet.from_mask(key >> n),
                          witness_b=VertexSet.from_mask(key & ((1 << n) - 1)),

@@ -1,5 +1,4 @@
-"""Effective resistance between disjoint vertex sets, and the one energy
-kernel that every resistance and content quantity goes through.
+"""Effective resistance between disjoint vertex sets, by Kron reduction.
 
 1/R(A, B) is the minimum energy of a potential held at 1 on A and 0 on B;
 masses play no role. Eliminating every other vertex, C = V \\ (A u B),
@@ -16,11 +15,13 @@ inside A or inside B never enters the computation, however stiff it is.
 When A u B = V nothing is eliminated and the energy is W(A, B), the
 crossing conductance.
 
-`kron_energies` evaluates this for many pairs at once: one batched LAPACK
-solve over a stack of blocks L_CC, with one right-hand side per pair
-(A, B) that shares C. The blocks are gathered by the caller, so one stack
-can hold rows of different graphs: `pair_energies` scores pairs from
-many graphs, one stack per size of C.
+`kron_energies` evaluates this for a stack of pairs, one pair per row,
+with one batched LAPACK solve over the blocks L_CC. The blocks are
+gathered by the caller, so one stack can hold rows of different graphs:
+`pair_energies` scores pairs from many graphs, one stack per size of C.
+It serves the sweep, `ressum` and `effective_resistance`; the exact
+content enumerations eliminate one vertex at a time instead, so that
+sets sharing a prefix share its work (see content.py).
 """
 
 from __future__ import annotations
@@ -46,18 +47,17 @@ def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
 
 def kron_energies(blocks: np.ndarray, to_a: np.ndarray, to_b: np.ndarray,
                   direct: np.ndarray) -> np.ndarray:
-    """Energies 1/R(A, B), shape (m, s): row i eliminates a set C whose
-    block L_CC is blocks[i] (all rows share one size c), and carries s
-    pairs (A, B) disjoint from C. For pair j, to_a[i, :, j] and
-    to_b[i, :, j] are W(C, A) and W(C, B) (shape (m, c, s)), and
-    direct[i, j] is W(A, B). A singular L_CC, which a connected graph
-    never has, raises; so does an energy that is not positive, which only
-    a solve swamped by rounding (weight ratios near 1e16) can return."""
+    """Energies 1/R(A, B), shape (m,): row i eliminates a set C whose
+    block L_CC is blocks[i] (all rows share one size c), to_a[i] and
+    to_b[i] are W(C, A) and W(C, B) (shape (m, c)), and direct[i] is
+    W(A, B). A singular L_CC, which a connected graph never has, raises;
+    so does an energy that is not positive, which only a solve swamped by
+    rounding (weight ratios near 1e16) can return."""
     try:
-        y = np.linalg.solve(blocks, to_b)
+        y = np.linalg.solve(blocks, to_b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         raise errors.NotPositiveDefinite() from None
-    energy = direct + np.einsum("mcs,mcs->ms", to_a, y)
+    energy = direct + np.einsum("mc,mc->m", to_a, y)
     if not np.all(energy > 0.0):
         raise errors.NotPositiveDefinite()
     return energy
@@ -89,8 +89,7 @@ def pair_energies(
                           w_c[:, a.members].sum(axis=1), w_c[:, b.members].sum(axis=1),
                           graph.conductance_matrix[a.members, :][:, b.members].sum()))
         blocks, to_a, to_b, direct = (np.stack(column) for column in zip(*parts))
-        return kron_energies(blocks, to_a[:, :, None], to_b[:, :, None],
-                             direct[:, None])[:, 0].tolist()
+        return kron_energies(blocks, to_a, to_b, direct).tolist()
 
     for (i, _), energy in zip(rows, by_size(rows, lambda r: len(r[1]), solve)):
         out[i] = energy

@@ -1,7 +1,8 @@
-"""The Kron-reduction energy kernel against oracles that share no code
-with it: per-set harmonic extensions solved with numpy.linalg.solve, and
-50-digit mpmath solves for badly scaled weights. The cut enumeration
-behind phi against networkx cut sizes and exact rational arithmetic."""
+"""The Kron-reduction energies, the pair kernel and the decision tree of
+the content enumerations, against oracles that share no code with them:
+per-set harmonic extensions solved with numpy.linalg.solve, and 50-digit
+mpmath solves for badly scaled weights. The cut enumeration behind phi
+against networkx cut sizes and exact rational arithmetic."""
 
 import itertools
 from fractions import Fraction
@@ -9,12 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_content_exact,
-                            effective_resistance, errors, isoperimetric_exact,
-                            neumann_content_exact, hardy_path, neumann_content_sweep,
-                            neumann_eigenvalue, path_graph, random_graph)
+from hardy_spectral import (VertexSet, WeightedGraph, components, content,
+                            dirichlet_content_exact, effective_resistance, errors,
+                            isoperimetric_exact, neumann_content_exact, hardy_path,
+                            neumann_content_sweep, neumann_eigenvalue, path_graph, pinch,
+                            random_graph, split_edge)
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
                                     NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
+from hardy_spectral.resistance import kron_energies
 from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
@@ -270,10 +273,27 @@ class TestExtremeWeights:
         assert r == pytest.approx(expected, rel=1e-12)
 
     def test_nonpositive_energy_is_a_typed_error(self):
-        # at ratio 1e16 rounding swamps a solve and the energy comes out
-        # negative; the exact value is positive
+        # the pair path: at ratio 1e16 rounding swamps this pair's solve and
+        # the energy comes out negative; the exact value is positive
         with pytest.raises(errors.NotPositiveDefinite):
-            neumann_content_exact(stiff_graph(21, 1e16, 1e16))
+            effective_resistance(stiff_graph(21, 1e16, 1e16), VertexSet.of([4]),
+                                 VertexSet.of([5]))
+        with pytest.raises(errors.NotPositiveDefinite):
+            kron_energies(np.ones((1, 1, 1)), np.ones((1, 1)), -np.ones((1, 1)), np.zeros(1))
+
+    @pytest.mark.parametrize("seed", [*range(10), 21])
+    def test_weight_ratio_1e16_against_mpmath(self, seed):
+        # the enumerations only add nonnegative terms, so rounding cannot
+        # swamp them where it swamps a solve
+        mpmath = pytest.importorskip("mpmath")
+        g = stiff_graph(seed, 1e16, 1e16)
+        s = VertexSet.of([0])
+        with mpmath.workdps(50):
+            energy = mp_energy_fn(mpmath, g)
+            psi = min(c[0] for c in psi_candidates(g, s, energy))
+            psi2 = min(c[0] for c in psi2_candidates(g, energy))
+        assert dirichlet_content_exact(g, s).value == pytest.approx(float(psi), rel=1e-15)
+        assert neumann_content_exact(g).value == pytest.approx(float(psi2), rel=1e-15)
 
     def test_stiff_path_contents(self):
         g = path_graph([1.0, 2.0, 1.0, 3.0, 1.0, 2.0], [1e15, 1.0, 2.0, 1.0, 0.5])
@@ -287,6 +307,137 @@ class TestExtremeWeights:
         with mpmath.workdps(50):
             expected = min(c[0] for c in psi2_candidates(g, mp_energy_fn(mpmath, g)))
         assert psi2 == pytest.approx(float(expected), rel=1e-12)
+
+
+def tie_winner(cands):
+    """The oracle's winner under the library's rule: the smallest key
+    among the candidates within TIE_RTOL of the smallest ratio."""
+    floor = min(c[0] for c in cands)
+    return min((c for c in cands if c[0] <= floor * (1 + TIE_RTOL)), key=lambda c: c[1])
+
+
+def grid(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return uniform(rows * cols, sorted(right + down))
+
+
+TREE_TIE_GRAPHS = {
+    "k6": uniform(6, itertools.combinations(range(6), 2)),
+    "c8": uniform(8, [(i, (i + 1) % 8) for i in range(8)]),
+    "star": uniform(7, [(0, v) for v in range(1, 7)]),
+    "grid3x3": grid(3, 3),
+}
+
+
+def split_interior_cases():
+    """(graph, boundary) pairs whose interior falls into several pieces."""
+    yield TREE_TIE_GRAPHS["c8"], VertexSet.of([0, 4])
+    yield TREE_TIE_GRAPHS["grid3x3"], VertexSet.of([1, 4, 7])
+    yield path_graph([1.0, 2.0, 0.5, 3.0, 1.0, 2.0], [1.0, 0.5, 2.0, 1.0, 3.0]), VertexSet.of([2])
+    # corpus graphs with a cut vertex, which is the boundary
+    for i in range(12):
+        g = corpus_graph(i, 6, 9)
+        for v in range(g.vertex_count):
+            if len(components(g, (u for u in range(g.vertex_count) if u != v))) > 1:
+                yield g, VertexSet.of([v])
+                break
+
+
+def zero_mass_cases():
+    """(graph, boundary) pairs whose interior holds zero-mass vertices
+    made by split_edge or pinch, next to vertices of positive mass."""
+    for i in range(4):
+        g = corpus_graph(i, 5, 7)
+        u, v, _ = g.edges[i % len(g.edges)]
+        yield split_edge(g, (u, v), [0.25, 0.5, 0.25]), VertexSet.of([0])
+        x = neumann_eigenvalue(g).eigenvector
+        pinched = pinch(g, x)
+        # ground the negative vertices only, so the inserted crossings stay inside
+        yield pinched.graph, VertexSet.of(np.flatnonzero(x < 0.0))
+
+
+class TestDecisionTree:
+    """The enumerations of psi and psi2 walk a decision tree of Kron
+    eliminations over stacks that are cut to bound memory."""
+
+    @pytest.mark.parametrize("name", sorted(TREE_TIE_GRAPHS))
+    def test_stack_cuts_never_change_the_result_on_ties(self, name, monkeypatch):
+        self._same_with_tiny_stacks(TREE_TIE_GRAPHS[name], VertexSet.of([0]), monkeypatch)
+
+    def test_stack_cuts_never_change_the_result_on_the_corpus(self, monkeypatch):
+        for i in range(8):
+            g = corpus_graph(i, 3, 8)
+            self._same_with_tiny_stacks(g, corpus_boundary(g, i), monkeypatch)
+
+    def test_one_step_is_the_same_for_any_stack(self):
+        # every child comes out bit for bit the same in a stack as alone,
+        # also for rows of more than 8 conductances, where numpy would sum
+        # a lone row in another order
+        rng = np.random.default_rng(3)
+        for k in (3, 6, 14):
+            w = rng.uniform(0.1, 10.0, (k, k, 5))
+            net = w + w.transpose(1, 0, 2)
+            mu = rng.uniform(0.0, 3.0, (2, 5))
+            key = rng.integers(0, 1 << 20, (2, 5))
+            choices = [(None, None), (np.array([1, 0, 1, 1, 0], dtype=bool), 0), (None, 1)]
+            whole = content._branch(net, mu, key, 0.5, 1 << 21, choices)
+            alone = [content._branch(net[..., i:i + 1], mu[:, i:i + 1], key[:, i:i + 1],
+                                     0.5, 1 << 21, [(None if keep is None else keep[i:i + 1],
+                                                     terminal) for keep, terminal in choices])
+                     for i in range(5)]
+            # children come in order of the choices, each in stack order
+            order = [(c, i) for c, (keep, _) in enumerate(choices)
+                     for i in range(5) if keep is None or keep[i]]
+            for pos, (c, i) in enumerate(order):
+                before = sum(1 for keep, _ in choices[:c] if keep is None or keep[i])
+                for got, ref in zip(whole, alone[i]):
+                    assert got[..., pos].tobytes() == ref[..., before].tobytes()
+
+    @staticmethod
+    def _same_with_tiny_stacks(g, s, monkeypatch):
+        results = []
+        for entries in (content.CHUNK_ENTRIES, 16):
+            monkeypatch.setattr(content, "CHUNK_ENTRIES", entries)
+            results.append((dirichlet_content_exact(g, s), neumann_content_exact(g)))
+        (psi, psi2), (psi_cut, psi2_cut) = results
+        assert psi.value.hex() == psi_cut.value.hex() and psi.witness_a == psi_cut.witness_a
+        assert psi2.value.hex() == psi2_cut.value.hex()
+        assert (psi2.witness_a, psi2.witness_b) == (psi2_cut.witness_a, psi2_cut.witness_b)
+
+    @pytest.mark.parametrize("name", sorted(TREE_TIE_GRAPHS))
+    def test_ties_against_the_oracles(self, name):
+        g = TREE_TIE_GRAPHS[name]
+        self._agrees_with_psi_oracle(g, VertexSet.of([0]))
+        ratio, _, a, b = tie_winner(psi2_candidates(g))
+        res = neumann_content_exact(g)
+        assert res.value == pytest.approx(ratio, rel=1e-12)
+        assert (res.witness_a.members, res.witness_b.members) == (tuple(a), tuple(b))
+
+    def test_split_interiors_against_the_oracle(self):
+        cases = list(split_interior_cases())
+        assert len(cases) >= 5
+        for g, s in cases:
+            assert len(components(g, (v for v in range(g.vertex_count) if v not in s))) > 1
+            self._agrees_with_psi_oracle(g, s)
+
+    def test_zero_mass_interiors_against_the_oracle(self):
+        for g, s in zero_mass_cases():
+            interior_masses = [g.masses[v] for v in range(g.vertex_count) if v not in s]
+            assert 0.0 in interior_masses and max(interior_masses) > 0.0
+            self._agrees_with_psi_oracle(g, s)
+
+    def test_zero_interior_mass(self):
+        g = split_edge(path_graph([1.0, 1.0], [2.0]), (0, 1), [0.5, 0.25, 0.25])
+        with pytest.raises(errors.ZeroInteriorMass):
+            dirichlet_content_exact(g, VertexSet.of([0, 1]))
+
+    @staticmethod
+    def _agrees_with_psi_oracle(g, s):
+        ratio, _, a = tie_winner(psi_candidates(g, s))
+        res = dirichlet_content_exact(g, s)
+        assert res.value == pytest.approx(ratio, rel=1e-12)
+        assert res.witness_a.members == a
 
 
 class TestLargeVertexIds:
@@ -328,12 +479,6 @@ def nx_phi_candidates(nx, g):
         mu = min(sum(g.masses[v] for v in a), sum(g.masses[v] for v in b))
         out.append((nx.cut_size(h, a, b, weight="weight") / mu, mask))
     return out
-
-
-def grid(rows, cols):
-    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return uniform(rows * cols, sorted(right + down))
 
 
 UNIFORM_FAMILIES = (

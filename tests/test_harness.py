@@ -9,7 +9,7 @@ import pytest
 
 from hardy_spectral import (VertexSet, dirichlet_eigenvalue, emit_report, parse_wgr,
                             path_graph, random_graph, run_suite, serialize_wgr)
-from hardy_spectral import errors, spectral, suite
+from hardy_spectral import cli, errors, spectral, suite
 from hardy_spectral.cli import main
 from hardy_spectral.report import (VerificationReport, check_eq, check_ge,
                                    check_le)
@@ -269,11 +269,13 @@ class TestCli:
         assert not all(c["holds"] for c in doc["checks"])
 
     def test_verify_weight_ratio_1e16_exit_one(self, tmp_path, capsys):
-        g = stiff_graph(21, 1e16, 1e16)
+        # at this ratio the fundamental mode of this graph is not resolved
+        g = stiff_graph(1, 1e16, 1e16)
         path = self._write(tmp_path, "stiff.wgr", serialize_wgr(g, VertexSet.of([0])))
         assert main(["verify", path]) == 1
         rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert not rows["neumann"]["holds"]
+        assert "not resolved in double precision" in rows["neumann"]["reason"]
 
     def test_verify_reports_are_reproducible(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
@@ -334,6 +336,32 @@ class TestCli:
         assert main(["analyze", bad]) == 2
         assert main(["gen", "random", "--n", "4", "--p", "2.0",
                      "--seed", "1", "-o", str(tmp_path / "x.wgr")]) == 2
+
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        big = self._write(tmp_path, "big.wgr", serialize_wgr(path_graph([1.0] * 13,
+                                                                        [1.0] * 12)))
+        calls = [["verify", path, "--seed", "3"], ["resistance", path, "--a", "v0", "--b", "v2"],
+                 ["analyze", path, "--json"], ["--version"], ["verify", big, "--suite", "neumann"],
+                 ["bogus"], ["analyze", path, "--boundary", "v0"], ["verify", path, "--csv"],
+                 ["resistance", path, "--a", "nope", "--b", "v2"], ["gen", "path", "--n", "3"],
+                 ["verify", path, "--seed", "3"]]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: --version and usage errors
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        alone = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            alone.append(call(argv))
+        cli._parser.cache_clear()
+        assert [call(argv) for argv in calls] == alone
+        assert cli._parser.cache_info().misses == 1
+        assert [outcome[0] for outcome in alone] == [0, 0, 0, 0, 1, 2, 0, 0, 2, 2, 0]
 
     def test_gen_is_deterministic(self, tmp_path):
         out1, out2 = str(tmp_path / "a.wgr"), str(tmp_path / "b.wgr")
