@@ -18,10 +18,10 @@ share its eliminations, and every step only adds nonnegative terms
 nothing cancels. The walk is depth first over stacks of partial networks,
 each level one vectorised step for the whole stack; a stack is cut in
 half while its children would exceed CHUNK_ENTRIES numbers, keeping only
-a running minimum. The isoperimetric constant needs no energy: its cut
-enumeration runs over the masks of A in chunks of the same bound, with
-the cuts as one matrix-vector product per chunk and both sides' masses
-read from one table of subset masses.
+a running minimum. The isoperimetric constant needs no energy: one table
+holds the cut of every mask, grown one vertex at a time by adding
+conductances, another the mass of every mask, and the masks of A are
+scored against both in chunks of the same bound.
 
 Ties are decided by the canonical keys (A's, then B's), never by the
 order of the arithmetic: every ratio within the relative window TIE_RTOL
@@ -86,9 +86,36 @@ def _mass_by_mask(masses: np.ndarray) -> np.ndarray:
     nbits = len(masses)
     out = np.zeros(1 << nbits)
     for b in range(nbits - 1, -1, -1):
-        high = np.arange(1 << (nbits - 1 - b)) << (b + 1)
-        out[high | (1 << b)] = out[high] + masses[b]
+        # every (2 << b)-th mask has no bit up to b; 1 << b further on is
+        # the same mask with bit b
+        np.add(out[::2 << b], masses[b], out=out[1 << b::2 << b])
     return out
+
+
+def _cut_by_mask(w: np.ndarray) -> np.ndarray:
+    """W(M, V \\ M) for every mask M of the vertices but the last, given
+    the conductance matrix w.
+
+    The table grows one vertex j at a time over the masks of 0..j-1 and
+    only ever adds conductances: cut(M u {j}) = cut(M) + W(j, {0..j-1} \\ M)
+    and cut(M) += W(j, M), where the complement of M among 0..j-1 is the
+    reversed index. The tables W(i, .) of the vertices still to come grow
+    the same way, W(i, M u {j}) = W(i, M) + w_ij.
+    """
+    n = len(w)
+    cut = np.zeros(1 << (n - 1))
+    ahead = np.zeros((n, 1))  # W(i, M) for i >= j, over the masks M of 0..j-1
+    for j in range(n - 1):
+        size = 1 << j
+        own, ahead = ahead[0], ahead[1:]
+        np.add(cut[:size], own[::-1], out=cut[size:2 * size])  # j joins M
+        cut[:size] += own  # j joins the other side
+        grown = np.empty((n - 1 - j, 2 * size))
+        grown[:, :size] = ahead
+        np.add(ahead, w[j + 1:, j, None], out=grown[:, size:])
+        ahead = grown
+    cut += ahead[0]  # the last vertex is never in M
+    return cut
 
 
 class _RunningMin:
@@ -298,6 +325,8 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
     n = graph.vertex_count
     if n > NEUMANN_ENUM_LIMIT:
         raise errors.TooLarge(n, NEUMANN_ENUM_LIMIT)
+    if n < 2:
+        raise errors.EmptySet("two-sided content needs two vertices")
     require_positive_mass(graph)
 
     # the vertices from the highest id down, then the terminals A and B
@@ -362,10 +391,11 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
     """Minimum cut conductance over the lighter side's mass, over all
     bipartitions (vertex 0 fixed on the A side, so A's mask is odd).
 
-    The masks run in chunks of bounded memory: one row of crossing
-    indicators per mask, one matrix-vector product for the cuts, and the
-    running minimum with the mask as key, so ratios within TIE_RTOL tie
-    and the smallest mask wins. Guarded at n = 20.
+    Every cut is read from one table of sums of conductances (see
+    _cut_by_mask), every side's mass from one table of sums of masses.
+    The masks run in chunks of CHUNK_ENTRIES into the running minimum with
+    the mask as key, so ratios within TIE_RTOL tie and the smallest mask
+    wins. Guarded at n = 20.
     """
     n = graph.vertex_count
     if n > ISOPERIMETRIC_ENUM_LIMIT:
@@ -374,17 +404,17 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
         raise errors.EmptySet("isoperimetric constant needs two vertices")
     require_positive_mass(graph)
 
-    u, v, k = graph.edge_arrays
+    cut = _cut_by_mask(graph.conductance_matrix)
     mass = _mass_by_mask(graph.mass_vector)
     full = (1 << n) - 1
-    rows = max(1, CHUNK_ENTRIES // len(k))
     best = _RunningMin()
-    # t runs below full >> 1: the last t would put every vertex in A
-    for start in range(0, full >> 1, rows):
-        a = (np.arange(start, min(start + rows, full >> 1), dtype=np.int64) << 1) | 1
-        crossing = ((a[:, None] >> u) ^ (a[:, None] >> v)) & 1
-        # each side's mass is read from the table: total - mu(A) would cancel
-        best.offer((crossing @ k) / np.minimum(mass[a], mass[full ^ a]), a)
+    # the last odd mask below full is full - 2: full itself leaves B empty
+    for start in range(1, full, 2 * CHUNK_ENTRIES):
+        a = np.arange(start, min(start + 2 * CHUNK_ENTRIES, full), 2, dtype=np.int64)
+        b = full ^ a
+        # the cut is tabled on the side without the last vertex, the smaller
+        # mask; each side's mass is read from the table: total - mu(A) would cancel
+        best.offer(cut[np.minimum(a, b)] / np.minimum(mass[a], mass[b]), a)
     value, key = best.winner  # n >= 2 always yields a cut
     return ContentResult(value=value, witness_a=VertexSet.from_mask(int(key)),
                          witness_b=None, method=EXACT_ENUMERATION)

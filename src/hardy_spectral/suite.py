@@ -36,7 +36,12 @@ DEFAULT_SAMPLES = 10
 
 def _random_mixed_sign_f(rng: Xorshift64Star, n: int) -> list[float]:
     """Gaussian-like values recentered to mean zero, redrawn in the
-    (practically impossible) event every recentered value has one sign."""
+    (practically impossible) event every recentered value has one sign.
+    Raises SignCondition, drawing nothing, for n < 2: one value recentred
+    is exactly 0."""
+    if n < 2:
+        raise errors.SignCondition("a potential takes both strict signs only on "
+                                   "two or more vertices")
     while True:
         f = [rng.gaussian_like() for _ in range(n)]
         mean = sum(f) / n
@@ -178,23 +183,28 @@ def run_suite(graph: WeightedGraph, *,
         with contextlib.suppress(errors.HardySpectralError):
             q.record(report, "lambda2")
 
-    # all randomness drawn here, in a fixed order
+    # all randomness drawn here, in a fixed order; a graph too small for
+    # any draw fails the suites that need one
     rng = Xorshift64Star(seed)
     pinch_fs = []
-    if "pinch" in wanted:
-        pinch_fs = [_random_mixed_sign_f(rng, graph.vertex_count)
-                    for _ in range(samples)]
     ressum_draws = []
-    if "ressum" in wanted:
-        for _ in range(samples):
-            f = _random_mixed_sign_f(rng, graph.vertex_count)
-            try:
-                p = pinch(graph, f)
-                a = _random_nonempty_subset(rng, p.negative_set)
-                b = _random_nonempty_subset(rng, p.positive_set)
-                ressum_draws.append((p, a, b))
-            except errors.HardySpectralError as exc:
-                ressum_draws.append(exc)
+    no_draws = None
+    try:
+        if "pinch" in wanted:
+            pinch_fs = [_random_mixed_sign_f(rng, graph.vertex_count)
+                        for _ in range(samples)]
+        if "ressum" in wanted:
+            for _ in range(samples):
+                f = _random_mixed_sign_f(rng, graph.vertex_count)
+                try:
+                    p = pinch(graph, f)
+                    a = _random_nonempty_subset(rng, p.negative_set)
+                    b = _random_nonempty_subset(rng, p.positive_set)
+                    ressum_draws.append((p, a, b))
+                except errors.HardySpectralError as exc:
+                    ressum_draws.append(exc)
+    except errors.SignCondition as exc:
+        no_draws = exc
 
     def suite_dirichlet() -> _Contribution:
         c = _Contribution()
@@ -234,6 +244,8 @@ def run_suite(graph: WeightedGraph, *,
         return c
 
     def suite_pinch() -> _Contribution:
+        if no_draws is not None:
+            raise no_draws
         c = _Contribution()
         mode = q.get("lambda2")
         lambda2 = mode.eigenvalue
@@ -249,6 +261,8 @@ def run_suite(graph: WeightedGraph, *,
         return c
 
     def suite_ressum() -> _Contribution:
+        if no_draws is not None:
+            raise no_draws
         c = _Contribution()
         energies = iter(pair_energies(
             [(p.graph, x, y) for p, a, b in

@@ -147,6 +147,10 @@ class TestNeumannContent:
         with pytest.raises(errors.ZeroMass):
             neumann_content_exact(g)
 
+    def test_one_vertex(self):
+        with pytest.raises(errors.EmptySet):
+            neumann_content_exact(WeightedGraph((1.0,), ()))
+
 
 class TestNeumannSweep:
     def test_two_node_is_exact(self, two_node):

@@ -1,8 +1,9 @@
 """The Kron-reduction energies, the pair kernel and the decision tree of
 the content enumerations, against oracles that share no code with them:
 per-set harmonic extensions solved with numpy.linalg.solve, and 50-digit
-mpmath solves for badly scaled weights. The cut enumeration behind phi
-against networkx cut sizes and exact rational arithmetic."""
+mpmath solves for badly scaled weights. The cut table behind phi against
+the crossing indicators of every mask, networkx cut sizes and exact
+rational arithmetic."""
 
 import itertools
 from fractions import Fraction
@@ -490,6 +491,21 @@ UNIFORM_FAMILIES = (
 )
 
 
+def crossing_indicators(g) -> np.ndarray:
+    """One row per mask of the vertices but the last, one column per edge:
+    1 where the edge crosses from the mask to the rest."""
+    u, v, _ = g.edge_arrays
+    masks = np.arange(1 << (g.vertex_count - 1), dtype=np.int64)
+    return ((masks[:, None] >> u) ^ (masks[:, None] >> v)) & 1
+
+
+def assert_cuts_within_summation_error(table, exact, edge_count):
+    # the table and the oracle each sum at most edge_count nonnegative
+    # conductances, so each is within (edge_count - 1) roundoffs of the cut
+    bound = 2 * max(edge_count - 1, 1) * 2.0 ** -53
+    assert np.all(np.abs(table - exact) <= bound * exact)
+
+
 class TestIsoperimetricOracle:
     def test_networkx_cuts_on_the_corpus(self):
         nx = pytest.importorskip("networkx")
@@ -519,6 +535,38 @@ class TestIsoperimetricOracle:
             exact = min(c[0] for c in exact_phi_candidates(g))
             assert isoperimetric_exact(g).value == pytest.approx(float(exact), rel=1e-15,
                                                                  abs=0.0)
+
+    def test_chunks_never_change_the_result(self, monkeypatch):
+        # chunks of 16 masks split every graph with 6 or more vertices
+        graphs = [corpus_graph(i, 6, 10) for i in range(12)] + list(UNIFORM_FAMILIES)
+        results = []
+        for entries in (content.CHUNK_ENTRIES, 16):
+            monkeypatch.setattr(content, "CHUNK_ENTRIES", entries)
+            results.append([isoperimetric_exact(g) for g in graphs])
+        for whole, cut in zip(*results):
+            assert whole.value.hex() == cut.value.hex()
+            assert whole.witness_a == cut.witness_a
+
+    def test_cut_table_against_crossing_indicators(self):
+        for i in range(24):
+            g = corpus_graph(i, 2, 11)
+            table = content._cut_by_mask(g.conductance_matrix)
+            assert_cuts_within_summation_error(table, crossing_indicators(g) @ g.edge_arrays[2],
+                                               g.edge_count)
+        # integer conductances sum exactly in any order
+        for g in UNIFORM_FAMILIES:
+            assert np.array_equal(content._cut_by_mask(g.conductance_matrix),
+                                  crossing_indicators(g) @ g.edge_arrays[2])
+
+    def test_cut_table_at_weight_ratio_1e16_against_exact_rationals(self):
+        # a cut taken as deg(A) - 2 W(A, A) loses the unit conductances here
+        for seed in range(20):
+            g = stiff_graph(seed, 1e16, 1e16)
+            table = content._cut_by_mask(g.conductance_matrix)
+            conductances = [Fraction(k) for k in g.edge_arrays[2]]
+            exact = np.array([float(sum(k for k, c in zip(conductances, row) if c))
+                              for row in crossing_indicators(g)])
+            assert_cuts_within_summation_error(table, exact, g.edge_count)
 
     def test_mass_table_matches_the_bitwise_loop(self):
         masses = [2.0 ** (7 * i) / 3.0 for i in range(-5, 6)]

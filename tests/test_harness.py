@@ -26,6 +26,8 @@ edge v1 v2 1
 boundary v0
 """
 
+ONE_VERTEX_TEXT = "vertex a 1\n"
+
 
 class TestParse:
     def test_minimal(self):
@@ -388,6 +390,37 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "lambda2" in proc.stdout
+
+
+class TestOneVertex:
+    """A valid file of one vertex: every quantity is unavailable and every
+    check fails, without a hang. Each command runs in a subprocess with a
+    timeout, so a hang fails the test instead of stalling the suite."""
+
+    @staticmethod
+    def _run(tmp_path, command):
+        path = tmp_path / "one.wgr"
+        path.write_text(ONE_VERTEX_TEXT, encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "hardy_spectral.cli", command, str(path)],
+            capture_output=True, text=True, timeout=60)
+
+    def test_verify_fails_every_suite(self, tmp_path):
+        proc = self._run(tmp_path, "verify")
+        assert proc.returncode == 1
+        checks = json.loads(proc.stdout)["checks"]
+        assert [(c["name"], c["relation"], c["holds"]) for c in checks] == [
+            (name, "error", False) for name in
+            ("dirichlet", "neumann", "cheeger", "pinch", "ressum", "path_reduction")]
+        # the random suites fail on the draw itself, before any solve
+        assert all("two or more vertices" in c["reason"] for c in checks[3:5])
+
+    def test_analyze_reports_every_quantity_unavailable(self, tmp_path):
+        proc = self._run(tmp_path, "analyze")
+        assert proc.returncode == 0
+        assert proc.stdout == ""
+        assert [line.split(":")[0] for line in proc.stderr.splitlines()] == [
+            "lambda2 unavailable", "psi2 unavailable", "phi unavailable"]
 
 
 class TestBenchNames:
