@@ -72,14 +72,14 @@ def _cmd_analyze(args) -> int:
     boundary = _ids_for(graph, args.boundary) if args.boundary else file_boundary
 
     report = blank_report(graph, None, DEFAULT_TOLERANCE)
-    quantities = Quantities(graph, boundary)
+    quantities = Quantities(graph, boundary, report)
     names = ["lambda2", "psi2", "phi"]
     if boundary is not None:
         names += ["lambda_dirichlet", "psi_dirichlet"]
     notes = []
     for name in names:
         try:
-            quantities.record(report, name)
+            quantities.record(name)
         except errors.HardySpectralError as exc:
             notes.append(f"{name} unavailable: {exc}")
 

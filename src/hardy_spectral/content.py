@@ -252,23 +252,12 @@ def hardy_path(path: WeightedGraph) -> ContentResult:
     if all(m == 0.0 for m in path.masses[1:]):
         raise errors.ZeroInteriorMass("every interior mass is zero")
 
-    suffix = 0.0
-    suffix_mass = [0.0] * (n + 1)
-    for i in range(n - 1, 0, -1):
-        suffix += path.masses[i]
-        suffix_mass[i] = suffix
-
-    best_h = -1.0
-    best_k = -1
-    prefix_r = 0.0
-    for k in range(1, n):
-        prefix_r += 1.0 / path.edges[k - 1][2]
-        h = prefix_r * suffix_mass[k]
-        if h > best_h:
-            best_h = h
-            best_k = k
-    witness = VertexSet.of(range(best_k, n))
-    return ContentResult(value=1.0 / best_h, witness_a=witness,
+    # entry k - 1 belongs to the tail {v_k, ..., v_N}; both sums run in order
+    prefix_r = np.cumsum([1.0 / kappa for _u, _v, kappa in path.edges])
+    suffix_mass = np.cumsum(path.masses[:0:-1])[::-1]
+    h = prefix_r * suffix_mass
+    k = int(np.argmax(h))  # the first maximum
+    return ContentResult(value=1.0 / float(h[k]), witness_a=VertexSet.of(range(k + 1, n)),
                          witness_b=None, method=PATH_TAILSET)
 
 

@@ -27,6 +27,9 @@ Edge = tuple[int, int, float]
 # the original edge the vertex was inserted on.
 Origin = Union[int, tuple[int, int]]
 
+# quantize_zeros snaps entries at most this share of max|f| to zero
+ZERO_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -380,15 +383,15 @@ def random_graph(n: int,
 # surgeries
 # ---------------------------------------------------------------------------
 
-def quantize_zeros(f: Iterable[float], rtol: float = 1e-12) -> list[float]:
-    """Snap entries with |f_v| <= rtol * max|f| to exactly 0.0.
+def quantize_zeros(f: Iterable[float]) -> list[float]:
+    """Snap entries with |f_v| <= ZERO_RTOL * max|f| to exactly 0.0.
 
     pinch() tests signs strictly, so numerically-zero eigenvector entries
     must be snapped first or a crossing lands unresolvably close to an
     endpoint.
     """
     f = [float(x) for x in f]
-    cutoff = rtol * max((abs(x) for x in f), default=0.0)
+    cutoff = ZERO_RTOL * max((abs(x) for x in f), default=0.0)
     return [0.0 if abs(x) <= cutoff else x for x in f]
 
 def split_edge(graph: WeightedGraph, edge: tuple[int, int],

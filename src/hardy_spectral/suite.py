@@ -12,8 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from . import errors
 from ._version import __version__
@@ -21,8 +20,8 @@ from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
 from .graph import VertexSet, WeightedGraph, pinch, quantize_zeros
-from .report import (Check, VerificationReport, check_eq, check_error,
-                     check_ge, check_le)
+from .report import (VerificationReport, check_eq, check_error, check_ge,
+                     check_le)
 from .resistance import pair_energies
 from .rng import Xorshift64Star
 from .spectral import (SpectralResult, dirichlet_eigenvalue, dirichlet_eigenvalues,
@@ -81,14 +80,6 @@ def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     return out
 
 
-@dataclass
-class _Contribution:
-    quantities: dict[str, float] = field(default_factory=dict)
-    witnesses: dict[str, list[int]] = field(default_factory=dict)
-    timing_ms: dict[str, float] = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-
-
 # how each quantity is solved, given the memo that holds the others
 _SOLVERS = {
     "lambda2": lambda q: neumann_eigenvalue(q.graph),
@@ -104,11 +95,14 @@ class Quantities:
     """The quantities `verify` and `analyze` report for one graph and
     boundary, each solved at most once, on first use. A typed failure is
     kept too: asking again raises it again instead of solving again. A
-    quantity enters a report only through `record`."""
+    quantity enters `report` only through `record`, at once, so a suite
+    that fails later still keeps the quantities it solved."""
 
-    def __init__(self, graph: WeightedGraph, boundary: Optional[VertexSet]):
+    def __init__(self, graph: WeightedGraph, boundary: Optional[VertexSet],
+                 report: VerificationReport):
         self.graph = graph
         self.boundary = boundary
+        self.report = report
         self._solved: dict[str, tuple[object, float]] = {}
 
     def pinned(self) -> VertexSet:
@@ -130,21 +124,21 @@ class Quantities:
             raise result
         return result
 
-    def record(self, into, name: str):
+    def record(self, name: str):
         """Solve `name` and write its value, witnesses and solve time into
-        `into` (a report or a suite's contribution); return the result."""
+        the report; return the result."""
         result = self.get(name)
-        into.timing_ms[name] = self._solved[name][1]
+        self.report.timing_ms[name] = self._solved[name][1]
         if isinstance(result, SpectralResult):
-            into.quantities[name] = result.eigenvalue
+            self.report.quantities[name] = result.eigenvalue
             return result
-        into.quantities[name] = result.value
+        self.report.quantities[name] = result.value
         if name == "psi2":
-            into.quantities["h2"] = result.hardy
+            self.report.quantities["h2"] = result.hardy
         if name != "psi2_sweep":  # the sweep's level sets are not reported
-            into.witnesses[f"{name}_a"] = list(result.witness_a.members)
+            self.report.witnesses[f"{name}_a"] = list(result.witness_a.members)
             if result.witness_b is not None:
-                into.witnesses[f"{name}_b"] = list(result.witness_b.members)
+                self.report.witnesses[f"{name}_b"] = list(result.witness_b.members)
         return result
 
 
@@ -167,7 +161,9 @@ def run_suite(graph: WeightedGraph, *,
     """Run the requested verification suites and collect a report.
 
     Enumeration guards and solver failures do not abort the run; they show
-    up as failed checks carrying the error message.
+    up as failed checks carrying the error message. A suite that raises
+    leaves one failed row under its own name in place of its rows, and
+    keeps the quantities it solved before the failure.
     """
     wanted = list(ALL_SUITES) if suites is None else list(suites)
     for s in wanted:
@@ -175,13 +171,14 @@ def run_suite(graph: WeightedGraph, *,
             raise ValueError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
 
     report = blank_report(graph, seed, tolerance)
+    add = report.checks.append
 
     # the fundamental mode is solved up front, so it comes first in the
     # report; a suite that needs it and finds it failed reports the error
-    q = Quantities(graph, boundary)
+    q = Quantities(graph, boundary, report)
     if any(s in wanted for s in ("neumann", "cheeger", "pinch")):
         with contextlib.suppress(errors.HardySpectralError):
-            q.record(report, "lambda2")
+            q.record("lambda2")
 
     # all randomness drawn here, in a fixed order; a graph too small for
     # any draw fails the suites that need one
@@ -206,64 +203,55 @@ def run_suite(graph: WeightedGraph, *,
     except errors.SignCondition as exc:
         no_draws = exc
 
-    def suite_dirichlet() -> _Contribution:
-        c = _Contribution()
-        lam = q.record(c, "lambda_dirichlet").eigenvalue
-        psi = q.record(c, "psi_dirichlet")
-        c.checks.append(check_le("dirichlet_lower", psi.value / 4.0, lam, tolerance))
-        c.checks.append(check_le("dirichlet_upper", lam, psi.value, tolerance))
-        return c
+    def suite_dirichlet() -> None:
+        lam = q.record("lambda_dirichlet").eigenvalue
+        psi = q.record("psi_dirichlet")
+        add(check_le("dirichlet_lower", psi.value / 4.0, lam, tolerance))
+        add(check_le("dirichlet_upper", lam, psi.value, tolerance))
 
-    def suite_neumann() -> _Contribution:
-        c = _Contribution()
+    def suite_neumann() -> None:
         lambda2 = q.get("lambda2").eigenvalue
         try:
-            psi2 = q.record(c, "psi2")
+            psi2 = q.record("psi2")
         except errors.TooLarge as exc:
             psi2 = None
-            c.checks.append(check_error("neumann", str(exc)))
-        sweep = q.record(c, "psi2_sweep")
+            add(check_error("neumann", str(exc)))
+        sweep = q.record("psi2_sweep")
         if psi2 is None:
             # beyond the guard the sweep still bounds lambda2 from above,
             # because psi2 <= psi2_sweep
-            c.checks.append(check_le("neumann_upper_sweep", lambda2, sweep.value, tolerance))
-            return c
-        c.checks.append(check_le("neumann_lower", psi2.value / 4.0, lambda2, tolerance))
-        c.checks.append(check_le("neumann_upper", lambda2, psi2.value, tolerance))
-        c.checks.append(check_le("sweep_sound", psi2.value, sweep.value, tolerance))
-        return c
+            add(check_le("neumann_upper_sweep", lambda2, sweep.value, tolerance))
+            return
+        add(check_le("neumann_lower", psi2.value / 4.0, lambda2, tolerance))
+        add(check_le("neumann_upper", lambda2, psi2.value, tolerance))
+        add(check_le("sweep_sound", psi2.value, sweep.value, tolerance))
 
-    def suite_cheeger() -> _Contribution:
-        c = _Contribution()
+    def suite_cheeger() -> None:
         lambda2 = q.get("lambda2").eigenvalue
-        phi = q.record(c, "phi")
+        phi = q.record("phi")
         worst = max(graph.degree(v) / graph.masses[v] for v in range(graph.vertex_count))
-        c.checks.append(check_le("cheeger_lower", lambda2 / 2.0, phi.value, tolerance))
-        c.checks.append(check_le("cheeger_upper", phi.value,
-                                 math.sqrt(2.0 * lambda2 * worst), tolerance))
-        return c
+        add(check_le("cheeger_lower", lambda2 / 2.0, phi.value, tolerance))
+        add(check_le("cheeger_upper", phi.value, math.sqrt(2.0 * lambda2 * worst),
+                     tolerance))
 
-    def suite_pinch() -> _Contribution:
+    def suite_pinch() -> None:
         if no_draws is not None:
             raise no_draws
-        c = _Contribution()
         mode = q.get("lambda2")
         lambda2 = mode.eigenvalue
         worst = _worst_sides(graph, [quantize_zeros(mode.eigenvector)] + pinch_fs)
         for i, worst_side in enumerate(worst):
             name = f"pinch_random_{i:02d}" if i else "pinch_eigenvector"
             if isinstance(worst_side, errors.HardySpectralError):
-                c.checks.append(check_error(name, str(worst_side)))
+                add(check_error(name, str(worst_side)))
             elif i:
-                c.checks.append(check_ge(name, worst_side, lambda2, tolerance))
+                add(check_ge(name, worst_side, lambda2, tolerance))
             else:
-                c.checks.append(check_eq(name, worst_side, lambda2, tolerance))
-        return c
+                add(check_eq(name, worst_side, lambda2, tolerance))
 
-    def suite_ressum() -> _Contribution:
+    def suite_ressum() -> None:
         if no_draws is not None:
             raise no_draws
-        c = _Contribution()
         energies = iter(pair_energies(
             [(p.graph, x, y) for p, a, b in
              (d for d in ressum_draws if not isinstance(d, errors.HardySpectralError))
@@ -275,22 +263,16 @@ def run_suite(graph: WeightedGraph, *,
                      else [next(energies) for _ in range(3)])
             failed = errors.first_error(found)
             if failed is not None:
-                c.checks.append(check_error(name, str(failed)))
+                add(check_error(name, str(failed)))
                 continue
             a_z, b_z, a_b = found
-            c.checks.append(check_le(name, 1.0 / a_z + 1.0 / b_z, 1.0 / a_b, tolerance))
-        return c
+            add(check_le(name, 1.0 / a_z + 1.0 / b_z, 1.0 / a_b, tolerance))
 
-    def suite_path_reduction() -> _Contribution:
-        c = _Contribution()
-        try:
-            res = q.get("lambda_dirichlet")
-            quotient, _levels = level_set_quotient(graph, boundary, res.eigenvector)
-            lam_path = dirichlet_eigenvalue(quotient, VertexSet.of([0])).eigenvalue
-            c.checks.append(check_eq("path_reduction", lam_path, res.eigenvalue, tolerance))
-        except errors.HardySpectralError as exc:
-            c.checks.append(check_error("path_reduction", str(exc)))
-        return c
+    def suite_path_reduction() -> None:
+        res = q.get("lambda_dirichlet")
+        quotient, _levels = level_set_quotient(graph, boundary, res.eigenvector)
+        lam_path = dirichlet_eigenvalue(quotient, VertexSet.of([0])).eigenvalue
+        add(check_eq("path_reduction", lam_path, res.eigenvalue, tolerance))
 
     runners = {
         "dirichlet": suite_dirichlet,
@@ -301,18 +283,12 @@ def run_suite(graph: WeightedGraph, *,
         "path-reduction": suite_path_reduction,
     }
 
-    def guarded(fn: Callable[[], _Contribution]) -> _Contribution:
-        try:
-            return fn()
-        except errors.HardySpectralError as exc:
-            return _Contribution(checks=[check_error(fn.__name__.removeprefix("suite_"),
-                                                     str(exc))])
-
-    contributions = [guarded(runners[s]) for s in ALL_SUITES if s in wanted]
-
-    for c in contributions:
-        report.quantities.update(c.quantities)
-        report.witnesses.update(c.witnesses)
-        report.timing_ms.update(c.timing_ms)
-        report.checks.extend(c.checks)
+    for name in ALL_SUITES:
+        if name in wanted:
+            start = len(report.checks)
+            try:
+                runners[name]()
+            except errors.HardySpectralError as exc:
+                del report.checks[start:]
+                add(check_error(name.replace("-", "_"), str(exc)))
     return report

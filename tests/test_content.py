@@ -54,6 +54,36 @@ class TestHardyPath:
         res = hardy_path(path_graph([0, 0, 1], [1, 1]))
         assert res.hardy == pytest.approx(2.0)
 
+    @staticmethod
+    def scan(g):
+        """Reference: one pass over prefix resistances and suffix masses,
+        keeping the first strict maximum."""
+        n = g.vertex_count
+        total, suffix_mass = 0.0, [0.0] * n
+        for i in range(n - 1, 0, -1):
+            total += g.masses[i]
+            suffix_mass[i] = total
+        best_h, best_k, prefix_r = -1.0, -1, 0.0
+        for k in range(1, n):
+            prefix_r += 1.0 / g.edges[k - 1][2]
+            if prefix_r * suffix_mass[k] > best_h:
+                best_h, best_k = prefix_r * suffix_mass[k], k
+        return 1.0 / best_h, tuple(range(best_k, n))
+
+    def test_matches_the_sequential_scan_bit_for_bit(self):
+        # wide weights, zero masses and unit-weight ties
+        rng = Xorshift64Star(77)
+        for i in range(300):
+            n = 2 + rng.below(20)
+            pick = lambda: (1.0 if i % 3 == 0 else  # noqa: E731
+                            10.0 ** rng.uniform_in(-8.0, 8.0))
+            masses = [0.0 if rng.below(3) == 0 else pick() for _ in range(n)]
+            masses[-1] = pick()
+            g = path_graph(masses, [pick() for _ in range(n - 1)])
+            res = hardy_path(g)
+            value, witness = self.scan(g)
+            assert res.value.hex() == value.hex() and res.witness_a.members == witness
+
 
 class TestDirichletContent:
     def test_single_edge(self):

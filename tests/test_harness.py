@@ -216,6 +216,44 @@ class TestRunSuite:
         reasons = {rows[name].reason for name in ("neumann", "cheeger", "pinch")}
         assert len(reasons) == 1 and "fundamental mode" in reasons.pop()
 
+    def test_failed_dirichlet_suite_keeps_its_eigenvalue(self):
+        # past the psi guard the suite fails, but the eigenvalue it solved
+        # stays in the report, where path_reduction checks against it
+        g = random_graph(24, 0.2, (0.1, 10.0), (0.1, 10.0), seed=3)
+        boundary = VertexSet.of([0])
+        rep = run_suite(g, boundary=boundary, suites=["dirichlet", "path-reduction"])
+        rows = {c.name: c for c in rep.checks}
+        assert list(rows) == ["dirichlet", "path_reduction"]
+        assert not rows["dirichlet"].holds and "guard" in rows["dirichlet"].reason
+        assert rows["path_reduction"].holds
+        assert list(rep.quantities) == ["lambda_dirichlet"]
+        assert rep.quantities["lambda_dirichlet"] == dirichlet_eigenvalue(g, boundary).eigenvalue
+        assert rows["path_reduction"].rhs == rep.quantities["lambda_dirichlet"]
+
+    @staticmethod
+    def _break_sweep(monkeypatch):
+        def broken_sweep(graph, x):
+            raise errors.SignCondition("sweep failed")
+
+        monkeypatch.setattr(suite, "neumann_content_sweep", broken_sweep)
+
+    def test_failed_suite_leaves_one_error_row(self, monkeypatch):
+        # past the psi2 guard the guard's row is appended before the sweep
+        # fails; it is cut back, leaving the one error row of the suite
+        self._break_sweep(monkeypatch)
+        g = random_graph(13, 0.4, (0.1, 10.0), (0.1, 10.0), seed=1)
+        rep = run_suite(g, suites=["neumann"], seed=1)
+        assert [(c.name, c.relation, c.reason) for c in rep.checks] == [
+            ("neumann", "error", "sweep failed")]
+
+    def test_failed_neumann_suite_keeps_psi2(self, monkeypatch):
+        # within the guard psi2 is solved before the sweep fails, and kept
+        self._break_sweep(monkeypatch)
+        rep = run_suite(corpus_graph(5), suites=["neumann"], seed=1)
+        assert [(c.name, c.reason) for c in rep.checks] == [("neumann", "sweep failed")]
+        assert list(rep.quantities) == ["lambda2", "psi2", "h2"]
+        assert list(rep.witnesses) == ["psi2_a", "psi2_b"]
+
     def test_dirichlet_failure_reported_by_both_suites(self, p3):
         rep = run_suite(p3, boundary=VertexSet.of([0, 1, 2]),
                         suites=["dirichlet", "path-reduction"])
@@ -390,6 +428,22 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "lambda2" in proc.stdout
+
+
+class TestRuntimeDependencies:
+    def test_verify_imports_numpy_alone(self, tmp_path):
+        # the test oracles are installed, but the library never imports them
+        path = tmp_path / "p3.wgr"
+        path.write_text(P3_TEXT, encoding="utf-8")
+        script = ("import sys\n"
+                  "from hardy_spectral.cli import main\n"
+                  f"assert main(['verify', {str(path)!r}]) == 0\n"
+                  "oracles = ('scipy', 'mpmath', 'networkx', 'hypothesis')\n"
+                  "print([m for m in oracles if m in sys.modules], file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
 
 
 class TestOneVertex:
