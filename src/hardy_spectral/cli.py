@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -104,6 +105,10 @@ def _cmd_verify(args) -> int:
     for s in suites:
         if s not in ALL_SUITES:
             raise UsageError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}, all")
+    if args.samples < 0:
+        raise UsageError(f"--samples must be >= 0, got {args.samples}")
+    if not (0.0 <= args.tolerance < math.inf):
+        raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
     if boundary is None and any(s in suites for s in ("dirichlet", "path-reduction")):
         boundary = VertexSet.of([0])
 

@@ -466,43 +466,81 @@ def contract(graph: WeightedGraph, vs: VertexSet) -> tuple[WeightedGraph, int]:
     return WeightedGraph(masses, edges, labels), merged
 
 
+def zero_crossings(graph: WeightedGraph, potentials: Iterable) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, list[Optional[errors.HardySpectralError]]]:
+    """The crossing rule of `pinch`, for a batch of potentials. An edge
+    crosses where its ends have strictly opposite signs, at alpha =
+    -f_lo / (f_hi - f_lo) from its negative end lo, which leaves segments
+    of conductance kappa/alpha at lo and kappa/(1-alpha) at hi.
+
+    Returns the potentials as a stack f (p, n); the conductances (p, E) of
+    the segment at each edge's u end and at its v end, exactly zero where
+    the edge does not cross; and per potential None or the typed error
+    `pinch` raises, checked in its order: the shape (the row of f is then
+    zero), the masses, both strict signs, and the first crossing in edge
+    order that doubles cannot resolve (alpha not strictly inside (0, 1),
+    or a segment conductance that overflows).
+    """
+    n = graph.vertex_count
+    potentials = list(potentials)
+    f = np.zeros((len(potentials), n))
+    failed: list[Optional[errors.HardySpectralError]] = [None] * len(potentials)
+    for i, x in enumerate(potentials):
+        try:
+            f[i] = as_potential(graph, x)
+            require_positive_mass(graph)
+            require_both_signs(f[i])
+        except errors.HardySpectralError as exc:
+            failed[i] = exc
+
+    u, v, k = graph.edge_arrays
+    fu, fv = f[:, u], f[:, v]
+    f_lo, f_hi = np.minimum(fu, fv), np.maximum(fu, fv)
+    cross = (f_lo < 0.0) & (f_hi > 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha = -f_lo / (f_hi - f_lo)
+        at_lo, at_hi = k / alpha, k / (1.0 - alpha)
+    # at a crossing 0 <= alpha <= 1, so an end at 0 or 1 shows as an
+    # infinite segment, as does an overflow
+    resolved = np.maximum(at_lo, at_hi) < math.inf
+    for i, e in zip(*np.nonzero(cross & ~resolved)):
+        if failed[i] is None:
+            lo, hi = (u[e], v[e]) if fu[i, e] < 0.0 else (v[e], u[e])
+            failed[i] = errors.SignCondition(
+                f"crossing on edge ({lo},{hi}) is unresolvable in floating "
+                f"point; quantize near-zero values of f first")
+    u_is_lo = fu < 0.0
+    at_u = np.where(cross, np.where(u_is_lo, at_lo, at_hi), 0.0)
+    at_v = np.where(cross, np.where(u_is_lo, at_hi, at_lo), 0.0)
+    return f, at_u, at_v, failed
+
+
 def pinch(graph: WeightedGraph, f: Iterable[float]) -> PinchedGraph:
     """Insert a zero-mass vertex at the zero crossing of every edge whose
     endpoints have strictly opposite signs of f.
 
-    For a crossing edge (u, v) with f_u < 0 < f_v the crossing point sits
-    at alpha = -f_u / (f_v - f_u) along the edge, so the two segments get
-    conductances kappa/alpha and kappa/(1-alpha); the minimum-energy
-    extension assigns the new vertex the value 0 and total energy is
-    preserved. Signs are tested strictly: a vertex with f_v == 0.0 lies on
-    the zero set and its edges are never split.
+    The crossing point and the two segment conductances, kappa/alpha at
+    the negative end and kappa/(1-alpha) at the positive end, follow
+    `zero_crossings`; the minimum-energy extension assigns the new vertex
+    the value 0 and total energy is preserved. Signs are tested strictly:
+    a vertex with f_v == 0.0 lies on the zero set and its edges are never
+    split. The pinch suite solves the two sides without building this
+    graph (see `suite`); `pinch` is the surgery for everything else.
     """
-    f = as_potential(graph, f)
-    require_positive_mass(graph)
-    require_both_signs(f)
+    f, at_u, at_v, [failed] = zero_crossings(graph, [f])
+    if failed is not None:
+        raise failed
+    f, at_u, at_v = f[0], at_u[0], at_v[0]
 
     n = graph.vertex_count
-    u, v, k = graph.edge_arrays
-    fu, fv = f[u], f[v]
-    f_lo, f_hi = np.minimum(fu, fv), np.maximum(fu, fv)
-    cross = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
-    alpha = -f_lo[cross] / (f_hi[cross] - f_lo[cross])
-    # each crossing edge runs from its negative end `lo` to its positive end `hi`
-    flip = fu[cross] > fv[cross]
-    lo = np.where(flip, v[cross], u[cross])
-    hi = np.where(flip, u[cross], v[cross])
-    unresolved = ~((0.0 < alpha) & (alpha < 1.0))
-    if unresolved.any():
-        e = np.argmax(unresolved)
-        raise errors.SignCondition(
-            f"crossing on edge ({lo[e]},{hi[e]}) is unresolvable in floating "
-            f"point; quantize near-zero values of f first")
-    kept = np.ones(len(k), dtype=bool)
+    u, v, _k = graph.edge_arrays
+    cross = np.flatnonzero(at_u)
+    kept = np.ones(len(u), dtype=bool)
     kept[cross] = False
     inserted = range(n, n + cross.size)  # in edge order
     new_edges = list(itertools.compress(graph.edges, kept.tolist()))
-    new_edges += zip(lo.tolist(), inserted, (k[cross] / alpha).tolist())
-    new_edges += zip(inserted, hi.tolist(), (k[cross] / (1.0 - alpha)).tolist())
+    new_edges += zip(u[cross].tolist(), inserted, at_u[cross].tolist())
+    new_edges += zip(v[cross].tolist(), inserted, at_v[cross].tolist())
     origin: list[Origin] = [*range(n), *zip(u[cross].tolist(), v[cross].tolist())]
     masses = graph.masses + (0.0,) * cross.size
     values = np.concatenate([f, np.zeros(cross.size)])

@@ -46,11 +46,16 @@ class Xorshift64Star:
         return lo + (hi - lo) * self.uniform()
 
     def below(self, n: int) -> int:
-        """Integer in [0, n) via modulo (bias is immaterial here and the
-        mapping stays identical across implementations)."""
+        """Integer in [0, n): w words, w the fewest that hold n - 1 (one
+        word for every n <= 2**64), read most significant first as one
+        64w-bit integer, then taken modulo n. The bias is immaterial here,
+        and the mapping stays identical across implementations."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        return self.next_u64() % n
+        x = self.next_u64()
+        for _ in range(((n - 1).bit_length() - 1) // 64):
+            x = (x << 64) | self.next_u64()
+        return x % n
 
     def gaussian_like(self) -> float:
         """Irwin-Hall approximation: sum of 12 uniforms minus 6. Mean 0,

@@ -5,10 +5,12 @@ the diagonal mass matrix: the fundamental (Neumann) eigenvalue is the
 second-smallest eigenvalue of M^{-1/2} L M^{-1/2}, and the boundary-pinned
 (Dirichlet) eigenvalue is the smallest eigenvalue of the same whitening
 applied to the interior principal submatrix. The interior splits into
-connected pieces, each its own eigenproblem. `dirichlet_eigenvalues`
-takes many boundary-pinned problems at once and solves the pieces of all
-of them by size: one stacked eigh and one stacked solve per polish step
-for every group of equal-size pieces.
+connected pieces, each its own eigenproblem. `ground_modes` solves the
+pieces of many boundary-pinned problems at once, by size: one stacked
+eigh and one stacked solve per polish step for every group of equal-size
+pieces. `dirichlet_eigenvalues` poses its (graph, boundary) problems to
+it, and the pinch suite poses the pinched sides of all its potentials on
+the unpinched graph's arrays.
 
 LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
 which on stiff graphs swamps the small differences across stiff edges. So
@@ -24,7 +26,7 @@ window TIE_RTOL as tied and gives the lowest vertex id the win.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -126,6 +128,41 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
                           kind=NEUMANN)
 
 
+def ground_modes(pieces_of: Sequence[list[list[int]]], stack: Callable) -> list:
+    """The boundary-pinned mode of many problems at once, each problem given
+    by the connected pieces of its interior (vertex id lists, ordered by
+    smallest member). Every piece is its own eigenproblem, and the pieces
+    of all problems are solved together, one `_eigenpairs` stack per piece
+    size (see `linalg.by_size`), so a piece that fails fails only its own
+    problem. `stack(group)` gives the (blocks, ground, mass) stacks of a
+    group of equal-size pieces, each a (problem, piece) pair.
+
+    Returns, per problem, the typed error of its first failing piece, else
+    (piece, eigenvalue, eigenvector on the piece) for the lowest-id piece
+    among those whose eigenvalue ties the smallest, so the mode never
+    mixes decoupled blocks and keeps one sign.
+    """
+    rows = [(i, piece) for i, pieces in enumerate(pieces_of) for piece in pieces]
+
+    def solve(group):
+        lam, x = _eigenpairs(*stack(group), 0)
+        return list(zip(lam.tolist(), x))
+
+    found: list[list] = [[] for _ in pieces_of]
+    for (i, piece), mode in zip(rows, by_size(rows, lambda row: len(row[1]), solve)):
+        found[i].append((piece, mode))
+    out: list = []
+    for modes in found:
+        failed = errors.first_error(mode for _, mode in modes)
+        if failed is not None:
+            out.append(failed)
+            continue
+        floor = min(lam for _, (lam, _) in modes)
+        piece, (lam, x) = next(m for m in modes if m[1][0] <= floor * (1.0 + TIE_RTOL))
+        out.append((piece, lam, x))
+    return out
+
+
 def dirichlet_eigenvalues(
         problems: Sequence[tuple[WeightedGraph, VertexSet]],
 ) -> list[Union[SpectralResult, errors.HardySpectralError]]:
@@ -136,17 +173,11 @@ def dirichlet_eigenvalues(
     enter, so zero-mass vertices are fine there, but every interior vertex
     needs positive mass. The returned eigenvector is zero-padded onto the
     boundary (it is an eigenvector of the interior submatrix, not of L).
-
-    Each connected piece of the interior is its own eigenproblem, and the
-    eigenvalue is the smallest of theirs. The eigenvector lives on one
-    piece, the lowest-id one among the tied pieces, so it never mixes
-    decoupled blocks and keeps one sign. The pieces of all problems are
-    solved together, one stack per piece size (see `linalg.by_size`), so a
-    piece that fails fails only its own problem.
+    The interiors' pieces are solved by `ground_modes`, all problems in
+    one call.
     """
     out: list = [None] * len(problems)
-    interiors: dict[int, list[int]] = {}
-    pieces = []  # (problem, piece, W(v, boundary) for every vertex v)
+    posed = []  # (problem, interior, W(v, boundary) for every vertex v)
     for i, (graph, boundary) in enumerate(problems):
         try:
             interior = interior_of(graph, boundary)
@@ -154,33 +185,32 @@ def dirichlet_eigenvalues(
         except errors.HardySpectralError as exc:
             out[i] = exc
             continue
-        interiors[i] = interior
         # the pieces are the components of the interior, so every edge
         # that leaves a piece ends on the boundary
         ground = graph.conductance_matrix[:, list(boundary.members)].sum(axis=1)
-        pieces += [(i, piece, ground) for piece in components(graph, interior)]
+        posed.append((i, interior, ground))
 
-    def solve(group):
-        parts = [(problems[i][0].laplacian_matrix[piece, :][:, piece], ground[piece],
-                  problems[i][0].mass_vector[piece]) for i, piece, ground in group]
-        lam, x = _eigenpairs(*(np.stack(column) for column in zip(*parts)), 0)
-        return list(zip(lam.tolist(), x))
+    def stack(group):
+        parts = []
+        for j, piece in group:
+            graph = problems[posed[j][0]][0]
+            parts.append((graph.laplacian_matrix[piece, :][:, piece], posed[j][2][piece],
+                          graph.mass_vector[piece]))
+        return tuple(np.stack(column) for column in zip(*parts))
 
-    solved: dict[int, list] = {i: [] for i in interiors}
-    for (i, piece, _), mode in zip(pieces, by_size(pieces, lambda p: len(p[1]), solve)):
-        solved[i].append((piece, mode))
-    for i, found in solved.items():
-        out[i] = errors.first_error(mode for _, mode in found)
-        if out[i] is not None:
+    modes = ground_modes([components(problems[i][0], interior) for i, interior, _ in posed],
+                         stack)
+    for (i, interior, _), mode in zip(posed, modes):
+        if isinstance(mode, errors.HardySpectralError):
+            out[i] = mode
             continue
         graph, boundary = problems[i]
-        floor = min(lam for _, (lam, _) in found)
-        piece, (lam, x_piece) = next(f for f in found if f[1][0] <= floor * (1.0 + TIE_RTOL))
+        piece, lam, x_piece = mode
         x = np.zeros(graph.vertex_count)
         x[piece] = x_piece
         x = _canonical_sign(x)
         eq = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
-        residual = float(np.linalg.norm(eq[interiors[i]]))
+        residual = float(np.linalg.norm(eq[interior]))
         x.flags.writeable = False
         out[i] = SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual,
                                 kind=DIRICHLET, boundary=VertexSet.of(boundary))

@@ -5,6 +5,9 @@ Suites run one after another on the calling thread, in the fixed order of
 ALL_SUITES. All random draws happen up front from the seeded generator,
 LAPACK is deterministic for a fixed build, and every tie is decided
 within a window, so a report depends only on the inputs and the seed.
+The pinch suite builds no pinched graph: it solves the two sides of all
+its potentials as one batch on the graph's own arrays (`_worst_sides`);
+`ressum` pinches with `graph.pinch`.
 """
 
 from __future__ import annotations
@@ -14,17 +17,20 @@ import math
 import time
 from typing import Optional
 
+import numpy as np
+
 from . import errors
 from ._version import __version__
 from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
-from .graph import VertexSet, WeightedGraph, pinch, quantize_zeros
+from .graph import (VertexSet, WeightedGraph, components, pinch, quantize_zeros,
+                    zero_crossings)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
 from .resistance import pair_energies
 from .rng import Xorshift64Star
-from .spectral import (SpectralResult, dirichlet_eigenvalue, dirichlet_eigenvalues,
+from .spectral import (SpectralResult, dirichlet_eigenvalue, ground_modes,
                        neumann_eigenvalue)
 
 ALL_SUITES = ("dirichlet", "neumann", "cheeger", "pinch", "ressum", "path-reduction")
@@ -58,25 +64,53 @@ def _random_nonempty_subset(rng: Xorshift64Star, vs: VertexSet) -> VertexSet:
 def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     """For each potential f: pinch at f's zero set and take the larger of
     the two one-sided boundary-pinned eigenvalues, or the typed error of
-    the pinch, else of the negative side, else of the positive side. All
-    sides are solved in one `dirichlet_eigenvalues` call."""
-    pinched = []
-    for f in potentials:
-        try:
-            pinched.append(pinch(graph, f))
-        except errors.HardySpectralError as exc:
-            pinched.append(exc)
-    sides = iter(dirichlet_eigenvalues(
-        [(p.graph, boundary) for p in pinched if not isinstance(p, errors.HardySpectralError)
-         for boundary in (p.nonnegative_set, p.nonpositive_set)]))
+    the pinch (see `zero_crossings`), else of the negative side, else of
+    the positive side.
+
+    No pinched graph is built. A side's interior holds only original
+    vertices, {f < 0} or {f > 0}, so its pieces are components of `graph`
+    itself and a piece's block is `graph`'s -W off the diagonal. Each
+    vertex's degree and its conductance to its side's boundary (ground)
+    are summed, for all potentials at once, from nonnegative terms only:
+    kappa to a neighbour of the same sign (degree only), kappa to a
+    zero-valued neighbour, and the segment conductance at a crossing
+    edge's end. The pieces of every side of every potential are solved in
+    one `ground_modes` call."""
+    f, at_u, at_v, failed = zero_crossings(graph, potentials)
+    n = graph.vertex_count
+    u, v, k = graph.edge_arrays
+    sign = np.sign(f)
+    zero = f == 0.0
+    same = k * (sign[:, u] * sign[:, v] > 0.0)
+    # one term per edge end, the u ends then the v ends, in edge order
+    ground = np.concatenate([at_u + k * zero[:, v], at_v + k * zero[:, u]], axis=1)
+    degree = ground + np.concatenate([same, same], axis=1)
+    ends = (np.arange(len(f))[:, None] * n + np.concatenate([u, v])).ravel()
+    ground, degree = (np.bincount(ends, terms.ravel(), f.size).reshape(f.shape)
+                      for terms in (ground, degree))
+
+    rows, pieces_of = [], []
+    for i in range(len(f)):
+        if failed[i] is None:
+            for side in (f[i] < 0.0, f[i] > 0.0):
+                rows.append(i)
+                pieces_of.append(components(graph, np.flatnonzero(side).tolist()))
+
+    def stack(group):
+        row = np.array([rows[j] for j, _ in group])[:, None]
+        idx = np.array([piece for _, piece in group])
+        blocks = graph.laplacian_matrix[idx[:, :, None], idx[:, None, :]]
+        diagonal = np.arange(idx.shape[1])
+        blocks[:, diagonal, diagonal] = degree[row, idx]
+        return blocks, ground[row, idx], graph.mass_vector[idx]
+
+    sides = iter(ground_modes(pieces_of, stack))
     out = []
-    for p in pinched:
-        if isinstance(p, errors.HardySpectralError):
-            out.append(p)
-            continue
-        negative, positive = next(sides), next(sides)
-        failed = errors.first_error([negative, positive])
-        out.append(max(negative.eigenvalue, positive.eigenvalue) if failed is None else failed)
+    for exc in failed:
+        if exc is None:
+            negative, positive = next(sides), next(sides)
+            exc = errors.first_error([negative, positive])
+        out.append(max(negative[1], positive[1]) if exc is None else exc)
     return out
 
 
@@ -169,6 +203,8 @@ def run_suite(graph: WeightedGraph, *,
     for s in wanted:
         if s not in ALL_SUITES:
             raise ValueError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
 
     report = blank_report(graph, seed, tolerance)
     add = report.checks.append

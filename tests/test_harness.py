@@ -270,6 +270,10 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(p3, suites=["bogus"], seed=1)
 
+    def test_negative_samples_rejected(self, p3):
+        with pytest.raises(ValueError):
+            run_suite(p3, suites=["pinch"], seed=1, samples=-3)
+
     def test_random_batch_all_pass(self):
         for i in range(20):
             g = random_graph(2 + i % 7, 0.4, (0.1, 10.0), (0.1, 10.0), seed=300 + i)
@@ -376,6 +380,29 @@ class TestCli:
         assert main(["analyze", bad]) == 2
         assert main(["gen", "random", "--n", "4", "--p", "2.0",
                      "--seed", "1", "-o", str(tmp_path / "x.wgr")]) == 2
+
+    def test_negative_samples_is_a_usage_error(self, tmp_path, capsys):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        assert main(["verify", path, "--samples", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --samples")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tolerance_not_finite_and_nonnegative_is_a_usage_error(
+            self, tmp_path, capsys, tolerance):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        assert main(["verify", path, f"--tolerance={tolerance}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --tolerance")
+
+    def test_zero_samples_and_tolerance_still_run(self, tmp_path, capsys):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        assert main(["verify", path, "--suite", "pinch", "--samples", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"]] == ["pinch_eigenvector"]
+        # a zero tolerance is allowed: rows may fail, but the run is not refused
+        assert main(["verify", path, "--suite", "pinch", "--tolerance", "0"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
 
     def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)

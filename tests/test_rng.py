@@ -1,4 +1,6 @@
+from hardy_spectral import VertexSet
 from hardy_spectral.rng import Xorshift64Star
+from hardy_spectral.suite import _random_nonempty_subset
 
 # the first draws of gaussian_like, pinned as exact doubles: the verification
 # suites' random potentials come from this stream, so any change to it
@@ -27,3 +29,31 @@ def test_gaussian_like_is_twelve_uniforms():
             expected += slow.uniform()
         assert fast.gaussian_like() == expected - 6.0
     assert fast.next_u64() == slow.next_u64()
+
+
+def test_below_keeps_one_word_up_to_two_to_the_64():
+    fast, slow = Xorshift64Star(7), Xorshift64Star(7)
+    for n in (1, 2, 3, 100, 2**63 + 5, 2**64 - 1, 2**64):
+        for _ in range(50):
+            assert fast.below(n) == slow.next_u64() % n
+    assert fast.next_u64() == slow.next_u64()
+
+
+def test_below_combines_words_most_significant_first():
+    fast, slow = Xorshift64Star(8), Xorshift64Star(8)
+    for n, words in ((2**64 + 1, 2), (2**100, 2), (2**128, 2), (2**128 + 1, 3)):
+        x = 0
+        for _ in range(words):
+            x = (x << 64) | slow.next_u64()
+        assert fast.below(n) == x % n
+    assert fast.next_u64() == slow.next_u64()
+
+
+def test_below_reaches_past_two_to_the_64():
+    # ressum's subset draw on a 100-member side: every member must be drawable
+    rng = Xorshift64Star(11)
+    side = VertexSet.of(range(100))
+    seen = set()
+    for _ in range(200):
+        seen |= set(_random_nonempty_subset(rng, side).members)
+    assert seen == set(range(100))

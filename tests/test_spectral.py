@@ -6,9 +6,12 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, dirichlet_eige
                             neumann_eigenvalue, path_graph, pinch,
                             rayleigh_quotient, run_suite)
 from hardy_spectral import errors, spectral, suite
-from hardy_spectral.graph import interior_of
+from hardy_spectral import graph as graph_module
+from hardy_spectral.cli import main
+from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.suite import _random_mixed_sign_f, _worst_sides
+from hardy_spectral.wgr import serialize_wgr
 
 from conftest import corpus_boundary, corpus_graph, random_vector, stiff_graph
 
@@ -400,26 +403,93 @@ class TestBatchedDirichlet:
         assert isinstance(worst[1], errors.NotPositiveDefinite)
         assert [worst[0], worst[2]] == [_worst_sides(g, [fs[0]])[0], _worst_sides(g, [fs[2]])[0]]
 
-    def test_one_stacked_eigh_per_piece_size(self, monkeypatch):
-        pinched, stacks = [], []
+    def test_one_stacked_eigh_per_piece_size(self, monkeypatch, tmp_path):
+        potentials, stacks, built = [], [], []
 
-        def counted_pinch(graph, f):
-            pinched.append(pinch(graph, f))
-            return pinched[-1]
+        def recorded_worst_sides(graph, fs):
+            potentials.extend(fs)
+            return worst_sides(graph, fs)
 
         def counted_eigenpairs(blocks, ground, mass, k):
             if k == 0:
                 stacks.append(blocks.shape)
             return eigenpairs(blocks, ground, mass, k)
 
-        eigenpairs = spectral._eigenpairs
-        monkeypatch.setattr(suite, "pinch", counted_pinch)
+        worst_sides, eigenpairs = suite._worst_sides, spectral._eigenpairs
+        monkeypatch.setattr(suite, "_worst_sides", recorded_worst_sides)
         monkeypatch.setattr(spectral, "_eigenpairs", counted_eigenpairs)
         g = corpus_graph(7, 8, 8)
         rep = run_suite(g, suites=["pinch"], seed=3)
-        assert rep.all_hold and len(rep.checks) == 11 and len(pinched) == 11
-        sizes = [len(piece) for p in pinched for side in (p.nonnegative_set, p.nonpositive_set)
-                 for piece in components(p.graph, interior_of(p.graph, side))]
+        assert rep.all_hold and len(rep.checks) == 11 and len(potentials) == 11
+        # a side's pieces are components of the parent graph, {f < 0} or {f > 0}
+        sizes = [len(piece) for f in np.array(potentials) for side in (f < 0.0, f > 0.0)
+                 for piece in components(g, np.flatnonzero(side).tolist())]
         assert len(sizes) > len(set(sizes))
         assert sorted(shape[1] for shape in stacks) == sorted(set(sizes))
         assert sum(shape[0] for shape in stacks) == len(sizes)
+
+        # the constructor validates every graph once: a pinch run builds
+        # no graph after the parse
+        validate = graph_module.validate
+        monkeypatch.setattr(graph_module, "validate", lambda g: (built.append(g), validate(g)))
+        path = tmp_path / "g.wgr"
+        path.write_text(serialize_wgr(g), encoding="utf-8")
+        assert main(["verify", str(path), "--suite", "pinch", "--seed", "3"]) == 0
+        assert len(built) == 1
+
+
+class TestPinchRoute:
+    """`_worst_sides` solves the pinched sides on the parent graph's arrays.
+    The reference route builds each pinched graph and solves its two sides
+    as boundary problems; both must give the same typed error, or values
+    within 1e-14 relative."""
+
+    @staticmethod
+    def reference(graph, f):
+        try:
+            p = pinch(graph, f)
+        except errors.HardySpectralError as exc:
+            return exc
+        sides = dirichlet_eigenvalues([(p.graph, p.nonnegative_set),
+                                       (p.graph, p.nonpositive_set)])
+        failed = errors.first_error(sides)
+        return failed if failed is not None else max(side.eigenvalue for side in sides)
+
+    def assert_agree(self, graph, fs):
+        worst = _worst_sides(graph, fs)
+        assert len(worst) == len(fs)
+        for f, got in zip(fs, worst):
+            want = self.reference(graph, f)
+            if isinstance(want, errors.HardySpectralError):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_corpus_potentials(self):
+        rng = Xorshift64Star(613)
+        zeros = 0
+        for i in range(30):
+            g = corpus_graph(i)
+            n = g.vertex_count
+            fs = [quantize_zeros(neumann_eigenvalue(g).eigenvector)]
+            fs += [_random_mixed_sign_f(rng, n) for _ in range(10)]
+            # exact zeros: a vertex on the zero set grounds its neighbours
+            fs += [[0.0 if v == i % n else x for v, x in enumerate(fs[-1])]]
+            zeros += sum(x == 0.0 for f in fs for x in f)
+            self.assert_agree(g, fs)
+        assert zeros >= 30
+
+    def test_failing_piece_and_typed_errors(self):
+        g = path_graph([1.0] * 4, [1e-17, 1.0, 1.0])
+        fs = [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
+              [1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 0.0], [-1e-300, 1e300, 1.0, 1.0],
+              [-1.0, -0.0, 0.0, 1.0]]
+        self.assert_agree(g, fs)
+        worst = _worst_sides(g, fs)
+        assert [type(w) for w in worst[1:6]] == [
+            errors.NotPositiveDefinite, float, errors.DimensionMismatch,
+            errors.SignCondition, errors.SignCondition]
+        no_mass = WeightedGraph((1.0, 0.0, 1.0), ((0, 1, 1.0), (1, 2, 1.0)))
+        self.assert_agree(no_mass, [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
+        assert [type(w) for w in _worst_sides(no_mass, [[-1.0, 0.0, 1.0], [-1.0, 1.0]])] == [
+            errors.ZeroMass, errors.DimensionMismatch]
