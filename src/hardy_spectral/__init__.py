@@ -20,8 +20,8 @@ from .report import VerificationReport, emit_report
 from .resistance import effective_resistance
 from .rng import Xorshift64Star
 from .spectral import (SpectralResult, dirichlet_eigenvalue,
-                       dirichlet_eigenvalues, harmonic_extension, laplacian,
-                       neumann_eigenvalue, rayleigh_quotient)
+                       harmonic_extension, laplacian, neumann_eigenvalue,
+                       rayleigh_quotient)
 from .suite import run_suite
 from .wgr import parse_wgr, serialize_wgr
 
@@ -36,8 +36,7 @@ __all__ = [
     "VerificationReport", "emit_report",
     "effective_resistance",
     "Xorshift64Star",
-    "SpectralResult", "dirichlet_eigenvalue", "dirichlet_eigenvalues",
-    "harmonic_extension",
+    "SpectralResult", "dirichlet_eigenvalue", "harmonic_extension",
     "laplacian", "neumann_eigenvalue", "rayleigh_quotient",
     "run_suite",
     "parse_wgr", "serialize_wgr",

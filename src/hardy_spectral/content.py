@@ -64,7 +64,8 @@ CHUNK_ENTRIES = 1 << 15
 @dataclass(frozen=True)
 class ContentResult:
     """An extremal ratio plus the set (or pair) achieving it. `value` is
-    always the eigenvalue-comparable form; `hardy` is its reciprocal."""
+    always the eigenvalue-comparable form, positive and finite (else
+    NotRepresentable); `hardy` is its reciprocal."""
 
     value: float
     witness_a: VertexSet
@@ -73,6 +74,9 @@ class ContentResult:
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
+        if not (0.0 < self.value < math.inf):
+            raise errors.NotRepresentable(
+                f"content value {self.value!r} is not positive and finite in double precision")
 
     @property
     def hardy(self) -> float:

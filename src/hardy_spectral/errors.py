@@ -77,6 +77,12 @@ class SignCondition(HardySpectralError):
     negative values."""
 
 
+class NonFinitePotential(HardySpectralError):
+    def __init__(self, vertex, value):
+        self.vertex = vertex
+        super().__init__(f"potential is {value} at vertex {vertex}; potentials must be finite")
+
+
 # -- linear algebra --------------------------------------------------------
 
 class LinalgError(HardySpectralError):
@@ -145,6 +151,10 @@ class NotAPath(HardySpectralError):
 
 class ZeroInteriorMass(HardySpectralError):
     pass
+
+
+class NotRepresentable(HardySpectralError):
+    """A content value that underflowed to 0 or overflowed in doubles."""
 
 
 class MixedSigns(HardySpectralError):

@@ -263,10 +263,14 @@ def require_positive_mass(graph: WeightedGraph,
 
 
 def as_potential(graph: WeightedGraph, x) -> np.ndarray:
-    """x as a float vector with one entry per vertex, else DimensionMismatch."""
+    """x as a finite float vector with one entry per vertex, else
+    DimensionMismatch, or NonFinitePotential at the first bad vertex."""
     x = np.asarray(x, dtype=float)
     if x.shape != (graph.vertex_count,):
         raise errors.DimensionMismatch(f"potential shape {x.shape} != ({graph.vertex_count},)")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise errors.NonFinitePotential(int(bad[0]), float(x[bad[0]]))
     return x
 
 

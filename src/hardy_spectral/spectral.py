@@ -6,11 +6,10 @@ second-smallest eigenvalue of M^{-1/2} L M^{-1/2}, and the boundary-pinned
 (Dirichlet) eigenvalue is the smallest eigenvalue of the same whitening
 applied to the interior principal submatrix. The interior splits into
 connected pieces, each its own eigenproblem. `ground_modes` solves the
-pieces of many boundary-pinned problems at once, by size: one stacked
+boundary-pinned problems on one graph's arrays, by piece size: one stacked
 eigh and one stacked solve per polish step for every group of equal-size
-pieces. `dirichlet_eigenvalues` poses its (graph, boundary) problems to
-it, and the pinch suite poses the pinched sides of all its potentials on
-the unpinched graph's arrays.
+pieces. `dirichlet_eigenvalue` poses one problem to it, and the pinch
+suite the pinched sides of all its potentials.
 
 LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
 which on stiff graphs swamps the small differences across stiff edges. So
@@ -26,7 +25,7 @@ window TIE_RTOL as tied and gives the lowest vertex id the win.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +81,8 @@ def _eigenpairs(blocks: np.ndarray, ground: np.ndarray, mass: np.ndarray,
     Returns the eigenvalues (g,) and the eigenvectors (g, s), of unit mass
     norm: eigh on the whitened stack, then POLISH_STEPS steps of inverse
     iteration. k = 1 is the Neumann mode (the piece is all of V): its
-    solves ground the first vertex and remove the constant mode.
+    solves ground the first vertex and remove the constant mode. A solve
+    that overflows raises NoConvergence.
 
     The eigenvalue is the energy as a sum of nonnegative terms,
     0.5 * sum W_PP (x_i - x_j)^2 + sum W(P, V \\ P) x_i^2, with W_PP the
@@ -97,12 +97,24 @@ def _eigenpairs(blocks: np.ndarray, ground: np.ndarray, mass: np.ndarray,
             y[:, k:] = np.linalg.solve(blocks[:, k:, k:], (mass * x)[:, k:, None])[:, :, 0]
         except np.linalg.LinAlgError:
             raise errors.NotPositiveDefinite() from None
+        if not np.isfinite(y).all():
+            raise errors.NoConvergence("inverse iteration overflowed in double precision")
         if k:
             y -= _mass_dot(mass, y) / mass.sum(axis=1, keepdims=True)
         x = y / np.sqrt(_mass_dot(mass, y * y))
     diff = x[:, :, None] - x[:, None, :]
     inside = (-blocks * diff * diff).reshape(len(x), -1).sum(axis=1)
     return 0.5 * inside + (ground * (x * x)).sum(axis=1), x
+
+
+def _result(graph: WeightedGraph, lam: float, x: np.ndarray, active, kind: str,
+            boundary: Optional[VertexSet] = None) -> SpectralResult:
+    """The eigenpair (lam, x) of `graph`, with its residual on `active`."""
+    residual = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
+    x.flags.writeable = False
+    return SpectralResult(eigenvalue=lam, eigenvector=x,
+                          residual=float(np.linalg.norm(residual[active])),
+                          kind=kind, boundary=boundary)
 
 
 def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
@@ -121,109 +133,69 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
     if not (lam > 0.0 and np.any(x > 0.0) and np.any(x < 0.0)):
         raise errors.NoConvergence(
             f"fundamental mode not resolved in double precision (lambda2 = {lam!r})")
-    eq = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
-    residual = float(np.linalg.norm(eq))
-    x.flags.writeable = False
-    return SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual,
-                          kind=NEUMANN)
+    return _result(graph, lam, x, slice(None), NEUMANN)
 
 
-def ground_modes(pieces_of: Sequence[list[list[int]]], stack: Callable) -> list:
-    """The boundary-pinned mode of many problems at once, each problem given
-    by the connected pieces of its interior (vertex id lists, ordered by
-    smallest member). Every piece is its own eigenproblem, and the pieces
-    of all problems are solved together, one `_eigenpairs` stack per piece
-    size (see `linalg.by_size`), so a piece that fails fails only its own
-    problem. `stack(group)` gives the (blocks, ground, mass) stacks of a
-    group of equal-size pieces, each a (problem, piece) pair.
+def ground_modes(graph: WeightedGraph, sides: Sequence[list[int]], degree: np.ndarray,
+                 ground: np.ndarray) -> list:
+    """The boundary-pinned modes of many problems on `graph` at once.
+    Problem i holds the sorted vertex ids sides[i] and pins every other
+    vertex to zero; the rows degree[i] and ground[i] give each vertex's
+    diagonal entry and its conductance to the pinned vertices. Every
+    connected piece of a side is its own eigenproblem, its block gathered
+    from the Laplacian with the diagonal from `degree`, and the pieces of
+    all problems are solved in one `_eigenpairs` stack per piece size (see
+    `linalg.by_size`), so a piece that fails fails only its own problem.
 
     Returns, per problem, the typed error of its first failing piece, else
     (piece, eigenvalue, eigenvector on the piece) for the lowest-id piece
     among those whose eigenvalue ties the smallest, so the mode never
     mixes decoupled blocks and keeps one sign.
     """
-    rows = [(i, piece) for i, pieces in enumerate(pieces_of) for piece in pieces]
+    splits = [components(graph, side) for side in sides]
+    rows = [(i, piece) for i, split in enumerate(splits) for piece in split]
 
     def solve(group):
-        lam, x = _eigenpairs(*stack(group), 0)
-        return list(zip(lam.tolist(), x))
+        row = np.array([i for i, _ in group])[:, None]
+        idx = np.array([piece for _, piece in group])
+        blocks = graph.laplacian_matrix[idx[:, :, None], idx[:, None, :]]
+        diagonal = np.arange(idx.shape[1])
+        blocks[:, diagonal, diagonal] = degree[row, idx]
+        lam, x = _eigenpairs(blocks, ground[row, idx], graph.mass_vector[idx], 0)
+        return [(piece, *mode) for (_, piece), mode in zip(group, zip(lam.tolist(), x))]
 
-    found: list[list] = [[] for _ in pieces_of]
-    for (i, piece), mode in zip(rows, by_size(rows, lambda row: len(row[1]), solve)):
-        found[i].append((piece, mode))
-    out: list = []
-    for modes in found:
-        failed = errors.first_error(mode for _, mode in modes)
+    def lowest(modes):
+        failed = errors.first_error(modes)
         if failed is not None:
-            out.append(failed)
-            continue
-        floor = min(lam for _, (lam, _) in modes)
-        piece, (lam, x) = next(m for m in modes if m[1][0] <= floor * (1.0 + TIE_RTOL))
-        out.append((piece, lam, x))
-    return out
+            return failed
+        floor = min(lam for _, lam, _ in modes)
+        return next(mode for mode in modes if mode[1] <= floor * (1.0 + TIE_RTOL))
 
-
-def dirichlet_eigenvalues(
-        problems: Sequence[tuple[WeightedGraph, VertexSet]],
-) -> list[Union[SpectralResult, errors.HardySpectralError]]:
-    """For each (graph, boundary): the smallest eigenvalue over potentials
-    pinned to zero on the boundary, or the typed error that problem raises.
-
-    Solved on the interior principal submatrix; boundary masses never
-    enter, so zero-mass vertices are fine there, but every interior vertex
-    needs positive mass. The returned eigenvector is zero-padded onto the
-    boundary (it is an eigenvector of the interior submatrix, not of L).
-    The interiors' pieces are solved by `ground_modes`, all problems in
-    one call.
-    """
-    out: list = [None] * len(problems)
-    posed = []  # (problem, interior, W(v, boundary) for every vertex v)
-    for i, (graph, boundary) in enumerate(problems):
-        try:
-            interior = interior_of(graph, boundary)
-            require_positive_mass(graph, interior)
-        except errors.HardySpectralError as exc:
-            out[i] = exc
-            continue
-        # the pieces are the components of the interior, so every edge
-        # that leaves a piece ends on the boundary
-        ground = graph.conductance_matrix[:, list(boundary.members)].sum(axis=1)
-        posed.append((i, interior, ground))
-
-    def stack(group):
-        parts = []
-        for j, piece in group:
-            graph = problems[posed[j][0]][0]
-            parts.append((graph.laplacian_matrix[piece, :][:, piece], posed[j][2][piece],
-                          graph.mass_vector[piece]))
-        return tuple(np.stack(column) for column in zip(*parts))
-
-    modes = ground_modes([components(problems[i][0], interior) for i, interior, _ in posed],
-                         stack)
-    for (i, interior, _), mode in zip(posed, modes):
-        if isinstance(mode, errors.HardySpectralError):
-            out[i] = mode
-            continue
-        graph, boundary = problems[i]
-        piece, lam, x_piece = mode
-        x = np.zeros(graph.vertex_count)
-        x[piece] = x_piece
-        x = _canonical_sign(x)
-        eq = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
-        residual = float(np.linalg.norm(eq[interior]))
-        x.flags.writeable = False
-        out[i] = SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual,
-                                kind=DIRICHLET, boundary=VertexSet.of(boundary))
-    return out
+    modes = iter(by_size(rows, lambda row: len(row[1]), solve))
+    return [lowest([next(modes) for _ in split]) for split in splits]
 
 
 def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralResult:
-    """The boundary-pinned eigenpair of one problem: `dirichlet_eigenvalues`
-    with one problem, raising its typed error."""
-    [result] = dirichlet_eigenvalues([(graph, boundary)])
-    if isinstance(result, errors.HardySpectralError):
-        raise result
-    return result
+    """The smallest eigenvalue over potentials pinned to zero on the
+    boundary, solved on the interior principal submatrix by `ground_modes`.
+
+    Boundary masses never enter, so zero-mass vertices are fine there, but
+    every interior vertex needs positive mass. The returned eigenvector is
+    zero-padded onto the boundary (it is an eigenvector of the interior
+    submatrix, not of L).
+    """
+    interior = interior_of(graph, boundary)
+    require_positive_mass(graph, interior)
+    ground = graph.conductance_matrix[:, list(boundary.members)].sum(axis=1)
+    [mode] = ground_modes(graph, [interior], np.diag(graph.laplacian_matrix)[None],
+                          ground[None])
+    if isinstance(mode, errors.HardySpectralError):
+        raise mode
+    piece, lam, x_piece = mode
+    x = np.zeros(graph.vertex_count)
+    x[piece] = x_piece
+    return _result(graph, lam, _canonical_sign(x), interior, DIRICHLET,
+                   VertexSet.of(boundary))
 
 
 def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.ndarray:

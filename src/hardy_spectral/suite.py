@@ -5,9 +5,10 @@ Suites run one after another on the calling thread, in the fixed order of
 ALL_SUITES. All random draws happen up front from the seeded generator,
 LAPACK is deterministic for a fixed build, and every tie is decided
 within a window, so a report depends only on the inputs and the seed.
-The pinch suite builds no pinched graph: it solves the two sides of all
-its potentials as one batch on the graph's own arrays (`_worst_sides`);
-`ressum` pinches with `graph.pinch`.
+The pinch suite builds no pinched graph: `_worst_sides` poses the two
+sides of all its potentials on the graph's own arrays to
+`spectral.ground_modes`, as `dirichlet_eigenvalue` does one boundary
+problem; `ressum` pinches with `graph.pinch`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ._version import __version__
 from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
-from .graph import (VertexSet, WeightedGraph, components, pinch, quantize_zeros,
+from .graph import (VertexSet, WeightedGraph, pinch, quantize_zeros,
                     zero_crossings)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
@@ -67,15 +68,13 @@ def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     the pinch (see `zero_crossings`), else of the negative side, else of
     the positive side.
 
-    No pinched graph is built. A side's interior holds only original
-    vertices, {f < 0} or {f > 0}, so its pieces are components of `graph`
-    itself and a piece's block is `graph`'s -W off the diagonal. Each
-    vertex's degree and its conductance to its side's boundary (ground)
-    are summed, for all potentials at once, from nonnegative terms only:
-    kappa to a neighbour of the same sign (degree only), kappa to a
-    zero-valued neighbour, and the segment conductance at a crossing
-    edge's end. The pieces of every side of every potential are solved in
-    one `ground_modes` call."""
+    No pinched graph is built: a side, {f < 0} or {f > 0}, holds only
+    original vertices, so all sides are posed on `graph` itself, in one
+    `ground_modes` call. Each vertex's degree and its conductance to its
+    side's boundary (ground) are summed for all potentials at once from
+    nonnegative terms only: kappa to a neighbour of the same sign (degree
+    only), kappa to a zero-valued neighbour, and the segment conductance
+    at a crossing edge's end."""
     f, at_u, at_v, failed = zero_crossings(graph, potentials)
     n = graph.vertex_count
     u, v, k = graph.edge_arrays
@@ -89,26 +88,15 @@ def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     ground, degree = (np.bincount(ends, terms.ravel(), f.size).reshape(f.shape)
                       for terms in (ground, degree))
 
-    rows, pieces_of = [], []
-    for i in range(len(f)):
-        if failed[i] is None:
-            for side in (f[i] < 0.0, f[i] > 0.0):
-                rows.append(i)
-                pieces_of.append(components(graph, np.flatnonzero(side).tolist()))
-
-    def stack(group):
-        row = np.array([rows[j] for j, _ in group])[:, None]
-        idx = np.array([piece for _, piece in group])
-        blocks = graph.laplacian_matrix[idx[:, :, None], idx[:, None, :]]
-        diagonal = np.arange(idx.shape[1])
-        blocks[:, diagonal, diagonal] = degree[row, idx]
-        return blocks, ground[row, idx], graph.mass_vector[idx]
-
-    sides = iter(ground_modes(pieces_of, stack))
+    # every potential that pinches poses its negative side, then its positive
+    posed = np.array([i for i, exc in enumerate(failed) if exc is None], dtype=np.intp)
+    sides = [np.flatnonzero(side).tolist() for i in posed for side in (f[i] < 0.0, f[i] > 0.0)]
+    rows = np.repeat(posed, 2)
+    modes = iter(ground_modes(graph, sides, degree[rows], ground[rows]))
     out = []
     for exc in failed:
         if exc is None:
-            negative, positive = next(sides), next(sides)
+            negative, positive = next(modes), next(modes)
             exc = errors.first_error([negative, positive])
         out.append(max(negative[1], positive[1]) if exc is None else exc)
     return out

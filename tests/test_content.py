@@ -133,6 +133,16 @@ class TestDirichletContent:
             dirichlet_content_exact(p3, VertexSet.of([]))
 
 
+class TestUnrepresentableContent:
+    def test_underflowed_value_is_a_typed_error(self):
+        # psi2 = 2e-300 * 1e-300 and phi = 1e-300 / 1e300 underflow to 0,
+        # which would be reported as 0 and crash ContentResult.hardy
+        g = WeightedGraph((1e300, 1e300), ((0, 1, 1e-300),))
+        for solve in (neumann_content_exact, isoperimetric_exact):
+            with pytest.raises(errors.NotRepresentable, match="not positive and finite"):
+                solve(g)
+
+
 class TestNeumannContent:
     def test_two_node_single_pair(self, two_node):
         res = neumann_content_exact(two_node)

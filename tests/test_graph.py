@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_spectral import (VertexSet, WeightedGraph, components, contract,
-                            laplacian, path_graph, pinch,
-                            random_graph, split_edge, validate)
+                            laplacian, level_set_quotient, neumann_content_sweep,
+                            path_graph, pinch, random_graph, rayleigh_quotient,
+                            split_edge, validate)
 from hardy_spectral import errors
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import harmonic_extension
+from hardy_spectral.suite import _worst_sides
 
 from conftest import WEIGHT_RANGE, corpus_graph, random_vector
 
@@ -383,3 +385,47 @@ def test_quantize_zeros():
     assert quantize_zeros([1.0, 1e-15, -1e-15, -0.5]) == [1.0, 0.0, 0.0, -0.5]
     assert quantize_zeros([0.0, 0.0]) == [0.0, 0.0]
     assert quantize_zeros([1.0, 1e-9]) == [1.0, 1e-9]
+
+
+class TestNonFinitePotential:
+    """A potential with a NaN or infinite entry is a typed error that names
+    its first bad vertex, at every entry point that takes a potential."""
+
+    G = path_graph([1.0] * 4, [1e-17, 1.0, 1.0])
+
+    @staticmethod
+    def assert_names(exc, vertex):
+        assert type(exc) is errors.NonFinitePotential and exc.vertex == vertex
+        assert f"at vertex {vertex};" in str(exc)
+
+    def test_pinch(self):
+        with pytest.raises(errors.NonFinitePotential) as info:
+            pinch(self.G, [math.nan, -1.0, 1.0, 1.0])
+        self.assert_names(info.value, 0)
+        # the shape is checked first
+        with pytest.raises(errors.DimensionMismatch):
+            pinch(self.G, [math.nan, -1.0, 1.0])
+
+    def test_worst_sides(self):
+        fs = [[math.nan, -1.0, 1.0, 1.0], [-1.0, 1.0, math.inf, -math.inf],
+              [math.nan, 1.0], [-1.0, -1.0, 1.0, 1.0]]
+        worst = _worst_sides(self.G, fs)
+        self.assert_names(worst[0], 0)
+        self.assert_names(worst[1], 2)
+        assert type(worst[2]) is errors.DimensionMismatch
+        assert worst[3] == _worst_sides(self.G, fs[3:])[0]
+
+    def test_rayleigh_quotient(self):
+        with pytest.raises(errors.NonFinitePotential) as info:
+            rayleigh_quotient(self.G, [1.0, math.nan, 1.0, 1.0])
+        self.assert_names(info.value, 1)
+
+    def test_neumann_content_sweep(self):
+        with pytest.raises(errors.NonFinitePotential) as info:
+            neumann_content_sweep(path_graph([1.0] * 3, [1.0, 2.0]), [math.nan, -1.0, 1.0])
+        self.assert_names(info.value, 0)
+
+    def test_level_set_quotient(self):
+        with pytest.raises(errors.NonFinitePotential) as info:
+            level_set_quotient(self.G, VertexSet.of([0]), [0.0, 1.0, math.nan, 2.0])
+        self.assert_names(info.value, 2)

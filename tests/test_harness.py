@@ -3,10 +3,12 @@ import importlib.util
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import hardy_spectral
 from hardy_spectral import (VertexSet, dirichlet_eigenvalue, emit_report, parse_wgr,
                             path_graph, random_graph, run_suite, serialize_wgr)
 from hardy_spectral import cli, errors, spectral, suite
@@ -27,6 +29,8 @@ boundary v0
 """
 
 ONE_VERTEX_TEXT = "vertex a 1\n"
+
+UNDERFLOW_TEXT = "vertex a 1e300\nvertex b 1e300\nedge a b 1e-300\n"
 
 
 class TestParse:
@@ -371,6 +375,20 @@ class TestCli:
         assert [line.split(" = ")[0] for line in out.splitlines()] == [
             "lambda2", "phi", "phi_a"]
 
+    def test_analyze_underflowed_quantities_are_unavailable(self, tmp_path, capsys):
+        # valid weights whose eigenvalue and contents leave double range:
+        # psi2 and phi underflow to 0, and inverse iteration overflows
+        path = self._write(tmp_path, "tiny.wgr", UNDERFLOW_TEXT)
+        assert main(["analyze", path]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "lambda2 unavailable: inverse iteration overflowed in double precision",
+            "psi2 unavailable: content value 0.0 is not positive and finite "
+            "in double precision",
+            "phi unavailable: content value 0.0 is not positive and finite "
+            "in double precision"]
+
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["resistance", path, "--a", "nope", "--b", "v2"]) == 2
@@ -502,6 +520,23 @@ class TestOneVertex:
         assert proc.stdout == ""
         assert [line.split(":")[0] for line in proc.stderr.splitlines()] == [
             "lambda2 unavailable", "psi2 unavailable", "phi unavailable"]
+
+
+class TestPublicSurface:
+    def test_all_resolves_once_and_is_what_star_import_binds(self):
+        # a deleted export must not leave a dangling or duplicate name
+        names = hardy_spectral.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            assert hasattr(hardy_spectral, name), name
+        bound: dict = {}
+        exec("from hardy_spectral import *", bound)
+        assert set(bound) - {"__builtins__"} == set(names)
+
+    def test_every_public_import_is_exported(self):
+        public = {name for name, value in vars(hardy_spectral).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert public == set(hardy_spectral.__all__) - {"__version__"}
 
 
 class TestBenchNames:
