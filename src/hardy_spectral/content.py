@@ -154,9 +154,9 @@ class _RunningMin:
         order = np.lexsort((ratios[near], keys[near]))
         ratios, keys = ratios[near][order], keys[near][order]
         # a candidate stays only if its ratio is below that of every
-        # candidate with a smaller key
-        smaller_keys = np.minimum.accumulate(np.concatenate(([math.inf], ratios[:-1])))
-        stays = ratios < smaller_keys
+        # candidate with a smaller key; the smallest key always stays, so
+        # ratios that all overflowed to inf still give a winner
+        stays = np.concatenate(([True], ratios[1:] < np.minimum.accumulate(ratios[:-1])))
         self.ratios, self.keys = ratios[stays], keys[stays]
 
     @property
@@ -222,23 +222,31 @@ def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, optio
     A stack whose children would exceed CHUNK_ENTRIES numbers is cut in
     half first; the deferred half is copied, so it does not keep its
     parent alive.
+
+    A reduced conductance that overflows spreads inf or NaN to the energy,
+    which raises NotRepresentable (the diagonal is never read, so its
+    overflow is harmless). A ratio that overflows is inf and never wins.
     """
     f = len(mass)
     best = _RunningMin()
     pending = [(network[:, :, None], np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int64))]
-    while pending:
-        net, mu, key = stack = pending.pop()
-        k, _, m = net.shape
-        if k == 2:
-            best.offer(*score(net[0, 1], mu, key))
-            continue
-        choices = options(key, k - 3)
-        if m > 1 and len(choices) * m * (k - 1) ** 2 > CHUNK_ENTRIES:
-            pending.append(tuple(x[..., m // 2:].copy() for x in stack))
-            pending.append(tuple(x[..., :m // 2] for x in stack))
-        else:
-            i = f + 2 - k
-            pending.append(_branch(net, mu, key, mass[i], bits[i], choices))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pending:
+            net, mu, key = stack = pending.pop()
+            k, _, m = net.shape
+            if k == 2:
+                if not np.isfinite(net[0, 1]).all():
+                    raise errors.NotRepresentable(
+                        "a reduced conductance overflowed in double precision")
+                best.offer(*score(net[0, 1], mu, key))
+                continue
+            choices = options(key, k - 3)
+            if m > 1 and len(choices) * m * (k - 1) ** 2 > CHUNK_ENTRIES:
+                pending.append(tuple(x[..., m // 2:].copy() for x in stack))
+                pending.append(tuple(x[..., :m // 2] for x in stack))
+            else:
+                i = f + 2 - k
+                pending.append(_branch(net, mu, key, mass[i], bits[i], choices))
     return best.winner
 
 
@@ -256,12 +264,17 @@ def hardy_path(path: WeightedGraph) -> ContentResult:
     if all(m == 0.0 for m in path.masses[1:]):
         raise errors.ZeroInteriorMass("every interior mass is zero")
 
-    # entry k - 1 belongs to the tail {v_k, ..., v_N}; both sums run in order
-    prefix_r = np.cumsum([1.0 / kappa for _u, _v, kappa in path.edges])
+    # entry k - 1 belongs to the tail {v_k, ..., v_N}; both sums run in
+    # order. A tail of zero mass scores 0, even past a resistance that
+    # overflows; a product past the doubles gives a value of 0 or inf,
+    # which ContentResult rejects.
+    _u, _v, kappa = path.edge_arrays
     suffix_mass = np.cumsum(path.masses[:0:-1])[::-1]
-    h = prefix_r * suffix_mass
-    k = int(np.argmax(h))  # the first maximum
-    return ContentResult(value=1.0 / float(h[k]), witness_a=VertexSet.of(range(k + 1, n)),
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h = np.where(suffix_mass > 0.0, np.cumsum(1.0 / kappa) * suffix_mass, 0.0)
+        k = int(np.argmax(h))  # the first maximum
+        value = 1.0 / h[k]
+    return ContentResult(value=value, witness_a=VertexSet.of(range(k + 1, n)),
                          witness_b=None, method=PATH_TAILSET)
 
 
@@ -360,7 +373,7 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     a_sets = [VertexSet.of(np.flatnonzero(x <= t)) for t in values if t < 0.0]
     b_sets = [VertexSet.of(np.flatnonzero(x >= t)) for t in values if t >= 0.0]
 
-    energies = pair_energies([(graph, a, b) for a in a_sets for b in b_sets])
+    energies = pair_energies(graph, [(a, b) for a in a_sets for b in b_sets])
     failed = errors.first_error(energies)
     if failed is not None:
         raise failed
@@ -406,8 +419,10 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
         a = np.arange(start, min(start + 2 * CHUNK_ENTRIES, full), 2, dtype=np.int64)
         b = full ^ a
         # the cut is tabled on the side without the last vertex, the smaller
-        # mask; each side's mass is read from the table: total - mu(A) would cancel
-        best.offer(cut[np.minimum(a, b)] / np.minimum(mass[a], mass[b]), a)
+        # mask; each side's mass is read from the table: total - mu(A) would
+        # cancel. A ratio past the doubles is inf and never wins.
+        with np.errstate(over="ignore"):
+            best.offer(cut[np.minimum(a, b)] / np.minimum(mass[a], mass[b]), a)
     value, key = best.winner  # n >= 2 always yields a cut
     return ContentResult(value=value, witness_a=VertexSet.from_mask(int(key)),
                          witness_b=None, method=EXACT_ENUMERATION)

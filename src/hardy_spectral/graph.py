@@ -44,6 +44,8 @@ class VertexSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "VertexSet":
+        if mask < 0:
+            raise errors.BadRange(f"mask {mask} is negative; vertex ids are bits of a mask >= 0")
         members = []
         i = 0
         while mask:
@@ -528,8 +530,8 @@ def pinch(graph: WeightedGraph, f: Iterable[float]) -> PinchedGraph:
     `zero_crossings`; the minimum-energy extension assigns the new vertex
     the value 0 and total energy is preserved. Signs are tested strictly:
     a vertex with f_v == 0.0 lies on the zero set and its edges are never
-    split. The pinch suite solves the two sides without building this
-    graph (see `suite`); `pinch` is the surgery for everything else.
+    split. No suite builds this graph: the pinch and ressum suites pose
+    its sides on the parent's arrays (see `suite`), tested against it.
     """
     f, at_u, at_v, [failed] = zero_crossings(graph, [f])
     if failed is not None:

@@ -82,7 +82,8 @@ def _eigenpairs(blocks: np.ndarray, ground: np.ndarray, mass: np.ndarray,
     norm: eigh on the whitened stack, then POLISH_STEPS steps of inverse
     iteration. k = 1 is the Neumann mode (the piece is all of V): its
     solves ground the first vertex and remove the constant mode. A solve
-    that overflows raises NoConvergence.
+    or its norm past the doubles raises NoConvergence, and a whitened
+    block or an eigenvalue past them NotRepresentable.
 
     The eigenvalue is the energy as a sum of nonnegative terms,
     0.5 * sum W_PP (x_i - x_j)^2 + sum W(P, V \\ P) x_i^2, with W_PP the
@@ -90,30 +91,40 @@ def _eigenpairs(blocks: np.ndarray, ground: np.ndarray, mass: np.ndarray,
     on each problem alone, so a problem's result does not depend on the
     stack it is solved in."""
     d = 1.0 / np.sqrt(mass)
-    x = d * jacobi_eigen(blocks * (d[:, :, None] * d[:, None, :])).eigenvectors[:, :, k]
-    for _ in range(POLISH_STEPS):
-        y = np.zeros_like(x)
-        try:
-            y[:, k:] = np.linalg.solve(blocks[:, k:, k:], (mass * x)[:, k:, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            raise errors.NotPositiveDefinite() from None
-        if not np.isfinite(y).all():
-            raise errors.NoConvergence("inverse iteration overflowed in double precision")
-        if k:
-            y -= _mass_dot(mass, y) / mass.sum(axis=1, keepdims=True)
-        x = y / np.sqrt(_mass_dot(mass, y * y))
-    diff = x[:, :, None] - x[:, None, :]
-    inside = (-blocks * diff * diff).reshape(len(x), -1).sum(axis=1)
-    return 0.5 * inside + (ground * (x * x)).sum(axis=1), x
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = blocks * (d[:, :, None] * d[:, None, :])
+        if not np.isfinite(whitened).all():
+            raise errors.NotRepresentable("the mass-whitened Laplacian overflows double precision")
+        x = d * jacobi_eigen(whitened).eigenvectors[:, :, k]
+        for _ in range(POLISH_STEPS):
+            y = np.zeros_like(x)
+            try:
+                y[:, k:] = np.linalg.solve(blocks[:, k:, k:], (mass * x)[:, k:, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                raise errors.NotPositiveDefinite() from None
+            if k:
+                y -= _mass_dot(mass, y) / mass.sum(axis=1, keepdims=True)
+            norm = np.sqrt(_mass_dot(mass, y * y))
+            # a y past the doubles gives a norm of inf or NaN, one below them 0
+            if not 0.0 < norm.min() <= norm.max() < np.inf:
+                raise errors.NoConvergence("inverse iteration overflowed in double precision")
+            x = y / norm
+        diff = x[:, :, None] - x[:, None, :]
+        inside = (-blocks * diff * diff).reshape(len(x), -1).sum(axis=1)
+        lam = 0.5 * inside + (ground * (x * x)).sum(axis=1)
+    if not lam.max() < np.inf:  # a sum of nonnegative terms: inf, never NaN
+        raise errors.NotRepresentable("the eigenvalue overflows double precision")
+    return lam, x
 
 
 def _result(graph: WeightedGraph, lam: float, x: np.ndarray, active, kind: str,
             boundary: Optional[VertexSet] = None) -> SpectralResult:
     """The eigenpair (lam, x) of `graph`, with its residual on `active`."""
-    residual = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual past the doubles is inf
+        residual = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
+        residual = float(np.linalg.norm(residual[active]))
     x.flags.writeable = False
-    return SpectralResult(eigenvalue=lam, eigenvector=x,
-                          residual=float(np.linalg.norm(residual[active])),
+    return SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual,
                           kind=kind, boundary=boundary)
 
 

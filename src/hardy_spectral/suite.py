@@ -5,10 +5,10 @@ Suites run one after another on the calling thread, in the fixed order of
 ALL_SUITES. All random draws happen up front from the seeded generator,
 LAPACK is deterministic for a fixed build, and every tie is decided
 within a window, so a report depends only on the inputs and the seed.
-The pinch suite builds no pinched graph: `_worst_sides` poses the two
-sides of all its potentials on the graph's own arrays to
-`spectral.ground_modes`, as `dirichlet_eigenvalue` does one boundary
-problem; `ressum` pinches with `graph.pinch`.
+No suite builds a pinched graph: both sides of every pinch are posed on
+the graph's own arrays with the rows of `_pinched_rows`, to
+`spectral.ground_modes` by the pinch suite and to
+`resistance.pinned_energies` by `ressum`.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from ._version import __version__
 from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
-from .graph import (VertexSet, WeightedGraph, pinch, quantize_zeros,
-                    zero_crossings)
+from .graph import VertexSet, WeightedGraph, quantize_zeros, zero_crossings
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
-from .resistance import pair_energies
+from .resistance import pair_energies, pinned_energies
 from .rng import Xorshift64Star
 from .spectral import (SpectralResult, dirichlet_eigenvalue, ground_modes,
                        neumann_eigenvalue)
@@ -62,16 +61,15 @@ def _random_nonempty_subset(rng: Xorshift64Star, vs: VertexSet) -> VertexSet:
     return VertexSet.of(members[i] for i in range(len(members)) if (mask >> i) & 1)
 
 
-def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
-    """For each potential f: pinch at f's zero set and take the larger of
-    the two one-sided boundary-pinned eigenvalues, or the typed error of
-    the pinch (see `zero_crossings`), else of the negative side, else of
-    the positive side.
+def _pinched_rows(graph: WeightedGraph, potentials: list) -> tuple:
+    """(f, degree, ground, failed) for pinching at each potential's zero
+    set: the stack f and typed errors of `zero_crossings`, and each
+    vertex's degree and conductance to its side's boundary (ground) on the
+    pinched graph, one row per potential.
 
     No pinched graph is built: a side, {f < 0} or {f > 0}, holds only
-    original vertices, so all sides are posed on `graph` itself, in one
-    `ground_modes` call. Each vertex's degree and its conductance to its
-    side's boundary (ground) are summed for all potentials at once from
+    original vertices, so every side can be posed on `graph` itself with
+    these rows. They are summed for all potentials at once from
     nonnegative terms only: kappa to a neighbour of the same sign (degree
     only), kappa to a zero-valued neighbour, and the segment conductance
     at a crossing edge's end."""
@@ -87,7 +85,15 @@ def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     ends = (np.arange(len(f))[:, None] * n + np.concatenate([u, v])).ravel()
     ground, degree = (np.bincount(ends, terms.ravel(), f.size).reshape(f.shape)
                       for terms in (ground, degree))
+    return f, degree, ground, failed
 
+
+def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
+    """For each potential f: pinch at f's zero set and take the larger of
+    the two one-sided boundary-pinned eigenvalues, or the typed error of
+    the pinch (see `zero_crossings`), else of the negative side, else of
+    the positive side, all sides solved in one `ground_modes` call."""
+    f, degree, ground, failed = _pinched_rows(graph, potentials)
     # every potential that pinches poses its negative side, then its positive
     posed = np.array([i for i, exc in enumerate(failed) if exc is None], dtype=np.intp)
     sides = [np.flatnonzero(side).tolist() for i in posed for side in (f[i] < 0.0, f[i] > 0.0)]
@@ -216,14 +222,12 @@ def run_suite(graph: WeightedGraph, *,
                         for _ in range(samples)]
         if "ressum" in wanted:
             for _ in range(samples):
-                f = _random_mixed_sign_f(rng, graph.vertex_count)
-                try:
-                    p = pinch(graph, f)
-                    a = _random_nonempty_subset(rng, p.negative_set)
-                    b = _random_nonempty_subset(rng, p.positive_set)
-                    ressum_draws.append((p, a, b))
-                except errors.HardySpectralError as exc:
-                    ressum_draws.append(exc)
+                # A from {f < 0}, then B from {f > 0}, unless the pinch fails
+                f = np.array(_random_mixed_sign_f(rng, graph.vertex_count))
+                [failed] = zero_crossings(graph, [f])[3]
+                ressum_draws.append(failed if failed is not None else (f, *(
+                    _random_nonempty_subset(rng, VertexSet.of(np.flatnonzero(side)))
+                    for side in (f < 0.0, f > 0.0))))
     except errors.SignCondition as exc:
         no_draws = exc
 
@@ -276,15 +280,21 @@ def run_suite(graph: WeightedGraph, *,
     def suite_ressum() -> None:
         if no_draws is not None:
             raise no_draws
-        energies = iter(pair_energies(
-            [(p.graph, x, y) for p, a, b in
-             (d for d in ressum_draws if not isinstance(d, errors.HardySpectralError))
-             for x, y in ((a, p.zero_set), (b, p.zero_set), (a, b))]))
+        drawn = [d for d in ressum_draws if not isinstance(d, errors.HardySpectralError)]
+        f, degree, ground, _ = _pinched_rows(graph, [f for f, _, _ in drawn])
+        # 1/R(X, Z) on X's side; R(A, B) is the parent's (series law)
+        held = [x for _, a, b in drawn for x in (a, b)]
+        sides = [side for row in f for side in (row < 0.0, row > 0.0)]
+        to_zero = iter(pinned_energies(
+            graph, held, [[v for v in np.flatnonzero(side).tolist() if v not in x.members]
+                          for x, side in zip(held, sides)],
+            np.repeat(degree, 2, axis=0), np.repeat(ground, 2, axis=0)))
+        across = iter(pair_energies(graph, [(a, b) for _, a, b in drawn]))
         for i, draw in enumerate(ressum_draws, start=1):
             name = f"ressum_{i:02d}"
             # 1/R(A, Z), 1/R(B, Z) and 1/R(A, B), or the draw's pinch error
             found = ([draw] if isinstance(draw, errors.HardySpectralError)
-                     else [next(energies) for _ in range(3)])
+                     else [next(to_zero), next(to_zero), next(across)])
             failed = errors.first_error(found)
             if failed is not None:
                 add(check_error(name, str(failed)))

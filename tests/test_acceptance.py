@@ -176,10 +176,12 @@ def test_criterion_09_level_set_reduction():
 
 def test_criterion_10_report_determinism(tmp_path):
     target = tmp_path / "instance.wgr"
-    gen = [sys.executable, "-m", "hardy_spectral.cli", "gen", "random",
+    # a RuntimeWarning marks a number that went wrong silently, as in process
+    python = [sys.executable, "-W", "error::RuntimeWarning"]
+    gen = [*python, "-m", "hardy_spectral.cli", "gen", "random",
            "--n", "7", "--p", "0.5", "--seed", "77", "-o", str(target)]
     subprocess.run(gen, check=True)
-    verify = [sys.executable, "-m", "hardy_spectral.cli", "verify", str(target),
+    verify = [*python, "-m", "hardy_spectral.cli", "verify", str(target),
               "--suite", "all", "--seed", "11"]
     first = subprocess.run(verify, capture_output=True)
     second = subprocess.run(verify, capture_output=True)

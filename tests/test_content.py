@@ -142,6 +142,22 @@ class TestUnrepresentableContent:
             with pytest.raises(errors.NotRepresentable, match="not positive and finite"):
                 solve(g)
 
+    def test_overflowed_value_is_a_typed_error(self):
+        # psi2 = 1e300 * (1 + 1e300) and phi = 1e300 / 1e-300 overflow, so
+        # every ratio is inf; and the path's product 1e-300 * 1e-300
+        # underflows to 0 before it is inverted
+        g = WeightedGraph((1.0, 1e-300), ((0, 1, 1e300),))
+        for solve in (neumann_content_exact, isoperimetric_exact,
+                      lambda g: dirichlet_content_exact(g, VertexSet.of([0])), hardy_path):
+            with pytest.raises(errors.NotRepresentable, match="value inf is not positive"):
+                solve(g)
+
+    def test_zero_mass_tail_past_an_overflowing_resistance(self):
+        # 1 / 1e-310 overflows, but the tail beyond it has no mass: it
+        # scores 0 (not inf * 0 = NaN), and the first tail wins with 1
+        res = hardy_path(path_graph([1.0, 1.0, 0.0], [1.0, 1e-310]))
+        assert (res.value, res.witness_a.members) == (1.0, (1, 2))
+
 
 class TestNeumannContent:
     def test_two_node_single_pair(self, two_node):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,19 @@ class TestVertexSet:
     def test_canonical_key_is_bitmask(self):
         assert VertexSet.of([0, 2]).canonical_key == 0b101
         assert VertexSet.from_mask(0b101).members == (0, 2)
+
+    def test_negative_mask_is_a_typed_error(self):
+        # a negative mask has infinitely many set bits, and decoding one
+        # never ended; a subprocess with a timeout turns a hang into a failure
+        script = ("from hardy_spectral import VertexSet, errors\n"
+                  "try:\n"
+                  "    VertexSet.from_mask(-1)\n"
+                  "except errors.BadRange as exc:\n"
+                  "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("mask -1 is negative")
 
     def test_complement(self):
         assert VertexSet.of([1]).complement(3).members == (0, 2)

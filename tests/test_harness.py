@@ -32,6 +32,8 @@ ONE_VERTEX_TEXT = "vertex a 1\n"
 
 UNDERFLOW_TEXT = "vertex a 1e300\nvertex b 1e300\nedge a b 1e-300\n"
 
+OVERFLOW_TEXT = "vertex a 1\nvertex b 1e-300\nedge a b 1e300\nboundary a\n"
+
 
 class TestParse:
     def test_minimal(self):
@@ -389,6 +391,30 @@ class TestCli:
             "phi unavailable: content value 0.0 is not positive and finite "
             "in double precision"]
 
+    def test_analyze_overflowed_quantities_are_unavailable(self, tmp_path, capsys):
+        # valid weights whose whitened Laplacian and contents overflow;
+        # every ratio of psi2 is inf, which once left no winner at all
+        path = self._write(tmp_path, "stiff.wgr", OVERFLOW_TEXT)
+        assert main(["analyze", path]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        whitened = "the mass-whitened Laplacian overflows double precision"
+        inf = "content value inf is not positive and finite in double precision"
+        assert err.splitlines() == [
+            f"lambda2 unavailable: {whitened}", f"psi2 unavailable: {inf}",
+            f"phi unavailable: {inf}", f"lambda_dirichlet unavailable: {whitened}",
+            f"psi_dirichlet unavailable: {inf}"]
+
+    def test_verify_overflow_gives_error_rows(self, tmp_path, capsys):
+        path = self._write(tmp_path, "stiff.wgr", OVERFLOW_TEXT)
+        assert main(["verify", path]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        errors_by_name = {c["name"]: c["reason"] for c in checks if c["relation"] == "error"}
+        assert list(errors_by_name) == ["dirichlet", "neumann", "cheeger", "pinch",
+                                        "path_reduction"]
+        assert set(errors_by_name.values()) == {
+            "the mass-whitened Laplacian overflows double precision"}
+
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["resistance", path, "--a", "nope", "--b", "v2"]) == 2
@@ -469,7 +495,8 @@ class TestCli:
         path = tmp_path / "p3.wgr"
         path.write_text(P3_TEXT, encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-m", "hardy_spectral.cli", "analyze", str(path)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hardy_spectral.cli",
+             "analyze", str(path)],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "lambda2" in proc.stdout
@@ -485,7 +512,8 @@ class TestRuntimeDependencies:
                   f"assert main(['verify', {str(path)!r}]) == 0\n"
                   "oracles = ('scipy', 'mpmath', 'networkx', 'hypothesis')\n"
                   "print([m for m in oracles if m in sys.modules], file=sys.stderr)\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                              capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[]\n"
@@ -501,7 +529,8 @@ class TestOneVertex:
         path = tmp_path / "one.wgr"
         path.write_text(ONE_VERTEX_TEXT, encoding="utf-8")
         return subprocess.run(
-            [sys.executable, "-m", "hardy_spectral.cli", command, str(path)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hardy_spectral.cli",
+             command, str(path)],
             capture_output=True, text=True, timeout=60)
 
     def test_verify_fails_every_suite(self, tmp_path):

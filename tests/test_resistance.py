@@ -1,11 +1,15 @@
 import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, contract,
-                            effective_resistance, path_graph)
+                            effective_resistance, path_graph, pinch, run_suite,
+                            split_edge, suite)
 from hardy_spectral import errors
 from hardy_spectral.rng import Xorshift64Star
+from hardy_spectral.suite import (DEFAULT_SAMPLES, _random_mixed_sign_f,
+                                  _random_nonempty_subset)
 
-from conftest import corpus_graph, resistance_via_pseudoinverse
+from conftest import corpus_graph, resistance_via_pseudoinverse, stiff_graph
+from test_energy_kernel import mp_energy_fn
 
 
 def contracted_resistance(g, a: VertexSet, b: VertexSet) -> float:
@@ -66,6 +70,13 @@ class TestErrors:
     def test_empty(self, p3):
         with pytest.raises(errors.EmptySet):
             effective_resistance(p3, VertexSet.of([]), VertexSet.of([1]))
+
+    @pytest.mark.parametrize("ids", [[-1], [3], [0, 7]])
+    def test_out_of_range_id(self, p3, ids):
+        # the range check comes first: a negative id never reaches the
+        # bitmask of the overlap check (1 << -1 is a bare ValueError)
+        with pytest.raises(errors.LengthMismatch):
+            effective_resistance(p3, VertexSet.of(ids), VertexSet.of([1]))
 
 
 class TestOracleAgreement:
@@ -166,3 +177,133 @@ def test_series_parallel_reduction_matches_closed_form():
         g = sp.as_graph(edges, s, t)
         r = effective_resistance(g, VertexSet.of([0]), VertexSet.of([1]))
         assert r == pytest.approx(expected, rel=1e-10)
+
+
+def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES):
+    """The ressum draws of `run_suite`, made with `pinch`: per sample the
+    pinched graph, A from its negative set and B from its positive set, or
+    the pinch's typed error. With `pinch_first`, the pinch suite's
+    potentials are drawn first, as when both suites run."""
+    rng = Xorshift64Star(seed)
+    if pinch_first:
+        for _ in range(samples):
+            _random_mixed_sign_f(rng, graph.vertex_count)
+    draws = []
+    for _ in range(samples):
+        f = _random_mixed_sign_f(rng, graph.vertex_count)
+        try:
+            p = pinch(graph, f)
+        except errors.HardySpectralError as exc:
+            draws.append(exc)
+            continue
+        draws.append((p, _random_nonempty_subset(rng, p.negative_set),
+                      _random_nonempty_subset(rng, p.positive_set)))
+    return draws
+
+
+@pytest.fixture
+def ressum_run(monkeypatch):
+    """run_suite(graph, **kwargs) with the ressum energies recorded as the
+    suite posed them: the report, then per draw that pinched (A, B) and
+    [1/R(A, Z), 1/R(B, Z), 1/R(A, B)]."""
+    pinned, pairs = [], []
+    pinned_energies, pair_energies = suite.pinned_energies, suite.pair_energies
+
+    def recorded_pinned(graph, held, free, degree, ground):
+        out = pinned_energies(graph, held, free, degree, ground)
+        pinned.extend(zip(held, out))
+        return out
+
+    def recorded_pairs(graph, given):
+        out = pair_energies(graph, given)
+        pairs.extend(zip(given, out))
+        return out
+
+    monkeypatch.setattr(suite, "pinned_energies", recorded_pinned)
+    monkeypatch.setattr(suite, "pair_energies", recorded_pairs)
+
+    def run(graph, **kwargs):
+        pinned.clear()
+        pairs.clear()
+        report = run_suite(graph, **kwargs)
+        # the sides come as A, B of each draw in turn, the pairs as (A, B)
+        held, to_zero = zip(*pinned) if pinned else ((), ())
+        assert [pair for pair, _ in pairs] == list(zip(held[::2], held[1::2]))
+        return report, [(pair, [e_a, e_b, e_ab]) for (pair, e_ab), e_a, e_b
+                        in zip(pairs, to_zero[::2], to_zero[1::2])]
+
+    return run
+
+
+def pinched_energies(p, a, b):
+    """[1/R(A, Z), 1/R(B, Z), 1/R(A, B)] on the pinched graph itself."""
+    return [1.0 / effective_resistance(p.graph, x, y)
+            for x, y in ((a, p.zero_set), (b, p.zero_set), (a, b))]
+
+
+class TestRessumRoute:
+    """`ressum` poses its resistances on the parent graph's arrays: each
+    side with its pinched degree and ground, R(A, B) on the parent itself
+    (series law). The reference route builds each pinched graph; both
+    must draw the same sets, give energies within 1e-13 relative, and
+    give the same error rows."""
+
+    def assert_agree(self, ressum_run, graph, seed):
+        report, drawn = ressum_run(graph, suites=["ressum"], seed=seed)
+        want = reference_draws(graph, seed)
+        rows = [c for c in report.checks if c.name.startswith("ressum_")]
+        assert len(rows) == len(want) == DEFAULT_SAMPLES
+        posed = iter(drawn)
+        for row, draw in zip(rows, want):
+            if isinstance(draw, errors.HardySpectralError):
+                assert (row.relation, row.reason) == ("error", str(draw))
+                continue
+            p, a, b = draw
+            (got_a, got_b), energies = next(posed)
+            assert (got_a, got_b) == (a, b)
+            assert energies == pytest.approx(pinched_energies(p, a, b), rel=1e-13, abs=0.0)
+            assert row.relation == "<=" and row.holds
+        assert next(posed, None) is None
+
+    def test_corpus_graphs(self, ressum_run):
+        for i in range(30):
+            self.assert_agree(ressum_run, corpus_graph(i), seed=700 + i)
+
+    def test_zero_mass_vertex_gives_the_pinch_error_rows(self, ressum_run):
+        parent = corpus_graph(4)
+        g = split_edge(parent, parent.edges[0][:2], [0.25, 0.75])
+        assert 0.0 in g.masses
+        self.assert_agree(ressum_run, g, seed=5)
+        report, _ = ressum_run(g, suites=["ressum"], seed=5)
+        assert {c.relation for c in report.checks} == {"error"}
+
+
+class TestStiffRessum:
+    """`ressum`'s energies at stiff weights against the 60-digit oracle on
+    each pinched graph."""
+
+    @pytest.mark.parametrize("ratio", [1e3, 1e6, 1e9])
+    def test_energies_against_mpmath(self, ressum_run, ratio):
+        mpmath = pytest.importorskip("mpmath")
+        for s in range(20):
+            g = stiff_graph(s, ratio, ratio)
+            _, drawn = ressum_run(g, boundary=VertexSet.of([0]), seed=s)
+            want = [d for d in reference_draws(g, s, pinch_first=True)
+                    if not isinstance(d, errors.HardySpectralError)]
+            assert len(drawn) == len(want)
+            with mpmath.workdps(60):
+                for ((a, b), energies), (p, a2, b2) in zip(drawn, want):
+                    assert (a, b) == (a2, b2)
+                    energy = mp_energy_fn(mpmath, p.graph)
+                    for (x, y), got in zip(((a, p.zero_set), (b, p.zero_set), (a, b)),
+                                           energies):
+                        exact = energy(x.members, y.members)
+                        assert abs(got - exact) <= 1e-6 * exact, (s, x, y)
+
+    def test_no_false_counterexample_at_ratio_1e16(self):
+        # the pinched graph's solve once failed seeds 38 and 78 on rounding
+        for s in range(100):
+            report = run_suite(stiff_graph(s, 1e16, 1e16), boundary=VertexSet.of([0]), seed=s)
+            rows = [c for c in report.checks if c.name.startswith("ressum_")]
+            assert len(rows) == DEFAULT_SAMPLES
+            assert not [c.name for c in rows if c.relation == "<=" and not c.holds], s

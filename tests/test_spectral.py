@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,30 @@ class TestStiffGraphs:
                 pytest.approx(lam_d, rel=1e-10, abs=0.0)
             assert neumann_eigenvalue(g).eigenvalue == pytest.approx(lam_2, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("masses, edges", [
+        # each once gave a RuntimeWarning: in the mass-weighted dot, the
+        # polish's norm, the eigenvalue's energy and the residual
+        ((1e-160, 1e300, 1e-160, 1e300, 1e20, 1.0),
+         ((0, 1, 1e-300), (0, 3, 1e-300), (0, 5, 1e-20), (1, 2, 1e20), (1, 3, 1.0),
+          (1, 4, 1e-300), (2, 4, 1e-20), (3, 5, 1e20))),
+        ((1e300, 1.0), ((0, 1, 1e-300),)),
+        ((1e160, 1e300, 1e160), ((0, 1, 1.0), (1, 2, 1.0))),
+        ((1e-20, 1e160, 1e-20, 1.0), ((0, 1, 1e300), (0, 2, 1e160), (0, 3, 1e-20),
+                                      (2, 3, 1e-160))),
+        ((1e20, 1e160, 1.0), ((0, 1, 1e300), (0, 2, 1e160))),
+        ((1.0, 1.0), ((0, 1, 1e160),)),
+    ])
+    def test_weights_at_the_ends_of_double_range(self, masses, edges):
+        # every solve gives a finite eigenvalue or a typed error; a
+        # RuntimeWarning is an error under the test settings
+        g = WeightedGraph(masses, edges)
+        for solve in (neumann_eigenvalue, lambda g: dirichlet_eigenvalue(g, VertexSet.of([0]))):
+            try:
+                assert 0.0 < solve(g).eigenvalue < np.inf
+            except errors.HardySpectralError:
+                pass
+        assert len(run_suite(g, boundary=VertexSet.of([0])).checks) > 0
+
     def test_unresolved_fundamental_mode_is_a_typed_error(self):
         # at ratio 1e16 a unit conductance is below the rounding of its
         # stiff neighbours, and the second mode comes out one-signed
@@ -416,14 +442,22 @@ class TestBatchedDirichlet:
         assert sorted(shape[1] for shape in stacks) == sorted(set(sizes))
         assert sum(shape[0] for shape in stacks) == len(sizes)
 
-        # the constructor validates every graph once: a pinch run builds
-        # no graph after the parse
-        validate = graph_module.validate
+        # the constructor validates every graph once: a pinch or ressum run
+        # builds no graph after the parse, and no module calls `pinch`
+        validate, original_pinch, pinched = graph_module.validate, graph_module.pinch, []
         monkeypatch.setattr(graph_module, "validate", lambda g: (built.append(g), validate(g)))
+        for module in [m for name, m in sys.modules.items() if name.startswith("hardy_spectral")]:
+            for key, value in list(vars(module).items()):
+                if value is original_pinch:
+                    monkeypatch.setattr(module, key, lambda *args: (pinched.append(args),
+                                                                   original_pinch(*args))[1])
         path = tmp_path / "g.wgr"
         path.write_text(serialize_wgr(g), encoding="utf-8")
-        assert main(["verify", str(path), "--suite", "pinch", "--seed", "3"]) == 0
-        assert len(built) == 1
+        for suites in ("pinch", "ressum"):
+            built.clear()
+            assert main(["verify", str(path), "--suite", suites, "--seed", "3"]) == 0
+            assert len(built) == 1
+        assert pinched == []
 
 
 class TestPinchRoute:
