@@ -40,7 +40,10 @@ class VertexSet:
 
     @classmethod
     def of(cls, ids: Iterable[int]) -> "VertexSet":
-        return cls(tuple(sorted(set(int(i) for i in ids))))
+        members = tuple(sorted(set(int(i) for i in ids)))
+        if members and members[0] < 0:
+            raise errors.BadRange(f"vertex id {members[0]} is negative; vertex ids are >= 0")
+        return cls(members)
 
     @classmethod
     def from_mask(cls, mask: int) -> "VertexSet":
@@ -146,6 +149,15 @@ class WeightedGraph:
         return u, v, k
 
     @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, in edge order; `validate` builds it."""
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for (u, v, _k) in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
+
+    @cached_property
     def conductance_matrix(self) -> np.ndarray:
         """W, the symmetric matrix of edge conductances (zero diagonal),
         read-only."""
@@ -213,25 +225,27 @@ def components(graph: WeightedGraph,
                vertices: Optional[Iterable[int]] = None) -> list[list[int]]:
     """Connected components of the subgraph induced on `vertices` (default:
     every vertex) as sorted id lists, ordered by smallest member."""
-    keep = range(graph.vertex_count) if vertices is None else sorted(set(vertices))
-    adj: dict[int, list[int]] = {v: [] for v in keep}
-    for (u, v, _k) in graph.edges:
-        if u != v and u in adj and v in adj:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen: set[int] = set()
+    n = graph.vertex_count
+    keep = range(n) if vertices is None else sorted(set(vertices))
+    if keep and not (0 <= keep[0] and keep[-1] < n):
+        raise errors.LengthMismatch(f"vertex ids must lie in 0..{n - 1}")
+    # a vertex outside `keep` counts as seen, so the walk never enters it
+    seen = [True] * n
+    for v in keep:
+        seen[v] = False
+    neighbours = graph.neighbours
     out = []
     for root in keep:
-        if root in seen:
+        if seen[root]:
             continue
         stack, comp = [root], []
-        seen.add(root)
+        seen[root] = True
         while stack:
             x = stack.pop()
             comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
+            for y in neighbours[x]:
+                if not seen[y]:
+                    seen[y] = True
                     stack.append(y)
         out.append(sorted(comp))
     return out

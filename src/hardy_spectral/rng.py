@@ -12,35 +12,83 @@ A zero seed is replaced by a fixed odd constant since xorshift requires a
 nonzero state. Uniform doubles take the top 53 bits of the output, so every
 draw is exactly reproducible from the seed alone, independent of platform
 or library versions. All consumers document the order in which they draw.
+
+The state update is linear over GF(2): the state t steps after s is the
+XOR, over the set bits j of s, of the state t steps after 1 << j. So the
+stream is made a block of BLOCK outputs at a time from a jump table of
+those states (built on the first draw, the one place the recurrence
+runs), and every draw reads the next outputs of the current block.
 """
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
-_MULT = 0x2545F4914F6CDD1D
+_MULT = np.uint64(0x2545F4914F6CDD1D)
 _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
+
+# outputs per block; the jump table is 64 x BLOCK words (128 KB)
+BLOCK = 256
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """(64, BLOCK) uint64, read-only: row j holds the BLOCK states that
+    follow the state 1 << j, in order."""
+    state = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    table = np.empty((64, BLOCK), dtype=np.uint64)
+    for t in range(BLOCK):
+        state ^= state >> np.uint64(12)
+        state ^= state << np.uint64(25)
+        state ^= state >> np.uint64(27)
+        table[:, t] = state
+    table.flags.writeable = False
+    return table
 
 
 class Xorshift64Star:
     """64-bit xorshift* stream. Not cryptographic; statistical quality is
-    ample for test-instance generation."""
+    ample for test-instance generation. A shallow copy is an independent
+    stream at the same point (no array it holds is ever written)."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
-        if self._state == 0:
-            self._state = _ZERO_SEED_REPLACEMENT
+        # the state after the last output made so far, and the outputs made
+        # but not yet read: self._out[self._pos:]
+        self._state = (seed & _MASK64) or _ZERO_SEED_REPLACEMENT
+        self._out = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+
+    def _block(self) -> np.ndarray:
+        """The next BLOCK outputs after self._state, which moves past them."""
+        bits = [j for j in range(64) if self._state >> j & 1]
+        states = np.bitwise_xor.reduce(_jump_table()[bits], axis=0)
+        self._state = int(states[-1])
+        return states * _MULT
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next `count` outputs, as a uint64 array."""
+        short = count - (len(self._out) - self._pos)
+        if short > 0:
+            self._out = np.concatenate(
+                [self._out[self._pos:], *(self._block() for _ in range(-(-short // BLOCK)))])
+            self._pos = 0
+        self._pos += count
+        return self._out[self._pos - count:self._pos]
+
+    def _uniforms(self, count: int) -> np.ndarray:
+        """The next `count` uniform doubles in [0, 1), each the top 53 bits
+        of one output."""
+        return (self._take(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def next_u64(self) -> int:
-        s = self._state
-        s ^= s >> 12
-        s = (s ^ (s << 25)) & _MASK64
-        s ^= s >> 27
-        self._state = s
-        return (s * _MULT) & _MASK64
+        return int(self._take(1)[0])
 
     def uniform(self) -> float:
         """Double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self._uniforms(1)[0])
 
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
@@ -52,24 +100,22 @@ class Xorshift64Star:
         and the mapping stays identical across implementations."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        x = self.next_u64()
-        for _ in range(((n - 1).bit_length() - 1) // 64):
-            x = (x << 64) | self.next_u64()
+        x = 0
+        for word in self._take(max(1, -(-(n - 1).bit_length() // 64))).tolist():
+            x = (x << 64) | word
         return x % n
 
+    def gaussians(self, count: int) -> np.ndarray:
+        """`count` Irwin-Hall values: each the sum of the next 12 uniforms
+        in draw order, minus 6. Mean 0, variance 1, no transcendental
+        functions."""
+        uniforms = self._uniforms(12 * count).reshape(count, 12)
+        # accumulate adds strictly left to right (a reduce may pair terms)
+        return np.add.accumulate(uniforms, axis=1)[:, -1] - 6.0
+
     def gaussian_like(self) -> float:
-        """Irwin-Hall approximation: sum of 12 uniforms minus 6. Mean 0,
-        variance 1, no transcendental functions. The twelve steps of
-        next_u64 and uniform run inline, summed in draw order."""
-        s = self._state
-        total = 0.0
-        for _ in range(12):
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & _MASK64
-            s ^= s >> 27
-            total += (((s * _MULT) & _MASK64) >> 11) * 2.0**-53
-        self._state = s
-        return total - 6.0
+        """One value of `gaussians`."""
+        return float(self.gaussians(1)[0])
 
     def sample_without_replacement(self, population: list[int], k: int) -> list[int]:
         """k distinct elements, drawn by repeated index selection from the

@@ -2,9 +2,12 @@
 graph and report each comparison as a tolerance-aware check.
 
 Suites run one after another on the calling thread, in the fixed order of
-ALL_SUITES. All random draws happen up front from the seeded generator,
-LAPACK is deterministic for a fixed build, and every tie is decided
-within a window, so a report depends only on the inputs and the seed.
+ALL_SUITES. All random draws happen up front from the seeded generator
+(`_draws`): the pinch suite's potentials as one batch of rows, and
+`ressum`'s draws speculatively, pinched with one `zero_crossings` call
+and drawn again from the first draw that fails to pinch. LAPACK is
+deterministic for a fixed build, and every tie is decided within a
+window, so a report depends only on the inputs and the seed.
 No suite builds a pinched graph: both sides of every pinch are posed on
 the graph's own arrays with the rows of `_pinched_rows`, to
 `spectral.ground_modes` by the pinch suite and to
@@ -14,6 +17,7 @@ the graph's own arrays with the rows of `_pinched_rows`, to
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import time
 from typing import Optional
@@ -39,20 +43,23 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 10
 
 
-def _random_mixed_sign_f(rng: Xorshift64Star, n: int) -> list[float]:
-    """Gaussian-like values recentered to mean zero, redrawn in the
-    (practically impossible) event every recentered value has one sign.
-    Raises SignCondition, drawing nothing, for n < 2: one value recentred
-    is exactly 0."""
-    if n < 2:
+def _random_mixed_sign_fs(rng: Xorshift64Star, n: int, count: int) -> np.ndarray:
+    """`count` potentials on n vertices, one per row: `rng.gaussians`
+    recentred to mean zero. A row whose recentred values do not take both
+    strict signs (practically impossible) is dropped and the next row
+    drawn in its place, so the rows are drawn in batches of exactly the
+    rows still needed. Raises SignCondition, drawing nothing, for n < 2
+    and count > 0: one value recentred is exactly 0."""
+    if n < 2 and count:
         raise errors.SignCondition("a potential takes both strict signs only on "
                                    "two or more vertices")
-    while True:
-        f = [rng.gaussian_like() for _ in range(n)]
-        mean = sum(f) / n
-        f = [x - mean for x in f]
-        if any(x > 0.0 for x in f) and any(x < 0.0 for x in f):
-            return f
+    fs = np.empty((0, n))
+    while len(fs) < count:
+        f = rng.gaussians((count - len(fs)) * n).reshape(-1, n)
+        # each row summed strictly left to right, as in `gaussians`
+        f -= np.add.accumulate(f, axis=1)[:, -1:] / n
+        fs = np.concatenate([fs, f[(f > 0.0).any(axis=1) & (f < 0.0).any(axis=1)]])
+    return fs
 
 
 def _random_nonempty_subset(rng: Xorshift64Star, vs: VertexSet) -> VertexSet:
@@ -61,11 +68,55 @@ def _random_nonempty_subset(rng: Xorshift64Star, vs: VertexSet) -> VertexSet:
     return VertexSet.of(members[i] for i in range(len(members)) if (mask >> i) & 1)
 
 
-def _pinched_rows(graph: WeightedGraph, potentials: list) -> tuple:
-    """(f, degree, ground, failed) for pinching at each potential's zero
-    set: the stack f and typed errors of `zero_crossings`, and each
-    vertex's degree and conductance to its side's boundary (ground) on the
-    pinched graph, one row per potential.
+def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple:
+    """All the randomness of a run, from one stream seeded with `seed`:
+    the pinch suite's `samples` potentials if "pinch" is wanted; then, if
+    "ressum" is wanted, per sample a potential f, A from {f < 0} and B
+    from {f > 0}, unless pinching at f's zero set fails, which draws
+    nothing more for that sample. (A and B are the pinched graph's
+    negative and positive sets: its inserted vertices all have the value
+    0.) Raises SignCondition when a draw is needed on fewer than two
+    vertices.
+
+    ressum's draws are made speculatively, as if every pinch succeeds,
+    and pinched with one `zero_crossings` call. At the first draw that
+    fails, the draws before it are kept, its error is recorded, and the
+    stream restarts from a copy taken right after its f; so they take one
+    pass plus one per failure. Returns (pinch potentials as rows, ressum
+    draws in sample order, each (f, A, B) or the pinch's typed error, the
+    `zero_crossings` rows (f, at_u, at_v) of the draws that pinched), the
+    last None unless "ressum" is wanted."""
+    rng = Xorshift64Star(seed)
+    n = graph.vertex_count
+    pinch_fs = _random_mixed_sign_fs(rng, n, samples if "pinch" in wanted else 0)
+    if "ressum" not in wanted:
+        return pinch_fs, [], None
+    draws, kept = [], []
+    todo = samples
+    while True:
+        fs, subsets, after_f = [], [], []
+        for _ in range(todo):
+            [f] = _random_mixed_sign_fs(rng, n, 1)
+            after_f.append(copy.copy(rng))
+            fs.append(f)
+            subsets.append([_random_nonempty_subset(rng, VertexSet.of(np.flatnonzero(side)))
+                            for side in (f < 0.0, f > 0.0)])
+        f, at_u, at_v, failed = zero_crossings(graph, fs)
+        ok = next((i for i, exc in enumerate(failed) if exc is not None), todo)
+        draws += [(f[i], *subsets[i]) for i in range(ok)]
+        kept.append((f[:ok], at_u[:ok], at_v[:ok]))
+        if ok == todo:
+            return pinch_fs, draws, tuple(np.concatenate(rows) for rows in zip(*kept))
+        draws.append(failed[ok])
+        rng, todo = after_f[ok], todo - ok - 1
+
+
+def _pinched_rows(graph: WeightedGraph, f: np.ndarray, at_u: np.ndarray,
+                  at_v: np.ndarray) -> tuple:
+    """(degree, ground) for pinching at each potential's zero set, from
+    the rows (f, at_u, at_v) of `zero_crossings`: each vertex's degree
+    and conductance to its side's boundary (ground) on the pinched graph,
+    one row per potential.
 
     No pinched graph is built: a side, {f < 0} or {f > 0}, holds only
     original vertices, so every side can be posed on `graph` itself with
@@ -73,7 +124,6 @@ def _pinched_rows(graph: WeightedGraph, potentials: list) -> tuple:
     nonnegative terms only: kappa to a neighbour of the same sign (degree
     only), kappa to a zero-valued neighbour, and the segment conductance
     at a crossing edge's end."""
-    f, at_u, at_v, failed = zero_crossings(graph, potentials)
     n = graph.vertex_count
     u, v, k = graph.edge_arrays
     sign = np.sign(f)
@@ -85,7 +135,7 @@ def _pinched_rows(graph: WeightedGraph, potentials: list) -> tuple:
     ends = (np.arange(len(f))[:, None] * n + np.concatenate([u, v])).ravel()
     ground, degree = (np.bincount(ends, terms.ravel(), f.size).reshape(f.shape)
                       for terms in (ground, degree))
-    return f, degree, ground, failed
+    return degree, ground
 
 
 def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
@@ -93,7 +143,8 @@ def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     the two one-sided boundary-pinned eigenvalues, or the typed error of
     the pinch (see `zero_crossings`), else of the negative side, else of
     the positive side, all sides solved in one `ground_modes` call."""
-    f, degree, ground, failed = _pinched_rows(graph, potentials)
+    f, at_u, at_v, failed = zero_crossings(graph, potentials)
+    degree, ground = _pinched_rows(graph, f, at_u, at_v)
     # every potential that pinches poses its negative side, then its positive
     posed = np.array([i for i, exc in enumerate(failed) if exc is None], dtype=np.intp)
     sides = [np.flatnonzero(side).tolist() for i in posed for side in (f[i] < 0.0, f[i] > 0.0)]
@@ -212,22 +263,9 @@ def run_suite(graph: WeightedGraph, *,
 
     # all randomness drawn here, in a fixed order; a graph too small for
     # any draw fails the suites that need one
-    rng = Xorshift64Star(seed)
-    pinch_fs = []
-    ressum_draws = []
     no_draws = None
     try:
-        if "pinch" in wanted:
-            pinch_fs = [_random_mixed_sign_f(rng, graph.vertex_count)
-                        for _ in range(samples)]
-        if "ressum" in wanted:
-            for _ in range(samples):
-                # A from {f < 0}, then B from {f > 0}, unless the pinch fails
-                f = np.array(_random_mixed_sign_f(rng, graph.vertex_count))
-                [failed] = zero_crossings(graph, [f])[3]
-                ressum_draws.append(failed if failed is not None else (f, *(
-                    _random_nonempty_subset(rng, VertexSet.of(np.flatnonzero(side)))
-                    for side in (f < 0.0, f > 0.0))))
+        pinch_fs, ressum_draws, ressum_rows = _draws(graph, wanted, samples, seed)
     except errors.SignCondition as exc:
         no_draws = exc
 
@@ -267,7 +305,7 @@ def run_suite(graph: WeightedGraph, *,
             raise no_draws
         mode = q.get("lambda2")
         lambda2 = mode.eigenvalue
-        worst = _worst_sides(graph, [quantize_zeros(mode.eigenvector)] + pinch_fs)
+        worst = _worst_sides(graph, [quantize_zeros(mode.eigenvector), *pinch_fs])
         for i, worst_side in enumerate(worst):
             name = f"pinch_random_{i:02d}" if i else "pinch_eigenvector"
             if isinstance(worst_side, errors.HardySpectralError):
@@ -281,10 +319,10 @@ def run_suite(graph: WeightedGraph, *,
         if no_draws is not None:
             raise no_draws
         drawn = [d for d in ressum_draws if not isinstance(d, errors.HardySpectralError)]
-        f, degree, ground, _ = _pinched_rows(graph, [f for f, _, _ in drawn])
+        degree, ground = _pinched_rows(graph, *ressum_rows)
         # 1/R(X, Z) on X's side; R(A, B) is the parent's (series law)
         held = [x for _, a, b in drawn for x in (a, b)]
-        sides = [side for row in f for side in (row < 0.0, row > 0.0)]
+        sides = [side for f, _, _ in drawn for side in (f < 0.0, f > 0.0)]
         to_zero = iter(pinned_energies(
             graph, held, [[v for v in np.flatnonzero(side).tolist() if v not in x.members]
                           for x, side in zip(held, sides)],

@@ -41,6 +41,12 @@ class TestVertexSet:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("mask -1 is negative")
 
+    @pytest.mark.parametrize("ids", [[-1], [3, -2, 5], np.array([0, -7])])
+    def test_negative_id_is_a_typed_error(self, ids):
+        # canonical_key and isdisjoint would raise a bare "negative shift count"
+        with pytest.raises(errors.BadRange, match="is negative"):
+            VertexSet.of(ids)
+
     def test_complement(self):
         assert VertexSet.of([1]).complement(3).members == (0, 2)
 
@@ -49,6 +55,47 @@ class TestVertexSet:
         assert a.isdisjoint(b)
         assert a.union(b).members == (0, 1, 2)
         assert not a.isdisjoint(VertexSet.of([1]))
+
+
+def scanned_components(graph, vertices):
+    """Components of the induced subgraph by one scan of every edge, then
+    a walk from each vertex in id order."""
+    adj = {v: [] for v in sorted(set(vertices))}
+    for u, v, _k in graph.edges:
+        if u in adj and v in adj:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen, out = set(), []
+    for root in adj:
+        if root not in seen:
+            seen.add(root)
+            stack, comp = [root], []
+            while stack:
+                comp.append(x := stack.pop())
+                fresh = [y for y in adj[x] if y not in seen]
+                seen.update(fresh)
+                stack += fresh
+            out.append(sorted(comp))
+    return out
+
+
+class TestComponents:
+    def test_matches_an_edge_scan(self):
+        rng = Xorshift64Star(19)
+        for i in range(30):
+            g = corpus_graph(i)
+            n = g.vertex_count
+            assert components(g) == scanned_components(g, range(n)) == [list(range(n))]
+            for _ in range(10):
+                # a random subset, with repeats, in no particular order
+                vertices = [rng.below(n) for _ in range(rng.below(2 * n))]
+                assert components(g, vertices) == scanned_components(g, vertices)
+
+    @pytest.mark.parametrize("vertices", [[-1, 0], [0, 3]])
+    def test_ids_outside_the_graph(self, vertices):
+        g = path_graph([1.0] * 3, [1.0, 1.0])
+        with pytest.raises(errors.LengthMismatch):
+            components(g, vertices)
 
 
 class TestValidate:

@@ -1,12 +1,13 @@
+import numpy as np
 import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, contract,
                             effective_resistance, path_graph, pinch, run_suite,
                             split_edge, suite)
 from hardy_spectral import errors
+from hardy_spectral.graph import zero_crossings
 from hardy_spectral.rng import Xorshift64Star
-from hardy_spectral.suite import (DEFAULT_SAMPLES, _random_mixed_sign_f,
-                                  _random_nonempty_subset)
+from hardy_spectral.suite import DEFAULT_SAMPLES, _draws, _random_nonempty_subset
 
 from conftest import corpus_graph, resistance_via_pseudoinverse, stiff_graph
 from test_energy_kernel import mp_energy_fn
@@ -73,9 +74,10 @@ class TestErrors:
 
     @pytest.mark.parametrize("ids", [[-1], [3], [0, 7]])
     def test_out_of_range_id(self, p3, ids):
-        # the range check comes first: a negative id never reaches the
-        # bitmask of the overlap check (1 << -1 is a bare ValueError)
-        with pytest.raises(errors.LengthMismatch):
+        # a negative id is refused when the set is built, an id past the
+        # last vertex by the range check, which comes before the bitmask
+        # of the overlap check
+        with pytest.raises(errors.BadRange if min(ids) < 0 else errors.LengthMismatch):
             effective_resistance(p3, VertexSet.of(ids), VertexSet.of([1]))
 
 
@@ -179,18 +181,32 @@ def test_series_parallel_reduction_matches_closed_form():
         assert r == pytest.approx(expected, rel=1e-10)
 
 
+def sequential_mixed_sign_f(rng, n):
+    """One potential drawn one value at a time: gaussian-like values
+    recentred to mean zero, redrawn until both strict signs appear."""
+    while True:
+        f = [rng.gaussian_like() for _ in range(n)]
+        mean = 0.0
+        for x in f:
+            mean += x
+        mean /= n
+        f = [x - mean for x in f]
+        if any(x > 0.0 for x in f) and any(x < 0.0 for x in f):
+            return f
+
+
 def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES):
-    """The ressum draws of `run_suite`, made with `pinch`: per sample the
-    pinched graph, A from its negative set and B from its positive set, or
-    the pinch's typed error. With `pinch_first`, the pinch suite's
-    potentials are drawn first, as when both suites run."""
+    """The draws of `run_suite`, one at a time, made with `pinch`: the
+    pinch suite's potentials if `pinch_first` (as when both suites run),
+    then per ressum sample the pinched graph, A from its negative set and
+    B from its positive set, or the pinch's typed error. Returns
+    (pinch potentials, ressum draws)."""
     rng = Xorshift64Star(seed)
-    if pinch_first:
-        for _ in range(samples):
-            _random_mixed_sign_f(rng, graph.vertex_count)
+    n = graph.vertex_count
+    pinch_fs = [sequential_mixed_sign_f(rng, n) for _ in range(samples if pinch_first else 0)]
     draws = []
     for _ in range(samples):
-        f = _random_mixed_sign_f(rng, graph.vertex_count)
+        f = sequential_mixed_sign_f(rng, n)
         try:
             p = pinch(graph, f)
         except errors.HardySpectralError as exc:
@@ -198,7 +214,7 @@ def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES):
             continue
         draws.append((p, _random_nonempty_subset(rng, p.negative_set),
                       _random_nonempty_subset(rng, p.positive_set)))
-    return draws
+    return pinch_fs, draws
 
 
 @pytest.fixture
@@ -250,7 +266,7 @@ class TestRessumRoute:
 
     def assert_agree(self, ressum_run, graph, seed):
         report, drawn = ressum_run(graph, suites=["ressum"], seed=seed)
-        want = reference_draws(graph, seed)
+        _, want = reference_draws(graph, seed)
         rows = [c for c in report.checks if c.name.startswith("ressum_")]
         assert len(rows) == len(want) == DEFAULT_SAMPLES
         posed = iter(drawn)
@@ -288,7 +304,7 @@ class TestStiffRessum:
         for s in range(20):
             g = stiff_graph(s, ratio, ratio)
             _, drawn = ressum_run(g, boundary=VertexSet.of([0]), seed=s)
-            want = [d for d in reference_draws(g, s, pinch_first=True)
+            want = [d for d in reference_draws(g, s, pinch_first=True)[1]
                     if not isinstance(d, errors.HardySpectralError)]
             assert len(drawn) == len(want)
             with mpmath.workdps(60):
@@ -307,3 +323,77 @@ class TestStiffRessum:
             rows = [c for c in report.checks if c.name.startswith("ressum_")]
             assert len(rows) == DEFAULT_SAMPLES
             assert not [c.name for c in rows if c.relation == "<=" and not c.holds], s
+
+
+class TestDraws:
+    """`_draws` batches the pinch suite's potentials and pinches `ressum`'s
+    draws speculatively; every potential, set and error must be the one
+    the one-at-a-time reference draws, bit for bit."""
+
+    def assert_same(self, graph, seed, samples=DEFAULT_SAMPLES):
+        pinch_fs, ressum, (f, at_u, at_v) = _draws(graph, ["pinch", "ressum"], samples, seed)
+        want_fs, want = reference_draws(graph, seed, pinch_first=True, samples=samples)
+        assert pinch_fs.shape == (samples, graph.vertex_count)
+        assert pinch_fs.tobytes() == np.array(want_fs, dtype=float).tobytes()
+        assert len(ressum) == len(want) == samples
+        pinched = []
+        for got, draw in zip(ressum, want):
+            if isinstance(draw, errors.HardySpectralError):
+                assert type(got) is type(draw) and str(got) == str(draw)
+                continue
+            p, a, b = draw
+            row, got_a, got_b = got
+            assert row.tobytes() == np.array(p.f_extended[:graph.vertex_count]).tobytes()
+            assert (got_a, got_b) == (a, b)
+            pinched.append(row)
+        # the zero_crossings rows of the draws that pinched, in order
+        want_rows = zero_crossings(graph, pinched)
+        assert f.shape == (len(pinched), graph.vertex_count)
+        for got_rows, want_rows in zip((f, at_u, at_v), want_rows):
+            assert got_rows.tobytes() == want_rows.tobytes()
+        return ressum
+
+    def test_corpus_graphs(self):
+        for i in range(30):
+            self.assert_same(corpus_graph(i), seed=800 + i)
+
+    def test_failed_pinches_draw_again_from_the_failure(self):
+        # a crossing of the 1.7e308 edge overflows a segment conductance,
+        # so exactly the draws whose f changes sign across it fail
+        g = path_graph([1.0] * 6, [1.0, 1.0, 1.7e308, 1.0, 1.0])
+        failures = 0
+        for seed in range(10):
+            for draw in self.assert_same(g, seed):
+                crosses = isinstance(draw, errors.SignCondition)
+                if not crosses:
+                    f = draw[0]
+                    assert f[2] * f[3] >= 0.0
+                failures += crosses
+        assert 10 <= failures <= 90
+
+    def test_every_pinch_failing(self):
+        parent = corpus_graph(4)
+        g = split_edge(parent, parent.edges[0][:2], [0.25, 0.75])
+        ressum = self.assert_same(g, seed=5)
+        assert all(isinstance(d, errors.ZeroMass) for d in ressum)
+
+    def test_no_samples(self):
+        g = corpus_graph(0)
+        pinch_fs, ressum, rows = _draws(g, ["pinch", "ressum"], 0, 3)
+        assert pinch_fs.shape == (0, g.vertex_count) and ressum == []
+        assert [r.shape for r in rows] == [(0, g.vertex_count), (0, g.edge_count),
+                                           (0, g.edge_count)]
+        assert _draws(WeightedGraph((1.0,), ()), ["pinch", "ressum"], 0, 3)[1] == []
+
+    @pytest.mark.parametrize("wanted", [["pinch"], ["ressum"], ["pinch", "ressum"]])
+    def test_one_vertex_draws_nothing(self, wanted):
+        with pytest.raises(errors.SignCondition):
+            _draws(WeightedGraph((1.0,), ()), wanted, 1, 3)
+
+    def test_only_the_wanted_suites_draw(self):
+        g = corpus_graph(1)
+        pinch_fs, ressum, rows = _draws(g, ["pinch"], 4, 9)
+        assert len(pinch_fs) == 4 and ressum == [] and rows is None
+        _, ressum, _ = _draws(g, ["ressum"], 4, 9)
+        _, want = reference_draws(g, 9, samples=4)
+        assert [(a, b) for _, a, b in ressum] == [(a, b) for _, a, b in want]

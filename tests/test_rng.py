@@ -1,6 +1,35 @@
+import copy
+
+import pytest
+
 from hardy_spectral import VertexSet
-from hardy_spectral.rng import Xorshift64Star
+from hardy_spectral.rng import BLOCK, Xorshift64Star
 from hardy_spectral.suite import _random_nonempty_subset
+
+
+class ReferenceXorshift:
+    """xorshift64* one step at a time on Python integers, the definition
+    the blocked stream must reproduce."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64 or 0x9E3779B97F4A7C15
+
+    def next_u64(self):
+        s = self.state
+        s ^= s >> 12
+        s ^= (s << 25) % 2**64
+        s ^= s >> 27
+        self.state = s
+        return s * 0x2545F4914F6CDD1D % 2**64
+
+    def uniform(self):
+        return (self.next_u64() >> 11) / 2**53
+
+    def gaussian(self):
+        total = 0.0
+        for _ in range(12):
+            total += self.uniform()
+        return total - 6.0
 
 # the first draws of gaussian_like, pinned as exact doubles: the verification
 # suites' random potentials come from this stream, so any change to it
@@ -57,3 +86,46 @@ def test_below_reaches_past_two_to_the_64():
     for _ in range(200):
         seen |= set(_random_nonempty_subset(rng, side).members)
     assert seen == set(range(100))
+
+
+SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("count", (1, BLOCK - 1, BLOCK, BLOCK + 1, 1000))
+def test_stream_matches_reference_across_block_edges(seed, count):
+    rng, ref = Xorshift64Star(seed), ReferenceXorshift(seed)
+    # a first draw of `count` outputs, then single draws across the next edge
+    assert rng._take(count).tolist() == [ref.next_u64() for _ in range(count)]
+    assert [rng.next_u64() for _ in range(BLOCK + 2)] == [ref.next_u64() for _ in range(BLOCK + 2)]
+    assert rng.gaussians(count).tolist() == [ref.gaussian() for _ in range(count)]
+    assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_interleaved_draws_match_reference(seed):
+    rng, ref = Xorshift64Star(seed), ReferenceXorshift(seed)
+    for i in range(300):
+        kind = i % 5
+        if kind == 0:
+            assert rng.uniform() == ref.uniform()
+        elif kind == 1:
+            count = (7 * i) % 40
+            assert rng.gaussians(count).tolist() == [ref.gaussian() for _ in range(count)]
+        elif kind == 2:
+            assert rng.gaussian_like() == ref.gaussian()
+        else:
+            # one, two and three words, most significant first
+            n = (2**63 + 3, 2**100 + 7, 2**150 - 1)[i % 3]
+            x = 0
+            for _ in range(-(-(n - 1).bit_length() // 64)):
+                x = (x << 64) | ref.next_u64()
+            assert rng.below(n) == x % n
+
+
+def test_copy_is_an_independent_stream():
+    rng = Xorshift64Star(5)
+    rng.gaussians(30)
+    twin = copy.copy(rng)
+    first = [rng.next_u64() for _ in range(2 * BLOCK)]
+    assert [twin.next_u64() for _ in range(2 * BLOCK)] == first

@@ -11,7 +11,7 @@ from hardy_spectral import graph as graph_module
 from hardy_spectral.cli import main
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
-from hardy_spectral.suite import _random_mixed_sign_f, _worst_sides
+from hardy_spectral.suite import _random_mixed_sign_fs, _worst_sides
 from hardy_spectral.wgr import serialize_wgr
 
 from conftest import corpus_boundary, corpus_graph, random_vector, stiff_graph
@@ -399,7 +399,7 @@ class TestBatchedDirichlet:
         graphs = [corpus_graph(i) for i in range(30)]
         graphs += [stiff_graph(seed, 1e9, 1e9) for seed in range(20)]
         for g in graphs:
-            fs = [_random_mixed_sign_f(rng, g.vertex_count) for _ in range(5)]
+            fs = list(_random_mixed_sign_fs(rng, g.vertex_count, 5))
             fs.append(quantize_zeros(neumann_eigenvalue(g).eigenvector))
             batch = _worst_sides(g, fs)
             assert len(batch) == len(fs)
@@ -494,7 +494,7 @@ class TestPinchRoute:
             g = corpus_graph(i)
             n = g.vertex_count
             fs = [quantize_zeros(neumann_eigenvalue(g).eigenvector)]
-            fs += [_random_mixed_sign_f(rng, n) for _ in range(10)]
+            fs += list(_random_mixed_sign_fs(rng, n, 10))
             # exact zeros: a vertex on the zero set grounds its neighbours
             fs += [[0.0 if v == i % n else x for v, x in enumerate(fs[-1])]]
             zeros += sum(x == 0.0 for f in fs for x in f)
