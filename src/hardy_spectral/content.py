@@ -18,10 +18,13 @@ share its eliminations, and every step only adds nonnegative terms
 nothing cancels. The walk is depth first over stacks of partial networks,
 each level one vectorised step for the whole stack; a stack is cut in
 half while its children would exceed CHUNK_ENTRIES numbers, keeping only
-a running minimum. The isoperimetric constant needs no energy: one table
-holds the cut of every mask, grown one vertex at a time by adding
-conductances, another the mass of every mask, and the masks of A are
-scored against both in chunks of the same bound.
+a running minimum. The level-set sweep eliminates the same way, along
+one path per set A: in the potential's order every A is a prefix and
+every B a suffix, so one pass reads the energies of all of A's pairs.
+The isoperimetric constant needs no energy: one table holds the cut of
+every mask, grown one vertex at a time by adding conductances, another
+the mass of every mask, and the masks of A are scored against both in
+chunks of the same bound.
 
 Ties are decided by the canonical keys (A's, then B's), never by the
 order of the arithmetic: every ratio within the relative window TIE_RTOL
@@ -42,7 +45,6 @@ from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, interior_of,
                     is_canonical_path, path_graph, require_both_signs,
                     require_positive_mass)
-from .resistance import pair_energies
 from .spectral import TIE_RTOL
 
 DIRICHLET_ENUM_LIMIT = 20
@@ -366,30 +368,74 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     t- < 0 <= t+, score the pair A = {x <= t-}, B = {x >= t+} and keep the
     best, with the same tie rule as the exact enumeration. Never below the
     exact value, often equal to it when x is the fundamental mode.
+
+    In x order (a stable sort) every A is a prefix and every B a suffix.
+    One network per A, stacked last as in _branch, holds A merged into a
+    terminal alpha; the vertices after A are Kron-eliminated in x order
+    (d_j a sum, so nothing cancels), and before the first vertex of each
+    nonnegative level the energy 1/R(A, B) is the sum, in row order, of
+    alpha's reduced conductances to the vertices left, which are B. The
+    stack is cut under CHUNK_ENTRIES numbers, and a chunk starts with
+    alpha holding the vertices every one of its A's holds, summed in the
+    same order as the merges, so no cut changes a bit.
     """
     x = as_potential(graph, x)
     require_both_signs(x)
-    values = sorted(set(float(v) for v in x))
-    a_sets = [VertexSet.of(np.flatnonzero(x <= t)) for t in values if t < 0.0]
-    b_sets = [VertexSet.of(np.flatnonzero(x >= t)) for t in values if t >= 0.0]
-
-    energies = pair_energies(graph, [(a, b) for a in a_sets for b in b_sets])
-    failed = errors.first_error(energies)
-    if failed is not None:
-        raise failed
-    mu_a = np.array([graph.mass_of(a) for a in a_sets])
-    mu_b = np.array([graph.mass_of(b) for b in b_sets])
-    ratios = (1.0 / mu_a[:, None] + 1.0 / mu_b[None, :]) * np.reshape(energies, (len(a_sets), -1))
-    # A's sets grow and B's shrink along `values`, so their canonical keys
-    # rise and fall with the index; a pair's key is its rank in the order
-    # of (A's key, B's key)
-    nb = len(b_sets)
-    ranks = np.arange(len(a_sets))[:, None] * nb + np.arange(nb - 1, -1, -1)
+    n = graph.vertex_count
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    na = int(np.count_nonzero(xs[starts] < 0.0))
+    # A_i is order[:a_size[i]], B_j is order[b_start[j]:]; B_0 follows the last A
+    a_size, b_start = starts[1:na + 1], starts[na:]
+    w = graph.conductance_matrix[order[:, None], order]
+    nb = len(b_start)
+    level_at = {p: j for j, p in enumerate(b_start.tolist())}
+    energies = np.empty((na, nb))
+    lo = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < na:
+            first = int(a_size[lo])  # in every A of the chunk
+            k = n - first + 1  # the vertices after it, then alpha
+            hi = min(na, lo + max(1, CHUNK_ENTRIES // (k * k)))
+            net = np.zeros((k, k, hi - lo))
+            net[:-1, :-1] = w[first:, first:, None]
+            net[-1, :-1] = net[:-1, -1] = np.add.accumulate(w[:first, first:])[-1][:, None]
+            # at vertex p the first e networks eliminate it (their A ends
+            # before p) and the others merge it into alpha
+            eliminating = np.searchsorted(a_size[lo:hi], np.arange(first, n), side="right")
+            for at, e in enumerate(eliminating.tolist()):
+                j = level_at.get(first + at)
+                if j is not None:
+                    energies[lo:hi, j] = np.add.accumulate(net[-1, at:-1])[-1]
+                    if j == nb - 1:
+                        break
+                r, rest = net[at, at + 1:], net[at + 1:, at + 1:]
+                if e < hi - lo:
+                    rest[-1, :, e:] += r[:, e:]
+                    rest[:, -1, e:] += r[:, e:]
+                if e:
+                    r = r[:, :e]
+                    # divided before the product, which then cannot
+                    # overflow unless a conductance left already does
+                    rest[:, :, :e] += (r / np.add.accumulate(r)[-1])[:, None] * r[None, :]
+            lo = hi
+    if not np.isfinite(energies).all():
+        raise errors.NotRepresentable("a reduced conductance overflowed in double precision")
+    mass = graph.mass_vector[order]
+    mu_a = np.cumsum(mass)[a_size - 1]
+    mu_b = np.cumsum(mass[::-1])[::-1][b_start]
+    ratios = (1.0 / mu_a[:, None] + 1.0 / mu_b[None, :]) * energies
+    # A's sets grow and B's shrink along x, so their canonical keys rise
+    # and fall with the index; a pair's key is its rank in the order of
+    # (A's key, B's key)
+    ranks = np.arange(na)[:, None] * nb + np.arange(nb - 1, -1, -1)
     best = _RunningMin()
     best.offer(ratios.ravel(), ranks.ravel())
     value, rank = best.winner  # x takes both signs, so a pair came
     i, j = divmod(rank, nb)
-    return ContentResult(value=value, witness_a=a_sets[i], witness_b=b_sets[nb - 1 - j],
+    return ContentResult(value=value, witness_a=VertexSet.of(order[:a_size[i]]),
+                         witness_b=VertexSet.of(order[b_start[nb - 1 - j]:]),
                          method=SWEEP_HEURISTIC)
 
 

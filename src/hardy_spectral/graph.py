@@ -496,20 +496,27 @@ def zero_crossings(graph: WeightedGraph, potentials: Iterable) -> tuple[
     Returns the potentials as a stack f (p, n); the conductances (p, E) of
     the segment at each edge's u end and at its v end, exactly zero where
     the edge does not cross; and per potential None or the typed error
-    `pinch` raises, checked in its order: the shape (the row of f is then
-    zero), the masses, both strict signs, and the first crossing in edge
-    order that doubles cannot resolve (alpha not strictly inside (0, 1),
-    or a segment conductance that overflows).
+    `pinch` raises, checked in its order: the shape and finiteness (the
+    row of f is then zero), the masses (checked once for all), both
+    strict signs, and the first crossing in edge order that doubles cannot
+    resolve (alpha not strictly inside (0, 1), or a segment conductance
+    that overflows).
     """
     n = graph.vertex_count
     potentials = list(potentials)
     f = np.zeros((len(potentials), n))
     failed: list[Optional[errors.HardySpectralError]] = [None] * len(potentials)
+    try:
+        require_positive_mass(graph)
+        massless = None
+    except errors.ZeroMass as exc:
+        massless = exc
     for i, x in enumerate(potentials):
         try:
             f[i] = as_potential(graph, x)
-            require_positive_mass(graph)
-            require_both_signs(f[i])
+            failed[i] = massless
+            if massless is None:
+                require_both_signs(f[i])
         except errors.HardySpectralError as exc:
             failed[i] = exc
 

@@ -29,6 +29,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MULT = np.uint64(0x2545F4914F6CDD1D)
 _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
+_SHIFTS = np.arange(64, dtype=np.uint64)
 
 # outputs per block; the jump table is 64 x BLOCK words (128 KB)
 BLOCK = 256
@@ -49,6 +50,19 @@ def _jump_table() -> np.ndarray:
     return table
 
 
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniform doubles in [0, 1), each the top 53 bits of one output."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def irwin_hall(words: np.ndarray) -> np.ndarray:
+    """One value per 12 outputs along the last axis: the sum of their
+    uniforms in order, minus 6. Mean 0, variance 1, no transcendental
+    functions."""
+    # accumulate adds strictly left to right (a reduce may pair terms)
+    return np.add.accumulate(_uniforms(words), axis=-1)[..., -1] - 6.0
+
+
 class Xorshift64Star:
     """64-bit xorshift* stream. Not cryptographic; statistical quality is
     ample for test-instance generation. A shallow copy is an independent
@@ -63,8 +77,8 @@ class Xorshift64Star:
 
     def _block(self) -> np.ndarray:
         """The next BLOCK outputs after self._state, which moves past them."""
-        bits = [j for j in range(64) if self._state >> j & 1]
-        states = np.bitwise_xor.reduce(_jump_table()[bits], axis=0)
+        bits = np.uint64(self._state) >> _SHIFTS & np.uint64(1)
+        states = np.bitwise_xor.reduce(_jump_table()[bits.astype(bool)], axis=0)
         self._state = int(states[-1])
         return states * _MULT
 
@@ -78,17 +92,23 @@ class Xorshift64Star:
         self._pos += count
         return self._out[self._pos - count:self._pos]
 
-    def _uniforms(self, count: int) -> np.ndarray:
-        """The next `count` uniform doubles in [0, 1), each the top 53 bits
-        of one output."""
-        return (self._take(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    def peek(self, count: int) -> np.ndarray:
+        """The next `count` outputs, as a uint64 array not to be written,
+        left unread."""
+        out = self._take(count)
+        self._pos -= count
+        return out
+
+    def skip(self, count: int) -> None:
+        """Read past the next `count` outputs."""
+        self._take(count)
 
     def next_u64(self) -> int:
         return int(self._take(1)[0])
 
     def uniform(self) -> float:
         """Double in [0, 1) from the top 53 bits."""
-        return float(self._uniforms(1)[0])
+        return float(_uniforms(self._take(1))[0])
 
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
@@ -106,12 +126,9 @@ class Xorshift64Star:
         return x % n
 
     def gaussians(self, count: int) -> np.ndarray:
-        """`count` Irwin-Hall values: each the sum of the next 12 uniforms
-        in draw order, minus 6. Mean 0, variance 1, no transcendental
-        functions."""
-        uniforms = self._uniforms(12 * count).reshape(count, 12)
-        # accumulate adds strictly left to right (a reduce may pair terms)
-        return np.add.accumulate(uniforms, axis=1)[:, -1] - 6.0
+        """`count` Irwin-Hall values, each from the next 12 outputs (see
+        `irwin_hall`)."""
+        return irwin_hall(self._take(12 * count).reshape(count, 12))
 
     def gaussian_like(self) -> float:
         """One value of `gaussians`."""

@@ -5,7 +5,8 @@ Suites run one after another on the calling thread, in the fixed order of
 ALL_SUITES. All random draws happen up front from the seeded generator
 (`_draws`): the pinch suite's potentials as one batch of rows, and
 `ressum`'s draws speculatively, pinched with one `zero_crossings` call
-and drawn again from the first draw that fails to pinch. LAPACK is
+per pass and drawn again after the first that fails to pinch (a pass is
+one batch of array operations while every side fits one word). LAPACK is
 deterministic for a fixed build, and every tie is decided within a
 window, so a report depends only on the inputs and the seed.
 No suite builds a pinched graph: both sides of every pinch are posed on
@@ -29,11 +30,12 @@ from ._version import __version__
 from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
-from .graph import VertexSet, WeightedGraph, quantize_zeros, zero_crossings
+from .graph import (VertexSet, WeightedGraph, quantize_zeros, require_positive_mass,
+                    zero_crossings)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
 from .resistance import pair_energies, pinned_energies
-from .rng import Xorshift64Star
+from .rng import Xorshift64Star, irwin_hall
 from .spectral import (SpectralResult, dirichlet_eigenvalue, ground_modes,
                        neumann_eigenvalue)
 
@@ -43,21 +45,31 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 10
 
 
+def _require_two_vertices(n: int, count: int) -> None:
+    """Raise SignCondition if `count` potentials are wanted on n < 2
+    vertices: one value recentred is exactly 0."""
+    if n < 2 and count:
+        raise errors.SignCondition("a potential takes both strict signs only on "
+                                   "two or more vertices")
+
+
+def _recentred(f: np.ndarray) -> np.ndarray:
+    """Each row minus its mean, summed strictly left to right as in
+    `rng.irwin_hall`."""
+    return f - np.add.accumulate(f, axis=1)[:, -1:] / f.shape[1]
+
+
 def _random_mixed_sign_fs(rng: Xorshift64Star, n: int, count: int) -> np.ndarray:
     """`count` potentials on n vertices, one per row: `rng.gaussians`
     recentred to mean zero. A row whose recentred values do not take both
     strict signs (practically impossible) is dropped and the next row
     drawn in its place, so the rows are drawn in batches of exactly the
     rows still needed. Raises SignCondition, drawing nothing, for n < 2
-    and count > 0: one value recentred is exactly 0."""
-    if n < 2 and count:
-        raise errors.SignCondition("a potential takes both strict signs only on "
-                                   "two or more vertices")
+    and count > 0."""
+    _require_two_vertices(n, count)
     fs = np.empty((0, n))
     while len(fs) < count:
-        f = rng.gaussians((count - len(fs)) * n).reshape(-1, n)
-        # each row summed strictly left to right, as in `gaussians`
-        f -= np.add.accumulate(f, axis=1)[:, -1:] / n
+        f = _recentred(rng.gaussians((count - len(fs)) * n).reshape(-1, n))
         fs = np.concatenate([fs, f[(f > 0.0).any(axis=1) & (f < 0.0).any(axis=1)]])
     return fs
 
@@ -68,6 +80,17 @@ def _random_nonempty_subset(rng: Xorshift64Star, vs: VertexSet) -> VertexSet:
     return VertexSet.of(members[i] for i in range(len(members)) if (mask >> i) & 1)
 
 
+def _nonempty_subsets(sides: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """What `_random_nonempty_subset` draws from each side (a boolean row
+    over the vertices, of 1 to 64 members) when `below` reads the word at
+    the same place in `words`: bit i of 1 + word % (2^s - 1), s the side's
+    size, picks the side's i-th smallest vertex."""
+    size = sides.sum(axis=-1).astype(np.uint64)
+    mask = np.uint64(1) + words % (np.uint64(0xFFFFFFFFFFFFFFFF) >> (np.uint64(64) - size))
+    rank = np.maximum(np.cumsum(sides, axis=-1) - 1, 0).astype(np.uint64)
+    return sides & (mask[..., None] >> rank & np.uint64(1) == 1)
+
+
 def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple:
     """All the randomness of a run, from one stream seeded with `seed`:
     the pinch suite's `samples` potentials if "pinch" is wanted; then, if
@@ -76,24 +99,59 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
     nothing more for that sample. (A and B are the pinched graph's
     negative and positive sets: its inserted vertices all have the value
     0.) Raises SignCondition when a draw is needed on fewer than two
-    vertices.
+    vertices. On a graph with a zero-mass vertex every pinch fails, with
+    the same ZeroMass whatever f is, so `ressum` draws nothing.
 
     ressum's draws are made speculatively, as if every pinch succeeds,
-    and pinched with one `zero_crossings` call. At the first draw that
-    fails, the draws before it are kept, its error is recorded, and the
-    stream restarts from a copy taken right after its f; so they take one
-    pass plus one per failure. Returns (pinch potentials as rows, ressum
-    draws in sample order, each (f, A, B) or the pinch's typed error, the
-    `zero_crossings` rows (f, at_u, at_v) of the draws that pinched), the
-    last None unless "ressum" is wanted."""
+    and pinched with one `zero_crossings` call per pass; the samples
+    before the first one that fails to pinch are kept, its error is
+    recorded, and the next pass starts right after its f, so the draws
+    take one pass plus one per failure. While f takes both signs and each
+    side has at most 64 vertices, a sample reads 12n outputs for f, then
+    one word per side, exactly what the scalar calls read, so a pass is a
+    batch of array operations on outputs peeked at that stride. From the
+    first sample that breaks this layout on, the rest are drawn with the
+    scalar calls, the stream restarting from a copy taken after the
+    failing f. Every draw is bit-identical to the scalar ones. Returns
+    (pinch potentials as rows, ressum draws in sample order, each (f, A,
+    B) or the pinch's typed error, the `zero_crossings` rows (f, at_u,
+    at_v) of the draws that pinched), the last None unless "ressum" is
+    wanted."""
     rng = Xorshift64Star(seed)
     n = graph.vertex_count
     pinch_fs = _random_mixed_sign_fs(rng, n, samples if "pinch" in wanted else 0)
     if "ressum" not in wanted:
         return pinch_fs, [], None
-    draws, kept = [], []
-    todo = samples
-    while True:
+    _require_two_vertices(n, samples)
+    draws, m = [], graph.edge_count
+    kept = [(np.empty((0, n)), np.empty((0, m)), np.empty((0, m)))]
+    try:
+        require_positive_mass(graph)
+    except errors.ZeroMass as exc:
+        draws = [exc] * samples
+    width = 12 * n + 2
+    while len(draws) < samples:
+        todo = samples - len(draws)
+        words = rng.peek(todo * width).reshape(todo, width)
+        f = _recentred(irwin_hall(words[:, :-2].reshape(todo, n, 12)))
+        sides = np.stack([f < 0.0, f > 0.0], axis=1)
+        fits = (sides.any(axis=2) & (sides.sum(axis=2) <= 64)).all(axis=1)
+        broken = todo if fits.all() else int(np.argmin(fits))
+        if not broken:
+            break
+        f, at_u, at_v, failed = zero_crossings(graph, f[:broken])
+        ok = next((i for i, exc in enumerate(failed) if exc is not None), broken)
+        subsets = _nonempty_subsets(sides[:ok], words[:ok, -2:])
+        draws += [(f[i], *(VertexSet(tuple(np.flatnonzero(side).tolist())) for side in subsets[i]))
+                  for i in range(ok)]
+        kept.append((f[:ok], at_u[:ok], at_v[:ok]))
+        if ok == broken:
+            rng.skip(ok * width)
+            break
+        rng.skip(ok * width + 12 * n)  # the pinch failed after f was drawn
+        draws.append(failed[ok])
+    todo = samples - len(draws)
+    while todo:
         fs, subsets, after_f = [], [], []
         for _ in range(todo):
             [f] = _random_mixed_sign_fs(rng, n, 1)
@@ -106,9 +164,10 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
         draws += [(f[i], *subsets[i]) for i in range(ok)]
         kept.append((f[:ok], at_u[:ok], at_v[:ok]))
         if ok == todo:
-            return pinch_fs, draws, tuple(np.concatenate(rows) for rows in zip(*kept))
+            break
         draws.append(failed[ok])
         rng, todo = after_f[ok], todo - ok - 1
+    return pinch_fs, draws, tuple(np.concatenate(rows) for rows in zip(*kept))
 
 
 def _pinched_rows(graph: WeightedGraph, f: np.ndarray, at_u: np.ndarray,

@@ -18,11 +18,12 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, content,
                             random_graph, split_edge)
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
                                     NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
-from hardy_spectral.resistance import kron_energies
+from hardy_spectral.resistance import kron_energies, pair_energies
 from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
-from conftest import corpus_boundary, corpus_graph, oracle_laplacian, stiff_graph
+from conftest import (corpus_boundary, corpus_graph, oracle_laplacian, random_vector,
+                      stiff_graph)
 
 # Exact ties come out of floating point a few ulps apart; genuinely
 # different ratios on the symmetric graphs below differ by far more.
@@ -629,3 +630,117 @@ class TestGuardSizes:
             assert res.value <= ratio(side, rest) * (1 + 1e-12)
         worst = max(g.degree(v) / g.masses[v] for v in range(n))
         assert lams[1] / 2 <= res.value <= np.sqrt(2 * lams[1] * worst)
+
+
+def sweep_pairs(x):
+    """The sweep's (A, B) pairs of a potential x, A's threshold outer,
+    both in increasing order."""
+    values = sorted(set(float(v) for v in x))
+    return [(VertexSet.of(np.flatnonzero(x <= t_minus)), VertexSet.of(np.flatnonzero(x >= t_plus)))
+            for t_minus in values if t_minus < 0.0 for t_plus in values if t_plus >= 0.0]
+
+
+def pair_route_sweep(g, x):
+    """The sweep posed pair by pair, as it was before the elimination:
+    each pair's energy from `pair_energies` (a LAPACK solve per size of
+    C), each side's mass from `mass_of`, the same tie rule. Returns
+    (value, A, B)."""
+    pairs = sweep_pairs(x)
+    energies = pair_energies(g, pairs)
+    failed = errors.first_error(energies)
+    if failed is not None:
+        raise failed
+    nb = sum(1 for v in set(float(v) for v in x) if v >= 0.0)
+    ratios = np.array([(1.0 / g.mass_of(a) + 1.0 / g.mass_of(b)) * e
+                       for (a, b), e in zip(pairs, energies)])
+    # pair i * nb + j has rank i * nb + (nb - 1 - j): A's keys rise, B's fall
+    ranks = np.arange(len(pairs)) // nb * nb + (nb - 1 - np.arange(len(pairs)) % nb)
+    best = _RunningMin()
+    best.offer(ratios, ranks)
+    value, rank = best.winner
+    i, j = divmod(rank, nb)
+    return (value, *pairs[i * nb + nb - 1 - j])
+
+
+class TestSweepElimination:
+    """The sweep eliminates every A's network in x order with pivots taken
+    as sums; it must agree with the pair-by-pair LAPACK route on ordinary
+    weights, stay within 1e-15 of a 60-digit solve at stiff weights, and
+    not depend on how its stack is cut."""
+
+    @staticmethod
+    def potentials(g):
+        """The fundamental mode, then the same with ties (rounded to one
+        digit) and with its smallest entry set to an exact zero."""
+        x = neumann_eigenvalue(g).eigenvector
+        rounded = np.round(x / np.abs(x).max(), 1)
+        zeroed = x.copy()
+        zeroed[np.argmin(np.abs(x))] = 0.0
+        return [f for f in (x, rounded, zeroed) if (f < 0.0).any() and (f > 0.0).any()]
+
+    def test_against_the_pair_route(self):
+        ties = zeros = 0
+        for i in range(40):
+            g = corpus_graph(i, 3, 12)
+            for x in self.potentials(g):
+                ties += len(set(x.tolist())) < len(x)
+                zeros += 0.0 in x
+                res = neumann_content_sweep(g, x)
+                value, a, b = pair_route_sweep(g, x)
+                assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
+                assert (res.witness_a, res.witness_b) == (a, b)
+        assert ties >= 20 and zeros >= 20
+
+    @pytest.mark.parametrize("ratio", [1e6, 1e12, 1e16])
+    def test_stiff_weights_against_mpmath(self, ratio):
+        mpmath = pytest.importorskip("mpmath")
+        rng = Xorshift64Star(int(np.log10(ratio)))
+        swept = 0
+        for seed in range(40):
+            g = stiff_graph(seed, ratio, ratio)
+            x = random_vector(rng, g.vertex_count, -1.0, 1.0)
+            try:
+                res = neumann_content_sweep(g, x)
+            except errors.SignCondition:
+                continue
+            with mpmath.workdps(60):
+                energy = mp_energy_fn(mpmath, g)
+                exact = {(a, b): (1 / sum(mpmath.mpf(g.masses[v]) for v in a)
+                                  + 1 / sum(mpmath.mpf(g.masses[v]) for v in b))
+                         * energy(a.members, b.members) for a, b in sweep_pairs(x)}
+            floor = min(exact.values())
+            assert abs(res.value - floor) <= 1e-15 * floor, seed
+            won = exact[res.witness_a, res.witness_b]
+            assert abs(res.value - won) <= 1e-15 * won, seed
+            swept += 1
+        assert swept >= 30
+
+    def test_stack_cuts_never_change_a_bit(self, monkeypatch):
+        graphs = [corpus_graph(i, 3, 12) for i in range(12)]
+        graphs += [random_graph(30, 0.2, (0.1, 10.0), (0.1, 10.0), seed=s) for s in range(3)]
+        runs = []
+        for entries in (content.CHUNK_ENTRIES, 2000, 16):
+            monkeypatch.setattr(content, "CHUNK_ENTRIES", entries)
+            runs.append([neumann_content_sweep(g, x) for g in graphs
+                         for x in self.potentials(g)])
+        for whole, *cut in zip(*runs):
+            for res in cut:
+                assert res.value.hex() == whole.value.hex()
+                assert (res.witness_a, res.witness_b) == (whole.witness_a, whole.witness_b)
+
+    def test_huge_conductances_keep_a_representable_value(self):
+        # r_j r_k at an eliminated vertex is 1e600, but the reduced
+        # conductance 1e300 / 3 is a double
+        g = path_graph([1.0] * 4, [1e300, 1e300, 1e300])
+        res = neumann_content_sweep(g, np.array([-1.0, -0.5, 0.5, 1.0]))
+        ends = VertexSet.of([0]), VertexSet.of([3])
+        assert (res.witness_a, res.witness_b) == ends
+        assert res.value == pytest.approx(2.0 / effective_resistance(g, *ends), rel=1e-15)
+        value, a, b = pair_route_sweep(g, np.array([-1.0, -0.5, 0.5, 1.0]))
+        assert res.value == pytest.approx(value, rel=1e-15) and (a, b) == ends
+
+    def test_overflow_is_a_typed_error(self):
+        # A = {0, 1} meets vertex 2 through 2 x 1.7e308, past the largest double
+        g = WeightedGraph((1.0,) * 4, ((0, 2, 1.7e308), (1, 2, 1.7e308), (2, 3, 1.0)))
+        with pytest.raises(errors.NotRepresentable):
+            neumann_content_sweep(g, np.array([-1.0, -1.0, 0.5, 1.0]))

@@ -12,7 +12,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, contract,
                             path_graph, pinch, random_graph, rayleigh_quotient,
                             split_edge, validate)
 from hardy_spectral import errors
-from hardy_spectral.graph import quantize_zeros
+from hardy_spectral.graph import quantize_zeros, zero_crossings
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import harmonic_extension
 from hardy_spectral.suite import _worst_sides
@@ -441,6 +441,38 @@ class TestPinch:
             lap_p = laplacian(p.graph)
             y, x = np.array(p.f_extended), np.array(f)
             assert y @ lap_p @ y == pytest.approx(x @ lap_g @ x, rel=1e-10)
+
+    @pytest.mark.parametrize("masses", [(1.0,) * 4, (1.0, 0.0, 1.0, 1.0)])
+    def test_zero_crossings_of_a_stack_as_one_at_a_time(self, masses):
+        # the masses are checked once for the whole stack; every row keeps
+        # the first error `pinch` raises on it alone, and a row that fails
+        # its shape or finiteness is zero
+        g = WeightedGraph(masses, ((0, 1, 1e-17), (1, 2, 1.0), (2, 3, 1.0)))
+        fs = np.array([[-1.0, -1.0, 1.0, 1.0], [math.nan, -1.0, 1.0, 1.0],
+                       [-1.0, 1.0, math.inf, -math.inf], [0.0, 1.0, 2.0, 0.0],
+                       [-1e-300, 1e300, 1.0, 1.0], [-1.0, -0.0, 0.0, 1.0]])
+        for potentials in (fs, list(fs), [*fs, [1.0, 2.0]]):
+            f, at_u, at_v, failed = zero_crossings(g, potentials)
+            assert len(failed) == len(potentials)
+            for i, x in enumerate(potentials):
+                try:
+                    p = pinch(g, x)
+                except errors.HardySpectralError as exc:
+                    assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
+                    if type(exc) in (errors.DimensionMismatch, errors.NonFinitePotential):
+                        assert not f[i].any()
+                    continue
+                assert failed[i] is None
+                assert f[i].tolist() == list(p.f_extended[:4])
+        if 0.0 in masses:
+            assert [type(e) for e in failed] == [
+                errors.ZeroMass, errors.NonFinitePotential, errors.NonFinitePotential,
+                errors.ZeroMass, errors.ZeroMass, errors.ZeroMass, errors.DimensionMismatch]
+        else:
+            assert [type(e) for e in failed] == [
+                type(None), errors.NonFinitePotential, errors.NonFinitePotential,
+                errors.SignCondition, errors.SignCondition, type(None),
+                errors.DimensionMismatch]
 
 
 def test_quantize_zeros():

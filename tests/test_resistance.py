@@ -6,7 +6,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, contract,
                             split_edge, suite)
 from hardy_spectral import errors
 from hardy_spectral.graph import zero_crossings
-from hardy_spectral.rng import Xorshift64Star
+from hardy_spectral.rng import BLOCK, Xorshift64Star
 from hardy_spectral.suite import DEFAULT_SAMPLES, _draws, _random_nonempty_subset
 
 from conftest import corpus_graph, resistance_via_pseudoinverse, stiff_graph
@@ -195,13 +195,14 @@ def sequential_mixed_sign_f(rng, n):
             return f
 
 
-def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES):
+def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES,
+                    stream=Xorshift64Star):
     """The draws of `run_suite`, one at a time, made with `pinch`: the
     pinch suite's potentials if `pinch_first` (as when both suites run),
     then per ressum sample the pinched graph, A from its negative set and
     B from its positive set, or the pinch's typed error. Returns
     (pinch potentials, ressum draws)."""
-    rng = Xorshift64Star(seed)
+    rng = stream(seed)
     n = graph.vertex_count
     pinch_fs = [sequential_mixed_sign_f(rng, n) for _ in range(samples if pinch_first else 0)]
     draws = []
@@ -215,6 +216,26 @@ def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES):
         draws.append((p, _random_nonempty_subset(rng, p.negative_set),
                       _random_nonempty_subset(rng, p.positive_set)))
     return pinch_fs, draws
+
+
+class FlatStream(Xorshift64Star):
+    """The stream of `Xorshift64Star(seed)` with every output at a
+    position in [lo, hi) replaced by one fixed word."""
+
+    def __init__(self, seed, lo, hi):
+        super().__init__(seed)
+        self.made, self.lo, self.hi = 0, lo, hi
+
+    def _block(self):
+        self.made += BLOCK
+        return super()._block()
+
+    def _take(self, count):
+        start = self.made - (len(self._out) - self._pos)
+        out = super()._take(count).copy()
+        at = np.arange(start, start + count)
+        out[(at >= self.lo) & (at < self.hi)] = np.uint64(0x5DEECE66D)
+        return out
 
 
 @pytest.fixture
@@ -371,11 +392,100 @@ class TestDraws:
                 failures += crosses
         assert 10 <= failures <= 90
 
-    def test_every_pinch_failing(self):
+    def test_every_pinch_failing(self, monkeypatch):
         parent = corpus_graph(4)
         g = split_edge(parent, parent.edges[0][:2], [0.25, 0.75])
         ressum = self.assert_same(g, seed=5)
         assert all(isinstance(d, errors.ZeroMass) for d in ressum)
+        # the masses fail every pinch whatever f is, so ressum reads nothing
+        # after the pinch suite's potentials, and no row pinched
+        reads = []
+
+        class Recorded(Xorshift64Star):
+            def _take(self, count):
+                reads.extend([count] if count else [])
+                return super()._take(count)
+
+        monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
+        _, _, rows = _draws(g, ["pinch", "ressum"], DEFAULT_SAMPLES, 5)
+        with_ressum = list(reads)
+        reads.clear()
+        _draws(g, ["pinch"], DEFAULT_SAMPLES, 5)
+        assert with_ressum == reads and reads
+        assert [r.shape for r in rows] == [(0, g.vertex_count), (0, g.edge_count),
+                                           (0, g.edge_count)]
+
+    def test_sides_of_64_and_65_vertices(self):
+        # a side of up to 64 vertices takes one word, so it is drawn in the
+        # batch; a side of 65 takes two and is drawn one sample at a time
+        g = path_graph([1.0] * 128, [1.0] * 127)
+        sizes = set()
+        for seed in range(6):
+            for f, _, _ in self.assert_same(g, seed):
+                sizes |= {int((f < 0.0).sum()), int((f > 0.0).sum())}
+        assert {64, 65} <= sizes
+
+    def test_sides_past_64_take_one_scalar_pass_per_failure(self, monkeypatch):
+        # on 130 vertices a side always exceeds 64, so the batch breaks at
+        # its first sample and every draw is scalar: one peek, then one
+        # zero_crossings call per pass, one pass plus one per failed pinch
+        g = path_graph([1.0] * 130, [1.0] * 64 + [1.7e308] + [1.0] * 64)
+        pinched, peeks = [], []
+
+        class Recorded(Xorshift64Star):
+            def peek(self, count):
+                peeks.append(count)
+                return super().peek(count)
+
+        def counted(graph, potentials):
+            pinched.append(len(potentials))
+            return zero_crossings(graph, potentials)
+
+        monkeypatch.setattr(suite, "zero_crossings", counted)
+        failures = 0
+        for seed in range(4):
+            ressum = self.assert_same(g, seed, samples=20)
+            failures += sum(isinstance(d, errors.HardySpectralError) for d in ressum)
+        assert failures >= 4
+        monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
+        for seed in range(4):
+            pinched.clear()
+            peeks.clear()
+            ressum = _draws(g, ["ressum"], 20, seed)[1]
+            failed = [isinstance(d, errors.HardySpectralError) for d in ressum]
+            assert len(peeks) == 1
+            # every pass but the last ends at a failure, and pinches the rest
+            assert len(pinched) == 1 + sum(failed[:-1])
+            assert sum(pinched) == sum(20 - i for i, bad in enumerate([True] + failed[:-1])
+                                       if bad)
+
+    def test_a_row_without_both_signs_is_drawn_again(self, monkeypatch):
+        g = corpus_graph(3)
+        n = g.vertex_count
+        # the third ressum sample's f reads 12n equal words, so every value
+        # is the same and the row is drawn again
+        start = 2 * (12 * n + 2)
+        flat = lambda seed: FlatStream(seed, start, start + 12 * n)  # noqa: E731
+        monkeypatch.setattr(suite, "Xorshift64Star", flat)
+        _, got, _ = _draws(g, ["ressum"], DEFAULT_SAMPLES, 4)
+        _, want = reference_draws(g, 4, stream=flat)
+        monkeypatch.undo()
+        _, plain, _ = _draws(g, ["ressum"], DEFAULT_SAMPLES, 4)
+        assert len(got) == len(want) == DEFAULT_SAMPLES
+        for (f, a, b), (p, a2, b2) in zip(got, want):
+            assert f.tobytes() == np.array(p.f_extended[:n]).tobytes()
+            assert (a, b) == (a2, b2)
+        assert [f.tobytes() for f, _, _ in got[:2]] == [f.tobytes() for f, _, _ in plain[:2]]
+        assert got[2][0].tobytes() != plain[2][0].tobytes()
+
+    def test_a_failure_mid_batch_keeps_the_draws_around_it(self):
+        g = path_graph([1.0] * 6, [1.0, 1.0, 1.7e308, 1.0, 1.0])
+        inside = 0
+        for seed in range(10):
+            failed = [isinstance(d, errors.SignCondition) for d in self.assert_same(g, seed)]
+            inside += any(failed[i] and not failed[i - 1] and not failed[i + 1]
+                          for i in range(1, len(failed) - 1))
+        assert inside >= 3
 
     def test_no_samples(self):
         g = corpus_graph(0)
