@@ -13,14 +13,16 @@ two-sided quantity on larger graphs.
 Both enumerations walk a decision tree over the vertices, one vertex per
 level: a vertex either joins a terminal node (A, or B for the two-sided
 quantity) or is eliminated by Kron reduction. Sets that share a prefix
-share its eliminations, and every step only adds nonnegative terms
-(`w_ik += w_ij w_jk / d_j`, with `d_j` a sum of conductances), so
-nothing cancels. The walk is depth first over stacks of partial networks,
-each level one vectorised step for the whole stack; a stack is cut in
-half while its children would exceed CHUNK_ENTRIES numbers, keeping only
-a running minimum. The level-set sweep eliminates the same way, along
-one path per set A: in the potential's order every A is a prefix and
-every B a suffix, so one pass reads the energies of all of A's pairs.
+share its eliminations. Every elimination is `resistance.kron_step`,
+the one step behind every energy of the library: it only adds
+nonnegative terms (`w_ik += (w_ij / d_j) w_jk`, with `d_j` a sum of
+conductances), so nothing cancels. The walk is depth first over stacks
+of partial networks, each level one vectorised step for the whole
+stack; a stack is cut in half while its children would exceed
+CHUNK_ENTRIES numbers, keeping only a running minimum. The level-set
+sweep eliminates with the same step, along one path per set A: in the
+potential's order every A is a prefix and every B a suffix, so one pass
+reads the energies of all of A's pairs.
 The isoperimetric constant needs no energy: one table holds the cut of
 every mask, grown one vertex at a time by adding conductances, another
 the mass of every mask, and the masks of A are scored against both in
@@ -34,7 +36,6 @@ identical across runs and schedules.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -45,6 +46,7 @@ from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, interior_of,
                     is_canonical_path, path_graph, require_both_signs,
                     require_positive_mass)
+from .resistance import kron_step
 from .spectral import TIE_RTOL
 
 DIRICHLET_ENUM_LIMIT = 20
@@ -178,9 +180,9 @@ def _branch(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: 
     shaped (2, m), hold each terminal's mass and mask. `choices` lists
     (keep, terminal): the networks marked by keep (None for all) get a
     child in which the first node merges into that terminal, or is
-    Kron-eliminated for terminal None. Elimination adds w_ij w_jk / d_j
-    to each w_ik, with d_j the sum of the first node's conductances, and
-    a merge adds them to the terminal's. Diagonal entries are never read.
+    Kron-eliminated (`kron_step`) for terminal None. A merge adds the
+    first node's conductances to the terminal's. Diagonal entries are
+    never read.
     """
     row, rest = net[0, 1:], net[1:, 1:]
     picks = [slice(None) if keep is None or keep.all() else np.flatnonzero(keep)
@@ -195,13 +197,10 @@ def _branch(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: 
         at += size
         r, child = row[:, rows], out[:, :, here]
         out_mu[:, here], out_key[:, here] = mu[:, rows], key[:, rows]
+        child[...] = rest[:, :, rows]
         if terminal is None:
-            np.multiply(r[:, None], r[None, :], out=child)
-            # summed in row order, the same for any stack size
-            child /= functools.reduce(np.add, r)
-            child += rest[:, :, rows]
+            kron_step(r, child)
         else:
-            child[...] = rest[:, :, rows]
             child[terminal - 2] += r
             child[:, terminal - 2] += r
             out_mu[terminal, here] += mass
@@ -225,9 +224,10 @@ def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, optio
     half first; the deferred half is copied, so it does not keep its
     parent alive.
 
-    A reduced conductance that overflows spreads inf or NaN to the energy,
-    which raises NotRepresentable (the diagonal is never read, so its
-    overflow is harmless). A ratio that overflows is inf and never wins.
+    A reduced conductance or a pivot that overflows spreads inf or NaN to
+    the energy, which raises NotRepresentable (the diagonal is never
+    read, so its overflow is harmless). A ratio that overflows is inf and
+    never wins.
     """
     f = len(mass)
     best = _RunningMin()
@@ -372,7 +372,7 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     In x order (a stable sort) every A is a prefix and every B a suffix.
     One network per A, stacked last as in _branch, holds A merged into a
     terminal alpha; the vertices after A are Kron-eliminated in x order
-    (d_j a sum, so nothing cancels), and before the first vertex of each
+    (`kron_step`, so nothing cancels), and before the first vertex of each
     nonnegative level the energy 1/R(A, B) is the sum, in row order, of
     alpha's reduced conductances to the vertices left, which are B. The
     stack is cut under CHUNK_ENTRIES numbers, and a chunk starts with
@@ -415,10 +415,7 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
                     rest[-1, :, e:] += r[:, e:]
                     rest[:, -1, e:] += r[:, e:]
                 if e:
-                    r = r[:, :e]
-                    # divided before the product, which then cannot
-                    # overflow unless a conductance left already does
-                    rest[:, :, :e] += (r / np.add.accumulate(r)[-1])[:, None] * r[None, :]
+                    kron_step(r[:, :e], rest[:, :, :e])
             lo = hi
     if not np.isfinite(energies).all():
         raise errors.NotRepresentable("a reduced conductance overflowed in double precision")

@@ -9,19 +9,21 @@ total reduced conductance between A and B:
     1/R(A, B) = W(A, B) + W(A, C) L_CC^{-1} W(C, B),
 
 where W(X, Y) sums the edge conductances from X to Y (a vector over C
-when one side is C). Every term is a sum of nonnegative numbers, since
-L_CC^{-1} is entrywise nonnegative, so nothing cancels; and an edge
-inside A or inside B never enters the computation, however stiff it is.
-When A u B = V nothing is eliminated and the energy is W(A, B), the
-crossing conductance.
+when one side is C). An edge inside A or inside B never enters the
+computation, however stiff it is. When A u B = V nothing is eliminated
+and the energy is W(A, B), the crossing conductance.
 
-`kron_energies` evaluates this for a stack of pairs, one pair per row,
-with one batched LAPACK solve over the blocks L_CC. `pinned_energies`
-poses problems on one graph's arrays, one stack per size of C, with each
-vertex's diagonal and ground given per problem (as `spectral.ground_modes`
-does), so `ressum` needs no pinched graph; `pair_energies` poses given
-pairs. The exact content enumerations eliminate one vertex at a time
-instead, so that sets sharing a prefix share its work.
+Every energy of the library is reduced by one step, `kron_step`: it
+eliminates one vertex from a stack of networks, adding (r / d) r^T to
+the conductances left, where r is the vertex's row and the pivot d the
+sum of r (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985). The
+diagonal is never read and nothing is subtracted, so nothing cancels.
+The exact content enumerations and the level-set sweep take the step
+along their own trees and paths; `kron_energies` takes it for a stack
+of problems, each eliminating its own C. `pinned_energies` poses
+problems on one graph's arrays, with each vertex's conductance to the
+vertices held at 0 given per problem (as `spectral.ground_modes` does),
+so `ressum` needs no pinched graph; `pair_energies` poses given pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 
 from . import errors
 from .graph import VertexSet, WeightedGraph
-from .linalg import by_size
 
 
 def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
@@ -45,53 +46,84 @@ def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
         raise errors.SetsOverlap(f"sets share vertices {sorted(set(a) & set(b))}")
 
 
-def kron_energies(blocks: np.ndarray, to_a: np.ndarray, to_b: np.ndarray,
-                  direct: np.ndarray) -> np.ndarray:
-    """Energies 1/R(A, B), shape (m,), of rows that `pinned_energies`
-    gathers: row i eliminates a set C whose block L_CC is blocks[i] (all
-    rows share one size c), to_a[i] and to_b[i] are W(C, A) and W(C, B),
-    B being every vertex held at 0 (shape (m, c)), and direct[i] is
-    W(A, B). A singular L_CC raises, and so does an energy that is not
-    positive, which only rounding (weight ratios near 1e16) can cause."""
-    try:
-        y = np.linalg.solve(blocks, to_b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        raise errors.NotPositiveDefinite() from None
-    energy = direct + np.einsum("mc,mc->m", to_a, y)
-    if not np.all(energy > 0.0):
-        raise errors.NotPositiveDefinite()
-    return energy
+def kron_step(r: np.ndarray, rest: np.ndarray) -> None:
+    """Kron-eliminate one vertex from each network of a stack, in place:
+    r (k, m) holds its conductances to the k vertices after it, rest
+    (k, k, m) the conductances among those, one network per last index.
+    Adds (r / d) r^T to rest, with the pivot d summed in row order, so
+    a network's result does not depend on the stack; dividing first, the
+    product overflows only past a conductance that already would. A
+    pivot of 0 or one that overflows to inf poisons its own network with
+    NaN (the factor d / d, exactly 1 for any other d), never dropping
+    the fill unseen. Callers silence the floating-point warnings."""
+    d = np.add.accumulate(r)[-1]
+    rest += (r / d * (d / d))[:, None] * r[None, :]
+
+
+def kron_energies(net: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Energies 1/R(A, B), shape (m,), of a stack of networks (c+2, c+2, m)
+    that `pinned_energies` gathers. Slots c and c+1 are A and B, B being
+    every vertex held at 0, and network i eliminates its set C from the
+    last sizes[i] of the first c slots, in slot order; sizes must not
+    increase along the stack. At slot j only the leading networks whose
+    C has started take the step, so the slots before a network's C are
+    never read and each energy is the same as that network's alone. The
+    energy is the reduced A-B conductance; a poisoned pivot (see
+    kron_step) makes it NaN."""
+    c = len(net) - 2
+    # slot j is in C for the networks with sizes >= c - j
+    started = np.searchsorted(-sizes, np.arange(-c, 0), side="right")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, e in enumerate(started.tolist()):
+            kron_step(net[j, j + 1:, :e], net[j + 1:, j + 1:, :e])
+    return net[c, c + 1]
 
 
 def pinned_energies(graph: WeightedGraph, held: Sequence[VertexSet],
-                    free: Sequence[Sequence[int]], degree: np.ndarray,
-                    ground: np.ndarray) -> list[Union[float, errors.HardySpectralError]]:
-    """1/R for each problem on `graph`, or its typed error. Problem i holds
-    held[i] at 1, eliminates the sorted ids free[i] and holds every other
-    vertex at 0; degree[i] and ground[i] give each vertex's diagonal entry
-    and conductance to the vertices held at 0 (see `linalg.by_size`)."""
-    def solve(group):
-        row = np.array([i for i, _ in group])[:, None]
-        idx = np.array([inner for _, inner in group], dtype=np.intp)
-        blocks = graph.laplacian_matrix[idx[:, :, None], idx[:, None, :]]
-        diagonal = np.arange(idx.shape[1])
-        blocks[:, diagonal, diagonal] = degree[row, idx]
-        to_a = np.array([w_c[:, held[i].members].sum(axis=1)
-                         for (i, _), w_c in zip(group, graph.conductance_matrix[idx])])
-        direct = np.array([ground[i, held[i].members].sum() for i, _ in group])
-        return kron_energies(blocks, to_a, ground[row, idx], direct).tolist()
-
-    return by_size(list(enumerate(free)), lambda row: len(row[1]), solve)
+                    free: Sequence[Sequence[int]], ground: np.ndarray,
+                    ) -> list[Union[float, errors.HardySpectralError]]:
+    """1/R for each problem on `graph`, or NotRepresentable where it is
+    not positive and finite. Problem i holds held[i] at 1, eliminates
+    the sorted ids free[i] and holds every other vertex at 0; ground[i]
+    gives each vertex's conductance to the vertices held at 0, and the
+    vertices held at 0 are joined to nothing else. All problems go into
+    one `kron_energies` stack, the largest C first, each C in the last
+    slots before A and B."""
+    m = len(free)
+    if not m:
+        return []
+    sizes = np.array([len(ids) for ids in free], dtype=np.intp)
+    order = np.argsort(-sizes, kind="stable")
+    c = int(sizes.max())
+    w = graph.conductance_matrix
+    idx = np.zeros((m, c), dtype=np.intp)  # slots before a C point at vertex 0, never read
+    to_held = np.empty((m, graph.vertex_count))
+    stack = np.zeros((m, c + 2, c + 2))
+    with np.errstate(over="ignore"):  # a sum past the doubles poisons its pivot or energy
+        for slot, i in enumerate(order.tolist()):
+            a = list(held[i].members)
+            idx[slot, c - sizes[i]:] = free[i]
+            to_held[slot] = w[:, a].sum(axis=1)
+            stack[slot, c, c + 1] = stack[slot, c + 1, c] = ground[i, a].sum()
+    stack[:, :c, :c] = w[idx[:, :, None], idx[:, None, :]]
+    stack[:, :c, c] = stack[:, c, :c] = np.take_along_axis(to_held, idx, axis=1)
+    stack[:, :c, c + 1] = stack[:, c + 1, :c] = np.take_along_axis(ground[order], idx, axis=1)
+    energies = np.empty(m)
+    # seen stack-last, as kron_step takes it; each network lies whole in
+    # memory, so a step runs along its rows rather than across the stack
+    energies[order] = kron_energies(stack.transpose(1, 2, 0), sizes[order])
+    return [e if 0.0 < e < np.inf else errors.NotRepresentable(
+                f"energy {e!r} is not positive and finite in double precision")
+            for e in energies.tolist()]
 
 
 def pair_energies(graph: WeightedGraph, pairs: Sequence[tuple[VertexSet, VertexSet]],
                   ) -> list[Union[float, errors.HardySpectralError]]:
     """1/R(A, B) for each pair of disjoint nonempty sets of `graph`, or its
-    typed error: B is held at 0, with ground W(., B) and degree diag(L)."""
+    typed error: B is held at 0, with ground W(., B)."""
     n = graph.vertex_count
     return pinned_energies(
         graph, [a for a, _ in pairs], [a.union(b).complement(n).members for a, b in pairs],
-        np.broadcast_to(np.diag(graph.laplacian_matrix), (len(pairs), n)),
         np.array([graph.conductance_matrix[:, b.members].sum(axis=1) for _, b in pairs]))
 
 

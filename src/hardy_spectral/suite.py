@@ -12,7 +12,9 @@ window, so a report depends only on the inputs and the seed.
 No suite builds a pinched graph: both sides of every pinch are posed on
 the graph's own arrays with the rows of `_pinched_rows`, to
 `spectral.ground_modes` by the pinch suite and to
-`resistance.pinned_energies` by `ressum`.
+`resistance.pinned_energies` by `ressum`, which poses all of a run's
+resistances in one call (R(A, B) on the graph itself, by the series
+law).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .graph import (VertexSet, WeightedGraph, quantize_zeros, require_positive_m
                     zero_crossings)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
-from .resistance import pair_energies, pinned_energies
+from .resistance import pinned_energies
 from .rng import Xorshift64Star, irwin_hall
 from .spectral import (SpectralResult, dirichlet_eigenvalue, ground_modes,
                        neumann_eigenvalue)
@@ -378,20 +380,22 @@ def run_suite(graph: WeightedGraph, *,
         if no_draws is not None:
             raise no_draws
         drawn = [d for d in ressum_draws if not isinstance(d, errors.HardySpectralError)]
-        degree, ground = _pinched_rows(graph, *ressum_rows)
-        # 1/R(X, Z) on X's side; R(A, B) is the parent's (series law)
-        held = [x for _, a, b in drawn for x in (a, b)]
-        sides = [side for f, _, _ in drawn for side in (f < 0.0, f > 0.0)]
-        to_zero = iter(pinned_energies(
+        _, pinched = _pinched_rows(graph, *ressum_rows)
+        # per draw 1/R(A, Z) and 1/R(B, Z) on their sides, then 1/R(A, B)
+        # on the parent (series law), B held at 0
+        held, sides, ground = [], [], []
+        for (f, a, b), to_z in zip(drawn, pinched):
+            held += [a, b, a]
+            sides += [f < 0.0, f > 0.0, ~np.isin(np.arange(len(f)), b.members)]
+            ground += [to_z, to_z, graph.conductance_matrix[:, b.members].sum(axis=1)]
+        energies = iter(pinned_energies(
             graph, held, [[v for v in np.flatnonzero(side).tolist() if v not in x.members]
-                          for x, side in zip(held, sides)],
-            np.repeat(degree, 2, axis=0), np.repeat(ground, 2, axis=0)))
-        across = iter(pair_energies(graph, [(a, b) for _, a, b in drawn]))
+                          for x, side in zip(held, sides)], np.array(ground)))
         for i, draw in enumerate(ressum_draws, start=1):
             name = f"ressum_{i:02d}"
             # 1/R(A, Z), 1/R(B, Z) and 1/R(A, B), or the draw's pinch error
             found = ([draw] if isinstance(draw, errors.HardySpectralError)
-                     else [next(to_zero), next(to_zero), next(across)])
+                     else [next(energies), next(energies), next(energies)])
             failed = errors.first_error(found)
             if failed is not None:
                 add(check_error(name, str(failed)))

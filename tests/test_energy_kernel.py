@@ -18,7 +18,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, content,
                             random_graph, split_edge)
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
                                     NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
-from hardy_spectral.resistance import kron_energies, pair_energies
+from hardy_spectral.resistance import pair_energies
 from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
@@ -233,6 +233,12 @@ def mp_energy_fn(mpmath, g):
     return energy
 
 
+def overflowing_pivot_graph():
+    """A triangle whose vertex 1 meets both others through 1e308, so its
+    pivot, the sum 2e308, overflows."""
+    return WeightedGraph((1.0,) * 3, ((0, 1, 1e308), (0, 2, 1.0), (1, 2, 1e308)))
+
+
 def badly_scaled_graph(n, ratio, seed):
     """Random connected graph whose conductances and masses spread
     log-uniformly over [1, ratio]."""
@@ -274,14 +280,31 @@ class TestExtremeWeights:
         r = effective_resistance(g, VertexSet.of(a), VertexSet.of(b))
         assert r == pytest.approx(expected, rel=1e-12)
 
+    def test_stiff_pair_against_mpmath(self):
+        # at ratio 1e16 rounding once swamped this pair's LAPACK solve and
+        # made its energy negative; the summed pivots keep it to the ulp
+        mpmath = pytest.importorskip("mpmath")
+        g = stiff_graph(21, 1e16, 1e16)
+        with mpmath.workdps(60):
+            exact = 1 / mp_energy_fn(mpmath, g)([4], [5])
+        got = effective_resistance(g, VertexSet.of([4]), VertexSet.of([5]))
+        assert abs(got - exact) <= 1e-15 * exact
+
     def test_nonpositive_energy_is_a_typed_error(self):
-        # the pair path: at ratio 1e16 rounding swamps this pair's solve and
-        # the energy comes out negative; the exact value is positive
-        with pytest.raises(errors.NotPositiveDefinite):
-            effective_resistance(stiff_graph(21, 1e16, 1e16), VertexSet.of([4]),
-                                 VertexSet.of([5]))
-        with pytest.raises(errors.NotPositiveDefinite):
-            kron_energies(np.ones((1, 1, 1)), np.ones((1, 1)), -np.ones((1, 1)), np.zeros(1))
+        # vertex 1's pivot 2e308 overflows: dividing by it would drop the
+        # fill and give R(0, 2) = 1, but the true value is about 2e-308.
+        # The pivot poisons its own row of a batch only.
+        g = overflowing_pivot_graph()
+        with pytest.raises(errors.NotRepresentable):
+            effective_resistance(g, VertexSet.of([0]), VertexSet.of([2]))
+        poisoned, fine = pair_energies(g, [(VertexSet.of([0]), VertexSet.of([2])),
+                                           (VertexSet.of([0]), VertexSet.of([1]))])
+        assert isinstance(poisoned, errors.NotRepresentable)
+        assert fine == 1e308  # A u B = V: the crossing conductance
+        with pytest.raises(errors.NotRepresentable):
+            dirichlet_content_exact(g, VertexSet.of([0]))
+        with pytest.raises(errors.NotRepresentable):
+            neumann_content_exact(g)
 
     @pytest.mark.parametrize("seed", [*range(10), 21])
     def test_weight_ratio_1e16_against_mpmath(self, seed):
@@ -642,9 +665,9 @@ def sweep_pairs(x):
 
 def pair_route_sweep(g, x):
     """The sweep posed pair by pair, as it was before the elimination:
-    each pair's energy from `pair_energies` (a LAPACK solve per size of
-    C), each side's mass from `mass_of`, the same tie rule. Returns
-    (value, A, B)."""
+    each pair's energy from `pair_energies` (its own network per pair,
+    every C eliminated in id order), each side's mass from `mass_of`,
+    the same tie rule. Returns (value, A, B)."""
     pairs = sweep_pairs(x)
     energies = pair_energies(g, pairs)
     failed = errors.first_error(energies)
@@ -664,7 +687,7 @@ def pair_route_sweep(g, x):
 
 class TestSweepElimination:
     """The sweep eliminates every A's network in x order with pivots taken
-    as sums; it must agree with the pair-by-pair LAPACK route on ordinary
+    as sums; it must agree with the pair-by-pair route on ordinary
     weights, stay within 1e-15 of a 60-digit solve at stiff weights, and
     not depend on how its stack is cut."""
 
@@ -730,7 +753,7 @@ class TestSweepElimination:
 
     def test_huge_conductances_keep_a_representable_value(self):
         # r_j r_k at an eliminated vertex is 1e600, but the reduced
-        # conductance 1e300 / 3 is a double
+        # conductance 1e300 / 3 is a double, and so are psi and psi2
         g = path_graph([1.0] * 4, [1e300, 1e300, 1e300])
         res = neumann_content_sweep(g, np.array([-1.0, -0.5, 0.5, 1.0]))
         ends = VertexSet.of([0]), VertexSet.of([3])
@@ -738,9 +761,19 @@ class TestSweepElimination:
         assert res.value == pytest.approx(2.0 / effective_resistance(g, *ends), rel=1e-15)
         value, a, b = pair_route_sweep(g, np.array([-1.0, -0.5, 0.5, 1.0]))
         assert res.value == pytest.approx(value, rel=1e-15) and (a, b) == ends
+        psi2 = neumann_content_exact(g)
+        assert psi2.value == pytest.approx(res.value, rel=1e-15)
+        assert (psi2.witness_a, psi2.witness_b) == ends
+        # A = {2, 3}: 1/R(S, A) = 1e300 / 2 over mu(A) = 2
+        psi = dirichlet_content_exact(g, VertexSet.of([0]))
+        assert psi.value == pytest.approx(2.5e299, rel=1e-15)
+        assert psi.witness_a == VertexSet.of([2, 3])
 
     def test_overflow_is_a_typed_error(self):
         # A = {0, 1} meets vertex 2 through 2 x 1.7e308, past the largest double
         g = WeightedGraph((1.0,) * 4, ((0, 2, 1.7e308), (1, 2, 1.7e308), (2, 3, 1.0)))
         with pytest.raises(errors.NotRepresentable):
             neumann_content_sweep(g, np.array([-1.0, -1.0, 0.5, 1.0]))
+        # vertex 1's pivot overflows: dropping its fill would read 2.0
+        with pytest.raises(errors.NotRepresentable):
+            neumann_content_sweep(overflowing_pivot_graph(), np.array([-1.0, 0.5, 1.0]))
