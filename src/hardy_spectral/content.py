@@ -108,21 +108,23 @@ def _cut_by_mask(w: np.ndarray) -> np.ndarray:
     only ever adds conductances: cut(M u {j}) = cut(M) + W(j, {0..j-1} \\ M)
     and cut(M) += W(j, M), where the complement of M among 0..j-1 is the
     reversed index. The tables W(i, .) of the vertices still to come grow
-    the same way, W(i, M u {j}) = W(i, M) + w_ij.
+    the same way, W(i, M u {j}) = W(i, M) + w_ij. A sum past the doubles
+    is inf, a cut that never wins.
     """
     n = len(w)
     cut = np.zeros(1 << (n - 1))
     ahead = np.zeros((n, 1))  # W(i, M) for i >= j, over the masks M of 0..j-1
-    for j in range(n - 1):
-        size = 1 << j
-        own, ahead = ahead[0], ahead[1:]
-        np.add(cut[:size], own[::-1], out=cut[size:2 * size])  # j joins M
-        cut[:size] += own  # j joins the other side
-        grown = np.empty((n - 1 - j, 2 * size))
-        grown[:, :size] = ahead
-        np.add(ahead, w[j + 1:, j, None], out=grown[:, size:])
-        ahead = grown
-    cut += ahead[0]  # the last vertex is never in M
+    with np.errstate(over="ignore"):
+        for j in range(n - 1):
+            size = 1 << j
+            own, ahead = ahead[0], ahead[1:]
+            np.add(cut[:size], own[::-1], out=cut[size:2 * size])  # j joins M
+            cut[:size] += own  # j joins the other side
+            grown = np.empty((n - 1 - j, 2 * size))
+            grown[:, :size] = ahead
+            np.add(ahead, w[j + 1:, j, None], out=grown[:, size:])
+            ahead = grown
+        cut += ahead[0]  # the last vertex is never in M
     return cut
 
 
@@ -301,7 +303,8 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     w = graph.conductance_matrix[interior]
     net = np.zeros((f + 2, f + 2))
     net[:f, :f] = w[:, interior]
-    net[:f, -1] = net[-1, :f] = w[:, list(boundary.members)].sum(axis=1)  # W(v, S)
+    with np.errstate(over="ignore"):  # an inf W(v, S) poisons its energies
+        net[:f, -1] = net[-1, :f] = w[:, list(boundary.members)].sum(axis=1)  # W(v, S)
 
     def score(energy, mu, key):
         keep = mu[0] > 0.0

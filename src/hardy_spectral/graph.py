@@ -171,9 +171,11 @@ class WeightedGraph:
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
         """L = D - W, read-only. Degrees are row sums of W, so L's rows sum
-        to zero exactly."""
+        to zero exactly. A degree past the doubles is inf, which the
+        eigensolves report as NotRepresentable."""
         adj = self.conductance_matrix
-        lap = np.diag(adj.sum(axis=1)) - adj
+        with np.errstate(over="ignore"):
+            lap = np.diag(adj.sum(axis=1)) - adj
         lap.flags.writeable = False
         return lap
 
@@ -493,32 +495,41 @@ def zero_crossings(graph: WeightedGraph, potentials: Iterable) -> tuple[
     -f_lo / (f_hi - f_lo) from its negative end lo, which leaves segments
     of conductance kappa/alpha at lo and kappa/(1-alpha) at hi.
 
-    Returns the potentials as a stack f (p, n); the conductances (p, E) of
-    the segment at each edge's u end and at its v end, exactly zero where
-    the edge does not cross; and per potential None or the typed error
+    The potentials may be lists or arrays, and the stack may be empty.
+    Returns them as a stack f (p, n); the conductances (p, E) of the
+    segment at each edge's u end and at its v end, exactly zero where the
+    edge does not cross; and per potential None or the typed error
     `pinch` raises, checked in its order: the shape and finiteness (the
     row of f is then zero), the masses (checked once for all), both
     strict signs, and the first crossing in edge order that doubles cannot
     resolve (alpha not strictly inside (0, 1), or a segment conductance
-    that overflows).
+    that overflows). Only the lengths are checked row by row: each row's
+    first non-finite vertex is one argmax, and both strict signs one
+    reduction, over the whole stack.
     """
     n = graph.vertex_count
-    potentials = list(potentials)
-    f = np.zeros((len(potentials), n))
-    failed: list[Optional[errors.HardySpectralError]] = [None] * len(potentials)
+    rows = [np.asarray(x, dtype=float) for x in potentials]
+    shaped = [x.shape == (n,) for x in rows]
+    f = np.array([x if ok else np.zeros(n) for x, ok in zip(rows, shaped)]).reshape(-1, n)
+    bad = ~np.isfinite(f)
+    first_bad = bad.argmax(axis=1)
+    values = f[np.arange(len(f)), first_bad]
+    f[bad.any(axis=1)] = 0.0
+    both_signs = np.stack([f < 0.0, f > 0.0]).any(axis=2).all(axis=0)
     try:
         require_positive_mass(graph)
         massless = None
     except errors.ZeroMass as exc:
         massless = exc
-    for i, x in enumerate(potentials):
-        try:
-            f[i] = as_potential(graph, x)
-            failed[i] = massless
-            if massless is None:
-                require_both_signs(f[i])
-        except errors.HardySpectralError as exc:
-            failed[i] = exc
+    failed: list[Optional[errors.HardySpectralError]] = [None] * len(rows)
+    # a row that is not finite is zero now, so it lacks both signs too
+    for i in np.flatnonzero(~both_signs | (massless is not None)).tolist():
+        if not shaped[i]:
+            failed[i] = errors.DimensionMismatch(f"potential shape {rows[i].shape} != ({n},)")
+        elif bad[i, first_bad[i]]:
+            failed[i] = errors.NonFinitePotential(int(first_bad[i]), float(values[i]))
+        else:
+            failed[i] = massless or errors.SignCondition("potential must take both strict signs")
 
     u, v, k = graph.edge_arrays
     fu, fv = f[:, u], f[:, v]

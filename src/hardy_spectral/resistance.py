@@ -21,9 +21,12 @@ diagonal is never read and nothing is subtracted, so nothing cancels.
 The exact content enumerations and the level-set sweep take the step
 along their own trees and paths; `kron_energies` takes it for a stack
 of problems, each eliminating its own C. `pinned_energies` poses
-problems on one graph's arrays, with each vertex's conductance to the
-vertices held at 0 given per problem (as `spectral.ground_modes` does),
-so `ressum` needs no pinched graph; `pair_energies` poses given pairs.
+problems on one graph's arrays, each set a boolean row over the
+vertices, with each vertex's conductance to the vertices held at 0
+given per problem (as `spectral.ground_modes` does), so `ressum` needs
+no pinched graph; `pair_energies` poses given pairs. Sums of
+conductances to a set are masked row sums (`conductance_to`), so a
+problem's numbers never depend on the others of its call.
 """
 
 from __future__ import annotations
@@ -79,39 +82,50 @@ def kron_energies(net: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return net[c, c + 1]
 
 
-def pinned_energies(graph: WeightedGraph, held: Sequence[VertexSet],
-                    free: Sequence[Sequence[int]], ground: np.ndarray,
-                    ) -> list[Union[float, errors.HardySpectralError]]:
+def conductance_to(graph: WeightedGraph, sets: np.ndarray) -> np.ndarray:
+    """W(., X) for each boolean row X of sets (m, n): each vertex's
+    conductance to X, shape (m, n), a masked row sum, so a row does not
+    depend on the others. A sum past the doubles is inf, which poisons
+    the pivot or energy it enters."""
+    with np.errstate(over="ignore"):
+        return np.where(sets[:, None, :], graph.conductance_matrix, 0.0).sum(axis=2)
+
+
+def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,
+                    ground: np.ndarray) -> list[Union[float, errors.HardySpectralError]]:
     """1/R for each problem on `graph`, or NotRepresentable where it is
-    not positive and finite. Problem i holds held[i] at 1, eliminates
-    the sorted ids free[i] and holds every other vertex at 0; ground[i]
-    gives each vertex's conductance to the vertices held at 0, and the
-    vertices held at 0 are joined to nothing else. All problems go into
-    one `kron_energies` stack, the largest C first, each C in the last
-    slots before A and B."""
+    not positive and finite. Problem i holds the vertices of the boolean
+    row held[i] at 1, eliminates those of free[i] (disjoint from it) and
+    holds every other vertex at 0; ground[i] gives each vertex's
+    conductance to the vertices held at 0, and the vertices held at 0 are
+    joined to nothing else. All problems go into one `kron_energies`
+    stack, the largest C first (a stable sort), each C in the last slots
+    before A and B, in id order."""
     m = len(free)
     if not m:
         return []
-    sizes = np.array([len(ids) for ids in free], dtype=np.intp)
+    sizes = free.sum(axis=1)
     order = np.argsort(-sizes, kind="stable")
-    c = int(sizes.max())
+    held, free, ground, sizes = held[order], free[order], ground[order], sizes[order]
+    c = int(sizes[0])
+    # one nonzero over the sorted masks: C's r-th vertex goes to slot c - |C| + r,
+    # and the slots before a C point at vertex 0, never read
+    rows, ids = np.nonzero(free)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx = np.zeros((m, c), dtype=np.intp)
+    idx[rows, c - sizes[rows] + rank] = ids
+    to_held = conductance_to(graph, held)
     w = graph.conductance_matrix
-    idx = np.zeros((m, c), dtype=np.intp)  # slots before a C point at vertex 0, never read
-    to_held = np.empty((m, graph.vertex_count))
     stack = np.zeros((m, c + 2, c + 2))
-    with np.errstate(over="ignore"):  # a sum past the doubles poisons its pivot or energy
-        for slot, i in enumerate(order.tolist()):
-            a = list(held[i].members)
-            idx[slot, c - sizes[i]:] = free[i]
-            to_held[slot] = w[:, a].sum(axis=1)
-            stack[slot, c, c + 1] = stack[slot, c + 1, c] = ground[i, a].sum()
     stack[:, :c, :c] = w[idx[:, :, None], idx[:, None, :]]
     stack[:, :c, c] = stack[:, c, :c] = np.take_along_axis(to_held, idx, axis=1)
-    stack[:, :c, c + 1] = stack[:, c + 1, :c] = np.take_along_axis(ground[order], idx, axis=1)
+    stack[:, :c, c + 1] = stack[:, c + 1, :c] = np.take_along_axis(ground, idx, axis=1)
+    with np.errstate(over="ignore"):  # a sum past the doubles poisons its energy
+        stack[:, c, c + 1] = stack[:, c + 1, c] = np.where(held, ground, 0.0).sum(axis=1)
     energies = np.empty(m)
     # seen stack-last, as kron_step takes it; each network lies whole in
     # memory, so a step runs along its rows rather than across the stack
-    energies[order] = kron_energies(stack.transpose(1, 2, 0), sizes[order])
+    energies[order] = kron_energies(stack.transpose(1, 2, 0), sizes)
     return [e if 0.0 < e < np.inf else errors.NotRepresentable(
                 f"energy {e!r} is not positive and finite in double precision")
             for e in energies.tolist()]
@@ -120,11 +134,12 @@ def pinned_energies(graph: WeightedGraph, held: Sequence[VertexSet],
 def pair_energies(graph: WeightedGraph, pairs: Sequence[tuple[VertexSet, VertexSet]],
                   ) -> list[Union[float, errors.HardySpectralError]]:
     """1/R(A, B) for each pair of disjoint nonempty sets of `graph`, or its
-    typed error: B is held at 0, with ground W(., B)."""
-    n = graph.vertex_count
-    return pinned_energies(
-        graph, [a for a, _ in pairs], [a.union(b).complement(n).members for a, b in pairs],
-        np.array([graph.conductance_matrix[:, b.members].sum(axis=1) for _, b in pairs]))
+    typed error: as masks, A held at 1, the rest eliminated, B held at 0
+    with ground W(., B)."""
+    a, b = (np.zeros((len(pairs), graph.vertex_count), dtype=bool) for _ in range(2))
+    for i, (x, y) in enumerate(pairs):
+        a[i, list(x.members)] = b[i, list(y.members)] = True
+    return pinned_energies(graph, a, ~(a | b), conductance_to(graph, b))
 
 
 def effective_resistance(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> float:

@@ -197,7 +197,8 @@ def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralR
     """
     interior = interior_of(graph, boundary)
     require_positive_mass(graph, interior)
-    ground = graph.conductance_matrix[:, list(boundary.members)].sum(axis=1)
+    with np.errstate(over="ignore"):  # an inf ground is NotRepresentable below
+        ground = graph.conductance_matrix[:, list(boundary.members)].sum(axis=1)
     [mode] = ground_modes(graph, [interior], np.diag(graph.laplacian_matrix)[None],
                           ground[None])
     if isinstance(mode, errors.HardySpectralError):

@@ -14,7 +14,8 @@ the graph's own arrays with the rows of `_pinched_rows`, to
 `spectral.ground_modes` by the pinch suite and to
 `resistance.pinned_energies` by `ressum`, which poses all of a run's
 resistances in one call (R(A, B) on the graph itself, by the series
-law).
+law). ressum's sets stay boolean rows over the vertices from the draw
+to the elimination.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .graph import (VertexSet, WeightedGraph, quantize_zeros, require_positive_m
                     zero_crossings)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
-from .resistance import pinned_energies
+from .resistance import conductance_to, pinned_energies
 from .rng import Xorshift64Star, irwin_hall
 from .spectral import (SpectralResult, dirichlet_eigenvalue, ground_modes,
                        neumann_eigenvalue)
@@ -76,10 +77,15 @@ def _random_mixed_sign_fs(rng: Xorshift64Star, n: int, count: int) -> np.ndarray
     return fs
 
 
-def _random_nonempty_subset(rng: Xorshift64Star, vs: VertexSet) -> VertexSet:
-    members = list(vs.members)
-    mask = 1 + rng.below((1 << len(members)) - 1)
-    return VertexSet.of(members[i] for i in range(len(members)) if (mask >> i) & 1)
+def _random_nonempty_subset(rng: Xorshift64Star, side: np.ndarray) -> np.ndarray:
+    """A nonempty subset of a side (a boolean row over the vertices), as
+    a boolean row: bit i of 1 + below(2^s - 1), s the side's size, picks
+    the side's i-th smallest vertex."""
+    members = np.flatnonzero(side)
+    pick = 1 + rng.below((1 << members.size) - 1)
+    subset = np.zeros_like(side)
+    subset[[v for i, v in enumerate(members.tolist()) if pick >> i & 1]] = True
+    return subset
 
 
 def _nonempty_subsets(sides: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -111,29 +117,32 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
     take one pass plus one per failure. While f takes both signs and each
     side has at most 64 vertices, a sample reads 12n outputs for f, then
     one word per side, exactly what the scalar calls read, so a pass is a
-    batch of array operations on outputs peeked at that stride. From the
-    first sample that breaks this layout on, the rest are drawn with the
-    scalar calls, the stream restarting from a copy taken after the
-    failing f. Every draw is bit-identical to the scalar ones. Returns
-    (pinch potentials as rows, ressum draws in sample order, each (f, A,
-    B) or the pinch's typed error, the `zero_crossings` rows (f, at_u,
-    at_v) of the draws that pinched), the last None unless "ressum" is
-    wanted."""
+    batch of array operations on outputs peeked at that stride, the sets
+    read by `_nonempty_subsets`. From the first sample that breaks this
+    layout on, the rest are drawn with the scalar calls, the stream
+    restarting from a copy taken after the failing f. Every draw is
+    bit-identical to the scalar ones.
+
+    Returns (pinch potentials as rows, ressum's draws, per ressum sample
+    None or its pinch's typed error). The draws are, for the d samples
+    that pinched in sample order, their `zero_crossings` rows (f, at_u,
+    at_v), then A and B as boolean rows (d, n); they are None, and the
+    errors empty, unless "ressum" is wanted."""
     rng = Xorshift64Star(seed)
     n = graph.vertex_count
     pinch_fs = _random_mixed_sign_fs(rng, n, samples if "pinch" in wanted else 0)
     if "ressum" not in wanted:
-        return pinch_fs, [], None
+        return pinch_fs, None, []
     _require_two_vertices(n, samples)
-    draws, m = [], graph.edge_count
-    kept = [(np.empty((0, n)), np.empty((0, m)), np.empty((0, m)))]
+    failures, m = [], graph.edge_count
+    kept = [(np.empty((0, n)), np.empty((0, m)), np.empty((0, m)), np.empty((0, 2, n), bool))]
     try:
         require_positive_mass(graph)
     except errors.ZeroMass as exc:
-        draws = [exc] * samples
+        failures = [exc] * samples
     width = 12 * n + 2
-    while len(draws) < samples:
-        todo = samples - len(draws)
+    while len(failures) < samples:
+        todo = samples - len(failures)
         words = rng.peek(todo * width).reshape(todo, width)
         f = _recentred(irwin_hall(words[:, :-2].reshape(todo, n, 12)))
         sides = np.stack([f < 0.0, f > 0.0], axis=1)
@@ -143,33 +152,32 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
             break
         f, at_u, at_v, failed = zero_crossings(graph, f[:broken])
         ok = next((i for i, exc in enumerate(failed) if exc is not None), broken)
-        subsets = _nonempty_subsets(sides[:ok], words[:ok, -2:])
-        draws += [(f[i], *(VertexSet(tuple(np.flatnonzero(side).tolist())) for side in subsets[i]))
-                  for i in range(ok)]
-        kept.append((f[:ok], at_u[:ok], at_v[:ok]))
+        kept.append((f[:ok], at_u[:ok], at_v[:ok],
+                     _nonempty_subsets(sides[:ok], words[:ok, -2:])))
+        failures += [None] * ok
         if ok == broken:
             rng.skip(ok * width)
             break
         rng.skip(ok * width + 12 * n)  # the pinch failed after f was drawn
-        draws.append(failed[ok])
-    todo = samples - len(draws)
+        failures.append(failed[ok])
+    todo = samples - len(failures)
     while todo:
-        fs, subsets, after_f = [], [], []
-        for _ in range(todo):
+        fs, subsets, after_f = [], np.empty((todo, 2, n), bool), []
+        for j in range(todo):
             [f] = _random_mixed_sign_fs(rng, n, 1)
             after_f.append(copy.copy(rng))
             fs.append(f)
-            subsets.append([_random_nonempty_subset(rng, VertexSet.of(np.flatnonzero(side)))
-                            for side in (f < 0.0, f > 0.0)])
+            subsets[j] = [_random_nonempty_subset(rng, side) for side in (f < 0.0, f > 0.0)]
         f, at_u, at_v, failed = zero_crossings(graph, fs)
         ok = next((i for i, exc in enumerate(failed) if exc is not None), todo)
-        draws += [(f[i], *subsets[i]) for i in range(ok)]
-        kept.append((f[:ok], at_u[:ok], at_v[:ok]))
+        kept.append((f[:ok], at_u[:ok], at_v[:ok], subsets[:ok]))
+        failures += [None] * ok
         if ok == todo:
             break
-        draws.append(failed[ok])
+        failures.append(failed[ok])
         rng, todo = after_f[ok], todo - ok - 1
-    return pinch_fs, draws, tuple(np.concatenate(rows) for rows in zip(*kept))
+    f, at_u, at_v, subsets = (np.concatenate(rows) for rows in zip(*kept))
+    return pinch_fs, (f, at_u, at_v, subsets[:, 0], subsets[:, 1]), failures
 
 
 def _pinched_rows(graph: WeightedGraph, f: np.ndarray, at_u: np.ndarray,
@@ -326,7 +334,7 @@ def run_suite(graph: WeightedGraph, *,
     # any draw fails the suites that need one
     no_draws = None
     try:
-        pinch_fs, ressum_draws, ressum_rows = _draws(graph, wanted, samples, seed)
+        pinch_fs, ressum_draws, ressum_failures = _draws(graph, wanted, samples, seed)
     except errors.SignCondition as exc:
         no_draws = exc
 
@@ -379,23 +387,20 @@ def run_suite(graph: WeightedGraph, *,
     def suite_ressum() -> None:
         if no_draws is not None:
             raise no_draws
-        drawn = [d for d in ressum_draws if not isinstance(d, errors.HardySpectralError)]
-        _, pinched = _pinched_rows(graph, *ressum_rows)
+        f, at_u, at_v, a, b = ressum_draws
+        n = graph.vertex_count
+        _, pinched = _pinched_rows(graph, f, at_u, at_v)
         # per draw 1/R(A, Z) and 1/R(B, Z) on their sides, then 1/R(A, B)
-        # on the parent (series law), B held at 0
-        held, sides, ground = [], [], []
-        for (f, a, b), to_z in zip(drawn, pinched):
-            held += [a, b, a]
-            sides += [f < 0.0, f > 0.0, ~np.isin(np.arange(len(f)), b.members)]
-            ground += [to_z, to_z, graph.conductance_matrix[:, b.members].sum(axis=1)]
-        energies = iter(pinned_energies(
-            graph, held, [[v for v in np.flatnonzero(side).tolist() if v not in x.members]
-                          for x, side in zip(held, sides)], np.array(ground)))
-        for i, draw in enumerate(ressum_draws, start=1):
+        # on the parent (series law), B held at 0; problem 3i + j is the
+        # j-th of draw i
+        held = np.stack([a, b, a], axis=1).reshape(-1, n)
+        free = np.stack([(f < 0.0) & ~a, (f > 0.0) & ~b, ~(a | b)], axis=1).reshape(-1, n)
+        ground = np.stack([pinched, pinched, conductance_to(graph, b)], axis=1).reshape(-1, n)
+        energies = iter(pinned_energies(graph, held, free, ground))
+        for i, exc in enumerate(ressum_failures, start=1):
             name = f"ressum_{i:02d}"
             # 1/R(A, Z), 1/R(B, Z) and 1/R(A, B), or the draw's pinch error
-            found = ([draw] if isinstance(draw, errors.HardySpectralError)
-                     else [next(energies), next(energies), next(energies)])
+            found = [exc] if exc is not None else [next(energies) for _ in range(3)]
             failed = errors.first_error(found)
             if failed is not None:
                 add(check_error(name, str(failed)))

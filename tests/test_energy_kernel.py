@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, components, content,
-                            dirichlet_content_exact, effective_resistance, errors,
-                            isoperimetric_exact, neumann_content_exact, hardy_path,
-                            neumann_content_sweep, neumann_eigenvalue, path_graph, pinch,
-                            random_graph, split_edge)
+                            dirichlet_content_exact, dirichlet_eigenvalue,
+                            effective_resistance, errors, isoperimetric_exact,
+                            neumann_content_exact, hardy_path, neumann_content_sweep,
+                            neumann_eigenvalue, path_graph, pinch, random_graph, run_suite,
+                            split_edge)
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
                                     NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
 from hardy_spectral.resistance import pair_energies
@@ -332,6 +333,46 @@ class TestExtremeWeights:
         with mpmath.workdps(50):
             expected = min(c[0] for c in psi2_candidates(g, mp_energy_fn(mpmath, g)))
         assert psi2 == pytest.approx(float(expected), rel=1e-12)
+
+
+class TestOverflowingSums:
+    """A sum of conductances past the largest double is inf, taken with the
+    overflow silenced: the typed error, or an inf ratio that never wins,
+    takes over, and no numpy RuntimeWarning escapes (the test settings
+    raise one as an error)."""
+
+    @staticmethod
+    def two_stiff_edges():
+        # vertex 1 meets 0 and 2 through 1e308: its degree and its
+        # conductance to the boundary {0, 2} overflow
+        return WeightedGraph((1.0,) * 4, ((0, 1, 1e308), (1, 2, 1e308), (2, 3, 1.0)))
+
+    def test_degrees_of_the_laplacian(self):
+        t = WeightedGraph((1.0,) * 3, ((0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)))
+        assert np.isinf(np.diag(t.laplacian_matrix)).all()
+        with pytest.raises(errors.NotRepresentable):
+            neumann_eigenvalue(t)
+
+    def test_ground_of_a_boundary_of_two(self):
+        with pytest.raises(errors.NotRepresentable):
+            dirichlet_eigenvalue(self.two_stiff_edges(), VertexSet.of([0, 2]))
+
+    def test_boundary_conductance_of_the_dirichlet_content(self):
+        with pytest.raises(errors.NotRepresentable):
+            dirichlet_content_exact(self.two_stiff_edges(), VertexSet.of([0, 2]))
+
+    def test_cut_table(self):
+        phi = isoperimetric_exact(self.two_stiff_edges())
+        assert (phi.value, phi.witness_a) == (1.0, VertexSet.of([0, 1, 2]))
+
+    def test_ground_of_a_pair(self):
+        with pytest.raises(errors.NotRepresentable):
+            effective_resistance(self.two_stiff_edges(), VertexSet.of([1]), VertexSet.of([0, 2]))
+
+    def test_run_suite(self):
+        report = run_suite(self.two_stiff_edges(), boundary=VertexSet.of([0, 2]))
+        assert len(report.checks) == 15
+        assert {c.relation for c in report.checks} == {"error"}
 
 
 def tie_winner(cands):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hardy_spectral import (VertexSet, WeightedGraph, components, contract,
                             laplacian, level_set_quotient, neumann_content_sweep,
-                            path_graph, pinch, random_graph, rayleigh_quotient,
-                            split_edge, validate)
+                            neumann_eigenvalue, path_graph, pinch, random_graph,
+                            rayleigh_quotient, split_edge, validate)
 from hardy_spectral import errors
 from hardy_spectral.graph import quantize_zeros, zero_crossings
 from hardy_spectral.rng import Xorshift64Star
@@ -473,6 +473,47 @@ class TestPinch:
                 type(None), errors.NonFinitePotential, errors.NonFinitePotential,
                 errors.SignCondition, errors.SignCondition, type(None),
                 errors.DimensionMismatch]
+
+
+def test_zero_crossings_of_a_mixed_stack():
+    # a quantize_zeros list, ndarray rows, a row of n + 1 values in the
+    # middle, a NaN row and an inf row: each row keeps `pinch`'s error on
+    # it alone, and a non-finite row names its first bad vertex
+    g = corpus_graph(4)
+    n = g.vertex_count
+    rng = Xorshift64Star(47)
+    mode = neumann_eigenvalue(g).eigenvector
+    nan_row = random_vector(rng, n)
+    nan_row[[1, 4]] = math.nan, math.inf
+    inf_row = random_vector(rng, n)
+    inf_row[[2, 5]] = -math.inf, math.nan
+    potentials = [quantize_zeros(mode), random_vector(rng, n), list(random_vector(rng, n + 1)),
+                  nan_row, np.abs(random_vector(rng, n)), inf_row, mode]
+    f, at_u, at_v, failed = zero_crossings(g, potentials)
+    assert f.shape == (len(potentials), n)
+    assert at_u.shape == at_v.shape == (len(f), g.edge_count)
+    for i, x in enumerate(potentials):
+        try:
+            p = pinch(g, x)
+        except errors.HardySpectralError as exc:
+            assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
+            if not isinstance(exc, errors.SignCondition):
+                assert not f[i].any()
+            continue
+        assert failed[i] is None
+        assert f[i].tolist() == list(p.f_extended[:n])
+    assert [type(e).__name__ for e in failed] == [
+        "NoneType", "NoneType", "DimensionMismatch", "NonFinitePotential", "SignCondition",
+        "NonFinitePotential", "NoneType"]
+    assert (failed[3].vertex, failed[5].vertex) == (1, 2)
+    assert str(failed[5]) == str(errors.NonFinitePotential(2, -math.inf))
+
+
+def test_zero_crossings_of_no_potentials():
+    g = corpus_graph(2)
+    f, at_u, at_v, failed = zero_crossings(g, [])
+    assert f.shape == (0, g.vertex_count) and failed == []
+    assert at_u.shape == at_v.shape == (0, g.edge_count)
 
 
 def test_quantize_zeros():

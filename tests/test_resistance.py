@@ -6,7 +6,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, contract,
                             split_edge, suite)
 from hardy_spectral import errors
 from hardy_spectral.graph import zero_crossings
-from hardy_spectral.resistance import pinned_energies
+from hardy_spectral.resistance import conductance_to, pinned_energies
 from hardy_spectral.rng import BLOCK, Xorshift64Star
 from hardy_spectral.suite import DEFAULT_SAMPLES, _draws, _random_nonempty_subset
 
@@ -27,6 +27,18 @@ def contracted_resistance(g, a: VertexSet, b: VertexSet) -> float:
     survivors2 = [v for v in range(g1.vertex_count) if v not in b_set]
     remap2 = {v: i for i, v in enumerate(survivors2)}
     return effective_resistance(g2, VertexSet.of([remap2[a_id]]), VertexSet.of([b_id]))
+
+
+def as_mask(sets, n):
+    """Boolean rows (len(sets), n) of vertex sets."""
+    mask = np.zeros((len(sets), n), dtype=bool)
+    for i, x in enumerate(sets):
+        mask[i, list(x.members)] = True
+    return mask
+
+
+def as_set(mask):
+    return VertexSet.of(np.flatnonzero(mask))
 
 
 def random_disjoint_pair(rng, n):
@@ -146,16 +158,33 @@ class TestPinnedStacks:
         for g in graphs:
             n = g.vertex_count
             pairs = [random_disjoint_pair(rng, n) for _ in range(8)]
-            held = [a for a, _ in pairs]
-            free = [a.union(b).complement(n).members for a, b in pairs]
+            held = as_mask([a for a, _ in pairs], n)
+            free = ~(held | as_mask([b for _, b in pairs], n))
             ground = np.array([g.conductance_matrix[:, b.members].sum(axis=1) for _, b in pairs])
-            alone = [pinned_energies(g, [x], [c], ground[i:i + 1])[0]
-                     for i, (x, c) in enumerate(zip(held, free))]
+            alone = [pinned_energies(g, held[i:i + 1], free[i:i + 1], ground[i:i + 1])[0]
+                     for i in range(len(pairs))]
             whole = pinned_energies(g, held, free, ground)
             backwards = pinned_energies(g, held[::-1], free[::-1], ground[::-1])[::-1]
-            assert len({len(c) for c in free}) > 1
+            assert len(set(free.sum(axis=1).tolist())) > 1
             for got in (whole, backwards):
                 assert [e.hex() for e in got] == [e.hex() for e in alone], g
+
+    def test_no_problems(self):
+        g = corpus_graph(0)
+        n = g.vertex_count
+        none = np.zeros((0, n), dtype=bool)
+        assert pinned_energies(g, none, none, np.zeros((0, n))) == []
+
+    def test_conductance_to_sums_each_row_alone(self):
+        g = corpus_graph(8, 3, 12)
+        n = g.vertex_count
+        rng = Xorshift64Star(9)
+        sets = as_mask([random_disjoint_pair(rng, n)[1] for _ in range(6)], n)
+        want = np.array([g.conductance_matrix[:, np.flatnonzero(x)].sum(axis=1) for x in sets])
+        got = conductance_to(g, sets)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert [conductance_to(g, x[None])[0].tobytes() for x in sets] == \
+            [row.tobytes() for row in got]
 
 
 class _SeriesParallel:
@@ -238,9 +267,20 @@ def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES,
         except errors.HardySpectralError as exc:
             draws.append(exc)
             continue
-        draws.append((p, _random_nonempty_subset(rng, p.negative_set),
-                      _random_nonempty_subset(rng, p.positive_set)))
+        n2 = p.graph.vertex_count
+        draws.append((p, *(as_set(_random_nonempty_subset(rng, as_mask([side], n2)[0]))
+                           for side in (p.negative_set, p.positive_set))))
     return pinch_fs, draws
+
+
+def drawn_samples(draws, failures):
+    """`_draws`'s ressum draws one sample at a time: the pinch's typed
+    error, or (f, A, B) with A and B as VertexSets."""
+    f, _, _, a, b = draws
+    pinched = zip(f, map(as_set, a), map(as_set, b))
+    out = [exc if exc is not None else next(pinched) for exc in failures]
+    assert next(pinched, None) is None
+    return out
 
 
 class FlatStream(Xorshift64Star):
@@ -266,8 +306,9 @@ class FlatStream(Xorshift64Star):
 @pytest.fixture
 def ressum_run(monkeypatch):
     """run_suite(graph, **kwargs) with the ressum energies recorded as the
-    suite posed them, in one `pinned_energies` call: the report, then per
-    draw that pinched (A, B) and [1/R(A, Z), 1/R(B, Z), 1/R(A, B)]."""
+    suite posed them, in one `pinned_energies` call (with no problems
+    when no draw pinched): the report, then per draw that pinched (A, B)
+    as VertexSets and [1/R(A, Z), 1/R(B, Z), 1/R(A, B)]."""
     calls = []
 
     def recorded(graph, held, free, ground):
@@ -282,8 +323,8 @@ def ressum_run(monkeypatch):
         report = run_suite(graph, **kwargs)
         # three problems per draw: A and B on their sides, then A against B
         [(held, out)] = calls
-        assert held[2::3] == held[::3]
-        return report, [((a, b), [e_a, e_b, e_ab]) for a, b, e_a, e_b, e_ab
+        assert np.array_equal(held[2::3], held[::3])
+        return report, [((as_set(a), as_set(b)), [e_a, e_b, e_ab]) for a, b, e_a, e_b, e_ab
                         in zip(held[::3], held[1::3], out[::3], out[1::3], out[2::3])]
 
     return run
@@ -371,10 +412,13 @@ class TestDraws:
     the one-at-a-time reference draws, bit for bit."""
 
     def assert_same(self, graph, seed, samples=DEFAULT_SAMPLES):
-        pinch_fs, ressum, (f, at_u, at_v) = _draws(graph, ["pinch", "ressum"], samples, seed)
+        pinch_fs, draws, failures = _draws(graph, ["pinch", "ressum"], samples, seed)
+        f, at_u, at_v, a, b = draws
         want_fs, want = reference_draws(graph, seed, pinch_first=True, samples=samples)
         assert pinch_fs.shape == (samples, graph.vertex_count)
         assert pinch_fs.tobytes() == np.array(want_fs, dtype=float).tobytes()
+        assert a.shape == b.shape == f.shape and a.dtype == b.dtype == bool
+        ressum = drawn_samples(draws, failures)
         assert len(ressum) == len(want) == samples
         pinched = []
         for got, draw in zip(ressum, want):
@@ -426,13 +470,13 @@ class TestDraws:
                 return super()._take(count)
 
         monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
-        _, _, rows = _draws(g, ["pinch", "ressum"], DEFAULT_SAMPLES, 5)
+        _, rows, _ = _draws(g, ["pinch", "ressum"], DEFAULT_SAMPLES, 5)
         with_ressum = list(reads)
         reads.clear()
         _draws(g, ["pinch"], DEFAULT_SAMPLES, 5)
         assert with_ressum == reads and reads
-        assert [r.shape for r in rows] == [(0, g.vertex_count), (0, g.edge_count),
-                                           (0, g.edge_count)]
+        n, m = g.vertex_count, g.edge_count
+        assert [r.shape for r in rows] == [(0, n), (0, m), (0, m), (0, n), (0, n)]
 
     def test_sides_of_64_and_65_vertices(self):
         # a side of up to 64 vertices takes one word, so it is drawn in the
@@ -470,8 +514,7 @@ class TestDraws:
         for seed in range(4):
             pinched.clear()
             peeks.clear()
-            ressum = _draws(g, ["ressum"], 20, seed)[1]
-            failed = [isinstance(d, errors.HardySpectralError) for d in ressum]
+            failed = [exc is not None for exc in _draws(g, ["ressum"], 20, seed)[2]]
             assert len(peeks) == 1
             # every pass but the last ends at a failure, and pinches the rest
             assert len(pinched) == 1 + sum(failed[:-1])
@@ -486,10 +529,10 @@ class TestDraws:
         start = 2 * (12 * n + 2)
         flat = lambda seed: FlatStream(seed, start, start + 12 * n)  # noqa: E731
         monkeypatch.setattr(suite, "Xorshift64Star", flat)
-        _, got, _ = _draws(g, ["ressum"], DEFAULT_SAMPLES, 4)
+        got = drawn_samples(*_draws(g, ["ressum"], DEFAULT_SAMPLES, 4)[1:])
         _, want = reference_draws(g, 4, stream=flat)
         monkeypatch.undo()
-        _, plain, _ = _draws(g, ["ressum"], DEFAULT_SAMPLES, 4)
+        plain = drawn_samples(*_draws(g, ["ressum"], DEFAULT_SAMPLES, 4)[1:])
         assert len(got) == len(want) == DEFAULT_SAMPLES
         for (f, a, b), (p, a2, b2) in zip(got, want):
             assert f.tobytes() == np.array(p.f_extended[:n]).tobytes()
@@ -508,11 +551,11 @@ class TestDraws:
 
     def test_no_samples(self):
         g = corpus_graph(0)
-        pinch_fs, ressum, rows = _draws(g, ["pinch", "ressum"], 0, 3)
-        assert pinch_fs.shape == (0, g.vertex_count) and ressum == []
-        assert [r.shape for r in rows] == [(0, g.vertex_count), (0, g.edge_count),
-                                           (0, g.edge_count)]
-        assert _draws(WeightedGraph((1.0,), ()), ["pinch", "ressum"], 0, 3)[1] == []
+        pinch_fs, rows, failures = _draws(g, ["pinch", "ressum"], 0, 3)
+        assert pinch_fs.shape == (0, g.vertex_count) and failures == []
+        n, m = g.vertex_count, g.edge_count
+        assert [r.shape for r in rows] == [(0, n), (0, m), (0, m), (0, n), (0, n)]
+        assert _draws(WeightedGraph((1.0,), ()), ["pinch", "ressum"], 0, 3)[2] == []
 
     @pytest.mark.parametrize("wanted", [["pinch"], ["ressum"], ["pinch", "ressum"]])
     def test_one_vertex_draws_nothing(self, wanted):
@@ -521,8 +564,8 @@ class TestDraws:
 
     def test_only_the_wanted_suites_draw(self):
         g = corpus_graph(1)
-        pinch_fs, ressum, rows = _draws(g, ["pinch"], 4, 9)
-        assert len(pinch_fs) == 4 and ressum == [] and rows is None
-        _, ressum, _ = _draws(g, ["ressum"], 4, 9)
+        pinch_fs, rows, failures = _draws(g, ["pinch"], 4, 9)
+        assert len(pinch_fs) == 4 and failures == [] and rows is None
+        ressum = drawn_samples(*_draws(g, ["ressum"], 4, 9)[1:])
         _, want = reference_draws(g, 9, samples=4)
         assert [(a, b) for _, a, b in ressum] == [(a, b) for _, a, b in want]
