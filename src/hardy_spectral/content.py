@@ -43,9 +43,9 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .graph import (VertexSet, WeightedGraph, as_potential, interior_of,
-                    is_canonical_path, path_graph, require_both_signs,
-                    require_positive_mass)
+from .graph import (VertexSet, WeightedGraph, as_potential, conductance_to,
+                    interior_of, is_canonical_path, path_graph,
+                    require_both_signs, require_positive_mass)
 from .resistance import kron_step
 from .spectral import TIE_RTOL
 
@@ -292,7 +292,8 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     1/R(S, A). Zero-mass subsets are skipped (their ratio is +inf).
     Guarded at interior size 20.
     """
-    interior = np.array(interior_of(graph, boundary), dtype=np.intp)
+    inside = interior_of(graph, boundary)[None]
+    interior = np.flatnonzero(inside[0])
     f = interior.size
     if f > DIRICHLET_ENUM_LIMIT:
         raise errors.TooLarge(f, DIRICHLET_ENUM_LIMIT)
@@ -300,11 +301,10 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     # Keys are masks of positions in the interior. The interior is sorted,
     # so they order sets as canonical keys do, and they fit an int64
     # whatever the vertex ids are. The terminals are A, then S.
-    w = graph.conductance_matrix[interior]
     net = np.zeros((f + 2, f + 2))
-    net[:f, :f] = w[:, interior]
-    with np.errstate(over="ignore"):  # an inf W(v, S) poisons its energies
-        net[:f, -1] = net[-1, :f] = w[:, list(boundary.members)].sum(axis=1)  # W(v, S)
+    net[:f, :f] = graph.conductance_matrix[interior[:, None], interior]
+    # W(v, S); an inf one poisons its energies
+    net[:f, -1] = net[-1, :f] = conductance_to(graph, ~inside)[0, interior]
 
     def score(energy, mu, key):
         keep = mu[0] > 0.0

@@ -180,7 +180,10 @@ class WeightedGraph:
         return lap
 
     def degree(self, v: int) -> float:
-        return float(sum(k for (a, b, k) in self.edges if a == v or b == v))
+        """W(v, V), the Laplacian's diagonal entry."""
+        if not 0 <= v < self.vertex_count:
+            raise errors.LengthMismatch(f"vertex id {v} out of range for n={self.vertex_count}")
+        return float(self.laplacian_matrix[v, v])
 
     def label(self, v: int) -> str:
         if self.labels is not None:
@@ -299,14 +302,36 @@ def require_both_signs(x) -> None:
         raise errors.SignCondition("potential must take both strict signs")
 
 
-def interior_of(graph: WeightedGraph, boundary: VertexSet) -> list[int]:
-    """The vertices off the boundary, in id order; raise BadBoundary unless
-    the boundary is a proper nonempty subset of the vertex ids."""
+def interior_of(graph: WeightedGraph, boundary: VertexSet) -> np.ndarray:
+    """The vertices off the boundary as a boolean row over the vertices;
+    raise BadBoundary unless the boundary is a proper nonempty subset of
+    the vertex ids."""
     n = graph.vertex_count
     bset = set(boundary.members)
     if not bset or len(bset) >= n or any(not (0 <= v < n) for v in bset):
         raise errors.BadBoundary(f"boundary must be a proper nonempty subset of 0..{n-1}")
-    return [v for v in range(n) if v not in bset]
+    inside = np.ones(n, dtype=bool)
+    inside[list(bset)] = False
+    return inside
+
+
+def edge_end_sums(graph: WeightedGraph, terms: np.ndarray) -> np.ndarray:
+    """Per row of terms (m, 2E), a term at each edge's u end in edge order
+    and then at each v end, each vertex's sum of the terms at its ends,
+    (m, n). One np.bincount adds them in that order, so a row does not
+    depend on the others; a sum past the doubles is inf, with no warning."""
+    n = graph.vertex_count
+    u, v, _k = graph.edge_arrays
+    ends = (np.arange(len(terms))[:, None] * n + np.concatenate([u, v])).ravel()
+    return np.bincount(ends, terms.ravel(), len(terms) * n).reshape(-1, n)
+
+
+def conductance_to(graph: WeightedGraph, sets: np.ndarray) -> np.ndarray:
+    """W(., X) for each boolean row X of sets (m, n): each vertex's
+    conductance to X, (m, n), summed by `edge_end_sums`."""
+    u, v, k = graph.edge_arrays
+    # take, not fancy indexing, keeps the terms C-ordered: no copy to ravel
+    return edge_end_sums(graph, np.concatenate([k, k]) * sets.take(np.concatenate([v, u]), 1))
 
 
 # ---------------------------------------------------------------------------

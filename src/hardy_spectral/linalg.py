@@ -1,7 +1,7 @@
 """Dense symmetric linear algebra sized for desk-scale graphs, on LAPACK
 through numpy: a Cholesky solve for the SPD systems behind harmonic
-extensions, a full symmetric eigendecomposition, and `by_size`, which
-runs many small problems as one stacked LAPACK call per problem size.
+extensions, and a full symmetric eigendecomposition of one matrix or of
+a stack of them.
 
 Inputs are plain numpy arrays; symmetry is required exactly (our
 assemblers produce it by construction), so LAPACK, which reads one
@@ -13,9 +13,7 @@ decide within a window, never by the last ulp.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -70,29 +68,3 @@ def jacobi_eigen(a: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError:
         raise errors.NoConvergence("symmetric eigensolver did not converge") from None
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def by_size(rows: Sequence, size: Callable[[object], Hashable],
-            solve: Callable[[list], Sequence]) -> list:
-    """solve(group) once for each group of rows of equal size(row), where
-    solve maps a list of rows to one result per row. Returns the results
-    in row order. A group whose call raises a typed error is solved again
-    one row at a time, so the error lands only on the rows that cause it:
-    those get the error object in place of a result."""
-    groups: dict[Hashable, list[int]] = defaultdict(list)
-    for i, row in enumerate(rows):
-        groups[size(row)].append(i)
-    out: list = [None] * len(rows)
-    for members in groups.values():
-        try:
-            results = list(solve([rows[i] for i in members]))
-        except errors.HardySpectralError:
-            results = []
-            for i in members:
-                try:
-                    results.append(solve([rows[i]])[0])
-                except errors.HardySpectralError as exc:
-                    results.append(exc)
-        for i, result in zip(members, results):
-            out[i] = result
-    return out

@@ -23,9 +23,10 @@ along their own trees and paths; `kron_energies` takes it for a stack
 of problems, each eliminating its own C. `pinned_energies` poses
 problems on one graph's arrays, each set a boolean row over the
 vertices, with each vertex's conductance to the vertices held at 0
-given per problem (as `spectral.ground_modes` does), so `ressum` needs
-no pinched graph; `pair_energies` poses given pairs. Sums of
-conductances to a set are masked row sums (`conductance_to`), so a
+given per problem: the one form of every pinned problem, which
+`spectral.ground_modes` takes too. So `ressum` needs no pinched graph;
+`pair_energies` poses given pairs. Sums of conductances to a set are
+`graph.conductance_to`, one sum over the edge ends per row, so a
 problem's numbers never depend on the others of its call.
 """
 
@@ -36,7 +37,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import errors
-from .graph import VertexSet, WeightedGraph
+from .graph import VertexSet, WeightedGraph, conductance_to
 
 
 def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
@@ -80,15 +81,6 @@ def kron_energies(net: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         for j, e in enumerate(started.tolist()):
             kron_step(net[j, j + 1:, :e], net[j + 1:, j + 1:, :e])
     return net[c, c + 1]
-
-
-def conductance_to(graph: WeightedGraph, sets: np.ndarray) -> np.ndarray:
-    """W(., X) for each boolean row X of sets (m, n): each vertex's
-    conductance to X, shape (m, n), a masked row sum, so a row does not
-    depend on the others. A sum past the doubles is inf, which poisons
-    the pivot or energy it enters."""
-    with np.errstate(over="ignore"):
-        return np.where(sets[:, None, :], graph.conductance_matrix, 0.0).sum(axis=2)
 
 
 def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,

@@ -6,10 +6,13 @@ second-smallest eigenvalue of M^{-1/2} L M^{-1/2}, and the boundary-pinned
 (Dirichlet) eigenvalue is the smallest eigenvalue of the same whitening
 applied to the interior principal submatrix. The interior splits into
 connected pieces, each its own eigenproblem. `ground_modes` solves the
-boundary-pinned problems on one graph's arrays, by piece size: one stacked
-eigh and one stacked solve per polish step for every group of equal-size
-pieces. `dirichlet_eigenvalue` poses one problem to it, and the pinch
-suite the pinched sides of all its potentials.
+boundary-pinned problems on one graph's arrays, each posed as
+`resistance.pinned_energies` poses its own: a boolean row over the
+vertices and a ground row (each vertex's conductance to the vertices
+held at 0). It runs one stacked eigh and one stacked solve per polish
+step for every group of equal-size pieces. `dirichlet_eigenvalue` poses
+one problem to it, and the pinch suite the pinched sides of all its
+potentials.
 
 LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
 which on stiff graphs swamps the small differences across stiff edges. So
@@ -24,15 +27,16 @@ window TIE_RTOL as tied and gives the lowest vertex id the win.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, components,
-                    interior_of, require_positive_mass)
-from .linalg import by_size, cholesky_solve, jacobi_eigen
+                    conductance_to, interior_of, require_positive_mass)
+from .linalg import cholesky_solve, jacobi_eigen
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -72,26 +76,29 @@ def _mass_dot(mass: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (mass[:, None, :] @ y[:, :, None])[:, 0]
 
 
-def _eigenpairs(blocks: np.ndarray, ground: np.ndarray, mass: np.ndarray,
+def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k-th smallest eigenpairs of a stack of problems L_PP x = lam M_P x,
-    one per piece P: `blocks` (g, s, s) holds the Laplacian blocks L_PP,
+    one per piece P: `w` (g, s, s) holds the conductance blocks W_PP,
     `ground` (g, s) the conductance from each vertex to the vertices off
     its piece, which are held at zero, and `mass` (g, s) the masses.
-    Returns the eigenvalues (g,) and the eigenvectors (g, s), of unit mass
-    norm: eigh on the whitened stack, then POLISH_STEPS steps of inverse
-    iteration. k = 1 is the Neumann mode (the piece is all of V): its
-    solves ground the first vertex and remove the constant mode. A solve
-    or its norm past the doubles raises NoConvergence, and a whitened
-    block or an eigenvalue past them NotRepresentable.
+    L_PP's diagonal is built as W_PP 1 + ground, a sum of nonnegative
+    terms. Returns the eigenvalues (g,) and the eigenvectors (g, s), of
+    unit mass norm: eigh on the whitened stack, then POLISH_STEPS steps of
+    inverse iteration. k = 1 is the Neumann mode (the piece is all of V):
+    its solves ground the first vertex and remove the constant mode. A
+    solve or its norm past the doubles raises NoConvergence, and a
+    whitened block or an eigenvalue past them NotRepresentable.
 
     The eigenvalue is the energy as a sum of nonnegative terms,
-    0.5 * sum W_PP (x_i - x_j)^2 + sum W(P, V \\ P) x_i^2, with W_PP the
-    off-diagonal of -L_PP (the diagonal terms vanish). Every step works
-    on each problem alone, so a problem's result does not depend on the
+    0.5 * sum W_PP (x_i - x_j)^2 + sum ground x_i^2. Every step works on
+    each problem alone, so a problem's result does not depend on the
     stack it is solved in."""
     d = 1.0 / np.sqrt(mass)
     with np.errstate(over="ignore", invalid="ignore"):
+        blocks = -w
+        diagonal = np.arange(w.shape[-1])
+        blocks[:, diagonal, diagonal] = w.sum(axis=-1) + ground
         whitened = blocks * (d[:, :, None] * d[:, None, :])
         if not np.isfinite(whitened).all():
             raise errors.NotRepresentable("the mass-whitened Laplacian overflows double precision")
@@ -110,7 +117,7 @@ def _eigenpairs(blocks: np.ndarray, ground: np.ndarray, mass: np.ndarray,
                 raise errors.NoConvergence("inverse iteration overflowed in double precision")
             x = y / norm
         diff = x[:, :, None] - x[:, None, :]
-        inside = (-blocks * diff * diff).reshape(len(x), -1).sum(axis=1)
+        inside = (w * diff * diff).reshape(len(x), -1).sum(axis=1)
         lam = 0.5 * inside + (ground * (x * x)).sum(axis=1)
     if not lam.max() < np.inf:  # a sum of nonnegative terms: inf, never NaN
         raise errors.NotRepresentable("the eigenvalue overflows double precision")
@@ -136,7 +143,7 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
         raise errors.DimensionMismatch("need at least two vertices")
     require_positive_mass(graph)
 
-    lam, x = _eigenpairs(graph.laplacian_matrix[None], np.zeros((1, n)),
+    lam, x = _eigenpairs(graph.conductance_matrix[None], np.zeros((1, n)),
                          graph.mass_vector[None], 1)
     lam, x = float(lam[0]), _canonical_sign(x[0])
     # the exact mode is positive and takes both signs (it is mass-orthogonal
@@ -147,33 +154,44 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
     return _result(graph, lam, x, slice(None), NEUMANN)
 
 
-def ground_modes(graph: WeightedGraph, sides: Sequence[list[int]], degree: np.ndarray,
-                 ground: np.ndarray) -> list:
+def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list) -> list:
+    """(piece, eigenvalue, eigenvector on the piece) for each (problem i,
+    piece) of `pieces`, all of one size, from one `_eigenpairs` stack. A
+    stack that raises a typed error is solved again one piece at a time,
+    so the error lands only on the piece that causes it."""
+    row = np.array([i for i, _ in pieces])[:, None]
+    idx = np.array([piece for _, piece in pieces])
+    try:
+        lam, x = _eigenpairs(graph.conductance_matrix[idx[:, :, None], idx[:, None, :]],
+                             ground[row, idx], graph.mass_vector[idx], 0)
+    except errors.HardySpectralError as exc:
+        if len(pieces) == 1:
+            return [exc]
+        return [mode for one in pieces for mode in _piece_modes(graph, ground, [one])]
+    return [(piece, *mode) for (_, piece), mode in zip(pieces, zip(lam.tolist(), x))]
+
+
+def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) -> list:
     """The boundary-pinned modes of many problems on `graph` at once.
-    Problem i holds the sorted vertex ids sides[i] and pins every other
-    vertex to zero; the rows degree[i] and ground[i] give each vertex's
-    diagonal entry and its conductance to the pinned vertices. Every
-    connected piece of a side is its own eigenproblem, its block gathered
-    from the Laplacian with the diagonal from `degree`, and the pieces of
-    all problems are solved in one `_eigenpairs` stack per piece size (see
-    `linalg.by_size`), so a piece that fails fails only its own problem.
+    Problem i solves the vertices of the boolean row sides[i] and pins
+    every other vertex to zero; ground[i] gives each vertex's conductance
+    to the pinned vertices. Every connected piece of a side is its own
+    eigenproblem, and the pieces of all problems are solved in one stack
+    per piece size (`_piece_modes`), so a piece that fails fails only its
+    own problem.
 
     Returns, per problem, the typed error of its first failing piece, else
     (piece, eigenvalue, eigenvector on the piece) for the lowest-id piece
     among those whose eigenvalue ties the smallest, so the mode never
     mixes decoupled blocks and keeps one sign.
     """
-    splits = [components(graph, side) for side in sides]
-    rows = [(i, piece) for i, split in enumerate(splits) for piece in split]
-
-    def solve(group):
-        row = np.array([i for i, _ in group])[:, None]
-        idx = np.array([piece for _, piece in group])
-        blocks = graph.laplacian_matrix[idx[:, :, None], idx[:, None, :]]
-        diagonal = np.arange(idx.shape[1])
-        blocks[:, diagonal, diagonal] = degree[row, idx]
-        lam, x = _eigenpairs(blocks, ground[row, idx], graph.mass_vector[idx], 0)
-        return [(piece, *mode) for (_, piece), mode in zip(group, zip(lam.tolist(), x))]
+    splits = [components(graph, np.flatnonzero(side).tolist()) for side in sides]
+    by_size: dict[int, list] = defaultdict(list)
+    for i, split in enumerate(splits):
+        for piece in split:
+            by_size[len(piece)].append((i, piece))
+    solved = {(i, piece[0]): mode for pieces in by_size.values()
+              for (i, piece), mode in zip(pieces, _piece_modes(graph, ground, pieces))}
 
     def lowest(modes):
         failed = errors.first_error(modes)
@@ -182,31 +200,28 @@ def ground_modes(graph: WeightedGraph, sides: Sequence[list[int]], degree: np.nd
         floor = min(lam for _, lam, _ in modes)
         return next(mode for mode in modes if mode[1] <= floor * (1.0 + TIE_RTOL))
 
-    modes = iter(by_size(rows, lambda row: len(row[1]), solve))
-    return [lowest([next(modes) for _ in split]) for split in splits]
+    return [lowest([solved[i, piece[0]] for piece in split]) for i, split in enumerate(splits)]
 
 
 def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralResult:
     """The smallest eigenvalue over potentials pinned to zero on the
-    boundary, solved on the interior principal submatrix by `ground_modes`.
+    boundary, solved on the interior principal submatrix by `ground_modes`,
+    with W(., S) as the ground.
 
     Boundary masses never enter, so zero-mass vertices are fine there, but
     every interior vertex needs positive mass. The returned eigenvector is
     zero-padded onto the boundary (it is an eigenvector of the interior
     submatrix, not of L).
     """
-    interior = interior_of(graph, boundary)
-    require_positive_mass(graph, interior)
-    with np.errstate(over="ignore"):  # an inf ground is NotRepresentable below
-        ground = graph.conductance_matrix[:, list(boundary.members)].sum(axis=1)
-    [mode] = ground_modes(graph, [interior], np.diag(graph.laplacian_matrix)[None],
-                          ground[None])
+    inside = interior_of(graph, boundary)[None]
+    require_positive_mass(graph, np.flatnonzero(inside[0]).tolist())
+    [mode] = ground_modes(graph, inside, conductance_to(graph, ~inside))
     if isinstance(mode, errors.HardySpectralError):
         raise mode
     piece, lam, x_piece = mode
     x = np.zeros(graph.vertex_count)
     x[piece] = x_piece
-    return _result(graph, lam, _canonical_sign(x), interior, DIRICHLET,
+    return _result(graph, lam, _canonical_sign(x), inside[0], DIRICHLET,
                    VertexSet.of(boundary))
 
 

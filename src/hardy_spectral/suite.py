@@ -10,12 +10,13 @@ one batch of array operations while every side fits one word). LAPACK is
 deterministic for a fixed build, and every tie is decided within a
 window, so a report depends only on the inputs and the seed.
 No suite builds a pinched graph: both sides of every pinch are posed on
-the graph's own arrays with the rows of `_pinched_rows`, to
-`spectral.ground_modes` by the pinch suite and to
-`resistance.pinned_energies` by `ressum`, which poses all of a run's
-resistances in one call (R(A, B) on the graph itself, by the series
-law). ressum's sets stay boolean rows over the vertices from the draw
-to the elimination.
+the graph's own arrays, each as its boolean row {f < 0} or {f > 0} with
+the potential's ground row from `_pinched_rows` (its only row: the
+solvers build every diagonal themselves), to `spectral.ground_modes` by
+the pinch suite and to `resistance.pinned_energies` by `ressum`, which
+poses all of a run's resistances in one call (R(A, B) on the graph
+itself, by the series law). ressum's sets stay boolean rows over the
+vertices from the draw to the elimination.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from ._version import __version__
 from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
-from .graph import (VertexSet, WeightedGraph, quantize_zeros, require_positive_mass,
-                    zero_crossings)
+from .graph import (VertexSet, WeightedGraph, conductance_to, edge_end_sums,
+                    quantize_zeros, require_positive_mass, zero_crossings)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
-from .resistance import conductance_to, pinned_energies
+from .resistance import pinned_energies
 from .rng import Xorshift64Star, irwin_hall
 from .spectral import (SpectralResult, dirichlet_eigenvalue, ground_modes,
                        neumann_eigenvalue)
@@ -181,30 +182,21 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
 
 
 def _pinched_rows(graph: WeightedGraph, f: np.ndarray, at_u: np.ndarray,
-                  at_v: np.ndarray) -> tuple:
-    """(degree, ground) for pinching at each potential's zero set, from
-    the rows (f, at_u, at_v) of `zero_crossings`: each vertex's degree
-    and conductance to its side's boundary (ground) on the pinched graph,
-    one row per potential.
+                  at_v: np.ndarray) -> np.ndarray:
+    """The ground for pinching at each potential's zero set, from the rows
+    (f, at_u, at_v) of `zero_crossings`: each vertex's conductance to its
+    side's boundary on the pinched graph, one row per potential.
 
     No pinched graph is built: a side, {f < 0} or {f > 0}, holds only
     original vertices, so every side can be posed on `graph` itself with
-    these rows. They are summed for all potentials at once from
-    nonnegative terms only: kappa to a neighbour of the same sign (degree
-    only), kappa to a zero-valued neighbour, and the segment conductance
-    at a crossing edge's end."""
-    n = graph.vertex_count
+    its boolean row and this ground. It is summed for all potentials at
+    once by `edge_end_sums`, from nonnegative terms only: kappa to a
+    zero-valued neighbour, and the segment conductance at a crossing
+    edge's end."""
     u, v, k = graph.edge_arrays
-    sign = np.sign(f)
     zero = f == 0.0
-    same = k * (sign[:, u] * sign[:, v] > 0.0)
-    # one term per edge end, the u ends then the v ends, in edge order
-    ground = np.concatenate([at_u + k * zero[:, v], at_v + k * zero[:, u]], axis=1)
-    degree = ground + np.concatenate([same, same], axis=1)
-    ends = (np.arange(len(f))[:, None] * n + np.concatenate([u, v])).ravel()
-    ground, degree = (np.bincount(ends, terms.ravel(), f.size).reshape(f.shape)
-                      for terms in (ground, degree))
-    return degree, ground
+    return edge_end_sums(graph, np.concatenate([at_u + k * zero[:, v],
+                                                at_v + k * zero[:, u]], axis=1))
 
 
 def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
@@ -213,12 +205,11 @@ def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     the pinch (see `zero_crossings`), else of the negative side, else of
     the positive side, all sides solved in one `ground_modes` call."""
     f, at_u, at_v, failed = zero_crossings(graph, potentials)
-    degree, ground = _pinched_rows(graph, f, at_u, at_v)
+    ground = _pinched_rows(graph, f, at_u, at_v)
     # every potential that pinches poses its negative side, then its positive
     posed = np.array([i for i, exc in enumerate(failed) if exc is None], dtype=np.intp)
-    sides = [np.flatnonzero(side).tolist() for i in posed for side in (f[i] < 0.0, f[i] > 0.0)]
-    rows = np.repeat(posed, 2)
-    modes = iter(ground_modes(graph, sides, degree[rows], ground[rows]))
+    sides = np.stack([f < 0.0, f > 0.0], axis=1)[posed].reshape(-1, graph.vertex_count)
+    modes = iter(ground_modes(graph, sides, np.repeat(ground[posed], 2, axis=0)))
     out = []
     for exc in failed:
         if exc is None:
@@ -364,7 +355,7 @@ def run_suite(graph: WeightedGraph, *,
     def suite_cheeger() -> None:
         lambda2 = q.get("lambda2").eigenvalue
         phi = q.record("phi")
-        worst = max(graph.degree(v) / graph.masses[v] for v in range(graph.vertex_count))
+        worst = float(np.max(np.diag(graph.laplacian_matrix) / graph.mass_vector))
         add(check_le("cheeger_lower", lambda2 / 2.0, phi.value, tolerance))
         add(check_le("cheeger_upper", phi.value, math.sqrt(2.0 * lambda2 * worst),
                      tolerance))
@@ -389,7 +380,7 @@ def run_suite(graph: WeightedGraph, *,
             raise no_draws
         f, at_u, at_v, a, b = ressum_draws
         n = graph.vertex_count
-        _, pinched = _pinched_rows(graph, f, at_u, at_v)
+        pinched = _pinched_rows(graph, f, at_u, at_v)
         # per draw 1/R(A, Z) and 1/R(B, Z) on their sides, then 1/R(A, B)
         # on the parent (series law), B held at 0; problem 3i + j is the
         # j-th of draw i

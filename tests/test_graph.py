@@ -200,6 +200,13 @@ class TestPathGraph:
         with pytest.raises(errors.LengthMismatch):
             path_graph([1, 1, 1], [1])
 
+    def test_degree_reads_the_laplacian_and_checks_the_id(self):
+        g = path_graph([1, 1, 1], [1.5, 2.0])
+        assert [g.degree(v) for v in range(3)] == [1.5, 3.5, 2.0]
+        for v in (-1, 3):
+            with pytest.raises(errors.LengthMismatch):
+                g.degree(v)
+
 
 class TestRandomGraph:
     def test_two_vertices_forces_the_edge(self):

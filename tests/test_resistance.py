@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, contract,
-                            effective_resistance, path_graph, pinch, run_suite,
-                            split_edge, suite)
+                            effective_resistance, path_graph, pinch,
+                            random_graph, run_suite, split_edge, suite)
 from hardy_spectral import errors
-from hardy_spectral.graph import zero_crossings
-from hardy_spectral.resistance import conductance_to, pinned_energies
+from hardy_spectral.graph import conductance_to, zero_crossings
+from hardy_spectral.resistance import pinned_energies
 from hardy_spectral.rng import BLOCK, Xorshift64Star
 from hardy_spectral.suite import DEFAULT_SAMPLES, _draws, _random_nonempty_subset
 
@@ -186,6 +188,19 @@ class TestPinnedStacks:
         assert [conductance_to(g, x[None])[0].tobytes() for x in sets] == \
             [row.tobytes() for row in got]
 
+    def test_conductance_to_copies_no_matrix_per_row(self):
+        # 30 rows at n = 200: a masked copy of W per row would be 9.6 MB
+        g = random_graph(200, 0.02, (0.1, 10.0), (0.1, 10.0), seed=7)
+        sets = Xorshift64Star(11).gaussians(30 * 200).reshape(30, 200) > 0.0
+        g.edge_arrays, g.conductance_matrix  # cached before the count starts
+        tracemalloc.start()
+        try:
+            got = conductance_to(g, sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (30, 200) and peak < 1_000_000
+
 
 class _SeriesParallel:
     """Random series-parallel two-terminal networks with their closed-form
@@ -338,10 +353,10 @@ def pinched_energies(p, a, b):
 
 class TestRessumRoute:
     """`ressum` poses its resistances on the parent graph's arrays: each
-    side with its pinched degree and ground, R(A, B) on the parent itself
-    (series law). The reference route builds each pinched graph; both
-    must draw the same sets, give energies within 1e-13 relative, and
-    give the same error rows."""
+    side as its boolean row with its pinched ground, R(A, B) on the parent
+    itself (series law). The reference route builds each pinched graph;
+    both must draw the same sets, give energies within 1e-13 relative,
+    and give the same error rows."""
 
     def assert_agree(self, ressum_run, graph, seed):
         report, drawn = ressum_run(graph, suites=["ressum"], seed=seed)

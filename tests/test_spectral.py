@@ -501,6 +501,32 @@ class TestPinchRoute:
             self.assert_agree(g, fs)
         assert zeros >= 30
 
+    def test_pinched_ground_matches_the_pinched_graph(self):
+        # each side vertex's ground is its conductance to the zero set of
+        # the pinched graph: segments at crossing edges and edges to exact zeros
+        rng = Xorshift64Star(619)
+        crossings = zeros = 0
+        for i in range(30):
+            g = corpus_graph(i)
+            n = g.vertex_count
+            fs = list(_random_mixed_sign_fs(rng, n, 4))
+            fs += [[0.0 if v in (i % n, (i + 1) % n) else x for v, x in enumerate(f)]
+                   for f in fs[:2]]
+            fs = [f for f in fs if min(f) < 0.0 < max(f)]
+            f, at_u, at_v, failed = graph_module.zero_crossings(g, fs)
+            assert failed == [None] * len(fs)
+            ground = suite._pinched_rows(g, f, at_u, at_v)
+            for j, row in enumerate(ground):
+                p = pinch(g, f[j])
+                to_zero = p.graph.conductance_matrix[:, list(p.zero_set.members)]
+                for v in np.flatnonzero(f[j]).tolist():
+                    assert row[v] == pytest.approx(to_zero[v].sum(), rel=1e-15, abs=0.0)
+                alone = suite._pinched_rows(g, f[j:j + 1], at_u[j:j + 1], at_v[j:j + 1])
+                assert alone[0].tobytes() == row.tobytes()
+                crossings += p.graph.vertex_count - n
+                zeros += int((f[j] == 0.0).sum())
+        assert crossings >= 100 and zeros >= 30
+
     def test_failing_piece_and_typed_errors(self):
         g = path_graph([1.0] * 4, [1e-17, 1.0, 1.0])
         fs = [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
