@@ -173,6 +173,18 @@ class _RunningMin:
         return float(self.ratios[0]), int(self.keys[0])
 
 
+def _pick(keep: Optional[np.ndarray]):
+    """The networks that keep marks (None for all) as an index: a slice,
+    which reads a view with no gather, when they form one run, else their
+    positions."""
+    if keep is None:
+        return slice(None)
+    at = np.flatnonzero(keep)
+    if at.size and at[-1] - at[0] == at.size - 1:
+        return slice(at[0], at[-1] + 1)
+    return at
+
+
 def _branch(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: int,
             choices: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide the first node of every network in a stack.
@@ -187,17 +199,16 @@ def _branch(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: 
     never read.
     """
     row, rest = net[0, 1:], net[1:, 1:]
-    picks = [slice(None) if keep is None or keep.all() else np.flatnonzero(keep)
-             for keep, _ in choices]
-    sizes = [row.shape[1] if isinstance(rows, slice) else len(rows) for rows in picks]
-    out = np.empty(rest.shape[:2] + (sum(sizes),))
+    picks = [_pick(keep) for keep, _ in choices]
+    rs = [row[:, rows] for rows in picks]
+    out = np.empty(rest.shape[:2] + (sum(r.shape[1] for r in rs),))
     out_mu = np.empty((2, out.shape[2]))
     out_key = np.empty((2, out.shape[2]), dtype=np.int64)
     at = 0
-    for rows, size, (_, terminal) in zip(picks, sizes, choices):
-        here = slice(at, at + size)
-        at += size
-        r, child = row[:, rows], out[:, :, here]
+    for rows, r, (_, terminal) in zip(picks, rs, choices):
+        here = slice(at, at + r.shape[1])
+        at += r.shape[1]
+        child = out[:, :, here]
         out_mu[:, here], out_key[:, here] = mu[:, rows], key[:, rows]
         child[...] = rest[:, :, rows]
         if terminal is None:

@@ -10,9 +10,11 @@ boundary-pinned problems on one graph's arrays, each posed as
 `resistance.pinned_energies` poses its own: a boolean row over the
 vertices and a ground row (each vertex's conductance to the vertices
 held at 0). It runs one stacked eigh and one stacked solve per polish
-step for every group of equal-size pieces. `dirichlet_eigenvalue` poses
-one problem to it, and the pinch suite the pinched sides of all its
-potentials.
+step for every stack of pieces: one stack holds every piece of at most
+SMALL_PIECE vertices, padded with decoupled vertices to one width that
+depends only on the graph, and each larger size has a stack of its own.
+`dirichlet_eigenvalue` poses one problem to it, and the pinch suite the
+pinched sides of all its potentials.
 
 LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
 which on stiff graphs swamps the small differences across stiff edges. So
@@ -43,6 +45,9 @@ DIRICHLET = "dirichlet"
 
 TIE_RTOL = 64 * np.finfo(float).eps
 POLISH_STEPS = 2
+_TINY, _LARGEST = np.finfo(float).tiny, np.finfo(float).max
+# pieces of at most this many vertices share one padded eigen stack
+SMALL_PIECE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +81,8 @@ def _mass_dot(mass: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (mass[:, None, :] @ y[:, :, None])[:, 0]
 
 
-def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray,
-                k: int) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
+                pad: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """The k-th smallest eigenpairs of a stack of problems L_PP x = lam M_P x,
     one per piece P: `w` (g, s, s) holds the conductance blocks W_PP,
     `ground` (g, s) the conductance from each vertex to the vertices off
@@ -89,6 +94,15 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray,
     its solves ground the first vertex and remove the constant mode. A
     solve or its norm past the doubles raises NoConvergence, and a
     whitened block or an eigenvalue past them NotRepresentable.
+
+    `pad` (g, s), if given, marks padding vertices, passed with no
+    conductances, no ground and mass 1. Each is given a ground strictly
+    above its piece's lowest eigenvalue, which is at most any whitened
+    diagonal entry (the Rayleigh quotient of e_i): twice the piece's
+    largest, clamped to the positive doubles, so a pad is never singular
+    or infinite and adds no typed error. eigh's start vector is zeroed on
+    the pads, so the polish keeps them at 0 and the energy sees only the
+    piece.
 
     The eigenvalue is the energy as a sum of nonnegative terms,
     0.5 * sum W_PP (x_i - x_j)^2 + sum ground x_i^2. Every step works on
@@ -102,7 +116,14 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray,
         whitened = blocks * (d[:, :, None] * d[:, None, :])
         if not np.isfinite(whitened).all():
             raise errors.NotRepresentable("the mass-whitened Laplacian overflows double precision")
+        if pad is not None:
+            top = whitened[:, diagonal, diagonal].max(axis=1, keepdims=True)
+            lift = np.clip(2.0 * top, _TINY, _LARGEST) * pad
+            blocks[:, diagonal, diagonal] += lift
+            whitened[:, diagonal, diagonal] += lift
         x = d * jacobi_eigen(whitened).eigenvectors[:, :, k]
+        if pad is not None:
+            x[pad] = 0.0
         for _ in range(POLISH_STEPS):
             y = np.zeros_like(x)
             try:
@@ -154,21 +175,34 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
     return _result(graph, lam, x, slice(None), NEUMANN)
 
 
-def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list) -> list:
+def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list, width: int) -> list:
     """(piece, eigenvalue, eigenvector on the piece) for each (problem i,
-    piece) of `pieces`, all of one size, from one `_eigenpairs` stack. A
-    stack that raises a typed error is solved again one piece at a time,
-    so the error lands only on the piece that causes it."""
+    piece) of `pieces` from one `_eigenpairs` stack of `width` vertices,
+    a piece with fewer being padded up to it. A stack that raises a typed
+    error is solved again one piece at a time, padded the same way, so
+    the error lands only on the piece that causes it."""
+    n = graph.vertex_count
     row = np.array([i for i, _ in pieces])[:, None]
-    idx = np.array([piece for _, piece in pieces])
+    idx = np.array([piece + [n] * (width - len(piece)) for _, piece in pieces])
+    pad = idx == n
+    w, grounds, mass = graph.conductance_matrix, ground, graph.mass_vector
+    if pad.any():  # vertex n stands for every pad: no conductances, no ground, mass 1
+        w = np.zeros((n + 1, n + 1))
+        w[:n, :n] = graph.conductance_matrix
+        grounds = np.zeros((len(ground), n + 1))
+        grounds[:, :n] = ground
+        mass = np.append(mass, 1.0)
+    else:
+        pad = None
     try:
-        lam, x = _eigenpairs(graph.conductance_matrix[idx[:, :, None], idx[:, None, :]],
-                             ground[row, idx], graph.mass_vector[idx], 0)
+        lam, x = _eigenpairs(w[idx[:, :, None], idx[:, None, :]], grounds[row, idx], mass[idx],
+                             0, pad)
     except errors.HardySpectralError as exc:
         if len(pieces) == 1:
             return [exc]
-        return [mode for one in pieces for mode in _piece_modes(graph, ground, [one])]
-    return [(piece, *mode) for (_, piece), mode in zip(pieces, zip(lam.tolist(), x))]
+        return [mode for one in pieces for mode in _piece_modes(graph, ground, [one], width)]
+    return [(piece, lam_i, x_i[:len(piece)])
+            for (_, piece), lam_i, x_i in zip(pieces, lam.tolist(), x)]
 
 
 def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) -> list:
@@ -176,8 +210,11 @@ def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) ->
     Problem i solves the vertices of the boolean row sides[i] and pins
     every other vertex to zero; ground[i] gives each vertex's conductance
     to the pinned vertices. Every connected piece of a side is its own
-    eigenproblem, and the pieces of all problems are solved in one stack
-    per piece size (`_piece_modes`), so a piece that fails fails only its
+    eigenproblem. The pieces of all problems are solved in few stacks
+    (`_piece_modes`): every piece of at most t = min(SMALL_PIECE, n - 1)
+    vertices is padded to t, and each larger size has its own stack. t
+    depends on the graph alone, so a piece's result does not depend on
+    the other pieces of the call, and a piece that fails fails only its
     own problem.
 
     Returns, per problem, the typed error of its first failing piece, else
@@ -186,12 +223,13 @@ def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) ->
     mixes decoupled blocks and keeps one sign.
     """
     splits = [components(graph, np.flatnonzero(side).tolist()) for side in sides]
-    by_size: dict[int, list] = defaultdict(list)
+    small = min(SMALL_PIECE, graph.vertex_count - 1)
+    stacks: dict[int, list] = defaultdict(list)
     for i, split in enumerate(splits):
         for piece in split:
-            by_size[len(piece)].append((i, piece))
-    solved = {(i, piece[0]): mode for pieces in by_size.values()
-              for (i, piece), mode in zip(pieces, _piece_modes(graph, ground, pieces))}
+            stacks[max(len(piece), small)].append((i, piece))
+    solved = {(i, piece[0]): mode for width, pieces in stacks.items()
+              for (i, piece), mode in zip(pieces, _piece_modes(graph, ground, pieces, width))}
 
     def lowest(modes):
         failed = errors.first_error(modes)

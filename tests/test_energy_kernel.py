@@ -460,6 +460,30 @@ class TestDecisionTree:
                 for got, ref in zip(whole, alone[i]):
                     assert got[..., pos].tobytes() == ref[..., before].tobytes()
 
+    def test_contiguous_keep_reads_a_slice_with_the_same_bits(self, monkeypatch):
+        # a keep that marks one run of networks is read as a view; the
+        # children must be the bits the gather gives
+        rng = np.random.default_rng(5)
+        m = 7
+        runs = [(0, m), (1, m), (0, 3), (2, 5), (4, 5)]
+        for k in (3, 6, 14):
+            w = rng.uniform(0.1, 10.0, (k, k, m))
+            net = w + w.transpose(1, 0, 2)
+            mu = rng.uniform(0.0, 3.0, (2, m))
+            key = rng.integers(0, 1 << 20, (2, m))
+            for lo, hi in runs:
+                keep = np.zeros(m, dtype=bool)
+                keep[lo:hi] = True
+                choices = [(keep, None), (keep, 0), (None, 1), (keep, 1)]
+                assert isinstance(content._pick(keep), slice)
+                sliced = content._branch(net, mu, key, 0.5, 1 << 21, choices)
+                with monkeypatch.context() as patch:
+                    patch.setattr(content, "_pick", lambda keep: (
+                        np.arange(m) if keep is None else np.flatnonzero(keep)))
+                    gathered = content._branch(net, mu, key, 0.5, 1 << 21, choices)
+                for got, ref in zip(sliced, gathered):
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
     @staticmethod
     def _same_with_tiny_stacks(g, s, monkeypatch):
         results = []

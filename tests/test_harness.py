@@ -206,10 +206,10 @@ class TestRunSuite:
         # is raised again for each suite that needs it, never solved again
         solves = []
 
-        def counted(blocks, ground, mass, k):
+        def counted(blocks, ground, mass, k, pad=None):
             if k == 1:
                 solves.append(blocks)
-            return eigenpairs(blocks, ground, mass, k)
+            return eigenpairs(blocks, ground, mass, k, pad)
 
         eigenpairs = spectral._eigenpairs
         monkeypatch.setattr(spectral, "_eigenpairs", counted)

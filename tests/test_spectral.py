@@ -9,7 +9,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, dirichlet_eige
 from hardy_spectral import errors, spectral, suite
 from hardy_spectral import graph as graph_module
 from hardy_spectral.cli import main
-from hardy_spectral.graph import quantize_zeros
+from hardy_spectral.graph import conductance_to, quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.suite import _random_mixed_sign_fs, _worst_sides
 from hardy_spectral.wgr import serialize_wgr
@@ -384,9 +384,9 @@ class TestStiffGraphs:
 
 
 class TestBatchedDirichlet:
-    """`_worst_sides` stacks the pieces of every side of every potential
-    by size; a potential's answer must not depend on the batch it is
-    solved in."""
+    """`_worst_sides` solves the pieces of every side of every potential
+    in few stacks; a potential's answer must not depend on the batch it
+    is solved in."""
 
     @staticmethod
     def same(a, b):
@@ -417,17 +417,17 @@ class TestBatchedDirichlet:
         assert isinstance(worst[1], errors.NotPositiveDefinite)
         assert [worst[0], worst[2]] == [_worst_sides(g, [fs[0]])[0], _worst_sides(g, [fs[2]])[0]]
 
-    def test_one_stacked_eigh_per_piece_size(self, monkeypatch, tmp_path):
+    def test_small_pieces_share_one_padded_stack(self, monkeypatch, tmp_path):
         potentials, stacks, built = [], [], []
 
         def recorded_worst_sides(graph, fs):
             potentials.extend(fs)
             return worst_sides(graph, fs)
 
-        def counted_eigenpairs(blocks, ground, mass, k):
+        def counted_eigenpairs(blocks, ground, mass, k, pad=None):
             if k == 0:
                 stacks.append(blocks.shape)
-            return eigenpairs(blocks, ground, mass, k)
+            return eigenpairs(blocks, ground, mass, k, pad)
 
         worst_sides, eigenpairs = suite._worst_sides, spectral._eigenpairs
         monkeypatch.setattr(suite, "_worst_sides", recorded_worst_sides)
@@ -438,8 +438,12 @@ class TestBatchedDirichlet:
         # a side's pieces are components of the parent graph, {f < 0} or {f > 0}
         sizes = [len(piece) for f in np.array(potentials) for side in (f < 0.0, f > 0.0)
                  for piece in components(g, np.flatnonzero(side).tolist())]
-        assert len(sizes) > len(set(sizes))
-        assert sorted(shape[1] for shape in stacks) == sorted(set(sizes))
+        assert len(set(sizes)) > 1
+        # every piece of at most min(8, n - 1) vertices is padded to that
+        # width; each larger size keeps a stack of its own
+        small = min(spectral.SMALL_PIECE, g.vertex_count - 1)
+        widths = [small] + sorted({size for size in sizes if size > small})
+        assert sorted(shape[1] for shape in stacks) == widths
         assert sum(shape[0] for shape in stacks) == len(sizes)
 
         # the constructor validates every graph once: a pinch or ressum run
@@ -458,6 +462,85 @@ class TestBatchedDirichlet:
             assert main(["verify", str(path), "--suite", suites, "--seed", "3"]) == 0
             assert len(built) == 1
         assert pinched == []
+
+
+class TestPaddedPieces:
+    """`ground_modes` pads every piece of at most min(8, n - 1) vertices to
+    that width. Each problem must keep the outcome of its pieces solved
+    alone and unpadded: the typed error and message, or the same piece,
+    its eigenvalue within 1e-14 relative and its eigenvector close up to
+    sign, with exactly the piece's length."""
+
+    @staticmethod
+    def unpadded(g, side, ground):
+        modes = []
+        for piece in components(g, np.flatnonzero(side).tolist()):
+            try:
+                lam, x = spectral._eigenpairs(g.conductance_matrix[np.ix_(piece, piece)][None],
+                                              ground[piece][None], g.mass_vector[piece][None], 0)
+            except errors.HardySpectralError as exc:
+                return exc
+            modes.append((piece, float(lam[0]), x[0]))
+        floor = min(lam for _, lam, _ in modes)
+        return next(mode for mode in modes if mode[1] <= floor * (1.0 + spectral.TIE_RTOL))
+
+    def assert_unpadded(self, g, sides, ground):
+        got = spectral.ground_modes(g, sides, ground)
+        assert len(got) == len(sides)
+        for side, row, mode in zip(sides, ground, got):
+            want = self.unpadded(g, side, row)
+            if isinstance(want, errors.HardySpectralError):
+                assert type(mode) is type(want) and str(mode) == str(want)
+                continue
+            (piece, lam, x), (ref_piece, ref_lam, ref_x) = mode, want
+            assert piece == ref_piece and len(x) == len(piece)
+            assert lam == pytest.approx(ref_lam, rel=1e-14, abs=0.0)
+            x = x if x @ ref_x > 0.0 else -x
+            assert np.abs(x - ref_x).max() <= 1e-12 * np.abs(ref_x).max()
+        return got
+
+    def test_no_problems(self):
+        g = corpus_graph(4)
+        n = g.vertex_count
+        assert spectral.ground_modes(g, np.zeros((0, n), dtype=bool), np.zeros((0, n))) == []
+
+    def test_corpus_sides(self):
+        rng = np.random.default_rng(7)
+        padded = 0
+        for i in range(40):
+            g = corpus_graph(i, 3, 12)
+            n = g.vertex_count
+            sides = rng.random((6, n)) < 0.5
+            sides[:, rng.integers(n, size=6)] = False  # never all of V
+            sides = sides[sides.any(axis=1)]
+            got = self.assert_unpadded(g, sides, conductance_to(g, ~sides))
+            padded += sum(len(piece) < min(spectral.SMALL_PIECE, n - 1) for piece, _, _ in got)
+        assert padded >= 100
+
+    def test_lone_vertex_with_no_ground_is_singular(self):
+        g = path_graph([1.0] * 4, [1.0, 2.0, 3.0])
+        sides = np.array([[False, False, False, True], [True, True, False, False]])
+        ground = conductance_to(g, ~sides)
+        ground[0, 3] = 0.0
+        got = self.assert_unpadded(g, sides, ground)
+        assert isinstance(got[0], errors.NotPositiveDefinite) and not isinstance(
+            got[1], errors.HardySpectralError)
+
+    def test_pad_ground_stays_within_the_doubles(self):
+        # the piece {0, 1} has a whitened diagonal entry of 1.5e308, so
+        # twice it overflows; the pad must stay finite and above lambda
+        g = path_graph([1.0] * 4, [1.0, 1.0, 1.0])
+        sides = np.array([[True, True, False, False], [True, True, False, False],
+                          [False, True, False, True]])
+        ground = np.zeros((3, 4))
+        ground[0, 0], ground[1, 0] = 1.5e308, 9.5e307
+        ground[2, [1, 3]] = 1.0, 1.7e308
+        whitened = (g.conductance_matrix[:2, :2].sum(1) + ground[:2, :2]) / g.mass_vector[:2]
+        assert 9e307 < whitened.max(axis=1).min() and whitened.max() < 1.8e308
+        got = self.assert_unpadded(g, sides, ground)
+        assert not isinstance(got[0], errors.HardySpectralError)
+        assert not isinstance(got[1], errors.HardySpectralError)
+        assert got[0][1] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestPinchRoute:
