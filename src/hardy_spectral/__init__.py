@@ -15,7 +15,7 @@ from .content import (ContentResult, dirichlet_content_exact, hardy_path,
 from .graph import (PinchedGraph, VertexSet, WeightedGraph, components,
                     contract, path_graph, pinch, random_graph, split_edge,
                     validate)
-from .linalg import EigenDecomposition, cholesky_solve, jacobi_eigen
+from .linalg import cholesky_solve, jacobi_eigen
 from .report import VerificationReport, emit_report
 from .resistance import effective_resistance
 from .rng import Xorshift64Star
@@ -32,7 +32,7 @@ __all__ = [
     "neumann_content_sweep",
     "PinchedGraph", "VertexSet", "WeightedGraph", "components", "contract",
     "path_graph", "pinch", "random_graph", "split_edge", "validate",
-    "EigenDecomposition", "cholesky_solve", "jacobi_eigen",
+    "cholesky_solve", "jacobi_eigen",
     "VerificationReport", "emit_report",
     "effective_resistance",
     "Xorshift64Star",

@@ -60,14 +60,6 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise UsageError(f"bad range {text!r}") from None
 
 
-def _format_choice(args) -> Optional[str]:
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "csv", False):
-        return "csv"
-    return None
-
-
 def _cmd_analyze(args) -> int:
     graph, file_boundary = _load(args.file)
     boundary = _ids_for(graph, args.boundary) if args.boundary else file_boundary
@@ -84,14 +76,13 @@ def _cmd_analyze(args) -> int:
         except errors.HardySpectralError as exc:
             notes.append(f"{name} unavailable: {exc}")
 
-    fmt = _format_choice(args)
-    if fmt is None:
+    if args.format is None:
         for name, value in report.quantities.items():
             print(f"{name} = {value!r}")
         for name, ids in report.witnesses.items():
             print(f"{name} = {ids}")
     else:
-        sys.stdout.write(emit_report(report, fmt, include_timing=args.timing))
+        sys.stdout.write(emit_report(report, args.format, include_timing=args.timing))
     for note in notes:
         print(note, file=sys.stderr)
     return 0
@@ -115,8 +106,7 @@ def _cmd_verify(args) -> int:
     report = run_suite(graph, boundary=boundary, suites=suites,
                        tolerance=args.tolerance, seed=args.seed,
                        samples=args.samples)
-    fmt = _format_choice(args) or "json"
-    sys.stdout.write(emit_report(report, fmt, include_timing=args.timing))
+    sys.stdout.write(emit_report(report, args.format or "json", include_timing=args.timing))
     return 0 if report.all_hold else 1
 
 
@@ -157,8 +147,11 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format_flags(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--csv", action="store_true", help="emit CSV")
+        formats = p.add_mutually_exclusive_group()
+        formats.add_argument("--json", action="store_const", const="json", dest="format",
+                             help="emit JSON")
+        formats.add_argument("--csv", action="store_const", const="csv", dest="format",
+                             help="emit CSV")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timings (breaks byte-for-byte "
                             "reproducibility)")

@@ -13,20 +13,9 @@ decide within a window, never by the last ulp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import errors
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Full spectrum: eigenvalues ascending and orthonormal eigenvector
-    columns aligned with them."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _require_square_symmetric(a: np.ndarray, stacked: bool = False) -> np.ndarray:
@@ -56,15 +45,16 @@ def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(ell.T, np.linalg.solve(ell, rhs))
 
 
-def jacobi_eigen(a: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition (LAPACK `syevd`), eigenvalues ascending, of
-    a symmetric matrix (n, n) or of each matrix of a stack (g, n, n); a
-    stack gives eigenvalues (g, n) and eigenvectors (g, n, n). LAPACK
-    solves each matrix of a stack on its own, so its decomposition does
-    not depend on the rest of the stack."""
+def jacobi_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition (LAPACK `syevd`) of a symmetric matrix
+    (n, n) or of each matrix of a stack (g, n, n): the eigenvalues
+    ascending, (n,) or (g, n), and the orthonormal eigenvector columns
+    aligned with them, (n, n) or (g, n, n). LAPACK solves each matrix of
+    a stack on its own, so its decomposition does not depend on the rest
+    of the stack."""
     a = _require_square_symmetric(a, stacked=np.ndim(a) == 3)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError:
         raise errors.NoConvergence("symmetric eigensolver did not converge") from None
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return eigenvalues, eigenvectors

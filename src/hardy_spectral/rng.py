@@ -11,7 +11,10 @@ The generator is xorshift64* (Vigna's variant of Marsaglia's xorshift):
 A zero seed is replaced by a fixed odd constant since xorshift requires a
 nonzero state. Uniform doubles take the top 53 bits of the output, so every
 draw is exactly reproducible from the seed alone, independent of platform
-or library versions. All consumers document the order in which they draw.
+or library versions. All consumers document the order in which they draw;
+`words` reads a run of outputs at once: the verification suites read all
+of `ressum`'s samples, 12n + 2 outputs each, in one call (see
+`suite._draws`).
 
 The state update is linear over GF(2): the state t steps after s is the
 XOR, over the set bits j of s, of the state t steps after 1 << j. So the
@@ -92,16 +95,9 @@ class Xorshift64Star:
         self._pos += count
         return self._out[self._pos - count:self._pos]
 
-    def peek(self, count: int) -> np.ndarray:
-        """The next `count` outputs, as a uint64 array not to be written,
-        left unread."""
-        out = self._take(count)
-        self._pos -= count
-        return out
-
-    def skip(self, count: int) -> None:
-        """Read past the next `count` outputs."""
-        self._take(count)
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` outputs, as a uint64 array not to be written."""
+        return self._take(count)
 
     def next_u64(self) -> int:
         return int(self._take(1)[0])

@@ -121,7 +121,7 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
             lift = np.clip(2.0 * top, _TINY, _LARGEST) * pad
             blocks[:, diagonal, diagonal] += lift
             whitened[:, diagonal, diagonal] += lift
-        x = d * jacobi_eigen(whitened).eigenvectors[:, :, k]
+        x = d * jacobi_eigen(whitened)[1][:, :, k]
         if pad is not None:
             x[pad] = 0.0
         for _ in range(POLISH_STEPS):
@@ -132,8 +132,11 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
                 raise errors.NotPositiveDefinite() from None
             if k:
                 y -= _mass_dot(mass, y) / mass.sum(axis=1, keepdims=True)
+            # each y to max |y| in [0.5, 1) by a power of two, which is
+            # exact, so that mass * y * y neither overflows nor goes subnormal
+            y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=1, keepdims=True))[1])
             norm = np.sqrt(_mass_dot(mass, y * y))
-            # a y past the doubles gives a norm of inf or NaN, one below them 0
+            # a y past the doubles gives a norm of inf or NaN, an all-zero y 0
             if not 0.0 < norm.min() <= norm.max() < np.inf:
                 raise errors.NoConvergence("inverse iteration overflowed in double precision")
             x = y / norm

@@ -3,12 +3,11 @@ graph and report each comparison as a tolerance-aware check.
 
 Suites run one after another on the calling thread, in the fixed order of
 ALL_SUITES. All random draws happen up front from the seeded generator
-(`_draws`): the pinch suite's potentials as one batch of rows, and
-`ressum`'s draws speculatively, pinched with one `zero_crossings` call
-per pass and drawn again after the first that fails to pinch (a pass is
-one batch of array operations while every side fits one word). LAPACK is
-deterministic for a fixed build, and every tie is decided within a
-window, so a report depends only on the inputs and the seed.
+(`_draws`): the pinch suite's potentials as one batch of rows, then
+`ressum`'s samples at a fixed stride of 12n + 2 outputs each, read at
+once and pinched with one `zero_crossings` call. LAPACK is deterministic
+for a fixed build, and every tie is decided within a window, so a report
+depends only on the inputs and the seed.
 No suite builds a pinched graph: both sides of every pinch are posed on
 the graph's own arrays, each as its boolean row {f < 0} or {f > 0} with
 the potential's ground row from `_pinched_rows` (its only row: the
@@ -22,7 +21,6 @@ vertices from the draw to the elimination.
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 import time
 from typing import Optional
@@ -35,7 +33,7 @@ from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
 from .graph import (VertexSet, WeightedGraph, conductance_to, edge_end_sums,
-                    quantize_zeros, require_positive_mass, zero_crossings)
+                    quantize_zeros, zero_crossings)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
 from .resistance import pinned_energies
@@ -90,39 +88,38 @@ def _random_nonempty_subset(rng: Xorshift64Star, side: np.ndarray) -> np.ndarray
 
 
 def _nonempty_subsets(sides: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """What `_random_nonempty_subset` draws from each side (a boolean row
-    over the vertices, of 1 to 64 members) when `below` reads the word at
-    the same place in `words`: bit i of 1 + word % (2^s - 1), s the side's
-    size, picks the side's i-th smallest vertex."""
-    size = sides.sum(axis=-1).astype(np.uint64)
-    mask = np.uint64(1) + words % (np.uint64(0xFFFFFFFFFFFFFFFF) >> (np.uint64(64) - size))
+    """A nonempty subset of each side (a boolean row over the vertices,
+    of at least one member), as boolean rows, from the word at the same
+    place in `words`. A side of s <= 64 members takes what
+    `_random_nonempty_subset` draws when `below` reads that word: bit i
+    of 1 + word % (2^s - 1) picks the side's i-th smallest vertex. A
+    larger side takes `_random_nonempty_subset` on `Xorshift64Star(word)`."""
+    size = sides.sum(axis=-1)
+    # a side past 64 members is read as 64 here and replaced below
+    top = np.uint64(0xFFFFFFFFFFFFFFFF) >> (64 - np.minimum(size, 64)).astype(np.uint64)
+    mask = np.uint64(1) + words % top
     rank = np.maximum(np.cumsum(sides, axis=-1) - 1, 0).astype(np.uint64)
-    return sides & (mask[..., None] >> rank & np.uint64(1) == 1)
+    subsets = sides & (mask[..., None] >> rank & np.uint64(1) == 1)
+    for at in zip(*np.nonzero(size > 64)):
+        subsets[at] = _random_nonempty_subset(Xorshift64Star(int(words[at])), sides[at])
+    return subsets
 
 
 def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple:
     """All the randomness of a run, from one stream seeded with `seed`:
     the pinch suite's `samples` potentials if "pinch" is wanted; then, if
-    "ressum" is wanted, per sample a potential f, A from {f < 0} and B
-    from {f > 0}, unless pinching at f's zero set fails, which draws
-    nothing more for that sample. (A and B are the pinched graph's
+    "ressum" is wanted, `samples` samples of exactly 12n + 2 outputs
+    each: 12n for a potential f (`irwin_hall` on each 12, recentred),
+    then one word for A, a subset of {f < 0}, and one for B, a subset of
+    {f > 0} (see `_nonempty_subsets`). (A and B are the pinched graph's
     negative and positive sets: its inserted vertices all have the value
-    0.) Raises SignCondition when a draw is needed on fewer than two
-    vertices. On a graph with a zero-mass vertex every pinch fails, with
-    the same ZeroMass whatever f is, so `ressum` draws nothing.
-
-    ressum's draws are made speculatively, as if every pinch succeeds,
-    and pinched with one `zero_crossings` call per pass; the samples
-    before the first one that fails to pinch are kept, its error is
-    recorded, and the next pass starts right after its f, so the draws
-    take one pass plus one per failure. While f takes both signs and each
-    side has at most 64 vertices, a sample reads 12n outputs for f, then
-    one word per side, exactly what the scalar calls read, so a pass is a
-    batch of array operations on outputs peeked at that stride, the sets
-    read by `_nonempty_subsets`. From the first sample that breaks this
-    layout on, the rest are drawn with the scalar calls, the stream
-    restarting from a copy taken after the failing f. Every draw is
-    bit-identical to the scalar ones.
+    0.) The stride holds whatever f is, so every sample is read at once
+    and pinched with one `zero_crossings` call. A sample whose pinch
+    fails keeps that typed error and leaves its two words unused: an f
+    without both strict signs fails with SignCondition and is not drawn
+    again, and on a graph with a zero-mass vertex every sample fails with
+    the same ZeroMass. Raises SignCondition when a draw is needed on
+    fewer than two vertices.
 
     Returns (pinch potentials as rows, ressum's draws, per ressum sample
     None or its pinch's typed error). The draws are, for the d samples
@@ -135,50 +132,13 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
     if "ressum" not in wanted:
         return pinch_fs, None, []
     _require_two_vertices(n, samples)
-    failures, m = [], graph.edge_count
-    kept = [(np.empty((0, n)), np.empty((0, m)), np.empty((0, m)), np.empty((0, 2, n), bool))]
-    try:
-        require_positive_mass(graph)
-    except errors.ZeroMass as exc:
-        failures = [exc] * samples
-    width = 12 * n + 2
-    while len(failures) < samples:
-        todo = samples - len(failures)
-        words = rng.peek(todo * width).reshape(todo, width)
-        f = _recentred(irwin_hall(words[:, :-2].reshape(todo, n, 12)))
-        sides = np.stack([f < 0.0, f > 0.0], axis=1)
-        fits = (sides.any(axis=2) & (sides.sum(axis=2) <= 64)).all(axis=1)
-        broken = todo if fits.all() else int(np.argmin(fits))
-        if not broken:
-            break
-        f, at_u, at_v, failed = zero_crossings(graph, f[:broken])
-        ok = next((i for i, exc in enumerate(failed) if exc is not None), broken)
-        kept.append((f[:ok], at_u[:ok], at_v[:ok],
-                     _nonempty_subsets(sides[:ok], words[:ok, -2:])))
-        failures += [None] * ok
-        if ok == broken:
-            rng.skip(ok * width)
-            break
-        rng.skip(ok * width + 12 * n)  # the pinch failed after f was drawn
-        failures.append(failed[ok])
-    todo = samples - len(failures)
-    while todo:
-        fs, subsets, after_f = [], np.empty((todo, 2, n), bool), []
-        for j in range(todo):
-            [f] = _random_mixed_sign_fs(rng, n, 1)
-            after_f.append(copy.copy(rng))
-            fs.append(f)
-            subsets[j] = [_random_nonempty_subset(rng, side) for side in (f < 0.0, f > 0.0)]
-        f, at_u, at_v, failed = zero_crossings(graph, fs)
-        ok = next((i for i, exc in enumerate(failed) if exc is not None), todo)
-        kept.append((f[:ok], at_u[:ok], at_v[:ok], subsets[:ok]))
-        failures += [None] * ok
-        if ok == todo:
-            break
-        failures.append(failed[ok])
-        rng, todo = after_f[ok], todo - ok - 1
-    f, at_u, at_v, subsets = (np.concatenate(rows) for rows in zip(*kept))
-    return pinch_fs, (f, at_u, at_v, subsets[:, 0], subsets[:, 1]), failures
+    words = rng.words(samples * (12 * n + 2)).reshape(samples, 12 * n + 2)
+    f = _recentred(irwin_hall(words[:, :-2].reshape(samples, n, 12)))
+    f, at_u, at_v, failures = zero_crossings(graph, f)
+    ok = np.array([exc is None for exc in failures], dtype=bool)
+    sides = np.stack([f < 0.0, f > 0.0], axis=1)[ok]
+    a, b = _nonempty_subsets(sides, words[ok, -2:]).swapaxes(0, 1)
+    return pinch_fs, (f[ok], at_u[ok], at_v[ok], a, b), failures
 
 
 def _pinched_rows(graph: WeightedGraph, f: np.ndarray, at_u: np.ndarray,
@@ -310,6 +270,8 @@ def run_suite(graph: WeightedGraph, *,
             raise ValueError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
     report = blank_report(graph, seed, tolerance)
     add = report.checks.append
@@ -356,9 +318,13 @@ def run_suite(graph: WeightedGraph, *,
         lambda2 = q.get("lambda2").eigenvalue
         phi = q.record("phi")
         worst = float(np.max(np.diag(graph.laplacian_matrix) / graph.mass_vector))
+        # 2 lambda2 worst can pass the doubles where its root does not; the
+        # root of the product with worst / 4^e, times 2^e, is exact, so it
+        # is the plain root wherever the product is a normal double
+        e = math.frexp(worst)[1] // 2
+        upper = math.ldexp(math.sqrt(2.0 * lambda2 * math.ldexp(worst, -2 * e)), e)
         add(check_le("cheeger_lower", lambda2 / 2.0, phi.value, tolerance))
-        add(check_le("cheeger_upper", phi.value, math.sqrt(2.0 * lambda2 * worst),
-                     tolerance))
+        add(check_le("cheeger_upper", phi.value, upper, tolerance))
 
     def suite_pinch() -> None:
         if no_draws is not None:

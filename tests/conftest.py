@@ -6,6 +6,8 @@ test run sees the same instances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ def stiff_graph(seed: int, ratio: float, mass_ratio: float = 1.0,
     edges = tuple((u, v, ratio if rng.below(2) else 1.0) for (u, v) in pairs)
     masses = tuple(mass_ratio if rng.below(2) else 1.0 for _ in range(n))
     return WeightedGraph(masses, edges)
+
+
+# (mass, conductance) powers of two past which the mode's polish once
+# lost bits: mass * y * y went subnormal or overflowed
+EXTREME_SCALES = [(-530, 0), (-600, 0), (530, 0), (0, 530), (0, 700)]
+
+
+def scaled_by_powers_of_two(g: WeightedGraph, mass_exp: int, kappa_exp: int) -> WeightedGraph:
+    """g with every mass times 2^mass_exp and every conductance times
+    2^kappa_exp, both exact."""
+    return WeightedGraph(tuple(math.ldexp(m, mass_exp) for m in g.masses),
+                         tuple((u, v, math.ldexp(k, kappa_exp)) for (u, v, k) in g.edges))
 
 
 def random_vector(rng: Xorshift64Star, n: int, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:

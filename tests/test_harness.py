@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import types
@@ -16,7 +17,8 @@ from hardy_spectral.cli import main
 from hardy_spectral.report import (VerificationReport, check_eq, check_ge,
                                    check_le)
 
-from conftest import corpus_graph, stiff_graph
+from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph,
+                      scaled_by_powers_of_two, stiff_graph)
 
 P3_TEXT = """\
 # three vertices in a row
@@ -280,6 +282,29 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(p3, suites=["pinch"], seed=1, samples=-3)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_tolerance_not_finite_and_nonnegative_rejected(self, p3, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            run_suite(p3, seed=1, tolerance=tolerance)
+
+    @pytest.mark.parametrize("mass_exp, kappa_exp", EXTREME_SCALES)
+    def test_extreme_powers_of_two_hold_and_emit_finite_json(self, mass_exp, kappa_exp):
+        # cheeger_upper's 2 lambda2 worst once overflowed to inf here, which
+        # no JSON parser reads
+        for i in range(12):
+            g = corpus_graph(i)
+            rep = run_suite(scaled_by_powers_of_two(g, mass_exp, kappa_exp),
+                            boundary=corpus_boundary(g, i), seed=i)
+            assert rep.all_hold, [c for c in rep.checks if not c.holds]
+            doc = json.loads(emit_report(rep, "json"))
+            numbers = [*doc["quantities"].values(),
+                       *(c[key] for c in doc["checks"] for key in ("lhs", "rhs", "slack"))]
+            assert all(math.isfinite(x) for x in numbers)
+
+    def test_tiny_masses_keep_neumann_upper(self):
+        rep = run_suite(path_graph([1e-160] * 3, [1.0, 1.0]), boundary=VertexSet.of([0]))
+        assert rep.all_hold, [c for c in rep.checks if not c.holds]
+
     def test_random_batch_all_pass(self):
         for i in range(20):
             g = random_graph(2 + i % 7, 0.4, (0.1, 10.0), (0.1, 10.0), seed=300 + i)
@@ -424,6 +449,14 @@ class TestCli:
         assert main(["analyze", bad]) == 2
         assert main(["gen", "random", "--n", "4", "--p", "2.0",
                      "--seed", "1", "-o", str(tmp_path / "x.wgr")]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_json_and_csv_are_mutually_exclusive(self, tmp_path, capsys, command):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--json", "--csv"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "not allowed with" in err
 
     def test_negative_samples_is_a_usage_error(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)

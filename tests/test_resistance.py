@@ -10,7 +10,7 @@ from hardy_spectral import errors
 from hardy_spectral.graph import conductance_to, zero_crossings
 from hardy_spectral.resistance import pinned_energies
 from hardy_spectral.rng import BLOCK, Xorshift64Star
-from hardy_spectral.suite import DEFAULT_SAMPLES, _draws, _random_nonempty_subset
+from hardy_spectral.suite import DEFAULT_SAMPLES, _draws
 
 from conftest import corpus_graph, resistance_via_pseudoinverse, stiff_graph
 from test_energy_kernel import mp_energy_fn
@@ -250,41 +250,57 @@ def test_series_parallel_reduction_matches_closed_form():
         assert r == pytest.approx(expected, rel=1e-10)
 
 
-def sequential_mixed_sign_f(rng, n):
+def sequential_f(rng, n):
     """One potential drawn one value at a time: gaussian-like values
-    recentred to mean zero, redrawn until both strict signs appear."""
+    recentred to mean zero."""
+    f = [rng.gaussian_like() for _ in range(n)]
+    mean = 0.0
+    for x in f:
+        mean += x
+    mean /= n
+    return [x - mean for x in f]
+
+
+def sequential_mixed_sign_f(rng, n):
+    """`sequential_f`, redrawn until both strict signs appear."""
     while True:
-        f = [rng.gaussian_like() for _ in range(n)]
-        mean = 0.0
-        for x in f:
-            mean += x
-        mean /= n
-        f = [x - mean for x in f]
+        f = sequential_f(rng, n)
         if any(x > 0.0 for x in f) and any(x < 0.0 for x in f):
             return f
+
+
+def reference_subset(word, side):
+    """A nonempty subset of a side (a VertexSet of s members) from one
+    word: bit i of 1 + x % (2^s - 1) picks the side's i-th smallest
+    vertex, where x is the word itself for s <= 64, and for a larger side
+    `below(2^s - 1)` of a stream seeded with the word."""
+    members = sorted(side.members)
+    top = (1 << len(members)) - 1
+    pick = 1 + (word % top if len(members) <= 64 else Xorshift64Star(word).below(top))
+    return VertexSet.of(v for i, v in enumerate(members) if pick >> i & 1)
 
 
 def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES,
                     stream=Xorshift64Star):
     """The draws of `run_suite`, one at a time, made with `pinch`: the
     pinch suite's potentials if `pinch_first` (as when both suites run),
-    then per ressum sample the pinched graph, A from its negative set and
-    B from its positive set, or the pinch's typed error. Returns
-    (pinch potentials, ressum draws)."""
+    then per ressum sample f from 12n outputs and one word each for A and
+    B, read whether or not the pinch succeeds; then the pinched graph, A
+    from its negative set and B from its positive set, or the pinch's
+    typed error. Returns (pinch potentials, ressum draws)."""
     rng = stream(seed)
     n = graph.vertex_count
     pinch_fs = [sequential_mixed_sign_f(rng, n) for _ in range(samples if pinch_first else 0)]
     draws = []
     for _ in range(samples):
-        f = sequential_mixed_sign_f(rng, n)
+        f = sequential_f(rng, n)
+        words = [rng.next_u64(), rng.next_u64()]
         try:
             p = pinch(graph, f)
         except errors.HardySpectralError as exc:
             draws.append(exc)
             continue
-        n2 = p.graph.vertex_count
-        draws.append((p, *(as_set(_random_nonempty_subset(rng, as_mask([side], n2)[0]))
-                           for side in (p.negative_set, p.positive_set))))
+        draws.append((p, *map(reference_subset, words, (p.negative_set, p.positive_set))))
     return pinch_fs, draws
 
 
@@ -422,9 +438,9 @@ class TestStiffRessum:
 
 
 class TestDraws:
-    """`_draws` batches the pinch suite's potentials and pinches `ressum`'s
-    draws speculatively; every potential, set and error must be the one
-    the one-at-a-time reference draws, bit for bit."""
+    """`_draws` batches the pinch suite's potentials and reads `ressum`'s
+    samples at a fixed stride of 12n + 2 outputs; every potential, set and
+    error must be the one the one-at-a-time reference draws, bit for bit."""
 
     def assert_same(self, graph, seed, samples=DEFAULT_SAMPLES):
         pinch_fs, draws, failures = _draws(graph, ["pinch", "ressum"], samples, seed)
@@ -456,17 +472,21 @@ class TestDraws:
         for i in range(30):
             self.assert_same(corpus_graph(i), seed=800 + i)
 
-    def test_failed_pinches_draw_again_from_the_failure(self):
+    def test_failed_pinches_keep_the_stride(self):
         # a crossing of the 1.7e308 edge overflows a segment conductance,
-        # so exactly the draws whose f changes sign across it fail
+        # so exactly the draws whose f changes sign across it fail; every
+        # other sample is the one drawn at its place on a path that never
+        # fails
         g = path_graph([1.0] * 6, [1.0, 1.0, 1.7e308, 1.0, 1.0])
+        plain = path_graph([1.0] * 6, [1.0] * 5)
         failures = 0
         for seed in range(10):
-            for draw in self.assert_same(g, seed):
+            for draw, other in zip(self.assert_same(g, seed), self.assert_same(plain, seed)):
                 crosses = isinstance(draw, errors.SignCondition)
                 if not crosses:
-                    f = draw[0]
+                    f, a, b = draw
                     assert f[2] * f[3] >= 0.0
+                    assert f.tobytes() == other[0].tobytes() and (a, b) == other[1:]
                 failures += crosses
         assert 10 <= failures <= 90
 
@@ -475,8 +495,9 @@ class TestDraws:
         g = split_edge(parent, parent.edges[0][:2], [0.25, 0.75])
         ressum = self.assert_same(g, seed=5)
         assert all(isinstance(d, errors.ZeroMass) for d in ressum)
-        # the masses fail every pinch whatever f is, so ressum reads nothing
-        # after the pinch suite's potentials, and no row pinched
+        # the masses fail every pinch whatever f is: ressum still reads its
+        # samples in one read after the pinch suite's potentials, and no
+        # row pinched
         reads = []
 
         class Recorded(Xorshift64Star):
@@ -489,13 +510,13 @@ class TestDraws:
         with_ressum = list(reads)
         reads.clear()
         _draws(g, ["pinch"], DEFAULT_SAMPLES, 5)
-        assert with_ressum == reads and reads
         n, m = g.vertex_count, g.edge_count
+        assert reads and with_ressum == reads + [DEFAULT_SAMPLES * (12 * n + 2)]
         assert [r.shape for r in rows] == [(0, n), (0, m), (0, m), (0, n), (0, n)]
 
     def test_sides_of_64_and_65_vertices(self):
-        # a side of up to 64 vertices takes one word, so it is drawn in the
-        # batch; a side of 65 takes two and is drawn one sample at a time
+        # a side of up to 64 vertices takes its word as the mask, and a
+        # side of 65 or more the word's own stream
         g = path_graph([1.0] * 128, [1.0] * 127)
         sizes = set()
         for seed in range(6):
@@ -503,17 +524,17 @@ class TestDraws:
                 sizes |= {int((f < 0.0).sum()), int((f > 0.0).sum())}
         assert {64, 65} <= sizes
 
-    def test_sides_past_64_take_one_scalar_pass_per_failure(self, monkeypatch):
-        # on 130 vertices a side always exceeds 64, so the batch breaks at
-        # its first sample and every draw is scalar: one peek, then one
-        # zero_crossings call per pass, one pass plus one per failed pinch
+    def test_one_read_and_one_pinch_call(self, monkeypatch):
+        # on 130 vertices a side always exceeds 64, and the 1.7e308 edge
+        # fails some pinches; still every sample is read in one `words`
+        # call and pinched in one `zero_crossings` call
         g = path_graph([1.0] * 130, [1.0] * 64 + [1.7e308] + [1.0] * 64)
-        pinched, peeks = [], []
+        pinched, reads = [], []
 
         class Recorded(Xorshift64Star):
-            def peek(self, count):
-                peeks.append(count)
-                return super().peek(count)
+            def words(self, count):
+                reads.append(count)
+                return super().words(count)
 
         def counted(graph, potentials):
             pinched.append(len(potentials))
@@ -528,19 +549,16 @@ class TestDraws:
         monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
         for seed in range(4):
             pinched.clear()
-            peeks.clear()
-            failed = [exc is not None for exc in _draws(g, ["ressum"], 20, seed)[2]]
-            assert len(peeks) == 1
-            # every pass but the last ends at a failure, and pinches the rest
-            assert len(pinched) == 1 + sum(failed[:-1])
-            assert sum(pinched) == sum(20 - i for i, bad in enumerate([True] + failed[:-1])
-                                       if bad)
+            reads.clear()
+            _draws(g, ["ressum"], 20, seed)
+            assert reads == [20 * (12 * 130 + 2)] and pinched == [20]
 
-    def test_a_row_without_both_signs_is_drawn_again(self, monkeypatch):
+    def test_a_row_without_both_signs_fails_its_sample(self, monkeypatch):
         g = corpus_graph(3)
         n = g.vertex_count
         # the third ressum sample's f reads 12n equal words, so every value
-        # is the same and the row is drawn again
+        # is the same: that sample fails, and every other one is as drawn
+        # from the plain stream
         start = 2 * (12 * n + 2)
         flat = lambda seed: FlatStream(seed, start, start + 12 * n)  # noqa: E731
         monkeypatch.setattr(suite, "Xorshift64Star", flat)
@@ -549,11 +567,11 @@ class TestDraws:
         monkeypatch.undo()
         plain = drawn_samples(*_draws(g, ["ressum"], DEFAULT_SAMPLES, 4)[1:])
         assert len(got) == len(want) == DEFAULT_SAMPLES
-        for (f, a, b), (p, a2, b2) in zip(got, want):
-            assert f.tobytes() == np.array(p.f_extended[:n]).tobytes()
-            assert (a, b) == (a2, b2)
-        assert [f.tobytes() for f, _, _ in got[:2]] == [f.tobytes() for f, _, _ in plain[:2]]
-        assert got[2][0].tobytes() != plain[2][0].tobytes()
+        assert isinstance(got[2], errors.SignCondition) and str(got[2]) == str(want[2])
+        for i in (0, 1, *range(3, DEFAULT_SAMPLES)):
+            (f, a, b), (p, a2, b2), (f3, a3, b3) = got[i], want[i], plain[i]
+            assert f.tobytes() == np.array(p.f_extended[:n]).tobytes() == f3.tobytes()
+            assert (a, b) == (a2, b2) == (a3, b3)
 
     def test_a_failure_mid_batch_keeps_the_draws_around_it(self):
         g = path_graph([1.0] * 6, [1.0, 1.0, 1.7e308, 1.0, 1.0])

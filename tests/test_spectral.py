@@ -14,7 +14,8 @@ from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.suite import _random_mixed_sign_fs, _worst_sides
 from hardy_spectral.wgr import serialize_wgr
 
-from conftest import corpus_boundary, corpus_graph, random_vector, stiff_graph
+from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, random_vector,
+                      scaled_by_powers_of_two, stiff_graph)
 
 GOLDEN = (3 - 5 ** 0.5) / 2  # smallest eigenvalue of [[2,-1],[-1,1]]
 UNIFORM_N3_DIRICHLET = 0.19806226419516171  # smallest eig of the N=3 interior block
@@ -249,6 +250,19 @@ class TestRayleighQuotient:
 
 
 class TestScaleCovariance:
+    @pytest.mark.parametrize("mass_exp, kappa_exp", EXTREME_SCALES)
+    def test_extreme_powers_of_two(self, mass_exp, kappa_exp):
+        # every eigenvalue scales by 2^(kappa_exp - mass_exp); the polish's
+        # mass * y * y once went subnormal or overflowed at these scales
+        factor = 2.0 ** (kappa_exp - mass_exp)
+        for i in range(6):
+            g, s = corpus_graph(i), corpus_boundary(corpus_graph(i), i)
+            scaled = scaled_by_powers_of_two(g, mass_exp, kappa_exp)
+            assert neumann_eigenvalue(scaled).eigenvalue == pytest.approx(
+                factor * neumann_eigenvalue(g).eigenvalue, rel=1e-15, abs=0.0)
+            assert dirichlet_eigenvalue(scaled, s).eigenvalue == pytest.approx(
+                factor * dirichlet_eigenvalue(g, s).eigenvalue, rel=1e-15, abs=0.0)
+
     def test_conductance_scaling(self):
         for i in range(8):
             g = corpus_graph(i)
