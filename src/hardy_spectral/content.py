@@ -69,7 +69,8 @@ CHUNK_ENTRIES = 1 << 15
 class ContentResult:
     """An extremal ratio plus the set (or pair) achieving it. `value` is
     always the eigenvalue-comparable form, positive and finite (else
-    NotRepresentable); `hardy` is its reciprocal."""
+    NotRepresentable); `hardy` is its reciprocal, finite too (else
+    NotRepresentable)."""
 
     value: float
     witness_a: VertexSet
@@ -81,6 +82,9 @@ class ContentResult:
         if not (0.0 < self.value < math.inf):
             raise errors.NotRepresentable(
                 f"content value {self.value!r} is not positive and finite in double precision")
+        if not 1.0 / self.value < math.inf:
+            raise errors.NotRepresentable(
+                f"content value {self.value!r} has no finite reciprocal in double precision")
 
     @property
     def hardy(self) -> float:

@@ -36,6 +36,11 @@ class NegativeMass(GraphValidationError):
         super().__init__(f"vertex {vertex} has mass {mass}; masses must be finite and >= 0")
 
 
+class TotalMassOverflow(GraphValidationError):
+    def __init__(self):
+        super().__init__("the masses sum past the largest double")
+
+
 class SelfLoop(GraphValidationError):
     def __init__(self, vertex):
         self.vertex = vertex

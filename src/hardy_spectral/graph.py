@@ -258,11 +258,14 @@ def components(graph: WeightedGraph,
 
 def validate(graph: WeightedGraph) -> None:
     """Raise unless the graph is simple, connected, with conductances
-    finite and > 0 and masses finite and >= 0. Checks the masses, then the
-    edges in sorted order, then connectivity. The constructor runs it."""
+    finite and > 0 and masses finite and >= 0, of a finite total. Checks
+    the masses, then their total, then the edges in sorted order, then
+    connectivity. The constructor runs it."""
     for v, m in enumerate(graph.masses):
         if not (0.0 <= m < math.inf):
             raise errors.NegativeMass(v, m)
+    if not graph.total_mass < math.inf:
+        raise errors.TotalMassOverflow()
     for i, (u, v, k) in enumerate(graph.edges):
         if u == v:
             raise errors.SelfLoop(u)

@@ -85,8 +85,8 @@ def kron_energies(net: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,
                     ground: np.ndarray) -> list[Union[float, errors.HardySpectralError]]:
-    """1/R for each problem on `graph`, or NotRepresentable where it is
-    not positive and finite. Problem i holds the vertices of the boolean
+    """1/R for each problem on `graph`, or NotRepresentable where it or
+    R is not positive and finite. Problem i holds the vertices of the boolean
     row held[i] at 1, eliminates those of free[i] (disjoint from it) and
     holds every other vertex at 0; ground[i] gives each vertex's
     conductance to the vertices held at 0, and the vertices held at 0 are
@@ -118,8 +118,9 @@ def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,
     # seen stack-last, as kron_step takes it; each network lies whole in
     # memory, so a step runs along its rows rather than across the stack
     energies[order] = kron_energies(stack.transpose(1, 2, 0), sizes)
-    return [e if 0.0 < e < np.inf else errors.NotRepresentable(
-                f"energy {e!r} is not positive and finite in double precision")
+    return [e if 0.0 < e < np.inf and 1.0 / e < np.inf else errors.NotRepresentable(
+                f"energy {e!r} is not positive and finite, with a finite reciprocal, "
+                "in double precision")
             for e in energies.tolist()]
 
 

@@ -13,8 +13,8 @@ nonzero state. Uniform doubles take the top 53 bits of the output, so every
 draw is exactly reproducible from the seed alone, independent of platform
 or library versions. All consumers document the order in which they draw;
 `words` reads a run of outputs at once: the verification suites read all
-of `ressum`'s samples, 12n + 2 outputs each, in one call (see
-`suite._draws`).
+of a run's draws, the pinch suite's potentials and `ressum`'s samples,
+in one call (see `suite._draws`).
 
 The state update is linear over GF(2): the state t steps after s is the
 XOR, over the set bits j of s, of the state t steps after 1 << j. So the

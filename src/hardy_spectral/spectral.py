@@ -95,46 +95,49 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
     solve or its norm past the doubles raises NoConvergence, and a
     whitened block or an eigenvalue past them NotRepresentable.
 
-    `pad` (g, s), if given, marks padding vertices, passed with no
-    conductances, no ground and mass 1. Each is given a ground strictly
-    above its piece's lowest eigenvalue, which is at most any whitened
-    diagonal entry (the Rayleigh quotient of e_i): twice the piece's
-    largest, clamped to the positive doubles, so a pad is never singular
-    or infinite and adds no typed error. eigh's start vector is zeroed on
-    the pads, so the polish keeps them at 0 and the energy sees only the
-    piece.
+    `pad` (g, s) marks padding vertices (None: there are none), passed
+    with no conductances, no ground and mass 1. Each is given a ground
+    strictly above its piece's lowest eigenvalue, which is at most any
+    whitened diagonal entry (the Rayleigh quotient of e_i): twice the
+    piece's largest, clamped to the positive doubles, so a pad is never
+    singular or infinite and adds no typed error. eigh's start vector is
+    zeroed on the pads, so the polish keeps them at 0 and the energy sees
+    only the piece.
 
     The eigenvalue is the energy as a sum of nonnegative terms,
     0.5 * sum W_PP (x_i - x_j)^2 + sum ground x_i^2. Every step works on
     each problem alone, so a problem's result does not depend on the
     stack it is solved in."""
+    pad = np.zeros(mass.shape, dtype=bool) if pad is None else pad
     d = 1.0 / np.sqrt(mass)
     with np.errstate(over="ignore", invalid="ignore"):
+        degree = w.sum(axis=-1) + ground
+        # each piece's largest whitened diagonal entry (a pad's is 0)
+        top = (degree * (d * d)).max(axis=1, keepdims=True)
         blocks = -w
         diagonal = np.arange(w.shape[-1])
-        blocks[:, diagonal, diagonal] = w.sum(axis=-1) + ground
+        lift = np.minimum(np.maximum(2.0 * top, _TINY), _LARGEST)
+        blocks[:, diagonal, diagonal] = np.where(pad, lift, degree)
         whitened = blocks * (d[:, :, None] * d[:, None, :])
         if not np.isfinite(whitened).all():
             raise errors.NotRepresentable("the mass-whitened Laplacian overflows double precision")
-        if pad is not None:
-            top = whitened[:, diagonal, diagonal].max(axis=1, keepdims=True)
-            lift = np.clip(2.0 * top, _TINY, _LARGEST) * pad
-            blocks[:, diagonal, diagonal] += lift
-            whitened[:, diagonal, diagonal] += lift
         x = d * jacobi_eigen(whitened)[1][:, :, k]
-        if pad is not None:
-            x[pad] = 0.0
+        x[pad] = 0.0
         for _ in range(POLISH_STEPS):
             y = np.zeros_like(x)
             try:
                 y[:, k:] = np.linalg.solve(blocks[:, k:, k:], (mass * x)[:, k:, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 raise errors.NotPositiveDefinite() from None
+            # each y to max |y| in [1/4, 1/2) by a power of two (~e is
+            # -1 - e), which is exact, so that neither mass * y nor
+            # mass * y * y overflows or goes subnormal. The Neumann solve
+            # grounds y[0] = 0, so the mass-weighted mean lies between y's
+            # extremes and its removal leaves max |y| in [1/8, 1): one
+            # scaling serves both sums
+            y = np.ldexp(y, ~np.frexp(np.abs(y).max(axis=1, keepdims=True))[1])
             if k:
                 y -= _mass_dot(mass, y) / mass.sum(axis=1, keepdims=True)
-            # each y to max |y| in [0.5, 1) by a power of two, which is
-            # exact, so that mass * y * y neither overflows nor goes subnormal
-            y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=1, keepdims=True))[1])
             norm = np.sqrt(_mass_dot(mass, y * y))
             # a y past the doubles gives a norm of inf or NaN, an all-zero y 0
             if not 0.0 < norm.min() <= norm.max() < np.inf:
@@ -181,25 +184,19 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
 def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list, width: int) -> list:
     """(piece, eigenvalue, eigenvector on the piece) for each (problem i,
     piece) of `pieces` from one `_eigenpairs` stack of `width` vertices,
-    a piece with fewer being padded up to it. A stack that raises a typed
-    error is solved again one piece at a time, padded the same way, so
-    the error lands only on the piece that causes it."""
-    n = graph.vertex_count
+    a piece with fewer being padded up to it: each pad slot gathers the
+    piece's first vertex, and the pad mask then gives it no conductances,
+    no ground and mass 1. A stack that raises a typed error is solved
+    again one piece at a time, padded the same way, so the error lands
+    only on the piece that causes it."""
     row = np.array([i for i, _ in pieces])[:, None]
-    idx = np.array([piece + [n] * (width - len(piece)) for _, piece in pieces])
-    pad = idx == n
-    w, grounds, mass = graph.conductance_matrix, ground, graph.mass_vector
-    if pad.any():  # vertex n stands for every pad: no conductances, no ground, mass 1
-        w = np.zeros((n + 1, n + 1))
-        w[:n, :n] = graph.conductance_matrix
-        grounds = np.zeros((len(ground), n + 1))
-        grounds[:, :n] = ground
-        mass = np.append(mass, 1.0)
-    else:
-        pad = None
+    idx = np.array([piece + piece[:1] * (width - len(piece)) for _, piece in pieces])
+    pad = np.arange(width) >= np.array([len(piece) for _, piece in pieces])[:, None]
+    w = graph.conductance_matrix[idx[:, :, None], idx[:, None, :]]
     try:
-        lam, x = _eigenpairs(w[idx[:, :, None], idx[:, None, :]], grounds[row, idx], mass[idx],
-                             0, pad)
+        lam, x = _eigenpairs(np.where(pad[:, :, None] | pad[:, None, :], 0.0, w),
+                             np.where(pad, 0.0, ground[row, idx]),
+                             np.where(pad, 1.0, graph.mass_vector[idx]), 0, pad)
     except errors.HardySpectralError as exc:
         if len(pieces) == 1:
             return [exc]

@@ -2,12 +2,13 @@
 graph and report each comparison as a tolerance-aware check.
 
 Suites run one after another on the calling thread, in the fixed order of
-ALL_SUITES. All random draws happen up front from the seeded generator
-(`_draws`): the pinch suite's potentials as one batch of rows, then
-`ressum`'s samples at a fixed stride of 12n + 2 outputs each, read at
-once and pinched with one `zero_crossings` call. LAPACK is deterministic
-for a fixed build, and every tie is decided within a window, so a report
-depends only on the inputs and the seed.
+ALL_SUITES. All random draws happen up front, in one read of the seeded
+generator (`_draws`): the pinch suite's potentials, 12n outputs each,
+then `ressum`'s samples at a fixed stride of 12n + 2 outputs each. Every
+potential is made from its 12n outputs the same way and is never drawn
+again; ressum's are pinched with one `zero_crossings` call. LAPACK is
+deterministic for a fixed build, and every tie is decided within a
+window, so a report depends only on the inputs and the seed.
 No suite builds a pinched graph: both sides of every pinch are posed on
 the graph's own arrays, each as its boolean row {f < 0} or {f > 0} with
 the potential's ground row from `_pinched_rows` (its only row: the
@@ -47,33 +48,12 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 10
 
 
-def _require_two_vertices(n: int, count: int) -> None:
-    """Raise SignCondition if `count` potentials are wanted on n < 2
-    vertices: one value recentred is exactly 0."""
-    if n < 2 and count:
-        raise errors.SignCondition("a potential takes both strict signs only on "
-                                   "two or more vertices")
-
-
-def _recentred(f: np.ndarray) -> np.ndarray:
-    """Each row minus its mean, summed strictly left to right as in
-    `rng.irwin_hall`."""
+def _potentials(words: np.ndarray) -> np.ndarray:
+    """One potential per row of `words` (count, 12n): `irwin_hall` on each
+    12 outputs, then the row minus its mean, summed strictly left to
+    right as in `irwin_hall`."""
+    f = irwin_hall(words.reshape(len(words), words.shape[1] // 12, 12))
     return f - np.add.accumulate(f, axis=1)[:, -1:] / f.shape[1]
-
-
-def _random_mixed_sign_fs(rng: Xorshift64Star, n: int, count: int) -> np.ndarray:
-    """`count` potentials on n vertices, one per row: `rng.gaussians`
-    recentred to mean zero. A row whose recentred values do not take both
-    strict signs (practically impossible) is dropped and the next row
-    drawn in its place, so the rows are drawn in batches of exactly the
-    rows still needed. Raises SignCondition, drawing nothing, for n < 2
-    and count > 0."""
-    _require_two_vertices(n, count)
-    fs = np.empty((0, n))
-    while len(fs) < count:
-        f = _recentred(rng.gaussians((count - len(fs)) * n).reshape(-1, n))
-        fs = np.concatenate([fs, f[(f > 0.0).any(axis=1) & (f < 0.0).any(axis=1)]])
-    return fs
 
 
 def _random_nonempty_subset(rng: Xorshift64Star, side: np.ndarray) -> np.ndarray:
@@ -106,35 +86,39 @@ def _nonempty_subsets(sides: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple:
-    """All the randomness of a run, from one stream seeded with `seed`:
-    the pinch suite's `samples` potentials if "pinch" is wanted; then, if
-    "ressum" is wanted, `samples` samples of exactly 12n + 2 outputs
-    each: 12n for a potential f (`irwin_hall` on each 12, recentred),
-    then one word for A, a subset of {f < 0}, and one for B, a subset of
-    {f > 0} (see `_nonempty_subsets`). (A and B are the pinched graph's
-    negative and positive sets: its inserted vertices all have the value
-    0.) The stride holds whatever f is, so every sample is read at once
-    and pinched with one `zero_crossings` call. A sample whose pinch
-    fails keeps that typed error and leaves its two words unused: an f
-    without both strict signs fails with SignCondition and is not drawn
-    again, and on a graph with a zero-mass vertex every sample fails with
-    the same ZeroMass. Raises SignCondition when a draw is needed on
-    fewer than two vertices.
+    """All the randomness of a run, in one read of the stream seeded with
+    `seed`: if "pinch" is wanted, 12n outputs for each of its `samples`
+    potentials; then, if "ressum" is wanted, `samples` samples of 12n + 2
+    outputs each: 12n for a potential f, then one word for A, a subset of
+    {f < 0}, and one for B, a subset of {f > 0} (see `_nonempty_subsets`).
+    (A and B are the pinched graph's negative and positive sets: its
+    inserted vertices all have the value 0.) Both suites make a potential
+    from its 12n outputs by `_potentials`, and none is drawn again: one
+    without both strict signs fails its sample with the SignCondition of
+    `zero_crossings`, as any other failed pinch does. So every sample is
+    read at once, and ressum's are pinched with one `zero_crossings`
+    call; a sample whose pinch fails keeps that typed error and leaves
+    its two words unused (on a graph with a zero-mass vertex every sample
+    fails with the same ZeroMass). Raises SignCondition when a draw is
+    needed on fewer than two vertices.
 
     Returns (pinch potentials as rows, ressum's draws, per ressum sample
     None or its pinch's typed error). The draws are, for the d samples
     that pinched in sample order, their `zero_crossings` rows (f, at_u,
     at_v), then A and B as boolean rows (d, n); they are None, and the
     errors empty, unless "ressum" is wanted."""
-    rng = Xorshift64Star(seed)
     n = graph.vertex_count
-    pinch_fs = _random_mixed_sign_fs(rng, n, samples if "pinch" in wanted else 0)
+    pinch, ressum = (samples if s in wanted else 0 for s in ("pinch", "ressum"))
+    if n < 2 and pinch + ressum:
+        # one value recentred is exactly 0
+        raise errors.SignCondition("a potential takes both strict signs only on "
+                                   "two or more vertices")
+    words = Xorshift64Star(seed).words(pinch * 12 * n + ressum * (12 * n + 2))
+    pinch_fs = _potentials(words[:pinch * 12 * n].reshape(pinch, 12 * n))
     if "ressum" not in wanted:
         return pinch_fs, None, []
-    _require_two_vertices(n, samples)
-    words = rng.words(samples * (12 * n + 2)).reshape(samples, 12 * n + 2)
-    f = _recentred(irwin_hall(words[:, :-2].reshape(samples, n, 12)))
-    f, at_u, at_v, failures = zero_crossings(graph, f)
+    words = words[pinch * 12 * n:].reshape(samples, 12 * n + 2)
+    f, at_u, at_v, failures = zero_crossings(graph, _potentials(words[:, :-2]))
     ok = np.array([exc is None for exc in failures], dtype=bool)
     sides = np.stack([f < 0.0, f > 0.0], axis=1)[ok]
     a, b = _nonempty_subsets(sides, words[ok, -2:]).swapaxes(0, 1)

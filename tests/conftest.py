@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hardy_spectral import VertexSet, WeightedGraph, path_graph, random_graph
-from hardy_spectral.rng import Xorshift64Star
+from hardy_spectral.rng import Xorshift64Star, irwin_hall
 
 WEIGHT_RANGE = (0.1, 10.0)
 
@@ -52,9 +52,10 @@ def stiff_graph(seed: int, ratio: float, mass_ratio: float = 1.0,
     return WeightedGraph(masses, edges)
 
 
-# (mass, conductance) powers of two past which the mode's polish once
-# lost bits: mass * y * y went subnormal or overflowed
-EXTREME_SCALES = [(-530, 0), (-600, 0), (530, 0), (0, 530), (0, 700)]
+# (mass, conductance) powers of two past which the mode's polish once lost
+# bits or failed: mass * y or mass * y * y went subnormal or overflowed
+EXTREME_SCALES = [(-530, 0), (-600, 0), (-700, 0), (-1000, 0), (530, 0), (1015, 0), (0, 530),
+                  (0, 700)]
 
 
 def scaled_by_powers_of_two(g: WeightedGraph, mass_exp: int, kappa_exp: int) -> WeightedGraph:
@@ -62,6 +63,17 @@ def scaled_by_powers_of_two(g: WeightedGraph, mass_exp: int, kappa_exp: int) -> 
     2^kappa_exp, both exact."""
     return WeightedGraph(tuple(math.ldexp(m, mass_exp) for m in g.masses),
                          tuple((u, v, math.ldexp(k, kappa_exp)) for (u, v, k) in g.edges))
+
+
+def mixed_sign_fs(rng: Xorshift64Star, n: int, count: int) -> np.ndarray:
+    """`count` potentials on n vertices, one per row, as the suites draw
+    them: the next 12n words per row, one Irwin-Hall value per 12, each
+    row recentred to mean zero (summed left to right). Each row must take
+    both strict signs."""
+    f = irwin_hall(rng.words(12 * n * count).reshape(count, n, 12))
+    f = f - np.add.accumulate(f, axis=1)[:, -1:] / n
+    assert ((f > 0.0).any(axis=1) & (f < 0.0).any(axis=1)).all()
+    return f
 
 
 def random_vector(rng: Xorshift64Star, n: int, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:

@@ -20,10 +20,10 @@ from hardy_spectral import (VertexSet, dirichlet_content_exact,
                             neumann_eigenvalue, pinch)
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
-from hardy_spectral.suite import _random_mixed_sign_fs, _worst_sides
+from hardy_spectral.suite import _worst_sides
 
 from conftest import (corpus_boundary, corpus_graph, corpus_path,  # noqa: F401
-                      p3, resistance_via_pseudoinverse)
+                      mixed_sign_fs, p3, resistance_via_pseudoinverse)
 from test_resistance import contracted_resistance
 
 CORPUS_SIZE = 200
@@ -122,7 +122,7 @@ def test_criterion_06_pinching_lemma():
         [attained] = _worst_sides(g, [quantize_zeros(res.eigenvector)])
         worst_gap = max(worst_gap, abs(attained - res.eigenvalue))
         ok &= abs(attained - res.eigenvalue) <= 1e-8
-        fs = _random_mixed_sign_fs(rng, g.vertex_count, 50)
+        fs = mixed_sign_fs(rng, g.vertex_count, 50)
         for worst_side in _worst_sides(g, fs):
             ok &= worst_side >= res.eigenvalue - 1e-8
     _verdict(6, "pinching lemma", ok,
@@ -134,7 +134,7 @@ def test_criterion_07_resistance_sum_lemma():
     ok = True
     for i in range(100):
         g = corpus_graph(i)
-        [f] = _random_mixed_sign_fs(rng, g.vertex_count, 1)
+        [f] = mixed_sign_fs(rng, g.vertex_count, 1)
         p = pinch(g, f)
         neg, pos = p.negative_set, p.positive_set
         a = VertexSet.of(rng.sample_without_replacement(

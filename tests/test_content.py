@@ -12,9 +12,9 @@ from hardy_spectral.content import (EXACT_ENUMERATION, PATH_TAILSET,
                                     SWEEP_HEURISTIC)
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
-from hardy_spectral.suite import _random_mixed_sign_fs, _worst_sides
+from hardy_spectral.suite import _worst_sides
 
-from conftest import corpus_boundary, corpus_graph, corpus_path
+from conftest import corpus_boundary, corpus_graph, corpus_path, mixed_sign_fs
 
 
 class TestHardyPath:
@@ -375,7 +375,7 @@ class TestPinchingLemma:
         for i in range(10):
             g = corpus_graph(i)
             lam2 = neumann_eigenvalue(g).eigenvalue
-            fs = _random_mixed_sign_fs(rng, g.vertex_count, 10)
+            fs = mixed_sign_fs(rng, g.vertex_count, 10)
             for worst in _worst_sides(g, fs):
                 assert worst >= lam2 - 1e-8
 
@@ -385,7 +385,7 @@ class TestResistanceSumLemma:
         rng = Xorshift64Star(131)
         for i in range(20):
             g = corpus_graph(i)
-            [f] = _random_mixed_sign_fs(rng, g.vertex_count, 1)
+            [f] = mixed_sign_fs(rng, g.vertex_count, 1)
             p = pinch(g, f)
             neg, pos = p.negative_set, p.positive_set
             a = VertexSet.of(rng.sample_without_replacement(

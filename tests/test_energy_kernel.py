@@ -307,6 +307,22 @@ class TestExtremeWeights:
         with pytest.raises(errors.NotRepresentable):
             neumann_content_exact(g)
 
+    def test_energy_without_a_finite_reciprocal_is_a_typed_error(self):
+        # 1 / 1e-309 overflows: R(A, B) and every ressum side's 1/energy
+        # would be inf
+        g = WeightedGraph((1.0, 1.0), ((0, 1, 1e-309),))
+        with pytest.raises(errors.NotRepresentable, match="finite reciprocal"):
+            effective_resistance(g, VertexSet.of([0]), VertexSet.of([1]))
+        report = run_suite(path_graph([1.0] * 4, [1e-310] * 3), suites=["ressum"], seed=0)
+        assert len(report.checks) == 10
+        assert {c.relation for c in report.checks} == {"error"}
+
+    def test_content_without_a_finite_reciprocal_is_a_typed_error(self):
+        # psi2 = 2e-310 is positive and finite, but h2 = 1 / psi2 is not
+        g = WeightedGraph((1.0,) * 3, ((0, 1, 1e-310), (0, 2, 1.7e308), (1, 2, 1e-150)))
+        with pytest.raises(errors.NotRepresentable, match="no finite reciprocal"):
+            neumann_content_exact(g)
+
     @pytest.mark.parametrize("seed", [*range(10), 21])
     def test_weight_ratio_1e16_against_mpmath(self, seed):
         # the enumerations only add nonnegative terms, so rounding cannot

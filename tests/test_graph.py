@@ -141,6 +141,13 @@ class TestValidate:
         with pytest.raises(errors.NegativeMass):
             WeightedGraph((1, m, 1), ((0, 1, 1), (1, 2, 1)))
 
+    def test_total_mass_past_the_doubles(self):
+        # each mass is finite, but their sum is not: every report of the
+        # graph would hold mass_total = inf
+        with pytest.raises(errors.TotalMassOverflow):
+            WeightedGraph((1.7e308, 1.0, 1.7e308), ((0, 1, 1.0), (1, 2, 1.0)))
+        validate(WeightedGraph((1.7e308, 1.0, 0.0), ((0, 1, 1.0), (1, 2, 1.0))))
+
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
     def test_construction_matches_an_independent_oracle(self, data):

@@ -7,11 +7,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardy_spectral
-from hardy_spectral import (VertexSet, dirichlet_eigenvalue, emit_report, parse_wgr,
-                            path_graph, random_graph, run_suite, serialize_wgr)
+from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_eigenvalue, emit_report,
+                            parse_wgr, path_graph, random_graph, run_suite, serialize_wgr)
 from hardy_spectral import cli, errors, spectral, suite
 from hardy_spectral.cli import main
 from hardy_spectral.report import (VerificationReport, check_eq, check_ge,
@@ -301,6 +302,33 @@ class TestRunSuite:
                        *(c[key] for c in doc["checks"] for key in ("lhs", "rhs", "slack"))]
             assert all(math.isfinite(x) for x in numbers)
 
+    def test_extreme_weight_fuzz_gives_typed_errors_or_finite_json(self):
+        # weights at and past the ends of the doubles: a graph is rejected
+        # at construction, or its report holds only finite numbers (a
+        # RuntimeWarning fails the test too)
+        rng = np.random.default_rng(3)
+        kappas = [1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300, 1.7e308]
+        masses = [1e-310, 1e-300, 1.0, 1e300, 1.7e308]
+
+        def refuse(constant):
+            raise ValueError(f"{constant} in a report")
+
+        rejected = 0
+        for t in range(600):
+            n = int(rng.integers(3, 7))
+            pairs = [(i, i + 1) for i in range(n - 1)]
+            pairs += [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.3]
+            edges = tuple((u, v, float(rng.choice(kappas))) for u, v in pairs)
+            mass = tuple(float(rng.choice(masses)) for _ in range(n))
+            try:
+                g = WeightedGraph(mass, edges)
+            except errors.GraphValidationError:
+                rejected += 1
+                continue
+            rep = run_suite(g, boundary=VertexSet.of([0]), seed=t, samples=3)
+            json.loads(emit_report(rep, "json"), parse_constant=refuse)
+        assert 0 < rejected < 600
+
     def test_tiny_masses_keep_neumann_upper(self):
         rep = run_suite(path_graph([1e-160] * 3, [1.0, 1.0]), boundary=VertexSet.of([0]))
         assert rep.all_hold, [c for c in rep.checks if not c.holds]
@@ -323,6 +351,19 @@ class TestCli:
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["resistance", path, "--a", "v0", "--b", "v2"]) == 0
         assert capsys.readouterr().out.strip() == "2.0"
+
+    def test_resistance_past_the_doubles_exit_two(self, tmp_path, capsys):
+        path = self._write(tmp_path, "weak.wgr", "vertex a 1\nvertex b 1\nedge a b 1e-309\n")
+        assert main(["resistance", path, "--a", "a", "--b", "b"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite reciprocal" in err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_total_mass_past_the_doubles_exit_two(self, tmp_path, capsys, command):
+        text = "vertex a 1.7e308\nvertex b 1.7e308\nedge a b 1\nboundary a\n"
+        assert main([command, self._write(tmp_path, "heavy.wgr", text)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "masses sum past the largest double" in err
 
     def test_verify_success_exit_zero(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)

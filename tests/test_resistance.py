@@ -261,14 +261,6 @@ def sequential_f(rng, n):
     return [x - mean for x in f]
 
 
-def sequential_mixed_sign_f(rng, n):
-    """`sequential_f`, redrawn until both strict signs appear."""
-    while True:
-        f = sequential_f(rng, n)
-        if any(x > 0.0 for x in f) and any(x < 0.0 for x in f):
-            return f
-
-
 def reference_subset(word, side):
     """A nonempty subset of a side (a VertexSet of s members) from one
     word: bit i of 1 + x % (2^s - 1) picks the side's i-th smallest
@@ -284,13 +276,14 @@ def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES,
                     stream=Xorshift64Star):
     """The draws of `run_suite`, one at a time, made with `pinch`: the
     pinch suite's potentials if `pinch_first` (as when both suites run),
-    then per ressum sample f from 12n outputs and one word each for A and
+    each from 12n outputs and never drawn again, then per ressum sample f
+    from 12n outputs and one word each for A and
     B, read whether or not the pinch succeeds; then the pinched graph, A
     from its negative set and B from its positive set, or the pinch's
     typed error. Returns (pinch potentials, ressum draws)."""
     rng = stream(seed)
     n = graph.vertex_count
-    pinch_fs = [sequential_mixed_sign_f(rng, n) for _ in range(samples if pinch_first else 0)]
+    pinch_fs = [sequential_f(rng, n) for _ in range(samples if pinch_first else 0)]
     draws = []
     for _ in range(samples):
         f = sequential_f(rng, n)
@@ -495,23 +488,20 @@ class TestDraws:
         g = split_edge(parent, parent.edges[0][:2], [0.25, 0.75])
         ressum = self.assert_same(g, seed=5)
         assert all(isinstance(d, errors.ZeroMass) for d in ressum)
-        # the masses fail every pinch whatever f is: ressum still reads its
-        # samples in one read after the pinch suite's potentials, and no
-        # row pinched
+        # the masses fail every pinch whatever f is: the run still reads
+        # the pinch suite's potentials and ressum's samples in one read,
+        # and no row pinched
         reads = []
 
         class Recorded(Xorshift64Star):
             def _take(self, count):
-                reads.extend([count] if count else [])
+                reads.append(count)
                 return super()._take(count)
 
         monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
         _, rows, _ = _draws(g, ["pinch", "ressum"], DEFAULT_SAMPLES, 5)
-        with_ressum = list(reads)
-        reads.clear()
-        _draws(g, ["pinch"], DEFAULT_SAMPLES, 5)
         n, m = g.vertex_count, g.edge_count
-        assert reads and with_ressum == reads + [DEFAULT_SAMPLES * (12 * n + 2)]
+        assert reads == [DEFAULT_SAMPLES * 12 * n + DEFAULT_SAMPLES * (12 * n + 2)]
         assert [r.shape for r in rows] == [(0, n), (0, m), (0, m), (0, n), (0, n)]
 
     def test_sides_of_64_and_65_vertices(self):
@@ -572,6 +562,26 @@ class TestDraws:
             (f, a, b), (p, a2, b2), (f3, a3, b3) = got[i], want[i], plain[i]
             assert f.tobytes() == np.array(p.f_extended[:n]).tobytes() == f3.tobytes()
             assert (a, b) == (a2, b2) == (a3, b3)
+
+    def test_a_flat_pinch_potential_fails_its_row(self, monkeypatch):
+        g = corpus_graph(3)
+        n = g.vertex_count
+        # the third pinch potential reads 12n equal words, so every value is
+        # the same: its row is the SignCondition of `zero_crossings`, no
+        # potential is drawn in its place, and every other row, ressum's
+        # too, is as drawn from the plain stream
+        start = 2 * 12 * n
+        monkeypatch.setattr(suite, "Xorshift64Star",
+                            lambda seed: FlatStream(seed, start, start + 12 * n))
+        got = run_suite(g, suites=["pinch", "ressum"], seed=4).checks
+        monkeypatch.undo()
+        plain = run_suite(g, suites=["pinch", "ressum"], seed=4).checks
+        assert [c.name for c in got] == [c.name for c in plain]
+        at = [c.name for c in got].index("pinch_random_03")
+        assert got[at].relation == "error"
+        assert got[at].reason == str(errors.SignCondition("potential must take both strict signs"))
+        assert plain[at].relation == ">=" and plain[at].holds
+        assert got[:at] + got[at + 1:] == plain[:at] + plain[at + 1:]
 
     def test_a_failure_mid_batch_keeps_the_draws_around_it(self):
         g = path_graph([1.0] * 6, [1.0, 1.0, 1.7e308, 1.0, 1.0])

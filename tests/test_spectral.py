@@ -11,11 +11,11 @@ from hardy_spectral import graph as graph_module
 from hardy_spectral.cli import main
 from hardy_spectral.graph import conductance_to, quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
-from hardy_spectral.suite import _random_mixed_sign_fs, _worst_sides
+from hardy_spectral.suite import _worst_sides
 from hardy_spectral.wgr import serialize_wgr
 
-from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, random_vector,
-                      scaled_by_powers_of_two, stiff_graph)
+from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, mixed_sign_fs,
+                      random_vector, scaled_by_powers_of_two, stiff_graph)
 
 GOLDEN = (3 - 5 ** 0.5) / 2  # smallest eigenvalue of [[2,-1],[-1,1]]
 UNIFORM_N3_DIRICHLET = 0.19806226419516171  # smallest eig of the N=3 interior block
@@ -413,7 +413,7 @@ class TestBatchedDirichlet:
         graphs = [corpus_graph(i) for i in range(30)]
         graphs += [stiff_graph(seed, 1e9, 1e9) for seed in range(20)]
         for g in graphs:
-            fs = list(_random_mixed_sign_fs(rng, g.vertex_count, 5))
+            fs = list(mixed_sign_fs(rng, g.vertex_count, 5))
             fs.append(quantize_zeros(neumann_eigenvalue(g).eigenvector))
             batch = _worst_sides(g, fs)
             assert len(batch) == len(fs)
@@ -591,7 +591,7 @@ class TestPinchRoute:
             g = corpus_graph(i)
             n = g.vertex_count
             fs = [quantize_zeros(neumann_eigenvalue(g).eigenvector)]
-            fs += list(_random_mixed_sign_fs(rng, n, 10))
+            fs += list(mixed_sign_fs(rng, n, 10))
             # exact zeros: a vertex on the zero set grounds its neighbours
             fs += [[0.0 if v == i % n else x for v, x in enumerate(fs[-1])]]
             zeros += sum(x == 0.0 for f in fs for x in f)
@@ -606,7 +606,7 @@ class TestPinchRoute:
         for i in range(30):
             g = corpus_graph(i)
             n = g.vertex_count
-            fs = list(_random_mixed_sign_fs(rng, n, 4))
+            fs = list(mixed_sign_fs(rng, n, 4))
             fs += [[0.0 if v in (i % n, (i + 1) % n) else x for v, x in enumerate(f)]
                    for f in fs[:2]]
             fs = [f for f in fs if min(f) < 0.0 < max(f)]
