@@ -408,11 +408,7 @@ def random_graph(n: int,
             raise errors.BadRange(f"range ({lo}, {hi}) must be positive with lo <= hi")
 
     rng = Xorshift64Star(seed)
-    if n == 2:
-        tree = [(0, 1)]
-    else:
-        seq = [rng.below(n) for _ in range(n - 2)]
-        tree = _decode_pruefer(seq, n)
+    tree = _decode_pruefer([rng.below(n) for _ in range(n - 2)], n)
     tree_set = set(tree)
 
     extra = []

@@ -4,23 +4,28 @@ and CSV serializations.
 The tolerance rule for "lhs <= rhs" is lhs <= rhs*(1+tol) + tol — relative
 slack away from zero, absolute slack near it. Every check carries a slack
 value with the convention that the check holds iff slack >= 0, so a report
-consumer can re-derive `holds` from the row alone. Reals are serialized
-with 17 significant digits, which round-trips doubles; two runs with the
-same inputs and seed produce byte-identical documents (timings are
-excluded unless explicitly requested).
+consumer can re-derive `holds` from the row alone. Only the fields of
+`VerificationReport` and `Check` name a report's keys and columns, in
+order. Every real is written with 17 significant digits (`REAL`), which
+round-trips doubles, and every JSON string as the json module escapes it.
+Two runs with the same inputs and seed produce byte-identical documents
+(timings are excluded unless explicitly requested).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from json.encoder import encode_basestring
 from typing import Optional
 
 LE = "<="
 GE = ">="
 EQ = "=="
 ERROR = "error"
+REAL = ".17g"
 
 
 @dataclass(frozen=True)
@@ -73,42 +78,31 @@ class VerificationReport:
         return all(c.holds for c in self.checks)
 
 
-def _json_fragment(value, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(repr(value))
-    elif isinstance(value, float):
-        out.append(format(value, ".17g"))
-    elif isinstance(value, str):
-        out.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            _json_fragment(str(k), out)
-            out.append(": ")
-            _json_fragment(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _json_fragment(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
+_CSV_HEADER = ",".join(f.name for f in fields(Check)) + "\n"
+_JSON_WORDS = {True: "true", False: "false", None: "null"}
 
 
-def _check_row(c: Check) -> dict:
-    return {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "relation": c.relation,
-            "holds": c.holds, "slack": c.slack, "reason": c.reason}
+def _scalar(value) -> str:
+    """A real by the one rule, `REAL`; a bool, an int or None as in JSON."""
+    if isinstance(value, float):
+        return format(value, REAL)
+    if value is None or isinstance(value, bool):
+        return _JSON_WORDS[value]
+    if isinstance(value, int):
+        return repr(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _json(value) -> str:
+    """One JSON value, its strings and keys escaped by the json module."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join([encode_basestring(str(k)) + ": " + _json(v)
+                                for k, v in value.items()]) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join([_json(v) for v in value]) + "]"
+    return _scalar(value)
 
 
 def emit_report(report: VerificationReport, fmt: str = "json",
@@ -116,26 +110,16 @@ def emit_report(report: VerificationReport, fmt: str = "json",
     """Render the report. `fmt` is "json" or "csv"; timings are volatile and
     only appear when asked for, keeping default output reproducible."""
     if fmt == "json":
-        doc = {
-            "tool_version": report.tool_version,
-            "seed": report.seed,
-            "tolerance": report.tolerance,
-            "graph_summary": report.graph_summary,
-            "quantities": report.quantities,
-            "witnesses": report.witnesses,
-            "checks": [_check_row(c) for c in report.checks],
-            "timing_ms": dict(report.timing_ms) if include_timing else {},
-        }
-        out: list[str] = []
-        _json_fragment(doc, out)
-        return "".join(out) + "\n"
+        return _json({**vars(report), "checks": [vars(c) for c in report.checks],
+                      "timing_ms": report.timing_ms if include_timing else {}}) + "\n"
     if fmt == "csv":
+        # a column at a time, each one map over a builtin; no field name needs quotes
+        columns = zip(*map(dict.values, map(vars, report.checks)))
+        rows = zip(*[column if isinstance(column[0], str)
+                     else map(_JSON_WORDS.__getitem__, column) if isinstance(column[0], bool)
+                     else map(float.__format__, column, repeat(REAL)) for column in columns])
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "lhs", "rhs", "relation", "holds", "slack", "reason"])
-        for c in report.checks:
-            writer.writerow([c.name, format(c.lhs, ".17g"), format(c.rhs, ".17g"),
-                             c.relation, str(c.holds).lower(),
-                             format(c.slack, ".17g"), c.reason])
+        buf.write(_CSV_HEADER)
+        csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")

@@ -21,7 +21,9 @@ which on stiff graphs swamps the small differences across stiff edges. So
 each eigenvector is polished by inverse iteration on the Laplacian, whose
 M-matrix solves keep those differences, and the eigenvalue is its
 Rayleigh quotient with the energy summed over the edges, where no terms
-cancel. Values equal in exact arithmetic may still differ in the last
+cancel. On stiff graphs eigh's vector can be noise at the scale of the
+eigenvalue, so each problem is polished until it settles (`_eigenpairs`).
+Values equal in exact arithmetic may still differ in the last
 ulps, so every choice among them (the piece that carries the Dirichlet
 mode, the entry that fixes a sign) treats values within the relative
 window TIE_RTOL as tied and gives the lowest vertex id the win.
@@ -44,7 +46,8 @@ NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 
 TIE_RTOL = 64 * np.finfo(float).eps
-POLISH_STEPS = 2
+MIN_POLISH_STEPS, MAX_POLISH_STEPS = 2, 64
+SETTLE_RTOL = 4 * np.finfo(float).eps
 _TINY, _LARGEST = np.finfo(float).tiny, np.finfo(float).max
 # pieces of at most this many vertices share one padded eigen stack
 SMALL_PIECE = 8
@@ -89,9 +92,10 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
     its piece, which are held at zero, and `mass` (g, s) the masses.
     L_PP's diagonal is built as W_PP 1 + ground, a sum of nonnegative
     terms. Returns the eigenvalues (g,) and the eigenvectors (g, s), of
-    unit mass norm: eigh on the whitened stack, then POLISH_STEPS steps of
-    inverse iteration. k = 1 is the Neumann mode (the piece is all of V):
-    its solves ground the first vertex and remove the constant mode. A
+    unit mass norm: eigh on the whitened stack, then inverse iteration
+    until each problem settles. k = 1 is the Neumann mode (the piece is
+    all of V): its solves ground the first vertex and remove the constant
+    mode. A
     solve or its norm past the doubles raises NoConvergence, and a
     whitened block or an eigenvalue past them NotRepresentable.
 
@@ -105,9 +109,11 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
     only the piece.
 
     The eigenvalue is the energy as a sum of nonnegative terms,
-    0.5 * sum W_PP (x_i - x_j)^2 + sum ground x_i^2. Every step works on
-    each problem alone, so a problem's result does not depend on the
-    stack it is solved in."""
+    0.5 * sum W_PP (x_i - x_j)^2 + sum ground x_i^2, formed after every
+    step. A problem settles, and is not solved again, once a step lowers
+    it by at most SETTLE_RTOL relative (after MIN_POLISH_STEPS to
+    MAX_POLISH_STEPS steps). Every step works on each problem alone, so a
+    problem's result does not depend on the stack it is solved in."""
     pad = np.zeros(mass.shape, dtype=bool) if pad is None else pad
     d = 1.0 / np.sqrt(mass)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,10 +129,14 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
             raise errors.NotRepresentable("the mass-whitened Laplacian overflows double precision")
         x = d * jacobi_eigen(whitened)[1][:, :, k]
         x[pad] = 0.0
-        for _ in range(POLISH_STEPS):
-            y = np.zeros_like(x)
+        lam = np.full(len(x), np.inf)
+        live = slice(None)  # the rows still moving: all of them, until one settles
+        for step in range(1, MAX_POLISH_STEPS + 1):
+            m = mass[live]
+            y = np.zeros_like(m)
             try:
-                y[:, k:] = np.linalg.solve(blocks[:, k:, k:], (mass * x)[:, k:, None])[:, :, 0]
+                y[:, k:] = np.linalg.solve(blocks[live, k:, k:],
+                                           (m * x[live])[:, k:, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 raise errors.NotPositiveDefinite() from None
             # each y to max |y| in [1/4, 1/2) by a power of two (~e is
@@ -137,15 +147,23 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
             # scaling serves both sums
             y = np.ldexp(y, ~np.frexp(np.abs(y).max(axis=1, keepdims=True))[1])
             if k:
-                y -= _mass_dot(mass, y) / mass.sum(axis=1, keepdims=True)
-            norm = np.sqrt(_mass_dot(mass, y * y))
+                y -= _mass_dot(m, y) / m.sum(axis=1, keepdims=True)
+            norm = np.sqrt(_mass_dot(m, y * y))
             # a y past the doubles gives a norm of inf or NaN, an all-zero y 0
             if not 0.0 < norm.min() <= norm.max() < np.inf:
                 raise errors.NoConvergence("inverse iteration overflowed in double precision")
-            x = y / norm
-        diff = x[:, :, None] - x[:, None, :]
-        inside = (w * diff * diff).reshape(len(x), -1).sum(axis=1)
-        lam = 0.5 * inside + (ground * (x * x)).sum(axis=1)
+            x[live] = y = y / norm
+            diff = y[:, :, None] - y[:, None, :]
+            energy = (0.5 * (w[live] * diff * diff).reshape(len(y), -1).sum(axis=1)
+                      + (ground[live] * (y * y)).sum(axis=1))
+            fall, lam[live] = lam[live] - energy, energy
+            if step < MIN_POLISH_STEPS:
+                continue
+            moving = np.flatnonzero(fall > SETTLE_RTOL * energy)
+            if len(moving) == 0:
+                break
+            if len(moving) < len(energy):
+                live = np.arange(len(x))[live][moving]
     if not lam.max() < np.inf:  # a sum of nonnegative terms: inf, never NaN
         raise errors.NotRepresentable("the eigenvalue overflows double precision")
     return lam, x

@@ -220,6 +220,15 @@ class TestRandomGraph:
         g = random_graph(2, 0.0, (1, 1), (1, 1), seed=11)
         assert [e[:2] for e in g.edges] == [(0, 1)]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11])
+    def test_two_vertices_draw_two_masses_then_one_conductance(self, seed):
+        # the tree and the candidate pairs read no stream word at n = 2
+        rng = Xorshift64Star(seed)
+        masses = (rng.uniform_in(*WEIGHT_RANGE), rng.uniform_in(*WEIGHT_RANGE))
+        edges = ((0, 1, rng.uniform_in(*WEIGHT_RANGE)),)
+        g = random_graph(2, 0.5, WEIGHT_RANGE, WEIGHT_RANGE, seed)
+        assert g == WeightedGraph(masses, edges)
+
     def test_p_zero_leaves_a_spanning_tree(self):
         g = random_graph(5, 0.0, WEIGHT_RANGE, WEIGHT_RANGE, seed=7)
         assert g.edge_count == 4

@@ -1,10 +1,13 @@
+import csv
 import importlib
 import importlib.util
+import io
 import json
 import math
 import subprocess
 import sys
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +18,8 @@ from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_eigenvalue, emit
                             parse_wgr, path_graph, random_graph, run_suite, serialize_wgr)
 from hardy_spectral import cli, errors, spectral, suite
 from hardy_spectral.cli import main
-from hardy_spectral.report import (VerificationReport, check_eq, check_ge,
-                                   check_le)
+from hardy_spectral.report import (Check, VerificationReport, check_eq, check_error,
+                                   check_ge, check_le)
 
 from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph,
                       scaled_by_powers_of_two, stiff_graph)
@@ -133,6 +136,38 @@ class TestReport:
                                  quantities={"x": 1.0 / 3.0})
         assert '"x": 0.33333333333333331' in emit_report(rep, "json")
 
+    AWKWARD = 'say "hi"\\ at\nline\ttwo\x01 \u00e9'
+
+    def awkward_report(self):
+        return VerificationReport(tool_version="0.1.0", seed=3, tolerance=1e-9,
+                                  graph_summary={"vertex_count": 2},
+                                  quantities={self.AWKWARD: 0.1, "x": 1.0 / 3.0},
+                                  witnesses={"phi_a": [0]},
+                                  checks=[check_error("e", self.AWKWARD),
+                                          check_le("f", 1.0, 2.0, 1e-9)],
+                                  timing_ms={"x": 1.5})
+
+    def test_json_round_trips_every_string(self):
+        rep = self.awkward_report()
+        doc = json.loads(emit_report(rep, "json"))
+        assert doc["checks"][0]["reason"] == self.AWKWARD
+        assert doc["quantities"] == rep.quantities and doc["timing_ms"] == {}
+
+    def test_csv_round_trips_every_string(self):
+        rep = self.awkward_report()
+        rows = list(csv.reader(io.StringIO(emit_report(rep, "csv"), newline="")))
+        assert [row[0] for row in rows[1:]] == ["e", "f"]
+        assert rows[1][-1] == self.AWKWARD
+        assert rows[2] == ["f", "1", "2", "<=", "true", "1.0000000030000002", ""]
+
+    def test_the_dataclasses_give_the_field_order(self):
+        rep = self.awkward_report()
+        doc = json.loads(emit_report(rep, "json"))
+        assert list(doc) == [f.name for f in fields(VerificationReport)]
+        assert all(list(c) == [f.name for f in fields(Check)] for c in doc["checks"])
+        header = next(csv.reader(io.StringIO(emit_report(rep, "csv"))))
+        assert header == [f.name for f in fields(Check)]
+
 
 class TestRunSuite:
     def test_p3_all_suites_pass(self, p3):
@@ -219,7 +254,7 @@ class TestRunSuite:
         rep = run_suite(corpus_graph(5), boundary=VertexSet.of([0]), seed=1)
         assert rep.all_hold and len(solves) == 1
         solves.clear()
-        rep = run_suite(stiff_graph(1, 1e16, 1e16), boundary=VertexSet.of([0]), seed=1)
+        rep = run_suite(stiff_graph(122, 1e16, 1e16), boundary=VertexSet.of([0]), seed=1)
         rows = {c.name: c for c in rep.checks}
         assert len(solves) == 1 and "lambda2" not in rep.quantities
         reasons = {rows[name].reason for name in ("neumann", "cheeger", "pinch")}
@@ -386,7 +421,7 @@ class TestCli:
 
     def test_verify_weight_ratio_1e16_exit_one(self, tmp_path, capsys):
         # at this ratio the fundamental mode of this graph is not resolved
-        g = stiff_graph(1, 1e16, 1e16)
+        g = stiff_graph(122, 1e16, 1e16)
         path = self._write(tmp_path, "stiff.wgr", serialize_wgr(g, VertexSet.of([0])))
         assert main(["verify", path]) == 1
         rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -589,6 +624,24 @@ class TestRuntimeDependencies:
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
                               capture_output=True,
                               text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
+
+    def test_gen_verify_and_analyze_load_numpy_and_the_standard_library_alone(self, tmp_path):
+        # what the interpreter loads at startup (site hooks) is not the library's
+        path = tmp_path / "g.wgr"
+        script = ("import sys\n"
+                  "startup = set(sys.modules)\n"
+                  "from hardy_spectral.cli import main\n"
+                  f"gen = ['gen', 'random', '--n', '6', '--seed', '1', '-o', {str(path)!r}]\n"
+                  "assert main(gen) == 0\n"
+                  f"assert main(['verify', {str(path)!r}]) == 0\n"
+                  f"assert main(['analyze', {str(path)!r}, '--csv']) == 0\n"
+                  "allowed = set(sys.stdlib_module_names) | {'numpy', 'hardy_spectral'}\n"
+                  "loaded = {m.split('.')[0] for m in set(sys.modules) - startup}\n"
+                  "print(sorted(loaded - allowed), file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                              capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[]\n"
 

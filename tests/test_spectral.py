@@ -5,7 +5,7 @@ import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, components, dirichlet_eigenvalue,
                             harmonic_extension, laplacian, neumann_eigenvalue,
-                            path_graph, pinch, rayleigh_quotient, run_suite)
+                            path_graph, pinch, random_graph, rayleigh_quotient, run_suite)
 from hardy_spectral import errors, spectral, suite
 from hardy_spectral import graph as graph_module
 from hardy_spectral.cli import main
@@ -337,30 +337,53 @@ class TestStiffGraphs:
             rep = run_suite(g, boundary=VertexSet.of([0]), seed=seed)
             assert rep.all_hold, (seed, [c for c in rep.checks if not c.holds])
 
+    @staticmethod
+    def oracle(mpmath, g, vertices, k):
+        # k-th smallest eigenvalue of M^-1/2 L M^-1/2 on `vertices`
+        a = mpmath.matrix(len(vertices), len(vertices))
+        for i, u in enumerate(vertices):
+            for j, v in enumerate(vertices):
+                lap_uv = (sum(mpmath.mpf(c) for (p, q, c) in g.edges if u in (p, q))
+                          if u == v else
+                          -sum(mpmath.mpf(c) for (p, q, c) in g.edges if {p, q} == {u, v}))
+                a[i, j] = lap_uv / mpmath.sqrt(mpmath.mpf(g.masses[u]) * g.masses[v])
+        return float(sorted(mpmath.eigsy(a, eigvals_only=True))[k])
+
     def test_eigenvalues_match_mpmath_at_ratio_1e6(self):
         # without the inverse-iteration polish, eigh's eigenvectors give
         # errors up to 7e-8 (lambda2) and 3e-10 (Dirichlet) on these graphs
         mpmath = pytest.importorskip("mpmath")
-
-        def oracle(g, vertices, k):
-            # k-th smallest eigenvalue of M^-1/2 L M^-1/2 on `vertices`
-            a = mpmath.matrix(len(vertices), len(vertices))
-            for i, u in enumerate(vertices):
-                for j, v in enumerate(vertices):
-                    lap_uv = (sum(mpmath.mpf(c) for (p, q, c) in g.edges if u in (p, q))
-                              if u == v else
-                              -sum(mpmath.mpf(c) for (p, q, c) in g.edges if {p, q} == {u, v}))
-                    a[i, j] = lap_uv / mpmath.sqrt(mpmath.mpf(g.masses[u]) * g.masses[v])
-            return float(sorted(mpmath.eigsy(a, eigvals_only=True))[k])
-
         for seed in range(20):
             g = stiff_graph(seed, 1e6, 1e6)
             with mpmath.workdps(50):
-                lam_d = oracle(g, list(range(1, g.vertex_count)), 0)
-                lam_2 = oracle(g, list(range(g.vertex_count)), 1)
+                lam_d = self.oracle(mpmath, g, list(range(1, g.vertex_count)), 0)
+                lam_2 = self.oracle(mpmath, g, list(range(g.vertex_count)), 1)
             assert dirichlet_eigenvalue(g, VertexSet.of([0])).eigenvalue == \
                 pytest.approx(lam_d, rel=1e-10, abs=0.0)
             assert neumann_eigenvalue(g).eigenvalue == pytest.approx(lam_2, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("ratio", [1e9, 1e12])
+    def test_eigenvalues_match_mpmath_until_the_polish_settles(self, ratio):
+        # two fixed polish steps left errors up to 3.0 (lambda2) and 0.015
+        # (Dirichlet) on these graphs
+        mpmath = pytest.importorskip("mpmath")
+        for seed in range(40):
+            g = stiff_graph(seed, ratio, ratio)
+            with mpmath.workdps(60):
+                lam_d = self.oracle(mpmath, g, list(range(1, g.vertex_count)), 0)
+                lam_2 = self.oracle(mpmath, g, list(range(g.vertex_count)), 1)
+            assert dirichlet_eigenvalue(g, VertexSet.of([0])).eigenvalue == \
+                pytest.approx(lam_d, rel=1e-6, abs=0.0), seed
+            assert neumann_eigenvalue(g).eigenvalue == \
+                pytest.approx(lam_2, rel=1e-6, abs=0.0), seed
+
+    def test_slow_polish_at_ratio_1e9_holds_every_row(self):
+        # two polish steps left this lambda2 at 3.772e-9, and verify then
+        # reported a counterexample to the theorem
+        g = stiff_graph(14, 1e9, 1e9)
+        assert neumann_eigenvalue(g).eigenvalue == pytest.approx(1.063250107425869e-9, rel=1e-9)
+        rep = run_suite(g, boundary=VertexSet.of([0]), seed=14)
+        assert rep.all_hold, [c for c in rep.checks if not c.holds]
 
     @pytest.mark.parametrize("masses, edges", [
         # each once gave a RuntimeWarning: in the mass-weighted dot, the
@@ -389,7 +412,7 @@ class TestStiffGraphs:
     def test_unresolved_fundamental_mode_is_a_typed_error(self):
         # at ratio 1e16 a unit conductance is below the rounding of its
         # stiff neighbours, and the second mode comes out one-signed
-        g = stiff_graph(1, 1e16, 1e16)
+        g = stiff_graph(122, 1e16, 1e16)
         with pytest.raises(errors.NoConvergence):
             neumann_eigenvalue(g)
         rep = run_suite(g, boundary=VertexSet.of([0]), suites=["neumann", "cheeger", "pinch"])
@@ -555,6 +578,31 @@ class TestPaddedPieces:
         assert not isinstance(got[0], errors.HardySpectralError)
         assert not isinstance(got[1], errors.HardySpectralError)
         assert got[0][1] == pytest.approx(1.0, rel=1e-12)
+
+    def test_pad_entries_of_the_start_vector_are_zeroed(self, monkeypatch):
+        # eigh happens to return exact zeros on these pads; a start vector
+        # that is not zero there must give the same bits all the same
+        g = random_graph(12, 0.15, (0.1, 10.0), (0.1, 10.0), seed=3)
+        sides = np.zeros((3, 12), dtype=bool)
+        sides[0, [1, 2, 3]], sides[1, [4, 5]], sides[2, 6:] = True, True, True
+        ground = conductance_to(g, ~sides)
+        want = spectral.ground_modes(g, sides, ground)
+        eigen = spectral.jacobi_eigen
+
+        def off_on_the_pads(whitened):
+            values, vectors = eigen(whitened)
+            # a pad is a decoupled row past its piece's first vertex
+            off_diagonal = whitened * (1.0 - np.eye(whitened.shape[-1]))
+            pads = ~(off_diagonal != 0.0).any(axis=-1)
+            pads[:, 0] = False
+            vectors[pads] += 1e-3
+            return values, vectors
+
+        monkeypatch.setattr(spectral, "jacobi_eigen", off_on_the_pads)
+        got = spectral.ground_modes(g, sides, ground)
+        assert any(len(piece) < 8 for piece, _, _ in want)
+        for (piece, lam, x), (ref_piece, ref_lam, ref_x) in zip(got, want):
+            assert piece == ref_piece and lam == ref_lam and np.array_equal(x, ref_x)
 
 
 class TestPinchRoute:
