@@ -512,48 +512,39 @@ def contract(graph: WeightedGraph, vs: VertexSet) -> tuple[WeightedGraph, int]:
     return WeightedGraph(masses, edges, labels), merged
 
 
-def zero_crossings(graph: WeightedGraph, potentials: Iterable) -> tuple[
+def zero_crossings(graph: WeightedGraph, potentials) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, list[Optional[errors.HardySpectralError]]]:
-    """The crossing rule of `pinch`, for a batch of potentials. An edge
+    """The crossing rule of `pinch`, for a stack of potentials. An edge
     crosses where its ends have strictly opposite signs, at alpha =
     -f_lo / (f_hi - f_lo) from its negative end lo, which leaves segments
     of conductance kappa/alpha at lo and kappa/(1-alpha) at hi.
 
-    The potentials may be lists or arrays, and the stack may be empty.
-    Returns them as a stack f (p, n); the conductances (p, E) of the
-    segment at each edge's u end and at its v end, exactly zero where the
-    edge does not cross; and per potential None or the typed error
-    `pinch` raises, checked in its order: the shape and finiteness (the
-    row of f is then zero), the masses (checked once for all), both
-    strict signs, and the first crossing in edge order that doubles cannot
-    resolve (alpha not strictly inside (0, 1), or a segment conductance
-    that overflows). Only the lengths are checked row by row: each row's
-    first non-finite vertex is one argmax, and both strict signs one
-    reduction, over the whole stack.
+    The stack (p, n), of lists or arrays, is checked once: unless every
+    row is n finite values, `as_potential` raises for the first bad row.
+    Returns the stack as f; the conductances (p, E) of the segment at each
+    edge's u end and at its v end, zero where the edge does not cross; and
+    per potential None or the typed error `pinch` raises, in its order:
+    the masses (checked once for all), both strict signs, then the first
+    crossing in edge order that doubles cannot resolve (alpha not strictly
+    inside (0, 1), or a segment conductance that overflows).
     """
     n = graph.vertex_count
-    rows = [np.asarray(x, dtype=float) for x in potentials]
-    shaped = [x.shape == (n,) for x in rows]
-    f = np.array([x if ok else np.zeros(n) for x, ok in zip(rows, shaped)]).reshape(-1, n)
-    bad = ~np.isfinite(f)
-    first_bad = bad.argmax(axis=1)
-    values = f[np.arange(len(f)), first_bad]
-    f[bad.any(axis=1)] = 0.0
-    both_signs = np.stack([f < 0.0, f > 0.0]).any(axis=2).all(axis=0)
+    try:
+        f = np.array(potentials, dtype=float)
+    except ValueError:  # rows of unequal lengths
+        f = np.empty(0)
+    if f.shape[1:] != (n,) or not np.isfinite(f).all():
+        for x in potentials:
+            as_potential(graph, x)
+    f = f.reshape(-1, n)
     try:
         require_positive_mass(graph)
-        massless = None
     except errors.ZeroMass as exc:
-        massless = exc
-    failed: list[Optional[errors.HardySpectralError]] = [None] * len(rows)
-    # a row that is not finite is zero now, so it lacks both signs too
-    for i in np.flatnonzero(~both_signs | (massless is not None)).tolist():
-        if not shaped[i]:
-            failed[i] = errors.DimensionMismatch(f"potential shape {rows[i].shape} != ({n},)")
-        elif bad[i, first_bad[i]]:
-            failed[i] = errors.NonFinitePotential(int(first_bad[i]), float(values[i]))
-        else:
-            failed[i] = massless or errors.SignCondition("potential must take both strict signs")
+        failed = [exc] * len(f)
+    else:
+        both_signs = (f < 0.0).any(axis=1) & (f > 0.0).any(axis=1)
+        failed = [None if ok else errors.SignCondition("potential must take both strict signs")
+                  for ok in both_signs.tolist()]
 
     u, v, k = graph.edge_arrays
     fu, fv = f[:, u], f[:, v]
@@ -577,6 +568,26 @@ def zero_crossings(graph: WeightedGraph, potentials: Iterable) -> tuple[
     return f, at_u, at_v, failed
 
 
+def pinched_sides(graph: WeightedGraph, potentials) -> tuple[
+        np.ndarray, np.ndarray, list[Optional[errors.HardySpectralError]]]:
+    """Both sides of the pinch at each potential's zero set, posed on
+    `graph` itself (a side, {f < 0} or {f > 0}, holds only original
+    vertices), for the stack `zero_crossings` takes; raises what it
+    raises. Returns, for the d potentials that pinch, in order, the sides
+    as boolean rows (d, 2, n) and the ground rows (d, n), each vertex's
+    conductance to its side's boundary, summed by `edge_end_sums` from
+    nonnegative terms (kappa to a zero-valued neighbour, the segment at a
+    crossing edge's end); and per potential None or its typed error."""
+    f, at_u, at_v, failed = zero_crossings(graph, potentials)
+    ok = np.array([exc is None for exc in failed], dtype=bool)
+    f, at_u, at_v = f[ok], at_u[ok], at_v[ok]
+    u, v, k = graph.edge_arrays
+    zero = f == 0.0
+    ground = edge_end_sums(graph, np.concatenate([at_u + k * zero[:, v],
+                                                  at_v + k * zero[:, u]], axis=1))
+    return np.stack([f < 0.0, f > 0.0], axis=1), ground, failed
+
+
 def pinch(graph: WeightedGraph, f: Iterable[float]) -> PinchedGraph:
     """Insert a zero-mass vertex at the zero crossing of every edge whose
     endpoints have strictly opposite signs of f.
@@ -587,12 +598,11 @@ def pinch(graph: WeightedGraph, f: Iterable[float]) -> PinchedGraph:
     the value 0 and total energy is preserved. Signs are tested strictly:
     a vertex with f_v == 0.0 lies on the zero set and its edges are never
     split. No suite builds this graph: the pinch and ressum suites pose
-    its sides on the parent's arrays (see `suite`), tested against it.
+    its sides on the parent's arrays by `pinched_sides`, tested against it.
     """
-    f, at_u, at_v, [failed] = zero_crossings(graph, [f])
+    [f], [at_u], [at_v], [failed] = zero_crossings(graph, [f])
     if failed is not None:
         raise failed
-    f, at_u, at_v = f[0], at_u[0], at_v[0]
 
     n = graph.vertex_count
     u, v, _k = graph.edge_arrays

@@ -6,17 +6,14 @@ ALL_SUITES. All random draws happen up front, in one read of the seeded
 generator (`_draws`): the pinch suite's potentials, 12n outputs each,
 then `ressum`'s samples at a fixed stride of 12n + 2 outputs each. Every
 potential is made from its 12n outputs the same way and is never drawn
-again; ressum's are pinched with one `zero_crossings` call. LAPACK is
+again; ressum's are pinched with one `pinched_sides` call. LAPACK is
 deterministic for a fixed build, and every tie is decided within a
 window, so a report depends only on the inputs and the seed.
-No suite builds a pinched graph: both sides of every pinch are posed on
-the graph's own arrays, each as its boolean row {f < 0} or {f > 0} with
-the potential's ground row from `_pinched_rows` (its only row: the
-solvers build every diagonal themselves), to `spectral.ground_modes` by
-the pinch suite and to `resistance.pinned_energies` by `ressum`, which
-poses all of a run's resistances in one call (R(A, B) on the graph
-itself, by the series law). ressum's sets stay boolean rows over the
-vertices from the draw to the elimination.
+No suite builds a pinched graph: the suites only pose the sides and
+ground rows of `graph.pinched_sides`, the pinch suite to
+`spectral.ground_modes` and `ressum` to `resistance.pinned_energies`,
+all of a run's resistances in one call (R(A, B) on the graph itself, by
+the series law), its sets boolean rows from the draw to the elimination.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ from ._version import __version__
 from .content import (dirichlet_content_exact, isoperimetric_exact,
                       level_set_quotient, neumann_content_exact,
                       neumann_content_sweep)
-from .graph import (VertexSet, WeightedGraph, conductance_to, edge_end_sums,
-                    quantize_zeros, zero_crossings)
+from .graph import (VertexSet, WeightedGraph, conductance_to, pinched_sides,
+                    quantize_zeros)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
 from .resistance import pinned_energies
@@ -94,18 +91,18 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
     (A and B are the pinched graph's negative and positive sets: its
     inserted vertices all have the value 0.) Both suites make a potential
     from its 12n outputs by `_potentials`, and none is drawn again: one
-    without both strict signs fails its sample with the SignCondition of
-    `zero_crossings`, as any other failed pinch does. So every sample is
-    read at once, and ressum's are pinched with one `zero_crossings`
+    without both strict signs fails its sample with its pinch's
+    SignCondition, as any other failed pinch does. So every sample is
+    read at once, and ressum's are pinched with one `pinched_sides`
     call; a sample whose pinch fails keeps that typed error and leaves
     its two words unused (on a graph with a zero-mass vertex every sample
     fails with the same ZeroMass). Raises SignCondition when a draw is
     needed on fewer than two vertices.
 
     Returns (pinch potentials as rows, ressum's draws, per ressum sample
-    None or its pinch's typed error). The draws are, for the d samples
-    that pinched in sample order, their `zero_crossings` rows (f, at_u,
-    at_v), then A and B as boolean rows (d, n); they are None, and the
+    None or its pinch's typed error). The draws are (sides, ground, A,
+    B): the `pinched_sides` rows of the d samples that pinched, in sample
+    order, then A and B as boolean rows (d, n); they are None, and the
     errors empty, unless "ressum" is wanted."""
     n = graph.vertex_count
     pinch, ressum = (samples if s in wanted else 0 for s in ("pinch", "ressum"))
@@ -118,42 +115,21 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
     if "ressum" not in wanted:
         return pinch_fs, None, []
     words = words[pinch * 12 * n:].reshape(samples, 12 * n + 2)
-    f, at_u, at_v, failures = zero_crossings(graph, _potentials(words[:, :-2]))
+    sides, ground, failures = pinched_sides(graph, _potentials(words[:, :-2]))
     ok = np.array([exc is None for exc in failures], dtype=bool)
-    sides = np.stack([f < 0.0, f > 0.0], axis=1)[ok]
     a, b = _nonempty_subsets(sides, words[ok, -2:]).swapaxes(0, 1)
-    return pinch_fs, (f[ok], at_u[ok], at_v[ok], a, b), failures
-
-
-def _pinched_rows(graph: WeightedGraph, f: np.ndarray, at_u: np.ndarray,
-                  at_v: np.ndarray) -> np.ndarray:
-    """The ground for pinching at each potential's zero set, from the rows
-    (f, at_u, at_v) of `zero_crossings`: each vertex's conductance to its
-    side's boundary on the pinched graph, one row per potential.
-
-    No pinched graph is built: a side, {f < 0} or {f > 0}, holds only
-    original vertices, so every side can be posed on `graph` itself with
-    its boolean row and this ground. It is summed for all potentials at
-    once by `edge_end_sums`, from nonnegative terms only: kappa to a
-    zero-valued neighbour, and the segment conductance at a crossing
-    edge's end."""
-    u, v, k = graph.edge_arrays
-    zero = f == 0.0
-    return edge_end_sums(graph, np.concatenate([at_u + k * zero[:, v],
-                                                at_v + k * zero[:, u]], axis=1))
+    return pinch_fs, (sides, ground, a, b), failures
 
 
 def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     """For each potential f: pinch at f's zero set and take the larger of
     the two one-sided boundary-pinned eigenvalues, or the typed error of
-    the pinch (see `zero_crossings`), else of the negative side, else of
+    the pinch (see `pinched_sides`), else of the negative side, else of
     the positive side, all sides solved in one `ground_modes` call."""
-    f, at_u, at_v, failed = zero_crossings(graph, potentials)
-    ground = _pinched_rows(graph, f, at_u, at_v)
+    sides, ground, failed = pinched_sides(graph, potentials)
     # every potential that pinches poses its negative side, then its positive
-    posed = np.array([i for i, exc in enumerate(failed) if exc is None], dtype=np.intp)
-    sides = np.stack([f < 0.0, f > 0.0], axis=1)[posed].reshape(-1, graph.vertex_count)
-    modes = iter(ground_modes(graph, sides, np.repeat(ground[posed], 2, axis=0)))
+    modes = iter(ground_modes(graph, sides.reshape(-1, graph.vertex_count),
+                              np.repeat(ground, 2, axis=0)))
     out = []
     for exc in failed:
         if exc is None:
@@ -328,14 +304,13 @@ def run_suite(graph: WeightedGraph, *,
     def suite_ressum() -> None:
         if no_draws is not None:
             raise no_draws
-        f, at_u, at_v, a, b = ressum_draws
+        sides, pinched, a, b = ressum_draws
         n = graph.vertex_count
-        pinched = _pinched_rows(graph, f, at_u, at_v)
         # per draw 1/R(A, Z) and 1/R(B, Z) on their sides, then 1/R(A, B)
         # on the parent (series law), B held at 0; problem 3i + j is the
         # j-th of draw i
         held = np.stack([a, b, a], axis=1).reshape(-1, n)
-        free = np.stack([(f < 0.0) & ~a, (f > 0.0) & ~b, ~(a | b)], axis=1).reshape(-1, n)
+        free = np.stack([sides[:, 0] & ~a, sides[:, 1] & ~b, ~(a | b)], axis=1).reshape(-1, n)
         ground = np.stack([pinched, pinched, conductance_to(graph, b)], axis=1).reshape(-1, n)
         energies = iter(pinned_energies(graph, held, free, ground))
         for i, exc in enumerate(ressum_failures, start=1):

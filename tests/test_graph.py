@@ -12,12 +12,12 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, contract,
                             neumann_eigenvalue, path_graph, pinch, random_graph,
                             rayleigh_quotient, split_edge, validate)
 from hardy_spectral import errors
-from hardy_spectral.graph import quantize_zeros, zero_crossings
+from hardy_spectral.graph import pinched_sides, quantize_zeros, zero_crossings
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import harmonic_extension
 from hardy_spectral.suite import _worst_sides
 
-from conftest import WEIGHT_RANGE, corpus_graph, random_vector
+from conftest import WEIGHT_RANGE, corpus_graph, mixed_sign_fs, random_vector
 
 
 class TestVertexSet:
@@ -468,13 +468,12 @@ class TestPinch:
     @pytest.mark.parametrize("masses", [(1.0,) * 4, (1.0, 0.0, 1.0, 1.0)])
     def test_zero_crossings_of_a_stack_as_one_at_a_time(self, masses):
         # the masses are checked once for the whole stack; every row keeps
-        # the first error `pinch` raises on it alone, and a row that fails
-        # its shape or finiteness is zero
+        # the first error `pinch` raises on it alone. A row that is not n
+        # finite values fails the whole stack with `pinch`'s error on it
         g = WeightedGraph(masses, ((0, 1, 1e-17), (1, 2, 1.0), (2, 3, 1.0)))
-        fs = np.array([[-1.0, -1.0, 1.0, 1.0], [math.nan, -1.0, 1.0, 1.0],
-                       [-1.0, 1.0, math.inf, -math.inf], [0.0, 1.0, 2.0, 0.0],
+        fs = np.array([[-1.0, -1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 0.0],
                        [-1e-300, 1e300, 1.0, 1.0], [-1.0, -0.0, 0.0, 1.0]])
-        for potentials in (fs, list(fs), [*fs, [1.0, 2.0]]):
+        for potentials in (fs, list(fs), [x.tolist() for x in fs]):
             f, at_u, at_v, failed = zero_crossings(g, potentials)
             assert len(failed) == len(potentials)
             for i, x in enumerate(potentials):
@@ -482,26 +481,27 @@ class TestPinch:
                     p = pinch(g, x)
                 except errors.HardySpectralError as exc:
                     assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
-                    if type(exc) in (errors.DimensionMismatch, errors.NonFinitePotential):
-                        assert not f[i].any()
                     continue
                 assert failed[i] is None
                 assert f[i].tolist() == list(p.f_extended[:4])
         if 0.0 in masses:
-            assert [type(e) for e in failed] == [
-                errors.ZeroMass, errors.NonFinitePotential, errors.NonFinitePotential,
-                errors.ZeroMass, errors.ZeroMass, errors.ZeroMass, errors.DimensionMismatch]
+            assert [type(e) for e in failed] == [errors.ZeroMass] * 4
         else:
             assert [type(e) for e in failed] == [
-                type(None), errors.NonFinitePotential, errors.NonFinitePotential,
-                errors.SignCondition, errors.SignCondition, type(None),
-                errors.DimensionMismatch]
+                type(None), errors.SignCondition, errors.SignCondition, type(None)]
+        for bad in ([math.nan, -1.0, 1.0, 1.0], [-1.0, 1.0, math.inf, -math.inf], [1.0, 2.0]):
+            with pytest.raises((errors.NonFinitePotential, errors.DimensionMismatch)) as alone:
+                pinch(g, bad)
+            with pytest.raises(type(alone.value)) as stacked:
+                zero_crossings(g, [*fs[:2], bad, *fs[2:]])
+            assert str(stacked.value) == str(alone.value)
 
 
 def test_zero_crossings_of_a_mixed_stack():
-    # a quantize_zeros list, ndarray rows, a row of n + 1 values in the
-    # middle, a NaN row and an inf row: each row keeps `pinch`'s error on
-    # it alone, and a non-finite row names its first bad vertex
+    # a quantize_zeros list, ndarray rows and a row without both signs:
+    # each row keeps `pinch`'s error on it alone. A row of n + 1 values, a
+    # NaN row or an inf row fails the whole stack with `pinch`'s error on
+    # it, which names its first bad vertex; of several, the first row's
     g = corpus_graph(4)
     n = g.vertex_count
     rng = Xorshift64Star(47)
@@ -512,25 +512,76 @@ def test_zero_crossings_of_a_mixed_stack():
     inf_row[[2, 5]] = -math.inf, math.nan
     potentials = [quantize_zeros(mode), random_vector(rng, n), list(random_vector(rng, n + 1)),
                   nan_row, np.abs(random_vector(rng, n)), inf_row, mode]
-    f, at_u, at_v, failed = zero_crossings(g, potentials)
-    assert f.shape == (len(potentials), n)
+    good = [0, 1, 4, 6]
+    stack = [potentials[i] for i in good]
+    f, at_u, at_v, failed = zero_crossings(g, stack)
+    assert f.shape == (len(stack), n)
     assert at_u.shape == at_v.shape == (len(f), g.edge_count)
-    for i, x in enumerate(potentials):
+    for i, x in enumerate(stack):
         try:
             p = pinch(g, x)
         except errors.HardySpectralError as exc:
             assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
-            if not isinstance(exc, errors.SignCondition):
-                assert not f[i].any()
             continue
         assert failed[i] is None
         assert f[i].tolist() == list(p.f_extended[:n])
-    assert [type(e).__name__ for e in failed] == [
-        "NoneType", "NoneType", "DimensionMismatch", "NonFinitePotential", "SignCondition",
-        "NonFinitePotential", "NoneType"]
-    assert (failed[3].vertex, failed[5].vertex) == (1, 2)
-    assert str(failed[5]) == str(errors.NonFinitePotential(2, -math.inf))
+    assert [type(e).__name__ for e in failed] == ["NoneType", "NoneType", "SignCondition", "NoneType"]
+    raised = []
+    for bad in (2, 3, 5):
+        with pytest.raises(errors.HardySpectralError) as alone:
+            pinch(g, potentials[bad])
+        with pytest.raises(type(alone.value)) as stacked:
+            zero_crossings(g, [x for i, x in enumerate(potentials) if i in good or i == bad])
+        assert str(stacked.value) == str(alone.value)
+        raised.append(stacked.value)
+    assert [type(e).__name__ for e in raised] == [
+        "DimensionMismatch", "NonFinitePotential", "NonFinitePotential"]
+    assert (raised[1].vertex, raised[2].vertex) == (1, 2)
+    assert str(raised[2]) == str(errors.NonFinitePotential(2, -math.inf))
+    with pytest.raises(errors.DimensionMismatch) as first:
+        zero_crossings(g, potentials)
+    assert str(first.value) == str(raised[0])
 
+
+class TestStackCheck:
+    """A stack of potentials is checked once: one row that is not n
+    finite values makes `zero_crossings` and `pinched_sides` raise the
+    class, message and vertex that `pinch` raises on that row alone."""
+
+    G = corpus_graph(4)
+    N = G.vertex_count
+    GOOD = mixed_sign_fs(Xorshift64Star(53), N, 4)
+
+    def bad_rows(self):
+        row = self.GOOD[0]
+        nan, inf, minus_inf = (row.copy() for _ in range(3))
+        nan[[2, 3]] = math.nan, math.inf
+        inf[0] = math.inf
+        minus_inf[self.N - 1] = -math.inf
+        return [nan, inf, minus_inf.tolist(), row[:-1], row.tolist() + [1.0],
+                np.stack([row, row])]
+
+    @pytest.mark.parametrize("at", range(6))
+    def test_one_bad_row_fails_the_stack_as_pinch_fails_it(self, at):
+        bad = self.bad_rows()[at]
+        with pytest.raises((errors.NonFinitePotential, errors.DimensionMismatch)) as alone:
+            pinch(self.G, bad)
+        # a later bad row of another kind does not decide the error
+        later = [math.nan] * (self.N + 2)
+        for stack in ([bad], [*self.GOOD[:2], bad, *self.GOOD[2:]], [self.GOOD[0], bad, later]):
+            for check in (zero_crossings, pinched_sides):
+                with pytest.raises(type(alone.value)) as stacked:
+                    check(self.G, stack)
+                assert str(stacked.value) == str(alone.value)
+                assert getattr(stacked.value, "vertex", None) == getattr(alone.value, "vertex", None)
+
+    def test_a_stack_of_rows_of_the_wrong_width(self):
+        with pytest.raises(errors.DimensionMismatch) as alone:
+            pinch(self.G, self.GOOD[0, :-1])
+        for check in (zero_crossings, pinched_sides):
+            with pytest.raises(errors.DimensionMismatch) as stacked:
+                check(self.G, self.GOOD[:, :-1])
+            assert str(stacked.value) == str(alone.value)
 
 def test_zero_crossings_of_no_potentials():
     g = corpus_graph(2)
@@ -565,13 +616,17 @@ class TestNonFinitePotential:
             pinch(self.G, [math.nan, -1.0, 1.0])
 
     def test_worst_sides(self):
-        fs = [[math.nan, -1.0, 1.0, 1.0], [-1.0, 1.0, math.inf, -math.inf],
-              [math.nan, 1.0], [-1.0, -1.0, 1.0, 1.0]]
-        worst = _worst_sides(self.G, fs)
-        self.assert_names(worst[0], 0)
-        self.assert_names(worst[1], 2)
-        assert type(worst[2]) is errors.DimensionMismatch
-        assert worst[3] == _worst_sides(self.G, fs[3:])[0]
+        # one bad potential fails the whole stack; a good one solves in a
+        # stack as it does alone
+        good = [-1.0, -1.0, 1.0, 1.0]
+        for bad, vertex in (([math.nan, -1.0, 1.0, 1.0], 0),
+                            ([-1.0, 1.0, math.inf, -math.inf], 2)):
+            with pytest.raises(errors.NonFinitePotential) as info:
+                _worst_sides(self.G, [good, bad, good])
+            self.assert_names(info.value, vertex)
+        with pytest.raises(errors.DimensionMismatch):
+            _worst_sides(self.G, [good, [math.nan, 1.0]])
+        assert _worst_sides(self.G, [good, good]) == 2 * _worst_sides(self.G, [good])
 
     def test_rayleigh_quotient(self):
         with pytest.raises(errors.NonFinitePotential) as info:

@@ -7,7 +7,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, contract,
                             effective_resistance, path_graph, pinch,
                             random_graph, run_suite, split_edge, suite)
 from hardy_spectral import errors
-from hardy_spectral.graph import conductance_to, zero_crossings
+from hardy_spectral.graph import conductance_to, pinched_sides
 from hardy_spectral.resistance import pinned_energies
 from hardy_spectral.rng import BLOCK, Xorshift64Star
 from hardy_spectral.suite import DEFAULT_SAMPLES, _draws
@@ -299,9 +299,10 @@ def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES,
 
 def drawn_samples(draws, failures):
     """`_draws`'s ressum draws one sample at a time: the pinch's typed
-    error, or (f, A, B) with A and B as VertexSets."""
-    f, _, _, a, b = draws
-    pinched = zip(f, map(as_set, a), map(as_set, b))
+    error, or (sides, A, B): the sides {f < 0} and {f > 0} as boolean rows
+    (2, n), and A and B as VertexSets."""
+    sides, _, a, b = draws
+    pinched = zip(sides, map(as_set, a), map(as_set, b))
     out = [exc if exc is not None else next(pinched) for exc in failures]
     assert next(pinched, None) is None
     return out
@@ -437,11 +438,11 @@ class TestDraws:
 
     def assert_same(self, graph, seed, samples=DEFAULT_SAMPLES):
         pinch_fs, draws, failures = _draws(graph, ["pinch", "ressum"], samples, seed)
-        f, at_u, at_v, a, b = draws
+        sides, ground, a, b = draws
         want_fs, want = reference_draws(graph, seed, pinch_first=True, samples=samples)
         assert pinch_fs.shape == (samples, graph.vertex_count)
         assert pinch_fs.tobytes() == np.array(want_fs, dtype=float).tobytes()
-        assert a.shape == b.shape == f.shape and a.dtype == b.dtype == bool
+        assert a.shape == b.shape == ground.shape and a.dtype == b.dtype == bool
         ressum = drawn_samples(draws, failures)
         assert len(ressum) == len(want) == samples
         pinched = []
@@ -450,15 +451,17 @@ class TestDraws:
                 assert type(got) is type(draw) and str(got) == str(draw)
                 continue
             p, a, b = draw
-            row, got_a, got_b = got
-            assert row.tobytes() == np.array(p.f_extended[:graph.vertex_count]).tobytes()
+            got_sides, got_a, got_b = got
+            f = np.array(p.f_extended[:graph.vertex_count])
+            assert got_sides.tobytes() == np.stack([f < 0.0, f > 0.0]).tobytes()
             assert (got_a, got_b) == (a, b)
-            pinched.append(row)
-        # the zero_crossings rows of the draws that pinched, in order
-        want_rows = zero_crossings(graph, pinched)
-        assert f.shape == (len(pinched), graph.vertex_count)
-        for got_rows, want_rows in zip((f, at_u, at_v), want_rows):
-            assert got_rows.tobytes() == want_rows.tobytes()
+            pinched.append(f)
+        # the pinched_sides rows of the draws that pinched, in order
+        want_sides, want_ground, want_failed = pinched_sides(graph, pinched)
+        assert want_failed == [None] * len(pinched)
+        assert ground.shape == (len(pinched), graph.vertex_count)
+        assert sides.tobytes() == want_sides.tobytes()
+        assert ground.tobytes() == want_ground.tobytes()
         return ressum
 
     def test_corpus_graphs(self):
@@ -477,9 +480,9 @@ class TestDraws:
             for draw, other in zip(self.assert_same(g, seed), self.assert_same(plain, seed)):
                 crosses = isinstance(draw, errors.SignCondition)
                 if not crosses:
-                    f, a, b = draw
-                    assert f[2] * f[3] >= 0.0
-                    assert f.tobytes() == other[0].tobytes() and (a, b) == other[1:]
+                    (neg, pos), a, b = draw
+                    assert not (neg[2] and pos[3] or pos[2] and neg[3])
+                    assert draw[0].tobytes() == other[0].tobytes() and (a, b) == other[1:]
                 failures += crosses
         assert 10 <= failures <= 90
 
@@ -500,9 +503,9 @@ class TestDraws:
 
         monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
         _, rows, _ = _draws(g, ["pinch", "ressum"], DEFAULT_SAMPLES, 5)
-        n, m = g.vertex_count, g.edge_count
+        n = g.vertex_count
         assert reads == [DEFAULT_SAMPLES * 12 * n + DEFAULT_SAMPLES * (12 * n + 2)]
-        assert [r.shape for r in rows] == [(0, n), (0, m), (0, m), (0, n), (0, n)]
+        assert [r.shape for r in rows] == [(0, 2, n), (0, n), (0, n), (0, n)]
 
     def test_sides_of_64_and_65_vertices(self):
         # a side of up to 64 vertices takes its word as the mask, and a
@@ -510,14 +513,14 @@ class TestDraws:
         g = path_graph([1.0] * 128, [1.0] * 127)
         sizes = set()
         for seed in range(6):
-            for f, _, _ in self.assert_same(g, seed):
-                sizes |= {int((f < 0.0).sum()), int((f > 0.0).sum())}
+            for sides, _, _ in self.assert_same(g, seed):
+                sizes |= set(sides.sum(axis=1).tolist())
         assert {64, 65} <= sizes
 
     def test_one_read_and_one_pinch_call(self, monkeypatch):
         # on 130 vertices a side always exceeds 64, and the 1.7e308 edge
         # fails some pinches; still every sample is read in one `words`
-        # call and pinched in one `zero_crossings` call
+        # call and pinched in one `pinched_sides` call
         g = path_graph([1.0] * 130, [1.0] * 64 + [1.7e308] + [1.0] * 64)
         pinched, reads = [], []
 
@@ -528,9 +531,9 @@ class TestDraws:
 
         def counted(graph, potentials):
             pinched.append(len(potentials))
-            return zero_crossings(graph, potentials)
+            return pinched_sides(graph, potentials)
 
-        monkeypatch.setattr(suite, "zero_crossings", counted)
+        monkeypatch.setattr(suite, "pinched_sides", counted)
         failures = 0
         for seed in range(4):
             ressum = self.assert_same(g, seed, samples=20)
@@ -559,8 +562,9 @@ class TestDraws:
         assert len(got) == len(want) == DEFAULT_SAMPLES
         assert isinstance(got[2], errors.SignCondition) and str(got[2]) == str(want[2])
         for i in (0, 1, *range(3, DEFAULT_SAMPLES)):
-            (f, a, b), (p, a2, b2), (f3, a3, b3) = got[i], want[i], plain[i]
-            assert f.tobytes() == np.array(p.f_extended[:n]).tobytes() == f3.tobytes()
+            (sides, a, b), (p, a2, b2), (sides3, a3, b3) = got[i], want[i], plain[i]
+            f = np.array(p.f_extended[:n])
+            assert sides.tobytes() == np.stack([f < 0.0, f > 0.0]).tobytes() == sides3.tobytes()
             assert (a, b) == (a2, b2) == (a3, b3)
 
     def test_a_flat_pinch_potential_fails_its_row(self, monkeypatch):
@@ -596,8 +600,8 @@ class TestDraws:
         g = corpus_graph(0)
         pinch_fs, rows, failures = _draws(g, ["pinch", "ressum"], 0, 3)
         assert pinch_fs.shape == (0, g.vertex_count) and failures == []
-        n, m = g.vertex_count, g.edge_count
-        assert [r.shape for r in rows] == [(0, n), (0, m), (0, m), (0, n), (0, n)]
+        n = g.vertex_count
+        assert [r.shape for r in rows] == [(0, 2, n), (0, n), (0, n), (0, n)]
         assert _draws(WeightedGraph((1.0,), ()), ["pinch", "ressum"], 0, 3)[2] == []
 
     @pytest.mark.parametrize("wanted", [["pinch"], ["ressum"], ["pinch", "ressum"]])

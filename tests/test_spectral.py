@@ -658,31 +658,38 @@ class TestPinchRoute:
             fs += [[0.0 if v in (i % n, (i + 1) % n) else x for v, x in enumerate(f)]
                    for f in fs[:2]]
             fs = [f for f in fs if min(f) < 0.0 < max(f)]
-            f, at_u, at_v, failed = graph_module.zero_crossings(g, fs)
+            sides, ground, failed = graph_module.pinched_sides(g, fs)
             assert failed == [None] * len(fs)
-            ground = suite._pinched_rows(g, f, at_u, at_v)
+            assert sides.shape == (len(fs), 2, n) and ground.shape == (len(fs), n)
             for j, row in enumerate(ground):
-                p = pinch(g, f[j])
+                f = np.array(fs[j])
+                assert sides[j].tolist() == [(f < 0.0).tolist(), (f > 0.0).tolist()]
+                p = pinch(g, f)
                 to_zero = p.graph.conductance_matrix[:, list(p.zero_set.members)]
-                for v in np.flatnonzero(f[j]).tolist():
+                for v in np.flatnonzero(f).tolist():
                     assert row[v] == pytest.approx(to_zero[v].sum(), rel=1e-15, abs=0.0)
-                alone = suite._pinched_rows(g, f[j:j + 1], at_u[j:j + 1], at_v[j:j + 1])
+                alone = graph_module.pinched_sides(g, fs[j:j + 1])[1]
                 assert alone[0].tobytes() == row.tobytes()
                 crossings += p.graph.vertex_count - n
-                zeros += int((f[j] == 0.0).sum())
+                zeros += int((f == 0.0).sum())
         assert crossings >= 100 and zeros >= 30
 
     def test_failing_piece_and_typed_errors(self):
         g = path_graph([1.0] * 4, [1e-17, 1.0, 1.0])
         fs = [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
-              [1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 0.0], [-1e-300, 1e300, 1.0, 1.0],
-              [-1.0, -0.0, 0.0, 1.0]]
+              [0.0, 1.0, 2.0, 0.0], [-1e-300, 1e300, 1.0, 1.0], [-1.0, -0.0, 0.0, 1.0]]
         self.assert_agree(g, fs)
         worst = _worst_sides(g, fs)
-        assert [type(w) for w in worst[1:6]] == [
-            errors.NotPositiveDefinite, float, errors.DimensionMismatch,
-            errors.SignCondition, errors.SignCondition]
+        assert [type(w) for w in worst[1:5]] == [
+            errors.NotPositiveDefinite, float, errors.SignCondition, errors.SignCondition]
         no_mass = WeightedGraph((1.0, 0.0, 1.0), ((0, 1, 1.0), (1, 2, 1.0)))
-        self.assert_agree(no_mass, [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
-        assert [type(w) for w in _worst_sides(no_mass, [[-1.0, 0.0, 1.0], [-1.0, 1.0]])] == [
-            errors.ZeroMass, errors.DimensionMismatch]
+        self.assert_agree(no_mass, [[-1.0, 0.0, 1.0]])
+        assert [type(w) for w in _worst_sides(no_mass, [[-1.0, 0.0, 1.0]])] == [errors.ZeroMass]
+        # a potential of the wrong length fails the whole stack with the
+        # error `pinch` raises on it, which is checked before the masses
+        for graph, good, bad in ((g, fs, [1.0, 2.0, 3.0]), (no_mass, [[-1.0, 0.0, 1.0]], [-1.0, 1.0])):
+            want = self.reference(graph, bad)
+            assert type(want) is errors.DimensionMismatch
+            with pytest.raises(errors.DimensionMismatch) as got:
+                _worst_sides(graph, [*good[:3], bad, *good[3:]])
+            assert str(got.value) == str(want)
