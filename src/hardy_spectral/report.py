@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from json.encoder import encode_basestring
 from typing import Optional
 
@@ -113,13 +112,10 @@ def emit_report(report: VerificationReport, fmt: str = "json",
         return _json({**vars(report), "checks": [vars(c) for c in report.checks],
                       "timing_ms": report.timing_ms if include_timing else {}}) + "\n"
     if fmt == "csv":
-        # a column at a time, each one map over a builtin; no field name needs quotes
-        columns = zip(*map(dict.values, map(vars, report.checks)))
-        rows = zip(*[column if isinstance(column[0], str)
-                     else map(_JSON_WORDS.__getitem__, column) if isinstance(column[0], bool)
-                     else map(float.__format__, column, repeat(REAL)) for column in columns])
         buf = io.StringIO()
-        buf.write(_CSV_HEADER)
-        csv.writer(buf, lineterminator="\n").writerows(rows)
+        buf.write(_CSV_HEADER)  # no field name needs quotes
+        csv.writer(buf, lineterminator="\n").writerows(
+            [v if isinstance(v, str) else _scalar(v) for v in vars(c).values()]
+            for c in report.checks)
         return buf.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")

@@ -68,8 +68,10 @@ def irwin_hall(words: np.ndarray) -> np.ndarray:
 
 class Xorshift64Star:
     """64-bit xorshift* stream. Not cryptographic; statistical quality is
-    ample for test-instance generation. A shallow copy is an independent
-    stream at the same point (no array it holds is ever written)."""
+    ample for test-instance generation. Four draws read it: `words` (raw
+    outputs, which `irwin_hall` turns into gaussian-like values), `below`,
+    `uniform` and `uniform_in`. A shallow copy is an independent stream at
+    the same point (no array it holds is ever written)."""
 
     def __init__(self, seed: int):
         # the state after the last output made so far, and the outputs made
@@ -85,8 +87,8 @@ class Xorshift64Star:
         self._state = int(states[-1])
         return states * _MULT
 
-    def _take(self, count: int) -> np.ndarray:
-        """The next `count` outputs, as a uint64 array."""
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` outputs, as a uint64 array not to be written."""
         short = count - (len(self._out) - self._pos)
         if short > 0:
             self._out = np.concatenate(
@@ -95,16 +97,9 @@ class Xorshift64Star:
         self._pos += count
         return self._out[self._pos - count:self._pos]
 
-    def words(self, count: int) -> np.ndarray:
-        """The next `count` outputs, as a uint64 array not to be written."""
-        return self._take(count)
-
-    def next_u64(self) -> int:
-        return int(self._take(1)[0])
-
     def uniform(self) -> float:
         """Double in [0, 1) from the top 53 bits."""
-        return float(_uniforms(self._take(1))[0])
+        return float(_uniforms(self.words(1))[0])
 
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
@@ -117,26 +112,6 @@ class Xorshift64Star:
         if n <= 0:
             raise ValueError("below() needs n >= 1")
         x = 0
-        for word in self._take(max(1, -(-(n - 1).bit_length() // 64))).tolist():
+        for word in self.words(max(1, -(-(n - 1).bit_length() // 64))).tolist():
             x = (x << 64) | word
         return x % n
-
-    def gaussians(self, count: int) -> np.ndarray:
-        """`count` Irwin-Hall values, each from the next 12 outputs (see
-        `irwin_hall`)."""
-        return irwin_hall(self._take(12 * count).reshape(count, 12))
-
-    def gaussian_like(self) -> float:
-        """One value of `gaussians`."""
-        return float(self.gaussians(1)[0])
-
-    def sample_without_replacement(self, population: list[int], k: int) -> list[int]:
-        """k distinct elements, drawn by repeated index selection from the
-        shrinking pool (pool order preserved between draws)."""
-        if k > len(population):
-            raise ValueError("sample larger than population")
-        pool = list(population)
-        picked = []
-        for _ in range(k):
-            picked.append(pool.pop(self.below(len(pool))))
-        return picked

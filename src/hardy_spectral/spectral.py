@@ -42,9 +42,6 @@ from .graph import (VertexSet, WeightedGraph, as_potential, components,
                     conductance_to, interior_of, require_positive_mass)
 from .linalg import cholesky_solve, jacobi_eigen
 
-NEUMANN = "neumann"
-DIRICHLET = "dirichlet"
-
 TIE_RTOL = 64 * np.finfo(float).eps
 MIN_POLISH_STEPS, MAX_POLISH_STEPS = 2, 64
 SETTLE_RTOL = 4 * np.finfo(float).eps
@@ -61,8 +58,6 @@ class SpectralResult:
     eigenvalue: float
     eigenvector: np.ndarray
     residual: float
-    kind: str
-    boundary: Optional[VertexSet] = None
 
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
@@ -169,15 +164,13 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
     return lam, x
 
 
-def _result(graph: WeightedGraph, lam: float, x: np.ndarray, active, kind: str,
-            boundary: Optional[VertexSet] = None) -> SpectralResult:
+def _result(graph: WeightedGraph, lam: float, x: np.ndarray, active) -> SpectralResult:
     """The eigenpair (lam, x) of `graph`, with its residual on `active`."""
     with np.errstate(over="ignore", invalid="ignore"):  # a residual past the doubles is inf
         residual = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
         residual = float(np.linalg.norm(residual[active]))
     x.flags.writeable = False
-    return SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual,
-                          kind=kind, boundary=boundary)
+    return SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual)
 
 
 def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
@@ -196,7 +189,7 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
     if not (lam > 0.0 and np.any(x > 0.0) and np.any(x < 0.0)):
         raise errors.NoConvergence(
             f"fundamental mode not resolved in double precision (lambda2 = {lam!r})")
-    return _result(graph, lam, x, slice(None), NEUMANN)
+    return _result(graph, lam, x, slice(None))
 
 
 def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list, width: int) -> list:
@@ -277,8 +270,7 @@ def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralR
     piece, lam, x_piece = mode
     x = np.zeros(graph.vertex_count)
     x[piece] = x_piece
-    return _result(graph, lam, _canonical_sign(x), inside[0], DIRICHLET,
-                   VertexSet.of(boundary))
+    return _result(graph, lam, _canonical_sign(x), inside[0])
 
 
 def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.ndarray:

@@ -17,6 +17,13 @@ from hardy_spectral.rng import Xorshift64Star, irwin_hall
 WEIGHT_RANGE = (0.1, 10.0)
 
 
+def sample_without_replacement(rng: Xorshift64Star, population, k: int) -> list:
+    """k distinct elements of `population`, each picked by `rng.below`
+    from the pool left by the picks before it (pool order kept)."""
+    pool = list(population)
+    return [pool.pop(rng.below(len(pool))) for _ in range(k)]
+
+
 def corpus_graph(i: int, n_lo: int = 3, n_hi: int = 8) -> WeightedGraph:
     n = n_lo + i % (n_hi - n_lo + 1)
     return random_graph(n, 0.4, WEIGHT_RANGE, WEIGHT_RANGE, seed=10_000 + i)
@@ -27,7 +34,7 @@ def corpus_boundary(graph: WeightedGraph, i: int) -> VertexSet:
     rng = Xorshift64Star(50_000 + i)
     n = graph.vertex_count
     k = 1 + rng.below(n - 1)
-    return VertexSet.of(rng.sample_without_replacement(list(range(n)), k))
+    return VertexSet.of(sample_without_replacement(rng, range(n), k))
 
 
 def corpus_path(i: int, max_interior: int = 10) -> WeightedGraph:
@@ -46,7 +53,7 @@ def stiff_graph(seed: int, ratio: float, mass_ratio: float = 1.0,
     rng = Xorshift64Star(seed)
     tree = {(rng.below(v), v) for v in range(1, n)}
     others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
-    pairs = sorted(tree | set(rng.sample_without_replacement(others, extra)))
+    pairs = sorted(tree | set(sample_without_replacement(rng, others, extra)))
     edges = tuple((u, v, ratio if rng.below(2) else 1.0) for (u, v) in pairs)
     masses = tuple(mass_ratio if rng.below(2) else 1.0 for _ in range(n))
     return WeightedGraph(masses, edges)

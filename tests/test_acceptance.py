@@ -23,7 +23,8 @@ from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.suite import _worst_sides
 
 from conftest import (corpus_boundary, corpus_graph, corpus_path,  # noqa: F401
-                      mixed_sign_fs, p3, resistance_via_pseudoinverse)
+                      mixed_sign_fs, p3, resistance_via_pseudoinverse,
+                      sample_without_replacement)
 from test_resistance import contracted_resistance
 
 CORPUS_SIZE = 200
@@ -103,7 +104,7 @@ def test_criterion_05_resistance_oracles():
         direct = effective_resistance(g, VertexSet.of([a]), VertexSet.of([b]))
         pinv = resistance_via_pseudoinverse(g, a, b)
         ok &= abs(direct - pinv) <= 1e-9 * abs(pinv)
-        ids = rng.sample_without_replacement(list(range(n)), 2 + rng.below(n - 1))
+        ids = sample_without_replacement(rng, list(range(n)), 2 + rng.below(n - 1))
         cut = 1 + rng.below(len(ids) - 1)
         sa, sb = VertexSet.of(ids[:cut]), VertexSet.of(ids[cut:])
         via_sets = effective_resistance(g, sa, sb)
@@ -137,10 +138,10 @@ def test_criterion_07_resistance_sum_lemma():
         [f] = mixed_sign_fs(rng, g.vertex_count, 1)
         p = pinch(g, f)
         neg, pos = p.negative_set, p.positive_set
-        a = VertexSet.of(rng.sample_without_replacement(
-            list(neg.members), 1 + rng.below(len(neg))))
-        b = VertexSet.of(rng.sample_without_replacement(
-            list(pos.members), 1 + rng.below(len(pos))))
+        a = VertexSet.of(sample_without_replacement(
+            rng, list(neg.members), 1 + rng.below(len(neg))))
+        b = VertexSet.of(sample_without_replacement(
+            rng, list(pos.members), 1 + rng.below(len(pos))))
         lhs = (effective_resistance(p.graph, a, p.zero_set)
                + effective_resistance(p.graph, b, p.zero_set))
         ok &= lhs <= effective_resistance(p.graph, a, b) + 1e-10

@@ -14,7 +14,8 @@ from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.suite import _worst_sides
 
-from conftest import corpus_boundary, corpus_graph, corpus_path, mixed_sign_fs
+from conftest import (corpus_boundary, corpus_graph, corpus_path, mixed_sign_fs,
+                      sample_without_replacement)
 
 
 class TestHardyPath:
@@ -388,10 +389,10 @@ class TestResistanceSumLemma:
             [f] = mixed_sign_fs(rng, g.vertex_count, 1)
             p = pinch(g, f)
             neg, pos = p.negative_set, p.positive_set
-            a = VertexSet.of(rng.sample_without_replacement(
-                list(neg.members), 1 + rng.below(len(neg))))
-            b = VertexSet.of(rng.sample_without_replacement(
-                list(pos.members), 1 + rng.below(len(pos))))
+            a = VertexSet.of(sample_without_replacement(
+                rng, list(neg.members), 1 + rng.below(len(neg))))
+            b = VertexSet.of(sample_without_replacement(
+                rng, list(pos.members), 1 + rng.below(len(pos))))
             lhs = (effective_resistance(p.graph, a, p.zero_set)
                    + effective_resistance(p.graph, b, p.zero_set))
             assert lhs <= effective_resistance(p.graph, a, b) + 1e-10

@@ -24,7 +24,7 @@ from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
 from conftest import (corpus_boundary, corpus_graph, oracle_laplacian, random_vector,
-                      stiff_graph)
+                      sample_without_replacement, stiff_graph)
 
 # Exact ties come out of floating point a few ulps apart; genuinely
 # different ratios on the symmetric graphs below differ by far more.
@@ -134,7 +134,7 @@ class TestNumpyOracle:
             g = corpus_graph(i)
             lap = oracle_laplacian(g)
             n = g.vertex_count
-            ids = rng.sample_without_replacement(list(range(n)), n)
+            ids = sample_without_replacement(rng, list(range(n)), n)
             for size in (2, n):  # a pair, then A u B = V
                 cut = 1 + rng.below(size - 1)
                 a, b = ids[:cut], ids[cut:size]
@@ -209,27 +209,37 @@ class TestExactTies:
 
 
 def mp_energy_fn(mpmath, g):
-    """Energy oracle in 50-digit arithmetic."""
+    """Energy oracle in the working precision: the potential that is 1 on
+    `ones`, 0 on `zeros` and harmonic elsewhere, from mpmath's LU solve
+    (`lu_solve`'s steps, with its 10 guard bits), and its energy summed
+    over the edges. The LU factors of each free block are kept for the
+    graph, so a free set met again costs two triangular solves."""
     n = g.vertex_count
-    lap = mpmath.zeros(n, n)
-    for (u, v, k) in g.edges:
-        k = mpmath.mpf(k)
-        lap[u, u] += k
-        lap[v, v] += k
-        lap[u, v] -= k
-        lap[v, u] -= k
+    edges = [(u, v, mpmath.mpf(k)) for (u, v, k) in g.edges]
+    lap = [[mpmath.mpf(0)] * n for _ in range(n)]
+    for (u, v, k) in edges:
+        lap[u][u] += k
+        lap[v][v] += k
+        lap[u][v] -= k
+        lap[v][u] -= k
+    factors = {}
 
     def energy(ones, zeros):
-        fixed = set(ones) | set(zeros)
-        free = [v for v in range(n) if v not in fixed]
-        x = [mpmath.mpf(1) if v in set(ones) else mpmath.mpf(0) for v in range(n)]
+        is_one = set(ones)
+        fixed = is_one | set(zeros)
+        free = tuple(v for v in range(n) if v not in fixed)
+        x = [mpmath.mpf(1) if v in is_one else mpmath.mpf(0) for v in range(n)]
         if free:
-            block = mpmath.matrix([[lap[i, j] for j in free] for i in free])
-            rhs = mpmath.matrix([-sum(lap[i, j] for j in ones) for i in free])
-            sol = mpmath.lu_solve(block, rhs)
+            rhs = mpmath.matrix([-sum(lap[i][j] for j in ones) for i in free])
+            with mpmath.extraprec(10):
+                if free not in factors:
+                    factors[free] = mpmath.mp.LU_decomp(
+                        mpmath.matrix([[lap[i][j] for j in free] for i in free]))
+                lu, pivots = factors[free]
+                sol = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, rhs, pivots))
             for pos, v in enumerate(free):
                 x[v] = sol[pos]
-        return sum(lap[i, j] * x[i] * x[j] for i in range(n) for j in range(n))
+        return sum(k * (x[u] - x[v]) ** 2 for (u, v, k) in edges)
 
     return energy
 

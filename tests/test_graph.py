@@ -17,7 +17,8 @@ from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import harmonic_extension
 from hardy_spectral.suite import _worst_sides
 
-from conftest import WEIGHT_RANGE, corpus_graph, mixed_sign_fs, random_vector
+from conftest import (WEIGHT_RANGE, corpus_graph, mixed_sign_fs, random_vector,
+                      sample_without_replacement)
 
 
 class TestVertexSet:
@@ -344,8 +345,8 @@ class TestContract:
         for i in range(15):
             g = corpus_graph(i)
             k = 1 + rng.below(g.vertex_count - 1)
-            vs = VertexSet.of(rng.sample_without_replacement(
-                list(range(g.vertex_count)), k))
+            vs = VertexSet.of(sample_without_replacement(
+                rng, list(range(g.vertex_count)), k))
             contracted, _ = contract(g, vs)
             assert contracted.total_mass == pytest.approx(g.total_mass, rel=1e-12)
 

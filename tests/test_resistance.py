@@ -9,10 +9,11 @@ from hardy_spectral import (VertexSet, WeightedGraph, contract,
 from hardy_spectral import errors
 from hardy_spectral.graph import conductance_to, pinched_sides
 from hardy_spectral.resistance import pinned_energies
-from hardy_spectral.rng import BLOCK, Xorshift64Star
+from hardy_spectral.rng import BLOCK, Xorshift64Star, irwin_hall
 from hardy_spectral.suite import DEFAULT_SAMPLES, _draws
 
-from conftest import corpus_graph, resistance_via_pseudoinverse, stiff_graph
+from conftest import (corpus_graph, resistance_via_pseudoinverse, sample_without_replacement,
+                      stiff_graph)
 from test_energy_kernel import mp_energy_fn
 
 
@@ -44,7 +45,7 @@ def as_set(mask):
 
 
 def random_disjoint_pair(rng, n):
-    ids = rng.sample_without_replacement(list(range(n)), 2 + rng.below(n - 1))
+    ids = sample_without_replacement(rng, list(range(n)), 2 + rng.below(n - 1))
     cut = 1 + rng.below(len(ids) - 1)
     return VertexSet.of(ids[:cut]), VertexSet.of(ids[cut:])
 
@@ -135,7 +136,7 @@ class TestOracleAgreement:
             if not outside:
                 continue
             bigger = a.union(VertexSet.of(
-                rng.sample_without_replacement(outside, 1)))
+                sample_without_replacement(rng, outside, 1)))
             assert effective_resistance(g, bigger, b) <= \
                 effective_resistance(g, a, b) + 1e-12
 
@@ -191,7 +192,7 @@ class TestPinnedStacks:
     def test_conductance_to_copies_no_matrix_per_row(self):
         # 30 rows at n = 200: a masked copy of W per row would be 9.6 MB
         g = random_graph(200, 0.02, (0.1, 10.0), (0.1, 10.0), seed=7)
-        sets = Xorshift64Star(11).gaussians(30 * 200).reshape(30, 200) > 0.0
+        sets = irwin_hall(Xorshift64Star(11).words(12 * 30 * 200).reshape(30, 200, 12)) > 0.0
         g.edge_arrays, g.conductance_matrix  # cached before the count starts
         tracemalloc.start()
         try:
@@ -253,7 +254,7 @@ def test_series_parallel_reduction_matches_closed_form():
 def sequential_f(rng, n):
     """One potential drawn one value at a time: gaussian-like values
     recentred to mean zero."""
-    f = [rng.gaussian_like() for _ in range(n)]
+    f = [float(irwin_hall(rng.words(12))) for _ in range(n)]
     mean = 0.0
     for x in f:
         mean += x
@@ -287,7 +288,7 @@ def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES,
     draws = []
     for _ in range(samples):
         f = sequential_f(rng, n)
-        words = [rng.next_u64(), rng.next_u64()]
+        words = rng.words(2).tolist()
         try:
             p = pinch(graph, f)
         except errors.HardySpectralError as exc:
@@ -320,9 +321,9 @@ class FlatStream(Xorshift64Star):
         self.made += BLOCK
         return super()._block()
 
-    def _take(self, count):
+    def words(self, count):
         start = self.made - (len(self._out) - self._pos)
-        out = super()._take(count).copy()
+        out = super().words(count).copy()
         at = np.arange(start, start + count)
         out[(at >= self.lo) & (at < self.hi)] = np.uint64(0x5DEECE66D)
         return out
@@ -497,9 +498,9 @@ class TestDraws:
         reads = []
 
         class Recorded(Xorshift64Star):
-            def _take(self, count):
+            def words(self, count):
                 reads.append(count)
-                return super()._take(count)
+                return super().words(count)
 
         monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
         _, rows, _ = _draws(g, ["pinch", "ressum"], DEFAULT_SAMPLES, 5)
@@ -520,13 +521,20 @@ class TestDraws:
     def test_one_read_and_one_pinch_call(self, monkeypatch):
         # on 130 vertices a side always exceeds 64, and the 1.7e308 edge
         # fails some pinches; still every sample is read in one `words`
-        # call and pinched in one `pinched_sides` call
+        # call of the run's stream and pinched in one `pinched_sides` call.
+        # Each side's own stream (seeded with its word) makes one `below`
+        # draw
         g = path_graph([1.0] * 130, [1.0] * 64 + [1.7e308] + [1.0] * 64)
-        pinched, reads = [], []
+        pinched, streams = [], []
 
         class Recorded(Xorshift64Star):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.reads = []
+                streams.append(self)
+
             def words(self, count):
-                reads.append(count)
+                self.reads.append(count)
                 return super().words(count)
 
         def counted(graph, potentials):
@@ -542,9 +550,11 @@ class TestDraws:
         monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
         for seed in range(4):
             pinched.clear()
-            reads.clear()
+            streams.clear()
             _draws(g, ["ressum"], 20, seed)
-            assert reads == [20 * (12 * 130 + 2)] and pinched == [20]
+            assert streams[0].reads == [20 * (12 * 130 + 2)] and pinched == [20]
+            assert len(streams) > 1
+            assert [len(side.reads) for side in streams[1:]] == [1] * (len(streams) - 1)
 
     def test_a_row_without_both_signs_fails_its_sample(self, monkeypatch):
         g = corpus_graph(3)

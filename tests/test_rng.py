@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from hardy_spectral.rng import BLOCK, Xorshift64Star
+from hardy_spectral.rng import BLOCK, Xorshift64Star, irwin_hall
 from hardy_spectral.suite import _random_nonempty_subset
 
 
@@ -31,9 +31,26 @@ class ReferenceXorshift:
             total += self.uniform()
         return total - 6.0
 
-# the first draws of gaussian_like, pinned as exact doubles: the verification
-# suites' random potentials come from this stream, so any change to it
-# changes every report
+
+def next_word(rng):
+    """One output of the stream, as a Python int."""
+    return int(rng.words(1)[0])
+
+
+def gaussians(rng, count):
+    """`count` gaussian-like values, each the Irwin-Hall value of the
+    next 12 outputs, as the suites draw their potentials."""
+    return irwin_hall(rng.words(12 * count).reshape(count, 12))
+
+
+def gaussian_like(rng):
+    """One gaussian-like value, from the next 12 outputs alone."""
+    return float(irwin_hall(rng.words(12)))
+
+
+# the first gaussian-like values of each stream, pinned as exact doubles:
+# the verification suites' random potentials are these values, so any
+# change to the stream or to `irwin_hall` changes every report
 GAUSSIAN_LIKE = {
     0: ["0x1.5d48d5d7ec580p-5", "-0x1.04dcc98d5f200p+0", "-0x1.6c65a6f5771a0p-3",
         "-0x1.7cba6d5850a70p-2"],
@@ -47,7 +64,7 @@ GAUSSIAN_LIKE = {
 def test_gaussian_like_stream_is_pinned():
     for seed, expected in GAUSSIAN_LIKE.items():
         rng = Xorshift64Star(seed)
-        assert [rng.gaussian_like() for _ in expected] == [float.fromhex(h) for h in expected]
+        assert [gaussian_like(rng) for _ in expected] == [float.fromhex(h) for h in expected]
 
 
 def test_gaussian_like_is_twelve_uniforms():
@@ -56,16 +73,16 @@ def test_gaussian_like_is_twelve_uniforms():
         expected = 0.0
         for _ in range(12):
             expected += slow.uniform()
-        assert fast.gaussian_like() == expected - 6.0
-    assert fast.next_u64() == slow.next_u64()
+        assert gaussian_like(fast) == expected - 6.0
+    assert next_word(fast) == next_word(slow)
 
 
 def test_below_keeps_one_word_up_to_two_to_the_64():
     fast, slow = Xorshift64Star(7), Xorshift64Star(7)
     for n in (1, 2, 3, 100, 2**63 + 5, 2**64 - 1, 2**64):
         for _ in range(50):
-            assert fast.below(n) == slow.next_u64() % n
-    assert fast.next_u64() == slow.next_u64()
+            assert fast.below(n) == next_word(slow) % n
+    assert next_word(fast) == next_word(slow)
 
 
 def test_below_combines_words_most_significant_first():
@@ -73,9 +90,9 @@ def test_below_combines_words_most_significant_first():
     for n, words in ((2**64 + 1, 2), (2**100, 2), (2**128, 2), (2**128 + 1, 3)):
         x = 0
         for _ in range(words):
-            x = (x << 64) | slow.next_u64()
+            x = (x << 64) | next_word(slow)
         assert fast.below(n) == x % n
-    assert fast.next_u64() == slow.next_u64()
+    assert next_word(fast) == next_word(slow)
 
 
 def test_below_reaches_past_two_to_the_64():
@@ -96,10 +113,10 @@ SEEDS = (0, 1, 2**63, 2**64 - 1)
 def test_stream_matches_reference_across_block_edges(seed, count):
     rng, ref = Xorshift64Star(seed), ReferenceXorshift(seed)
     # a first draw of `count` outputs, then single draws across the next edge
-    assert rng._take(count).tolist() == [ref.next_u64() for _ in range(count)]
-    assert [rng.next_u64() for _ in range(BLOCK + 2)] == [ref.next_u64() for _ in range(BLOCK + 2)]
-    assert rng.gaussians(count).tolist() == [ref.gaussian() for _ in range(count)]
-    assert rng.next_u64() == ref.next_u64()
+    assert rng.words(count).tolist() == [ref.next_u64() for _ in range(count)]
+    assert [next_word(rng) for _ in range(BLOCK + 2)] == [ref.next_u64() for _ in range(BLOCK + 2)]
+    assert gaussians(rng, count).tolist() == [ref.gaussian() for _ in range(count)]
+    assert next_word(rng) == ref.next_u64()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -111,9 +128,9 @@ def test_interleaved_draws_match_reference(seed):
             assert rng.uniform() == ref.uniform()
         elif kind == 1:
             count = (7 * i) % 40
-            assert rng.gaussians(count).tolist() == [ref.gaussian() for _ in range(count)]
+            assert gaussians(rng, count).tolist() == [ref.gaussian() for _ in range(count)]
         elif kind == 2:
-            assert rng.gaussian_like() == ref.gaussian()
+            assert gaussian_like(rng) == ref.gaussian()
         else:
             # one, two and three words, most significant first
             n = (2**63 + 3, 2**100 + 7, 2**150 - 1)[i % 3]
@@ -125,10 +142,10 @@ def test_interleaved_draws_match_reference(seed):
 
 def test_copy_is_an_independent_stream():
     rng = Xorshift64Star(5)
-    rng.gaussians(30)
+    gaussians(rng, 30)
     twin = copy.copy(rng)
-    first = [rng.next_u64() for _ in range(2 * BLOCK)]
-    assert [twin.next_u64() for _ in range(2 * BLOCK)] == first
+    first = [next_word(rng) for _ in range(2 * BLOCK)]
+    assert [next_word(twin) for _ in range(2 * BLOCK)] == first
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -136,4 +153,4 @@ def test_words_reads_the_next_outputs(seed):
     rng, ref = Xorshift64Star(seed), ReferenceXorshift(seed)
     for count in (3, BLOCK, 1, 2 * BLOCK + 5, 0, 3 * BLOCK):
         assert rng.words(count).tolist() == [ref.next_u64() for _ in range(count)]
-        assert rng.next_u64() == ref.next_u64()
+        assert next_word(rng) == ref.next_u64()

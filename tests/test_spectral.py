@@ -15,7 +15,8 @@ from hardy_spectral.suite import _worst_sides
 from hardy_spectral.wgr import serialize_wgr
 
 from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, mixed_sign_fs,
-                      random_vector, scaled_by_powers_of_two, stiff_graph)
+                      random_vector, sample_without_replacement, scaled_by_powers_of_two,
+                      stiff_graph)
 
 GOLDEN = (3 - 5 ** 0.5) / 2  # smallest eigenvalue of [[2,-1],[-1,1]]
 UNIFORM_N3_DIRICHLET = 0.19806226419516171  # smallest eig of the N=3 interior block
@@ -145,7 +146,7 @@ class TestDirichlet:
                 continue
             extra = [v for v in range(n) if v not in set(small.members)]
             grown = small.union(VertexSet.of(
-                rng.sample_without_replacement(extra, 1)))
+                sample_without_replacement(rng, extra, 1)))
             if len(grown) >= n:
                 continue
             lam_small = dirichlet_eigenvalue(g, small).eigenvalue
@@ -288,7 +289,7 @@ def spider(legs: int, length: int, seed: int) -> tuple[WeightedGraph, int, list[
     """Unit-weight spider with shuffled ids: (graph, centre id, the legs'
     id sets)."""
     n = 1 + legs * length
-    ids = Xorshift64Star(seed).sample_without_replacement(list(range(n)), n)
+    ids = sample_without_replacement(Xorshift64Star(seed), list(range(n)), n)
     edges, leg_sets = [], []
     for leg in range(legs):
         chain = [0] + [1 + leg * length + j for j in range(length)]
