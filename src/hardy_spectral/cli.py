@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -98,8 +97,8 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}, all")
     if args.samples < 0:
         raise UsageError(f"--samples must be >= 0, got {args.samples}")
-    if not (0.0 <= args.tolerance < math.inf):
-        raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
+    if not 0.0 <= args.tolerance < 1.0:
+        raise UsageError(f"--tolerance must be >= 0 and < 1, got {args.tolerance!r}")
     if boundary is None and any(s in suites for s in ("dirichlet", "path-reduction")):
         boundary = VertexSet.of([0])
 
@@ -124,7 +123,10 @@ def _cmd_gen(args) -> int:
     else:
         graph = random_graph(args.n, args.p, mass_range, kappa_range, args.seed)
         text = serialize_wgr(graph)
-    Path(args.output).write_text(text, encoding="utf-8")
+    try:
+        Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc}") from None
     return 0
 
 
@@ -146,12 +148,11 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format_flags(p):
-        formats = p.add_mutually_exclusive_group()
-        formats.add_argument("--json", action="store_const", const="json", dest="format",
-                             help="emit JSON")
-        formats.add_argument("--csv", action="store_const", const="csv", dest="format",
-                             help="emit CSV")
+    def add_format_flags(p, *formats):
+        group = p.add_mutually_exclusive_group()
+        for fmt in formats:
+            group.add_argument(f"--{fmt}", action="store_const", const=fmt, dest="format",
+                               help=f"emit {fmt.upper()}")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timings (breaks byte-for-byte "
                             "reproducibility)")
@@ -159,7 +160,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="print spectral and content quantities")
     p.add_argument("file")
     p.add_argument("--boundary", help="comma-separated vertex names")
-    add_format_flags(p)
+    add_format_flags(p, "json")
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -170,7 +171,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="random draws per randomized suite")
     p.add_argument("--boundary", help="comma-separated vertex names")
-    add_format_flags(p)
+    add_format_flags(p, "json", "csv")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("gen", help="write a seeded random instance")
@@ -196,10 +197,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except errors.HardySpectralError as exc:
+    except (UsageError, errors.HardySpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

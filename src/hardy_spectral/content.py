@@ -53,10 +53,6 @@ DIRICHLET_ENUM_LIMIT = 20
 NEUMANN_ENUM_LIMIT = 12
 ISOPERIMETRIC_ENUM_LIMIT = 20
 
-EXACT_ENUMERATION = "exact-enumeration"
-PATH_TAILSET = "path-tailset"
-SWEEP_HEURISTIC = "sweep-heuristic"
-
 LEVEL_GROUP_RTOL = 1e-9
 
 # Upper bound on the numbers gathered for one stack of partial networks
@@ -75,7 +71,6 @@ class ContentResult:
     value: float
     witness_a: VertexSet
     witness_b: Optional[VertexSet]
-    method: str
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
@@ -293,8 +288,7 @@ def hardy_path(path: WeightedGraph) -> ContentResult:
         h = np.where(suffix_mass > 0.0, np.cumsum(1.0 / kappa) * suffix_mass, 0.0)
         k = int(np.argmax(h))  # the first maximum
         value = 1.0 / h[k]
-    return ContentResult(value=value, witness_a=VertexSet.of(range(k + 1, n)),
-                         witness_b=None, method=PATH_TAILSET)
+    return ContentResult(value=value, witness_a=VertexSet.of(range(k + 1, n)), witness_b=None)
 
 
 def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> ContentResult:
@@ -331,8 +325,7 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
         raise errors.ZeroInteriorMass("every interior subset has zero mass")
     value, key = winner
     witness = VertexSet.of(v for p, v in enumerate(interior) if int(key) >> p & 1)
-    return ContentResult(value=value, witness_a=witness, witness_b=None,
-                         method=EXACT_ENUMERATION)
+    return ContentResult(value=value, witness_a=witness, witness_b=None)
 
 
 def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
@@ -374,8 +367,7 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
                                options, score)  # n >= 2 always yields a pair
     key = int(key)
     return ContentResult(value=value, witness_a=VertexSet.from_mask(key >> n),
-                         witness_b=VertexSet.from_mask(key & ((1 << n) - 1)),
-                         method=EXACT_ENUMERATION)
+                         witness_b=VertexSet.from_mask(key & ((1 << n) - 1)))
 
 
 def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
@@ -450,8 +442,7 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     value, rank = best.winner  # x takes both signs, so a pair came
     i, j = divmod(rank, nb)
     return ContentResult(value=value, witness_a=VertexSet.of(order[:a_size[i]]),
-                         witness_b=VertexSet.of(order[b_start[nb - 1 - j]:]),
-                         method=SWEEP_HEURISTIC)
+                         witness_b=VertexSet.of(order[b_start[nb - 1 - j]:]))
 
 
 def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
@@ -485,8 +476,7 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
         with np.errstate(over="ignore"):
             best.offer(cut[np.minimum(a, b)] / np.minimum(mass[a], mass[b]), a)
     value, key = best.winner  # n >= 2 always yields a cut
-    return ContentResult(value=value, witness_a=VertexSet.from_mask(int(key)),
-                         witness_b=None, method=EXACT_ENUMERATION)
+    return ContentResult(value=value, witness_a=VertexSet.from_mask(int(key)), witness_b=None)
 
 
 def level_set_quotient(graph: WeightedGraph, boundary: VertexSet,

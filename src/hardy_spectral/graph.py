@@ -71,9 +71,6 @@ class VertexSet:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, v: int) -> bool:
-        return v in set(self.members)
-
     def isdisjoint(self, other: "VertexSet") -> bool:
         return not (self.canonical_key & other.canonical_key)
 

@@ -2,9 +2,10 @@
 and CSV serializations.
 
 The tolerance rule for "lhs <= rhs" is lhs <= rhs*(1+tol) + tol — relative
-slack away from zero, absolute slack near it. Every check carries a slack
-value with the convention that the check holds iff slack >= 0, so a report
-consumer can re-derive `holds` from the row alone. Only the fields of
+slack away from zero, absolute slack near it — for a tolerance tol in
+[0, 1), the domain `run_suite` and `verify` accept. Every check carries
+a slack value with the convention that the check holds iff slack >= 0, so
+a report consumer can re-derive `holds` from the row alone. Only the fields of
 `VerificationReport` and `Check` name a report's keys and columns, in
 order. Every real is written with 17 significant digits (`REAL`), which
 round-trips doubles, and every JSON string as the json module escapes it.

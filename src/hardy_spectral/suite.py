@@ -2,8 +2,9 @@
 graph and report each comparison as a tolerance-aware check.
 
 Suites run one after another on the calling thread, in the fixed order of
-ALL_SUITES. All random draws happen up front, in one read of the seeded
-generator (`_draws`): the pinch suite's potentials, 12n outputs each,
+ALL_SUITES, each yielding its rows, which enter the report whole. A run's
+randomness comes from one read of the seeded generator (`_draws`), made
+on first use: the pinch suite's potentials, 12n outputs each,
 then `ressum`'s samples at a fixed stride of 12n + 2 outputs each. Every
 potential is made from its 12n outputs the same way and is never drawn
 again; ressum's are pinched with one `pinched_sides` call. LAPACK is
@@ -19,6 +20,7 @@ the series law), its sets boolean rows from the draw to the elimination.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import time
 from typing import Optional
@@ -230,11 +232,10 @@ def run_suite(graph: WeightedGraph, *,
             raise ValueError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance must be >= 0 and < 1, got {tolerance!r}")
 
     report = blank_report(graph, seed, tolerance)
-    add = report.checks.append
 
     # the fundamental mode is solved up front, so it comes first in the
     # report; a suite that needs it and finds it failed reports the error
@@ -243,38 +244,33 @@ def run_suite(graph: WeightedGraph, *,
         with contextlib.suppress(errors.HardySpectralError):
             q.record("lambda2")
 
-    # all randomness drawn here, in a fixed order; a graph too small for
-    # any draw fails the suites that need one
-    no_draws = None
-    try:
-        pinch_fs, ressum_draws, ressum_failures = _draws(graph, wanted, samples, seed)
-    except errors.SignCondition as exc:
-        no_draws = exc
+    # all randomness read at once, on first use; a graph too small for
+    # any draw fails the suites that need one, each time it is asked
+    draws = functools.cache(functools.partial(_draws, graph, wanted, samples, seed))
 
-    def suite_dirichlet() -> None:
+    def suite_dirichlet():
         lam = q.record("lambda_dirichlet").eigenvalue
         psi = q.record("psi_dirichlet")
-        add(check_le("dirichlet_lower", psi.value / 4.0, lam, tolerance))
-        add(check_le("dirichlet_upper", lam, psi.value, tolerance))
+        yield check_le("dirichlet_lower", psi.value / 4.0, lam, tolerance)
+        yield check_le("dirichlet_upper", lam, psi.value, tolerance)
 
-    def suite_neumann() -> None:
+    def suite_neumann():
         lambda2 = q.get("lambda2").eigenvalue
         try:
-            psi2 = q.record("psi2")
+            psi2 = q.record("psi2").value
         except errors.TooLarge as exc:
-            psi2 = None
-            add(check_error("neumann", str(exc)))
-        sweep = q.record("psi2_sweep")
-        if psi2 is None:
             # beyond the guard the sweep still bounds lambda2 from above,
             # because psi2 <= psi2_sweep
-            add(check_le("neumann_upper_sweep", lambda2, sweep.value, tolerance))
+            yield check_error("neumann", str(exc))
+            yield check_le("neumann_upper_sweep", lambda2, q.record("psi2_sweep").value,
+                           tolerance)
             return
-        add(check_le("neumann_lower", psi2.value / 4.0, lambda2, tolerance))
-        add(check_le("neumann_upper", lambda2, psi2.value, tolerance))
-        add(check_le("sweep_sound", psi2.value, sweep.value, tolerance))
+        sweep = q.record("psi2_sweep").value
+        yield check_le("neumann_lower", psi2 / 4.0, lambda2, tolerance)
+        yield check_le("neumann_upper", lambda2, psi2, tolerance)
+        yield check_le("sweep_sound", psi2, sweep, tolerance)
 
-    def suite_cheeger() -> None:
+    def suite_cheeger():
         lambda2 = q.get("lambda2").eigenvalue
         phi = q.record("phi")
         worst = float(np.max(np.diag(graph.laplacian_matrix) / graph.mass_vector))
@@ -283,28 +279,25 @@ def run_suite(graph: WeightedGraph, *,
         # is the plain root wherever the product is a normal double
         e = math.frexp(worst)[1] // 2
         upper = math.ldexp(math.sqrt(2.0 * lambda2 * math.ldexp(worst, -2 * e)), e)
-        add(check_le("cheeger_lower", lambda2 / 2.0, phi.value, tolerance))
-        add(check_le("cheeger_upper", phi.value, upper, tolerance))
+        yield check_le("cheeger_lower", lambda2 / 2.0, phi.value, tolerance)
+        yield check_le("cheeger_upper", phi.value, upper, tolerance)
 
-    def suite_pinch() -> None:
-        if no_draws is not None:
-            raise no_draws
+    def suite_pinch():
+        pinch_fs = draws()[0]  # before the mode: one vertex fails on the draw
         mode = q.get("lambda2")
         lambda2 = mode.eigenvalue
         worst = _worst_sides(graph, [quantize_zeros(mode.eigenvector), *pinch_fs])
         for i, worst_side in enumerate(worst):
             name = f"pinch_random_{i:02d}" if i else "pinch_eigenvector"
             if isinstance(worst_side, errors.HardySpectralError):
-                add(check_error(name, str(worst_side)))
+                yield check_error(name, str(worst_side))
             elif i:
-                add(check_ge(name, worst_side, lambda2, tolerance))
+                yield check_ge(name, worst_side, lambda2, tolerance)
             else:
-                add(check_eq(name, worst_side, lambda2, tolerance))
+                yield check_eq(name, worst_side, lambda2, tolerance)
 
-    def suite_ressum() -> None:
-        if no_draws is not None:
-            raise no_draws
-        sides, pinched, a, b = ressum_draws
+    def suite_ressum():
+        _, (sides, pinched, a, b), failures = draws()
         n = graph.vertex_count
         # per draw 1/R(A, Z) and 1/R(B, Z) on their sides, then 1/R(A, B)
         # on the parent (series law), B held at 0; problem 3i + j is the
@@ -313,22 +306,22 @@ def run_suite(graph: WeightedGraph, *,
         free = np.stack([sides[:, 0] & ~a, sides[:, 1] & ~b, ~(a | b)], axis=1).reshape(-1, n)
         ground = np.stack([pinched, pinched, conductance_to(graph, b)], axis=1).reshape(-1, n)
         energies = iter(pinned_energies(graph, held, free, ground))
-        for i, exc in enumerate(ressum_failures, start=1):
+        for i, exc in enumerate(failures, start=1):
             name = f"ressum_{i:02d}"
             # 1/R(A, Z), 1/R(B, Z) and 1/R(A, B), or the draw's pinch error
             found = [exc] if exc is not None else [next(energies) for _ in range(3)]
             failed = errors.first_error(found)
             if failed is not None:
-                add(check_error(name, str(failed)))
+                yield check_error(name, str(failed))
                 continue
             a_z, b_z, a_b = found
-            add(check_le(name, 1.0 / a_z + 1.0 / b_z, 1.0 / a_b, tolerance))
+            yield check_le(name, 1.0 / a_z + 1.0 / b_z, 1.0 / a_b, tolerance)
 
-    def suite_path_reduction() -> None:
+    def suite_path_reduction():
         res = q.get("lambda_dirichlet")
         quotient, _levels = level_set_quotient(graph, boundary, res.eigenvector)
         lam_path = dirichlet_eigenvalue(quotient, VertexSet.of([0])).eigenvalue
-        add(check_eq("path_reduction", lam_path, res.eigenvalue, tolerance))
+        yield check_eq("path_reduction", lam_path, res.eigenvalue, tolerance)
 
     runners = {
         "dirichlet": suite_dirichlet,
@@ -341,10 +334,10 @@ def run_suite(graph: WeightedGraph, *,
 
     for name in ALL_SUITES:
         if name in wanted:
-            start = len(report.checks)
+            # a suite's rows enter whole: one that raises leaves no row of
+            # its own but its one error row
             try:
-                runners[name]()
+                report.checks += list(runners[name]())
             except errors.HardySpectralError as exc:
-                del report.checks[start:]
-                add(check_error(name.replace("-", "_"), str(exc)))
+                report.checks.append(check_error(name.replace("-", "_"), str(exc)))
     return report

@@ -318,7 +318,7 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(p3, suites=["pinch"], seed=1, samples=-3)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9, 1.0, 1e308])
     def test_tolerance_not_finite_and_nonnegative_rejected(self, p3, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             run_suite(p3, seed=1, tolerance=tolerance)
@@ -525,14 +525,21 @@ class TestCli:
         assert main(["analyze", bad]) == 2
         assert main(["gen", "random", "--n", "4", "--p", "2.0",
                      "--seed", "1", "-o", str(tmp_path / "x.wgr")]) == 2
+        assert main(["gen", "random", "--n", "4", "--seed", "1",
+                     "-o", str(tmp_path / "missing" / "x.wgr")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: cannot write {tmp_path / 'missing' / 'x.wgr'}: ")
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
     def test_json_and_csv_are_mutually_exclusive(self, tmp_path, capsys, command):
+        # analyze makes no checks, and CSV has one row per check, so
+        # analyze has no --csv at all
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         with pytest.raises(SystemExit) as exc:
             main([command, path, "--json", "--csv"])
         out, err = capsys.readouterr()
-        assert exc.value.code == 2 and out == "" and "not allowed with" in err
+        reason = "not allowed with" if command == "verify" else "unrecognized arguments: --csv"
+        assert exc.value.code == 2 and out == "" and reason in err
 
     def test_negative_samples_is_a_usage_error(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
@@ -540,7 +547,7 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: --samples")
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9", "1.0", "1e308"])
     def test_tolerance_not_finite_and_nonnegative_is_a_usage_error(
             self, tmp_path, capsys, tolerance):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
@@ -636,7 +643,8 @@ class TestRuntimeDependencies:
                   f"gen = ['gen', 'random', '--n', '6', '--seed', '1', '-o', {str(path)!r}]\n"
                   "assert main(gen) == 0\n"
                   f"assert main(['verify', {str(path)!r}]) == 0\n"
-                  f"assert main(['analyze', {str(path)!r}, '--csv']) == 0\n"
+                  f"assert main(['analyze', {str(path)!r}]) == 0\n"
+                  f"assert main(['verify', {str(path)!r}, '--csv']) == 0\n"
                   "allowed = set(sys.stdlib_module_names) | {'numpy', 'hardy_spectral'}\n"
                   "loaded = {m.split('.')[0] for m in set(sys.modules) - startup}\n"
                   "print(sorted(loaded - allowed), file=sys.stderr)\n")

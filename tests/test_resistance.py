@@ -619,6 +619,41 @@ class TestDraws:
         with pytest.raises(errors.SignCondition):
             _draws(WeightedGraph((1.0,), ()), wanted, 1, 3)
 
+    def test_run_suite_reads_once(self, monkeypatch):
+        # pinch and ressum share one `_draws` call, made when the first of
+        # them runs, and one `words` call of the run's stream; a run
+        # without either builds no stream at all
+        g = corpus_graph(3)
+        n = g.vertex_count
+        calls, streams = [], []
+
+        class Recorded(Xorshift64Star):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.reads = []
+                streams.append(self)
+
+            def words(self, count):
+                self.reads.append(count)
+                return super().words(count)
+
+        def counted(*args):
+            calls.append(args)
+            return draws(*args)
+
+        draws = suite._draws
+        monkeypatch.setattr(suite, "_draws", counted)
+        monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
+        rep = run_suite(g, boundary=VertexSet.of([0]), seed=2, samples=7)
+        names = [c.name for c in rep.checks]
+        assert "pinch_random_07" in names and "ressum_07" in names
+        assert len(calls) == 1 and [s.reads for s in streams] == [[7 * (24 * n + 2)]]
+        calls.clear()
+        streams.clear()
+        run_suite(g, boundary=VertexSet.of([0]), seed=2, samples=7,
+                  suites=["dirichlet", "neumann", "cheeger", "path-reduction"])
+        assert calls == [] and streams == []
+
     def test_only_the_wanted_suites_draw(self):
         g = corpus_graph(1)
         pinch_fs, rows, failures = _draws(g, ["pinch"], 4, 9)
