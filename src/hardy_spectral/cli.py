@@ -30,12 +30,14 @@ class UsageError(Exception):
     pass
 
 
-def _load(path: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
+def _load(path: str, names: Optional[str] = None) -> tuple[WeightedGraph, Optional[VertexSet]]:
+    """A .wgr file's graph, and the boundary `names` lists, else the file's."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    return parse_wgr(text)
+    graph, boundary = parse_wgr(text)
+    return graph, (_ids_for(graph, names) if names else boundary)
 
 
 def _ids_for(graph: WeightedGraph, names_csv: str) -> VertexSet:
@@ -60,8 +62,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _cmd_analyze(args) -> int:
-    graph, file_boundary = _load(args.file)
-    boundary = _ids_for(graph, args.boundary) if args.boundary else file_boundary
+    graph, boundary = _load(args.file, args.boundary)
 
     report = blank_report(graph, None, DEFAULT_TOLERANCE)
     quantities = Quantities(graph, boundary, report)
@@ -88,8 +89,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph, file_boundary = _load(args.file)
-    boundary = _ids_for(graph, args.boundary) if args.boundary else file_boundary
+    graph, boundary = _load(args.file, args.boundary)
     suites = list(ALL_SUITES) if args.suite in (None, "all") \
         else [s.strip() for s in args.suite.split(",")]
     for s in suites:

@@ -5,7 +5,8 @@ The tolerance rule for "lhs <= rhs" is lhs <= rhs*(1+tol) + tol — relative
 slack away from zero, absolute slack near it — for a tolerance tol in
 [0, 1), the domain `run_suite` and `verify` accept. Every check carries
 a slack value with the convention that the check holds iff slack >= 0, so
-a report consumer can re-derive `holds` from the row alone. Only the fields of
+a report consumer can re-derive `holds` from the row alone; a check whose
+slack overflows is an error row instead. Only the fields of
 `VerificationReport` and `Check` name a report's keys and columns, in
 order. Every real is written with 17 significant digits (`REAL`), which
 round-trips doubles, and every JSON string as the json module escapes it.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from typing import Optional
@@ -43,19 +45,25 @@ def _le_slack(lhs: float, rhs: float, tol: float) -> float:
     return float(rhs) * (1.0 + tol) + tol - float(lhs)
 
 
+def _check(name: str, lhs: float, rhs: float, relation: str, slack: float) -> Check:
+    """One inequality's row, or an error row if its slack is past the doubles."""
+    lhs, rhs = float(lhs), float(rhs)
+    if not math.isfinite(slack):
+        return check_error(name, f"the slack of {lhs!r} {relation} {rhs!r} "
+                                 "overflows double precision")
+    return Check(name, lhs, rhs, relation, slack >= 0.0, slack)
+
+
 def check_le(name: str, lhs: float, rhs: float, tol: float) -> Check:
-    slack = _le_slack(lhs, rhs, tol)
-    return Check(name, float(lhs), float(rhs), LE, slack >= 0.0, slack)
+    return _check(name, lhs, rhs, LE, _le_slack(lhs, rhs, tol))
 
 
 def check_ge(name: str, lhs: float, rhs: float, tol: float) -> Check:
-    slack = _le_slack(rhs, lhs, tol)
-    return Check(name, float(lhs), float(rhs), GE, slack >= 0.0, slack)
+    return _check(name, lhs, rhs, GE, _le_slack(rhs, lhs, tol))
 
 
 def check_eq(name: str, lhs: float, rhs: float, tol: float) -> Check:
-    slack = min(_le_slack(lhs, rhs, tol), _le_slack(rhs, lhs, tol))
-    return Check(name, float(lhs), float(rhs), EQ, slack >= 0.0, slack)
+    return _check(name, lhs, rhs, EQ, min(_le_slack(lhs, rhs, tol), _le_slack(rhs, lhs, tol)))
 
 
 def check_error(name: str, reason: str) -> Check:

@@ -24,30 +24,20 @@ of problems, each eliminating its own C. `pinned_energies` poses
 problems on one graph's arrays, each set a boolean row over the
 vertices, with each vertex's conductance to the vertices held at 0
 given per problem: the one form of every pinned problem, which
-`spectral.ground_modes` takes too. So `ressum` needs no pinched graph;
-`pair_energies` poses given pairs. Sums of conductances to a set are
-`graph.conductance_to`, one sum over the edge ends per row, so a
-problem's numbers never depend on the others of its call.
+`spectral.ground_modes` takes too. So `ressum` needs no pinched graph,
+and `effective_resistance` poses its one pair. Sums of conductances to
+a set are `graph.conductance_to`, one sum over the edge ends per row,
+so a problem's numbers never depend on the others of its call.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from . import errors
 from .graph import VertexSet, WeightedGraph, conductance_to
-
-
-def _check_sets(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> None:
-    n = graph.vertex_count
-    if any(not (0 <= v < n) for v in list(a) + list(b)):
-        raise errors.LengthMismatch("vertex id out of range")
-    if len(a) == 0 or len(b) == 0:
-        raise errors.EmptySet("resistance needs two nonempty sets")
-    if not a.isdisjoint(b):
-        raise errors.SetsOverlap(f"sets share vertices {sorted(set(a) & set(b))}")
 
 
 def kron_step(r: np.ndarray, rest: np.ndarray) -> None:
@@ -124,21 +114,20 @@ def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,
             for e in energies.tolist()]
 
 
-def pair_energies(graph: WeightedGraph, pairs: Sequence[tuple[VertexSet, VertexSet]],
-                  ) -> list[Union[float, errors.HardySpectralError]]:
-    """1/R(A, B) for each pair of disjoint nonempty sets of `graph`, or its
-    typed error: as masks, A held at 1, the rest eliminated, B held at 0
-    with ground W(., B)."""
-    a, b = (np.zeros((len(pairs), graph.vertex_count), dtype=bool) for _ in range(2))
-    for i, (x, y) in enumerate(pairs):
-        a[i, list(x.members)] = b[i, list(y.members)] = True
-    return pinned_energies(graph, a, ~(a | b), conductance_to(graph, b))
-
-
 def effective_resistance(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> float:
-    """R(A, B): Kron-reduce the network onto A u B."""
-    _check_sets(graph, a, b)
-    [energy] = pair_energies(graph, [(a, b)])
+    """R(A, B): Kron-reduce the network onto A u B, posed as masks: A held
+    at 1, the rest eliminated, B held at 0 with ground W(., B)."""
+    n = graph.vertex_count
+    if any(not (0 <= v < n) for v in list(a) + list(b)):
+        raise errors.LengthMismatch("vertex id out of range")
+    if len(a) == 0 or len(b) == 0:
+        raise errors.EmptySet("resistance needs two nonempty sets")
+    held, grounded = np.zeros((2, 1, n), dtype=bool)
+    held[0, list(a)] = grounded[0, list(b)] = True
+    shared = np.flatnonzero(held & grounded).tolist()
+    if shared:
+        raise errors.SetsOverlap(f"sets share vertices {shared}")
+    [energy] = pinned_energies(graph, held, ~(held | grounded), conductance_to(graph, grounded))
     if isinstance(energy, errors.HardySpectralError):
         raise energy
     return 1.0 / energy

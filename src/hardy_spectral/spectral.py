@@ -43,7 +43,7 @@ from .graph import (VertexSet, WeightedGraph, as_potential, components,
 from .linalg import cholesky_solve, jacobi_eigen
 
 TIE_RTOL = 64 * np.finfo(float).eps
-MIN_POLISH_STEPS, MAX_POLISH_STEPS = 2, 64
+MAX_POLISH_STEPS = 64
 SETTLE_RTOL = 4 * np.finfo(float).eps
 _TINY, _LARGEST = np.finfo(float).tiny, np.finfo(float).max
 # pieces of at most this many vertices share one padded eigen stack
@@ -106,9 +106,9 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
     The eigenvalue is the energy as a sum of nonnegative terms,
     0.5 * sum W_PP (x_i - x_j)^2 + sum ground x_i^2, formed after every
     step. A problem settles, and is not solved again, once a step lowers
-    it by at most SETTLE_RTOL relative (after MIN_POLISH_STEPS to
-    MAX_POLISH_STEPS steps). Every step works on each problem alone, so a
-    problem's result does not depend on the stack it is solved in."""
+    it by at most SETTLE_RTOL relative; as lam starts at inf, a finite
+    energy takes 2 to MAX_POLISH_STEPS steps. Every step works on each
+    problem alone, so its result does not depend on the stack it is in."""
     pad = np.zeros(mass.shape, dtype=bool) if pad is None else pad
     d = 1.0 / np.sqrt(mass)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,7 +126,7 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
         x[pad] = 0.0
         lam = np.full(len(x), np.inf)
         live = slice(None)  # the rows still moving: all of them, until one settles
-        for step in range(1, MAX_POLISH_STEPS + 1):
+        for _ in range(MAX_POLISH_STEPS):
             m = mass[live]
             y = np.zeros_like(m)
             try:
@@ -152,8 +152,6 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
             energy = (0.5 * (w[live] * diff * diff).reshape(len(y), -1).sum(axis=1)
                       + (ground[live] * (y * y)).sum(axis=1))
             fall, lam[live] = lam[live] - energy, energy
-            if step < MIN_POLISH_STEPS:
-                continue
             moving = np.flatnonzero(fall > SETTLE_RTOL * energy)
             if len(moving) == 0:
                 break

@@ -247,6 +247,10 @@ class TestIsoperimetric:
     def test_triangle(self, triangle):
         assert isoperimetric_exact(triangle).value == pytest.approx(2.0)
 
+    def test_one_vertex(self):
+        with pytest.raises(errors.EmptySet, match="two vertices"):
+            isoperimetric_exact(WeightedGraph((1.0,), ()))
+
     def test_cut_conductance_is_inverse_partition_resistance(self):
         rng = Xorshift64Star(113)
         for i in range(15):

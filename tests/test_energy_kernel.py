@@ -19,7 +19,8 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, content,
                             split_edge)
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
                                     NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
-from hardy_spectral.resistance import pair_energies
+from hardy_spectral.graph import conductance_to
+from hardy_spectral.resistance import pinned_energies
 from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
@@ -47,6 +48,16 @@ def oracle_energy(lap: np.ndarray, ones, zeros) -> float:
 
 def key(ids) -> int:
     return sum(1 << v for v in ids)
+
+
+def pinned_pairs(g, pairs):
+    """1/R(A, B), or its typed error, for each pair of disjoint sets, all
+    posed to one `pinned_energies` call as masks: A held at 1, the rest
+    eliminated, B held at 0 with ground W(., B)."""
+    a, b = np.zeros((2, len(pairs), g.vertex_count), dtype=bool)
+    for i, (x, y) in enumerate(pairs):
+        a[i, list(x)] = b[i, list(y)] = True
+    return pinned_energies(g, a, ~(a | b), conductance_to(g, b))
 
 
 def psi_candidates(g, boundary, energy=None):
@@ -308,8 +319,8 @@ class TestExtremeWeights:
         g = overflowing_pivot_graph()
         with pytest.raises(errors.NotRepresentable):
             effective_resistance(g, VertexSet.of([0]), VertexSet.of([2]))
-        poisoned, fine = pair_energies(g, [(VertexSet.of([0]), VertexSet.of([2])),
-                                           (VertexSet.of([0]), VertexSet.of([1]))])
+        poisoned, fine = pinned_pairs(g, [(VertexSet.of([0]), VertexSet.of([2])),
+                                          (VertexSet.of([0]), VertexSet.of([1]))])
         assert isinstance(poisoned, errors.NotRepresentable)
         assert fine == 1e308  # A u B = V: the crossing conductance
         with pytest.raises(errors.NotRepresentable):
@@ -756,11 +767,11 @@ def sweep_pairs(x):
 
 def pair_route_sweep(g, x):
     """The sweep posed pair by pair, as it was before the elimination:
-    each pair's energy from `pair_energies` (its own network per pair,
+    each pair's energy from `pinned_pairs` (its own network per pair,
     every C eliminated in id order), each side's mass from `mass_of`,
     the same tie rule. Returns (value, A, B)."""
     pairs = sweep_pairs(x)
-    energies = pair_energies(g, pairs)
+    energies = pinned_pairs(g, pairs)
     failed = errors.first_error(energies)
     if failed is not None:
         raise failed

@@ -16,6 +16,7 @@ from hardy_spectral.graph import pinched_sides, quantize_zeros, zero_crossings
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import harmonic_extension
 from hardy_spectral.suite import _worst_sides
+from hardy_spectral.wgr import parse_wgr
 
 from conftest import (WEIGHT_RANGE, corpus_graph, mixed_sign_fs, random_vector,
                       sample_without_replacement)
@@ -41,6 +42,10 @@ class TestVertexSet:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("mask -1 is negative")
+
+    def test_negative_mask_is_a_typed_error_in_process(self):
+        with pytest.raises(errors.BadRange, match="mask -1 is negative"):
+            VertexSet.from_mask(-1)
 
     @pytest.mark.parametrize("ids", [[-1], [3, -2, 5], np.array([0, -7])])
     def test_negative_id_is_a_typed_error(self, ids):
@@ -126,6 +131,15 @@ class TestValidate:
 
     def test_zero_mass_is_allowed(self):
         validate(WeightedGraph((0.0, 1.0), ((0, 1, 1.0),)))
+
+    @pytest.mark.parametrize("masses, edges, labels, message", [
+        ((), (), None, "at least one vertex"),
+        ((1.0, 1.0), ((0, 1, 1.0),), ("a",), "labels length"),
+        ((1.0, 1.0), ((0, 2, 1.0),), None, r"edge \(0,2\) out of range for n=2"),
+    ])
+    def test_shape_errors(self, masses, edges, labels, message):
+        with pytest.raises(errors.LengthMismatch, match=message):
+            WeightedGraph(masses, edges, labels)
 
     def test_invalid_graph_cannot_be_constructed(self):
         with pytest.raises(errors.Disconnected) as exc:
@@ -353,6 +367,33 @@ class TestContract:
     def test_empty_set(self, p3):
         with pytest.raises(errors.EmptySet):
             contract(p3, VertexSet.of([]))
+
+    def test_out_of_range_id(self, p3):
+        with pytest.raises(errors.LengthMismatch, match="out-of-range"):
+            contract(p3, VertexSet.of([1, 3]))
+
+
+class TestSurgeryLabels:
+    """Each surgery names the vertices it makes from the labels of a
+    parsed graph."""
+
+    @pytest.fixture
+    def labelled(self):
+        graph, _ = parse_wgr("vertex a 1\nvertex b 2\nvertex c 3\nedge a b 1\nedge b c 1\n")
+        return graph
+
+    def test_split_edge(self, labelled):
+        assert split_edge(labelled, (0, 1), [0.25, 0.25, 0.5]).labels == (
+            "a", "b", "c", "a*b.0", "a*b.1")
+
+    def test_contract(self, labelled):
+        graph, merged = contract(labelled, VertexSet.of([0, 2]))
+        assert graph.labels == ("b", "a+c") and merged == 1
+
+    def test_pinch(self, labelled):
+        p = pinch(labelled, [-1.0, 1.0, 2.0])
+        assert p.graph.labels == ("a", "b", "c", "axb")
+        assert p.zero_set.members == (3,)
 
 
 class TestPinch:

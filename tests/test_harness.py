@@ -86,6 +86,20 @@ class TestParse:
         with pytest.raises(errors.ParseError):
             parse_wgr(P3_TEXT + "boundary v0\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("vertex a\n", 1, "expected: vertex <name> <mass>"),
+        ("vertex a 1 2\n", 1, "expected: vertex <name> <mass>"),
+        ("vertex a 1\nboundary\n", 2, "expected: boundary <name>"),
+        ("vertex a 1\nboundary a a\n", 2, "expected: boundary <name>"),
+        ("vertex a 1\nboundary z\n", 2, "unknown vertex 'z'"),
+        ("vertex a 1\nface a\n", 2, "unknown directive 'face'"),
+        ("# nothing but a comment\n", 0, "no vertices declared"),
+    ])
+    def test_malformed_documents(self, text, line, message):
+        with pytest.raises(errors.ParseError, match=message) as exc:
+            parse_wgr(text)
+        assert exc.value.line == line
+
     def test_round_trip_is_bit_exact(self):
         for seed in range(10):
             g = random_graph(7, 0.5, (0.1, 10.0), (0.1, 10.0), seed=seed)
@@ -111,6 +125,22 @@ class TestChecks:
         assert check_le("x", 1.0 + 5e-10, 1.0, 1e-9).holds
         assert not check_le("x", 1.0 + 3e-9, 1.0, 1e-9).holds
         assert check_le("y", 5e-10, 0.0, 1e-9).holds
+
+    def test_slack_past_the_doubles_is_an_error_row(self):
+        # 9.5e307 * (1 + 0.9) overflows, though both sides are finite
+        rows = [check_ge("x", 9.5e307, 1.0, 0.9), check_le("y", 1.0, 9.5e307, 0.9),
+                check_eq("z", 9.5e307, 9.5e307, 0.9)]
+        assert [(c.name, c.relation, c.holds) for c in rows] == [
+            (name, "error", False) for name in "xyz"]
+        assert rows[0].reason == "the slack of 9.5e+307 >= 1.0 overflows double precision"
+        rep = VerificationReport(tool_version="0.1.0", seed=0, tolerance=0.9,
+                                 graph_summary={}, checks=rows)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(emit_report(rep, "json"), parse_constant=refuse)
+        assert [c["slack"] for c in doc["checks"]] == [-1.0] * 3
 
 
 class TestReport:
@@ -159,6 +189,14 @@ class TestReport:
         assert [row[0] for row in rows[1:]] == ["e", "f"]
         assert rows[1][-1] == self.AWKWARD
         assert rows[2] == ["f", "1", "2", "<=", "true", "1.0000000030000002", ""]
+
+    def test_unknown_format_and_value_type_are_refused(self):
+        rep = self.awkward_report()
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit_report(rep, "xml")
+        rep.quantities["bad"] = {1, 2}
+        with pytest.raises(TypeError, match="cannot serialize"):
+            emit_report(rep, "json")
 
     def test_the_dataclasses_give_the_field_order(self):
         rep = self.awkward_report()
@@ -529,6 +567,17 @@ class TestCli:
                      "-o", str(tmp_path / "missing" / "x.wgr")]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             f"error: cannot write {tmp_path / 'missing' / 'x.wgr'}: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["random", "--n", "4", "--mass-range", "1"], "expected lo,hi range, got '1'"),
+        (["random", "--n", "4", "--mass-range", "1,x"], "bad range '1,x'"),
+        (["path", "--n", "1"], "a path needs at least 2 vertices"),
+    ])
+    def test_gen_usage_errors_exit_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.wgr"
+        assert main(["gen", *argv, "--seed", "1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
     def test_json_and_csv_are_mutually_exclusive(self, tmp_path, capsys, command):

@@ -106,6 +106,14 @@ class TestJacobi:
         with pytest.raises(errors.DimensionMismatch):
             jacobi_eigen(np.zeros((2, 3, 4)))
 
+    def test_lapack_failure_is_a_typed_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(errors.NoConvergence, match="did not converge"):
+            jacobi_eigen(np.eye(2))
+
 
 class TestQuadraticForm:
     def test_constant_vector_in_laplacian_kernel(self, triangle):

@@ -88,6 +88,18 @@ class TestErrors:
         with pytest.raises(errors.EmptySet):
             effective_resistance(p3, VertexSet.of([]), VertexSet.of([1]))
 
+    def test_checks_run_in_order(self, p3):
+        # ids in range, then both sets nonempty, then disjoint
+        with pytest.raises(errors.LengthMismatch, match="out of range"):
+            effective_resistance(p3, VertexSet.of([0, 3]), VertexSet.of([]))
+        with pytest.raises(errors.LengthMismatch, match="out of range"):
+            effective_resistance(p3, VertexSet.of([1, 5]), VertexSet.of([1]))
+        with pytest.raises(errors.EmptySet, match="two nonempty sets"):
+            effective_resistance(p3, VertexSet.of([1]), VertexSet.of([]))
+        with pytest.raises(errors.SetsOverlap) as exc:
+            effective_resistance(p3, VertexSet.of([0, 1, 2]), VertexSet.of([2, 1]))
+        assert str(exc.value) == "sets share vertices [1, 2]"
+
     @pytest.mark.parametrize("ids", [[-1], [3], [0, 7]])
     def test_out_of_range_id(self, p3, ids):
         # a negative id is refused when the set is built, an id past the

@@ -95,6 +95,13 @@ def test_below_combines_words_most_significant_first():
     assert next_word(fast) == next_word(slow)
 
 
+def test_below_needs_a_nonempty_range():
+    rng = Xorshift64Star(3)
+    with pytest.raises(ValueError, match="n >= 1"):
+        rng.below(0)
+    assert rng.words(1).tolist() == Xorshift64Star(3).words(1).tolist()
+
+
 def test_below_reaches_past_two_to_the_64():
     # ressum's subset draw on a 100-member side: every member must be drawable
     rng = Xorshift64Star(11)

@@ -85,6 +85,15 @@ class TestNeumann:
         with pytest.raises(errors.Disconnected):
             neumann_eigenvalue(WeightedGraph((1.0, 1.0, 1.0, 1.0), ((0, 1, 1.0), (2, 3, 1.0))))
 
+    def test_one_vertex_rejected(self):
+        with pytest.raises(errors.DimensionMismatch, match="at least two vertices"):
+            neumann_eigenvalue(WeightedGraph((1.0,), ()))
+
+    def test_eigenvalue_past_the_doubles(self):
+        # lambda2 = 2e308: the polish's energy overflows from its first step
+        with pytest.raises(errors.NotRepresentable, match="the eigenvalue overflows"):
+            neumann_eigenvalue(path_graph([1.0, 1.0], [1e308]))
+
 
 class TestDirichlet:
     def test_one_by_one(self):
