@@ -37,7 +37,7 @@ def _load(path: str, names: Optional[str] = None) -> tuple[WeightedGraph, Option
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     graph, boundary = parse_wgr(text)
-    return graph, (_ids_for(graph, names) if names else boundary)
+    return graph, (_ids_for(graph, names) if names is not None else boundary)
 
 
 def _ids_for(graph: WeightedGraph, names_csv: str) -> VertexSet:

@@ -20,9 +20,10 @@ conductances), so nothing cancels. The walk is depth first over stacks
 of partial networks, each level one vectorised step for the whole
 stack; a stack is cut in half while its children would exceed
 CHUNK_ENTRIES numbers, keeping only a running minimum. The level-set
-sweep eliminates with the same step, along one path per set A: in the
-potential's order every A is a prefix and every B a suffix, so one pass
-reads the energies of all of A's pairs.
+sweep eliminates through `resistance.kron_slots`, as every pinned
+problem does, along one path per set A: in the potential's order every
+A is a prefix and every B a suffix, so one pass reads the energies of
+all of A's pairs.
 The isoperimetric constant needs no energy: one table holds the cut of
 every mask, grown one vertex at a time by adding conductances, another
 the mass of every mask, and the masks of A are scored against both in
@@ -46,7 +47,7 @@ from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, conductance_to,
                     interior_of, is_canonical_path, path_graph,
                     require_both_signs, require_positive_mass)
-from .resistance import kron_step
+from .resistance import kron_slots, kron_step
 from .spectral import TIE_RTOL
 
 DIRICHLET_ENUM_LIMIT = 20
@@ -380,14 +381,14 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     exact value, often equal to it when x is the fundamental mode.
 
     In x order (a stable sort) every A is a prefix and every B a suffix.
-    One network per A, stacked last as in _branch, holds A merged into a
-    terminal alpha; the vertices after A are Kron-eliminated in x order
-    (`kron_step`, so nothing cancels), and before the first vertex of each
-    nonnegative level the energy 1/R(A, B) is the sum, in row order, of
-    alpha's reduced conductances to the vertices left, which are B. The
-    stack is cut under CHUNK_ENTRIES numbers, and a chunk starts with
-    alpha holding the vertices every one of its A's holds, summed in the
-    same order as the merges, so no cut changes a bit.
+    One network per A, stacked last as in _branch, starts with a terminal
+    alpha holding A's rows, summed once in x order; the vertices after A
+    are Kron-eliminated in x order (`resistance.kron_slots`, so nothing
+    cancels), and before the first vertex of each nonnegative level the
+    energy 1/R(A, B) is the sum, in row order, of alpha's reduced
+    conductances to the vertices left, which are B. The stack is cut
+    under CHUNK_ENTRIES numbers; no network reads another's numbers, so
+    no cut changes a bit.
     """
     x = as_potential(graph, x)
     require_both_signs(x)
@@ -400,7 +401,6 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     a_size, b_start = starts[1:na + 1], starts[na:]
     w = graph.conductance_matrix[order[:, None], order]
     nb = len(b_start)
-    level_at = {p: j for j, p in enumerate(b_start.tolist())}
     energies = np.empty((na, nb))
     lo = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -410,22 +410,16 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
             hi = min(na, lo + max(1, CHUNK_ENTRIES // (k * k)))
             net = np.zeros((k, k, hi - lo))
             net[:-1, :-1] = w[first:, first:, None]
-            net[-1, :-1] = net[:-1, -1] = np.add.accumulate(w[:first, first:])[-1][:, None]
-            # at vertex p the first e networks eliminate it (their A ends
-            # before p) and the others merge it into alpha
-            eliminating = np.searchsorted(a_size[lo:hi], np.arange(first, n), side="right")
-            for at, e in enumerate(eliminating.tolist()):
-                j = level_at.get(first + at)
-                if j is not None:
-                    energies[lo:hi, j] = np.add.accumulate(net[-1, at:-1])[-1]
-                    if j == nb - 1:
-                        break
-                r, rest = net[at, at + 1:], net[at + 1:, at + 1:]
-                if e < hi - lo:
-                    rest[-1, :, e:] += r[:, e:]
-                    rest[:, -1, e:] += r[:, e:]
-                if e:
-                    kron_step(r[:, :e], rest[:, :, :e])
+            # alpha holds A_i's rows, each row of A_i added in x order
+            alpha = np.add.accumulate(w[:a_size[hi - 1], first:])[a_size[lo:hi] - 1]
+            net[-1, :-1] = net[:-1, -1] = alpha.T
+            # network i eliminates the vertices after A_i; its energy at B_j
+            # is read once every vertex before B_j is eliminated
+            done = 0
+            for j, at in enumerate((b_start - first).tolist()):
+                kron_slots(net, a_size[lo:hi] - first, done, at)
+                energies[lo:hi, j] = np.add.accumulate(net[-1, at:-1])[-1]
+                done = at
             lo = hi
     if not np.isfinite(energies).all():
         raise errors.NotRepresentable("a reduced conductance overflowed in double precision")

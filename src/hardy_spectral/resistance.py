@@ -18,10 +18,10 @@ eliminates one vertex from a stack of networks, adding (r / d) r^T to
 the conductances left, where r is the vertex's row and the pivot d the
 sum of r (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985). The
 diagonal is never read and nothing is subtracted, so nothing cancels.
-The exact content enumerations and the level-set sweep take the step
-along their own trees and paths; `kron_energies` takes it for a stack
-of problems, each eliminating its own C. `pinned_energies` poses
-problems on one graph's arrays, each set a boolean row over the
+The exact content enumerations take the step along their own trees,
+and `kron_slots` over a stack of networks, each from its own slot: the
+level-set sweep's paths and every pinned problem's C. `pinned_energies`
+poses problems on one graph's arrays, each set a boolean row over the
 vertices, with each vertex's conductance to the vertices held at 0
 given per problem: the one form of every pinned problem, which
 `spectral.ground_modes` takes too. So `ressum` needs no pinched graph,
@@ -54,23 +54,15 @@ def kron_step(r: np.ndarray, rest: np.ndarray) -> None:
     rest += (r / d * (d / d))[:, None] * r[None, :]
 
 
-def kron_energies(net: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Energies 1/R(A, B), shape (m,), of a stack of networks (c+2, c+2, m)
-    that `pinned_energies` gathers. Slots c and c+1 are A and B, B being
-    every vertex held at 0, and network i eliminates its set C from the
-    last sizes[i] of the first c slots, in slot order; sizes must not
-    increase along the stack. At slot j only the leading networks whose
-    C has started take the step, so the slots before a network's C are
-    never read and each energy is the same as that network's alone. The
-    energy is the reduced A-B conductance; a poisoned pivot (see
-    kron_step) makes it NaN."""
-    c = len(net) - 2
-    # slot j is in C for the networks with sizes >= c - j
-    started = np.searchsorted(-sizes, np.arange(-c, 0), side="right")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, e in enumerate(started.tolist()):
-            kron_step(net[j, j + 1:, :e], net[j + 1:, j + 1:, :e])
-    return net[c, c + 1]
+def kron_slots(net: np.ndarray, starts: np.ndarray, lo: int, hi: int) -> None:
+    """Kron-eliminate slots lo..hi-1 of a stack of networks (k, k, m) in
+    place, network i only from its own slot starts[i] on (starts must not
+    decrease along the stack). The slots before a network's start are
+    never read, so each network ends as it would alone, however the slots
+    are split into calls. Callers silence the warnings (see kron_step)."""
+    started = np.searchsorted(starts, np.arange(lo, hi), side="right")
+    for j, e in zip(range(lo, hi), started.tolist()):
+        kron_step(net[j, j + 1:, :e], net[j + 1:, j + 1:, :e])
 
 
 def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,
@@ -80,9 +72,9 @@ def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,
     row held[i] at 1, eliminates those of free[i] (disjoint from it) and
     holds every other vertex at 0; ground[i] gives each vertex's
     conductance to the vertices held at 0, and the vertices held at 0 are
-    joined to nothing else. All problems go into one `kron_energies`
-    stack, the largest C first (a stable sort), each C in the last slots
-    before A and B, in id order."""
+    joined to nothing else. All problems go into one `kron_slots` stack,
+    the largest C first (a stable sort), each C in the last slots before A
+    and B, in id order, and the energy is the reduced A-B conductance."""
     m = len(free)
     if not m:
         return []
@@ -102,12 +94,14 @@ def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,
     stack[:, :c, :c] = w[idx[:, :, None], idx[:, None, :]]
     stack[:, :c, c] = stack[:, c, :c] = np.take_along_axis(to_held, idx, axis=1)
     stack[:, :c, c + 1] = stack[:, c + 1, :c] = np.take_along_axis(ground, idx, axis=1)
-    with np.errstate(over="ignore"):  # a sum past the doubles poisons its energy
-        stack[:, c, c + 1] = stack[:, c + 1, c] = np.where(held, ground, 0.0).sum(axis=1)
-    energies = np.empty(m)
     # seen stack-last, as kron_step takes it; each network lies whole in
     # memory, so a step runs along its rows rather than across the stack
-    energies[order] = kron_energies(stack.transpose(1, 2, 0), sizes)
+    net = stack.transpose(1, 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow poisons its energy
+        stack[:, c, c + 1] = stack[:, c + 1, c] = np.where(held, ground, 0.0).sum(axis=1)
+        kron_slots(net, c - sizes, 0, c)
+    energies = np.empty(m)
+    energies[order] = net[c, c + 1]
     return [e if 0.0 < e < np.inf and 1.0 / e < np.inf else errors.NotRepresentable(
                 f"energy {e!r} is not positive and finite, with a finite reciprocal, "
                 "in double precision")

@@ -20,7 +20,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, content,
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
                                     NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
 from hardy_spectral.graph import conductance_to
-from hardy_spectral.resistance import pinned_energies
+from hardy_spectral.resistance import kron_step, pinned_energies
 from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
@@ -221,10 +221,10 @@ class TestExactTies:
 
 def mp_energy_fn(mpmath, g):
     """Energy oracle in the working precision: the potential that is 1 on
-    `ones`, 0 on `zeros` and harmonic elsewhere, from mpmath's LU solve
-    (`lu_solve`'s steps, with its 10 guard bits), and its energy summed
-    over the edges. The LU factors of each free block are kept for the
-    graph, so a free set met again costs two triangular solves."""
+    `ones`, 0 on `zeros` and harmonic elsewhere, and its energy summed
+    over the edges. The free block L_FF is symmetric positive definite,
+    so it is solved by Gaussian elimination without pivoting and back
+    substitution on lists of mpf, with 10 guard bits."""
     n = g.vertex_count
     edges = [(u, v, mpmath.mpf(k)) for (u, v, k) in g.edges]
     lap = [[mpmath.mpf(0)] * n for _ in range(n)]
@@ -233,23 +233,24 @@ def mp_energy_fn(mpmath, g):
         lap[v][v] += k
         lap[u][v] -= k
         lap[v][u] -= k
-    factors = {}
 
     def energy(ones, zeros):
         is_one = set(ones)
         fixed = is_one | set(zeros)
-        free = tuple(v for v in range(n) if v not in fixed)
+        free = [v for v in range(n) if v not in fixed]
         x = [mpmath.mpf(1) if v in is_one else mpmath.mpf(0) for v in range(n)]
-        if free:
-            rhs = mpmath.matrix([-sum(lap[i][j] for j in ones) for i in free])
-            with mpmath.extraprec(10):
-                if free not in factors:
-                    factors[free] = mpmath.mp.LU_decomp(
-                        mpmath.matrix([[lap[i][j] for j in free] for i in free]))
-                lu, pivots = factors[free]
-                sol = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, rhs, pivots))
-            for pos, v in enumerate(free):
-                x[v] = sol[pos]
+        # each row of L_FF with its right-hand side appended
+        rows = [[lap[i][j] for j in free] + [-sum(lap[i][j] for j in ones)] for i in free]
+        with mpmath.extraprec(10):
+            for p, pivot in enumerate(rows):
+                for row in rows[p + 1:]:
+                    f = row[p] / pivot[p]
+                    for q in range(p + 1, len(row)):
+                        row[q] -= f * pivot[q]
+            for p in reversed(range(len(free))):
+                row = rows[p]
+                known = sum(row[q] * x[free[q]] for q in range(p + 1, len(free)))
+                x[free[p]] = (row[-1] - known) / row[p]
         return sum(k * (x[u] - x[v]) ** 2 for (u, v, k) in edges)
 
     return energy
@@ -787,6 +788,53 @@ def pair_route_sweep(g, x):
     return (value, *pairs[i * nb + nb - 1 - j])
 
 
+def sum_in_order(values) -> float:
+    """The left-to-right sum of floats, one add at a time."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def one_a_at_a_time_sweep(g, x):
+    """The sweep with one network per A, built alone: A's rows added to a
+    terminal alpha one by one in x order, then one `kron_step` per vertex
+    after A, the energy read at each B's first vertex as alpha's
+    conductances to B summed in order. A's mass is summed in x order and
+    B's from the last vertex back, and the tie rule is the sweep's.
+    Returns ({rank: ratio} of every pair, value, A, B)."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    w = g.conductance_matrix[order[:, None], order]
+    mass = g.mass_vector[order].tolist()
+    n = len(xs)
+    levels = sorted(set(xs.tolist()))
+    a_sizes = [int(np.count_nonzero(xs <= t)) for t in levels if t < 0.0]
+    b_starts = [int(np.count_nonzero(xs < t)) for t in levels if t >= 0.0]
+    nb = len(b_starts)
+    ratios = {}
+    for i, a in enumerate(a_sizes):
+        net = np.zeros((n - a + 1, n - a + 1, 1))
+        net[:-1, :-1, 0] = w[a:, a:]
+        for v in range(a):
+            net[-1, :-1, 0] += w[v, a:]
+            net[:-1, -1, 0] += w[v, a:]
+        done = 0
+        for j, b in enumerate(b_starts):
+            for p in range(done, b - a):
+                kron_step(net[p, p + 1:], net[p + 1:, p + 1:])
+            done = b - a
+            energy = sum_in_order(net[-1, b - a:-1, 0].tolist())
+            ratios[i * nb + nb - 1 - j] = (1.0 / sum_in_order(mass[:a])
+                                           + 1.0 / sum_in_order(mass[b:][::-1])) * energy
+    best = _RunningMin()
+    best.offer(np.array(list(ratios.values())), np.array(list(ratios)))
+    value, rank = best.winner
+    i, j = divmod(rank, nb)
+    return (ratios, value, VertexSet.of(order[:a_sizes[i]]),
+            VertexSet.of(order[b_starts[nb - 1 - j]:]))
+
+
 class TestSweepElimination:
     """The sweep eliminates every A's network in x order with pivots taken
     as sums; it must agree with the pair-by-pair route on ordinary
@@ -815,6 +863,26 @@ class TestSweepElimination:
                 assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
                 assert (res.witness_a, res.witness_b) == (a, b)
         assert ties >= 20 and zeros >= 20
+
+    def test_bit_for_bit_as_one_a_at_a_time(self, monkeypatch):
+        offered = {}
+
+        class Recording(_RunningMin):
+            def offer(self, ratios, keys):
+                offered.update(zip(keys.tolist(), ratios.tolist()))
+                super().offer(ratios, keys)
+
+        monkeypatch.setattr(content, "_RunningMin", Recording)
+        for i in range(40):
+            g = corpus_graph(i, 3, 12)
+            for x in self.potentials(g):
+                offered.clear()
+                res = neumann_content_sweep(g, x)
+                ratios, value, a, b = one_a_at_a_time_sweep(g, x)
+                assert {k: r.hex() for k, r in offered.items()} == \
+                    {k: r.hex() for k, r in ratios.items()}, i
+                assert res.value.hex() == value.hex(), i
+                assert (res.witness_a, res.witness_b) == (a, b), i
 
     @pytest.mark.parametrize("ratio", [1e6, 1e12, 1e16])
     def test_stiff_weights_against_mpmath(self, ratio):

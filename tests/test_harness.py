@@ -438,6 +438,15 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "masses sum past the largest double" in err
 
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_empty_boundary_is_a_usage_error(self, tmp_path, capsys, command):
+        # an empty --boundary names no vertex: it must not fall back to the
+        # boundary the file names
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        assert main([command, path, "--boundary", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: unknown vertex name ''" in err
+
     def test_verify_success_exit_zero(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["verify", path, "--suite", "all", "--seed", "3"]) == 0

@@ -8,7 +8,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, contract,
                             random_graph, run_suite, split_edge, suite)
 from hardy_spectral import errors
 from hardy_spectral.graph import conductance_to, pinched_sides
-from hardy_spectral.resistance import pinned_energies
+from hardy_spectral.resistance import kron_slots, pinned_energies
 from hardy_spectral.rng import BLOCK, Xorshift64Star, irwin_hall
 from hardy_spectral.suite import DEFAULT_SAMPLES, _draws
 
@@ -183,6 +183,41 @@ class TestPinnedStacks:
             assert len(set(free.sum(axis=1).tolist())) > 1
             for got in (whole, backwards):
                 assert [e.hex() for e in got] == [e.hex() for e in alone], g
+
+    def test_kron_slots_split_or_alone_never_changes_a_bit(self):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            c, m = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            w = rng.uniform(0.0, 2.0, (c + 2, c + 2, m)) * (rng.random((c + 2, c + 2, m)) < 0.7)
+            net = w + w.transpose(1, 0, 2)
+            starts = np.sort(rng.integers(0, c + 1, m))
+            whole = net.copy()
+            kron_slots(whole, starts, 0, c)
+            split = net.copy()
+            cuts = np.sort(rng.integers(0, c + 1, int(rng.integers(1, 3))))
+            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, c]):
+                kron_slots(split, starts, lo, hi)
+            assert split.tobytes() == whole.tobytes(), trial
+            for i in range(m):
+                alone = net[:, :, i:i + 1].copy()
+                kron_slots(alone, starts[i:i + 1], 0, c)
+                assert alone.tobytes() == whole[:, :, i:i + 1].tobytes(), (trial, i)
+
+    def test_kron_slots_zero_pivot_poisons_its_network_alone(self):
+        rng = np.random.default_rng(23)
+        w = rng.uniform(0.5, 2.0, (6, 6, 4))
+        net = w + w.transpose(1, 0, 2)
+        starts = np.array([0, 1, 1, 3])
+        net[1, 2:, 1] = net[2:, 1, 1] = 0.0  # network 1's first slot meets nothing after it
+        got = net.copy()
+        with np.errstate(invalid="ignore"):
+            kron_slots(got, starts, 0, 4)
+        assert np.isnan(got[4, 5, 1])
+        for i in (0, 2, 3):
+            alone = net[:, :, i:i + 1].copy()
+            kron_slots(alone, starts[i:i + 1], 0, 4)
+            assert np.isfinite(alone[4, 5, 0])
+            assert alone.tobytes() == got[:, :, i:i + 1].tobytes(), i
 
     def test_no_problems(self):
         g = corpus_graph(0)
