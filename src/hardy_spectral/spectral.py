@@ -52,12 +52,11 @@ SMALL_PIECE = 8
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """Eigenvalue, full-length eigenvector (zero on any boundary), and the
-    eigen-residual on the active coordinates."""
+    """Eigenvalue and full-length eigenvector (zero on any boundary, of
+    unit mass norm, read-only)."""
 
     eigenvalue: float
     eigenvector: np.ndarray
-    residual: float
 
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
@@ -67,10 +66,13 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
 
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:
-    """Flip so the largest-magnitude entry (lowest id on ties) is positive."""
+    """x, read-only, flipped so its largest-magnitude entry (lowest id on
+    ties) is positive."""
     mag = np.abs(x)
     i = int(np.argmax(mag >= np.max(mag) * (1.0 - TIE_RTOL)))
-    return -x if x[i] < 0.0 else x
+    x = -x if x[i] < 0.0 else x
+    x.flags.writeable = False
+    return x
 
 
 def _mass_dot(mass: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -162,15 +164,6 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
     return lam, x
 
 
-def _result(graph: WeightedGraph, lam: float, x: np.ndarray, active) -> SpectralResult:
-    """The eigenpair (lam, x) of `graph`, with its residual on `active`."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a residual past the doubles is inf
-        residual = graph.laplacian_matrix @ x - lam * graph.mass_vector * x
-        residual = float(np.linalg.norm(residual[active]))
-    x.flags.writeable = False
-    return SpectralResult(eigenvalue=lam, eigenvector=x, residual=residual)
-
-
 def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
     """Fundamental vibration mode: min of x^T L x / x^T M x over x with
     x^T M 1 = 0. Requires all masses positive and a connected graph."""
@@ -187,7 +180,7 @@ def neumann_eigenvalue(graph: WeightedGraph) -> SpectralResult:
     if not (lam > 0.0 and np.any(x > 0.0) and np.any(x < 0.0)):
         raise errors.NoConvergence(
             f"fundamental mode not resolved in double precision (lambda2 = {lam!r})")
-    return _result(graph, lam, x, slice(None))
+    return SpectralResult(lam, x)
 
 
 def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list, width: int) -> list:
@@ -268,7 +261,7 @@ def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralR
     piece, lam, x_piece = mode
     x = np.zeros(graph.vertex_count)
     x[piece] = x_piece
-    return _result(graph, lam, _canonical_sign(x), inside[0])
+    return SpectralResult(lam, _canonical_sign(x))
 
 
 def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.ndarray:
@@ -301,6 +294,8 @@ def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
     feasible x. With a boundary, x must vanish there exactly."""
     x = as_potential(graph, x)
     if boundary is not None:
+        if any(not (0 <= v < graph.vertex_count) for v in boundary):
+            raise errors.BadBoundary(f"boundary ids must lie in 0..{graph.vertex_count - 1}")
         for v in boundary:
             if x[v] != 0.0:
                 raise errors.BoundaryViolated(f"x[{v}] = {x[v]!r} on the boundary")

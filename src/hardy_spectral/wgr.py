@@ -83,6 +83,8 @@ def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
 def serialize_wgr(graph: WeightedGraph, boundary: Optional[VertexSet] = None) -> str:
     """Inverse of parse_wgr: vertices in id order, edges sorted, boundary
     lines last."""
+    if boundary is not None and any(not (0 <= v < graph.vertex_count) for v in boundary):
+        raise errors.BadBoundary(f"boundary ids must lie in 0..{graph.vertex_count - 1}")
     lines = []
     for v in range(graph.vertex_count):
         lines.append(f"vertex {graph.label(v)} {graph.masses[v]!r}")

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hardy_spectral import VertexSet, WeightedGraph, path_graph, random_graph
+from hardy_spectral import VertexSet, WeightedGraph, errors, path_graph, random_graph
 from hardy_spectral.rng import Xorshift64Star, irwin_hall
 
 WEIGHT_RANGE = (0.1, 10.0)
@@ -70,6 +70,27 @@ def scaled_by_powers_of_two(g: WeightedGraph, mass_exp: int, kappa_exp: int) -> 
     2^kappa_exp, both exact."""
     return WeightedGraph(tuple(math.ldexp(m, mass_exp) for m in g.masses),
                          tuple((u, v, math.ldexp(k, kappa_exp)) for (u, v, k) in g.edges))
+
+
+def extreme_weight_fuzz():
+    """The extreme-weight fuzz: 600 draws of a path on 3-6 vertices plus
+    random chords, each conductance and mass picked from values at and
+    past the ends of the doubles. Yields (t, graph) per draw t, with graph
+    None where construction refuses it."""
+    rng = np.random.default_rng(3)
+    kappas = [1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300, 1.7e308]
+    masses = [1e-310, 1e-300, 1.0, 1e300, 1.7e308]
+    for t in range(600):
+        n = int(rng.integers(3, 7))
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        pairs += [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.3]
+        edges = tuple((u, v, float(rng.choice(kappas))) for u, v in pairs)
+        mass = tuple(float(rng.choice(masses)) for _ in range(n))
+        try:
+            graph = WeightedGraph(mass, edges)
+        except errors.GraphValidationError:
+            graph = None
+        yield t, graph
 
 
 def mixed_sign_fs(rng: Xorshift64Star, n: int, count: int) -> np.ndarray:

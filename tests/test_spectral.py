@@ -95,6 +95,27 @@ class TestNeumann:
             neumann_eigenvalue(path_graph([1.0, 1.0], [1e308]))
 
 
+class TestReadOnlyEigenvector:
+    def test_writes_raise(self, p3, monkeypatch):
+        # the eigenvector is read-only whether or not its sign was flipped
+        flips = []
+
+        def spy(x, canonical=spectral._canonical_sign):
+            y = canonical(x)
+            flips.append(y is not x)
+            return y
+
+        monkeypatch.setattr(spectral, "_canonical_sign", spy)
+        path5 = path_graph([1.0] * 5, [1.0] * 4)
+        results = [neumann_eigenvalue(corpus_graph(0)), neumann_eigenvalue(p3),
+                   # the interior {0, 1} + {3, 4}, in two pieces
+                   dirichlet_eigenvalue(path5, VertexSet.of([2]))]
+        assert set(flips) == {False, True}
+        for res in results:
+            with pytest.raises(ValueError, match="read-only"):
+                res.eigenvector[0] = 1.0
+
+
 class TestDirichlet:
     def test_one_by_one(self):
         g = WeightedGraph((5.0, 1.0), ((0, 1, 1.0),))
@@ -237,6 +258,14 @@ class TestRayleighQuotient:
     def test_boundary_violation(self, p3):
         with pytest.raises(errors.BoundaryViolated):
             rayleigh_quotient(p3, np.array([0.5, 1.0, 0.0]), VertexSet.of([0]))
+
+    def test_boundary_off_the_graph(self, p3):
+        with pytest.raises(errors.BadBoundary, match="0..2"):
+            rayleigh_quotient(p3, [0.0, 1.0, 2.0], VertexSet.of([5]))
+
+    def test_boundary_of_every_vertex_leaves_a_zero_vector(self, p3):
+        with pytest.raises(errors.ZeroVector):
+            rayleigh_quotient(p3, np.zeros(3), VertexSet.of([0, 1, 2]))
 
     def test_variational_upper_bound(self):
         # random feasible vectors never undercut the computed eigenvalues
