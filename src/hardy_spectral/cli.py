@@ -92,13 +92,6 @@ def _cmd_verify(args) -> int:
     graph, boundary = _load(args.file, args.boundary)
     suites = list(ALL_SUITES) if args.suite in (None, "all") \
         else [s.strip() for s in args.suite.split(",")]
-    for s in suites:
-        if s not in ALL_SUITES:
-            raise UsageError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}, all")
-    if args.samples < 0:
-        raise UsageError(f"--samples must be >= 0, got {args.samples}")
-    if not 0.0 <= args.tolerance < 1.0:
-        raise UsageError(f"--tolerance must be >= 0 and < 1, got {args.tolerance!r}")
     if boundary is None and any(s in suites for s in ("dirichlet", "path-reduction")):
         boundary = VertexSet.of([0])
 

@@ -170,6 +170,13 @@ class BoundaryNotZero(HardySpectralError):
     pass
 
 
+# -- run requests ----------------------------------------------------------
+
+class BadRequest(HardySpectralError, ValueError):
+    """A run request `run_suite` refuses; a ValueError too, so code that
+    catches ValueError still catches it."""
+
+
 # -- file parsing ----------------------------------------------------------
 
 class ParseError(HardySpectralError):

@@ -165,30 +165,25 @@ class WeightedGraph:
         adj.flags.writeable = False
         return adj
 
-    @cached_property
-    def laplacian_matrix(self) -> np.ndarray:
-        """L = D - W, read-only. Degrees are row sums of W, so L's rows sum
-        to zero exactly. A degree past the doubles is inf, which the
-        eigensolves report as NotRepresentable."""
-        adj = self.conductance_matrix
-        with np.errstate(over="ignore"):
-            lap = np.diag(adj.sum(axis=1)) - adj
-        lap.flags.writeable = False
-        return lap
-
-    def degree(self, v: int) -> float:
-        """W(v, V), the Laplacian's diagonal entry."""
+    def _vertex(self, v: int) -> int:
+        """v, if it is a vertex id of this graph; else LengthMismatch."""
         if not 0 <= v < self.vertex_count:
             raise errors.LengthMismatch(f"vertex id {v} out of range for n={self.vertex_count}")
-        return float(self.laplacian_matrix[v, v])
+        return v
+
+    def degree(self, v: int) -> float:
+        """W(v, V), W's row sum and L's diagonal entry (inf past the doubles)."""
+        with np.errstate(over="ignore"):
+            return float(self.conductance_matrix[self._vertex(v)].sum())
 
     def label(self, v: int) -> str:
+        v = self._vertex(v)
         if self.labels is not None:
             return self.labels[v]
         return f"v{v}"
 
     def mass_of(self, vs: VertexSet) -> float:
-        return float(sum(self.masses[v] for v in vs))
+        return float(sum(self.masses[self._vertex(v)] for v in vs))
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,14 @@ class SpectralResult:
 
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
-    """L = D - W, the graph's cached read-only `laplacian_matrix`, whose
-    rows sum to zero exactly."""
-    return graph.laplacian_matrix
+    """L = D - W, read-only, built on each call: no solver needs L whole.
+    D holds W's row sums, so L's rows sum to zero; a degree past the
+    doubles is inf."""
+    adj = graph.conductance_matrix
+    with np.errstate(over="ignore"):
+        lap = np.diag(adj.sum(axis=1)) - adj
+    lap.flags.writeable = False
+    return lap
 
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:

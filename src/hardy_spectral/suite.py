@@ -224,16 +224,17 @@ def run_suite(graph: WeightedGraph, *,
     Enumeration guards and solver failures do not abort the run; they show
     up as failed checks carrying the error message. A suite that raises
     leaves one failed row under its own name in place of its rows, and
-    keeps the quantities it solved before the failure.
+    keeps the quantities it solved before the failure. An unknown suite,
+    samples < 0 or a tolerance outside [0, 1) raise BadRequest at once.
     """
     wanted = list(ALL_SUITES) if suites is None else list(suites)
     for s in wanted:
         if s not in ALL_SUITES:
-            raise ValueError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
+            raise errors.BadRequest(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
     if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+        raise errors.BadRequest(f"samples must be >= 0, got {samples}")
     if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be >= 0 and < 1, got {tolerance!r}")
+        raise errors.BadRequest(f"tolerance must be >= 0 and < 1, got {tolerance!r}")
 
     report = blank_report(graph, seed, tolerance)
 
@@ -273,7 +274,9 @@ def run_suite(graph: WeightedGraph, *,
     def suite_cheeger():
         lambda2 = q.get("lambda2").eigenvalue
         phi = q.record("phi")
-        worst = float(np.max(np.diag(graph.laplacian_matrix) / graph.mass_vector))
+        with np.errstate(over="ignore"):
+            degrees = graph.conductance_matrix.sum(axis=1)
+        worst = float(np.max(degrees / graph.mass_vector))
         # 2 lambda2 worst can pass the doubles where its root does not; the
         # root of the product with worst / 4^e, times 2^e, is exact, so it
         # is the plain root wherever the product is a normal double

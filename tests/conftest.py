@@ -6,12 +6,14 @@ test run sees the same instances.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from hardy_spectral import VertexSet, WeightedGraph, errors, path_graph, random_graph
+from hardy_spectral import (VertexSet, WeightedGraph, errors, path_graph, random_graph,
+                            run_suite)
 from hardy_spectral.rng import Xorshift64Star, irwin_hall
 
 WEIGHT_RANGE = (0.1, 10.0)
@@ -91,6 +93,55 @@ def extreme_weight_fuzz():
         except errors.GraphValidationError:
             graph = None
         yield t, graph
+
+
+@functools.cache
+def extreme_weight_fuzz_reports() -> tuple:
+    """(t, report) for each draw t of `extreme_weight_fuzz` whose graph
+    construction accepts: `run_suite` with boundary {0}, seed t and 3
+    samples. Run once per test session, on first use, for every test that
+    reads it; a run that raises (a RuntimeWarning too) is not cached, so
+    each reader sees it."""
+    return tuple((t, run_suite(g, boundary=VertexSet.of([0]), seed=t, samples=3))
+                 for t, g in extreme_weight_fuzz() if g is not None)
+
+
+# the suites whose quantities do not depend on the stream's draws, so on
+# vertex order only through rounding
+LAW_SUITES = ["dirichlet", "neumann", "cheeger", "path-reduction"]
+LAW_RTOL = 64 * np.finfo(float).eps
+# the quantities Rayleigh monotonicity orders
+MONOTONE = ("lambda_dirichlet", "psi_dirichlet", "lambda2", "psi2", "phi")
+
+
+def law_report(g: WeightedGraph, boundary: VertexSet):
+    return run_suite(g, boundary=boundary, suites=LAW_SUITES, samples=0)
+
+
+def monotonicity_violations(graphs, rng: np.random.Generator) -> list:
+    """Rayleigh monotonicity on each graph, with boundary {0}: draw from
+    `rng` an edge index, then a vertex index; raising that conductance
+    1.5x must not lower, and raising that mass 1.5x must not raise, any
+    quantity of MONOTONE by more than LAW_RTOL relative. A quantity that
+    either run could not solve is not compared. Returns (graph index,
+    "conductance" or "mass", quantity, relative change) per violation."""
+    boundary = VertexSet.of([0])
+    out = []
+    for i, g in enumerate(graphs):
+        e, v = int(rng.integers(g.edge_count)), int(rng.integers(g.vertex_count))
+        stiffer = WeightedGraph(g.masses, tuple((a, b, k * 1.5 if j == e else k)
+                                                for j, (a, b, k) in enumerate(g.edges)))
+        heavier = WeightedGraph(tuple(m * 1.5 if u == v else m for u, m in enumerate(g.masses)),
+                                g.edges)
+        base = law_report(g, boundary).quantities
+        for raised, kind, sign in ((stiffer, "conductance", 1.0), (heavier, "mass", -1.0)):
+            moved = law_report(raised, boundary).quantities
+            for name in MONOTONE:
+                if name in base and name in moved:
+                    change = (moved[name] - base[name]) / base[name]
+                    if sign * change < -LAW_RTOL:
+                        out.append((i, kind, name, change))
+    return out
 
 
 def mixed_sign_fs(rng: Xorshift64Star, n: int, count: int) -> np.ndarray:

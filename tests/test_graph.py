@@ -229,6 +229,19 @@ class TestPathGraph:
             with pytest.raises(errors.LengthMismatch):
                 g.degree(v)
 
+    @pytest.mark.parametrize("labels", [None, ("a", "b", "c")])
+    def test_label_and_mass_of_check_the_id(self, labels):
+        g = WeightedGraph((1.0, 2.0, 4.0), ((0, 1, 1.0), (1, 2, 1.0)), labels)
+        assert g.mass_of(VertexSet.of([0, 2])) == 5.0
+        assert [g.label(v) for v in range(3)] == list(labels or ("v0", "v1", "v2"))
+        for v in (-1, 3, 5):
+            with pytest.raises(errors.LengthMismatch,
+                               match=f"vertex id {v} out of range for n=3"):
+                g.label(v)
+            with pytest.raises(errors.LengthMismatch,
+                               match=f"vertex id {v} out of range for n=3"):
+                g.mass_of(VertexSet((v,)))
+
 
 class TestRandomGraph:
     def test_two_vertices_forces_the_edge(self):

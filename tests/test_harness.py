@@ -21,8 +21,8 @@ from hardy_spectral.cli import main
 from hardy_spectral.report import (Check, VerificationReport, check_eq, check_error,
                                    check_ge, check_le)
 
-from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, extreme_weight_fuzz,
-                      scaled_by_powers_of_two, stiff_graph)
+from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph,
+                      extreme_weight_fuzz_reports, scaled_by_powers_of_two, stiff_graph)
 
 P3_TEXT = """\
 # three vertices in a row
@@ -358,6 +358,13 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(p3, suites=["bogus"], seed=1)
 
+    @pytest.mark.parametrize("refused", [dict(suites=["bogus"]), dict(samples=-3),
+                                          dict(tolerance=1.0)])
+    def test_refusals_are_bad_requests_and_value_errors(self, p3, refused):
+        with pytest.raises(errors.BadRequest) as exc:
+            run_suite(p3, seed=1, **refused)
+        assert isinstance(exc.value, ValueError)
+
     def test_negative_samples_rejected(self, p3):
         with pytest.raises(ValueError):
             run_suite(p3, suites=["pinch"], seed=1, samples=-3)
@@ -388,13 +395,10 @@ class TestRunSuite:
         def refuse(constant):
             raise ValueError(f"{constant} in a report")
 
-        rejected = 0
-        for t, g in extreme_weight_fuzz():
-            if g is None:
-                rejected += 1
-                continue
-            rep = run_suite(g, boundary=VertexSet.of([0]), seed=t, samples=3)
+        reports = extreme_weight_fuzz_reports()
+        for _t, rep in reports:
             json.loads(emit_report(rep, "json"), parse_constant=refuse)
+        rejected = 600 - len(reports)
         assert 0 < rejected < 600
 
     def test_tiny_masses_keep_neumann_upper(self):
@@ -594,11 +598,18 @@ class TestCli:
         reason = "not allowed with" if command == "verify" else "unrecognized arguments: --csv"
         assert exc.value.code == 2 and out == "" and reason in err
 
+    def test_unknown_suite_is_a_usage_error(self, tmp_path, capsys):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        assert main(["verify", path, "--suite", "dirichlet,bogus"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: unknown suite 'bogus'; known: dirichlet, "
+                                     "neumann, cheeger, pinch, ressum, path-reduction\n")
+
     def test_negative_samples_is_a_usage_error(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["verify", path, "--samples", "-3"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: --samples")
+        assert out == "" and err.startswith("error: samples")
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9", "1.0", "1e308"])
     def test_tolerance_not_finite_and_nonnegative_is_a_usage_error(
@@ -606,7 +617,7 @@ class TestCli:
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["verify", path, f"--tolerance={tolerance}"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: --tolerance")
+        assert out == "" and err.startswith("error: tolerance")
 
     def test_zero_samples_and_tolerance_still_run(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)

@@ -16,10 +16,11 @@ import pytest
 from hardy_spectral import VertexSet, WeightedGraph, run_suite
 from hardy_spectral.report import ERROR
 
-from conftest import extreme_weight_fuzz
+from conftest import extreme_weight_fuzz_reports, monotonicity_violations, stiff_graph
 
 FUZZ_PIN = 15
 FAMILY_PINS = {1e9: 2, 1e12: 4}
+STIFF_MONOTONICITY_PIN = 1
 FAMILIES = ["complete", "cycle", "star", "path-mid", "grid", "barbell"]
 GRAPHS_PER_FAMILY = 60
 
@@ -63,10 +64,7 @@ def family_graph(family: str, n: int, rng: np.random.Generator, ratio: float) ->
 
 def test_extreme_weight_fuzz_false_rows():
     false, reasons = [], Counter()
-    for t, g in extreme_weight_fuzz():
-        if g is None:
-            continue
-        report = run_suite(g, boundary=VertexSet.of([0]), seed=t, samples=3)
+    for t, report in extreme_weight_fuzz_reports():
         false += [(t, name) for name in _false_rows(report)]
         # one reason per kind: edges, vertices and values blanked out
         reasons.update(re.sub(r"\(\d+,\d+\)|\d[\w.+-]*", "#", c.reason)
@@ -88,3 +86,13 @@ def test_stiff_family_scan_false_rows(ratio):
             false += [f"{family} #{i} {name}" for name in _false_rows(report)]
     _score(f"family scan false rows at ratio {ratio:g}", len(false), FAMILY_PINS[ratio],
            ", ".join(false))
+
+
+def test_stiff_monotonicity_violations():
+    # conftest.monotonicity_violations' recipe on stiff_graph(i, 1e9, 1e9),
+    # i < 100, with a fresh default_rng(5)
+    found = monotonicity_violations([stiff_graph(i, 1e9, 1e9) for i in range(100)],
+                                    np.random.default_rng(5))
+    _score("stiff monotonicity violations at ratio 1e9", len(found), STIFF_MONOTONICITY_PIN,
+           ", ".join(f"#{i} {name} moves {change:.2g} relative with a raised {kind}"
+                     for i, kind, name, change in found))

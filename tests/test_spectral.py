@@ -14,9 +14,9 @@ from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.suite import _worst_sides
 from hardy_spectral.wgr import serialize_wgr
 
-from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, mixed_sign_fs,
-                      random_vector, sample_without_replacement, scaled_by_powers_of_two,
-                      stiff_graph)
+from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, extreme_weight_fuzz,
+                      mixed_sign_fs, random_vector, sample_without_replacement,
+                      scaled_by_powers_of_two, stiff_graph)
 
 GOLDEN = (3 - 5 ** 0.5) / 2  # smallest eigenvalue of [[2,-1],[-1,1]]
 UNIFORM_N3_DIRICHLET = 0.19806226419516171  # smallest eig of the N=3 interior block
@@ -34,11 +34,17 @@ class TestLaplacian:
         lap = laplacian(p3)
         assert lap.tolist() == [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
 
-    def test_assembled_once_and_read_only(self, p3):
+    def test_read_only(self, p3):
         lap = laplacian(p3)
-        assert laplacian(p3) is lap
         with pytest.raises(ValueError):
             lap[0, 0] = 5.0
+
+    def test_degrees_are_the_diagonal_bit_for_bit(self):
+        graphs = [corpus_graph(i) for i in range(100)]
+        graphs += [g for _t, g in extreme_weight_fuzz() if g is not None]
+        for g in graphs:
+            degrees = np.array([g.degree(v) for v in range(g.vertex_count)])
+            assert degrees.tobytes() == np.diag(laplacian(g)).tobytes(), g
 
     def test_rows_sum_to_zero(self):
         for i in range(10):
