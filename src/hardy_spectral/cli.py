@@ -26,16 +26,12 @@ from .suite import (ALL_SUITES, DEFAULT_SAMPLES, DEFAULT_TOLERANCE, Quantities,
 from .wgr import parse_wgr, serialize_wgr
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load(path: str, names: Optional[str] = None) -> tuple[WeightedGraph, Optional[VertexSet]]:
     """A .wgr file's graph, and the boundary `names` lists, else the file's."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+        raise errors.BadRequest(f"cannot read {path}: {exc}") from None
     graph, boundary = parse_wgr(text)
     return graph, (_ids_for(graph, names) if names is not None else boundary)
 
@@ -46,7 +42,7 @@ def _ids_for(graph: WeightedGraph, names_csv: str) -> VertexSet:
     for name in names_csv.split(","):
         name = name.strip()
         if name not in by_name:
-            raise UsageError(f"unknown vertex name {name!r}")
+            raise errors.BadRequest(f"unknown vertex name {name!r}")
         ids.append(by_name[name])
     return VertexSet.of(ids)
 
@@ -54,11 +50,11 @@ def _ids_for(graph: WeightedGraph, names_csv: str) -> VertexSet:
 def _parse_range(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"expected lo,hi range, got {text!r}")
+        raise errors.BadRequest(f"expected lo,hi range, got {text!r}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise UsageError(f"bad range {text!r}") from None
+        raise errors.BadRequest(f"bad range {text!r}") from None
 
 
 def _cmd_analyze(args) -> int:
@@ -107,7 +103,7 @@ def _cmd_gen(args) -> int:
     kappa_range = _parse_range(args.kappa_range)
     if args.kind == "path":
         if args.n < 2:
-            raise UsageError("a path needs at least 2 vertices")
+            raise errors.BadRequest("a path needs at least 2 vertices")
         rng = Xorshift64Star(args.seed)
         masses = [rng.uniform_in(*mass_range) for _ in range(args.n)]
         kappas = [rng.uniform_in(*kappa_range) for _ in range(args.n - 1)]
@@ -119,7 +115,7 @@ def _cmd_gen(args) -> int:
     try:
         Path(args.output).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot write {args.output}: {exc}") from None
+        raise errors.BadRequest(f"cannot write {args.output}: {exc}") from None
     return 0
 
 
@@ -190,7 +186,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, errors.HardySpectralError) as exc:
+    except errors.HardySpectralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

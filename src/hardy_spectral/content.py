@@ -271,7 +271,9 @@ def hardy_path(path: WeightedGraph) -> ContentResult:
     On a path the extremal set is always a tail {v_k, ..., v_N}, so the
     extremal resistance-mass product is max_k (sum_{i<=k} 1/kappa_i) *
     (sum_{i>=k} mu_i), found in one pass over prefix resistances and
-    suffix masses. Smallest k wins ties.
+    suffix masses. Ratios within TIE_RTOL tie and the shortest tail wins:
+    the tails nest, so it is the one of smallest canonical key, the rule of
+    dirichlet_content_exact.
     """
     if not is_canonical_path(path):
         raise errors.NotAPath("expected edges exactly (0,1), (1,2), ...")
@@ -279,17 +281,18 @@ def hardy_path(path: WeightedGraph) -> ContentResult:
     if all(m == 0.0 for m in path.masses[1:]):
         raise errors.ZeroInteriorMass("every interior mass is zero")
 
-    # entry k - 1 belongs to the tail {v_k, ..., v_N}; both sums run in
-    # order. A tail of zero mass scores 0, even past a resistance that
-    # overflows; a product past the doubles gives a value of 0 or inf,
-    # which ContentResult rejects.
+    # entry k - 1 belongs to the tail {v_k, ..., v_N}, keyed by its length;
+    # both sums run in order. A tail of zero mass scores 0, even past a
+    # resistance that overflows; a product past the doubles gives a value
+    # of 0 or inf, which ContentResult rejects.
     _u, _v, kappa = path.edge_arrays
     suffix_mass = np.cumsum(path.masses[:0:-1])[::-1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h = np.where(suffix_mass > 0.0, np.cumsum(1.0 / kappa) * suffix_mass, 0.0)
-        k = int(np.argmax(h))  # the first maximum
-        value = 1.0 / h[k]
-    return ContentResult(value=value, witness_a=VertexSet.of(range(k + 1, n)), witness_b=None)
+        best = _RunningMin()
+        best.offer(1.0 / h, np.arange(n - 1, 0, -1))
+    value, size = best.winner
+    return ContentResult(value=value, witness_a=VertexSet.of(range(n - size, n)), witness_b=None)
 
 
 def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> ContentResult:

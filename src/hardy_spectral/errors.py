@@ -173,8 +173,9 @@ class BoundaryNotZero(HardySpectralError):
 # -- run requests ----------------------------------------------------------
 
 class BadRequest(HardySpectralError, ValueError):
-    """A run request `run_suite` refuses; a ValueError too, so code that
-    catches ValueError still catches it."""
+    """A request refused before any work: a run `run_suite` refuses, or a
+    command-line argument or file the CLI cannot use. A ValueError too, so
+    code that catches ValueError still catches it."""
 
 
 # -- file parsing ----------------------------------------------------------

@@ -31,6 +31,16 @@ Origin = Union[int, tuple[int, int]]
 ZERO_RTOL = 1e-12
 
 
+def _vertex_id(i) -> int:
+    """The integer `i` names: an int, or a real of integral value."""
+    try:
+        if int(i) == i:
+            return int(i)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise errors.BadRange(f"vertex id {i} is not an integer")
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """Sorted, duplicate-free set of vertex ids with a canonical bitmask key
@@ -40,7 +50,7 @@ class VertexSet:
 
     @classmethod
     def of(cls, ids: Iterable[int]) -> "VertexSet":
-        members = tuple(sorted(set(int(i) for i in ids)))
+        members = tuple(sorted(set(map(_vertex_id, ids))))
         if members and members[0] < 0:
             raise errors.BadRange(f"vertex id {members[0]} is negative; vertex ids are >= 0")
         return cls(members)

@@ -8,26 +8,26 @@ a slack value with the convention that the check holds iff slack >= 0, so
 a report consumer can re-derive `holds` from the row alone; a check whose
 slack overflows is an error row instead. Only the fields of
 `VerificationReport` and `Check` name a report's keys and columns, in
-order. Every real is written with 17 significant digits (`REAL`), which
-round-trips doubles, and every JSON string as the json module escapes it.
-Two runs with the same inputs and seed produce byte-identical documents
-(timings are excluded unless explicitly requested).
+order. The json and csv modules write both formats, every real by `repr`
+(the shortest text that reads back as the same double) and `holds` as
+`true` / `false`; a non-finite real has no JSON text and raises
+ValueError. Two runs with the same inputs and seed produce byte-identical
+documents (timings are excluded unless explicitly requested).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring
 from typing import Optional
 
 LE = "<="
 GE = ">="
 EQ = "=="
 ERROR = "error"
-REAL = ".17g"
 
 
 @dataclass(frozen=True)
@@ -86,45 +86,19 @@ class VerificationReport:
         return all(c.holds for c in self.checks)
 
 
-_CSV_HEADER = ",".join(f.name for f in fields(Check)) + "\n"
-_JSON_WORDS = {True: "true", False: "false", None: "null"}
-
-
-def _scalar(value) -> str:
-    """A real by the one rule, `REAL`; a bool, an int or None as in JSON."""
-    if isinstance(value, float):
-        return format(value, REAL)
-    if value is None or isinstance(value, bool):
-        return _JSON_WORDS[value]
-    if isinstance(value, int):
-        return repr(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _json(value) -> str:
-    """One JSON value, its strings and keys escaped by the json module."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join([encode_basestring(str(k)) + ": " + _json(v)
-                                for k, v in value.items()]) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join([_json(v) for v in value]) + "]"
-    return _scalar(value)
-
-
 def emit_report(report: VerificationReport, fmt: str = "json",
                 include_timing: bool = False) -> str:
     """Render the report. `fmt` is "json" or "csv"; timings are volatile and
     only appear when asked for, keeping default output reproducible."""
     if fmt == "json":
-        return _json({**vars(report), "checks": [vars(c) for c in report.checks],
-                      "timing_ms": report.timing_ms if include_timing else {}}) + "\n"
+        return json.dumps({**vars(report), "checks": [vars(c) for c in report.checks],
+                           "timing_ms": report.timing_ms if include_timing else {}},
+                          ensure_ascii=False, allow_nan=False) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        buf.write(_CSV_HEADER)  # no field name needs quotes
-        csv.writer(buf, lineterminator="\n").writerows(
-            [v if isinstance(v, str) else _scalar(v) for v in vars(c).values()]
-            for c in report.checks)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f.name for f in fields(Check)])
+        writer.writerows([json.dumps(v) if isinstance(v, bool) else v
+                          for v in vars(c).values()] for c in report.checks)
         return buf.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")

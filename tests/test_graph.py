@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_spectral import (VertexSet, WeightedGraph, components, contract,
-                            laplacian, level_set_quotient, neumann_content_sweep,
+                            level_set_quotient, neumann_content_sweep,
                             neumann_eigenvalue, path_graph, pinch, random_graph,
                             rayleigh_quotient, split_edge, validate)
 from hardy_spectral import errors
@@ -18,7 +18,7 @@ from hardy_spectral.spectral import harmonic_extension
 from hardy_spectral.suite import _worst_sides
 from hardy_spectral.wgr import parse_wgr
 
-from conftest import (WEIGHT_RANGE, corpus_graph, mixed_sign_fs, random_vector,
+from conftest import (WEIGHT_RANGE, corpus_graph, edge_energy, mixed_sign_fs, random_vector,
                       sample_without_replacement)
 
 
@@ -46,6 +46,16 @@ class TestVertexSet:
     def test_negative_mask_is_a_typed_error_in_process(self):
         with pytest.raises(errors.BadRange, match="mask -1 is negative"):
             VertexSet.from_mask(-1)
+
+    @pytest.mark.parametrize("bad", [1.7, 0.9, -0.5, math.nan, math.inf, "2", None])
+    def test_an_id_that_is_no_integer_is_a_typed_error(self, bad):
+        # int() truncated 1.7 to 1, so a set could name the wrong vertex
+        with pytest.raises(errors.BadRange, match=f"vertex id {bad} is not an integer"):
+            VertexSet.of([bad, 3])
+
+    def test_integral_ids_of_any_type_are_kept(self):
+        assert VertexSet.of([2.0, np.int64(0), np.float64(1.0), True]).members == (0, 1, 2)
+        assert VertexSet.of(np.array([3, 1], dtype=np.uint8)).members == (1, 3)
 
     @pytest.mark.parametrize("ids", [[-1], [3, -2, 5], np.array([0, -7])])
     def test_negative_id_is_a_typed_error(self, ids):
@@ -330,9 +340,7 @@ class TestSplitEdge:
         y = np.array([1.0, 5.0,
                       1.0 + 4.0 * 0.2,
                       1.0 + 4.0 * 0.5])
-        lap_g = laplacian(g)
-        lap_s = laplacian(s)
-        assert y @ lap_s @ y == pytest.approx(x @ lap_g @ x, rel=1e-12)
+        assert edge_energy(s, y) == pytest.approx(edge_energy(g, x), rel=1e-12)
 
     def test_quadratic_form_preserved_on_random_graphs(self):
         # the minimum-energy extension of x onto the split graph attains
@@ -345,9 +353,8 @@ class TestSplitEdge:
             s = split_edge(g, (u, v), fr)
             x = random_vector(rng, g.vertex_count)
             y = harmonic_extension(s, {w: x[w] for w in range(g.vertex_count)})
-            lap_g = laplacian(g)
-            lap_s = laplacian(s)
-            assert y @ lap_s @ y == pytest.approx(x @ lap_g @ x, rel=1e-12, abs=1e-12)
+            assert edge_energy(s, y) == pytest.approx(
+                edge_energy(g, x), rel=1e-12, abs=1e-12)
 
 
 class TestContract:
@@ -515,10 +522,8 @@ class TestPinch:
             f = [rng.uniform_in(-1, 1) for _ in range(g.vertex_count)]
             f[0], f[1] = -1.0, 1.0
             p = pinch(g, f)
-            lap_g = laplacian(g)
-            lap_p = laplacian(p.graph)
-            y, x = np.array(p.f_extended), np.array(f)
-            assert y @ lap_p @ y == pytest.approx(x @ lap_g @ x, rel=1e-10)
+            assert edge_energy(p.graph, p.f_extended) == pytest.approx(
+                edge_energy(g, f), rel=1e-10)
 
     @pytest.mark.parametrize("masses", [(1.0,) * 4, (1.0, 0.0, 1.0, 1.0)])
     def test_zero_crossings_of_a_stack_as_one_at_a_time(self, masses):

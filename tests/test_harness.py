@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
 import types
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hardy_spectral
 from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_eigenvalue, emit_report,
@@ -164,13 +167,42 @@ class TestReport:
         lines = emit_report(rep, "csv").splitlines()
         assert lines[0] == "name,lhs,rhs,relation,holds,slack,reason"
         assert len(lines) == 2
-        assert lines[1].startswith("only,1,2,<=,true,")
+        assert lines[1].startswith("only,1.0,2.0,<=,true,")
 
-    def test_json_reals_have_17_significant_digits(self):
+    def test_json_reals_are_written_by_repr(self):
         rep = VerificationReport(tool_version="0.1.0", seed=0, tolerance=1e-9,
                                  graph_summary={},
                                  quantities={"x": 1.0 / 3.0})
-        assert '"x": 0.33333333333333331' in emit_report(rep, "json")
+        assert '"tolerance": 1e-09' in emit_report(rep, "json")
+        assert '"x": 0.3333333333333333}' in emit_report(rep, "json")
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-2.2250738585072e-308)
+    @example(x=sys.float_info.max)
+    @example(x=3.0)
+    @example(x=-2.0 ** 60)
+    def test_every_finite_double_reads_back_with_its_bits(self, x):
+        rep = VerificationReport(tool_version="0.1.0", seed=0, tolerance=1e-9,
+                                 graph_summary={}, quantities={"x": x},
+                                 checks=[Check("c", x, x, "<=", True, x)])
+        doc = json.loads(emit_report(rep, "json"))
+        row = doc["checks"][0]
+        for y in (doc["quantities"]["x"], row["lhs"], row["rhs"], row["slack"]):
+            assert type(y) is float and struct.pack("<d", y) == struct.pack("<d", x)
+        cells = list(csv.reader(io.StringIO(emit_report(rep, "csv"))))[1]
+        for cell in (cells[1], cells[2], cells[5]):
+            assert struct.pack("<d", float(cell)) == struct.pack("<d", x)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_real_has_no_json(self, x):
+        rep = VerificationReport(tool_version="0.1.0", seed=0, tolerance=1e-9,
+                                 graph_summary={}, quantities={"x": x})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(rep, "json")
 
     AWKWARD = 'say "hi"\\ at\nline\ttwo\x01 \u00e9'
 
@@ -194,14 +226,14 @@ class TestReport:
         rows = list(csv.reader(io.StringIO(emit_report(rep, "csv"), newline="")))
         assert [row[0] for row in rows[1:]] == ["e", "f"]
         assert rows[1][-1] == self.AWKWARD
-        assert rows[2] == ["f", "1", "2", "<=", "true", "1.0000000030000002", ""]
+        assert rows[2] == ["f", "1.0", "2.0", "<=", "true", "1.0000000030000002", ""]
 
     def test_unknown_format_and_value_type_are_refused(self):
         rep = self.awkward_report()
         with pytest.raises(ValueError, match="unknown report format 'xml'"):
             emit_report(rep, "xml")
         rep.quantities["bad"] = {1, 2}
-        with pytest.raises(TypeError, match="cannot serialize"):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
             emit_report(rep, "json")
 
     def test_the_dataclasses_give_the_field_order(self):
