@@ -9,8 +9,10 @@ connected pieces, each its own eigenproblem. `ground_modes` solves the
 boundary-pinned problems on one graph's arrays, each posed as
 `resistance.pinned_energies` poses its own: a boolean row over the
 vertices and a ground row (each vertex's conductance to the vertices
-held at 0). It runs one stacked eigh and one stacked solve per polish
-step for every stack of pieces: one stack holds every piece of at most
+held at 0). A one-vertex piece {v} gets its exact pair, ground_v / mu_v
+and mu_v^{-1/2}, wherever that eigenvalue is a positive normal double.
+Every other piece goes to a stack, with one stacked eigh and one stacked
+solve per polish step for each: one stack holds every piece of at most
 SMALL_PIECE vertices, padded with decoupled vertices to one width that
 depends only on the graph, and each larger size has a stack of its own.
 `dirichlet_eigenvalue` poses one problem to it, and the pinch suite the
@@ -101,10 +103,11 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
     solve or its norm past the doubles raises NoConvergence, and a
     whitened block or an eigenvalue past them NotRepresentable.
 
-    `pad` (g, s) marks padding vertices (None: there are none), passed
-    with no conductances, no ground and mass 1. Each is given a ground
-    strictly above its piece's lowest eigenvalue, which is at most any
-    whitened diagonal entry (the Rayleigh quotient of e_i): twice the
+    `pad` (g, s) marks padding vertices, passed with no conductances, no
+    ground and mass 1; pad=None says there are none and skips all pad
+    work, with the same bits as an all-False mask. Each pad is given a
+    ground strictly above its piece's lowest eigenvalue, which is at most
+    any whitened diagonal entry (the Rayleigh quotient of e_i): twice the
     piece's largest, clamped to the positive doubles, so a pad is never
     singular or infinite and adds no typed error. eigh's start vector is
     zeroed on the pads, so the polish keeps them at 0 and the energy sees
@@ -116,21 +119,22 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
     it by at most SETTLE_RTOL relative; as lam starts at inf, a finite
     energy takes 2 to MAX_POLISH_STEPS steps. Every step works on each
     problem alone, so its result does not depend on the stack it is in."""
-    pad = np.zeros(mass.shape, dtype=bool) if pad is None else pad
     d = 1.0 / np.sqrt(mass)
     with np.errstate(over="ignore", invalid="ignore"):
         degree = w.sum(axis=-1) + ground
-        # each piece's largest whitened diagonal entry (a pad's is 0)
-        top = (degree * (d * d)).max(axis=1, keepdims=True)
+        if pad is not None:
+            # each piece's largest whitened diagonal entry (a pad's is 0)
+            top = (degree * (d * d)).max(axis=1, keepdims=True)
+            degree = np.where(pad, np.minimum(np.maximum(2.0 * top, _TINY), _LARGEST), degree)
         blocks = -w
         diagonal = np.arange(w.shape[-1])
-        lift = np.minimum(np.maximum(2.0 * top, _TINY), _LARGEST)
-        blocks[:, diagonal, diagonal] = np.where(pad, lift, degree)
+        blocks[:, diagonal, diagonal] = degree
         whitened = blocks * (d[:, :, None] * d[:, None, :])
         if not np.isfinite(whitened).all():
             raise errors.NotRepresentable("the mass-whitened Laplacian overflows double precision")
         x = d * jacobi_eigen(whitened)[1][:, :, k]
-        x[pad] = 0.0
+        if pad is not None:
+            x[pad] = 0.0
         lam = np.full(len(x), np.inf)
         live = slice(None)  # the rows still moving: all of them, until one settles
         for _ in range(MAX_POLISH_STEPS):
@@ -193,17 +197,22 @@ def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list, width: 
     piece) of `pieces` from one `_eigenpairs` stack of `width` vertices,
     a piece with fewer being padded up to it: each pad slot gathers the
     piece's first vertex, and the pad mask then gives it no conductances,
-    no ground and mass 1. A stack that raises a typed error is solved
+    no ground and mass 1. A stack with no pad slot is passed on as
+    gathered, with pad=None. A stack that raises a typed error is solved
     again one piece at a time, padded the same way, so the error lands
     only on the piece that causes it."""
     row = np.array([i for i, _ in pieces])[:, None]
     idx = np.array([piece + piece[:1] * (width - len(piece)) for _, piece in pieces])
     pad = np.arange(width) >= np.array([len(piece) for _, piece in pieces])[:, None]
-    w = graph.conductance_matrix[idx[:, :, None], idx[:, None, :]]
+    w, to_zero, mass = (graph.conductance_matrix[idx[:, :, None], idx[:, None, :]],
+                        ground[row, idx], graph.mass_vector[idx])
+    if pad.any():
+        w = np.where(pad[:, :, None] | pad[:, None, :], 0.0, w)
+        to_zero, mass = np.where(pad, 0.0, to_zero), np.where(pad, 1.0, mass)
+    else:
+        pad = None
     try:
-        lam, x = _eigenpairs(np.where(pad[:, :, None] | pad[:, None, :], 0.0, w),
-                             np.where(pad, 0.0, ground[row, idx]),
-                             np.where(pad, 1.0, graph.mass_vector[idx]), 0, pad)
+        lam, x = _eigenpairs(w, to_zero, mass, 0, pad)
     except errors.HardySpectralError as exc:
         if len(pieces) == 1:
             return [exc]
@@ -214,10 +223,18 @@ def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list, width: 
 
 def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) -> list:
     """The boundary-pinned modes of many problems on `graph` at once.
-    Problem i solves the vertices of the boolean row sides[i] and pins
-    every other vertex to zero; ground[i] gives each vertex's conductance
-    to the pinned vertices. Every connected piece of a side is its own
-    eigenproblem. The pieces of all problems are solved in few stacks
+    Problem i solves the vertices of the boolean row sides[i], which
+    holds at least one vertex, and pins every other vertex to zero;
+    ground[i] gives each vertex's conductance to the pinned vertices.
+    Every connected piece of a side is its own eigenproblem.
+
+    A one-vertex piece {v} has the exact mode lam = ground[i, v] / mass[v],
+    x = [mass[v] ** -0.5], tested for all such pieces of the call in one
+    array expression: it is taken wherever lam is a positive normal
+    double and the whitened entry ground * (1 / sqrt(mass))**2 is finite,
+    else the piece is stacked like the others, so a zero ground still
+    raises NotPositiveDefinite and an underflow is never a 0.0
+    eigenvalue. Every other piece is solved in few stacks
     (`_piece_modes`): every piece of at most t = min(SMALL_PIECE, n - 1)
     vertices is padded to t, and each larger size has its own stack. t
     depends on the graph alone, so a piece's result does not depend on
@@ -230,22 +247,41 @@ def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) ->
     mixes decoupled blocks and keeps one sign.
     """
     splits = [components(graph, np.flatnonzero(side).tolist()) for side in sides]
+    if not all(splits):
+        raise ValueError("every side must hold at least one vertex")
+    pieces = [(i, piece) for i, split in enumerate(splits) for piece in split]
+    modes = [None] * len(pieces)
+    lone = [j for j, (_, piece) in enumerate(pieces) if len(piece) == 1]
+    if lone:
+        vertex = [pieces[j][1][0] for j in lone]
+        to_zero, mass = ground[[pieces[j][0] for j in lone], vertex], graph.mass_vector[vertex]
+        with np.errstate(all="ignore"):
+            exact = to_zero / mass
+            closed = ((_TINY <= exact) & (exact <= _LARGEST)
+                      & np.isfinite(to_zero * (1.0 / np.sqrt(mass)) ** 2))
+        # x by the C library's pow on each float: numpy's vectorised power
+        # may round it less closely
+        for j, closed_j, lam_j, mass_j in zip(lone, closed.tolist(), exact.tolist(),
+                                              mass.tolist()):
+            if closed_j:
+                modes[j] = (pieces[j][1], lam_j, np.array([mass_j ** -0.5]))
     small = min(SMALL_PIECE, graph.vertex_count - 1)
     stacks: dict[int, list] = defaultdict(list)
-    for i, split in enumerate(splits):
-        for piece in split:
-            stacks[max(len(piece), small)].append((i, piece))
-    solved = {(i, piece[0]): mode for width, pieces in stacks.items()
-              for (i, piece), mode in zip(pieces, _piece_modes(graph, ground, pieces, width))}
-
-    def lowest(modes):
-        failed = errors.first_error(modes)
-        if failed is not None:
-            return failed
-        floor = min(lam for _, lam, _ in modes)
-        return next(mode for mode in modes if mode[1] <= floor * (1.0 + TIE_RTOL))
-
-    return [lowest([solved[i, piece[0]] for piece in split]) for i, split in enumerate(splits)]
+    for j, (_, piece) in enumerate(pieces):
+        if modes[j] is None:
+            stacks[max(len(piece), small)].append(j)
+    for width, js in stacks.items():
+        for j, mode in zip(js, _piece_modes(graph, ground, [pieces[j] for j in js], width)):
+            modes[j] = mode
+    # each problem's first failing piece, else its first piece within
+    # TIE_RTOL of its smallest eigenvalue: a failed piece counts as -inf
+    lam = np.array([-np.inf if isinstance(mode, errors.HardySpectralError) else mode[1]
+                    for mode in modes])
+    problem = np.array([i for i, _ in pieces], dtype=np.intp)
+    floor = np.full(len(splits), np.inf)
+    np.minimum.at(floor, problem, lam)
+    win = np.flatnonzero(lam <= floor[problem] * (1.0 + TIE_RTOL))
+    return [modes[j] for j in win[np.searchsorted(problem[win], np.arange(len(splits)))].tolist()]
 
 
 def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralResult:

@@ -499,7 +499,7 @@ class TestBatchedDirichlet:
         assert [worst[0], worst[2]] == [_worst_sides(g, [fs[0]])[0], _worst_sides(g, [fs[2]])[0]]
 
     def test_small_pieces_share_one_padded_stack(self, monkeypatch, tmp_path):
-        potentials, stacks, built = [], [], []
+        potentials, stacks, held, built = [], [], [], []
 
         def recorded_worst_sides(graph, fs):
             potentials.extend(fs)
@@ -508,6 +508,9 @@ class TestBatchedDirichlet:
         def counted_eigenpairs(blocks, ground, mass, k, pad=None):
             if k == 0:
                 stacks.append(blocks.shape)
+                # the vertices each problem of the stack holds, pads aside
+                held.extend([blocks.shape[1]] * len(blocks) if pad is None
+                            else (~pad).sum(axis=1).tolist())
             return eigenpairs(blocks, ground, mass, k, pad)
 
         worst_sides, eigenpairs = suite._worst_sides, spectral._eigenpairs
@@ -519,13 +522,17 @@ class TestBatchedDirichlet:
         # a side's pieces are components of the parent graph, {f < 0} or {f > 0}
         sizes = [len(piece) for f in np.array(potentials) for side in (f < 0.0, f > 0.0)
                  for piece in components(g, np.flatnonzero(side).tolist())]
+        # a one-vertex piece is solved in closed form and never reaches the
+        # stacks; every other piece of at most min(8, n - 1) vertices is
+        # padded to that width, and each larger size keeps a stack of its own
+        assert 1 in sizes and min(held) >= 2
+        sizes = [size for size in sizes if size >= 2]
         assert len(set(sizes)) > 1
-        # every piece of at most min(8, n - 1) vertices is padded to that
-        # width; each larger size keeps a stack of its own
         small = min(spectral.SMALL_PIECE, g.vertex_count - 1)
         widths = [small] + sorted({size for size in sizes if size > small})
         assert sorted(shape[1] for shape in stacks) == widths
-        assert sum(shape[0] for shape in stacks) == len(sizes)
+        assert sum(shape[0] for shape in stacks) == len(sizes) == len(held)
+        assert sorted(held) == sorted(sizes)
 
         # the constructor validates every graph once: a pinch or ressum run
         # builds no graph after the parse, and no module calls `pinch`
@@ -546,11 +553,24 @@ class TestBatchedDirichlet:
 
 
 class TestPaddedPieces:
-    """`ground_modes` pads every piece of at most min(8, n - 1) vertices to
-    that width. Each problem must keep the outcome of its pieces solved
-    alone and unpadded: the typed error and message, or the same piece,
-    its eigenvalue within 1e-14 relative and its eigenvector close up to
+    """`ground_modes` solves a one-vertex piece in closed form where its
+    eigenvalue is a positive normal double with a finite whitened entry,
+    and pads every other piece of at most min(8, n - 1) vertices to that
+    width. Each problem must keep the outcome of its pieces solved alone
+    and unpadded: the typed error and message, or the same piece, its
+    eigenvalue within 1e-14 relative and its eigenvector close up to
     sign, with exactly the piece's length."""
+
+    @staticmethod
+    def each_piece(g, sides, ground):
+        """Every piece of every side posed as a problem of its own, with its
+        side's ground row."""
+        posed = [(piece, row) for side, row in zip(sides, ground)
+                 for piece in components(g, np.flatnonzero(side).tolist())]
+        pieces = np.zeros((len(posed), g.vertex_count), dtype=bool)
+        for k, (piece, _) in enumerate(posed):
+            pieces[k, piece] = True
+        return pieces, np.array([row for _, row in posed]).reshape(-1, g.vertex_count)
 
     @staticmethod
     def unpadded(g, side, ground):
@@ -584,19 +604,72 @@ class TestPaddedPieces:
         g = corpus_graph(4)
         n = g.vertex_count
         assert spectral.ground_modes(g, np.zeros((0, n), dtype=bool), np.zeros((0, n))) == []
+        # a side with no vertex has no mode to give, not its neighbour's
+        sides = np.zeros((3, n), dtype=bool)
+        sides[[0, 2], 1] = True
+        with pytest.raises(ValueError):
+            spectral.ground_modes(g, sides, conductance_to(g, ~sides))
 
     def test_corpus_sides(self):
         rng = np.random.default_rng(7)
-        padded = 0
+        padded = lone = 0
         for i in range(40):
             g = corpus_graph(i, 3, 12)
             n = g.vertex_count
             sides = rng.random((6, n)) < 0.5
             sides[:, rng.integers(n, size=6)] = False  # never all of V
             sides = sides[sides.any(axis=1)]
-            got = self.assert_unpadded(g, sides, conductance_to(g, ~sides))
+            ground = conductance_to(g, ~sides)
+            got = self.assert_unpadded(g, sides, ground)
             padded += sum(len(piece) < min(spectral.SMALL_PIECE, n - 1) for piece, _, _ in got)
-        assert padded >= 100
+            # every piece, the closed-form ones among them, against the lone route
+            got = self.assert_unpadded(g, *self.each_piece(g, sides, ground))
+            lone += sum(len(piece) == 1 for piece, _, _ in got)
+        assert padded >= 100 and lone >= 100
+
+    def test_one_vertex_pieces_are_exact(self):
+        # sparse sides leave many one-vertex pieces {v}; each mode is
+        # lam = ground / mass and x = [mass ** -0.5] to the last bit
+        rng = np.random.default_rng(11)
+        lone = 0
+        for seed in range(10):
+            n = int(rng.integers(20, 41))
+            g = random_graph(n, 0.05, (0.1, 10.0), (0.1, 10.0), seed=seed)
+            sides = rng.random((6, n)) < 0.5
+            pieces, ground = self.each_piece(g, sides, conductance_to(g, ~sides))
+            for (piece, lam, x), row in zip(spectral.ground_modes(g, pieces, ground), ground):
+                if len(piece) == 1:
+                    [v] = piece
+                    assert lam == row[v] / g.masses[v]
+                    assert x.tolist() == [g.masses[v] ** -0.5]
+                    lone += 1
+        assert lone >= 100
+
+    def test_lone_vertex_below_the_normal_doubles_keeps_the_stacked_route(self):
+        # lam = 1e-300 / 1e300 underflows to 0.0, which the closed form
+        # must not answer: the stacked route's polish overflows instead
+        g = path_graph([1.0, 1e300], [1e-300])
+        with pytest.raises(errors.NoConvergence) as got:
+            dirichlet_eigenvalue(g, VertexSet.of([0]))
+        assert str(got.value) == "inverse iteration overflowed in double precision"
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_identical_pieces_lowest_id_wins(self, size):
+        # a path whose middle vertex is pinned leaves two mirror copies of
+        # a path on `size` vertices; problem 1 poses the upper copy alone
+        # and problem 2 lowers its ground, so it wins there
+        n = 2 * size + 1
+        g = path_graph([2.0] * size + [1.0] + [2.0] * size, [3.0] * (n - 1))
+        low, high = list(range(size)), list(range(size + 1, n))
+        sides = np.ones((3, n), dtype=bool)
+        sides[:, size] = False
+        sides[1, low] = False
+        ground = conductance_to(g, ~sides)
+        ground[2, size + 1] *= 0.5
+        got = self.assert_unpadded(g, sides, ground)
+        assert [piece for piece, _, _ in got] == [low, high, high]
+        assert got[0][1] == pytest.approx(got[1][1], rel=spectral.TIE_RTOL, abs=0.0)
+        assert got[2][1] < got[0][1]
 
     def test_lone_vertex_with_no_ground_is_singular(self):
         g = path_graph([1.0] * 4, [1.0, 2.0, 3.0])
