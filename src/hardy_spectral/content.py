@@ -491,13 +491,13 @@ def level_set_quotient(graph: WeightedGraph, boundary: VertexSet,
     """
     x = as_potential(graph, x)
     n = graph.vertex_count
-    interior_of(graph, boundary)
+    on_boundary = np.flatnonzero(~interior_of(graph, boundary)).tolist()
 
     scale = float(np.max(np.abs(x)))
     if scale == 0.0:
         raise errors.ZeroVector("potential is identically zero")
     tol = LEVEL_GROUP_RTOL * scale
-    for v in boundary:
+    for v in on_boundary:
         if abs(x[v]) > tol:
             raise errors.BoundaryNotZero(f"x[{v}] = {x[v]!r} on the boundary")
 

@@ -56,11 +56,11 @@ class DuplicateEdge(GraphValidationError):
 # -- builders and surgeries ------------------------------------------------
 
 class LengthMismatch(HardySpectralError):
-    pass
+    """A length that disagrees with the vertex count, or a vertex id of no vertex."""
 
 
 class BadRange(HardySpectralError):
-    pass
+    """A vertex id that is no integer or is negative, or a builder's parameter out of range."""
 
 
 class NoSuchEdge(HardySpectralError):
@@ -120,7 +120,7 @@ class ZeroMass(HardySpectralError):
 
 
 class BadBoundary(HardySpectralError):
-    pass
+    """A boundary that is empty or holds every vertex, or none where one is needed."""
 
 
 class EmptyFixedSet(HardySpectralError):
@@ -173,9 +173,9 @@ class BoundaryNotZero(HardySpectralError):
 # -- run requests ----------------------------------------------------------
 
 class BadRequest(HardySpectralError, ValueError):
-    """A request refused before any work: a run `run_suite` refuses, or a
-    command-line argument or file the CLI cannot use. A ValueError too, so
-    code that catches ValueError still catches it."""
+    """A request refused before any work: a run `run_suite` refuses, a CLI
+    argument or file the CLI cannot use, or a label `serialize_wgr` cannot
+    write. Also a ValueError, so code catching ValueError still catches it."""
 
 
 # -- file parsing ----------------------------------------------------------

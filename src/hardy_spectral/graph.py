@@ -32,7 +32,7 @@ ZERO_RTOL = 1e-12
 
 
 def _vertex_id(i) -> int:
-    """The integer `i` names: an int, or a real of integral value."""
+    """The integer `i` names (an int, or a real of integral value), else BadRange."""
     try:
         if int(i) == i:
             return int(i)
@@ -115,7 +115,7 @@ class WeightedGraph:
             raise errors.LengthMismatch("labels length != vertex count")
         norm = []
         for (u, v, k) in self.edges:
-            u, v = int(u), int(v)
+            u, v = _vertex_id(u), _vertex_id(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise errors.LengthMismatch(f"edge ({u},{v}) out of range for n={n}")
             if u > v:
@@ -176,10 +176,19 @@ class WeightedGraph:
         return adj
 
     def _vertex(self, v: int) -> int:
-        """v, if it is a vertex id of this graph; else LengthMismatch."""
+        """The int v names, the one check of a vertex id: BadRange unless v
+        is integral (`_vertex_id`), then LengthMismatch unless 0 <= v < n."""
+        v = _vertex_id(v)
         if not 0 <= v < self.vertex_count:
             raise errors.LengthMismatch(f"vertex id {v} out of range for n={self.vertex_count}")
         return v
+
+    def row(self, ids: Iterable[int]) -> np.ndarray:
+        """The vertices `ids` name, each checked by `_vertex`, as a boolean
+        row over the vertices."""
+        row = np.zeros(self.vertex_count, dtype=bool)
+        row[[self._vertex(v) for v in ids]] = True
+        return row
 
     def degree(self, v: int) -> float:
         """W(v, V), W's row sum and L's diagonal entry (inf past the doubles)."""
@@ -308,15 +317,13 @@ def require_both_signs(x) -> None:
 
 
 def interior_of(graph: WeightedGraph, boundary: VertexSet) -> np.ndarray:
-    """The vertices off the boundary as a boolean row over the vertices;
-    raise BadBoundary unless the boundary is a proper nonempty subset of
-    the vertex ids."""
-    n = graph.vertex_count
-    bset = set(boundary.members)
-    if not bset or len(bset) >= n or any(not (0 <= v < n) for v in bset):
-        raise errors.BadBoundary(f"boundary must be a proper nonempty subset of 0..{n-1}")
-    inside = np.ones(n, dtype=bool)
-    inside[list(bset)] = False
+    """The vertices off the boundary as a boolean row over the vertices.
+    Each boundary id is checked by `graph.row`; then BadBoundary unless
+    the boundary is nonempty and leaves a vertex off it."""
+    inside = ~graph.row(boundary)
+    if inside.all() or not inside.any():
+        raise errors.BadBoundary(
+            f"boundary must be a proper nonempty subset of 0..{graph.vertex_count - 1}")
     return inside
 
 
@@ -451,9 +458,9 @@ def split_edge(graph: WeightedGraph, edge: tuple[int, int],
     quadratic form of any potential is preserved under linear extension
     onto the chain.
     """
-    u, v = (edge[0], edge[1]) if edge[0] < edge[1] else (edge[1], edge[0])
+    u, v = sorted(map(graph._vertex, edge[:2]))
     # every edge of a valid graph has conductance > 0, and W is zero elsewhere
-    if not (0 <= u < v < graph.vertex_count and graph.conductance_matrix[u, v] > 0.0):
+    if not graph.conductance_matrix[u, v] > 0.0:
         raise errors.NoSuchEdge(u, v)
     fr = [float(a) for a in fractions]
     if not fr or any(a <= 0.0 for a in fr):
@@ -488,9 +495,8 @@ def contract(graph: WeightedGraph, vs: VertexSet) -> tuple[WeightedGraph, int]:
     """
     if len(vs) == 0:
         raise errors.EmptySet("cannot contract the empty set")
-    inside = set(vs.members)
-    if any(not (0 <= v < graph.vertex_count) for v in inside):
-        raise errors.LengthMismatch("contraction set contains out-of-range ids")
+    members = np.flatnonzero(graph.row(vs)).tolist()
+    inside = set(members)
 
     survivors = [v for v in range(graph.vertex_count) if v not in inside]
     remap = {v: i for i, v in enumerate(survivors)}
@@ -509,7 +515,7 @@ def contract(graph: WeightedGraph, vs: VertexSet) -> tuple[WeightedGraph, int]:
     labels = None
     if graph.labels is not None:
         labels = tuple(graph.labels[v] for v in survivors) + (
-            "+".join(graph.labels[v] for v in vs.members),)
+            "+".join(graph.labels[v] for v in members),)
     edges = tuple((a, b, k) for (a, b), k in sorted(acc.items()))
     return WeightedGraph(masses, edges, labels), merged
 

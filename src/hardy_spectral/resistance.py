@@ -111,13 +111,9 @@ def pinned_energies(graph: WeightedGraph, held: np.ndarray, free: np.ndarray,
 def effective_resistance(graph: WeightedGraph, a: VertexSet, b: VertexSet) -> float:
     """R(A, B): Kron-reduce the network onto A u B, posed as masks: A held
     at 1, the rest eliminated, B held at 0 with ground W(., B)."""
-    n = graph.vertex_count
-    if any(not (0 <= v < n) for v in list(a) + list(b)):
-        raise errors.LengthMismatch("vertex id out of range")
+    held, grounded = graph.row(a)[None], graph.row(b)[None]
     if len(a) == 0 or len(b) == 0:
         raise errors.EmptySet("resistance needs two nonempty sets")
-    held, grounded = np.zeros((2, 1, n), dtype=bool)
-    held[0, list(a)] = grounded[0, list(b)] = True
     shared = np.flatnonzero(held & grounded).tolist()
     if shared:
         raise errors.SetsOverlap(f"sets share vertices {shared}")

@@ -313,17 +313,14 @@ def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.n
     """
     if not fixed:
         raise errors.EmptyFixedSet("need at least one fixed vertex")
-    n = graph.vertex_count
-    if any(not (0 <= v < n) for v in fixed):
-        raise errors.LengthMismatch("fixed vertex id out of range")
-
-    x = np.zeros(n)
+    held = graph.row(fixed)
+    x = np.zeros(len(held))
     for v, val in fixed.items():
-        x[v] = float(val)
-    free = [v for v in range(n) if v not in fixed]
-    if free:
+        x[int(v)] = float(val)
+    free = np.flatnonzero(~held)
+    if free.size:
         lap = laplacian(graph)
-        fixed_ids = sorted(fixed)
+        fixed_ids = np.flatnonzero(held)
         rhs = -(lap[np.ix_(free, fixed_ids)] @ x[fixed_ids])
         x[free] = cholesky_solve(lap[np.ix_(free, free)], rhs)
     return x
@@ -335,9 +332,7 @@ def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
     feasible x. With a boundary, x must vanish there exactly."""
     x = as_potential(graph, x)
     if boundary is not None:
-        if any(not (0 <= v < graph.vertex_count) for v in boundary):
-            raise errors.BadBoundary(f"boundary ids must lie in 0..{graph.vertex_count - 1}")
-        for v in boundary:
+        for v in np.flatnonzero(graph.row(boundary)).tolist():
             if x[v] != 0.0:
                 raise errors.BoundaryViolated(f"x[{v}] = {x[v]!r} on the boundary")
     denom = float(x @ (graph.mass_vector * x))

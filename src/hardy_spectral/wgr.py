@@ -82,15 +82,17 @@ def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
 
 def serialize_wgr(graph: WeightedGraph, boundary: Optional[VertexSet] = None) -> str:
     """Inverse of parse_wgr: vertices in id order, edges sorted, boundary
-    lines last."""
-    if boundary is not None and any(not (0 <= v < graph.vertex_count) for v in boundary):
-        raise errors.BadBoundary(f"boundary ids must lie in 0..{graph.vertex_count - 1}")
-    lines = []
-    for v in range(graph.vertex_count):
-        lines.append(f"vertex {graph.label(v)} {graph.masses[v]!r}")
-    for (u, v, k) in graph.edges:
-        lines.append(f"edge {graph.label(u)} {graph.label(v)} {k!r}")
+    lines last. Raises BadRequest on a label parse_wgr would not read
+    back as its vertex: one that is empty, holds whitespace, or names
+    another vertex too."""
+    names = [graph.label(v) for v in range(graph.vertex_count)]
+    seen: set[str] = set()
+    for v, name in enumerate(names):
+        if name.split() != [name] or name in seen:
+            raise errors.BadRequest(f"label {name!r} of vertex {v} is not a unique word")
+        seen.add(name)
+    lines = [f"vertex {name} {m!r}" for name, m in zip(names, graph.masses)]
+    lines += [f"edge {names[u]} {names[v]} {k!r}" for (u, v, k) in graph.edges]
     if boundary is not None:
-        for v in boundary:
-            lines.append(f"boundary {graph.label(v)}")
+        lines += [f"boundary {graph.label(v)}" for v in boundary]
     return "\n".join(lines) + "\n"

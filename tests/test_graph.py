@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_spectral import (VertexSet, WeightedGraph, components, contract,
-                            level_set_quotient, neumann_content_sweep,
+                            dirichlet_content_exact, dirichlet_eigenvalue,
+                            effective_resistance, level_set_quotient, neumann_content_sweep,
                             neumann_eigenvalue, path_graph, pinch, random_graph,
-                            rayleigh_quotient, split_edge, validate)
+                            rayleigh_quotient, serialize_wgr, split_edge, validate)
 from hardy_spectral import errors
-from hardy_spectral.graph import pinched_sides, quantize_zeros, zero_crossings
+from hardy_spectral.graph import interior_of, pinched_sides, quantize_zeros, zero_crossings
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import harmonic_extension
 from hardy_spectral.suite import _worst_sides
@@ -20,6 +21,40 @@ from hardy_spectral.wgr import parse_wgr
 
 from conftest import (WEIGHT_RANGE, corpus_graph, edge_energy, mixed_sign_fs, random_vector,
                       sample_without_replacement)
+
+# Every entry point that takes a vertex id from its caller, each passed
+# one id v at one place, on the path 0 - 1 - 2 of ID_GRAPH; v = 1 makes
+# every call valid. A set is passed as built by hand, not by
+# VertexSet.of, so that the entry point's own check is the one tested.
+# Results come back in a form that == compares bit for bit.
+ID_GRAPH = path_graph([1.0, 2.0, 4.0], [1.0, 3.0])
+ID_ENTRIES = {
+    "WeightedGraph": lambda g, v: WeightedGraph(g.masses, ((0, v, 1.0), (1, 2, 3.0))),
+    "label": lambda g, v: g.label(v),
+    "degree": lambda g, v: g.degree(v),
+    "mass_of": lambda g, v: g.mass_of(VertexSet((v,))),
+    "row": lambda g, v: g.row([v]).tolist(),
+    "split_edge-u": lambda g, v: split_edge(g, (v, 2), [0.25, 0.75]),
+    "split_edge-v": lambda g, v: split_edge(g, (0, v), [0.25, 0.75]),
+    "contract": lambda g, v: contract(g, VertexSet((v, 2))),
+    "interior_of": lambda g, v: interior_of(g, VertexSet((v,))).tolist(),
+    "dirichlet_eigenvalue": lambda g, v: dirichlet_eigenvalue(
+        g, VertexSet((v,))).eigenvector.tolist(),
+    "dirichlet_content_exact": lambda g, v: dirichlet_content_exact(g, VertexSet((v,))),
+    "level_set_quotient": lambda g, v: level_set_quotient(g, VertexSet((v,)), [1.0, 0.0, 2.0]),
+    "effective_resistance-a": lambda g, v: effective_resistance(
+        g, VertexSet((v,)), VertexSet((0,))),
+    "effective_resistance-b": lambda g, v: effective_resistance(
+        g, VertexSet((0,)), VertexSet((v,))),
+    "rayleigh_quotient": lambda g, v: rayleigh_quotient(g, [1.0, 0.0, 2.0], VertexSet((v,))),
+    "harmonic_extension": lambda g, v: harmonic_extension(g, {0: 1.0, v: 0.0}).tolist(),
+    "serialize_wgr": lambda g, v: serialize_wgr(g, VertexSet((v,))),
+}
+NOT_INTEGERS = [1.7, 0.9, -0.5, math.nan, math.inf, "2", None]
+
+
+def names_a_vertex(v, n: int) -> bool:
+    return not isinstance(v, str) and math.isfinite(v) and v == int(v) and 0 <= v < n
 
 
 class TestVertexSet:
@@ -47,11 +82,45 @@ class TestVertexSet:
         with pytest.raises(errors.BadRange, match="mask -1 is negative"):
             VertexSet.from_mask(-1)
 
-    @pytest.mark.parametrize("bad", [1.7, 0.9, -0.5, math.nan, math.inf, "2", None])
-    def test_an_id_that_is_no_integer_is_a_typed_error(self, bad):
-        # int() truncated 1.7 to 1, so a set could name the wrong vertex
+    @pytest.mark.parametrize("entry, bad", [
+        *(pytest.param("VertexSet.of", bad, id=str(bad)) for bad in NOT_INTEGERS + [0.7, "1"]),
+        *(pytest.param(entry, bad, id=f"{entry}-{bad}")
+          for entry in ID_ENTRIES for bad in (0.7, math.nan, "1")),
+    ])
+    def test_an_id_that_is_no_integer_is_a_typed_error(self, entry, bad):
+        # int() truncated 1.7 to 1, so an id could name the wrong vertex
+        call = ID_ENTRIES.get(entry, lambda g, v: VertexSet.of([v, 3]))
         with pytest.raises(errors.BadRange, match=f"vertex id {bad} is not an integer"):
-            VertexSet.of([bad, 3])
+            call(ID_GRAPH, bad)
+
+    @pytest.mark.parametrize("entry", ID_ENTRIES)
+    @pytest.mark.parametrize("v", [3, -1, 3.0, 10 ** 30], ids=["3", "-1", "3.0", "10**30"])
+    def test_an_id_off_the_graph_is_one_typed_error(self, entry, v):
+        with pytest.raises(errors.LengthMismatch) as exc:
+            ID_ENTRIES[entry](ID_GRAPH, v)
+        # the constructor names the edge that holds the id
+        where = f"edge (0,{int(v)})" if entry == "WeightedGraph" else f"vertex id {int(v)}"
+        assert str(exc.value) == f"{where} out of range for n=3"
+
+    @pytest.mark.parametrize("entry", ID_ENTRIES)
+    @pytest.mark.parametrize("v", [1.0, np.float64(1.0), np.int64(1), True],
+                             ids=["1.0", "float64", "int64", "True"])
+    def test_an_integral_id_acts_as_its_int(self, entry, v):
+        assert ID_ENTRIES[entry](ID_GRAPH, v) == ID_ENTRIES[entry](ID_GRAPH, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(entry=st.sampled_from(sorted(ID_ENTRIES)),
+           v=st.one_of(st.integers(-3, 6), st.floats(), st.text(max_size=2)))
+    def test_any_id_gives_a_result_or_a_typed_error(self, entry, v):
+        # components is left out: it keeps its own range check, one per
+        # call, and takes ids only from the library's own arrays
+        try:
+            ID_ENTRIES[entry](ID_GRAPH, v)
+        except errors.HardySpectralError as exc:
+            if not names_a_vertex(v, 3):
+                assert isinstance(exc, (errors.BadRange, errors.LengthMismatch))
+        else:
+            assert names_a_vertex(v, 3)
 
     def test_integral_ids_of_any_type_are_kept(self):
         assert VertexSet.of([2.0, np.int64(0), np.float64(1.0), True]).members == (0, 1, 2)
@@ -389,7 +458,7 @@ class TestContract:
             contract(p3, VertexSet.of([]))
 
     def test_out_of_range_id(self, p3):
-        with pytest.raises(errors.LengthMismatch, match="out-of-range"):
+        with pytest.raises(errors.LengthMismatch, match="vertex id 3 out of range for n=3"):
             contract(p3, VertexSet.of([1, 3]))
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -116,8 +117,24 @@ class TestParse:
     @pytest.mark.parametrize("labels", [None, ("a", "b", "c")])
     def test_serialize_refuses_a_boundary_off_the_graph(self, labels):
         g = WeightedGraph((1.0, 1.0, 1.0), ((0, 1, 1.0), (1, 2, 1.0)), labels)
-        with pytest.raises(errors.BadBoundary, match="0..2"):
+        with pytest.raises(errors.LengthMismatch, match="vertex id 7 out of range for n=3"):
             serialize_wgr(g, VertexSet.of([7]))
+
+    @pytest.mark.parametrize("labels", [("a b", "c"), ("a", "a"), ("", "c"), ("x\ny", "c")])
+    def test_serialize_refuses_a_label_parse_would_refuse(self, labels):
+        # parse_wgr reads a name as one whitespace-free word, once
+        g = WeightedGraph((1.0, 2.0), ((0, 1, 1.0),), labels)
+        with pytest.raises(errors.BadRequest, match=re.escape(repr(labels[0]))):
+            serialize_wgr(g)
+
+    def test_round_trip_of_labelled_graph(self):
+        # names that only look like syntax, and the name a split gives
+        g = WeightedGraph((1.0, 2.0, 0.5, 0.0, 3.0),
+                          ((0, 1, 1.5), (1, 3, 2.0), (2, 3, 0.1), (0, 4, 0.25)),
+                          ("a", "#b", "vertex", "a*b.0", "\u00e9"))
+        text = serialize_wgr(g, VertexSet.of([1, 4]))
+        assert parse_wgr(text) == (g, VertexSet.of([1, 4]))
+        assert serialize_wgr(*parse_wgr(text)) == text
 
 
 class TestChecks:

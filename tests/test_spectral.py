@@ -265,7 +265,7 @@ class TestRayleighQuotient:
             rayleigh_quotient(p3, np.array([0.5, 1.0, 0.0]), VertexSet.of([0]))
 
     def test_boundary_off_the_graph(self, p3):
-        with pytest.raises(errors.BadBoundary, match="0..2"):
+        with pytest.raises(errors.LengthMismatch, match="vertex id 5 out of range for n=3"):
             rayleigh_quotient(p3, [0.0, 1.0, 2.0], VertexSet.of([5]))
 
     def test_boundary_of_every_vertex_leaves_a_zero_vector(self, p3):
