@@ -19,11 +19,15 @@ nonnegative terms (`w_ik += (w_ij / d_j) w_jk`, with `d_j` a sum of
 conductances), so nothing cancels. The walk is depth first over stacks
 of partial networks, each level one vectorised step for the whole
 stack; a stack is cut in half while its children would exceed
-CHUNK_ENTRIES numbers, keeping only a running minimum. The level-set
-sweep eliminates through `resistance.kron_slots`, as every pinned
-problem does, along one path per set A: in the potential's order every
-A is a prefix and every B a suffix, so one pass reads the energies of
-all of A's pairs.
+CHUNK_ENTRIES numbers, keeping only a running minimum. The last vertex
+is scored in closed form: a network with one vertex left has three
+entries, its two conductances to the terminals and theirs to each
+other, and each choice's energy is one sum of them, or for an
+elimination kron_step's own arithmetic on them, so the leaf networks
+are never built. The level-set sweep eliminates through
+`resistance.kron_slots`, as every pinned problem does, along one path
+per set A: in the potential's order every A is a prefix and every B a
+suffix, so one pass reads the energies of all of A's pairs.
 The isoperimetric constant needs no energy: one table holds the cut of
 every mask, grown one vertex at a time by adding conductances, another
 the mass of every mask, and the masks of A are scored against both in
@@ -221,6 +225,42 @@ def _branch(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: 
     return out, out_mu, out_key
 
 
+def _leaves(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: int,
+            choices: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leaves below a stack with one vertex left (k = 3), as (energy,
+    mu, key) for the children of _branch, in their order, with no leaf
+    network built.
+
+    Each network has three entries: r0 = net[0, 1] and r1 = net[0, 2],
+    the vertex's conductances to the terminals, and e = net[1, 2], the
+    terminals' own. The energy, the terminals' conductance in the child,
+    is e + (r0 / d * (d / d)) * r1 with d = r0 + r1 if the vertex is
+    eliminated, which is kron_step's arithmetic bit for bit (a pivot of 0
+    or inf gives NaN), e + r1 if it merges into the first terminal and
+    e + r0 if into the second; mu and key change as in _branch.
+    """
+    r0, r1, e = net[0, 1], net[0, 2], net[1, 2]
+    picks = [_pick(keep) for keep, _ in choices]
+    bases = [e[rows] for rows in picks]
+    energy = np.empty(sum(base.size for base in bases))
+    out_mu = np.empty((2, energy.size))
+    out_key = np.empty((2, energy.size), dtype=np.int64)
+    at = 0
+    for rows, base, (_, terminal) in zip(picks, bases, choices):
+        here = slice(at, at + base.size)
+        at += base.size
+        out_mu[:, here], out_key[:, here] = mu[:, rows], key[:, rows]
+        if terminal is None:
+            a, b = r0[rows], r1[rows]
+            d = a + b
+            np.add(base, (a / d * (d / d)) * b, out=energy[here])
+        else:
+            np.add(base, (r1, r0)[terminal][rows], out=energy[here])
+            out_mu[terminal, here] += mass
+            out_key[terminal, here] |= bit
+    return energy, out_mu, out_key
+
+
 def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, options,
                   score) -> Optional[tuple[float, int]]:
     """(ratio, key) of the winning leaf of a decision tree of Kron
@@ -235,7 +275,10 @@ def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, optio
     conductance between the terminals at the leaves into (ratios, keys).
     A stack whose children would exceed CHUNK_ENTRIES numbers is cut in
     half first; the deferred half is copied, so it does not keep its
-    parent alive.
+    parent alive. A stack with one vertex left is then scored by _leaves,
+    in closed form from its three entries, so no leaf network is built;
+    every other stack branches. Both callers decide at least one vertex,
+    so the root has k >= 3.
 
     A reduced conductance or a pivot that overflows spreads inf or NaN to
     the energy, which raises NotRepresentable (the diagonal is never
@@ -249,18 +292,18 @@ def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, optio
         while pending:
             net, mu, key = stack = pending.pop()
             k, _, m = net.shape
-            if k == 2:
-                if not np.isfinite(net[0, 1]).all():
-                    raise errors.NotRepresentable(
-                        "a reduced conductance overflowed in double precision")
-                best.offer(*score(net[0, 1], mu, key))
-                continue
+            i = f + 2 - k
             choices = options(key, k - 3)
             if m > 1 and len(choices) * m * (k - 1) ** 2 > CHUNK_ENTRIES:
                 pending.append(tuple(x[..., m // 2:].copy() for x in stack))
                 pending.append(tuple(x[..., :m // 2] for x in stack))
+            elif k == 3:
+                energy, mu, key = _leaves(net, mu, key, mass[i], bits[i], choices)
+                if not np.isfinite(energy).all():
+                    raise errors.NotRepresentable(
+                        "a reduced conductance overflowed in double precision")
+                best.offer(*score(energy, mu, key))
             else:
-                i = f + 2 - k
                 pending.append(_branch(net, mu, key, mass[i], bits[i], choices))
     return best.winner
 

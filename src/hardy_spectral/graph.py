@@ -38,7 +38,7 @@ def _vertex_id(i) -> int:
             return int(i)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise errors.BadRange(f"vertex id {i} is not an integer")
+    raise errors.BadRange(f"vertex id {i!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -456,9 +456,13 @@ def split_edge(graph: WeightedGraph, edge: tuple[int, int],
     Fractions must be positive and sum to 1; segment i gets conductance
     kappa / fractions[i], and the inserted chain vertices get mass 0. The
     quadratic form of any potential is preserved under linear extension
-    onto the chain.
+    onto the chain. An edge must name two vertices (a third entry, its
+    conductance, is ignored), else BadRange.
     """
-    u, v = sorted(map(graph._vertex, edge[:2]))
+    ends = tuple(edge[:2])
+    if len(ends) != 2:
+        raise errors.BadRange(f"edge {edge!r} does not name two vertices")
+    u, v = sorted(map(graph._vertex, ends))
     # every edge of a valid graph has conductance > 0, and W is zero elsewhere
     if not graph.conductance_matrix[u, v] > 0.0:
         raise errors.NoSuchEdge(u, v)

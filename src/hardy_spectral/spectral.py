@@ -309,7 +309,8 @@ def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.n
     """Minimum-energy potential agreeing with `fixed`.
 
     The free values solve L_FF x_F = -L_FB x_B, an SPD system whenever the
-    graph is connected and at least one vertex is fixed.
+    graph is connected and at least one vertex is fixed. A fixed value of
+    NaN or inf raises NonFinitePotential at the first such vertex.
     """
     if not fixed:
         raise errors.EmptyFixedSet("need at least one fixed vertex")
@@ -317,6 +318,7 @@ def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.n
     x = np.zeros(len(held))
     for v, val in fixed.items():
         x[int(v)] = float(val)
+    as_potential(graph, x)  # NonFinitePotential at the first bad fixed vertex
     free = np.flatnonzero(~held)
     if free.size:
         lap = laplacian(graph)

@@ -947,3 +947,143 @@ class TestSweepElimination:
         # vertex 1's pivot overflows: dropping its fill would read 2.0
         with pytest.raises(errors.NotRepresentable):
             neumann_content_sweep(overflowing_pivot_graph(), np.array([-1.0, 0.5, 1.0]))
+
+
+def branch_leaves(net, mu, key, mass, bit, choices):
+    """The reference for content._leaves: the (2, 2) children that
+    _branch builds, eliminating with kron_step, read at [0, 1]."""
+    out, out_mu, out_key = content._branch(net, mu, key, mass, bit, choices)
+    return out[0, 1], out_mu, out_key
+
+
+def leaf_stack(rng, m):
+    """A random (3, 3, m) stack of networks with one vertex left, its
+    terminals' masses and keys: conductances spread over six decades,
+    some exactly 0 (an empty terminal, a vertex that meets neither
+    terminal), and B's key 0 in some networks."""
+    w = 10.0 ** rng.uniform(-3.0, 3.0, (3, 3, m))
+    w[rng.random((3, 3, m)) < 0.15] = 0.0
+    net = w + w.transpose(1, 0, 2)
+    mu = rng.uniform(0.0, 3.0, (2, m))
+    key = rng.integers(0, 1 << 20, (2, m))
+    key[1, rng.random(m) < 0.3] = 0
+    return net, mu, key
+
+
+def psi_options(key, left):
+    return [(None, 0), (None, None)]
+
+
+def psi2_options(key, left):
+    """The choices neumann_content_exact gives the vertex at hand."""
+    has_b = key[1] != 0
+    return [(has_b | (left > 1), None), (has_b, 0), (None, 1)]
+
+
+LAST_VERTEX_TIE_GRAPHS = {
+    **TIE_GRAPHS,
+    "star-0.1": WeightedGraph((1.0,) * 5, tuple((0, v, 0.1) for v in range(1, 5))),
+}
+
+
+class TestClosedFormLeaves:
+    """The tree scores its last vertex from three entries of each network
+    (content._leaves) instead of building the (2, 2) leaf networks. The
+    reference is the tree's former path, _branch with kron_step.
+
+    Against the mutation that rewrites the leaf's elimination as
+    a * b / d: the bit-for-bit test, the pivot test (through its
+    representable 1e200 triangle), the root-is-leaf test and the tie
+    test on the star of conductance 0.1 fail. The n = 2 test cannot: its
+    one eliminated leaf has an empty A, so a = 0 and both forms give 0;
+    it pins the value and witness of the smallest psi2."""
+
+    def test_bit_for_bit_as_branch_children(self):
+        rng = np.random.default_rng(11)
+        m = 64
+        runs = [np.arange(m) < m, np.arange(m) < 0, (np.arange(m) >= 5) & (np.arange(m) < 40),
+                rng.random(m) < 0.5]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(20):
+                net, mu, key = leaf_stack(rng, m)
+                masks = [psi_options(key, 0), psi2_options(key, 0)]
+                masks += [[(keep, None), (keep, 0), (~keep, 1)] for keep in runs]
+                for choices in masks:
+                    got = content._leaves(net, mu, key, 0.5, 1 << 21, choices)
+                    ref = branch_leaves(net, mu, key, 0.5, 1 << 21, choices)
+                    for g, r in zip(got, ref):
+                        assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+    def test_zero_and_overflowing_pivots_raise_and_huge_conductances_do_not(self):
+        score = lambda energy, mu, key: (energy, key[0])  # noqa: E731
+        # the last vertex meets neither terminal: its pivot is 0
+        net = np.zeros((3, 3))
+        net[1, 2] = net[2, 1] = 1.0
+        with pytest.raises(errors.NotRepresentable, match="overflowed"):
+            content._tree_minimum(net, np.ones(1), np.ones(1, dtype=np.int64),
+                                  lambda key, left: [(None, None), (None, 0)], score)
+        # the last vertex decided meets both terminals through 1e308, so its
+        # pivot overflows: interior {0, 1} in id order for psi, and the ids
+        # from the highest down for psi2
+        psi_graph = WeightedGraph((1.0,) * 3, ((0, 1, 1e308), (0, 2, 1.0), (1, 2, 1e308)))
+        psi2_graph = WeightedGraph((1.0,) * 3, ((0, 1, 1e308), (0, 2, 1e308), (1, 2, 1.0)))
+        with pytest.raises(errors.NotRepresentable, match="overflowed"):
+            dirichlet_content_exact(psi_graph, VertexSet.of([2]))
+        with pytest.raises(errors.NotRepresentable, match="overflowed"):
+            neumann_content_exact(psi2_graph)
+        # at 1e200 only the product a * b overflows, which the division
+        # first never forms: the contents scale with the conductances
+        def contents(scale):
+            g = WeightedGraph((1.0,) * 3, ((0, 1, scale), (0, 2, 0.5 * scale), (1, 2, scale)))
+            return dirichlet_content_exact(g, VertexSet.of([2])), neumann_content_exact(g)
+
+        for unit, big in zip(contents(1.0), contents(1e200)):
+            assert big.value == pytest.approx(1e200 * unit.value, rel=1e-14)
+            assert (big.witness_a, big.witness_b) == (unit.witness_a, unit.witness_b)
+
+    def test_root_is_the_leaf_level(self, monkeypatch):
+        # an interior of one vertex: its energy is its conductance to S
+        g = path_graph([1.0, 0.3, 2.0], [0.1, 0.2])
+        res = dirichlet_content_exact(g, VertexSet.of([0, 2]))
+        assert res.value.hex() == ((0.1 + 0.2) / 0.3).hex() and res.witness_a.members == (1,)
+        # roots of one vertex whose terminals already hold conductance, every
+        # choice scored by its energy: the elimination always wins, as
+        # r0 r1 / (r0 + r1) <= min(r0, r1)
+        rng = np.random.default_rng(13)
+        every = lambda key, left: [(None, None), (None, 0), (None, 1)]  # noqa: E731
+        score = lambda energy, mu, key: (energy, 2 * key[0] + key[1])  # noqa: E731
+        for _ in range(40):
+            net = leaf_stack(rng, 1)[0][..., 0]
+            net[0, 1:] = net[1:, 0] = rng.uniform(0.1, 10.0, 2)
+            args = (net, np.ones(1), np.ones(1, dtype=np.int64), every, score)
+            got = content._tree_minimum(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(content, "_leaves", branch_leaves)
+                ref = content._tree_minimum(*args)
+            assert got[0].hex() == ref[0].hex() and got[1] == ref[1] == 0
+
+    def test_psi2_of_two_vertices(self):
+        g = WeightedGraph((0.3, 0.7), ((0, 1, 0.1),))
+        res = neumann_content_exact(g)
+        assert res.value.hex() == ((1.0 / 0.3 + 1.0 / 0.7) * (0.0 + 0.1)).hex()
+        assert (res.witness_a.members, res.witness_b.members) == ((0,), (1,))
+
+    @pytest.mark.parametrize("name", sorted(LAST_VERTEX_TIE_GRAPHS))
+    def test_ties_at_the_last_vertex_pick_the_smallest_key(self, name, monkeypatch):
+        # star, boundary {0}: every set of leaves ties, so {1} beats {1, 4},
+        # which differs from it only in the last vertex decided. In psi2 the
+        # last vertex decided is 0: on the star it is eliminated between
+        # the tied pairs of leaves, and the winner ({1}, {2}) reads
+        # 0.1 / 0.2 * 0.1, where 0.1 * 0.1 / 0.2 is an ulp above
+        g = LAST_VERTEX_TIE_GRAPHS[name]
+        s = VertexSet.of([0])
+        got = dirichlet_content_exact(g, s), neumann_content_exact(g)
+        monkeypatch.setattr(content, "_leaves", branch_leaves)
+        ref = dirichlet_content_exact(g, s), neumann_content_exact(g)
+        for a, b in zip(got, ref):
+            assert a.value.hex() == b.value.hex()
+            assert (a.witness_a, a.witness_b) == (b.witness_a, b.witness_b)
+        _, _, a = smallest_key_in_tie_class(psi_candidates(g, s))
+        _, _, a2, b2 = smallest_key_in_tie_class(psi2_candidates(g))
+        assert got[0].witness_a.members == a
+        assert (got[1].witness_a.members, got[1].witness_b.members) == (tuple(a2), tuple(b2))

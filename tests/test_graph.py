@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -90,8 +91,13 @@ class TestVertexSet:
     def test_an_id_that_is_no_integer_is_a_typed_error(self, entry, bad):
         # int() truncated 1.7 to 1, so an id could name the wrong vertex
         call = ID_ENTRIES.get(entry, lambda g, v: VertexSet.of([v, 3]))
-        with pytest.raises(errors.BadRange, match=f"vertex id {bad} is not an integer"):
+        with pytest.raises(errors.BadRange, match=re.escape(f"vertex id {bad!r} is not an integer")):
             call(ID_GRAPH, bad)
+
+    def test_a_text_id_reads_as_text(self):
+        with pytest.raises(errors.BadRange) as info:
+            VertexSet.of(["1"])
+        assert str(info.value) == "vertex id '1' is not an integer"
 
     @pytest.mark.parametrize("entry", ID_ENTRIES)
     @pytest.mark.parametrize("v", [3, -1, 3.0, 10 ** 30], ids=["3", "-1", "3.0", "10**30"])
@@ -393,6 +399,13 @@ class TestSplitEdge:
         g = path_graph([1, 1, 1], [1, 1])
         with pytest.raises(errors.NoSuchEdge):
             split_edge(g, (0, 2), [0.5, 0.5])
+
+    @pytest.mark.parametrize("edge", [(1,), ()])
+    def test_edge_of_fewer_than_two_vertices_is_a_typed_error(self, edge):
+        # tuple unpacking once raised a bare ValueError
+        g = path_graph([1, 1, 1], [1, 1])
+        with pytest.raises(errors.BadRange, match="does not name two vertices"):
+            split_edge(g, edge, [0.5, 0.5])
 
     @pytest.mark.parametrize("fractions", [[0.5, 0.6], [0.5, -0.5, 1.0], []])
     def test_bad_fractions(self, fractions):

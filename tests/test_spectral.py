@@ -225,6 +225,14 @@ class TestHarmonicExtension:
         with pytest.raises(errors.EmptyFixedSet):
             harmonic_extension(p3, {})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_fixed_value_is_a_typed_error(self, p3, bad):
+        # NaN or inf once spread to every free vertex with no error
+        for fixed, vertex in (({0: bad, 2: 1.0}, 0), ({2: bad, 0: 1.0, 1: bad}, 1)):
+            with pytest.raises(errors.NonFinitePotential) as info:
+                harmonic_extension(p3, fixed)
+            assert info.value.vertex == vertex
+
     def test_minimizes_energy(self):
         # any perturbation of the free values can only raise the energy
         rng = Xorshift64Star(71)
