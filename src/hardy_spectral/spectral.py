@@ -15,8 +15,13 @@ Every other piece goes to a stack, with one stacked eigh and one stacked
 solve per polish step for each: one stack holds every piece of at most
 SMALL_PIECE vertices, padded with decoupled vertices to one width that
 depends only on the graph, and each larger size has a stack of its own.
-`dirichlet_eigenvalue` poses one problem to it, and the pinch suite the
-pinched sides of all its potentials.
+A problem's result does not depend on the others of its call, so a
+`verify` run (`suite._pose`) makes one stream read, one pinch and one
+boundary-pinned stack: the Dirichlet problem as `pose_dirichlet` poses
+it and both sides of every pinch suite potential go to one `ground_modes`
+call, and `finish_dirichlet` turns the Dirichlet problem's entry into
+its result. `dirichlet_eigenvalue` is the same three steps for one
+problem alone, as `analyze` and the level-set quotient path use it.
 
 LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
 which on stiff graphs swamps the small differences across stiff edges. So
@@ -284,25 +289,40 @@ def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) ->
     return [modes[j] for j in win[np.searchsorted(problem[win], np.arange(len(splits)))].tolist()]
 
 
-def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralResult:
-    """The smallest eigenvalue over potentials pinned to zero on the
-    boundary, solved on the interior principal submatrix by `ground_modes`,
-    with W(., S) as the ground.
-
-    Boundary masses never enter, so zero-mass vertices are fine there, but
-    every interior vertex needs positive mass. The returned eigenvector is
-    zero-padded onto the boundary (it is an eigenvector of the interior
-    submatrix, not of L).
-    """
+def pose_dirichlet(graph: WeightedGraph, boundary: VertexSet) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary-pinned problem on `boundary` as one `ground_modes`
+    problem: the interior as a boolean row (1, n) and its ground W(., S)
+    (1, n). Raises what `interior_of` raises, then ZeroMass at the first
+    interior vertex without positive mass; boundary masses never enter."""
     inside = interior_of(graph, boundary)[None]
     require_positive_mass(graph, np.flatnonzero(inside[0]).tolist())
-    [mode] = ground_modes(graph, inside, conductance_to(graph, ~inside))
+    return inside, conductance_to(graph, ~inside)
+
+
+def finish_dirichlet(graph: WeightedGraph, mode) -> SpectralResult:
+    """The result of a problem posed by `pose_dirichlet`, from its entry
+    of `ground_modes`: raises its typed error, else zero-pads the piece's
+    eigenvector onto the rest of the graph, canonically signed."""
     if isinstance(mode, errors.HardySpectralError):
         raise mode
     piece, lam, x_piece = mode
     x = np.zeros(graph.vertex_count)
     x[piece] = x_piece
     return SpectralResult(lam, _canonical_sign(x))
+
+
+def dirichlet_eigenvalue(graph: WeightedGraph, boundary: VertexSet) -> SpectralResult:
+    """The smallest eigenvalue over potentials pinned to zero on the
+    boundary, solved on the interior principal submatrix by `ground_modes`,
+    with W(., S) as the ground: `pose_dirichlet`, then `finish_dirichlet`.
+
+    Boundary masses never enter, so zero-mass vertices are fine there, but
+    every interior vertex needs positive mass. The returned eigenvector is
+    zero-padded onto the boundary (it is an eigenvector of the interior
+    submatrix, not of L).
+    """
+    inside, ground = pose_dirichlet(graph, boundary)
+    return finish_dirichlet(graph, *ground_modes(graph, inside, ground))
 
 
 def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.ndarray:

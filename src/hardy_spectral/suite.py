@@ -2,25 +2,28 @@
 graph and report each comparison as a tolerance-aware check.
 
 Suites run one after another on the calling thread, in the fixed order of
-ALL_SUITES, each yielding its rows, which enter the report whole. A run's
-randomness comes from one read of the seeded generator (`_draws`), made
-on first use: the pinch suite's potentials, 12n outputs each,
-then `ressum`'s samples at a fixed stride of 12n + 2 outputs each. Every
+ALL_SUITES, each yielding its rows, which enter the report whole. After
+the fundamental mode, solved up front, a run poses its randomness, its
+pinching work and its boundary-pinned eigenproblems once, on first use
+(`_pose`): one read of the seeded generator (`_draws`), the pinch suite's
+potentials, 12n outputs each, then `ressum`'s samples at a fixed stride
+of 12n + 2 outputs each; one `pinched_sides` call on the mode and every
+potential; and one `ground_modes` stack for lambda(G, S) and both sides
+of every pinch suite potential. A row of either call does not depend on
+the others, so each suite's rows are the ones it gives alone. Every
 potential is made from its 12n outputs the same way and is never drawn
-again; ressum's are pinched with one `pinched_sides` call. LAPACK is
-deterministic for a fixed build, and every tie is decided within a
-window, so a report depends only on the inputs and the seed.
-No suite builds a pinched graph: the suites only pose the sides and
-ground rows of `graph.pinched_sides`, the pinch suite to
-`spectral.ground_modes` and `ressum` to `resistance.pinned_energies`,
-all of a run's resistances in one call (R(A, B) on the graph itself, by
-the series law), its sets boolean rows from the draw to the elimination.
+again. LAPACK is deterministic for a fixed build, and every tie is
+decided within a window, so a report depends only on the inputs and the
+seed. No suite builds a pinched graph: the pinched sides and ground rows
+go to `spectral.ground_modes` for the pinch suite and to
+`resistance.pinned_energies` for `ressum`, all of a run's resistances in
+one call (R(A, B) on the graph itself, by the series law), its sets
+boolean rows from the draw to the elimination.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import time
 from typing import Optional
@@ -38,8 +41,8 @@ from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
 from .resistance import pinned_energies
 from .rng import Xorshift64Star, irwin_hall
-from .spectral import (SpectralResult, dirichlet_eigenvalue, ground_modes,
-                       neumann_eigenvalue)
+from .spectral import (SpectralResult, dirichlet_eigenvalue, finish_dirichlet,
+                       ground_modes, neumann_eigenvalue, pose_dirichlet)
 
 ALL_SUITES = ("dirichlet", "neumann", "cheeger", "pinch", "ressum", "path-reduction")
 
@@ -94,18 +97,12 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
     inserted vertices all have the value 0.) Both suites make a potential
     from its 12n outputs by `_potentials`, and none is drawn again: one
     without both strict signs fails its sample with its pinch's
-    SignCondition, as any other failed pinch does. So every sample is
-    read at once, and ressum's are pinched with one `pinched_sides`
-    call; a sample whose pinch fails keeps that typed error and leaves
-    its two words unused (on a graph with a zero-mass vertex every sample
-    fails with the same ZeroMass). Raises SignCondition when a draw is
-    needed on fewer than two vertices.
+    SignCondition, as any other failed pinch does (see `_pose`). Raises
+    SignCondition when a draw is needed on fewer than two vertices.
 
-    Returns (pinch potentials as rows, ressum's draws, per ressum sample
-    None or its pinch's typed error). The draws are (sides, ground, A,
-    B): the `pinched_sides` rows of the d samples that pinched, in sample
-    order, then A and B as boolean rows (d, n); they are None, and the
-    errors empty, unless "ressum" is wanted."""
+    Returns the pinch suite's potentials and ressum's, as rows, and
+    ressum's two words per sample (samples, 2); a suite not wanted has
+    no rows."""
     n = graph.vertex_count
     pinch, ressum = (samples if s in wanted else 0 for s in ("pinch", "ressum"))
     if n < 2 and pinch + ressum:
@@ -114,24 +111,17 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
                                    "two or more vertices")
     words = Xorshift64Star(seed).words(pinch * 12 * n + ressum * (12 * n + 2))
     pinch_fs = _potentials(words[:pinch * 12 * n].reshape(pinch, 12 * n))
-    if "ressum" not in wanted:
-        return pinch_fs, None, []
-    words = words[pinch * 12 * n:].reshape(samples, 12 * n + 2)
-    sides, ground, failures = pinched_sides(graph, _potentials(words[:, :-2]))
-    ok = np.array([exc is None for exc in failures], dtype=bool)
-    a, b = _nonempty_subsets(sides, words[ok, -2:]).swapaxes(0, 1)
-    return pinch_fs, (sides, ground, a, b), failures
+    words = words[pinch * 12 * n:].reshape(ressum, 12 * n + 2)
+    return pinch_fs, _potentials(words[:, :-2]), words[:, -2:]
 
 
-def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
-    """For each potential f: pinch at f's zero set and take the larger of
-    the two one-sided boundary-pinned eigenvalues, or the typed error of
-    the pinch (see `pinched_sides`), else of the negative side, else of
-    the positive side, all sides solved in one `ground_modes` call."""
-    sides, ground, failed = pinched_sides(graph, potentials)
-    # every potential that pinches poses its negative side, then its positive
-    modes = iter(ground_modes(graph, sides.reshape(-1, graph.vertex_count),
-                              np.repeat(ground, 2, axis=0)))
+def _worst_sides(failed: list, modes) -> list:
+    """For each pinch of `failed` (None or the pinch's typed error, as
+    `pinched_sides` gives them): the larger of its two one-sided
+    boundary-pinned eigenvalues, or the typed error of the pinch, else of
+    the negative side, else of the positive side. The sides' entries of
+    `ground_modes` are read from the iterator `modes`: the negative side,
+    then the positive, of each pinch that succeeded, in order."""
     out = []
     for exc in failed:
         if exc is None:
@@ -141,13 +131,82 @@ def _worst_sides(graph: WeightedGraph, potentials: list) -> list:
     return out
 
 
+def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
+    """A run's pinching work and boundary-pinned eigenproblems, posed once
+    each. After the one stream read (`_draws`), one `pinched_sides` call
+    takes the mode (if "pinch" is wanted and lambda2 solved), then the
+    pinch suite's potentials, then ressum's; one `ground_modes` call takes
+    the Dirichlet problem (if "dirichlet" or "path-reduction" is wanted
+    and `pose_dirichlet` poses it), then both sides, negative first, of
+    each pinch suite potential that pinched. Neither call's rows depend on
+    the others of the call, so each result is the one a call of its own
+    gives.
+
+    Returns each part of the run by name, its result or the typed error
+    that stopped it, or None if no wanted suite needs it: "dirichlet",
+    lambda_dirichlet's SpectralResult; "worst", the pinch suite's worst
+    sides (see `_worst_sides`); and "ressum", ressum's draws and per
+    sample None or its pinch's typed error. A failed draw stops both the
+    pinch suite and ressum, a failed lambda2 the pinch suite (after the
+    draw), and a problem that does not pose lambda_dirichlet, each with
+    its own error. The draws are (sides, ground, A, B): the
+    `pinched_sides` rows of the d samples that pinched, in sample order,
+    then A and B as boolean rows (d, n) from each such sample's two words
+    by `_nonempty_subsets`. A sample whose pinch fails leaves its words
+    unused (on a graph with a zero-mass vertex every sample fails with
+    the same ZeroMass)."""
+    graph = q.graph
+    n = graph.vertex_count
+    dirichlet = worst = ressum = None
+    # (sides, ground) of the one ground_modes call, in order
+    problems = [(np.zeros((0, n), dtype=bool), np.zeros((0, n)))]
+    wants_dirichlet = "dirichlet" in wanted or "path-reduction" in wanted
+    if wants_dirichlet:
+        try:
+            problems.append(pose_dirichlet(graph, q.pinned()))
+        except errors.HardySpectralError as exc:
+            dirichlet = exc
+    if "pinch" in wanted or "ressum" in wanted:
+        try:
+            pinch_fs, ressum_fs, words = _draws(graph, wanted, samples, seed)
+        except errors.HardySpectralError as exc:
+            worst = ressum = exc
+        else:
+            if "pinch" in wanted:
+                try:
+                    mode = [quantize_zeros(q.get("lambda2").eigenvector)]
+                except errors.HardySpectralError as exc:
+                    worst, pinch_fs = exc, pinch_fs[:0]
+                else:
+                    pinch_fs = np.concatenate([mode, pinch_fs])
+            sides, ground, failed = pinched_sides(graph, np.concatenate([pinch_fs, ressum_fs]))
+            pinch_failed, ressum_failed = failed[:len(pinch_fs)], failed[len(pinch_fs):]
+            d = sum(exc is None for exc in pinch_failed)
+            problems.append((sides[:d].reshape(-1, n), np.repeat(ground[:d], 2, axis=0)))
+            if "ressum" in wanted:
+                ok = np.array([exc is None for exc in ressum_failed], dtype=bool)
+                a, b = _nonempty_subsets(sides[d:], words[ok]).swapaxes(0, 1)
+                ressum = (sides[d:], ground[d:], a, b), ressum_failed
+    rows, to_zero = (np.concatenate(part) for part in zip(*problems))
+    modes = iter(ground_modes(graph, rows, to_zero) if len(rows) else ())
+    if wants_dirichlet and dirichlet is None:
+        try:
+            dirichlet = finish_dirichlet(graph, next(modes))
+        except errors.HardySpectralError as exc:
+            dirichlet = exc
+    if "pinch" in wanted and worst is None:
+        worst = _worst_sides(pinch_failed, modes)
+    return {"dirichlet": dirichlet, "worst": worst, "ressum": ressum}
+
+
 # how each quantity is solved, given the memo that holds the others
 _SOLVERS = {
     "lambda2": lambda q: neumann_eigenvalue(q.graph),
     "psi2": lambda q: neumann_content_exact(q.graph),
     "psi2_sweep": lambda q: neumann_content_sweep(q.graph, q.get("lambda2").eigenvector),
     "phi": lambda q: isoperimetric_exact(q.graph),
-    "lambda_dirichlet": lambda q: dirichlet_eigenvalue(q.graph, q.pinned()),
+    "lambda_dirichlet": lambda q: (q.posed("dirichlet") if q.run
+                                   else dirichlet_eigenvalue(q.graph, q.pinned())),
     "psi_dirichlet": lambda q: dirichlet_content_exact(q.graph, q.pinned()),
 }
 
@@ -157,14 +216,31 @@ class Quantities:
     boundary, each solved at most once, on first use. A typed failure is
     kept too: asking again raises it again instead of solving again. A
     quantity enters `report` only through `record`, at once, so a suite
-    that fails later still keeps the quantities it solved."""
+    that fails later still keeps the quantities it solved. A `verify`
+    run passes `run` = (wanted suites, samples, seed), and lambda_dirichlet
+    is then read from the run's one posing step (`posed`), whose time it
+    carries if it is the first to ask; `analyze` passes none and solves
+    it alone."""
 
     def __init__(self, graph: WeightedGraph, boundary: Optional[VertexSet],
-                 report: VerificationReport):
+                 report: VerificationReport, run: Optional[tuple] = None):
         self.graph = graph
         self.boundary = boundary
         self.report = report
+        self.run = run
+        self._posed: Optional[dict] = None
         self._solved: dict[str, tuple[object, float]] = {}
+
+    def posed(self, part: str):
+        """One part of the run's pinching work and boundary-pinned
+        eigenproblems (`_pose`, posed on first use), raised if it is a
+        typed error."""
+        if self._posed is None:
+            self._posed = _pose(self, *self.run)
+        result = self._posed[part]
+        if isinstance(result, errors.HardySpectralError):
+            raise result
+        return result
 
     def pinned(self) -> VertexSet:
         if self.boundary is None:
@@ -240,14 +316,10 @@ def run_suite(graph: WeightedGraph, *,
 
     # the fundamental mode is solved up front, so it comes first in the
     # report; a suite that needs it and finds it failed reports the error
-    q = Quantities(graph, boundary, report)
+    q = Quantities(graph, boundary, report, (wanted, samples, seed))
     if any(s in wanted for s in ("neumann", "cheeger", "pinch")):
         with contextlib.suppress(errors.HardySpectralError):
             q.record("lambda2")
-
-    # all randomness read at once, on first use; a graph too small for
-    # any draw fails the suites that need one, each time it is asked
-    draws = functools.cache(functools.partial(_draws, graph, wanted, samples, seed))
 
     def suite_dirichlet():
         lam = q.record("lambda_dirichlet").eigenvalue
@@ -286,10 +358,8 @@ def run_suite(graph: WeightedGraph, *,
         yield check_le("cheeger_upper", phi.value, upper, tolerance)
 
     def suite_pinch():
-        pinch_fs = draws()[0]  # before the mode: one vertex fails on the draw
-        mode = q.get("lambda2")
-        lambda2 = mode.eigenvalue
-        worst = _worst_sides(graph, [quantize_zeros(mode.eigenvector), *pinch_fs])
+        worst = q.posed("worst")
+        lambda2 = q.get("lambda2").eigenvalue
         for i, worst_side in enumerate(worst):
             name = f"pinch_random_{i:02d}" if i else "pinch_eigenvector"
             if isinstance(worst_side, errors.HardySpectralError):
@@ -300,7 +370,7 @@ def run_suite(graph: WeightedGraph, *,
                 yield check_eq(name, worst_side, lambda2, tolerance)
 
     def suite_ressum():
-        _, (sides, pinched, a, b), failures = draws()
+        (sides, pinched, a, b), failures = q.posed("ressum")
         n = graph.vertex_count
         # per draw 1/R(A, Z) and 1/R(B, Z) on their sides, then 1/R(A, B)
         # on the parent (series law), B held at 0; problem 3i + j is the

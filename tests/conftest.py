@@ -14,7 +14,10 @@ import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, errors, path_graph, random_graph,
                             run_suite)
+from hardy_spectral.graph import pinched_sides
 from hardy_spectral.rng import Xorshift64Star, irwin_hall
+from hardy_spectral.spectral import ground_modes
+from hardy_spectral.suite import _worst_sides
 
 WEIGHT_RANGE = (0.1, 10.0)
 
@@ -153,6 +156,17 @@ def mixed_sign_fs(rng: Xorshift64Star, n: int, count: int) -> np.ndarray:
     f = f - np.add.accumulate(f, axis=1)[:, -1:] / n
     assert ((f > 0.0).any(axis=1) & (f < 0.0).any(axis=1)).all()
     return f
+
+
+def worst_sides(graph: WeightedGraph, fs) -> list:
+    """The pinch suite's result for each potential of `fs` (a list of
+    rows), posed as a run poses its own: one `pinched_sides` call, then
+    both sides of every potential that pinched, negative first, in one
+    `ground_modes` call, read by `suite._worst_sides`."""
+    sides, ground, failed = pinched_sides(graph, fs)
+    modes = ground_modes(graph, sides.reshape(-1, graph.vertex_count),
+                         np.repeat(ground, 2, axis=0))
+    return _worst_sides(failed, iter(modes))
 
 
 def random_vector(rng: Xorshift64Star, n: int, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:

@@ -20,11 +20,10 @@ from hardy_spectral import (VertexSet, dirichlet_content_exact,
                             neumann_eigenvalue, pinch)
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
-from hardy_spectral.suite import _worst_sides
 
 from conftest import (corpus_boundary, corpus_graph, corpus_path,  # noqa: F401
                       mixed_sign_fs, p3, resistance_via_pseudoinverse,
-                      sample_without_replacement)
+                      sample_without_replacement, worst_sides)
 from test_resistance import contracted_resistance
 
 CORPUS_SIZE = 200
@@ -120,11 +119,11 @@ def test_criterion_06_pinching_lemma():
     for i in range(50):
         g = corpus_graph(i)
         res = neumann_eigenvalue(g)
-        [attained] = _worst_sides(g, [quantize_zeros(res.eigenvector)])
+        [attained] = worst_sides(g, [quantize_zeros(res.eigenvector)])
         worst_gap = max(worst_gap, abs(attained - res.eigenvalue))
         ok &= abs(attained - res.eigenvalue) <= 1e-8
         fs = mixed_sign_fs(rng, g.vertex_count, 50)
-        for worst_side in _worst_sides(g, fs):
+        for worst_side in worst_sides(g, fs):
             ok &= worst_side >= res.eigenvalue - 1e-8
     _verdict(6, "pinching lemma", ok,
              f"50 graphs x 50 draws, max eigenvector gap {worst_gap:.2e}")

@@ -11,10 +11,9 @@ from hardy_spectral import errors
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import TIE_RTOL
-from hardy_spectral.suite import _worst_sides
 
 from conftest import (corpus_boundary, corpus_graph, corpus_path, mixed_sign_fs,
-                      sample_without_replacement)
+                      sample_without_replacement, worst_sides)
 
 
 class TestHardyPath:
@@ -382,7 +381,7 @@ class TestPinchingLemma:
         for i in range(15):
             g = corpus_graph(i)
             res = neumann_eigenvalue(g)
-            [worst] = _worst_sides(g, [quantize_zeros(res.eigenvector)])
+            [worst] = worst_sides(g, [quantize_zeros(res.eigenvector)])
             assert worst == pytest.approx(res.eigenvalue, rel=1e-8, abs=1e-10)
 
     def test_random_pinches_never_beat_lambda2(self):
@@ -391,7 +390,7 @@ class TestPinchingLemma:
             g = corpus_graph(i)
             lam2 = neumann_eigenvalue(g).eigenvalue
             fs = mixed_sign_fs(rng, g.vertex_count, 10)
-            for worst in _worst_sides(g, fs):
+            for worst in worst_sides(g, fs):
                 assert worst >= lam2 - 1e-8
 
 

@@ -17,11 +17,10 @@ from hardy_spectral import errors
 from hardy_spectral.graph import interior_of, pinched_sides, quantize_zeros, zero_crossings
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import harmonic_extension
-from hardy_spectral.suite import _worst_sides
 from hardy_spectral.wgr import parse_wgr
 
 from conftest import (WEIGHT_RANGE, corpus_graph, edge_energy, mixed_sign_fs, random_vector,
-                      sample_without_replacement)
+                      sample_without_replacement, worst_sides)
 
 # Every entry point that takes a vertex id from its caller, each passed
 # one id v at one place, on the path 0 - 1 - 2 of ID_GRAPH; v = 1 makes
@@ -764,11 +763,11 @@ class TestNonFinitePotential:
         for bad, vertex in (([math.nan, -1.0, 1.0, 1.0], 0),
                             ([-1.0, 1.0, math.inf, -math.inf], 2)):
             with pytest.raises(errors.NonFinitePotential) as info:
-                _worst_sides(self.G, [good, bad, good])
+                worst_sides(self.G, [good, bad, good])
             self.assert_names(info.value, vertex)
         with pytest.raises(errors.DimensionMismatch):
-            _worst_sides(self.G, [good, [math.nan, 1.0]])
-        assert _worst_sides(self.G, [good, good]) == 2 * _worst_sides(self.G, [good])
+            worst_sides(self.G, [good, [math.nan, 1.0]])
+        assert worst_sides(self.G, [good, good]) == 2 * worst_sides(self.G, [good])
 
     def test_rayleigh_quotient(self):
         with pytest.raises(errors.NonFinitePotential) as info:

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import hardy_spectral
 from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_eigenvalue, emit_report,
-                            parse_wgr, path_graph, random_graph, run_suite, serialize_wgr)
+                            parse_wgr, path_graph, random_graph, run_suite, serialize_wgr,
+                            split_edge)
 from hardy_spectral import cli, errors, spectral, suite
 from hardy_spectral.cli import main
 from hardy_spectral.report import (Check, VerificationReport, check_eq, check_error,
@@ -320,16 +321,26 @@ class TestRunSuite:
             assert rep.checks
 
     def test_dirichlet_ground_state_solved_once(self, p3, monkeypatch):
-        calls = []
+        # the run's graph poses its one problem to one `ground_modes` call;
+        # the other call, the one `dirichlet_eigenvalue`, solves the
+        # level-set quotient path
+        calls, solved = [], []
 
         def counted(graph, boundary):
             calls.append(graph)
             return dirichlet_eigenvalue(graph, boundary)
 
+        def counted_modes(graph, sides, ground):
+            solved.append((graph, len(sides)))
+            return ground_modes(graph, sides, ground)
+
+        ground_modes = spectral.ground_modes
         monkeypatch.setattr(suite, "dirichlet_eigenvalue", counted)
+        for module in (suite, spectral):
+            monkeypatch.setattr(module, "ground_modes", counted_modes)
         rep = run_suite(p3, boundary=VertexSet.of([0]), suites=["dirichlet", "path-reduction"])
-        # the other call solves the level-set quotient path
-        assert rep.all_hold and len(calls) == 2 and calls[0] is p3 and calls[1] is not p3
+        assert rep.all_hold and len(calls) == 1 and calls[0] is not p3
+        assert len(solved) == 2 and solved[0] == (p3, 1) and solved[1] == (calls[0], 1)
         assert list(rep.quantities) == ["lambda_dirichlet", "psi_dirichlet"]
 
     def test_neumann_mode_solved_once(self, monkeypatch):
@@ -460,6 +471,86 @@ class TestRunSuite:
             boundary = VertexSet.of([0]) if g.vertex_count > 1 else None
             rep = run_suite(g, boundary=boundary, seed=i, samples=3)
             assert rep.all_hold, [c for c in rep.checks if not c.holds]
+
+
+def _zero_mass_graph():
+    parent = corpus_graph(4)
+    return split_edge(parent, parent.edges[0][:2], [0.25, 0.75])
+
+
+class TestJointPosing:
+    """A run poses its stream read, its pinch and its boundary-pinned
+    eigen stack once, for every suite at once (`suite._pose`); no row of
+    those calls depends on the others, so the full run gives, bit for
+    bit, the quantities, witnesses and rows each suite gives alone. ressum
+    reads its samples after the pinch suite's potentials in the stream,
+    so its rows are those of a run of pinch and ressum. A part that fails
+    fails only the suites that need it, each with its own error."""
+
+    @staticmethod
+    def assert_joint_as_alone(graph, boundary, seed=7):
+        def run(suites):
+            rep = run_suite(graph, boundary=boundary, suites=suites, seed=seed)
+            return rep.quantities, rep.witnesses, [repr(vars(c)) for c in rep.checks]
+
+        quantities, witnesses, rows = run(None)
+        got = iter(rows)
+        for name in suite.ALL_SUITES:
+            alone_q, alone_w, alone_rows = run([name])
+            if name == "ressum":
+                alone_rows = run(["pinch", "ressum"])[2][len(run(["pinch"])[2]):]
+            assert repr(alone_q) == repr({k: quantities[k] for k in alone_q}), name
+            assert alone_w == {k: witnesses[k] for k in alone_w}, name
+            assert [next(got) for _ in alone_rows] == alone_rows, name
+        assert next(got, None) is None
+        return {c.name: c for c in run_suite(graph, boundary=boundary, seed=seed).checks}
+
+    def test_corpus_graphs(self):
+        for i in range(12):
+            g = corpus_graph(i)
+            rows = self.assert_joint_as_alone(g, corpus_boundary(g, i))
+            assert all(c.holds for c in rows.values()), i
+
+    def test_a_failed_mode_fails_only_its_suites(self):
+        rows = self.assert_joint_as_alone(stiff_graph(122, 1e16, 1e16), VertexSet.of([0]))
+        for name in ("neumann", "cheeger", "pinch"):
+            assert rows[name].relation == "error" and "fundamental mode" in rows[name].reason
+        assert rows["dirichlet_lower"].holds and rows["path_reduction"].holds
+        assert [c.relation for name, c in rows.items() if name.startswith("ressum_")] \
+            == ["<="] * suite.DEFAULT_SAMPLES
+
+    def test_a_zero_mass_vertex(self):
+        g = _zero_mass_graph()
+        n = g.vertex_count
+        rows = self.assert_joint_as_alone(g, VertexSet.of([0]))
+        text = str(errors.ZeroMass(n - 1))
+        assert {c.reason for c in rows.values()} == {text}
+        # off the interior the mass never enters, so the Dirichlet problem poses
+        rows = self.assert_joint_as_alone(g, VertexSet.of([n - 1]))
+        assert rows["dirichlet_lower"].holds and rows["path_reduction"].holds
+        assert rows["pinch"].reason == rows["ressum_01"].reason == text
+
+    def test_one_vertex(self):
+        rows = self.assert_joint_as_alone(WeightedGraph((1.0,), ()), VertexSet.of([0]))
+        assert list(rows) == ["dirichlet", "neumann", "cheeger", "pinch", "ressum",
+                              "path_reduction"]
+        draw = "a potential takes both strict signs only on two or more vertices"
+        assert rows["pinch"].reason == rows["ressum"].reason == draw
+        assert rows["dirichlet"].reason == rows["path_reduction"].reason
+        assert "proper nonempty subset" in rows["dirichlet"].reason
+        assert rows["neumann"].reason == rows["cheeger"].reason == "need at least two vertices"
+
+    @pytest.mark.parametrize("boundary", [None, VertexSet.of([0, 99])])
+    def test_no_or_a_bad_boundary_fails_only_the_boundary_suites(self, boundary):
+        g = corpus_graph(9)
+        rows = self.assert_joint_as_alone(g, boundary)
+        with pytest.raises(errors.HardySpectralError) as want:
+            if boundary is None:
+                raise errors.BadBoundary("no boundary set given")
+            dirichlet_eigenvalue(g, boundary)
+        assert rows["dirichlet"].reason == rows["path_reduction"].reason == str(want.value)
+        assert all(c.holds for name, c in rows.items()
+                   if name not in ("dirichlet", "path_reduction"))
 
 
 class TestCli:

@@ -2,16 +2,17 @@
 second implementation is needed, since each law relates two runs of the
 library on graphs whose answers are known to agree or to be ordered.
 
-Both laws run the suites of conftest.LAW_SUITES with samples=0 on
-corpus_graph(0..99); pinch and ressum are left out because their draws
-depend on vertex order.
+Each law runs the suites of conftest.LAW_SUITES with samples=0 on corpus
+graphs; pinch and ressum are left out because their draws depend on
+vertex order.
 """
 
 import numpy as np
 
-from hardy_spectral import VertexSet, WeightedGraph
+from hardy_spectral import VertexSet, WeightedGraph, contract
 
-from conftest import LAW_RTOL, corpus_graph, law_report, monotonicity_violations
+from conftest import (LAW_RTOL, MONOTONE, corpus_graph, law_report,
+                      monotonicity_violations)
 
 GRAPHS = 100
 
@@ -66,4 +67,31 @@ def test_rayleigh_monotonicity():
     # Doyle & Snell, ch. 1.4)
     found = monotonicity_violations([corpus_graph(i) for i in range(GRAPHS)],
                                     np.random.default_rng(5))
+    assert not found, found
+
+
+def test_contraction_never_lowers_a_quantity():
+    # merging two vertices restricts every test function to one value on
+    # both and every set to hold both or neither, and shorts them, which
+    # lowers no resistance's reciprocal: lambda, psi, lambda2, psi2 and phi
+    # never fall (Doyle & Snell, ch. 1.4). `contract` keeps the survivors'
+    # order, so the boundary {0} stays vertex 0
+    rng = np.random.default_rng(3)
+    boundary = VertexSet.of([0])
+    found, compared = [], 0
+    for i in range(150):
+        g = corpus_graph(i)
+        if g.vertex_count < 4:
+            continue
+        pair = rng.choice(np.arange(1, g.vertex_count), size=2, replace=False)
+        merged, _ = contract(g, VertexSet.of(pair.tolist()))
+        base = law_report(g, boundary).quantities
+        moved = law_report(merged, boundary).quantities
+        for name in MONOTONE:
+            if name in base and name in moved:
+                compared += 1
+                change = (moved[name] - base[name]) / base[name]
+                if change < -LAW_RTOL:
+                    found.append((i, pair.tolist(), name, change))
+    assert compared == 125 * len(MONOTONE)
     assert not found, found

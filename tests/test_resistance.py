@@ -5,12 +5,13 @@ import pytest
 
 from hardy_spectral import (VertexSet, WeightedGraph, contract,
                             effective_resistance, path_graph, pinch,
-                            random_graph, run_suite, split_edge, suite)
+                            random_graph, run_suite, spectral, split_edge, suite)
 from hardy_spectral import errors
 from hardy_spectral.graph import conductance_to, pinched_sides
 from hardy_spectral.resistance import kron_slots, pinned_energies
 from hardy_spectral.rng import BLOCK, Xorshift64Star, irwin_hall
-from hardy_spectral.suite import DEFAULT_SAMPLES, _draws
+from hardy_spectral.suite import (DEFAULT_SAMPLES, DEFAULT_TOLERANCE, Quantities, _draws,
+                                  blank_report)
 
 from conftest import (corpus_graph, resistance_via_pseudoinverse, sample_without_replacement,
                       stiff_graph)
@@ -345,10 +346,17 @@ def reference_draws(graph, seed, pinch_first=False, samples=DEFAULT_SAMPLES,
     return pinch_fs, draws
 
 
+def posed_ressum(graph, wanted, samples, seed):
+    """ressum's part of the posing step (`suite._pose`) of a run of
+    `wanted`, with no boundary: its draws and per-sample errors."""
+    report = blank_report(graph, seed, DEFAULT_TOLERANCE)
+    return Quantities(graph, None, report, (wanted, samples, seed)).posed("ressum")
+
+
 def drawn_samples(draws, failures):
-    """`_draws`'s ressum draws one sample at a time: the pinch's typed
-    error, or (sides, A, B): the sides {f < 0} and {f > 0} as boolean rows
-    (2, n), and A and B as VertexSets."""
+    """ressum's draws as `_pose` makes them, one sample at a time: the
+    pinch's typed error, or (sides, A, B): the sides {f < 0} and {f > 0}
+    as boolean rows (2, n), and A and B as VertexSets."""
     sides, _, a, b = draws
     pinched = zip(sides, map(as_set, a), map(as_set, b))
     out = [exc if exc is not None else next(pinched) for exc in failures]
@@ -481,11 +489,13 @@ class TestStiffRessum:
 
 class TestDraws:
     """`_draws` batches the pinch suite's potentials and reads `ressum`'s
-    samples at a fixed stride of 12n + 2 outputs; every potential, set and
-    error must be the one the one-at-a-time reference draws, bit for bit."""
+    samples at a fixed stride of 12n + 2 outputs, and `_pose` pinches
+    them; every potential, set and error must be the one the one-at-a-time
+    reference draws, bit for bit."""
 
     def assert_same(self, graph, seed, samples=DEFAULT_SAMPLES):
-        pinch_fs, draws, failures = _draws(graph, ["pinch", "ressum"], samples, seed)
+        pinch_fs = _draws(graph, ["pinch", "ressum"], samples, seed)[0]
+        draws, failures = posed_ressum(graph, ["pinch", "ressum"], samples, seed)
         sides, ground, a, b = draws
         want_fs, want = reference_draws(graph, seed, pinch_first=True, samples=samples)
         assert pinch_fs.shape == (samples, graph.vertex_count)
@@ -550,7 +560,7 @@ class TestDraws:
                 return super().words(count)
 
         monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
-        _, rows, _ = _draws(g, ["pinch", "ressum"], DEFAULT_SAMPLES, 5)
+        rows, _ = posed_ressum(g, ["pinch", "ressum"], DEFAULT_SAMPLES, 5)
         n = g.vertex_count
         assert reads == [DEFAULT_SAMPLES * 12 * n + DEFAULT_SAMPLES * (12 * n + 2)]
         assert [r.shape for r in rows] == [(0, 2, n), (0, n), (0, n), (0, n)]
@@ -598,7 +608,7 @@ class TestDraws:
         for seed in range(4):
             pinched.clear()
             streams.clear()
-            _draws(g, ["ressum"], 20, seed)
+            posed_ressum(g, ["ressum"], 20, seed)
             assert streams[0].reads == [20 * (12 * 130 + 2)] and pinched == [20]
             assert len(streams) > 1
             assert [len(side.reads) for side in streams[1:]] == [1] * (len(streams) - 1)
@@ -612,10 +622,10 @@ class TestDraws:
         start = 2 * (12 * n + 2)
         flat = lambda seed: FlatStream(seed, start, start + 12 * n)  # noqa: E731
         monkeypatch.setattr(suite, "Xorshift64Star", flat)
-        got = drawn_samples(*_draws(g, ["ressum"], DEFAULT_SAMPLES, 4)[1:])
+        got = drawn_samples(*posed_ressum(g, ["ressum"], DEFAULT_SAMPLES, 4))
         _, want = reference_draws(g, 4, stream=flat)
         monkeypatch.undo()
-        plain = drawn_samples(*_draws(g, ["ressum"], DEFAULT_SAMPLES, 4)[1:])
+        plain = drawn_samples(*posed_ressum(g, ["ressum"], DEFAULT_SAMPLES, 4))
         assert len(got) == len(want) == DEFAULT_SAMPLES
         assert isinstance(got[2], errors.SignCondition) and str(got[2]) == str(want[2])
         for i in (0, 1, *range(3, DEFAULT_SAMPLES)):
@@ -655,11 +665,12 @@ class TestDraws:
 
     def test_no_samples(self):
         g = corpus_graph(0)
-        pinch_fs, rows, failures = _draws(g, ["pinch", "ressum"], 0, 3)
+        pinch_fs = _draws(g, ["pinch", "ressum"], 0, 3)[0]
+        rows, failures = posed_ressum(g, ["pinch", "ressum"], 0, 3)
         assert pinch_fs.shape == (0, g.vertex_count) and failures == []
         n = g.vertex_count
         assert [r.shape for r in rows] == [(0, 2, n), (0, n), (0, n), (0, n)]
-        assert _draws(WeightedGraph((1.0,), ()), ["pinch", "ressum"], 0, 3)[2] == []
+        assert posed_ressum(WeightedGraph((1.0,), ()), ["pinch", "ressum"], 0, 3)[1] == []
 
     @pytest.mark.parametrize("wanted", [["pinch"], ["ressum"], ["pinch", "ressum"]])
     def test_one_vertex_draws_nothing(self, wanted):
@@ -668,11 +679,14 @@ class TestDraws:
 
     def test_run_suite_reads_once(self, monkeypatch):
         # pinch and ressum share one `_draws` call, made when the first of
-        # them runs, and one `words` call of the run's stream; a run
-        # without either builds no stream at all
+        # them runs, and one `words` call of the run's stream; the run's
+        # potentials, the mode's first, go to one `pinched_sides` call, and
+        # its boundary-pinned problems on the graph to one `ground_modes`
+        # call (the other solves the level-set quotient path). A run
+        # without pinch or ressum builds no stream and pinches nothing
         g = corpus_graph(3)
         n = g.vertex_count
-        calls, streams = [], []
+        calls, streams, pinched, grounded = [], [], [], []
 
         class Recorded(Xorshift64Star):
             def __init__(self, seed):
@@ -688,23 +702,43 @@ class TestDraws:
             calls.append(args)
             return draws(*args)
 
-        draws = suite._draws
+        def counted_pinch(graph, potentials):
+            pinched.append(len(potentials))
+            return pinched_sides(graph, potentials)
+
+        def counted_modes(graph, sides, ground):
+            grounded.append((graph, len(sides)))
+            return ground_modes(graph, sides, ground)
+
+        draws, ground_modes = suite._draws, spectral.ground_modes
         monkeypatch.setattr(suite, "_draws", counted)
         monkeypatch.setattr(suite, "Xorshift64Star", Recorded)
+        monkeypatch.setattr(suite, "pinched_sides", counted_pinch)
+        for module in (suite, spectral):
+            monkeypatch.setattr(module, "ground_modes", counted_modes)
         rep = run_suite(g, boundary=VertexSet.of([0]), seed=2, samples=7)
         names = [c.name for c in rep.checks]
         assert "pinch_random_07" in names and "ressum_07" in names
+        assert rep.all_hold
         assert len(calls) == 1 and [s.reads for s in streams] == [[7 * (24 * n + 2)]]
+        assert pinched == [1 + 7 + 7]
+        # the Dirichlet problem, then both sides of the mode and 7 potentials
+        assert [size for graph, size in grounded if graph is g] == [1 + 2 * 8]
+        assert len(grounded) == 2
         calls.clear()
         streams.clear()
+        pinched.clear()
+        grounded.clear()
         run_suite(g, boundary=VertexSet.of([0]), seed=2, samples=7,
                   suites=["dirichlet", "neumann", "cheeger", "path-reduction"])
-        assert calls == [] and streams == []
+        assert calls == [] and streams == [] and pinched == []
+        assert [size for graph, size in grounded if graph is g] == [1]
 
     def test_only_the_wanted_suites_draw(self):
         g = corpus_graph(1)
-        pinch_fs, rows, failures = _draws(g, ["pinch"], 4, 9)
-        assert len(pinch_fs) == 4 and failures == [] and rows is None
-        ressum = drawn_samples(*_draws(g, ["ressum"], 4, 9)[1:])
+        pinch_fs, ressum_fs, words = _draws(g, ["pinch"], 4, 9)
+        assert len(pinch_fs) == 4 and len(ressum_fs) == len(words) == 0
+        assert posed_ressum(g, ["pinch"], 4, 9) is None
+        ressum = drawn_samples(*posed_ressum(g, ["ressum"], 4, 9))
         _, want = reference_draws(g, 9, samples=4)
         assert [(a, b) for _, a, b in ressum] == [(a, b) for _, a, b in want]

@@ -11,12 +11,12 @@ from hardy_spectral import graph as graph_module
 from hardy_spectral.cli import main
 from hardy_spectral.graph import conductance_to, quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
-from hardy_spectral.suite import _worst_sides
 from hardy_spectral.wgr import serialize_wgr
 
 from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, edge_energy,
                       extreme_weight_fuzz, mixed_sign_fs, oracle_laplacian, random_vector,
-                      sample_without_replacement, scaled_by_powers_of_two, stiff_graph)
+                      sample_without_replacement, scaled_by_powers_of_two, stiff_graph,
+                      worst_sides)
 
 GOLDEN = (3 - 5 ** 0.5) / 2  # smallest eigenvalue of [[2,-1],[-1,1]]
 UNIFORM_N3_DIRICHLET = 0.19806226419516171  # smallest eig of the N=3 interior block
@@ -473,8 +473,8 @@ class TestStiffGraphs:
 
 
 class TestBatchedDirichlet:
-    """`_worst_sides` solves the pieces of every side of every potential
-    in few stacks; a potential's answer must not depend on the batch it
+    """A run solves the pieces of every side of every potential in few
+    stacks; a potential's answer must not depend on the batch it
     is solved in."""
 
     @staticmethod
@@ -490,10 +490,10 @@ class TestBatchedDirichlet:
         for g in graphs:
             fs = list(mixed_sign_fs(rng, g.vertex_count, 5))
             fs.append(quantize_zeros(neumann_eigenvalue(g).eigenvector))
-            batch = _worst_sides(g, fs)
+            batch = worst_sides(g, fs)
             assert len(batch) == len(fs)
             for f, worst in zip(fs, batch):
-                assert self.same(worst, _worst_sides(g, [f])[0])
+                assert self.same(worst, worst_sides(g, [f])[0])
 
     def test_failing_problem_keeps_the_others_solo(self):
         # the 1e-17 edge vanishes next to 1 on the diagonal, so pinching it
@@ -502,16 +502,16 @@ class TestBatchedDirichlet:
         g = path_graph([1.0] * 4, [1e-17, 1.0, 1.0])
         fs = [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]]
         # each potential keeps its own outcome, hence its own pinch row
-        worst = _worst_sides(g, fs)
+        worst = worst_sides(g, fs)
         assert isinstance(worst[1], errors.NotPositiveDefinite)
-        assert [worst[0], worst[2]] == [_worst_sides(g, [fs[0]])[0], _worst_sides(g, [fs[2]])[0]]
+        assert [worst[0], worst[2]] == [worst_sides(g, [fs[0]])[0], worst_sides(g, [fs[2]])[0]]
 
     def test_small_pieces_share_one_padded_stack(self, monkeypatch, tmp_path):
         potentials, stacks, held, built = [], [], [], []
 
-        def recorded_worst_sides(graph, fs):
+        def recorded_pinched_sides(graph, fs):
             potentials.extend(fs)
-            return worst_sides(graph, fs)
+            return pinched_sides(graph, fs)
 
         def counted_eigenpairs(blocks, ground, mass, k, pad=None):
             if k == 0:
@@ -521,8 +521,8 @@ class TestBatchedDirichlet:
                             else (~pad).sum(axis=1).tolist())
             return eigenpairs(blocks, ground, mass, k, pad)
 
-        worst_sides, eigenpairs = suite._worst_sides, spectral._eigenpairs
-        monkeypatch.setattr(suite, "_worst_sides", recorded_worst_sides)
+        pinched_sides, eigenpairs = suite.pinched_sides, spectral._eigenpairs
+        monkeypatch.setattr(suite, "pinched_sides", recorded_pinched_sides)
         monkeypatch.setattr(spectral, "_eigenpairs", counted_eigenpairs)
         g = corpus_graph(7, 8, 8)
         rep = run_suite(g, suites=["pinch"], seed=3)
@@ -731,7 +731,7 @@ class TestPaddedPieces:
 
 
 class TestPinchRoute:
-    """`_worst_sides` solves the pinched sides on the parent graph's arrays.
+    """A run solves the pinched sides on the parent graph's arrays.
     The reference route builds each pinched graph and solves its two sides
     as boundary problems; both must give the same typed error, or values
     within 1e-14 relative."""
@@ -748,7 +748,7 @@ class TestPinchRoute:
         return max(side.eigenvalue for side in sides)
 
     def assert_agree(self, graph, fs):
-        worst = _worst_sides(graph, fs)
+        worst = worst_sides(graph, fs)
         assert len(worst) == len(fs)
         for f, got in zip(fs, worst):
             want = self.reference(graph, f)
@@ -804,17 +804,17 @@ class TestPinchRoute:
         fs = [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
               [0.0, 1.0, 2.0, 0.0], [-1e-300, 1e300, 1.0, 1.0], [-1.0, -0.0, 0.0, 1.0]]
         self.assert_agree(g, fs)
-        worst = _worst_sides(g, fs)
+        worst = worst_sides(g, fs)
         assert [type(w) for w in worst[1:5]] == [
             errors.NotPositiveDefinite, float, errors.SignCondition, errors.SignCondition]
         no_mass = WeightedGraph((1.0, 0.0, 1.0), ((0, 1, 1.0), (1, 2, 1.0)))
         self.assert_agree(no_mass, [[-1.0, 0.0, 1.0]])
-        assert [type(w) for w in _worst_sides(no_mass, [[-1.0, 0.0, 1.0]])] == [errors.ZeroMass]
+        assert [type(w) for w in worst_sides(no_mass, [[-1.0, 0.0, 1.0]])] == [errors.ZeroMass]
         # a potential of the wrong length fails the whole stack with the
         # error `pinch` raises on it, which is checked before the masses
         for graph, good, bad in ((g, fs, [1.0, 2.0, 3.0]), (no_mass, [[-1.0, 0.0, 1.0]], [-1.0, 1.0])):
             want = self.reference(graph, bad)
             assert type(want) is errors.DimensionMismatch
             with pytest.raises(errors.DimensionMismatch) as got:
-                _worst_sides(graph, [*good[:3], bad, *good[3:]])
+                worst_sides(graph, [*good[:3], bad, *good[3:]])
             assert str(got.value) == str(want)
