@@ -61,7 +61,7 @@ def _cmd_analyze(args) -> int:
     graph, boundary = _load(args.file, args.boundary)
 
     report = blank_report(graph, None, DEFAULT_TOLERANCE)
-    quantities = Quantities(graph, boundary, report)
+    quantities = Quantities(graph, boundary, report, (("dirichlet",), 0, 0))
     names = ["lambda2", "psi2", "phi"]
     if boundary is not None:
         names += ["lambda_dirichlet", "psi_dirichlet"]

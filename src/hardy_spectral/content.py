@@ -150,10 +150,15 @@ class _RunningMin:
         self.keys = np.empty(0, dtype=np.int64)
 
     def offer(self, ratios: np.ndarray, keys: np.ndarray) -> None:
-        """Merge one batch; ratios[i] belongs to the candidate keys[i]."""
+        """Merge one batch; ratios[i] belongs to the candidate keys[i]. A
+        NaN ratio, which no comparison can place, raises NotRepresentable
+        (min gives NaN whenever a ratio is NaN)."""
         if ratios.size == 0:
             return
-        self.floor = min(self.floor, float(ratios.min()))
+        low = float(ratios.min())
+        if math.isnan(low):
+            raise errors.NotRepresentable("a content ratio is NaN in double precision")
+        self.floor = min(self.floor, low)
         cutoff = self.floor * (1.0 + TIE_RTOL)
         near = ratios <= cutoff
         if not near.any():  # the floor held and nothing new came near it
@@ -472,7 +477,8 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     mass = graph.mass_vector[order]
     mu_a = np.cumsum(mass)[a_size - 1]
     mu_b = np.cumsum(mass[::-1])[::-1][b_start]
-    ratios = (1.0 / mu_a[:, None] + 1.0 / mu_b[None, :]) * energies
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (1.0 / mu_a[:, None] + 1.0 / mu_b[None, :]) * energies
     # A's sets grow and B's shrink along x, so their canonical keys rise
     # and fall with the index; a pair's key is its rank in the order of
     # (A's key, B's key)

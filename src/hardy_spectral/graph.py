@@ -467,9 +467,10 @@ def split_edge(graph: WeightedGraph, edge: tuple[int, int],
     if not graph.conductance_matrix[u, v] > 0.0:
         raise errors.NoSuchEdge(u, v)
     fr = [float(a) for a in fractions]
-    if not fr or any(a <= 0.0 for a in fr):
+    # written so that a NaN fails both
+    if not fr or not all(a > 0.0 for a in fr):
         raise errors.FractionsInvalid(f"fractions must be positive, got {fr}")
-    if abs(sum(fr) - 1.0) > 1e-12:
+    if not abs(sum(fr) - 1.0) <= 1e-12:
         raise errors.FractionsInvalid(f"fractions sum to {sum(fr)!r}, not 1")
 
     kappa = float(graph.conductance_matrix[u, v])

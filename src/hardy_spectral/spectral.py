@@ -20,8 +20,9 @@ A problem's result does not depend on the others of its call, so a
 boundary-pinned stack: the Dirichlet problem as `pose_dirichlet` poses
 it and both sides of every pinch suite potential go to one `ground_modes`
 call, and `finish_dirichlet` turns the Dirichlet problem's entry into
-its result. `dirichlet_eigenvalue` is the same three steps for one
-problem alone, as `analyze` and the level-set quotient path use it.
+its result; `analyze` poses its one Dirichlet problem the same way.
+`dirichlet_eigenvalue` is the same three steps for one problem alone, as
+the level-set quotient path and the public API use it.
 
 LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
 which on stiff graphs swamps the small differences across stiff edges. So
@@ -351,15 +352,25 @@ def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.n
 def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
                       boundary: Optional[VertexSet] = None) -> float:
     """x^T L x / x^T M x; an upper bound on the matching eigenvalue for any
-    feasible x. With a boundary, x must vanish there exactly."""
+    feasible x. With a boundary, x must vanish there exactly. x is first
+    scaled by a power of two to max |x| in [1/2, 1), which is exact and
+    leaves the quotient as it is, so its scale alone never leaves the
+    doubles. ZeroVector if x vanishes on every vertex of positive mass;
+    NotRepresentable if the quotient still leaves the doubles."""
     x = as_potential(graph, x)
     if boundary is not None:
         for v in np.flatnonzero(graph.row(boundary)).tolist():
             if x[v] != 0.0:
                 raise errors.BoundaryViolated(f"x[{v}] = {x[v]!r} on the boundary")
-    denom = float(x @ (graph.mass_vector * x))
-    if denom == 0.0:
+    mass = graph.mass_vector
+    if not x[mass > 0.0].any():
         raise errors.ZeroVector("mass-weighted norm of x is zero")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     # x^T L x summed over the edges, so no terms cancel
     u, v, k = graph.edge_arrays
-    return float(np.sum(k * (x[u] - x[v]) ** 2)) / denom
+    with np.errstate(all="ignore"):
+        quotient = float(np.sum(k * (x[u] - x[v]) ** 2) / (x @ (mass * x)))
+    if not 0.0 <= quotient < np.inf:
+        raise errors.NotRepresentable(
+            f"the Rayleigh quotient {quotient!r} leaves double precision")
+    return quotient

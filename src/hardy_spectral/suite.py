@@ -4,18 +4,20 @@ graph and report each comparison as a tolerance-aware check.
 Suites run one after another on the calling thread, in the fixed order of
 ALL_SUITES, each yielding its rows, which enter the report whole. After
 the fundamental mode, solved up front, a run poses its randomness, its
-pinching work and its boundary-pinned eigenproblems once, on first use
-(`_pose`): one read of the seeded generator (`_draws`), the pinch suite's
-potentials, 12n outputs each, then `ressum`'s samples at a fixed stride
-of 12n + 2 outputs each; one `pinched_sides` call on the mode and every
-potential; and one `ground_modes` stack for lambda(G, S) and both sides
-of every pinch suite potential. A row of either call does not depend on
-the others, so each suite's rows are the ones it gives alone. Every
-potential is made from its 12n outputs the same way and is never drawn
-again. LAPACK is deterministic for a fixed build, and every tie is
-decided within a window, so a report depends only on the inputs and the
-seed. No suite builds a pinched graph: the pinched sides and ground rows
-go to `spectral.ground_modes` for the pinch suite and to
+pinching work and its boundary-pinned eigenproblems once, on first use,
+as one entry of the `Quantities` memo (`_pose`), the only route to
+lambda(G, S) for `verify` and `analyze` alike: one read of the seeded
+generator (`_draws`), the pinch suite's potentials, 12n outputs each,
+then `ressum`'s samples at a fixed stride of 12n + 2 outputs each; one
+`pinched_sides` call on the mode and every potential; and one
+`ground_modes` stack for lambda(G, S) and both sides of every pinch suite
+potential. A row of either call does not depend on the others, so each
+suite's rows are the ones it gives alone. Every potential is made from
+its 12n outputs the same way and is never drawn again. LAPACK is
+deterministic for a fixed build, and every tie is decided within a
+window, so a report depends only on the inputs and the seed. No suite
+builds a pinched graph: the pinched sides and ground rows go to
+`spectral.ground_modes` for the pinch suite and to
 `resistance.pinned_energies` for `ressum`, all of a run's resistances in
 one call (R(A, B) on the graph itself, by the series law), its sets
 boolean rows from the draw to the elimination.
@@ -142,19 +144,19 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
     the others of the call, so each result is the one a call of its own
     gives.
 
-    Returns each part of the run by name, its result or the typed error
-    that stopped it, or None if no wanted suite needs it: "dirichlet",
-    lambda_dirichlet's SpectralResult; "worst", the pinch suite's worst
-    sides (see `_worst_sides`); and "ressum", ressum's draws and per
-    sample None or its pinch's typed error. A failed draw stops both the
-    pinch suite and ressum, a failed lambda2 the pinch suite (after the
-    draw), and a problem that does not pose lambda_dirichlet, each with
-    its own error. The draws are (sides, ground, A, B): the
+    Returns each part of the run by its name in the memo, its result or the
+    typed error that stopped it, or None if no wanted suite needs it:
+    "lambda_dirichlet", its SpectralResult; "worst", the pinch suite's
+    worst sides (see `_worst_sides`); and "ressum_draws", ressum's draws
+    and per sample None or its pinch's typed error. A failed draw stops
+    both the pinch suite and ressum, a failed lambda2 the pinch suite
+    (after the draw), and a problem that does not pose lambda_dirichlet,
+    each with its own error. The draws are (sides, ground, A, B): the
     `pinched_sides` rows of the d samples that pinched, in sample order,
     then A and B as boolean rows (d, n) from each such sample's two words
     by `_nonempty_subsets`. A sample whose pinch fails leaves its words
-    unused (on a graph with a zero-mass vertex every sample fails with
-    the same ZeroMass)."""
+    unused (on a graph with a zero-mass vertex every sample fails with the
+    same ZeroMass)."""
     graph = q.graph
     n = graph.vertex_count
     dirichlet = worst = ressum = None
@@ -188,7 +190,7 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
                 a, b = _nonempty_subsets(sides[d:], words[ok]).swapaxes(0, 1)
                 ressum = (sides[d:], ground[d:], a, b), ressum_failed
     rows, to_zero = (np.concatenate(part) for part in zip(*problems))
-    modes = iter(ground_modes(graph, rows, to_zero) if len(rows) else ())
+    modes = iter(ground_modes(graph, rows, to_zero))
     if wants_dirichlet and dirichlet is None:
         try:
             dirichlet = finish_dirichlet(graph, next(modes))
@@ -196,51 +198,43 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
             dirichlet = exc
     if "pinch" in wanted and worst is None:
         worst = _worst_sides(pinch_failed, modes)
-    return {"dirichlet": dirichlet, "worst": worst, "ressum": ressum}
+    return {"lambda_dirichlet": dirichlet, "worst": worst, "ressum_draws": ressum}
 
 
-# how each quantity is solved, given the memo that holds the others
+# how each quantity, and each part of a run, is solved, given the memo
+# that holds the others
 _SOLVERS = {
     "lambda2": lambda q: neumann_eigenvalue(q.graph),
     "psi2": lambda q: neumann_content_exact(q.graph),
     "psi2_sweep": lambda q: neumann_content_sweep(q.graph, q.get("lambda2").eigenvector),
     "phi": lambda q: isoperimetric_exact(q.graph),
-    "lambda_dirichlet": lambda q: (q.posed("dirichlet") if q.run
-                                   else dirichlet_eigenvalue(q.graph, q.pinned())),
     "psi_dirichlet": lambda q: dirichlet_content_exact(q.graph, q.pinned()),
+    "posed": lambda q: _pose(q, *q.run),
+    "lambda_dirichlet": lambda q: q.get("posed")["lambda_dirichlet"],
+    "worst": lambda q: q.get("posed")["worst"],
+    "ressum_draws": lambda q: q.get("posed")["ressum_draws"],
 }
 
 
 class Quantities:
     """The quantities `verify` and `analyze` report for one graph and
-    boundary, each solved at most once, on first use. A typed failure is
-    kept too: asking again raises it again instead of solving again. A
-    quantity enters `report` only through `record`, at once, so a suite
-    that fails later still keeps the quantities it solved. A `verify`
-    run passes `run` = (wanted suites, samples, seed), and lambda_dirichlet
-    is then read from the run's one posing step (`posed`), whose time it
-    carries if it is the first to ask; `analyze` passes none and solves
-    it alone."""
+    boundary, and the parts of the run behind them, each solved at most
+    once, on first use, into one memo. A typed failure, raised or returned
+    by its solver, is kept too: asking again raises it again instead of
+    solving again. A quantity enters `report` only through `record`, at
+    once, so a suite that fails later still keeps the quantities it
+    solved. lambda_dirichlet, "worst" and "ressum_draws" are read from the
+    run's posing step ("posed": `_pose` on `run` = (wanted suites, samples,
+    seed)), whose time lambda_dirichlet carries if it asks first; `analyze`
+    passes the run of a Dirichlet-only `verify` with no samples."""
 
     def __init__(self, graph: WeightedGraph, boundary: Optional[VertexSet],
-                 report: VerificationReport, run: Optional[tuple] = None):
+                 report: VerificationReport, run: tuple):
         self.graph = graph
         self.boundary = boundary
         self.report = report
         self.run = run
-        self._posed: Optional[dict] = None
         self._solved: dict[str, tuple[object, float]] = {}
-
-    def posed(self, part: str):
-        """One part of the run's pinching work and boundary-pinned
-        eigenproblems (`_pose`, posed on first use), raised if it is a
-        typed error."""
-        if self._posed is None:
-            self._posed = _pose(self, *self.run)
-        result = self._posed[part]
-        if isinstance(result, errors.HardySpectralError):
-            raise result
-        return result
 
     def pinned(self) -> VertexSet:
         if self.boundary is None:
@@ -248,7 +242,8 @@ class Quantities:
         return self.boundary
 
     def get(self, name: str):
-        """The result for `name` (a key of _SOLVERS), or its typed error."""
+        """The result for `name` (a key of _SOLVERS); raises its typed
+        error instead."""
         if name not in self._solved:
             start = time.perf_counter()
             try:
@@ -358,7 +353,7 @@ def run_suite(graph: WeightedGraph, *,
         yield check_le("cheeger_upper", phi.value, upper, tolerance)
 
     def suite_pinch():
-        worst = q.posed("worst")
+        worst = q.get("worst")
         lambda2 = q.get("lambda2").eigenvalue
         for i, worst_side in enumerate(worst):
             name = f"pinch_random_{i:02d}" if i else "pinch_eigenvector"
@@ -370,7 +365,7 @@ def run_suite(graph: WeightedGraph, *,
                 yield check_eq(name, worst_side, lambda2, tolerance)
 
     def suite_ressum():
-        (sides, pinched, a, b), failures = q.posed("ressum")
+        (sides, pinched, a, b), failures = q.get("ressum_draws")
         n = graph.vertex_count
         # per draw 1/R(A, Z) and 1/R(B, Z) on their sides, then 1/R(A, B)
         # on the parent (series law), B held at 0; problem 3i + j is the

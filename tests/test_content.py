@@ -8,12 +8,13 @@ from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_content_exact,
                             neumann_content_sweep, neumann_eigenvalue,
                             path_graph, pinch)
 from hardy_spectral import errors
+from hardy_spectral.content import _RunningMin
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import TIE_RTOL
 
-from conftest import (corpus_boundary, corpus_graph, corpus_path, mixed_sign_fs,
-                      sample_without_replacement, worst_sides)
+from conftest import (corpus_boundary, corpus_graph, corpus_path, extreme_weight_fuzz,
+                      mixed_sign_fs, sample_without_replacement, worst_sides)
 
 
 class TestHardyPath:
@@ -168,6 +169,22 @@ class TestUnrepresentableContent:
         # scores 0 (not inf * 0 = NaN), and the first tail wins with 1
         res = hardy_path(path_graph([1.0, 1.0, 0.0], [1.0, 1e-310]))
         assert (res.value, res.witness_a.members) == (1.0, (1, 2))
+
+    def test_a_nan_ratio_is_a_typed_error(self):
+        # a NaN ratio places nowhere in the running minimum, so a larger
+        # ratio could win: the sweep's (1/1e-310 + 1/2) * 0 is inf * 0,
+        # and the exact tree's leaves meet the same on fuzz draws 318 and
+        # 350 (mpmath gives 350's psi2 = 1.0)
+        best = _RunningMin()
+        with pytest.raises(errors.NotRepresentable, match="ratio is NaN"):
+            best.offer(np.array([2.0, np.nan, 1.0]), np.arange(3))
+        g = path_graph([1e-310, 1.0, 1.0], [5e-324, 5e-324])
+        with pytest.raises(errors.NotRepresentable, match="ratio is NaN"):
+            neumann_content_sweep(g, np.array([-1.0, 0.5, 1.0]))
+        draws = dict(extreme_weight_fuzz())
+        for t in (318, 350):
+            with pytest.raises(errors.NotRepresentable, match="ratio is NaN"):
+                neumann_content_exact(draws[t])
 
 
 class TestNeumannContent:

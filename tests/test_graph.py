@@ -406,8 +406,10 @@ class TestSplitEdge:
         with pytest.raises(errors.BadRange, match="does not name two vertices"):
             split_edge(g, edge, [0.5, 0.5])
 
-    @pytest.mark.parametrize("fractions", [[0.5, 0.6], [0.5, -0.5, 1.0], []])
+    @pytest.mark.parametrize("fractions", [[0.5, 0.6], [0.5, -0.5, 1.0], [], [math.nan, 1.0]])
     def test_bad_fractions(self, fractions):
+        # a NaN once passed both checks and failed later, on a segment
+        # split_edge built, as NonPositiveConductance
         g = WeightedGraph((1.0, 1.0), ((0, 1, 1.0),))
         with pytest.raises(errors.FractionsInvalid):
             split_edge(g, (0, 1), fractions)

@@ -645,15 +645,58 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["timing_ms"] == {}
 
     def test_analyze_and_verify_agree_bit_for_bit(self, tmp_path, capsys):
-        path = self._write(tmp_path, "g.wgr", serialize_wgr(corpus_graph(4)))
-        assert main(["analyze", path, "--json", "--boundary", "v0"]) == 0
-        analyzed = json.loads(capsys.readouterr().out)
-        assert main(["verify", path]) == 0
-        verified = json.loads(capsys.readouterr().out)
-        for key in ("quantities", "witnesses"):
-            shared = analyzed[key].keys() & verified[key].keys()
-            assert len(shared) == len(analyzed[key])
-            assert all(analyzed[key][k] == verified[key][k] for k in shared)
+        # both read lambda(G, S) from the same posing step: the same
+        # quantities and witnesses, and where it fails the same error text
+        # (a boundary of every vertex, BadBoundary; a zero-mass interior
+        # vertex, ZeroMass)
+        g = corpus_graph(4)
+        cases = [(g, None, "v0", 0)]
+        cases += [(corpus_graph(i), corpus_boundary(corpus_graph(i), i), None, 0)
+                  for i in range(12)]
+        cases += [(g, None, ",".join(f"v{v}" for v in range(g.vertex_count)), 1),
+                  (_zero_mass_graph(), None, "v0", 1)]
+        for i, (graph, boundary, names, code) in enumerate(cases):
+            path = self._write(tmp_path, "g.wgr", serialize_wgr(graph, boundary))
+            flag = [] if names is None else ["--boundary", names]
+            assert main(["analyze", path, "--json"] + flag) == 0
+            out, err = capsys.readouterr()
+            analyzed = json.loads(out)
+            assert main(["verify", path] + flag) == code
+            verified = json.loads(capsys.readouterr().out)
+            for key in ("quantities", "witnesses"):
+                shared = analyzed[key].keys() & verified[key].keys()
+                # a failed dirichlet suite stops before psi_dirichlet
+                assert len(shared) == len(analyzed[key]) or code, i
+                assert all(analyzed[key][k] == verified[key][k] for k in shared), i
+            dirichlet = {c["name"]: c for c in verified["checks"]}.get("dirichlet")
+            notes = [line for line in err.splitlines()
+                     if line.startswith("lambda_dirichlet unavailable: ")]
+            assert notes == ([] if dirichlet is None else
+                             [f"lambda_dirichlet unavailable: {dirichlet['reason']}"]), i
+            assert (dirichlet is None) == (code == 0), i
+
+    def test_analyze_solves_lambda_dirichlet_as_verify_does(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # lambda(G, S) has one route: the run's posing step, one
+        # `ground_modes` call on the graph, and no `dirichlet_eigenvalue`
+        alone, solved = [], []
+
+        def counted(graph, boundary):
+            alone.append(graph)
+            return dirichlet_eigenvalue(graph, boundary)
+
+        def counted_modes(graph, sides, ground):
+            solved.append((graph.masses, len(sides)))
+            return ground_modes(graph, sides, ground)
+
+        ground_modes = spectral.ground_modes
+        for module in (suite, spectral):
+            monkeypatch.setattr(module, "dirichlet_eigenvalue", counted)
+            monkeypatch.setattr(module, "ground_modes", counted_modes)
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        assert main(["analyze", path, "--boundary", "v0"]) == 0
+        assert "lambda_dirichlet = " in capsys.readouterr().out
+        assert alone == [] and solved == [((1.0, 1.0, 1.0), 1)]
 
     def test_analyze_beyond_the_psi2_guard(self, tmp_path, capsys):
         g = random_graph(13, 0.2, (0.1, 10.0), (0.1, 10.0), seed=1)

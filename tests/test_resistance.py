@@ -350,7 +350,7 @@ def posed_ressum(graph, wanted, samples, seed):
     """ressum's part of the posing step (`suite._pose`) of a run of
     `wanted`, with no boundary: its draws and per-sample errors."""
     report = blank_report(graph, seed, DEFAULT_TOLERANCE)
-    return Quantities(graph, None, report, (wanted, samples, seed)).posed("ressum")
+    return Quantities(graph, None, report, (wanted, samples, seed)).get("ressum_draws")
 
 
 def drawn_samples(draws, failures):

@@ -264,6 +264,29 @@ class TestRayleighQuotient:
         assert rayleigh_quotient(p3, 7.5 * x) == pytest.approx(
             rayleigh_quotient(p3, x), rel=1e-12)
 
+    def test_no_scale_of_x_leaves_the_doubles(self):
+        # x goes to max |x| in [1/2, 1) first, exactly: 1e200 squared once
+        # overflowed to inf / inf = NaN (with RuntimeWarnings, errors in
+        # this suite), and 1e-200 squared underflowed to a zero norm
+        g = path_graph([1.0, 1.0, 1.0], [1.0, 2.0])
+        assert rayleigh_quotient(g, [1e200, -1e200, 0.0]) == 3.0
+        assert rayleigh_quotient(g, [1e-200, 0.0, 0.0]) == 1.0
+        rng = Xorshift64Star(43)
+        for i in range(10):
+            g = corpus_graph(i)
+            s = corpus_boundary(g, i)
+            x = random_vector(rng, g.vertex_count)
+            pinned = np.where(g.row(s), 0.0, x)
+            for e in (600, -600):
+                assert rayleigh_quotient(g, np.ldexp(x, e)) == rayleigh_quotient(g, x)
+                assert (rayleigh_quotient(g, np.ldexp(pinned, e), s)
+                        == rayleigh_quotient(g, pinned, s))
+
+    def test_a_quotient_past_the_doubles_is_a_typed_error(self):
+        g = WeightedGraph((1e-300, 1e-300), ((0, 1, 1e300),))
+        with pytest.raises(errors.NotRepresentable, match="leaves double precision"):
+            rayleigh_quotient(g, [1.0, -1.0])
+
     def test_zero_vector_rejected(self, p3):
         with pytest.raises(errors.ZeroVector):
             rayleigh_quotient(p3, np.zeros(3))
