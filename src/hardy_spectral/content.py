@@ -330,15 +330,30 @@ def hardy_path(path: WeightedGraph) -> ContentResult:
         raise errors.ZeroInteriorMass("every interior mass is zero")
 
     # entry k - 1 belongs to the tail {v_k, ..., v_N}, keyed by its length;
-    # both sums run in order. A tail of zero mass scores 0, even past a
-    # resistance that overflows; a product past the doubles gives a value
-    # of 0 or inf, which ContentResult rejects.
+    # both sums run in order. The resistances are summed times 2^shift, a
+    # power of two, which is exact: first at the shift that puts the first,
+    # the smallest, in (1, 2]; the sums that reach 2^1023 there are taken
+    # again at the shift that keeps the whole sum at most 2^1023, where
+    # they are far above the subnormals. So no scale of the weights, nor
+    # their spread, takes a resistance out of the doubles. Each ratio is
+    # formed on mantissas and scaled back. A tail of zero mass scores inf;
+    # a ratio past the doubles is 0 or inf, which ContentResult rejects.
     _u, _v, kappa = path.edge_arrays
-    suffix_mass = np.cumsum(path.masses[:0:-1])[::-1]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h = np.where(suffix_mass > 0.0, np.cumsum(1.0 / kappa) * suffix_mass, 0.0)
+    fraction, exponent = np.frexp(kappa)  # 1/kappa is 1/fraction * 2^-exponent
+    shift = np.full(n - 1, exponent[0])
+    with np.errstate(over="ignore"):
+        resistance = np.cumsum(np.ldexp(1.0 / fraction, shift - exponent))
+    high = ~(resistance < 2.0 ** 1023)
+    if high.any():
+        top = exponent.min() + 1022 - (n - 1).bit_length()
+        shift[high] = top
+        resistance[high] = np.cumsum(np.ldexp(1.0 / fraction, top - exponent))[high]
+    resistance, rexp = np.frexp(resistance)
+    suffix_mass, mexp = np.frexp(np.cumsum(path.masses[:0:-1])[::-1])
+    with np.errstate(over="ignore", divide="ignore"):
         best = _RunningMin()
-        best.offer(1.0 / h, np.arange(n - 1, 0, -1))
+        best.offer(np.ldexp(1.0 / (resistance * suffix_mass), shift - rexp - mexp),
+                   np.arange(n - 1, 0, -1))
     value, size = best.winner
     return ContentResult(value=value, witness_a=VertexSet.of(range(n - size, n)), witness_b=None)
 

@@ -20,9 +20,12 @@ A problem's result does not depend on the others of its call, so a
 boundary-pinned stack: the Dirichlet problem as `pose_dirichlet` poses
 it and both sides of every pinch suite potential go to one `ground_modes`
 call, and `finish_dirichlet` turns the Dirichlet problem's entry into
-its result; `analyze` poses its one Dirichlet problem the same way.
+its result; `analyze` poses its one Dirichlet problem the same way. The
+path-reduction suite poses the level-set quotient path by
+`pose_dirichlet` to a `ground_modes` call of its own and reads only the
+eigenvalue.
 `dirichlet_eigenvalue` is the same three steps for one problem alone, as
-the level-set quotient path and the public API use it.
+the public API uses it.
 
 LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
 which on stiff graphs swamps the small differences across stiff edges. So
@@ -142,15 +145,20 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
         if pad is not None:
             x[pad] = 0.0
         lam = np.full(len(x), np.inf)
-        live = slice(None)  # the rows still moving: all of them, until one settles
+        # the rows still moving (all of them, until one settles) and their
+        # arrays, gathered again only when some settle; x and lam take the
+        # live rows' values back then, and when the polish ends
+        live = np.arange(len(x))
+        solve_blocks, m, w_live, ground_live, x_live, lam_live = (
+            blocks[:, k:, k:], mass, w, ground, x, lam)
+        total = m.sum(axis=1, keepdims=True) if k else None
         for _ in range(MAX_POLISH_STEPS):
-            m = mass[live]
-            y = np.zeros_like(m)
             try:
-                y[:, k:] = np.linalg.solve(blocks[live, k:, k:],
-                                           (m * x[live])[:, k:, None])[:, :, 0]
+                y = np.linalg.solve(solve_blocks, (m * x_live)[:, k:, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 raise errors.NotPositiveDefinite() from None
+            if k:  # the grounded first vertex
+                y = np.concatenate((np.zeros((len(y), 1)), y), axis=1)
             # each y to max |y| in [1/4, 1/2) by a power of two (~e is
             # -1 - e), which is exact, so that neither mass * y nor
             # mass * y * y overflows or goes subnormal. The Neumann solve
@@ -159,21 +167,28 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
             # scaling serves both sums
             y = np.ldexp(y, ~np.frexp(np.abs(y).max(axis=1, keepdims=True))[1])
             if k:
-                y -= _mass_dot(m, y) / m.sum(axis=1, keepdims=True)
+                y -= _mass_dot(m, y) / total
             norm = np.sqrt(_mass_dot(m, y * y))
             # a y past the doubles gives a norm of inf or NaN, an all-zero y 0
             if not 0.0 < norm.min() <= norm.max() < np.inf:
                 raise errors.NoConvergence("inverse iteration overflowed in double precision")
-            x[live] = y = y / norm
+            x_live = y = y / norm
             diff = y[:, :, None] - y[:, None, :]
-            energy = (0.5 * (w[live] * diff * diff).reshape(len(y), -1).sum(axis=1)
-                      + (ground[live] * (y * y)).sum(axis=1))
-            fall, lam[live] = lam[live] - energy, energy
-            moving = np.flatnonzero(fall > SETTLE_RTOL * energy)
-            if len(moving) == 0:
-                break
-            if len(moving) < len(energy):
-                live = np.arange(len(x))[live][moving]
+            energy = (0.5 * (w_live * diff * diff).reshape(len(y), -1).sum(axis=1)
+                      + (ground_live * (y * y)).sum(axis=1))
+            moving = lam_live - energy > SETTLE_RTOL * energy
+            lam_live = energy
+            if not moving.all():
+                x[live], lam[live] = x_live, lam_live
+                live = live[moving]
+                if not live.size:
+                    break
+                solve_blocks, m, w_live, ground_live = (
+                    blocks[live, k:, k:], mass[live], w[live], ground[live])
+                x_live, lam_live = x_live[moving], lam_live[moving]
+                total = m.sum(axis=1, keepdims=True) if k else None
+        else:
+            x[live], lam[live] = x_live, lam_live
     if not lam.max() < np.inf:  # a sum of nonnegative terms: inf, never NaN
         raise errors.NotRepresentable("the eigenvalue overflows double precision")
     return lam, x
@@ -203,20 +218,19 @@ def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list, width: 
     piece) of `pieces` from one `_eigenpairs` stack of `width` vertices,
     a piece with fewer being padded up to it: each pad slot gathers the
     piece's first vertex, and the pad mask then gives it no conductances,
-    no ground and mass 1. A stack with no pad slot is passed on as
-    gathered, with pad=None. A stack that raises a typed error is solved
-    again one piece at a time, padded the same way, so the error lands
-    only on the piece that causes it."""
+    no ground and mass 1. A stack with no pad slot builds no pad mask and
+    is passed on as gathered, with pad=None. A stack that raises a typed
+    error is solved again one piece at a time, padded the same way, so the
+    error lands only on the piece that causes it."""
     row = np.array([i for i, _ in pieces])[:, None]
     idx = np.array([piece + piece[:1] * (width - len(piece)) for _, piece in pieces])
-    pad = np.arange(width) >= np.array([len(piece) for _, piece in pieces])[:, None]
     w, to_zero, mass = (graph.conductance_matrix[idx[:, :, None], idx[:, None, :]],
                         ground[row, idx], graph.mass_vector[idx])
-    if pad.any():
+    pad = None
+    if min(len(piece) for _, piece in pieces) < width:
+        pad = np.arange(width) >= np.array([len(piece) for _, piece in pieces])[:, None]
         w = np.where(pad[:, :, None] | pad[:, None, :], 0.0, w)
         to_zero, mass = np.where(pad, 0.0, to_zero), np.where(pad, 1.0, mass)
-    else:
-        pad = None
     try:
         lam, x = _eigenpairs(w, to_zero, mass, 0, pad)
     except errors.HardySpectralError as exc:
@@ -250,7 +264,8 @@ def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) ->
     Returns, per problem, the typed error of its first failing piece, else
     (piece, eigenvalue, eigenvector on the piece) for the lowest-id piece
     among those whose eigenvalue ties the smallest, so the mode never
-    mixes decoupled blocks and keeps one sign.
+    mixes decoupled blocks and keeps one sign. A call whose problems are
+    one piece each returns the modes in order, with nothing to pick.
     """
     splits = [components(graph, np.flatnonzero(side).tolist()) for side in sides]
     if not all(splits):
@@ -279,6 +294,8 @@ def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) ->
     for width, js in stacks.items():
         for j, mode in zip(js, _piece_modes(graph, ground, [pieces[j] for j in js], width)):
             modes[j] = mode
+    if len(pieces) == len(splits):  # one piece per problem: nothing to pick
+        return modes
     # each problem's first failing piece, else its first piece within
     # TIE_RTOL of its smallest eigenvalue: a failed piece counts as -inf
     lam = np.array([-np.inf if isinstance(mode, errors.HardySpectralError) else mode[1]
@@ -349,14 +366,21 @@ def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.n
     return x
 
 
+def _largest_exponent(exponent: np.ndarray, product: np.ndarray) -> int:
+    """The largest of `exponent` where `product` is nonzero, else 0."""
+    live = product != 0.0
+    return int(exponent[live].max()) if live.any() else 0
+
+
 def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
                       boundary: Optional[VertexSet] = None) -> float:
     """x^T L x / x^T M x; an upper bound on the matching eigenvalue for any
     feasible x. With a boundary, x must vanish there exactly. x is first
     scaled by a power of two to max |x| in [1/2, 1), which is exact and
-    leaves the quotient as it is, so its scale alone never leaves the
-    doubles. ZeroVector if x vanishes on every vertex of positive mass;
-    NotRepresentable if the quotient still leaves the doubles."""
+    leaves the quotient as it is, and each sum is taken at a power of two
+    of its own, so no weight, large or small, leaves the doubles before
+    the quotient does. ZeroVector if x vanishes on every vertex of
+    positive mass; NotRepresentable if the quotient overflows."""
     x = as_potential(graph, x)
     if boundary is not None:
         for v in np.flatnonzero(graph.row(boundary)).tolist():
@@ -366,10 +390,31 @@ def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
     if not x[mass > 0.0].any():
         raise errors.ZeroVector("mass-weighted norm of x is zero")
     x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-    # x^T L x summed over the edges, so no terms cancel
+    # x^T L x summed over the edges, so no terms cancel, and x^T M x as a
+    # dot product. Each term is formed as k d^2 and x (m x) would be, but
+    # on the mantissas of its factors, and at the power of two, 2^-top,
+    # that puts its sum's largest term in [1/8, 1): no weight, large or
+    # small, takes a term out of the doubles, and one over 2^1019 below
+    # the largest loses bits only far below the sum's last. Where no term
+    # leaves the normal doubles unscaled, the sums are the unscaled sums'
+    # bits times 2^-top.
     u, v, k = graph.edge_arrays
-    with np.errstate(all="ignore"):
-        quotient = float(np.sum(k * (x[u] - x[v]) ** 2) / (x @ (mass * x)))
+    fk, ek = np.frexp(k)
+    fd, ed = np.frexp(x[u] - x[v])
+    fm, em = np.frexp(mass)
+    fx, ex = np.frexp(x)
+    energy_exp, norm_exp = ek + 2 * ed, em + 2 * ex
+    energy_top = _largest_exponent(energy_exp, fk * fd)
+    norm_top = _largest_exponent(norm_exp, fm * fx)
+    energy = np.sum(np.ldexp(fk * (fd * fd), energy_exp - energy_top))
+    norm = fx @ np.ldexp(fm * fx, norm_exp - norm_top)
+    scale = energy_top - norm_top
+    with np.errstate(over="ignore"):
+        if scale >= 0:
+            quotient = float(np.ldexp(energy / norm, scale))
+        else:  # rounded once, by the division, onto the subnormals too
+            lift = max(scale, -1000)
+            quotient = float(np.ldexp(energy, lift) / np.ldexp(norm, lift - scale))
     if not 0.0 <= quotient < np.inf:
         raise errors.NotRepresentable(
             f"the Rayleigh quotient {quotient!r} leaves double precision")

@@ -69,6 +69,10 @@ def stiff_graph(seed: int, ratio: float, mass_ratio: float = 1.0,
 EXTREME_SCALES = [(-530, 0), (-600, 0), (-700, 0), (-1000, 0), (530, 0), (1015, 0), (0, 530),
                   (0, 700)]
 
+# (mass, conductance) powers of two that scale a quotient of the two by
+# at most 2^600 either way
+WEIGHT_SCALES = [(600, 600), (-600, -600), (600, 0), (-600, 0), (0, 600), (0, -600)]
+
 
 def scaled_by_powers_of_two(g: WeightedGraph, mass_exp: int, kappa_exp: int) -> WeightedGraph:
     """g with every mass times 2^mass_exp and every conductance times

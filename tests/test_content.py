@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,9 @@ from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import TIE_RTOL
 
-from conftest import (corpus_boundary, corpus_graph, corpus_path, extreme_weight_fuzz,
-                      mixed_sign_fs, sample_without_replacement, worst_sides)
+from conftest import (WEIGHT_SCALES, corpus_boundary, corpus_graph, corpus_path,
+                      extreme_weight_fuzz, mixed_sign_fs, sample_without_replacement,
+                      scaled_by_powers_of_two, worst_sides)
 
 
 class TestHardyPath:
@@ -86,6 +90,34 @@ class TestHardyPath:
             res = hardy_path(g)
             value, witness = self.scan(g)
             assert res.value.hex() == value.hex() and res.witness_a.members == witness
+
+    def test_no_scale_of_the_weights_leaves_the_doubles(self):
+        # 1 / 5e-324 once overflowed, so every tail scored 0
+        res = hardy_path(path_graph([0.0, 5e-324, 5e-324], [5e-324, 5e-324]))
+        assert (res.value, res.witness_a.members) == (0.5, (2,))
+        # resistances 2^1993 apart: the smallest, which wins, keeps its bits
+        g = path_graph([1e300, 1.0, 0.0, 0.0], [1e300, 1e-300, 1e300])
+        res = hardy_path(g)
+        assert (res.value, res.witness_a.members) == self.scan(g)
+        # resistances 2^2083 apart, more than one scale holds: the first,
+        # which wins, is not lost to the subnormals
+        cases = [([0.0, 2.0 ** 1023, 2.0 ** -1074], [2.0 ** 1023, 2.0 ** -1060]),
+                 ([0.0, 8.98846567431158e307, 0.0], [1.7e308, 5e-324]),
+                 ([0.0, 1e301, 2.2250738585072014e-308], [4.5e307, 2.2250738585072014e-308])]
+        for masses, kappas in cases:
+            res = hardy_path(path_graph(masses, kappas))
+            exact = min((1 / (sum(1 / Fraction(k) for k in kappas[:i])
+                              * sum(map(Fraction, masses[i:]))), tuple(range(i, len(masses))))
+                        for i in range(1, len(masses)) if any(masses[i:]))
+            assert abs(Fraction(res.value) - exact[0]) <= exact[0] * 2.0 ** -50
+            assert res.witness_a.members == exact[1]
+        for i in range(40):
+            g = corpus_path(i)
+            res = hardy_path(g)
+            for mass_exp, kappa_exp in WEIGHT_SCALES:
+                scaled = hardy_path(scaled_by_powers_of_two(g, mass_exp, kappa_exp))
+                assert scaled.value == math.ldexp(res.value, kappa_exp - mass_exp)
+                assert scaled.witness_a == res.witness_a
 
 
 class TestDirichletContent:

@@ -23,10 +23,11 @@ from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_eigenvalue, emit
                             split_edge)
 from hardy_spectral import cli, errors, spectral, suite
 from hardy_spectral.cli import main
+from hardy_spectral.content import level_set_quotient
 from hardy_spectral.report import (Check, VerificationReport, check_eq, check_error,
                                    check_ge, check_le)
 
-from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph,
+from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, extreme_weight_fuzz,
                       extreme_weight_fuzz_reports, scaled_by_powers_of_two, stiff_graph)
 
 P3_TEXT = """\
@@ -44,6 +45,20 @@ ONE_VERTEX_TEXT = "vertex a 1\n"
 UNDERFLOW_TEXT = "vertex a 1e300\nvertex b 1e300\nedge a b 1e-300\n"
 
 OVERFLOW_TEXT = "vertex a 1\nvertex b 1e-300\nedge a b 1e300\nboundary a\n"
+
+
+def count_calls(monkeypatch, original, calls: list) -> None:
+    """Wrap `original` in every namespace of the package that holds it,
+    appending each call's arguments to `calls`."""
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hardy_spectral") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
 
 
 class TestParse:
@@ -321,27 +336,73 @@ class TestRunSuite:
             assert rep.checks
 
     def test_dirichlet_ground_state_solved_once(self, p3, monkeypatch):
-        # the run's graph poses its one problem to one `ground_modes` call;
-        # the other call, the one `dirichlet_eigenvalue`, solves the
-        # level-set quotient path
-        calls, solved = [], []
-
-        def counted(graph, boundary):
-            calls.append(graph)
-            return dirichlet_eigenvalue(graph, boundary)
+        # the run's graph poses its one problem to one `ground_modes` call,
+        # and the level-set quotient path poses its own to a second; no
+        # module calls `dirichlet_eigenvalue`
+        alone, solved = [], []
 
         def counted_modes(graph, sides, ground):
             solved.append((graph, len(sides)))
             return ground_modes(graph, sides, ground)
 
         ground_modes = spectral.ground_modes
-        monkeypatch.setattr(suite, "dirichlet_eigenvalue", counted)
+        count_calls(monkeypatch, dirichlet_eigenvalue, alone)
         for module in (suite, spectral):
             monkeypatch.setattr(module, "ground_modes", counted_modes)
         rep = run_suite(p3, boundary=VertexSet.of([0]), suites=["dirichlet", "path-reduction"])
-        assert rep.all_hold and len(calls) == 1 and calls[0] is not p3
-        assert len(solved) == 2 and solved[0] == (p3, 1) and solved[1] == (calls[0], 1)
+        assert rep.all_hold and alone == []
+        assert len(solved) == 2 and solved[0] == (p3, 1) and solved[1][1] == 1
+        mode = dirichlet_eigenvalue(p3, VertexSet.of([0])).eigenvector
+        quotient = level_set_quotient(p3, VertexSet.of([0]), mode)[0]
+        assert (solved[1][0].masses, solved[1][0].edges) == (quotient.masses, quotient.edges)
         assert list(rep.quantities) == ["lambda_dirichlet", "psi_dirichlet"]
+
+    def test_quotient_path_solves_as_dirichlet_eigenvalue_does(self, monkeypatch):
+        # the path-reduction suite poses the level-set quotient path by
+        # pose_dirichlet and skips finish_dirichlet; its entry is
+        # dirichlet_eigenvalue(quotient, {0})'s eigenvalue bit for bit, or
+        # its typed error with the same text, and the row reads it
+        quotients, solved = [], []
+
+        def recorded_quotient(graph, boundary, x):
+            quotient, levels = level_set_quotient(graph, boundary, x)
+            quotients.append(quotient)
+            return quotient, levels
+
+        def recorded_modes(graph, sides, ground):
+            modes = ground_modes(graph, sides, ground)
+            solved.append((graph, modes))
+            return modes
+
+        ground_modes = spectral.ground_modes
+        monkeypatch.setattr(suite, "level_set_quotient", recorded_quotient)
+        monkeypatch.setattr(suite, "ground_modes", recorded_modes)
+        cases = [(corpus_graph(i), corpus_boundary(corpus_graph(i), i)) for i in range(40)]
+        cases += [(stiff_graph(seed, 10.0 ** e, 10.0 ** e), VertexSet.of([0]))
+                  for seed in range(40) for e in range(3, 17)]
+        # one interior vertex: the closed form
+        cases.append((path_graph([1.0, 3.0], [0.7]), VertexSet.of([0])))
+        with_row = {t for t, rep in extreme_weight_fuzz_reports()
+                    if any(c.name == "path_reduction" for c in rep.checks)}
+        cases += [(g, VertexSet.of([0])) for t, g in extreme_weight_fuzz() if t in with_row]
+        kinds = set()
+        for g, boundary in cases:
+            quotients.clear()
+            rep = run_suite(g, boundary=boundary, suites=["path-reduction"], samples=0)
+            if not quotients:  # lambda(G, S) or the quotient failed first
+                continue
+            (mode,) = next(modes for graph, modes in solved if graph is quotients[0])
+            (row,) = rep.checks
+            try:
+                alone = dirichlet_eigenvalue(quotients[0], VertexSet.of([0])).eigenvalue
+            except errors.HardySpectralError as exc:
+                assert type(mode) is type(exc) and str(mode) == str(exc) == row.reason
+                kinds.add("error")
+                continue
+            assert not isinstance(mode, errors.HardySpectralError) and mode[1] == alone
+            assert row.lhs == alone or row.relation == "error"
+            kinds.add(quotients[0].vertex_count == 2)
+        assert kinds == {"error", True, False}
 
     def test_neumann_mode_solved_once(self, monkeypatch):
         # the sweep reads the mode the run already holds; a mode that fails
@@ -681,17 +742,13 @@ class TestCli:
         # `ground_modes` call on the graph, and no `dirichlet_eigenvalue`
         alone, solved = [], []
 
-        def counted(graph, boundary):
-            alone.append(graph)
-            return dirichlet_eigenvalue(graph, boundary)
-
         def counted_modes(graph, sides, ground):
             solved.append((graph.masses, len(sides)))
             return ground_modes(graph, sides, ground)
 
         ground_modes = spectral.ground_modes
+        count_calls(monkeypatch, dirichlet_eigenvalue, alone)
         for module in (suite, spectral):
-            monkeypatch.setattr(module, "dirichlet_eigenvalue", counted)
             monkeypatch.setattr(module, "ground_modes", counted_modes)
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)
         assert main(["analyze", path, "--boundary", "v0"]) == 0

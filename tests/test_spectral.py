@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from hardy_spectral.graph import conductance_to, quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.wgr import serialize_wgr
 
-from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, edge_energy,
-                      extreme_weight_fuzz, mixed_sign_fs, oracle_laplacian, random_vector,
-                      sample_without_replacement, scaled_by_powers_of_two, stiff_graph,
-                      worst_sides)
+from conftest import (EXTREME_SCALES, WEIGHT_SCALES, corpus_boundary, corpus_graph,
+                      edge_energy, extreme_weight_fuzz, mixed_sign_fs, oracle_laplacian,
+                      random_vector, sample_without_replacement, scaled_by_powers_of_two,
+                      stiff_graph, worst_sides)
 
 GOLDEN = (3 - 5 ** 0.5) / 2  # smallest eigenvalue of [[2,-1],[-1,1]]
 UNIFORM_N3_DIRICHLET = 0.19806226419516171  # smallest eig of the N=3 interior block
@@ -99,6 +100,32 @@ class TestNeumann:
         # lambda2 = 2e308: the polish's energy overflows from its first step
         with pytest.raises(errors.NotRepresentable, match="the eigenvalue overflows"):
             neumann_eigenvalue(path_graph([1.0, 1.0], [1e308]))
+
+    def test_a_stack_matches_solo_as_its_rows_settle(self, monkeypatch):
+        # k = 1 on one stack of three 7-vertex graphs whose polish settles
+        # after 29, 2 and 4 steps: the stack solves only the rows still
+        # moving, and each row is its solo call's, bit for bit
+        graphs = [stiff_graph(9, 1e9, 1e9), corpus_graph(0, 7, 7), stiff_graph(5, 1e9, 1e9)]
+        solved = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: (solved.append(len(a)), solve(a, b))[1])
+
+        def eigenpairs(gs):
+            return spectral._eigenpairs(np.stack([g.conductance_matrix for g in gs]),
+                                        np.zeros((len(gs), 7)),
+                                        np.stack([g.mass_vector for g in gs]), 1)
+
+        solo = []
+        for g in graphs:
+            solved.clear()
+            solo.append((*eigenpairs([g]), len(solved)))
+        assert [steps for *_, steps in solo] == [29, 2, 4]
+        solved.clear()
+        lam, x = eigenpairs(graphs)
+        assert solved == [3] * 2 + [2] * 2 + [1] * 25
+        for i, (lam_i, x_i, _steps) in enumerate(solo):
+            assert lam[i] == lam_i[0] and x[i].tobytes() == x_i[0].tobytes()
 
 
 class TestReadOnlyEigenvector:
@@ -281,6 +308,47 @@ class TestRayleighQuotient:
                 assert rayleigh_quotient(g, np.ldexp(x, e)) == rayleigh_quotient(g, x)
                 assert (rayleigh_quotient(g, np.ldexp(pinned, e), s)
                         == rayleigh_quotient(g, pinned, s))
+
+    def test_no_scale_of_the_weights_leaves_the_doubles(self):
+        # at 5e-324 the norm once underflowed to 0 (a NotRepresentable inf),
+        # and at 1e-310 the quotient lost bits to the subnormals
+        for weight in (5e-324, 1e-310):
+            g = WeightedGraph((weight, weight), ((0, 1, weight),))
+            assert rayleigh_quotient(g, [1.0, -1.0]) == 2.0
+        rng = Xorshift64Star(47)
+        for i in range(10):
+            g = corpus_graph(i)
+            s = corpus_boundary(g, i)
+            x = random_vector(rng, g.vertex_count)
+            pinned = np.where(g.row(s), 0.0, x)
+            for mass_exp, kappa_exp in WEIGHT_SCALES:
+                scaled = scaled_by_powers_of_two(g, mass_exp, kappa_exp)
+                assert rayleigh_quotient(scaled, x) == np.ldexp(rayleigh_quotient(g, x),
+                                                                kappa_exp - mass_exp)
+                assert rayleigh_quotient(scaled, pinned, s) == np.ldexp(
+                    rayleigh_quotient(g, pinned, s), kappa_exp - mass_exp)
+
+    def test_no_spread_of_the_weights_leaves_the_doubles(self):
+        # a weight whose term vanishes (a boundary vertex's mass, a stiff
+        # edge whose ends hold equal values) sets no scale for the others
+        cases = [(path_graph([1e300, 1e-30], [1.0]), [0.0, 1.0]),
+                 (path_graph([1e300, 3e-20, 3e-20], [1.0, 2.0]), [0.0, 1.0, 0.7]),
+                 (path_graph([1e-300, 1e-300, 1e-300], [1e308, 3e-20]), [1.0, 1.0, 0.3]),
+                 (path_graph([1e-300, 1.0, 3e-20], [1e308, 3e-20]), [0.5, 0.5, -0.25]),
+                 (path_graph([5e-324, 1.0, 1e300], [5e-324, 1e-300]), [1.0, 1e-160, 0.0])]
+        for g, x in cases:
+            u = [Fraction(value) for value in x]
+            exact = (sum(Fraction(k) * (u[a] - u[b]) ** 2 for a, b, k in g.edges)
+                     / sum(Fraction(m) * value ** 2 for m, value in zip(g.masses, u)))
+            assert abs(Fraction(rayleigh_quotient(g, x)) - exact) <= exact * 2.0 ** -50
+            if x[0] == 0.0:
+                assert rayleigh_quotient(g, x, VertexSet.of([0])) == rayleigh_quotient(g, x)
+        # one term a sum, so both sums are exact: the subnormal quotient is
+        # rounded once, by the division, where rounding to 53 bits first
+        # and then onto the subnormals gives one ulp more
+        mass, kappa = 8.07309952170507e307, 1.450339366649287
+        assert (rayleigh_quotient(path_graph([mass, 1.0], [kappa]), [1.0, 0.0])
+                == float(Fraction(kappa) / Fraction(mass)) == 1.7965087173147717e-308)
 
     def test_a_quotient_past_the_doubles_is_a_typed_error(self):
         g = WeightedGraph((1e-300, 1e-300), ((0, 1, 1e300),))
