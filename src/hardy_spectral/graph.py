@@ -237,21 +237,14 @@ class PinchedGraph:
 # validation
 # ---------------------------------------------------------------------------
 
-def components(graph: WeightedGraph,
-               vertices: Optional[Iterable[int]] = None) -> list[list[int]]:
-    """Connected components of the subgraph induced on `vertices` (default:
-    every vertex) as sorted id lists, ordered by smallest member."""
-    n = graph.vertex_count
-    keep = range(n) if vertices is None else sorted(set(vertices))
-    if keep and not (0 <= keep[0] and keep[-1] < n):
-        raise errors.LengthMismatch(f"vertex ids must lie in 0..{n - 1}")
-    # a vertex outside `keep` counts as seen, so the walk never enters it
-    seen = [True] * n
-    for v in keep:
-        seen[v] = False
+def row_components(graph: WeightedGraph, row: np.ndarray) -> list[list[int]]:
+    """Connected components of the subgraph induced on the vertices of the
+    boolean row `row` as sorted id lists, ordered by smallest member."""
+    # a vertex off the row counts as seen, so the walk never enters it
+    seen = (~row).tolist()
     neighbours = graph.neighbours
     out = []
-    for root in keep:
+    for root in range(len(seen)):
         if seen[root]:
             continue
         stack, comp = [root], []
@@ -265,6 +258,15 @@ def components(graph: WeightedGraph,
                     stack.append(y)
         out.append(sorted(comp))
     return out
+
+
+def components(graph: WeightedGraph,
+               vertices: Optional[Iterable[int]] = None) -> list[list[int]]:
+    """Connected components of the subgraph induced on `vertices` (default:
+    every vertex), each id checked by `graph.row`, as `row_components`
+    gives them."""
+    row = np.ones(graph.vertex_count, dtype=bool) if vertices is None else graph.row(vertices)
+    return row_components(graph, row)
 
 
 def validate(graph: WeightedGraph) -> None:
@@ -284,7 +286,7 @@ def validate(graph: WeightedGraph) -> None:
             raise errors.DuplicateEdge((u, v))
         if not (0.0 < k < math.inf):
             raise errors.NonPositiveConductance((u, v, k))
-    comps = components(graph)
+    comps = row_components(graph, np.ones(graph.vertex_count, dtype=bool))
     if len(comps) > 1:
         raise errors.Disconnected(comps)
 

@@ -13,8 +13,12 @@ held at 0). A one-vertex piece {v} gets its exact pair, ground_v / mu_v
 and mu_v^{-1/2}, wherever that eigenvalue is a positive normal double.
 Every other piece goes to a stack, with one stacked eigh and one stacked
 solve per polish step for each: one stack holds every piece of at most
-SMALL_PIECE vertices, padded with decoupled vertices to one width that
-depends only on the graph, and each larger size has a stack of its own.
+SMALL_PIECE = 16 vertices, padded with decoupled vertices to one width
+that depends only on the graph, and each larger size has a stack of its
+own. A stack pays about 45 us of fixed numpy work whatever its size,
+which outweighs the few microseconds of LAPACK work a padded matrix of up
+to 16 vertices adds; on sparse 32-40 vertex graphs 16 measured best of
+8 to 32, and wider pads cost more than the stacks they save.
 A problem's result does not depend on the others of its call, so a
 `verify` run (`suite._pose`) makes one stream read, one pinch and one
 boundary-pinned stack: the Dirichlet problem as `pose_dirichlet` poses
@@ -49,16 +53,17 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import errors
-from .graph import (VertexSet, WeightedGraph, as_potential, components,
-                    conductance_to, interior_of, require_positive_mass)
+from .graph import (VertexSet, WeightedGraph, as_potential, conductance_to,
+                    interior_of, require_positive_mass, row_components)
 from .linalg import cholesky_solve, jacobi_eigen
 
 TIE_RTOL = 64 * np.finfo(float).eps
 MAX_POLISH_STEPS = 64
 SETTLE_RTOL = 4 * np.finfo(float).eps
 _TINY, _LARGEST = np.finfo(float).tiny, np.finfo(float).max
-# pieces of at most this many vertices share one padded eigen stack
-SMALL_PIECE = 8
+# pieces of at most this many vertices share one padded eigen stack (see
+# the module docstring for why 16)
+SMALL_PIECE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +261,11 @@ def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) ->
     raises NotPositiveDefinite and an underflow is never a 0.0
     eigenvalue. Every other piece is solved in few stacks
     (`_piece_modes`): every piece of at most t = min(SMALL_PIECE, n - 1)
-    vertices is padded to t, and each larger size has its own stack. t
-    depends on the graph alone, so a piece's result does not depend on
-    the other pieces of the call, and a piece that fails fails only its
-    own problem.
+    = min(16, n - 1) vertices is padded to t, and each larger size has its
+    own stack. t depends on the graph alone, so a piece's result does not
+    depend on the other pieces of the call, and a piece that fails fails
+    only its own problem. Each side is split into pieces by one walk of
+    its boolean row (`row_components`).
 
     Returns, per problem, the typed error of its first failing piece, else
     (piece, eigenvalue, eigenvector on the piece) for the lowest-id piece
@@ -267,7 +273,7 @@ def ground_modes(graph: WeightedGraph, sides: np.ndarray, ground: np.ndarray) ->
     mixes decoupled blocks and keeps one sign. A call whose problems are
     one piece each returns the modes in order, with nothing to pick.
     """
-    splits = [components(graph, np.flatnonzero(side).tolist()) for side in sides]
+    splits = [row_components(graph, side) for side in sides]
     if not all(splits):
         raise ValueError("every side must hold at least one vertex")
     pieces = [(i, piece) for i, split in enumerate(splits) for piece in split]

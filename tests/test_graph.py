@@ -14,7 +14,8 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, contract,
                             neumann_eigenvalue, path_graph, pinch, random_graph,
                             rayleigh_quotient, serialize_wgr, split_edge, validate)
 from hardy_spectral import errors
-from hardy_spectral.graph import interior_of, pinched_sides, quantize_zeros, zero_crossings
+from hardy_spectral.graph import (interior_of, pinched_sides, quantize_zeros, row_components,
+                                  zero_crossings)
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import harmonic_extension
 from hardy_spectral.wgr import parse_wgr
@@ -34,6 +35,7 @@ ID_ENTRIES = {
     "degree": lambda g, v: g.degree(v),
     "mass_of": lambda g, v: g.mass_of(VertexSet((v,))),
     "row": lambda g, v: g.row([v]).tolist(),
+    "components": lambda g, v: components(g, [v, 2]),
     "split_edge-u": lambda g, v: split_edge(g, (v, 2), [0.25, 0.75]),
     "split_edge-v": lambda g, v: split_edge(g, (0, v), [0.25, 0.75]),
     "contract": lambda g, v: contract(g, VertexSet((v, 2))),
@@ -117,8 +119,6 @@ class TestVertexSet:
     @given(entry=st.sampled_from(sorted(ID_ENTRIES)),
            v=st.one_of(st.integers(-3, 6), st.floats(), st.text(max_size=2)))
     def test_any_id_gives_a_result_or_a_typed_error(self, entry, v):
-        # components is left out: it keeps its own range check, one per
-        # call, and takes ids only from the library's own arrays
         try:
             ID_ENTRIES[entry](ID_GRAPH, v)
         except errors.HardySpectralError as exc:
@@ -181,10 +181,28 @@ class TestComponents:
                 vertices = [rng.below(n) for _ in range(rng.below(2 * n))]
                 assert components(g, vertices) == scanned_components(g, vertices)
 
+    def test_ids_go_through_the_row(self):
+        # components(g, ids) is the walk of g.row(ids), the one id check
+        rng = Xorshift64Star(23)
+        for i in range(30):
+            g = corpus_graph(i)
+            n = g.vertex_count
+            for _ in range(10):
+                vertices = [rng.below(n) for _ in range(rng.below(2 * n))]
+                assert components(g, vertices) == row_components(g, g.row(vertices))
+            assert components(g) == row_components(g, np.ones(n, dtype=bool))
+
     @pytest.mark.parametrize("vertices", [[-1, 0], [0, 3]])
     def test_ids_outside_the_graph(self, vertices):
         g = path_graph([1.0] * 3, [1.0, 1.0])
         with pytest.raises(errors.LengthMismatch):
+            components(g, vertices)
+
+    @pytest.mark.parametrize("vertices", [[0, 1.5], ["1"], [math.nan]],
+                             ids=["1.5", "str", "nan"])
+    def test_non_integer_ids(self, vertices):
+        g = path_graph([1.0] * 3, [1.0, 1.0])
+        with pytest.raises(errors.BadRange, match="is not an integer"):
             components(g, vertices)
 
 

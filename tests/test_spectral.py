@@ -578,9 +578,22 @@ class TestBatchedDirichlet:
         rng = Xorshift64Star(401)
         graphs = [corpus_graph(i) for i in range(30)]
         graphs += [stiff_graph(seed, 1e9, 1e9) for seed in range(20)]
+        cases = []
         for g in graphs:
             fs = list(mixed_sign_fs(rng, g.vertex_count, 5))
             fs.append(quantize_zeros(neumann_eigenvalue(g).eigenvector))
+            cases.append((g, fs))
+        # a sparse 32-vertex graph whose shifted potentials leave pieces of
+        # 9-15 vertices, padded to 16 beside pieces of other sizes
+        g = random_graph(32, 0.05, (0.1, 10.0), (0.1, 10.0), seed=3)
+        fs = mixed_sign_fs(Xorshift64Star(409), g.vertex_count, 6)
+        fs = [f - np.quantile(f, q) for f, q in zip(fs, [0.2, 0.3, 0.4, 0.6, 0.7, 0.8])]
+        fs.append(np.array(quantize_zeros(neumann_eigenvalue(g).eigenvector)))
+        sizes = [len(piece) for f in fs for side in (f < 0.0, f > 0.0)
+                 for piece in components(g, np.flatnonzero(side).tolist())]
+        assert sum(9 <= size < 16 for size in sizes) >= 3 and max(sizes) > 16
+        cases.append((g, fs))
+        for g, fs in cases:
             batch = worst_sides(g, fs)
             assert len(batch) == len(fs)
             for f, worst in zip(fs, batch):
@@ -622,8 +635,9 @@ class TestBatchedDirichlet:
         sizes = [len(piece) for f in np.array(potentials) for side in (f < 0.0, f > 0.0)
                  for piece in components(g, np.flatnonzero(side).tolist())]
         # a one-vertex piece is solved in closed form and never reaches the
-        # stacks; every other piece of at most min(8, n - 1) vertices is
-        # padded to that width, and each larger size keeps a stack of its own
+        # stacks; every other piece of at most min(SMALL_PIECE, n - 1)
+        # vertices is padded to that width, and each larger size keeps a
+        # stack of its own
         assert 1 in sizes and min(held) >= 2
         sizes = [size for size in sizes if size >= 2]
         assert len(set(sizes)) > 1
@@ -650,12 +664,46 @@ class TestBatchedDirichlet:
             assert len(built) == 1
         assert pinched == []
 
+    def test_one_padded_stack_up_to_16_vertices(self, monkeypatch):
+        # SMALL_PIECE = 16 was measured best on sparse 32-40 vertex graphs:
+        # each ground_modes call makes one stack of width min(16, n - 1)
+        # for its pieces of 2 to that many vertices, and one stack per
+        # distinct larger size
+        calls = []
+
+        def recorded_ground_modes(graph, sides, ground):
+            sizes = [len(piece) for side in sides for piece in components(
+                graph, np.flatnonzero(side).tolist())]
+            calls.append((graph.vertex_count, sizes, []))
+            return ground_modes(graph, sides, ground)
+
+        def counted_eigenpairs(blocks, ground, mass, k, pad=None):
+            if k == 0:
+                calls[-1][2].append(blocks.shape[1])
+            return eigenpairs(blocks, ground, mass, k, pad)
+
+        ground_modes, eigenpairs = suite.ground_modes, spectral._eigenpairs
+        monkeypatch.setattr(suite, "ground_modes", recorded_ground_modes)
+        monkeypatch.setattr(spectral, "_eigenpairs", counted_eigenpairs)
+        g = random_graph(36, 0.02, (0.1, 10.0), (0.1, 10.0), seed=3)
+        rep = run_suite(g, boundary=VertexSet.of([0]),
+                        suites=["pinch", "ressum", "path-reduction"], samples=2, seed=1)
+        assert rep.all_hold and len(calls) == 2
+        # the run's pinched sides and its Dirichlet problem, then the
+        # level-set quotient path
+        assert sum(9 <= size < 16 for size in calls[0][1]) >= 3
+        assert max(calls[0][1]) > 16
+        for n, sizes, widths in calls:
+            t = min(16, n - 1)
+            want = [t] if any(2 <= size <= t for size in sizes) else []
+            assert sorted(widths) == sorted(want + list({size for size in sizes if size > t}))
+
 
 class TestPaddedPieces:
     """`ground_modes` solves a one-vertex piece in closed form where its
     eigenvalue is a positive normal double with a finite whitened entry,
-    and pads every other piece of at most min(8, n - 1) vertices to that
-    width. Each problem must keep the outcome of its pieces solved alone
+    and pads every other piece of at most min(SMALL_PIECE, n - 1) =
+    min(16, n - 1) vertices to that width. Each problem must keep the outcome of its pieces solved alone
     and unpadded: the typed error and message, or the same piece, its
     eigenvalue within 1e-14 relative and its eigenvector close up to
     sign, with exactly the piece's length."""
@@ -725,6 +773,22 @@ class TestPaddedPieces:
             got = self.assert_unpadded(g, *self.each_piece(g, sides, ground))
             lone += sum(len(piece) == 1 for piece, _, _ in got)
         assert padded >= 100 and lone >= 100
+
+    def test_sparse_sides_with_mid_size_pieces(self):
+        # sides of sparse 20-40 vertex graphs leave pieces of 9-15
+        # vertices, each padded to 16 in one stack with the smaller ones
+        rng = np.random.default_rng(13)
+        mid = 0
+        for seed in range(10):
+            n = int(rng.integers(20, 41))
+            g = random_graph(n, 0.05, (0.1, 10.0), (0.1, 10.0), seed=seed)
+            sides = rng.random((8, n)) < rng.uniform(0.5, 0.8, size=(8, 1))
+            sides = sides[sides.any(axis=1) & ~sides.all(axis=1)]
+            ground = conductance_to(g, ~sides)
+            self.assert_unpadded(g, sides, ground)
+            got = self.assert_unpadded(g, *self.each_piece(g, sides, ground))
+            mid += sum(9 <= len(piece) < 16 for piece, _, _ in got)
+        assert mid >= 20
 
     def test_one_vertex_pieces_are_exact(self):
         # sparse sides leave many one-vertex pieces {v}; each mode is
@@ -816,7 +880,7 @@ class TestPaddedPieces:
 
         monkeypatch.setattr(spectral, "jacobi_eigen", off_on_the_pads)
         got = spectral.ground_modes(g, sides, ground)
-        assert any(len(piece) < 8 for piece, _, _ in want)
+        assert any(len(piece) < min(spectral.SMALL_PIECE, 11) for piece, _, _ in want)
         for (piece, lam, x), (ref_piece, ref_lam, ref_x) in zip(got, want):
             assert piece == ref_piece and lam == ref_lam and np.array_equal(x, ref_x)
 
