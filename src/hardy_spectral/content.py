@@ -8,7 +8,9 @@ two-sided content minimizes (mu(A)^{-1} + mu(B)^{-1}) / R(A,B) over
 disjoint nonempty pairs. Both are computed by exact enumeration behind
 explicit size guards; paths get an O(N) tail-set scan, and a level-set
 sweep of the fundamental eigenvector provides a cheap upper bound for the
-two-sided quantity on larger graphs.
+two-sided quantity on larger graphs. A path pinned at vertex 0 also gets
+its eigenvalue from its Hardy operator, the inverse of its Laplacian,
+which sums the same prefix resistances and suffix masses as the scan.
 
 Both enumerations walk a decision tree over the vertices, one vertex per
 level: a vertex either joins a terminal node (A, or B for the two-sided
@@ -52,13 +54,18 @@ from .graph import (VertexSet, WeightedGraph, as_potential, conductance_to,
                     interior_of, is_canonical_path, path_graph,
                     require_both_signs, require_positive_mass)
 from .resistance import kron_slots, kron_step
-from .spectral import TIE_RTOL
+from .spectral import _LARGEST, _TINY, TIE_RTOL
 
 DIRICHLET_ENUM_LIMIT = 20
 NEUMANN_ENUM_LIMIT = 12
 ISOPERIMETRIC_ENUM_LIMIT = 20
 
 LEVEL_GROUP_RTOL = 1e-9
+
+# hardy_path_eigenvalue's cap on its steps and the relative width of the
+# eigenvalue's enclosure at which it stops
+PATH_MAX_STEPS = 16
+PATH_SETTLE_RTOL = 1e-15
 
 # Upper bound on the numbers gathered for one stack of partial networks
 # or one chunk of cut masks, which bounds the enumerations' working
@@ -313,6 +320,40 @@ def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, optio
     return best.winner
 
 
+def _prefix_sums(fraction: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix sums of the positive terms fraction * 2^exponent, with
+    fraction <= 2, each as (mantissa, exponent) by np.frexp's rule.
+
+    The sums run in order, times 2^shift, a power of two, which is exact:
+    first at the shift that puts the first term in (0, 2]; where a term
+    could take a sum to 2^1023 there, the sums that reach it are taken
+    again, each at the shift that puts its own largest term near
+    2^(1022 - n.bit_length()), which keeps it at most 2^1023 and far
+    above the subnormals. So no scale of the terms, nor their spread,
+    takes a sum out of the doubles.
+    """
+    n = len(fraction)
+    shift = -exponent[0]
+    if exponent.max() + shift < 1022 - n.bit_length():  # no sum reaches 2^1022
+        mantissa, power = np.frexp(np.cumsum(np.ldexp(fraction, exponent + shift)))
+        return mantissa, power - shift
+    shift = np.full(n, shift)
+    with np.errstate(over="ignore"):
+        total = np.cumsum(np.ldexp(fraction, exponent + shift))
+    high = ~(total < 2.0 ** 1023)
+    # the high sums are a tail and the running largest exponent does not
+    # fall, so the sums of one shift are a run [a, end), and no term up
+    # to its end overflows there
+    top = 1022 - n.bit_length() - np.maximum.accumulate(exponent)
+    for t in np.unique(top[high]):
+        run = np.flatnonzero(high & (top == t))
+        a, end = run[0], run[-1] + 1
+        shift[a:end] = t
+        total[a:end] = np.cumsum(np.ldexp(fraction[:end], exponent[:end] + t))[a:]
+    mantissa, power = np.frexp(total)
+    return mantissa, power - shift
+
+
 def hardy_path(path: WeightedGraph) -> ContentResult:
     """Tail-set scan of a path with boundary vertex 0.
 
@@ -330,32 +371,94 @@ def hardy_path(path: WeightedGraph) -> ContentResult:
         raise errors.ZeroInteriorMass("every interior mass is zero")
 
     # entry k - 1 belongs to the tail {v_k, ..., v_N}, keyed by its length;
-    # both sums run in order. The resistances are summed times 2^shift, a
-    # power of two, which is exact: first at the shift that puts the first,
-    # the smallest, in (1, 2]; the sums that reach 2^1023 there are taken
-    # again at the shift that keeps the whole sum at most 2^1023, where
-    # they are far above the subnormals. So no scale of the weights, nor
-    # their spread, takes a resistance out of the doubles. Each ratio is
-    # formed on mantissas and scaled back. A tail of zero mass scores inf;
-    # a ratio past the doubles is 0 or inf, which ContentResult rejects.
+    # both sums run in order, the resistances by _prefix_sums, so no scale
+    # of the weights, nor their spread, takes one out of the doubles. Each
+    # ratio is formed on mantissas and scaled back. A tail of zero mass
+    # scores inf; a ratio past the doubles is 0 or inf, which ContentResult
+    # rejects.
     _u, _v, kappa = path.edge_arrays
     fraction, exponent = np.frexp(kappa)  # 1/kappa is 1/fraction * 2^-exponent
-    shift = np.full(n - 1, exponent[0])
-    with np.errstate(over="ignore"):
-        resistance = np.cumsum(np.ldexp(1.0 / fraction, shift - exponent))
-    high = ~(resistance < 2.0 ** 1023)
-    if high.any():
-        top = exponent.min() + 1022 - (n - 1).bit_length()
-        shift[high] = top
-        resistance[high] = np.cumsum(np.ldexp(1.0 / fraction, top - exponent))[high]
-    resistance, rexp = np.frexp(resistance)
+    resistance, rexp = _prefix_sums(1.0 / fraction, -exponent)
     suffix_mass, mexp = np.frexp(np.cumsum(path.masses[:0:-1])[::-1])
     with np.errstate(over="ignore", divide="ignore"):
         best = _RunningMin()
-        best.offer(np.ldexp(1.0 / (resistance * suffix_mass), shift - rexp - mexp),
+        best.offer(np.ldexp(1.0 / (resistance * suffix_mass), -rexp - mexp),
                    np.arange(n - 1, 0, -1))
     value, size = best.winner
     return ContentResult(value=value, witness_a=VertexSet.of(range(n - size, n)), witness_b=None)
+
+
+def hardy_path_eigenvalue(masses, conductances,
+                          start) -> Optional[tuple[float, float, float]]:
+    """The smallest eigenvalue of the path on vertices 0..N with vertex 0
+    pinned, masses[i] at vertex i (masses[0] never enters) and
+    conductances[i - 1] on edge (i - 1, i), by inverse iteration from the
+    potential `start` (start[0] never enters).
+
+    With vertex 0 pinned, the inverse of L_PP is the Green's function
+    G_ij = r_min(i, j), r_i = sum_{l <= i} 1/c_l, so a step y = G M x is
+    the Hardy operator y_i = sum_{l <= i} (1/c_l) sum_{j >= l} m_j x_j: a
+    reversed cumulative sum, a division by the conductances and a
+    cumulative sum, each sum by _prefix_sums on mantissas and exponents.
+    Every term is positive, so nothing cancels, and no scale of the
+    weights leaves the doubles. For any x > 0 the Collatz-Wielandt ratios
+    enclose the eigenvalue, min_i x_i / y_i <= lambda <= max_i x_i / y_i;
+    the steps stop once they agree to PATH_SETTLE_RTOL, relative. A start
+    near the ground state, such as the level values of a level-set
+    quotient, settles in a few steps.
+
+    Returns (value, lower, upper): the Rayleigh quotient of the last y,
+    with the energy summed over the edges, and the enclosure of the last
+    step, widened by (N + 1) eps each way: each ratio is rounded at most
+    2N + 1 times by eps / 2, and the widening once more. None if the path
+    has no edge, if a mass, conductance or start value is not positive
+    and finite, if the ratios have not settled after PATH_MAX_STEPS steps
+    (a near-degenerate path), or if a result is not a positive normal
+    double.
+    """
+    m = np.asarray(masses, dtype=float)[1:]
+    c = np.asarray(conductances, dtype=float)
+    x = np.asarray(start, dtype=float)[1:]
+    given = np.concatenate((m, c, x))
+    if not (c.size and 0.0 < given.min() <= given.max() < np.inf):
+        return None
+    fm, em = np.frexp(m)
+    fc, ec = np.frexp(c)
+    fx, ex = np.frexp(x)
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(PATH_MAX_STEPS):
+            fs, es = _prefix_sums((fm * fx)[::-1], (em + ex)[::-1])
+            fy, ey = _prefix_sums(fs[::-1] / fc, es[::-1] - ec)
+            # the ratios x_i / y_i, each near lambda, at one power of two
+            power = ex[-1] - ey[-1]
+            ratio = np.ldexp(fx / fy, ex - ey - power)
+            lower, upper = ratio.min(), ratio.max()
+            fx, ex = fy, ey
+            if upper - lower <= PATH_SETTLE_RTOL * lower:
+                break
+        else:
+            return None
+        # y's energy summed over the edges and its norm, each sum at the
+        # power of two of its largest term. Each difference is of two
+        # neighbours of the rounded y at the upper one's power of two:
+        # exact where they are within a factor of 2, else rounded once, so
+        # the energy is that of the y whose norm is summed. (sum_i s_i^2 /
+        # c_i from the suffix sums is the energy of G M x before y's
+        # rounding, against the norm after it: 4.4 eps off the 50-digit
+        # value on stiff_graph(35, 1e6, 1e6); this form stays in 2.1 eps.)
+        fd = fy.copy()
+        fd[1:] -= np.ldexp(fy[:-1], ey[:-1] - ey[1:])
+        energy_exp, norm_exp = ec + 2 * ey, em + 2 * ey
+        energy_top, norm_top = energy_exp.max(), norm_exp.max()
+        energy = np.ldexp(fc * (fd * fd), energy_exp - energy_top).sum()
+        norm = np.ldexp(fm * (fy * fy), norm_exp - norm_top).sum()
+        widen = (len(c) + 1) * np.finfo(float).eps
+        found = np.ldexp([energy / norm, lower * (1.0 - widen), upper * (1.0 + widen)],
+                         [energy_top - norm_top, power, power])
+    if not _TINY <= found.min() <= found.max() <= _LARGEST:
+        return None
+    value, lower, upper = found.tolist()
+    return value, lower, upper
 
 
 def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> ContentResult:
@@ -540,10 +643,13 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
     return ContentResult(value=value, witness_a=VertexSet.from_mask(int(key)), witness_b=None)
 
 
-def level_set_quotient(graph: WeightedGraph, boundary: VertexSet,
-                       x: np.ndarray) -> tuple[WeightedGraph, list[float]]:
+def level_set_path(graph: WeightedGraph, boundary: VertexSet,
+                   x: np.ndarray) -> tuple[list[float], list[float], list[float]]:
     """Collapse the level sets of a nonnegative boundary-vanishing potential
-    into a path.
+    into a path, given as (masses, conductances, levels): the masses of
+    its vertices, the conductance of each edge (i - 1, i), and each
+    vertex's level value, as `path_graph` and `hardy_path_eigenvalue`
+    take them. Nothing is validated, so a sum past the doubles is kept.
 
     Values are grouped into levels with relative tolerance 1e-9 * max|x|;
     an edge spanning several levels is cut into segments with conductance
@@ -599,4 +705,12 @@ def level_set_quotient(graph: WeightedGraph, boundary: VertexSet,
             span = levels[j] - levels[i]
             for m in range(i + 1, j + 1):
                 kappa_t[m] += k * span / (levels[m] - levels[m - 1])
-    return path_graph(mu_t, kappa_t[1:]), levels
+    return mu_t, kappa_t[1:], levels
+
+
+def level_set_quotient(graph: WeightedGraph, boundary: VertexSet,
+                       x: np.ndarray) -> tuple[WeightedGraph, list[float]]:
+    """The path of `level_set_path` as a graph (which validates it), and
+    its level values."""
+    masses, conductances, levels = level_set_path(graph, boundary, x)
+    return path_graph(masses, conductances), levels

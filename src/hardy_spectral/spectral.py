@@ -25,9 +25,10 @@ boundary-pinned stack: the Dirichlet problem as `pose_dirichlet` poses
 it and both sides of every pinch suite potential go to one `ground_modes`
 call, and `finish_dirichlet` turns the Dirichlet problem's entry into
 its result; `analyze` poses its one Dirichlet problem the same way. The
-path-reduction suite poses the level-set quotient path by
-`pose_dirichlet` to a `ground_modes` call of its own and reads only the
-eigenvalue.
+path-reduction suite solves the level-set quotient path with its Hardy
+operator (`content.hardy_path_eigenvalue`) and poses it by
+`pose_dirichlet` to a `ground_modes` call of its own only when that
+does not settle, reading only the eigenvalue.
 `dirichlet_eigenvalue` is the same three steps for one problem alone, as
 the public API uses it.
 

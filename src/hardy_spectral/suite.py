@@ -12,9 +12,12 @@ then `ressum`'s samples at a fixed stride of 12n + 2 outputs each; one
 `pinched_sides` call on the mode and every potential; and one
 `ground_modes` stack for lambda(G, S) and both sides of every pinch suite
 potential. A row of either call does not depend on the others, so each
-suite's rows are the ones it gives alone. The path-reduction suite poses
-the level-set quotient path, vertex 0 pinned, by `pose_dirichlet` to a
-`ground_modes` call of its own and reads only its eigenvalue. Every
+suite's rows are the ones it gives alone. The path-reduction suite reads
+the level-set quotient path as arrays (`content.level_set_path`) and
+solves it, vertex 0 pinned, with its Hardy operator
+(`content.hardy_path_eigenvalue`); only a path that does not settle, or
+whose numbers leave the doubles, is built as a graph and posed by
+`pose_dirichlet` to a `ground_modes` call of its own. Every
 potential is made from its 12n outputs the same way and is never drawn
 again. LAPACK is deterministic for a fixed build, and every tie is
 decided within a window, so a report depends only on the inputs and the
@@ -36,11 +39,11 @@ import numpy as np
 
 from . import errors
 from ._version import __version__
-from .content import (dirichlet_content_exact, isoperimetric_exact,
-                      level_set_quotient, neumann_content_exact,
-                      neumann_content_sweep)
-from .graph import (VertexSet, WeightedGraph, conductance_to, pinched_sides,
-                    quantize_zeros)
+from .content import (dirichlet_content_exact, hardy_path_eigenvalue,
+                      isoperimetric_exact, level_set_path,
+                      neumann_content_exact, neumann_content_sweep)
+from .graph import (VertexSet, WeightedGraph, conductance_to, path_graph,
+                    pinched_sides, quantize_zeros)
 from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
 from .resistance import pinned_energies
@@ -389,12 +392,20 @@ def run_suite(graph: WeightedGraph, *,
 
     def suite_path_reduction():
         res = q.get("lambda_dirichlet")
-        quotient, _levels = level_set_quotient(graph, boundary, res.eigenvector)
-        # only the eigenvalue is read: no finish_dirichlet
-        mode, = ground_modes(quotient, *pose_dirichlet(quotient, VertexSet.of([0])))
-        if isinstance(mode, errors.HardySpectralError):
-            raise mode
-        yield check_eq("path_reduction", mode[1], res.eigenvalue, tolerance)
+        masses, conductances, levels = level_set_path(graph, boundary, res.eigenvector)
+        found = hardy_path_eigenvalue(masses, conductances, levels)
+        if found is not None:
+            lam = found[0]
+        else:
+            # a near-degenerate path, or numbers past the doubles: the
+            # graph (which validates them) and its dense eigen stack, of
+            # which only the eigenvalue is read
+            quotient = path_graph(masses, conductances)
+            mode, = ground_modes(quotient, *pose_dirichlet(quotient, VertexSet.of([0])))
+            if isinstance(mode, errors.HardySpectralError):
+                raise mode
+            lam = mode[1]
+        yield check_eq("path_reduction", lam, res.eigenvalue, tolerance)
 
     runners = {
         "dirichlet": suite_dirichlet,

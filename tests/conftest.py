@@ -173,6 +173,42 @@ def worst_sides(graph: WeightedGraph, fs) -> list:
     return _worst_sides(failed, iter(modes))
 
 
+def path_eigenvalue_mp(masses, conductances, guess: float):
+    """The smallest eigenvalue of the path on 0..N with vertex 0 pinned
+    (masses[i] at vertex i, conductances[i - 1] on edge (i - 1, i)), to 50
+    digits by mpmath: Newton's method on det(L_PP - lam M), by the
+    tridiagonal three-term recurrence, from `guess`; then a Sturm count
+    (the signs of the LDL^T pivots of L_PP - mu M) asserts that it is the
+    smallest root. Skips the test without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m = [mpmath.mpf(v) for v in masses[1:]]
+        c = [mpmath.mpf(v) for v in conductances] + [mpmath.mpf(0)]
+        diagonal = [c[i] + c[i + 1] for i in range(len(m))]
+
+        def below(mu):  # eigenvalues below mu
+            pivots, d = [], None
+            for i in range(len(m)):
+                d = diagonal[i] - mu * m[i] - (c[i] ** 2 / d if i else 0)
+                pivots.append(d)
+            return sum(d < 0 for d in pivots)
+
+        lam = mpmath.mpf(guess)
+        for _ in range(60):
+            # (p_{i-2}, p_{i-1}) and their derivatives in lam
+            p, q, dp, dq = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+            for i in range(len(m)):
+                a = diagonal[i] - lam * m[i]
+                p, q, dp, dq = q, a * q - c[i] ** 2 * p, dq, a * dq - m[i] * q - c[i] ** 2 * dp
+            step = q / dq
+            lam -= step
+            if abs(step) < lam * mpmath.mpf(10) ** -45:
+                break
+        assert below(lam * (1 - mpmath.mpf(10) ** -40)) == 0
+        assert below(lam * (1 + mpmath.mpf(10) ** -40)) == 1
+        return lam
+
+
 def random_vector(rng: Xorshift64Star, n: int, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:
     return np.array([rng.uniform_in(lo, hi) for _ in range(n)])
 

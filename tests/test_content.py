@@ -9,16 +9,20 @@ from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_content_exact,
                             hardy_path, isoperimetric_exact,
                             level_set_quotient, neumann_content_exact,
                             neumann_content_sweep, neumann_eigenvalue,
-                            path_graph, pinch)
-from hardy_spectral import errors
-from hardy_spectral.content import _RunningMin
+                            path_graph, pinch, random_graph, run_suite)
+from hardy_spectral import content, errors
+from hardy_spectral.content import (PATH_MAX_STEPS, PATH_SETTLE_RTOL, _prefix_sums, _RunningMin,
+                                    hardy_path_eigenvalue, level_set_path)
 from hardy_spectral.graph import quantize_zeros
 from hardy_spectral.rng import Xorshift64Star
 from hardy_spectral.spectral import TIE_RTOL
 
 from conftest import (WEIGHT_SCALES, corpus_boundary, corpus_graph, corpus_path,
-                      extreme_weight_fuzz, mixed_sign_fs, sample_without_replacement,
-                      scaled_by_powers_of_two, worst_sides)
+                      extreme_weight_fuzz, mixed_sign_fs, path_eigenvalue_mp,
+                      sample_without_replacement, scaled_by_powers_of_two, stiff_graph,
+                      worst_sides)
+
+EPS = np.finfo(float).eps
 
 
 class TestHardyPath:
@@ -395,6 +399,150 @@ class TestLevelSetQuotient:
     def test_all_zero_rejected(self, p3):
         with pytest.raises(errors.ZeroVector):
             level_set_quotient(p3, VertexSet.of([0]), np.zeros(3))
+
+
+def quotient_arrays(g: WeightedGraph, boundary: VertexSet) -> tuple:
+    """(masses, conductances, levels) of the level-set quotient path of
+    the ground state of (g, boundary)."""
+    return level_set_path(g, boundary, dirichlet_eigenvalue(g, boundary).eigenvector)
+
+
+class TestHardyPathEigenvalue:
+    """The quotient path's eigenvalue by inverse iteration with its Hardy
+    operator, from the level values: a Rayleigh quotient and a
+    Collatz-Wielandt enclosure, or None for the dense route."""
+
+    @staticmethod
+    def cases():
+        for i in range(40):
+            g = corpus_graph(i)
+            yield f"corpus {i}", g, corpus_boundary(g, i)
+        for seed in range(40):
+            for e in range(3, 17):
+                yield f"stiff {seed} 1e{e}", stiff_graph(seed, 10.0 ** e, 10.0 ** e), \
+                    VertexSet.of([0])
+
+    def test_value_and_enclosure_against_mpmath(self):
+        # the value within 4 eps of the 50-digit eigenvalue, which the
+        # enclosure holds; the enclosure is the settled ratios widened by
+        # (N + 1) eps each way, no wider
+        settled = 0
+        for name, g, boundary in self.cases():
+            try:
+                masses, conductances, levels = quotient_arrays(g, boundary)
+            except errors.HardySpectralError:  # no mode, or no quotient
+                continue
+            found = hardy_path_eigenvalue(masses, conductances, levels)
+            if found is None:
+                continue
+            settled += 1
+            value, lower, upper = found
+            exact = path_eigenvalue_mp(masses, conductances, value)
+            assert abs(value - exact) <= 4 * EPS * exact, name
+            assert lower <= exact <= upper and lower <= value <= upper, name
+            widen = (len(conductances) + 1) * EPS
+            assert upper - lower <= (PATH_SETTLE_RTOL + 2.5 * widen) * lower, name
+        assert settled >= 550
+
+    def test_every_corpus_quotient_settles_from_its_levels(self):
+        # the level values are the quotient's ground state up to the
+        # mode's error, so no corpus path needs the dense route; a flat
+        # start needs up to 16 steps, or more
+        for i in range(40):
+            g = corpus_graph(i)
+            masses, conductances, levels = quotient_arrays(g, corpus_boundary(g, i))
+            assert hardy_path_eigenvalue(masses, conductances, levels) is not None, i
+        for seed in range(12):
+            g = random_graph(32 + seed % 9, 0.02, (0.1, 10.0), (0.1, 10.0), seed=seed)
+            masses, conductances, levels = quotient_arrays(g, VertexSet.of([seed % 5]))
+            assert hardy_path_eigenvalue(masses, conductances, levels) is not None, seed
+
+    def test_near_degenerate_path_falls_back_to_the_dense_route(self):
+        # stiff_graph(3, 1e9, 1e9)'s quotient has lambda1 / lambda2 =
+        # 1 - 4e-5: power iteration cannot settle within PATH_MAX_STEPS,
+        # so the row reads the dense eigen stack's value, bit for bit
+        g, boundary = stiff_graph(3, 1e9, 1e9), VertexSet.of([0])
+        masses, conductances, levels = quotient_arrays(g, boundary)
+        assert hardy_path_eigenvalue(masses, conductances, levels) is None
+        dense = dirichlet_eigenvalue(path_graph(masses, conductances), VertexSet.of([0]))
+        (row,) = run_suite(g, boundary=boundary, suites=["path-reduction"], samples=0).checks
+        assert row.lhs == dense.eigenvalue == 0.9999817427480884
+
+    def test_steps_stop_at_the_cap(self, monkeypatch):
+        # the same path settles once the cap allows its steps
+        g = stiff_graph(0, 1e9, 1e9)
+        masses, conductances, levels = quotient_arrays(g, VertexSet.of([0]))
+        assert hardy_path_eigenvalue(masses, conductances, levels) is None
+        monkeypatch.setattr(content, "PATH_MAX_STEPS", 4 * PATH_MAX_STEPS)
+        value, lower, upper = hardy_path_eigenvalue(masses, conductances, levels)
+        assert lower <= value <= upper
+
+    def test_no_scale_of_the_weights_leaves_the_doubles(self):
+        # masses, conductances and the start times powers of two move
+        # every number of the iteration by a power of two, so the value
+        # and enclosure scale exactly, or leave the normal doubles as a
+        # None
+        for i in range(0, 40, 3):
+            g = corpus_graph(i)
+            masses, conductances, levels = quotient_arrays(g, corpus_boundary(g, i))
+            base = np.array(hardy_path_eigenvalue(masses, conductances, levels))
+            for mass_exp, kappa_exp in WEIGHT_SCALES + [(1000, -1000), (-1000, 1000), (0, 1000)]:
+                scaled = hardy_path_eigenvalue(np.ldexp(masses, mass_exp),
+                                               np.ldexp(conductances, kappa_exp),
+                                               np.ldexp(levels, kappa_exp))
+                with np.errstate(over="ignore"):
+                    want = np.ldexp(base, kappa_exp - mass_exp)
+                if not (np.finfo(float).tiny <= want.min() <= want.max() < np.inf):
+                    assert scaled is None
+                else:
+                    assert np.array_equal(scaled, want), (i, mass_exp, kappa_exp)
+
+    def test_extreme_weight_fuzz_quotients_raise_no_warning(self):
+        # RuntimeWarnings are errors here; every quotient that settles
+        # keeps its value inside its enclosure, against mpmath
+        answered = 0
+        for t, g in extreme_weight_fuzz():
+            if g is None:  # construction refused it
+                continue
+            try:
+                masses, conductances, levels = quotient_arrays(g, VertexSet.of([0]))
+            except errors.HardySpectralError:  # no mode, or no quotient
+                continue
+            found = hardy_path_eigenvalue(masses, conductances, levels)
+            if found is not None:
+                answered += 1
+                value, lower, upper = found
+                exact = path_eigenvalue_mp(masses, conductances, value)
+                assert lower <= exact <= upper and lower <= value <= upper, t
+        assert answered >= 20
+
+    def test_refuses_what_is_not_positive_and_finite(self):
+        for masses, conductances in (([1.0, 0.0], [1.0]), ([1.0, 1.0], [0.0]),
+                                     ([1.0, 1.0], [math.inf]), ([1.0, math.inf], [1.0])):
+            assert hardy_path_eigenvalue(masses, conductances, [0.0, 1.0]) is None
+        assert hardy_path_eigenvalue([1.0, 1.0], [1.0], [0.0, 0.0]) is None
+        # a value past the normal doubles
+        assert hardy_path_eigenvalue([1.0, 1e300], [1e-300], [0.0, 1.0]) is None
+
+    def test_prefix_sums_against_exact_sums(self):
+        # terms spread over twice the range of the doubles, as the
+        # products m_j x_j can be, against Fraction sums: prefix j (j + 1
+        # terms, j additions) within j eps / 2 relative, the first within
+        # eps / 2. A high sum before the largest term keeps its own shift
+        mantissa, power = _prefix_sums(np.ones(3), np.array([0, 1030, 3200]))
+        assert mantissa.tolist() == [0.5] * 3 and power.tolist() == [1, 1031, 3201]
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(1, 40))
+            fraction = rng.uniform(0.25, 2.0, k)
+            exponent = rng.integers(-2200, 2200, k).astype(np.int32)
+            mantissa, power = _prefix_sums(fraction, exponent)
+            assert ((0.5 <= mantissa) & (mantissa < 1.0)).all()
+            total = Fraction(0)
+            for j in range(k):
+                total += Fraction(float(fraction[j])) * Fraction(2) ** int(exponent[j])
+                got = Fraction(float(mantissa[j])) * Fraction(2) ** int(power[j])
+                assert abs(got - total) <= total * Fraction(max(j, 1) * EPS / 2 * 1.01)
 
 
 class TestSandwiches:

@@ -21,14 +21,14 @@ import hardy_spectral
 from hardy_spectral import (VertexSet, WeightedGraph, dirichlet_eigenvalue, emit_report,
                             parse_wgr, path_graph, random_graph, run_suite, serialize_wgr,
                             split_edge)
-from hardy_spectral import cli, errors, spectral, suite
+from hardy_spectral import cli, content, errors, spectral, suite
 from hardy_spectral.cli import main
-from hardy_spectral.content import level_set_quotient
 from hardy_spectral.report import (Check, VerificationReport, check_eq, check_error,
                                    check_ge, check_le)
 
 from conftest import (EXTREME_SCALES, corpus_boundary, corpus_graph, extreme_weight_fuzz,
-                      extreme_weight_fuzz_reports, scaled_by_powers_of_two, stiff_graph)
+                      extreme_weight_fuzz_reports, path_eigenvalue_mp, scaled_by_powers_of_two,
+                      stiff_graph)
 
 P3_TEXT = """\
 # three vertices in a row
@@ -336,47 +336,49 @@ class TestRunSuite:
             assert rep.checks
 
     def test_dirichlet_ground_state_solved_once(self, p3, monkeypatch):
-        # the run's graph poses its one problem to one `ground_modes` call,
-        # and the level-set quotient path poses its own to a second; no
-        # module calls `dirichlet_eigenvalue`
-        alone, solved = [], []
+        # the run's graph poses its one problem to one `ground_modes` call;
+        # the level-set quotient path is solved by its Hardy operator and
+        # poses none of its own unless it falls back; no module calls
+        # `dirichlet_eigenvalue`
+        alone, solved, paths = [], [], []
 
         def counted_modes(graph, sides, ground):
             solved.append((graph, len(sides)))
             return ground_modes(graph, sides, ground)
 
-        ground_modes = spectral.ground_modes
+        def recorded_path(masses, conductances, start):
+            found = hardy_path_eigenvalue(masses, conductances, start)
+            paths.append(found)
+            return found
+
+        ground_modes, hardy_path_eigenvalue = spectral.ground_modes, content.hardy_path_eigenvalue
         count_calls(monkeypatch, dirichlet_eigenvalue, alone)
         for module in (suite, spectral):
             monkeypatch.setattr(module, "ground_modes", counted_modes)
+        monkeypatch.setattr(suite, "hardy_path_eigenvalue", recorded_path)
         rep = run_suite(p3, boundary=VertexSet.of([0]), suites=["dirichlet", "path-reduction"])
         assert rep.all_hold and alone == []
-        assert len(solved) == 2 and solved[0] == (p3, 1) and solved[1][1] == 1
-        mode = dirichlet_eigenvalue(p3, VertexSet.of([0])).eigenvector
-        quotient = level_set_quotient(p3, VertexSet.of([0]), mode)[0]
-        assert (solved[1][0].masses, solved[1][0].edges) == (quotient.masses, quotient.edges)
+        assert solved == [(p3, 1)] and len(paths) == 1 and paths[0] is not None
+        assert rep.checks[-1].lhs == paths[0][0]
         assert list(rep.quantities) == ["lambda_dirichlet", "psi_dirichlet"]
 
     def test_quotient_path_solves_as_dirichlet_eigenvalue_does(self, monkeypatch):
-        # the path-reduction suite poses the level-set quotient path by
-        # pose_dirichlet and skips finish_dirichlet; its entry is
-        # dirichlet_eigenvalue(quotient, {0})'s eigenvalue bit for bit, or
-        # its typed error with the same text, and the row reads it
-        quotients, solved = [], []
+        # the path-reduction row reads the level-set quotient path's value
+        # from `hardy_path_eigenvalue`: inside its enclosure and within
+        # 4 eps of dirichlet_eigenvalue(quotient, {0}), except where the
+        # 50-digit value shows the dense route off by more. A path that
+        # does not settle takes that dense route, bit for bit, and where
+        # it raises, the row carries the same typed error and text
+        eps = np.finfo(float).eps
+        paths = []
 
-        def recorded_quotient(graph, boundary, x):
-            quotient, levels = level_set_quotient(graph, boundary, x)
-            quotients.append(quotient)
-            return quotient, levels
+        def recorded_path(masses, conductances, start):
+            found = hardy_path_eigenvalue(masses, conductances, start)
+            paths.append((masses, conductances, found))
+            return found
 
-        def recorded_modes(graph, sides, ground):
-            modes = ground_modes(graph, sides, ground)
-            solved.append((graph, modes))
-            return modes
-
-        ground_modes = spectral.ground_modes
-        monkeypatch.setattr(suite, "level_set_quotient", recorded_quotient)
-        monkeypatch.setattr(suite, "ground_modes", recorded_modes)
+        hardy_path_eigenvalue = content.hardy_path_eigenvalue
+        monkeypatch.setattr(suite, "hardy_path_eigenvalue", recorded_path)
         cases = [(corpus_graph(i), corpus_boundary(corpus_graph(i), i)) for i in range(40)]
         cases += [(stiff_graph(seed, 10.0 ** e, 10.0 ** e), VertexSet.of([0]))
                   for seed in range(40) for e in range(3, 17)]
@@ -387,22 +389,31 @@ class TestRunSuite:
         cases += [(g, VertexSet.of([0])) for t, g in extreme_weight_fuzz() if t in with_row]
         kinds = set()
         for g, boundary in cases:
-            quotients.clear()
+            paths.clear()
             rep = run_suite(g, boundary=boundary, suites=["path-reduction"], samples=0)
-            if not quotients:  # lambda(G, S) or the quotient failed first
+            if not paths:  # lambda(G, S) or the quotient failed first
                 continue
-            (mode,) = next(modes for graph, modes in solved if graph is quotients[0])
+            ((masses, conductances, found),) = paths
             (row,) = rep.checks
             try:
-                alone = dirichlet_eigenvalue(quotients[0], VertexSet.of([0])).eigenvalue
+                alone = dirichlet_eigenvalue(path_graph(masses, conductances),
+                                             VertexSet.of([0])).eigenvalue
             except errors.HardySpectralError as exc:
-                assert type(mode) is type(exc) and str(mode) == str(exc) == row.reason
+                assert found is None and row.relation == "error" and row.reason == str(exc)
                 kinds.add("error")
                 continue
-            assert not isinstance(mode, errors.HardySpectralError) and mode[1] == alone
-            assert row.lhs == alone or row.relation == "error"
-            kinds.add(quotients[0].vertex_count == 2)
-        assert kinds == {"error", True, False}
+            if found is None:
+                assert row.lhs == alone or row.relation == "error"
+                kinds.add("fallback")
+                continue
+            value, lower, upper = found
+            assert row.lhs == value and lower <= value <= upper
+            if abs(value - alone) > 4 * eps * alone:
+                exact = float(path_eigenvalue_mp(masses, conductances, value))
+                assert abs(value - exact) < abs(alone - exact)
+                kinds.add("dense off")
+            kinds.add(len(masses) == 2)
+        assert kinds == {"error", "fallback", "dense off", True, False}
 
     def test_neumann_mode_solved_once(self, monkeypatch):
         # the sweep reads the mode the run already holds; a mode that fails

@@ -682,8 +682,9 @@ class TestDraws:
         # them runs, and one `words` call of the run's stream; the run's
         # potentials, the mode's first, go to one `pinched_sides` call, and
         # its boundary-pinned problems on the graph to one `ground_modes`
-        # call (the other solves the level-set quotient path). A run
-        # without pinch or ressum builds no stream and pinches nothing
+        # call, the run's only one (the level-set quotient path is solved
+        # by its Hardy operator). A run without pinch or ressum builds no
+        # stream and pinches nothing
         g = corpus_graph(3)
         n = g.vertex_count
         calls, streams, pinched, grounded = [], [], [], []
@@ -723,8 +724,7 @@ class TestDraws:
         assert len(calls) == 1 and [s.reads for s in streams] == [[7 * (24 * n + 2)]]
         assert pinched == [1 + 7 + 7]
         # the Dirichlet problem, then both sides of the mode and 7 potentials
-        assert [size for graph, size in grounded if graph is g] == [1 + 2 * 8]
-        assert len(grounded) == 2
+        assert grounded == [(g, 1 + 2 * 8)]
         calls.clear()
         streams.clear()
         pinched.clear()
@@ -732,7 +732,7 @@ class TestDraws:
         run_suite(g, boundary=VertexSet.of([0]), seed=2, samples=7,
                   suites=["dirichlet", "neumann", "cheeger", "path-reduction"])
         assert calls == [] and streams == [] and pinched == []
-        assert [size for graph, size in grounded if graph is g] == [1]
+        assert grounded == [(g, 1)]
 
     def test_only_the_wanted_suites_draw(self):
         g = corpus_graph(1)
