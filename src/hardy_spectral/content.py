@@ -25,8 +25,8 @@ CHUNK_ENTRIES numbers, keeping only a running minimum. The last vertex
 is scored in closed form: a network with one vertex left has three
 entries, its two conductances to the terminals and theirs to each
 other, and each choice's energy is one sum of them, or for an
-elimination kron_step's own arithmetic on them, so the leaf networks
-are never built. The level-set sweep eliminates through
+elimination theirs plus kron_step's fill, `resistance.kron_fill`, so
+the leaf networks are never built. The level-set sweep eliminates through
 `resistance.kron_slots`, as every pinned problem does, along one path
 per set A: in the potential's order every A is a prefix and every B a
 suffix, so one pass reads the energies of all of A's pairs.
@@ -53,8 +53,8 @@ from . import errors
 from .graph import (VertexSet, WeightedGraph, as_potential, conductance_to,
                     interior_of, is_canonical_path, path_graph,
                     require_both_signs, require_positive_mass)
-from .resistance import kron_slots, kron_step
-from .spectral import _LARGEST, _TINY, TIE_RTOL
+from .resistance import kron_fill, kron_slots, kron_step
+from .spectral import _LARGEST, _TINY, TIE_RTOL, _scaled_quotient
 
 DIRICHLET_ENUM_LIMIT = 20
 NEUMANN_ENUM_LIMIT = 12
@@ -246,10 +246,10 @@ def _leaves(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: 
     Each network has three entries: r0 = net[0, 1] and r1 = net[0, 2],
     the vertex's conductances to the terminals, and e = net[1, 2], the
     terminals' own. The energy, the terminals' conductance in the child,
-    is e + (r0 / d * (d / d)) * r1 with d = r0 + r1 if the vertex is
-    eliminated, which is kron_step's arithmetic bit for bit (a pivot of 0
-    or inf gives NaN), e + r1 if it merges into the first terminal and
-    e + r0 if into the second; mu and key change as in _branch.
+    is e + kron_fill(r0, r1, r0 + r1) if the vertex is eliminated, the
+    fill kron_step would add (a pivot of 0 or inf gives NaN), e + r1 if
+    it merges into the first terminal and e + r0 if into the second; mu
+    and key change as in _branch.
     """
     r0, r1, e = net[0, 1], net[0, 2], net[1, 2]
     picks = [_pick(keep) for keep, _ in choices]
@@ -264,8 +264,7 @@ def _leaves(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: 
         out_mu[:, here], out_key[:, here] = mu[:, rows], key[:, rows]
         if terminal is None:
             a, b = r0[rows], r1[rows]
-            d = a + b
-            np.add(base, (a / d * (d / d)) * b, out=energy[here])
+            np.add(base, kron_fill(a, b, a + b), out=energy[here])
         else:
             np.add(base, (r1, r0)[terminal][rows], out=energy[here])
             out_mu[terminal, here] += mass
@@ -438,8 +437,7 @@ def hardy_path_eigenvalue(masses, conductances,
                 break
         else:
             return None
-        # y's energy summed over the edges and its norm, each sum at the
-        # power of two of its largest term. Each difference is of two
+        # y's energy summed over the edges. Each difference is of two
         # neighbours of the rounded y at the upper one's power of two:
         # exact where they are within a factor of 2, else rounded once, so
         # the energy is that of the y whose norm is summed. (sum_i s_i^2 /
@@ -448,16 +446,12 @@ def hardy_path_eigenvalue(masses, conductances,
         # value on stiff_graph(35, 1e6, 1e6); this form stays in 2.1 eps.)
         fd = fy.copy()
         fd[1:] -= np.ldexp(fy[:-1], ey[:-1] - ey[1:])
-        energy_exp, norm_exp = ec + 2 * ey, em + 2 * ey
-        energy_top, norm_top = energy_exp.max(), norm_exp.max()
-        energy = np.ldexp(fc * (fd * fd), energy_exp - energy_top).sum()
-        norm = np.ldexp(fm * (fy * fy), norm_exp - norm_top).sum()
+        fd, ed = np.frexp(fd)
+        value = _scaled_quotient((fc, ec), (fd, ed + ey), (fm, em), (fy, ey))
         widen = (len(c) + 1) * np.finfo(float).eps
-        found = np.ldexp([energy / norm, lower * (1.0 - widen), upper * (1.0 + widen)],
-                         [energy_top - norm_top, power, power])
-    if not _TINY <= found.min() <= found.max() <= _LARGEST:
+        lower, upper = np.ldexp([lower * (1.0 - widen), upper * (1.0 + widen)], power).tolist()
+    if not (_TINY <= min(value, lower) and max(value, upper) <= _LARGEST):
         return None
-    value, lower, upper = found.tolist()
     return value, lower, upper
 
 

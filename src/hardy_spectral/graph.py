@@ -190,10 +190,17 @@ class WeightedGraph:
         row[[self._vertex(v) for v in ids]] = True
         return row
 
-    def degree(self, v: int) -> float:
-        """W(v, V), W's row sum and L's diagonal entry (inf past the doubles)."""
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """W's row sums W(v, V), L's diagonal, read-only (inf past the doubles)."""
         with np.errstate(over="ignore"):
-            return float(self.conductance_matrix[self._vertex(v)].sum())
+            d = self.conductance_matrix.sum(axis=1)
+        d.flags.writeable = False
+        return d
+
+    def degree(self, v: int) -> float:
+        """W(v, V), `degrees` at v."""
+        return float(self.degrees[self._vertex(v)])
 
     def label(self, v: int) -> str:
         v = self._vertex(v)

@@ -14,11 +14,11 @@ computation, however stiff it is. When A u B = V nothing is eliminated
 and the energy is W(A, B), the crossing conductance.
 
 Every energy of the library is reduced by one step, `kron_step`: it
-eliminates one vertex from a stack of networks, adding (r / d) r^T to
-the conductances left, where r is the vertex's row and the pivot d the
-sum of r (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985). The
-diagonal is never read and nothing is subtracted, so nothing cancels.
-The exact content enumerations take the step along their own trees,
+eliminates one vertex from a stack of networks, adding (r / d) r^T
+(`kron_fill`) to the conductances left, where r is the vertex's row and
+the pivot d the sum of r (Grassmann, Taksar and Heyman, Oper. Res. 33,
+1985). The diagonal is never read and nothing is subtracted, so nothing
+cancels. The exact content enumerations take the step along their own trees,
 and `kron_slots` over a stack of networks, each from its own slot: the
 level-set sweep's paths and every pinned problem's C. `pinned_energies`
 poses problems on one graph's arrays, each set a boolean row over the
@@ -40,18 +40,23 @@ from . import errors
 from .graph import VertexSet, WeightedGraph, conductance_to
 
 
+def kron_fill(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The fill a b / d between two neighbours, of conductances a and b,
+    of an eliminated vertex of pivot d: dividing first, it overflows only
+    past a conductance that already would, and a pivot of 0 or inf gives
+    NaN (d / d is exactly 1 for any other d), never dropping the fill."""
+    return (a / d * (d / d)) * b
+
+
 def kron_step(r: np.ndarray, rest: np.ndarray) -> None:
     """Kron-eliminate one vertex from each network of a stack, in place:
     r (k, m) holds its conductances to the k vertices after it, rest
     (k, k, m) the conductances among those, one network per last index.
-    Adds (r / d) r^T to rest, with the pivot d summed in row order, so
-    a network's result does not depend on the stack; dividing first, the
-    product overflows only past a conductance that already would. A
-    pivot of 0 or one that overflows to inf poisons its own network with
-    NaN (the factor d / d, exactly 1 for any other d), never dropping
-    the fill unseen. Callers silence the floating-point warnings."""
+    Adds the fill (r / d) r^T (`kron_fill`) to rest, with the pivot d
+    summed in row order, so a network's result does not depend on the
+    stack. Callers silence the floating-point warnings."""
     d = np.add.accumulate(r)[-1]
-    rest += (r / d * (d / d))[:, None] * r[None, :]
+    rest += kron_fill(r[:, None], r[None, :], d)
 
 
 def kron_slots(net: np.ndarray, starts: np.ndarray, lo: int, hi: int) -> None:

@@ -24,13 +24,11 @@ A problem's result does not depend on the others of its call, so a
 boundary-pinned stack: the Dirichlet problem as `pose_dirichlet` poses
 it and both sides of every pinch suite potential go to one `ground_modes`
 call, and `finish_dirichlet` turns the Dirichlet problem's entry into
-its result; `analyze` poses its one Dirichlet problem the same way. The
-path-reduction suite solves the level-set quotient path with its Hardy
-operator (`content.hardy_path_eigenvalue`) and poses it by
-`pose_dirichlet` to a `ground_modes` call of its own only when that
-does not settle, reading only the eigenvalue.
+its result; `analyze` poses its one Dirichlet problem the same way.
 `dirichlet_eigenvalue` is the same three steps for one problem alone, as
-the public API uses it.
+the public API uses it, and as the path-reduction suite does for a
+level-set quotient path that its Hardy operator
+(`content.hardy_path_eigenvalue`) does not settle.
 
 LAPACK's eigh leaves every eigenvector entry wrong by about eps * ||L||,
 which on stiff graphs swamps the small differences across stiff edges. So
@@ -78,11 +76,8 @@ class SpectralResult:
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
     """L = D - W, read-only, built on each call: no solver needs L whole.
-    D holds W's row sums, so L's rows sum to zero; a degree past the
-    doubles is inf."""
-    adj = graph.conductance_matrix
-    with np.errstate(over="ignore"):
-        lap = np.diag(adj.sum(axis=1)) - adj
+    D holds `graph.degrees`, W's row sums, so L's rows sum to zero."""
+    lap = np.diag(graph.degrees) - graph.conductance_matrix
     lap.flags.writeable = False
     return lap
 
@@ -375,8 +370,32 @@ def harmonic_extension(graph: WeightedGraph, fixed: Mapping[int, float]) -> np.n
 
 def _largest_exponent(exponent: np.ndarray, product: np.ndarray) -> int:
     """The largest of `exponent` where `product` is nonzero, else 0."""
-    live = product != 0.0
-    return int(exponent[live].max()) if live.any() else 0
+    live = exponent[product != 0.0]
+    return int(live.max()) if live.size else 0
+
+
+def _scaled_quotient(k, d, m, x) -> float:
+    """sum k d^2 / sum m x^2 over four arrays, each given as the
+    (mantissa, exponent) pair np.frexp gives, rounded once, by the
+    division, onto the subnormals too; inf or 0 past the doubles (callers
+    silence the overflow warning). Each term is formed on the mantissas
+    of its factors at the power of two, 2^-top, that puts its sum's
+    largest nonzero term in [1/8, 1): a vanishing term sets no scale, no
+    weight takes a term out of the doubles, and one over 2^1019 below the
+    largest loses bits only far below the sum's last. Where no term
+    leaves the normal doubles unscaled, the sums are the unscaled sums'
+    bits times 2^-top."""
+    (fk, ek), (fd, ed), (fm, em), (fx, ex) = k, d, m, x
+    energy_exp, norm_exp = ek + 2 * ed, em + 2 * ex
+    energy_top = _largest_exponent(energy_exp, fk * fd)
+    norm_top = _largest_exponent(norm_exp, fm * fx)
+    energy = np.ldexp(fk * (fd * fd), energy_exp - energy_top).sum()
+    norm = np.ldexp(fm * (fx * fx), norm_exp - norm_top).sum()
+    scale = energy_top - norm_top
+    if scale >= 0:
+        return float(np.ldexp(energy / norm, scale))
+    lift = max(scale, -1000)
+    return float(np.ldexp(energy, lift) / np.ldexp(norm, lift - scale))
 
 
 def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
@@ -385,7 +404,7 @@ def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
     feasible x. With a boundary, x must vanish there exactly. x is first
     scaled by a power of two to max |x| in [1/2, 1), which is exact and
     leaves the quotient as it is, and each sum is taken at a power of two
-    of its own, so no weight, large or small, leaves the doubles before
+    of its own (`_scaled_quotient`), so no weight leaves the doubles before
     the quotient does. ZeroVector if x vanishes on every vertex of
     positive mass; NotRepresentable if the quotient overflows."""
     x = as_potential(graph, x)
@@ -397,31 +416,11 @@ def rayleigh_quotient(graph: WeightedGraph, x: np.ndarray,
     if not x[mass > 0.0].any():
         raise errors.ZeroVector("mass-weighted norm of x is zero")
     x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-    # x^T L x summed over the edges, so no terms cancel, and x^T M x as a
-    # dot product. Each term is formed as k d^2 and x (m x) would be, but
-    # on the mantissas of its factors, and at the power of two, 2^-top,
-    # that puts its sum's largest term in [1/8, 1): no weight, large or
-    # small, takes a term out of the doubles, and one over 2^1019 below
-    # the largest loses bits only far below the sum's last. Where no term
-    # leaves the normal doubles unscaled, the sums are the unscaled sums'
-    # bits times 2^-top.
+    # x^T L x summed over the edges, so no terms cancel
     u, v, k = graph.edge_arrays
-    fk, ek = np.frexp(k)
-    fd, ed = np.frexp(x[u] - x[v])
-    fm, em = np.frexp(mass)
-    fx, ex = np.frexp(x)
-    energy_exp, norm_exp = ek + 2 * ed, em + 2 * ex
-    energy_top = _largest_exponent(energy_exp, fk * fd)
-    norm_top = _largest_exponent(norm_exp, fm * fx)
-    energy = np.sum(np.ldexp(fk * (fd * fd), energy_exp - energy_top))
-    norm = fx @ np.ldexp(fm * fx, norm_exp - norm_top)
-    scale = energy_top - norm_top
     with np.errstate(over="ignore"):
-        if scale >= 0:
-            quotient = float(np.ldexp(energy / norm, scale))
-        else:  # rounded once, by the division, onto the subnormals too
-            lift = max(scale, -1000)
-            quotient = float(np.ldexp(energy, lift) / np.ldexp(norm, lift - scale))
+        quotient = _scaled_quotient(np.frexp(k), np.frexp(x[u] - x[v]), np.frexp(mass),
+                                    np.frexp(x))
     if not 0.0 <= quotient < np.inf:
         raise errors.NotRepresentable(
             f"the Rayleigh quotient {quotient!r} leaves double precision")

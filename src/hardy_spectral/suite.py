@@ -16,8 +16,8 @@ suite's rows are the ones it gives alone. The path-reduction suite reads
 the level-set quotient path as arrays (`content.level_set_path`) and
 solves it, vertex 0 pinned, with its Hardy operator
 (`content.hardy_path_eigenvalue`); only a path that does not settle, or
-whose numbers leave the doubles, is built as a graph and posed by
-`pose_dirichlet` to a `ground_modes` call of its own. Every
+whose numbers leave the doubles, is built as a graph and solved by
+`spectral.dirichlet_eigenvalue`, the library's one-problem route. Every
 potential is made from its 12n outputs the same way and is never drawn
 again. LAPACK is deterministic for a fixed build, and every tie is
 decided within a window, so a report depends only on the inputs and the
@@ -48,8 +48,8 @@ from .report import (VerificationReport, check_eq, check_error, check_ge,
                      check_le)
 from .resistance import pinned_energies
 from .rng import Xorshift64Star, irwin_hall
-from .spectral import (SpectralResult, finish_dirichlet, ground_modes,
-                       neumann_eigenvalue, pose_dirichlet)
+from .spectral import (SpectralResult, dirichlet_eigenvalue, finish_dirichlet,
+                       ground_modes, neumann_eigenvalue, pose_dirichlet)
 
 ALL_SUITES = ("dirichlet", "neumann", "cheeger", "pinch", "ressum", "path-reduction")
 
@@ -346,9 +346,7 @@ def run_suite(graph: WeightedGraph, *,
     def suite_cheeger():
         lambda2 = q.get("lambda2").eigenvalue
         phi = q.record("phi")
-        with np.errstate(over="ignore"):
-            degrees = graph.conductance_matrix.sum(axis=1)
-        worst = float(np.max(degrees / graph.mass_vector))
+        worst = float(np.max(graph.degrees / graph.mass_vector))
         # 2 lambda2 worst can pass the doubles where its root does not; the
         # root of the product with worst / 4^e, times 2^e, is exact, so it
         # is the plain root wherever the product is a normal double
@@ -397,14 +395,9 @@ def run_suite(graph: WeightedGraph, *,
         if found is not None:
             lam = found[0]
         else:
-            # a near-degenerate path, or numbers past the doubles: the
-            # graph (which validates them) and its dense eigen stack, of
-            # which only the eigenvalue is read
-            quotient = path_graph(masses, conductances)
-            mode, = ground_modes(quotient, *pose_dirichlet(quotient, VertexSet.of([0])))
-            if isinstance(mode, errors.HardySpectralError):
-                raise mode
-            lam = mode[1]
+            # a near-degenerate path, or numbers past the doubles
+            lam = dirichlet_eigenvalue(path_graph(masses, conductances),
+                                       VertexSet.of([0])).eigenvalue
         yield check_eq("path_reduction", lam, res.eigenvalue, tolerance)
 
     runners = {

@@ -173,15 +173,15 @@ def worst_sides(graph: WeightedGraph, fs) -> list:
     return _worst_sides(failed, iter(modes))
 
 
-def path_eigenvalue_mp(masses, conductances, guess: float):
+def path_eigenvalue_mp(masses, conductances, guess: float, digits: int = 50):
     """The smallest eigenvalue of the path on 0..N with vertex 0 pinned
-    (masses[i] at vertex i, conductances[i - 1] on edge (i - 1, i)), to 50
-    digits by mpmath: Newton's method on det(L_PP - lam M), by the
+    (masses[i] at vertex i, conductances[i - 1] on edge (i - 1, i)), to
+    `digits` digits by mpmath: Newton's method on det(L_PP - lam M), by the
     tridiagonal three-term recurrence, from `guess`; then a Sturm count
     (the signs of the LDL^T pivots of L_PP - mu M) asserts that it is the
     smallest root. Skips the test without mpmath."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
+    with mpmath.workdps(digits):
         m = [mpmath.mpf(v) for v in masses[1:]]
         c = [mpmath.mpf(v) for v in conductances] + [mpmath.mpf(0)]
         diagonal = [c[i] + c[i + 1] for i in range(len(m))]

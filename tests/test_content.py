@@ -468,6 +468,19 @@ class TestHardyPathEigenvalue:
         (row,) = run_suite(g, boundary=boundary, suites=["path-reduction"], samples=0).checks
         assert row.lhs == dense.eigenvalue == 0.9999817427480884
 
+    def test_a_vanishing_term_sets_no_scale(self):
+        # the stiff edge's difference of the rounded y is 0, and its term,
+        # at the largest power of two, must not set the energy's scale,
+        # which would drop the soft edge's term below the doubles. The
+        # determinant cancels 1e600 against c 1e300, so the oracle runs at
+        # 800 digits
+        for c in (1e-10, 1e-15, 1e-20):
+            masses, conductances = [1.0, 1.0, 1.0], [c, 1e300]
+            value, lower, upper = hardy_path_eigenvalue(masses, conductances, [0.0, 1.0, 1.0])
+            exact = path_eigenvalue_mp(masses, conductances, value, digits=800)
+            assert lower <= value <= upper, c
+            assert abs(value - exact) <= 4 * EPS * exact, c
+
     def test_steps_stop_at_the_cap(self, monkeypatch):
         # the same path settles once the cap allows its steps
         g = stiff_graph(0, 1e9, 1e9)

@@ -327,6 +327,8 @@ class TestPathGraph:
     def test_degree_reads_the_laplacian_and_checks_the_id(self):
         g = path_graph([1, 1, 1], [1.5, 2.0])
         assert [g.degree(v) for v in range(3)] == [1.5, 3.5, 2.0]
+        # one cached, read-only array of row sums
+        assert g.degrees is g.degrees and not g.degrees.flags.writeable
         for v in (-1, 3):
             with pytest.raises(errors.LengthMismatch):
                 g.degree(v)

@@ -338,8 +338,8 @@ class TestRunSuite:
     def test_dirichlet_ground_state_solved_once(self, p3, monkeypatch):
         # the run's graph poses its one problem to one `ground_modes` call;
         # the level-set quotient path is solved by its Hardy operator and
-        # poses none of its own unless it falls back; no module calls
-        # `dirichlet_eigenvalue`
+        # poses none of its own unless it falls back to
+        # `dirichlet_eigenvalue`, which this run never calls
         alone, solved, paths = [], [], []
 
         def counted_modes(graph, sides, ground):
