@@ -30,7 +30,7 @@ def _load(path: str, names: Optional[str] = None) -> tuple[WeightedGraph, Option
     """A .wgr file's graph, and the boundary `names` lists, else the file's."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise errors.BadRequest(f"cannot read {path}: {exc}") from None
     graph, boundary = parse_wgr(text)
     return graph, (_ids_for(graph, names) if names is not None else boundary)

@@ -159,7 +159,9 @@ class ZeroInteriorMass(HardySpectralError):
 
 
 class NotRepresentable(HardySpectralError):
-    """A content value that underflowed to 0 or overflowed in doubles."""
+    """A value that leaves the doubles: a content value, energy,
+    eigenvalue, Rayleigh quotient or reduced conductance that underflowed
+    to 0 or overflowed, or a mass-whitened Laplacian that overflowed."""
 
 
 class MixedSigns(HardySpectralError):

@@ -146,16 +146,14 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
         if pad is not None:
             x[pad] = 0.0
         lam = np.full(len(x), np.inf)
-        # the rows still moving (all of them, until one settles) and their
-        # arrays, gathered again only when some settle; x and lam take the
-        # live rows' values back then, and when the polish ends
-        live = np.arange(len(x))
-        solve_blocks, m, w_live, ground_live, x_live, lam_live = (
-            blocks[:, k:, k:], mass, w, ground, x, lam)
-        total = m.sum(axis=1, keepdims=True) if k else None
+        # the rows still moving, read and written through one index: all
+        # of them as a slice, so every read is a view, until one settles;
+        # then the ids of the rest, so a settled row is not solved again
+        live = slice(None)
         for _ in range(MAX_POLISH_STEPS):
+            m = mass[live]
             try:
-                y = np.linalg.solve(solve_blocks, (m * x_live)[:, k:, None])[:, :, 0]
+                y = np.linalg.solve(blocks[live, k:, k:], (m * x[live])[:, k:, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 raise errors.NotPositiveDefinite() from None
             if k:  # the grounded first vertex
@@ -168,28 +166,22 @@ def _eigenpairs(w: np.ndarray, ground: np.ndarray, mass: np.ndarray, k: int,
             # scaling serves both sums
             y = np.ldexp(y, ~np.frexp(np.abs(y).max(axis=1, keepdims=True))[1])
             if k:
-                y -= _mass_dot(m, y) / total
+                y -= _mass_dot(m, y) / m.sum(axis=1, keepdims=True)
             norm = np.sqrt(_mass_dot(m, y * y))
             # a y past the doubles gives a norm of inf or NaN, an all-zero y 0
             if not 0.0 < norm.min() <= norm.max() < np.inf:
                 raise errors.NoConvergence("inverse iteration overflowed in double precision")
-            x_live = y = y / norm
+            y = y / norm
             diff = y[:, :, None] - y[:, None, :]
-            energy = (0.5 * (w_live * diff * diff).reshape(len(y), -1).sum(axis=1)
-                      + (ground_live * (y * y)).sum(axis=1))
-            moving = lam_live - energy > SETTLE_RTOL * energy
-            lam_live = energy
+            energy = (0.5 * (w[live] * diff * diff).reshape(len(y), -1).sum(axis=1)
+                      + (ground[live] * (y * y)).sum(axis=1))
+            # before the write: while live is a slice, lam[live] is a view
+            moving = lam[live] - energy > SETTLE_RTOL * energy
+            x[live], lam[live] = y, energy
             if not moving.all():
-                x[live], lam[live] = x_live, lam_live
-                live = live[moving]
+                live = np.arange(len(x))[live][moving]
                 if not live.size:
                     break
-                solve_blocks, m, w_live, ground_live = (
-                    blocks[live, k:, k:], mass[live], w[live], ground[live])
-                x_live, lam_live = x_live[moving], lam_live[moving]
-                total = m.sum(axis=1, keepdims=True) if k else None
-        else:
-            x[live], lam[live] = x_live, lam_live
     if not lam.max() < np.inf:  # a sum of nonnegative terms: inf, never NaN
         raise errors.NotRepresentable("the eigenvalue overflows double precision")
     return lam, x

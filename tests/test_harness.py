@@ -820,6 +820,14 @@ class TestCli:
         assert main(["verify", path, "--suite", "bogus"]) == 2
         bad = self._write(tmp_path, "bad.wgr", "vertex a 1\nedge a a 1\n")
         assert main(["analyze", bad]) == 2
+        # UTF-16 text, whose first bytes ff fe are not UTF-8
+        utf16 = tmp_path / "utf16.wgr"
+        utf16.write_bytes(P3_TEXT.encode("utf-16"))
+        capsys.readouterr()
+        for argv in (["verify"], ["analyze"], ["resistance", "--a", "v0", "--b", "v2"]):
+            assert main([argv[0], str(utf16), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {utf16}: ") and err.count("\n") == 1
         assert main(["gen", "random", "--n", "4", "--p", "2.0",
                      "--seed", "1", "-o", str(tmp_path / "x.wgr")]) == 2
         assert main(["gen", "random", "--n", "4", "--seed", "1",

@@ -101,10 +101,14 @@ class TestNeumann:
         with pytest.raises(errors.NotRepresentable, match="the eigenvalue overflows"):
             neumann_eigenvalue(path_graph([1.0, 1.0], [1e308]))
 
-    def test_a_stack_matches_solo_as_its_rows_settle(self, monkeypatch):
+    @pytest.mark.parametrize("cap, steps", [(64, [29, 2, 4]), (5, [5, 2, 4])],
+                             ids=["cap64", "cap5"])
+    def test_a_stack_matches_solo_as_its_rows_settle(self, monkeypatch, cap, steps):
         # k = 1 on one stack of three 7-vertex graphs whose polish settles
         # after 29, 2 and 4 steps: the stack solves only the rows still
-        # moving, and each row is its solo call's, bit for bit
+        # moving, and each row is its solo call's, bit for bit. At a cap
+        # of 5 steps the first row stops at the cap beside rows that settle
+        monkeypatch.setattr(spectral, "MAX_POLISH_STEPS", cap)
         graphs = [stiff_graph(9, 1e9, 1e9), corpus_graph(0, 7, 7), stiff_graph(5, 1e9, 1e9)]
         solved = []
         solve = np.linalg.solve
@@ -120,10 +124,10 @@ class TestNeumann:
         for g in graphs:
             solved.clear()
             solo.append((*eigenpairs([g]), len(solved)))
-        assert [steps for *_, steps in solo] == [29, 2, 4]
+        assert [n for *_, n in solo] == steps
         solved.clear()
         lam, x = eigenpairs(graphs)
-        assert solved == [3] * 2 + [2] * 2 + [1] * 25
+        assert solved == [3] * 2 + [2] * 2 + [1] * (steps[0] - 4)
         for i, (lam_i, x_i, _steps) in enumerate(solo):
             assert lam[i] == lam_i[0] and x[i].tobytes() == x_i[0].tobytes()
 
