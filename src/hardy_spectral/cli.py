@@ -29,11 +29,23 @@ from .wgr import parse_wgr, serialize_wgr
 def _load(path: str, names: Optional[str] = None) -> tuple[WeightedGraph, Optional[VertexSet]]:
     """A .wgr file's graph, and the boundary `names` lists, else the file's."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read(path).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise errors.BadRequest(f"cannot read {path}: {exc}") from None
     graph, boundary = parse_wgr(text)
     return graph, (_ids_for(graph, names) if names is not None else boundary)
+
+
+def _read(path: str) -> bytes:
+    """The bytes of the file `path` names, read as pathlib reads it."""
+    try:
+        # building a Path costs more than an unbuffered read of a small file
+        with open(path, "rb", buffering=0) as file:
+            return file.read()
+    except OSError:
+        # pathlib reads "" as "." and drops a trailing "/" or "/.", so its
+        # read gives the file, or the error, that the name means to it
+        return Path(path).read_bytes()
 
 
 def _ids_for(graph: WeightedGraph, names_csv: str) -> VertexSet:
@@ -128,9 +140,10 @@ def _cmd_resistance(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it as
-    it was, and every call gets its own namespace."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's own parser by name, built
+    once per process: parsing leaves them as they were, and every call
+    gets its own namespace."""
     parser = argparse.ArgumentParser(
         prog="hardy-spectral",
         description="Eigenvalue bounds and verification suites for weighted graphs")
@@ -179,11 +192,22 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="comma-separated vertex names")
     p.add_argument("--b", required=True, help="comma-separated vertex names")
     p.set_defaults(fn=_cmd_resistance)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # The top-level pass would only re-scan every argument to hand the
+        # tail to this same parser. Leftovers go to the top-level error, as
+        # that pass reports them: with its usage line, not the subcommand's.
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
     except errors.HardySpectralError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -33,9 +34,12 @@ ZERO_RTOL = 1e-12
 
 def _vertex_id(i) -> int:
     """The integer `i` names (an int, or a real of integral value), else BadRange."""
+    if type(i) is int:
+        return i
     try:
-        if int(i) == i:
-            return int(i)
+        v = int(i)
+        if v == i:
+            return v
     except (TypeError, ValueError, OverflowError):
         pass
     raise errors.BadRange(f"vertex id {i!r} is not an integer")
@@ -121,9 +125,9 @@ class WeightedGraph:
             if u > v:
                 u, v = v, u
             norm.append((u, v, float(k)))
-        norm.sort(key=lambda e: (e[0], e[1]))
+        norm.sort(key=operator.itemgetter(0, 1))
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        object.__setattr__(self, "masses", tuple(map(float, self.masses)))
         validate(self)
 
     @property
@@ -286,11 +290,13 @@ def validate(graph: WeightedGraph) -> None:
             raise errors.NegativeMass(v, m)
     if not graph.total_mass < math.inf:
         raise errors.TotalMassOverflow()
-    for i, (u, v, k) in enumerate(graph.edges):
+    last = None
+    for (u, v, k) in graph.edges:
         if u == v:
             raise errors.SelfLoop(u)
-        if i and graph.edges[i - 1][:2] == (u, v):
+        if (u, v) == last:
             raise errors.DuplicateEdge((u, v))
+        last = (u, v)
         if not (0.0 < k < math.inf):
             raise errors.NonPositiveConductance((u, v, k))
     comps = row_components(graph, np.ones(graph.vertex_count, dtype=bool))

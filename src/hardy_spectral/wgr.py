@@ -5,9 +5,15 @@
     edge <name> <name> <conductance>
     boundary <name>
 
-Vertex ids are assigned in declaration order; names must be declared before
-use. Numbers are decimal doubles and are serialized with repr(), so a
-parse/serialize round trip reproduces every weight bit-exactly.
+Any `str.splitlines` break ends a line (LF, CRLF, a lone CR, and the
+other Unicode line breaks), and lines are numbered from 1 in that split.
+Tokens are separated by whitespace. A line with no tokens is blank; a
+line whose first token starts with `#` is a comment, so `#` inside a
+name is part of the name and a trailing `# ...` after a directive makes
+a malformed line. Vertex ids are assigned in declaration order; names
+must be declared before use. Numbers are decimal doubles and are
+serialized with repr(), so a parse/serialize round trip reproduces every
+weight bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,49 +25,49 @@ from . import errors
 from .graph import VertexSet, WeightedGraph
 
 
-def _parse_number(token: str, lineno: int, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise errors.ParseError(lineno, f"bad {what} {token!r}") from None
-    if not math.isfinite(value):
-        raise errors.ParseError(lineno, f"{what} must be finite, got {token!r}")
-    return value
-
-
 def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
     """Parse a .wgr document into a graph and its optional boundary set.
-    Numbers are checked here, with their line; the graph rule (simple,
-    connected, weights in range) is checked by the graph's constructor."""
+    Each line is checked for its token count, then its names, then its
+    number (bad, or not finite), and the first fault raises with its
+    line. The graph rule (simple, connected, weights in range) is checked
+    by the graph's constructor."""
     names: dict[str, int] = {}
     masses: list[float] = []
-    labels: list[str] = []
     edges: list[tuple[int, int, float]] = []
     boundary: list[int] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
+        if not tokens:
+            continue
         kind = tokens[0]
-        if kind == "vertex":
-            if len(tokens) != 3:
-                raise errors.ParseError(lineno, "expected: vertex <name> <mass>")
-            name = tokens[1]
-            if name in names:
-                raise errors.DuplicateVertex(name, lineno)
-            names[name] = len(masses)
-            labels.append(name)
-            masses.append(_parse_number(tokens[2], lineno, "mass"))
-        elif kind == "edge":
+        if kind == "edge":
             if len(tokens) != 4:
                 raise errors.ParseError(lineno, "expected: edge <name> <name> <conductance>")
-            for name in tokens[1:3]:
-                if name not in names:
-                    raise errors.UnknownVertex(name, lineno)
-            edges.append((names[tokens[1]], names[tokens[2]],
-                          _parse_number(tokens[3], lineno, "conductance")))
+            _, a, b, token = tokens
+            try:
+                u, v, value = names[a], names[b], float(token)
+            except KeyError as exc:
+                raise errors.UnknownVertex(exc.args[0], lineno) from None
+            except ValueError:
+                raise errors.ParseError(lineno, f"bad conductance {token!r}") from None
+            if not math.isfinite(value):
+                raise errors.ParseError(lineno, f"conductance must be finite, got {token!r}")
+            edges.append((u, v, value))
+        elif kind == "vertex":
+            if len(tokens) != 3:
+                raise errors.ParseError(lineno, "expected: vertex <name> <mass>")
+            _, name, token = tokens
+            if name in names:
+                raise errors.DuplicateVertex(name, lineno)
+            try:
+                value = float(token)
+            except ValueError:
+                raise errors.ParseError(lineno, f"bad mass {token!r}") from None
+            if not math.isfinite(value):
+                raise errors.ParseError(lineno, f"mass must be finite, got {token!r}")
+            names[name] = len(masses)
+            masses.append(value)
         elif kind == "boundary":
             if len(tokens) != 2:
                 raise errors.ParseError(lineno, "expected: boundary <name>")
@@ -71,12 +77,12 @@ def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
             if names[name] in boundary:
                 raise errors.ParseError(lineno, f"boundary {name!r} declared twice")
             boundary.append(names[name])
-        else:
+        elif not kind.startswith("#"):
             raise errors.ParseError(lineno, f"unknown directive {kind!r}")
 
     if not masses:
         raise errors.ParseError(0, "no vertices declared")
-    graph = WeightedGraph(tuple(masses), tuple(edges), tuple(labels))
+    graph = WeightedGraph(tuple(masses), tuple(edges), tuple(names))
     return graph, (VertexSet.of(boundary) if boundary else None)
 
 

@@ -1,9 +1,11 @@
 import csv
+import errno
 import importlib
 import importlib.util
 import io
 import json
 import math
+import os
 import re
 import struct
 import subprocess
@@ -119,6 +121,34 @@ class TestParse:
         with pytest.raises(errors.ParseError, match=message) as exc:
             parse_wgr(text)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("text, error, line, message", [
+        # any str.splitlines break ends a line
+        ("vertex a 1\r\nvertex b 1\r\nedge a\r\n", errors.ParseError, 3,
+         "expected: edge <name> <name> <conductance>"),
+        ("vertex a 1\rvertex b 1\redge a\r", errors.ParseError, 3,
+         "expected: edge <name> <name> <conductance>"),
+        # an indented comment is a line, and `#` inside a name is the name's
+        ("   # note\nvertex a#b 1\nedge a#b c 1\n", errors.UnknownVertex, 3, "unknown vertex 'c'"),
+        ("vertex a 1\nedge a b 1\nvertex b 1\n", errors.UnknownVertex, 2, "unknown vertex 'b'"),
+        ("vertex a 1e999\n", errors.ParseError, 1, "mass must be finite, got '1e999'"),
+        ("vertex a 1\nvertex b 1\nedge a b 1e999\n", errors.ParseError, 3,
+         "conductance must be finite, got '1e999'"),
+        ("\ufeffvertex a 1\n", errors.ParseError, 1, "unknown directive '\\ufeffvertex'"),
+        # a trailing comment is not stripped: the line has four tokens
+        ("vertex a 1 # c\n", errors.ParseError, 1, "expected: vertex <name> <mass>"),
+        # the graph rule checks the sorted edges; the sort is stable
+        ("vertex a 1\nvertex b 1\nedge a b 0\nedge b a 1\n", errors.NonPositiveConductance, None,
+         "edge 0-1 has conductance 0.0"),
+        ("vertex a 1\nvertex b 1\nedge b a 1\nedge a b 0\n", errors.DuplicateEdge, None,
+         "duplicate edge 0-1"),
+    ])
+    def test_line_rules(self, text, error, line, message):
+        with pytest.raises(errors.HardySpectralError) as exc:
+            parse_wgr(text)
+        assert type(exc.value) is error
+        assert message in str(exc.value)
+        assert getattr(exc.value, "line", None) == line
 
     def test_round_trip_is_bit_exact(self):
         for seed in range(10):
@@ -886,6 +916,83 @@ class TestCli:
         # a zero tolerance is allowed: rows may fail, but the run is not refused
         assert main(["verify", path, "--suite", "pinch", "--tolerance", "0"]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
+
+    TOP_USAGE = "usage: hardy-spectral [-h] [--version]"
+
+    # argv ("F" names a file), exit code, and the first and last lines of
+    # what argparse writes (stderr on an error, stdout on exit 0; None: not
+    # pinned), as the top-level parse wrote them
+    @pytest.mark.parametrize("argv, code, first, last", [
+        (["analyze", "F", "--csv"], 2, TOP_USAGE,
+         "hardy-spectral: error: unrecognized arguments: --csv"),
+        (["verify", "F", "--bogus"], 2, TOP_USAGE,
+         "hardy-spectral: error: unrecognized arguments: --bogus"),
+        (["resistance", "F", "--a", "v0"], 2, "usage: hardy-spectral resistance [-h]",
+         "hardy-spectral resistance: error: the following arguments are required: --b"),
+        (["verify"], 2, "usage: hardy-spectral verify [-h]",
+         "hardy-spectral verify: error: the following arguments are required: file"),
+        (["verify", "F", "--json", "--csv"], 2, "usage: hardy-spectral verify [-h]",
+         "hardy-spectral verify: error: argument --csv: not allowed with argument --json"),
+        (["bogus"], 2, TOP_USAGE, "hardy-spectral: error: argument command: invalid choice: "
+                                  "'bogus' (choose from 'analyze', 'verify', 'gen', 'resistance')"),
+        ([], 2, TOP_USAGE, "hardy-spectral: error: the following arguments are required: command"),
+        (["--version"], 0, hardy_spectral.__version__, hardy_spectral.__version__),
+        (["verify", "--help"], 0, "usage: hardy-spectral verify [-h]", None),
+    ])
+    def test_usage_errors_read_as_the_top_level_parse(self, tmp_path, capsys,
+                                                       argv, code, first, last):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        argv = [path if arg == "F" else arg for arg in argv]
+
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            return (exc.value.code, *capsys.readouterr())
+
+        got = outcome(main)
+        # the reference: one top-level pass over the whole argv
+        assert got == outcome(cli._parser()[0].parse_args)
+        written, silent = (got[2], got[1]) if code else (got[1], got[2])
+        lines = written.splitlines()
+        assert got[0] == code and silent == "" and written.endswith("\n")
+        assert lines[0].startswith(first) and last in (None, lines[-1])
+
+    @pytest.mark.parametrize("argv", [["verify"], ["analyze"],
+                                      ["resistance", "--a", "v0", "--b", "v2"]])
+    def test_undecodable_byte_is_named_at_its_file_offset(self, tmp_path, capsys, argv):
+        # 11,000 bytes of comment lines, then 0xff
+        bad = tmp_path / "bad.wgr"
+        bad.write_bytes((b"#" * 99 + b"\n") * 110 + b"\xff\n")
+        assert main([argv[0], str(bad), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {bad}: 'utf-8' codec can't "
+                                           "decode byte 0xff in position 11000: invalid start byte\n")
+
+    def test_a_file_name_reads_as_pathlib_reads_it(self, tmp_path, capsys):
+        # pathlib drops a trailing "/" and reads "" as "."
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
+        assert main(["resistance", path + "/", "--a", "v0", "--b", "v2"]) == 0
+        assert capsys.readouterr() == ("2.0\n", "")
+        assert main(["resistance", "", "--a", "v0", "--b", "v2"]) == 2
+        is_a_directory = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), ".")
+        assert capsys.readouterr() == ("", f"error: cannot read : {is_a_directory}\n")
+
+    def test_a_crlf_file_verifies_as_its_lf_copy(self, tmp_path, capsys, monkeypatch):
+        # the first boundary-verify graph of the benchmark at seed 1
+        workloads_py = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", workloads_py)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        workload = workloads.WORKLOADS["boundary-verify"]
+        text = workloads.make_inputs(workload, 1)[0].text
+        outcomes = []
+        for name, newline in (("lf.wgr", "\n"), ("crlf.wgr", "\r\n")):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            code = main(workloads.verify_args(workload, str(path)))
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0 and outcomes[0][1] and outcomes[0][2] == ""
 
     def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
         path = self._write(tmp_path, "p3.wgr", P3_TEXT)

@@ -126,6 +126,19 @@ def test_stream_matches_reference_across_block_edges(seed, count):
     assert next_word(rng) == ref.next_u64()
 
 
+SPLITS = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("first", SPLITS)
+def test_fresh_stream_read_in_splits_matches_reference(seed, first):
+    # a fresh stream's first block is only as long as a short first read;
+    # the reads after it go on across full blocks
+    rng, ref = Xorshift64Star(seed), ReferenceXorshift(seed)
+    for count in (first, *SPLITS):
+        assert rng.words(count).tolist() == [ref.next_u64() for _ in range(count)]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_interleaved_draws_match_reference(seed):
     rng, ref = Xorshift64Star(seed), ReferenceXorshift(seed)
