@@ -29,23 +29,11 @@ from .wgr import parse_wgr, serialize_wgr
 def _load(path: str, names: Optional[str] = None) -> tuple[WeightedGraph, Optional[VertexSet]]:
     """A .wgr file's graph, and the boundary `names` lists, else the file's."""
     try:
-        text = _read(path).decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise errors.BadRequest(f"cannot read {path}: {exc}") from None
     graph, boundary = parse_wgr(text)
     return graph, (_ids_for(graph, names) if names is not None else boundary)
-
-
-def _read(path: str) -> bytes:
-    """The bytes of the file `path` names, read as pathlib reads it."""
-    try:
-        # building a Path costs more than an unbuffered read of a small file
-        with open(path, "rb", buffering=0) as file:
-            return file.read()
-    except OSError:
-        # pathlib reads "" as "." and drops a trailing "/" or "/.", so its
-        # read gives the file, or the error, that the name means to it
-        return Path(path).read_bytes()
 
 
 def _ids_for(graph: WeightedGraph, names_csv: str) -> VertexSet:

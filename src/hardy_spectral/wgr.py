@@ -25,6 +25,16 @@ from . import errors
 from .graph import VertexSet, WeightedGraph
 
 
+def _parse_number(token: str, lineno: int, what: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise errors.ParseError(lineno, f"bad {what} {token!r}") from None
+    if not math.isfinite(value):
+        raise errors.ParseError(lineno, f"{what} must be finite, got {token!r}")
+    return value
+
+
 def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
     """Parse a .wgr document into a graph and its optional boundary set.
     Each line is checked for its token count, then its names, then its
@@ -46,28 +56,18 @@ def parse_wgr(text: str) -> tuple[WeightedGraph, Optional[VertexSet]]:
                 raise errors.ParseError(lineno, "expected: edge <name> <name> <conductance>")
             _, a, b, token = tokens
             try:
-                u, v, value = names[a], names[b], float(token)
+                u, v = names[a], names[b]
             except KeyError as exc:
                 raise errors.UnknownVertex(exc.args[0], lineno) from None
-            except ValueError:
-                raise errors.ParseError(lineno, f"bad conductance {token!r}") from None
-            if not math.isfinite(value):
-                raise errors.ParseError(lineno, f"conductance must be finite, got {token!r}")
-            edges.append((u, v, value))
+            edges.append((u, v, _parse_number(token, lineno, "conductance")))
         elif kind == "vertex":
             if len(tokens) != 3:
                 raise errors.ParseError(lineno, "expected: vertex <name> <mass>")
             _, name, token = tokens
             if name in names:
                 raise errors.DuplicateVertex(name, lineno)
-            try:
-                value = float(token)
-            except ValueError:
-                raise errors.ParseError(lineno, f"bad mass {token!r}") from None
-            if not math.isfinite(value):
-                raise errors.ParseError(lineno, f"mass must be finite, got {token!r}")
             names[name] = len(masses)
-            masses.append(value)
+            masses.append(_parse_number(token, lineno, "mass"))
         elif kind == "boundary":
             if len(tokens) != 2:
                 raise errors.ParseError(lineno, "expected: boundary <name>")

@@ -967,29 +967,22 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: cannot read {bad}: 'utf-8' codec can't "
                                            "decode byte 0xff in position 11000: invalid start byte\n")
 
-    def test_a_file_name_reads_as_pathlib_reads_it(self, tmp_path, capsys):
-        # pathlib drops a trailing "/" and reads "" as "."
-        path = self._write(tmp_path, "p3.wgr", P3_TEXT)
-        assert main(["resistance", path + "/", "--a", "v0", "--b", "v2"]) == 0
-        assert capsys.readouterr() == ("2.0\n", "")
+    def test_an_empty_file_name_names_the_directory_pathlib_reads(self, capsys):
+        # pathlib reads "" as "."
         assert main(["resistance", "", "--a", "v0", "--b", "v2"]) == 2
         is_a_directory = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), ".")
         assert capsys.readouterr() == ("", f"error: cannot read : {is_a_directory}\n")
 
-    def test_a_crlf_file_verifies_as_its_lf_copy(self, tmp_path, capsys, monkeypatch):
-        # the first boundary-verify graph of the benchmark at seed 1
-        workloads_py = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", workloads_py)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        workload = workloads.WORKLOADS["boundary-verify"]
-        text = workloads.make_inputs(workload, 1)[0].text
+    def test_a_crlf_file_verifies_as_its_lf_copy(self, tmp_path, capsys):
+        # a boundary-verify sized graph with one boundary vertex
+        g = random_graph(12, 0.4, (0.1, 10.0), (0.1, 10.0), seed=1)
+        text = serialize_wgr(g, VertexSet.of([5]))
         outcomes = []
         for name, newline in (("lf.wgr", "\n"), ("crlf.wgr", "\r\n")):
             path = tmp_path / name
             path.write_bytes(text.replace("\n", newline).encode("utf-8"))
-            code = main(workloads.verify_args(workload, str(path)))
+            code = main(["verify", str(path), "--samples", "10",
+                         "--suite", "dirichlet,cheeger,path-reduction"])
             outcomes.append((code, *capsys.readouterr()))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 0 and outcomes[0][1] and outcomes[0][2] == ""
