@@ -12,24 +12,25 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import errors
 from ._version import __version__
-from .graph import VertexSet, WeightedGraph, path_graph, random_graph
+from .graph import VertexSet, WeightedGraph, check_weight_ranges, path_graph, random_graph
 from .report import emit_report
 from .resistance import effective_resistance
 from .rng import Xorshift64Star
-from .suite import (ALL_SUITES, DEFAULT_SAMPLES, DEFAULT_TOLERANCE, Quantities,
-                    blank_report, run_suite)
+from .suite import (ALL_SUITES, BOUNDARY_SUITES, DEFAULT_SAMPLES, DEFAULT_TOLERANCE,
+                    Quantities, blank_report, run_suite)
 from .wgr import parse_wgr, serialize_wgr
 
 
 def _load(path: str, names: Optional[str] = None) -> tuple[WeightedGraph, Optional[VertexSet]]:
-    """A .wgr file's graph, and the boundary `names` lists, else the file's."""
+    """A .wgr file's graph, and the boundary `names` lists, else the file's.
+    The path is opened exactly as given: the OS decides what it names."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise errors.BadRequest(f"cannot read {path}: {exc}") from None
     graph, boundary = parse_wgr(text)
@@ -88,7 +89,7 @@ def _cmd_verify(args) -> int:
     graph, boundary = _load(args.file, args.boundary)
     suites = list(ALL_SUITES) if args.suite in (None, "all") \
         else [s.strip() for s in args.suite.split(",")]
-    if boundary is None and any(s in suites for s in ("dirichlet", "path-reduction")):
+    if boundary is None and any(s in suites for s in BOUNDARY_SUITES):
         boundary = VertexSet.of([0])
 
     report = run_suite(graph, boundary=boundary, suites=suites,
@@ -104,16 +105,17 @@ def _cmd_gen(args) -> int:
     if args.kind == "path":
         if args.n < 2:
             raise errors.BadRequest("a path needs at least 2 vertices")
+        check_weight_ranges(mass_range, kappa_range)
         rng = Xorshift64Star(args.seed)
         masses = [rng.uniform_in(*mass_range) for _ in range(args.n)]
         kappas = [rng.uniform_in(*kappa_range) for _ in range(args.n - 1)]
-        graph = path_graph(masses, kappas)
-        text = serialize_wgr(graph, boundary=VertexSet.of([0]))
+        graph, boundary = path_graph(masses, kappas), VertexSet.of([0])
     else:
-        graph = random_graph(args.n, args.p, mass_range, kappa_range, args.seed)
-        text = serialize_wgr(graph)
+        graph, boundary = random_graph(args.n, args.p, mass_range, kappa_range, args.seed), None
+    text = serialize_wgr(graph, boundary)
     try:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as file:
+            file.write(text)
     except OSError as exc:
         raise errors.BadRequest(f"cannot write {args.output}: {exc}") from None
     return 0

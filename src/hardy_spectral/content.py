@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .graph import (VertexSet, WeightedGraph, as_potential, conductance_to,
+from .graph import (VertexSet, WeightedGraph, as_potential, check_path_lengths, conductance_to,
                     interior_of, is_canonical_path, path_graph,
                     require_both_signs, require_positive_mass)
 from .resistance import kron_fill, kron_slots, kron_step
@@ -413,8 +413,11 @@ def hardy_path_eigenvalue(masses, conductances,
     has no edge, if a mass, conductance or start value is not positive
     and finite, if the ratios have not settled after PATH_MAX_STEPS steps
     (a near-degenerate path), or if a result is not a positive normal
-    double.
+    double. Raises LengthMismatch unless there are N + 1 masses, N
+    conductances and N + 1 start values (`graph.check_path_lengths`, the
+    rule of `graph.path_graph`).
     """
+    check_path_lengths(conductances, masses, start)
     m = np.asarray(masses, dtype=float)[1:]
     c = np.asarray(conductances, dtype=float)
     x = np.asarray(start, dtype=float)[1:]

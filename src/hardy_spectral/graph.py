@@ -365,14 +365,21 @@ def conductance_to(graph: WeightedGraph, sets: np.ndarray) -> np.ndarray:
 # builders
 # ---------------------------------------------------------------------------
 
+def check_path_lengths(conductances, *per_vertex) -> None:
+    """LengthMismatch unless each of `per_vertex` (the masses, say) has one
+    entry per vertex of the path on vertices 0..N whose N edges carry
+    `conductances`."""
+    for values in per_vertex:
+        if len(values) != len(conductances) + 1:
+            raise errors.LengthMismatch(f"{len(values)} values per vertex need "
+                                        f"{len(values) - 1} conductances, got {len(conductances)}")
+
+
 def path_graph(masses: Iterable[float], conductances: Iterable[float]) -> WeightedGraph:
     """Path on vertices 0..N where edge (i-1, i) carries conductances[i-1]."""
     masses = list(masses)
     conductances = list(conductances)
-    if len(conductances) != len(masses) - 1:
-        raise errors.LengthMismatch(
-            f"{len(masses)} masses need {len(masses) - 1} conductances, "
-            f"got {len(conductances)}")
+    check_path_lengths(conductances, masses)
     edges = tuple((i, i + 1, k) for i, k in enumerate(conductances))
     return WeightedGraph(tuple(masses), edges)
 
@@ -409,6 +416,14 @@ def _decode_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def check_weight_ranges(*ranges: tuple[float, float]) -> None:
+    """BadRange unless every (lo, hi) range weights are drawn from is
+    finite with 0 < lo <= hi, so every weight drawn is positive and finite."""
+    for lo, hi in ranges:
+        if not 0.0 < lo <= hi < math.inf:
+            raise errors.BadRange(f"range ({lo}, {hi}) must be finite with 0 < lo <= hi")
+
+
 def random_graph(n: int,
                  edge_probability: float,
                  mass_range: tuple[float, float],
@@ -427,9 +442,7 @@ def random_graph(n: int,
         raise errors.BadRange("need n >= 2")
     if not (0.0 <= edge_probability <= 1.0):
         raise errors.BadRange(f"edge probability {edge_probability} outside [0, 1]")
-    for lo, hi in (mass_range, conductance_range):
-        if not (0.0 < lo <= hi):
-            raise errors.BadRange(f"range ({lo}, {hi}) must be positive with lo <= hi")
+    check_weight_ranges(mass_range, conductance_range)
 
     rng = Xorshift64Star(seed)
     tree = _decode_pruefer([rng.below(n) for _ in range(n - 2)], n)

@@ -20,9 +20,7 @@ The state update is linear over GF(2): the state t steps after s is the
 XOR, over the set bits j of s, of the state t steps after 1 << j. So the
 stream is made a block of BLOCK outputs at a time from a jump table of
 those states (built on the first draw, the one place the recurrence
-runs), and every draw reads the next outputs of the current block. A
-fresh stream's first block is cut to its first read when that is
-shorter.
+runs), and every draw reads the next outputs of the current block.
 """
 
 from __future__ import annotations
@@ -82,11 +80,10 @@ class Xorshift64Star:
         self._out = np.empty(0, dtype=np.uint64)
         self._pos = 0
 
-    def _block(self, size: int = BLOCK) -> np.ndarray:
-        """The next `size` (at most BLOCK) outputs after self._state, which
-        moves past them."""
+    def _block(self) -> np.ndarray:
+        """The next BLOCK outputs after self._state, which moves past them."""
         bits = np.uint64(self._state) >> _SHIFTS & np.uint64(1)
-        states = np.bitwise_xor.reduce(_jump_table()[bits.astype(bool), :size], axis=0)
+        states = np.bitwise_xor.reduce(_jump_table()[bits.astype(bool)], axis=0)
         self._state = int(states[-1])
         return states * _MULT
 
@@ -94,11 +91,8 @@ class Xorshift64Star:
         """The next `count` outputs, as a uint64 array not to be written."""
         short = count - (len(self._out) - self._pos)
         if short > 0:
-            # a fresh stream's first block is no longer than its first read,
-            # so a stream read for one or two words makes only those
-            first = BLOCK if len(self._out) else min(short, BLOCK)
-            self._out = np.concatenate([self._out[self._pos:], self._block(first), *(
-                self._block() for _ in range(-(-(short - first) // BLOCK)))])
+            self._out = np.concatenate(
+                [self._out[self._pos:], *(self._block() for _ in range(-(-short // BLOCK)))])
             self._pos = 0
         self._pos += count
         return self._out[self._pos - count:self._pos]

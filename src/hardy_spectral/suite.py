@@ -52,6 +52,8 @@ from .spectral import (SpectralResult, dirichlet_eigenvalue, finish_dirichlet,
                        ground_modes, neumann_eigenvalue, pose_dirichlet)
 
 ALL_SUITES = ("dirichlet", "neumann", "cheeger", "pinch", "ressum", "path-reduction")
+# the suites that need a boundary; `verify` pins vertex 0 when none is given
+BOUNDARY_SUITES = ("dirichlet", "path-reduction")
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 10
@@ -143,8 +145,8 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
     each. After the one stream read (`_draws`), one `pinched_sides` call
     takes the mode (if "pinch" is wanted and lambda2 solved), then the
     pinch suite's potentials, then ressum's; one `ground_modes` call takes
-    the Dirichlet problem (if "dirichlet" or "path-reduction" is wanted
-    and `pose_dirichlet` poses it), then both sides, negative first, of
+    the Dirichlet problem (if a suite of BOUNDARY_SUITES is wanted and
+    `pose_dirichlet` poses it), then both sides, negative first, of
     each pinch suite potential that pinched. Neither call's rows depend on
     the others of the call, so each result is the one a call of its own
     gives.
@@ -167,7 +169,7 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
     dirichlet = worst = ressum = None
     # (sides, ground) of the one ground_modes call, in order
     problems = [(np.zeros((0, n), dtype=bool), np.zeros((0, n)))]
-    wants_dirichlet = "dirichlet" in wanted or "path-reduction" in wanted
+    wants_dirichlet = any(s in wanted for s in BOUNDARY_SUITES)
     if wants_dirichlet:
         try:
             problems.append(pose_dirichlet(graph, q.pinned()))

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
 
+import hardy_spectral
 from hardy_spectral import (VertexSet, WeightedGraph, errors, path_graph, random_graph,
                             run_suite)
 from hardy_spectral.graph import pinched_sides
@@ -20,6 +22,16 @@ from hardy_spectral.spectral import ground_modes
 from hardy_spectral.suite import _worst_sides
 
 WEIGHT_RANGE = (0.1, 10.0)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def subprocesses_import_this_package():
+    """A test's subprocess imports the package these tests import:
+    pyproject's `pythonpath` puts src/ on this process's path alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(hardy_spectral.__file__)),
+                  prepend=os.pathsep)
+        yield
 
 
 def sample_without_replacement(rng: Xorshift64Star, population, k: int) -> list:

@@ -537,6 +537,21 @@ class TestHardyPathEigenvalue:
         # a value past the normal doubles
         assert hardy_path_eigenvalue([1.0, 1e300], [1e-300], [0.0, 1.0]) is None
 
+    @pytest.mark.parametrize("masses, conductances, start", [
+        # one mass too few, which numpy's broadcasting alone reads as a 3-vertex path
+        ([1.0, 1.0], [1.0, 1.0], [0.0, 1.0, (1.0 + math.sqrt(5.0)) / 2.0]),
+        # one conductance for two edges
+        ([1.0, 1.0, 1.0], [1.0], [0.0, 1.0, 1.0]),
+        # one mass too many
+        ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0], [0.0, 1.0, 1.0]),
+        # one start value too few
+        ([1.0, 1.0, 1.0], [1.0, 1.0], [0.0, 1.0]),
+    ], ids=["mass-too-few", "conductance-too-few", "mass-too-many", "start-too-few"])
+    def test_lengths_follow_path_graph(self, masses, conductances, start):
+        # N + 1 masses, N conductances and N + 1 start values, as path_graph asks
+        with pytest.raises(errors.LengthMismatch):
+            hardy_path_eigenvalue(masses, conductances, start)
+
     def test_prefix_sums_against_exact_sums(self):
         # terms spread over twice the range of the doubles, as the
         # products m_j x_j can be, against Fraction sums: prefix j (j + 1

@@ -869,6 +869,12 @@ class TestCli:
         (["random", "--n", "4", "--mass-range", "1"], "expected lo,hi range, got '1'"),
         (["random", "--n", "4", "--mass-range", "1,x"], "bad range '1,x'"),
         (["path", "--n", "1"], "a path needs at least 2 vertices"),
+        # one weight-range rule for both kinds, finite with 0 < lo <= hi,
+        # whatever the draws
+        *(([kind, "--n", "4", f"--{weight}-range={lo},{hi}"],
+           f"range ({float(lo)}, {float(hi)}) must be finite with 0 < lo <= hi")
+          for kind in ("path", "random") for weight in ("mass", "kappa")
+          for lo, hi in (("5", "1"), ("-1", "1"), ("0.1", "inf"))),
     ])
     def test_gen_usage_errors_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.wgr"
@@ -967,11 +973,32 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: cannot read {bad}: 'utf-8' codec can't "
                                            "decode byte 0xff in position 11000: invalid start byte\n")
 
-    def test_an_empty_file_name_names_the_directory_pathlib_reads(self, capsys):
-        # pathlib reads "" as "."
-        assert main(["resistance", "", "--a", "v0", "--b", "v2"]) == 2
-        is_a_directory = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), ".")
-        assert capsys.readouterr() == ("", f"error: cannot read : {is_a_directory}\n")
+    # each command that reads a file, and the arguments it needs besides
+    FILE_COMMANDS = {"verify": [], "analyze": [], "resistance": ["--a", "v0", "--b", "v2"]}
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_an_empty_file_name_is_refused_as_the_os_refuses_it(self, capsys, command):
+        assert main([command, "", *self.FILE_COMMANDS[command]]) == 2
+        no_file = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
+        assert capsys.readouterr() == ("", f"error: cannot read : {no_file}\n")
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_a_file_named_as_a_directory_is_not_read(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        # "g.wgr/" names a directory, and g.wgr is a file
+        monkeypatch.chdir(tmp_path)
+        self._write(tmp_path, "g.wgr", P3_TEXT)
+        assert main([command, "g.wgr/", *self.FILE_COMMANDS[command]]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot read g.wgr/: [Errno 20] Not a directory: 'g.wgr/'\n")
+
+    @pytest.mark.parametrize("kind", ["path", "random"])
+    def test_gen_to_a_directory_name_writes_nothing(self, tmp_path, monkeypatch, capsys, kind):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", kind, "--n", "4", "--seed", "1", "-o", "g.wgr/"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot write g.wgr/: [Errno 21] Is a directory: 'g.wgr/'\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_crlf_file_verifies_as_its_lf_copy(self, tmp_path, capsys):
         # a boundary-verify sized graph with one boundary vertex

@@ -372,9 +372,9 @@ class FlatStream(Xorshift64Star):
         super().__init__(seed)
         self.made, self.lo, self.hi = 0, lo, hi
 
-    def _block(self, size=BLOCK):
-        self.made += size
-        return super()._block(size)
+    def _block(self):
+        self.made += BLOCK
+        return super()._block()
 
     def words(self, count):
         start = self.made - (len(self._out) - self._pos)
