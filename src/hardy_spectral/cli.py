@@ -103,6 +103,8 @@ def _cmd_gen(args) -> int:
     mass_range = _parse_range(args.mass_range)
     kappa_range = _parse_range(args.kappa_range)
     if args.kind == "path":
+        if args.p is not None:
+            raise errors.BadRequest("--p is for random graphs only; a path has no extra edges")
         if args.n < 2:
             raise errors.BadRequest("a path needs at least 2 vertices")
         check_weight_ranges(mass_range, kappa_range)
@@ -111,7 +113,8 @@ def _cmd_gen(args) -> int:
         kappas = [rng.uniform_in(*kappa_range) for _ in range(args.n - 1)]
         graph, boundary = path_graph(masses, kappas), VertexSet.of([0])
     else:
-        graph, boundary = random_graph(args.n, args.p, mass_range, kappa_range, args.seed), None
+        p = 0.5 if args.p is None else args.p
+        graph, boundary = random_graph(args.n, p, mass_range, kappa_range, args.seed), None
     text = serialize_wgr(graph, boundary)
     try:
         with open(args.output, "w", encoding="utf-8") as file:
@@ -169,8 +172,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p = sub.add_parser("gen", help="write a seeded random instance")
     p.add_argument("kind", choices=["path", "random"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, default=0.5,
-                   help="extra-edge probability (random graphs)")
+    p.add_argument("--p", type=float,
+                   help="extra-edge probability (random graphs only; default 0.5)")
     p.add_argument("--mass-range", default="0.1,10")
     p.add_argument("--kappa-range", default="0.1,10")
     p.add_argument("--seed", type=int, required=True)

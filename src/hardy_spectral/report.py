@@ -11,8 +11,10 @@ slack overflows is an error row instead. Only the fields of
 order. The json and csv modules write both formats, every real by `repr`
 (the shortest text that reads back as the same double) and `holds` as
 `true` / `false`; a non-finite real has no JSON text and raises
-ValueError. Two runs with the same inputs and seed produce byte-identical
-documents (timings are excluded unless explicitly requested).
+ValueError. Two runs with the same inputs and seed, on one machine and
+one BLAS build, produce byte-identical documents (timings are excluded
+unless explicitly requested); another BLAS kernel may move the last bits
+of an eigenvalue.
 """
 
 from __future__ import annotations

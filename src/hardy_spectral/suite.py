@@ -124,20 +124,15 @@ def _draws(graph: WeightedGraph, wanted: list, samples: int, seed: int) -> tuple
     return pinch_fs, _potentials(words[:, :-2]), words[:, -2:]
 
 
-def _worst_sides(failed: list, modes) -> list:
-    """For each pinch of `failed` (None or the pinch's typed error, as
-    `pinched_sides` gives them): the larger of its two one-sided
-    boundary-pinned eigenvalues, or the typed error of the pinch, else of
-    the negative side, else of the positive side. The sides' entries of
-    `ground_modes` are read from the iterator `modes`: the negative side,
-    then the positive, of each pinch that succeeded, in order."""
-    out = []
-    for exc in failed:
-        if exc is None:
-            negative, positive = next(modes), next(modes)
-            exc = errors.first_error([negative, positive])
-        out.append(max(negative[1], positive[1]) if exc is None else exc)
-    return out
+def _per_draw(failures: list, results, k: int):
+    """For each draw of `failures` (None or its pinch's typed error, as
+    `pinched_sides` gives them): the draw's first typed error, else None,
+    and its k results, read in order from `results` for each draw that
+    pinched (a draw that failed has none)."""
+    results = iter(results)
+    for exc in failures:
+        found = [] if exc is not None else [next(results) for _ in range(k)]
+        yield errors.first_error([exc, *found]), found
 
 
 def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
@@ -153,12 +148,14 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
 
     Returns each part of the run by its name in the memo, its result or the
     typed error that stopped it, or None if no wanted suite needs it:
-    "lambda_dirichlet", its SpectralResult; "worst", the pinch suite's
-    worst sides (see `_worst_sides`); and "ressum_draws", ressum's draws
-    and per sample None or its pinch's typed error. A failed draw stops
-    both the pinch suite and ressum, a failed lambda2 the pinch suite
-    (after the draw), and a problem that does not pose lambda_dirichlet,
-    each with its own error. The draws are (sides, ground, A, B): the
+    "lambda_dirichlet", its SpectralResult; "pinch_modes", the
+    `ground_modes` entries of the pinch suite's sides, negative then
+    positive for each potential that pinched, and per potential None or
+    its pinch's typed error; and "ressum_draws", ressum's draws and per
+    sample None or its pinch's typed error; both suites read them by
+    `_per_draw`. A failed draw stops both the pinch suite and ressum, a
+    failed lambda2 the pinch suite (after the draw), and a problem that
+    does not pose lambda_dirichlet, each with its own error. The draws are (sides, ground, A, B): the
     `pinched_sides` rows of the d samples that pinched, in sample order,
     then A and B as boolean rows (d, n) from each such sample's two words
     by `_nonempty_subsets`. A sample whose pinch fails leaves its words
@@ -166,7 +163,7 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
     same ZeroMass)."""
     graph = q.graph
     n = graph.vertex_count
-    dirichlet = worst = ressum = None
+    dirichlet = pinch = ressum = None
     # (sides, ground) of the one ground_modes call, in order
     problems = [(np.zeros((0, n), dtype=bool), np.zeros((0, n)))]
     wants_dirichlet = any(s in wanted for s in BOUNDARY_SUITES)
@@ -179,13 +176,13 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
         try:
             pinch_fs, ressum_fs, words = _draws(graph, wanted, samples, seed)
         except errors.HardySpectralError as exc:
-            worst = ressum = exc
+            pinch = ressum = exc
         else:
             if "pinch" in wanted:
                 try:
                     mode = [quantize_zeros(q.get("lambda2").eigenvector)]
                 except errors.HardySpectralError as exc:
-                    worst, pinch_fs = exc, pinch_fs[:0]
+                    pinch, pinch_fs = exc, pinch_fs[:0]
                 else:
                     pinch_fs = np.concatenate([mode, pinch_fs])
             sides, ground, failed = pinched_sides(graph, np.concatenate([pinch_fs, ressum_fs]))
@@ -203,9 +200,9 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
             dirichlet = finish_dirichlet(graph, next(modes))
         except errors.HardySpectralError as exc:
             dirichlet = exc
-    if "pinch" in wanted and worst is None:
-        worst = _worst_sides(pinch_failed, modes)
-    return {"lambda_dirichlet": dirichlet, "worst": worst, "ressum_draws": ressum}
+    if "pinch" in wanted and pinch is None:
+        pinch = list(modes), pinch_failed
+    return {"lambda_dirichlet": dirichlet, "pinch_modes": pinch, "ressum_draws": ressum}
 
 
 # how each quantity, and each part of a run, is solved, given the memo
@@ -218,7 +215,7 @@ _SOLVERS = {
     "psi_dirichlet": lambda q: dirichlet_content_exact(q.graph, q.pinned()),
     "posed": lambda q: _pose(q, *q.run),
     "lambda_dirichlet": lambda q: q.get("posed")["lambda_dirichlet"],
-    "worst": lambda q: q.get("posed")["worst"],
+    "pinch_modes": lambda q: q.get("posed")["pinch_modes"],
     "ressum_draws": lambda q: q.get("posed")["ressum_draws"],
 }
 
@@ -230,9 +227,12 @@ class Quantities:
     by its solver, is kept too: asking again raises it again instead of
     solving again. A quantity enters `report` only through `record`, at
     once, so a suite that fails later still keeps the quantities it
-    solved. lambda_dirichlet, "worst" and "ressum_draws" are read from the
-    run's posing step ("posed": `_pose` on `run` = (wanted suites, samples,
-    seed)), whose time lambda_dirichlet carries if it asks first; `analyze`
+    solved. The memo holds results only, and `record` times its own `get`
+    call: every reported quantity is first asked for by its `record`, so
+    that time is its solve, with any part of the run it solves first.
+    lambda_dirichlet, "pinch_modes" and "ressum_draws" are read from the
+    run's posing step ("posed": `_pose` on `run` = (wanted suites,
+    samples, seed)), whose time lambda_dirichlet carries; `analyze`
     passes the run of a Dirichlet-only `verify` with no samples."""
 
     def __init__(self, graph: WeightedGraph, boundary: Optional[VertexSet],
@@ -241,7 +241,7 @@ class Quantities:
         self.boundary = boundary
         self.report = report
         self.run = run
-        self._solved: dict[str, tuple[object, float]] = {}
+        self._solved: dict[str, object] = {}
 
     def pinned(self) -> VertexSet:
         if self.boundary is None:
@@ -252,13 +252,11 @@ class Quantities:
         """The result for `name` (a key of _SOLVERS); raises its typed
         error instead."""
         if name not in self._solved:
-            start = time.perf_counter()
             try:
-                result = _SOLVERS[name](self)
+                self._solved[name] = _SOLVERS[name](self)
             except errors.HardySpectralError as exc:
-                result = exc
-            self._solved[name] = (result, (time.perf_counter() - start) * 1000.0)
-        result = self._solved[name][0]
+                self._solved[name] = exc
+        result = self._solved[name]
         if isinstance(result, errors.HardySpectralError):
             raise result
         return result
@@ -266,8 +264,9 @@ class Quantities:
     def record(self, name: str):
         """Solve `name` and write its value, witnesses and solve time into
         the report; return the result."""
+        start = time.perf_counter()
         result = self.get(name)
-        self.report.timing_ms[name] = self._solved[name][1]
+        self.report.timing_ms[name] = (time.perf_counter() - start) * 1000.0
         if isinstance(result, SpectralResult):
             self.report.quantities[name] = result.eigenvalue
             return result
@@ -358,16 +357,16 @@ def run_suite(graph: WeightedGraph, *,
         yield check_le("cheeger_upper", phi.value, upper, tolerance)
 
     def suite_pinch():
-        worst = q.get("worst")
+        modes, failures = q.get("pinch_modes")
         lambda2 = q.get("lambda2").eigenvalue
-        for i, worst_side in enumerate(worst):
+        # per draw the negative side's mode, then the positive side's
+        for i, (failed, sides) in enumerate(_per_draw(failures, modes, 2)):
             name = f"pinch_random_{i:02d}" if i else "pinch_eigenvector"
-            if isinstance(worst_side, errors.HardySpectralError):
-                yield check_error(name, str(worst_side))
-            elif i:
-                yield check_ge(name, worst_side, lambda2, tolerance)
-            else:
-                yield check_eq(name, worst_side, lambda2, tolerance)
+            if failed is not None:
+                yield check_error(name, str(failed))
+                continue
+            worst = max(side[1] for side in sides)
+            yield (check_ge if i else check_eq)(name, worst, lambda2, tolerance)
 
     def suite_ressum():
         (sides, pinched, a, b), failures = q.get("ressum_draws")
@@ -378,12 +377,10 @@ def run_suite(graph: WeightedGraph, *,
         held = np.stack([a, b, a], axis=1).reshape(-1, n)
         free = np.stack([sides[:, 0] & ~a, sides[:, 1] & ~b, ~(a | b)], axis=1).reshape(-1, n)
         ground = np.stack([pinched, pinched, conductance_to(graph, b)], axis=1).reshape(-1, n)
-        energies = iter(pinned_energies(graph, held, free, ground))
-        for i, exc in enumerate(failures, start=1):
+        energies = pinned_energies(graph, held, free, ground)
+        # per draw 1/R(A, Z), 1/R(B, Z) and 1/R(A, B)
+        for i, (failed, found) in enumerate(_per_draw(failures, energies, 3), start=1):
             name = f"ressum_{i:02d}"
-            # 1/R(A, Z), 1/R(B, Z) and 1/R(A, B), or the draw's pinch error
-            found = [exc] if exc is not None else [next(energies) for _ in range(3)]
-            failed = errors.first_error(found)
             if failed is not None:
                 yield check_error(name, str(failed))
                 continue

@@ -19,7 +19,6 @@ from hardy_spectral import (VertexSet, WeightedGraph, errors, path_graph, random
 from hardy_spectral.graph import pinched_sides
 from hardy_spectral.rng import Xorshift64Star, irwin_hall
 from hardy_spectral.spectral import ground_modes
-from hardy_spectral.suite import _worst_sides
 
 WEIGHT_RANGE = (0.1, 10.0)
 
@@ -178,11 +177,25 @@ def worst_sides(graph: WeightedGraph, fs) -> list:
     """The pinch suite's result for each potential of `fs` (a list of
     rows), posed as a run poses its own: one `pinched_sides` call, then
     both sides of every potential that pinched, negative first, in one
-    `ground_modes` call, read by `suite._worst_sides`."""
+    `ground_modes` call. A potential's result is the typed error of its
+    pinch, else of its negative side, else of its positive side, else the
+    pinching lemma's max(lambda(G-), lambda(G+)) of its two sides."""
     sides, ground, failed = pinched_sides(graph, fs)
-    modes = ground_modes(graph, sides.reshape(-1, graph.vertex_count),
-                         np.repeat(ground, 2, axis=0))
-    return _worst_sides(failed, iter(modes))
+    modes = iter(ground_modes(graph, sides.reshape(-1, graph.vertex_count),
+                              np.repeat(ground, 2, axis=0)))
+    out = []
+    for exc in failed:
+        if exc is not None:
+            out.append(exc)
+            continue
+        negative, positive = next(modes), next(modes)
+        if isinstance(negative, errors.HardySpectralError):
+            out.append(negative)
+        elif isinstance(positive, errors.HardySpectralError):
+            out.append(positive)
+        else:
+            out.append(max(negative[1], positive[1]))
+    return out
 
 
 def path_eigenvalue_mp(masses, conductances, guess: float, digits: int = 50):

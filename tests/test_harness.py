@@ -79,6 +79,11 @@ class TestParse:
         with pytest.raises(errors.UnknownVertex):
             parse_wgr("vertex a 1\nedge a c 1\n")
 
+    def test_blank_lines_are_skipped(self):
+        # an empty line and a whitespace-only one
+        assert (serialize_wgr(*parse_wgr("vertex a 1\n\n \t\nvertex b 1\nedge a b 1\n"))
+                == serialize_wgr(*parse_wgr("vertex a 1\nvertex b 1\nedge a b 1\n")))
+
     def test_duplicate_vertex(self):
         with pytest.raises(errors.DuplicateVertex):
             parse_wgr("vertex a 1\nvertex a 2\n")
@@ -131,6 +136,9 @@ class TestParse:
         # an indented comment is a line, and `#` inside a name is the name's
         ("   # note\nvertex a#b 1\nedge a#b c 1\n", errors.UnknownVertex, 3, "unknown vertex 'c'"),
         ("vertex a 1\nedge a b 1\nvertex b 1\n", errors.UnknownVertex, 2, "unknown vertex 'b'"),
+        # an empty line and a whitespace-only one are skipped, but counted
+        ("vertex a 1\n\n \t\nvertex b 1\nedge a c 1\n", errors.UnknownVertex, 5,
+         "unknown vertex 'c'"),
         ("vertex a 1e999\n", errors.ParseError, 1, "mass must be finite, got '1e999'"),
         ("vertex a 1\nvertex b 1\nedge a b 1e999\n", errors.ParseError, 3,
          "conductance must be finite, got '1e999'"),
@@ -875,6 +883,9 @@ class TestCli:
            f"range ({float(lo)}, {float(hi)}) must be finite with 0 < lo <= hi")
           for kind in ("path", "random") for weight in ("mass", "kappa")
           for lo, hi in (("5", "1"), ("-1", "1"), ("0.1", "inf"))),
+        # a path has no extra edges, so any --p is refused
+        *((["path", "--n", "4", "--p", p], "--p is for random graphs only; "
+           "a path has no extra edges") for p in ("7", "0.5")),
     ])
     def test_gen_usage_errors_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.wgr"
@@ -1047,6 +1058,26 @@ class TestCli:
         assert main(["gen", "random", "--n", "6", "--p", "0.4",
                      "--seed", "1", "-o", out2]) == 0
         assert open(out1).read() == open(out2).read()
+
+    def test_gen_random_draws_extra_edges_at_one_half_by_default(self, tmp_path):
+        out1, out2 = str(tmp_path / "a.wgr"), str(tmp_path / "b.wgr")
+        assert main(["gen", "random", "--n", "6", "--seed", "1", "-o", out1]) == 0
+        assert main(["gen", "random", "--n", "6", "--p", "0.5",
+                     "--seed", "1", "-o", out2]) == 0
+        assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_verify_pins_vertex_zero_when_no_boundary_is_given(self, tmp_path, capsys):
+        path = self._write(tmp_path, "p3.wgr", P3_TEXT.replace("boundary v0\n", ""))
+        suites = ["--suite", "dirichlet,path-reduction"]
+        assert main(["verify", path, *suites]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", path, *suites, "--boundary", "v0"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["verify", path, *suites, "--boundary", "v1"]) == 0
+        assert capsys.readouterr().out != default
+        # no suite that needs a boundary, so none is pinned
+        assert main(["verify", path, "--suite", "neumann,cheeger"]) == 0
+        assert "lambda_dirichlet" not in json.loads(capsys.readouterr().out)["quantities"]
 
     def test_gen_path_then_verify(self, tmp_path, capsys):
         out = str(tmp_path / "p.wgr")
