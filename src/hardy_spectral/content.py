@@ -18,18 +18,24 @@ quantity) or is eliminated by Kron reduction. Sets that share a prefix
 share its eliminations. Every elimination is `resistance.kron_step`,
 the one step behind every energy of the library: it only adds
 nonnegative terms (`w_ik += (w_ij / d_j) w_jk`, with `d_j` a sum of
-conductances), so nothing cancels. The walk is depth first over stacks
+conductances), so nothing cancels. Each walk is depth first over stacks
 of partial networks, each level one vectorised step for the whole
 stack; a stack is cut in half while its children would exceed
-CHUNK_ENTRIES numbers, keeping only a running minimum. The last vertex
-is scored in closed form: a network with one vertex left has three
-entries, its two conductances to the terminals and theirs to each
-other, and each choice's energy is one sum of them, or for an
-elimination theirs plus kron_step's fill, `resistance.kron_fill`, so
-the leaf networks are never built. The level-set sweep eliminates through
-`resistance.kron_slots`, as every pinned problem does, along one path
-per set A: in the potential's order every A is a prefix and every B a
-suffix, so one pass reads the energies of all of A's pairs.
+CHUNK_ENTRIES numbers, keeping only a running minimum. The leaves are
+scored in closed form from a few entries of each network, each choice's
+energy a sum of them, or for an elimination theirs plus kron_step's
+fill, `resistance.kron_fill`, so the leaf networks are never built.
+psi's tree is a full binary one, and its walk, in
+dirichlet_content_exact, carries only networks and keys: both halves of
+a stack's children come from one copy, masses are read at the leaves
+from a table over the masks, and the last two vertices are scored
+together from their six entries (_last_two). psi2's choices are masked
+and three-way; psi2 alone walks the generic tree, _tree_minimum, which
+scores its last vertex from three entries (_leaves). The level-set
+sweep eliminates through `resistance.kron_slots`, as every pinned
+problem does, along one path per set A: in the potential's order every
+A is a prefix and every B a suffix, so one pass reads the energies of
+all of A's pairs.
 The isoperimetric constant needs no energy: one table holds the cut of
 every mask, grown one vertex at a time by adding conductances, another
 the mass of every mask, and the masks of A are scored against both in
@@ -203,7 +209,8 @@ def _pick(keep: Optional[np.ndarray]):
 
 def _branch(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: int,
             choices: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decide the first node of every network in a stack.
+    """Decide the first node of every network in a stack of _tree_minimum,
+    psi2's walk.
 
     A stack of m networks is a (k, k, m) array of conductances among each
     network's undecided vertices, then its two terminal nodes; mu and key,
@@ -276,7 +283,8 @@ def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, optio
                   score) -> Optional[tuple[float, int]]:
     """(ratio, key) of the winning leaf of a decision tree of Kron
     eliminations, walked depth first over stacks of partial networks, or
-    None if no leaf is scored.
+    None if no leaf is scored. psi2 is its one caller; psi walks its
+    binary tree itself (dirichlet_content_exact).
 
     `network` is the (k, k) network of the vertices in the order they are
     decided, then the two terminal nodes (see _branch); the i-th vertex
@@ -288,8 +296,8 @@ def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, optio
     half first; the deferred half is copied, so it does not keep its
     parent alive. A stack with one vertex left is then scored by _leaves,
     in closed form from its three entries, so no leaf network is built;
-    every other stack branches. Both callers decide at least one vertex,
-    so the root has k >= 3.
+    every other stack branches. psi2 decides at least two vertices, so
+    the root has k >= 4.
 
     A reduced conductance or a pivot that overflows spreads inf or NaN to
     the energy, which raises NotRepresentable (the diagonal is never
@@ -458,15 +466,67 @@ def hardy_path_eigenvalue(masses, conductances,
     return value, lower, upper
 
 
+def _running_mass_by_mask(masses: np.ndarray) -> np.ndarray:
+    """mu(mask) for every mask of the vertices, each summed as
+    mu(mask without its highest bit) + mu(highest bit): the running sum
+    of its bits from the lowest up. The masks whose highest bit is b are
+    filled in one step, from the lowest b up."""
+    out = np.zeros(1 << len(masses))
+    for b, m in enumerate(masses):
+        np.add(out[:1 << b], m, out=out[1 << b:2 << b])
+    return out
+
+
+def _last_two(net: np.ndarray, key: np.ndarray, bits) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves below a stack of psi's networks with two vertices left
+    (k = 4), or one (k = 3, a root), as (energy, key) with no network
+    below the stack built: the last vertex's merges into A, then its
+    eliminations, each over the first vertex's merges, then its
+    eliminations. bits holds each vertex's key bit.
+
+    With two vertices left a network has six entries: c between them,
+    a1, s1 and a2, s2 from each to A and to S, and e between A and S.
+    Merging the first into A leaves one vertex with r0 = a2 + c, r1 = s2
+    and e' = e + s1; eliminating it adds kron_step's fills (x / d * (d /
+    d)) * y, `kron_fill`, with the pivot d = (c + a1) + s1 in row order,
+    to a2, s2 and e. A network with one vertex left has the three entries
+    r0, r1 and e' itself. The last vertex then merges into A, e' + r1, or
+    is eliminated, e' + kron_fill(r0, r1, r0 + r1). A pivot of 0 or inf
+    gives NaN."""
+    if len(net) == 3:
+        r0, r1, e = net[0, 1], net[0, 2], net[1, 2]
+        last = bits[0]
+    else:
+        c, a1, s1, a2, s2, e = net[0, 1], net[0, 2], net[0, 3], net[1, 2], net[1, 3], net[2, 3]
+        d = (c + a1) + s1
+        r0 = np.concatenate((a2 + c, a2 + kron_fill(c, a1, d)))
+        r1 = np.concatenate((s2, s2 + kron_fill(c, s1, d)))
+        e = np.concatenate((e + s1, e + kron_fill(a1, s1, d)))
+        key, last = np.concatenate((key | bits[0], key)), bits[1]
+    energy = np.concatenate((e + r1, e + kron_fill(r0, r1, r0 + r1)))
+    return energy, np.concatenate((key | last, key))
+
+
 def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> ContentResult:
     """Minimum of R(S,A)^{-1} / mu(A) over nonempty A disjoint from the
     boundary, by enumerating all subsets of the interior.
 
     The boundary is collapsed into one grounded node S, and the interior
-    is taken in id order: each vertex merges into A or is eliminated (see
-    _tree_minimum). At a leaf the reduced A-S conductance is the energy
-    1/R(S, A). Zero-mass subsets are skipped (their ratio is +inf).
-    Guarded at interior size 20.
+    is taken in id order: each vertex merges into A or is eliminated. The
+    full binary tree is walked depth first over stacks of partial
+    networks that carry only their keys (psi2's masked three-way tree
+    goes through _tree_minimum). Each level builds both halves of a
+    stack's children from one copy: in the first the vertex's row is
+    added to A's row and column, in the second it is eliminated by
+    kron_step. A stack whose children would exceed CHUNK_ENTRIES numbers
+    is cut in half first, and the deferred half is copied. The last two
+    vertices are scored in closed form by _last_two. At a leaf the
+    reduced A-S conductance is the energy 1/R(S, A), and mu(A) is read
+    from one table over the masks (_running_mass_by_mask), summed in the
+    order the vertices are decided. Zero-mass subsets are skipped (their
+    ratio is +inf). An energy that is not finite (an overflow, or a
+    pivot of 0 or inf) raises NotRepresentable. Guarded at interior size
+    20.
     """
     inside = interior_of(graph, boundary)[None]
     interior = np.flatnonzero(inside[0])
@@ -481,13 +541,34 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     net[:f, :f] = graph.conductance_matrix[interior[:, None], interior]
     # W(v, S); an inf one poisons its energies
     net[:f, -1] = net[-1, :f] = conductance_to(graph, ~inside)[0, interior]
-
-    def score(energy, mu, key):
-        keep = mu[0] > 0.0
-        return energy[keep] / mu[0][keep], key[0][keep]
-
-    winner = _tree_minimum(net, graph.mass_vector[interior], np.int64(1) << np.arange(f),
-                           lambda key, left: [(None, 0), (None, None)], score)
+    bits = np.int64(1) << np.arange(f)
+    best = _RunningMin()
+    pending = [(net[:, :, None], np.zeros(1, dtype=np.int64))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = _running_mass_by_mask(graph.mass_vector[interior])
+        while pending:
+            net, key = pending.pop()
+            k, _, m = net.shape
+            if k <= 4:
+                energy, key = _last_two(net, key, bits[f + 2 - k:])
+                if not np.isfinite(energy).all():
+                    raise errors.NotRepresentable(
+                        "a reduced conductance overflowed in double precision")
+                mu = mass[key]
+                keep = mu > 0.0
+                best.offer(energy[keep] / mu[keep], key[keep])
+            elif m > 1 and 2 * m * (k - 1) ** 2 > CHUNK_ENTRIES:
+                pending.append((net[..., m // 2:].copy(), key[m // 2:].copy()))
+                pending.append((net[..., :m // 2], key[:m // 2]))
+            else:
+                row, rest = net[0, 1:], net[1:, 1:]
+                out = np.concatenate((rest, rest), axis=2)
+                merged = out[..., :m]
+                merged[-2] += row
+                merged[:, -2] += row
+                kron_step(row, out[..., m:])
+                pending.append((out, np.concatenate((key | bits[f + 2 - k], key))))
+    winner = best.winner
     if winner is None:
         raise errors.ZeroInteriorMass("every interior subset has zero mass")
     value, key = winner

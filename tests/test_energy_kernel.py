@@ -11,21 +11,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardy_spectral import (VertexSet, WeightedGraph, components, content,
+from hardy_spectral import (ContentResult, VertexSet, WeightedGraph, components, content,
                             dirichlet_content_exact, dirichlet_eigenvalue,
                             effective_resistance, errors, isoperimetric_exact, laplacian,
                             neumann_content_exact, hardy_path, neumann_content_sweep,
                             neumann_eigenvalue, path_graph, pinch, random_graph, run_suite,
                             split_edge)
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
-                                    NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
-from hardy_spectral.graph import conductance_to
+                                    NEUMANN_ENUM_LIMIT, _mass_by_mask, _running_mass_by_mask,
+                                    _RunningMin)
+from hardy_spectral.graph import conductance_to, interior_of
 from hardy_spectral.resistance import kron_step, pinned_energies
 from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
-from conftest import (corpus_boundary, corpus_graph, oracle_laplacian, random_vector,
-                      sample_without_replacement, stiff_graph)
+from conftest import (corpus_boundary, corpus_graph, extreme_weight_fuzz, oracle_laplacian,
+                      random_vector, sample_without_replacement, stiff_graph)
 
 # Exact ties come out of floating point a few ulps apart; genuinely
 # different ratios on the symmetric graphs below differ by far more.
@@ -703,6 +704,18 @@ class TestIsoperimetricOracle:
             assert table[mask] == table[mask ^ low] + masses[low.bit_length() - 1]
         assert table[0] == 0.0
 
+    def test_psi_mass_table_adds_the_highest_bit_last(self):
+        # psi's table: each mass is the running sum of its bits from the
+        # lowest up, the order in which psi's walk decides the vertices
+        masses = [2.0 ** (7 * i) / 3.0 for i in range(-5, 6)]
+        table = _running_mass_by_mask(np.array(masses))
+        for mask in range(1, 1 << len(masses)):
+            high = 1 << (mask.bit_length() - 1)
+            assert table[mask] == table[mask ^ high] + masses[high.bit_length() - 1]
+        assert table[0] == 0.0
+        # the sums round, so the two orders give two tables
+        assert not np.array_equal(table, _mass_by_mask(np.array(masses)))
+
 
 class TestGuardSizes:
     def test_psi2_at_the_guard(self):
@@ -956,13 +969,13 @@ def branch_leaves(net, mu, key, mass, bit, choices):
     return out[0, 1], out_mu, out_key
 
 
-def leaf_stack(rng, m):
-    """A random (3, 3, m) stack of networks with one vertex left, its
-    terminals' masses and keys: conductances spread over six decades,
-    some exactly 0 (an empty terminal, a vertex that meets neither
-    terminal), and B's key 0 in some networks."""
-    w = 10.0 ** rng.uniform(-3.0, 3.0, (3, 3, m))
-    w[rng.random((3, 3, m)) < 0.15] = 0.0
+def leaf_stack(rng, m, k=3):
+    """A random (k, k, m) stack of networks with k - 2 vertices left (one
+    by default), its terminals' masses and keys: conductances spread over
+    six decades, some exactly 0 (an empty terminal, a vertex that meets
+    neither terminal), and B's key 0 in some networks."""
+    w = 10.0 ** rng.uniform(-3.0, 3.0, (k, k, m))
+    w[rng.random((k, k, m)) < 0.15] = 0.0
     net = w + w.transpose(1, 0, 2)
     mu = rng.uniform(0.0, 3.0, (2, m))
     key = rng.integers(0, 1 << 20, (2, m))
@@ -980,6 +993,57 @@ def psi2_options(key, left):
     return [(has_b | (left > 1), None), (has_b, 0), (None, 1)]
 
 
+def psi_by_generic_tree(g, s):
+    """psi by its former route, the oracle of dirichlet_content_exact's
+    own walk: the generic walk content._tree_minimum with psi's choices
+    (merge into A, then eliminate), a running mass and psi's score."""
+    inside = interior_of(g, s)[None]
+    interior = np.flatnonzero(inside[0])
+    f = interior.size
+    net = np.zeros((f + 2, f + 2))
+    net[:f, :f] = g.conductance_matrix[interior[:, None], interior]
+    net[:f, -1] = net[-1, :f] = conductance_to(g, ~inside)[0, interior]
+
+    def score(energy, mu, key):
+        keep = mu[0] > 0.0
+        return energy[keep] / mu[0][keep], key[0][keep]
+
+    winner = content._tree_minimum(net, g.mass_vector[interior], np.int64(1) << np.arange(f),
+                                   psi_options, score)
+    if winner is None:
+        raise errors.ZeroInteriorMass("every interior subset has zero mass")
+    value, key = winner
+    return ContentResult(value=value, witness_a=VertexSet.of(
+        v for p, v in enumerate(interior) if key >> p & 1), witness_b=None)
+
+
+def psi_outcome(psi, g, s):
+    """(value's hex, witness), or (error class, message) for a typed error."""
+    try:
+        res = psi(g, s)
+    except errors.HardySpectralError as exc:
+        return type(exc), str(exc)
+    return res.value.hex(), res.witness_a
+
+
+def psi_walk_cases():
+    """(graph, boundary) pairs for psi's walk against its former route."""
+    for i in range(40):
+        g = corpus_graph(i)
+        yield g, corpus_boundary(g, i)
+    for g in (*TREE_TIE_GRAPHS.values(), *LAST_VERTEX_TIE_GRAPHS.values()):
+        yield g, VertexSet.of([0])
+    yield from zero_mass_cases()
+    # an interior of zero-mass vertices only
+    yield split_edge(path_graph([1.0, 1.0], [2.0]), (0, 1), [0.5, 0.25, 0.25]), VertexSet.of([0, 1])
+    for ratio in (1e3, 1e6, 1e9, 1e12):
+        for seed in range(20):
+            yield stiff_graph(seed, ratio, ratio), VertexSet.of([0])
+    for _, g in extreme_weight_fuzz():
+        if g is not None:
+            yield g, VertexSet.of([0])
+
+
 LAST_VERTEX_TIE_GRAPHS = {
     **TIE_GRAPHS,
     "star-0.1": WeightedGraph((1.0,) * 5, tuple((0, v, 0.1) for v in range(1, 5))),
@@ -987,9 +1051,10 @@ LAST_VERTEX_TIE_GRAPHS = {
 
 
 class TestClosedFormLeaves:
-    """The tree scores its last vertex from three entries of each network
-    (content._leaves) instead of building the (2, 2) leaf networks. The
-    reference is the tree's former path, _branch with kron_step.
+    """psi2's tree scores its last vertex from three entries of each
+    network (content._leaves) instead of building the (2, 2) leaf
+    networks. The reference is the tree's former path, _branch with
+    kron_step; for psi it is psi_by_generic_tree on that path.
 
     Against the mutation that rewrites the leaf's elimination as
     a * b / d: the bit-for-bit test, the pivot test (through its
@@ -1079,7 +1144,7 @@ class TestClosedFormLeaves:
         s = VertexSet.of([0])
         got = dirichlet_content_exact(g, s), neumann_content_exact(g)
         monkeypatch.setattr(content, "_leaves", branch_leaves)
-        ref = dirichlet_content_exact(g, s), neumann_content_exact(g)
+        ref = psi_by_generic_tree(g, s), neumann_content_exact(g)
         for a, b in zip(got, ref):
             assert a.value.hex() == b.value.hex()
             assert (a.witness_a, a.witness_b) == (b.witness_a, b.witness_b)
@@ -1087,3 +1152,73 @@ class TestClosedFormLeaves:
         _, _, a2, b2 = smallest_key_in_tie_class(psi2_candidates(g))
         assert got[0].witness_a.members == a
         assert (got[1].witness_a.members, got[1].witness_b.members) == (tuple(a2), tuple(b2))
+
+
+class TestPsiWalk:
+    """psi walks its own binary tree (dirichlet_content_exact): stacks of
+    networks and keys only, masses from a table read at the leaves, and
+    the last two vertices scored in closed form (content._last_two). The
+    reference is psi's former route, the generic walk _tree_minimum.
+
+    Against the mutation that rewrites either elimination of _last_two
+    as a * b / d (the fills of the second-to-last vertex, or the last
+    vertex's), test_closed_form_is_branch_then_leaves fails."""
+
+    @pytest.mark.parametrize("entries", [content.CHUNK_ENTRIES, 16])
+    def test_same_bits_and_errors_as_the_former_route(self, entries, monkeypatch):
+        monkeypatch.setattr(content, "CHUNK_ENTRIES", entries)
+        kinds = set()
+        for g, s in psi_walk_cases():
+            got = psi_outcome(dirichlet_content_exact, g, s)
+            assert got == psi_outcome(psi_by_generic_tree, g, s)
+            kinds.add(got[0] if isinstance(got[0], type) else "value")
+        assert kinds == {"value", errors.NotRepresentable, errors.ZeroInteriorMass}
+
+    def test_closed_form_is_branch_then_leaves(self):
+        rng = np.random.default_rng(17)
+        bits = np.int64(1) << np.array([21, 22])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(20):
+                net, mu, key = leaf_stack(rng, 64, k=4)
+                energy, got_key = content._last_two(net, key[0], bits)
+                children = content._branch(net, mu, key, 0.5, bits[0], psi_options(key, 1))
+                ref, _, ref_key = content._leaves(*children, 0.5, bits[1], psi_options(key, 0))
+                assert energy.shape == ref.shape and energy.tobytes() == ref.tobytes()
+                assert got_key.tobytes() == ref_key[0].tobytes()
+
+    def test_zero_and_overflowing_pivots_at_the_second_to_last_vertex_raise(self):
+        # interior {0, 1, 2}: once 0 is eliminated, vertex 1's only
+        # conductance, 1e-300 to it, leaves a fill of 1e-300 / 1e300 * 1e300,
+        # which underflows to 0, so 1's pivot is 0
+        zero = WeightedGraph((1.0,) * 4, ((0, 1, 1e-300), (0, 3, 1e300), (2, 3, 1.0)))
+        # interior {0, 1}: vertex 0 meets 1 and S through 1e308
+        overflowing = WeightedGraph((1.0,) * 3, ((0, 1, 1e308), (0, 2, 1e308), (1, 2, 1.0)))
+        for g in (zero, overflowing):
+            s = VertexSet.of([g.vertex_count - 1])
+            for psi in (dirichlet_content_exact, psi_by_generic_tree):
+                with pytest.raises(errors.NotRepresentable, match="overflowed"):
+                    psi(g, s)
+
+    def test_no_stack_of_children_passes_chunk_entries(self, monkeypatch):
+        # every elimination half is half of its stack's children; at
+        # interior 16 the stacks near the leaves are cut
+        halves = []
+
+        def step(r, rest):
+            halves.append(rest.size)
+            kron_step(r, rest)
+
+        monkeypatch.setattr(content, "kron_step", step)
+        g = random_graph(17, 0.3, (0.1, 10.0), (0.1, 10.0), seed=5)
+        dirichlet_content_exact(g, VertexSet.of([0]))
+        assert 2 * max(halves) <= content.CHUNK_ENTRIES < 4 * max(halves)
+
+    @pytest.mark.parametrize("interior", [1, 2, 3])
+    def test_small_interiors_against_the_former_route(self, interior):
+        # roots at k = 3, 4 and 5: scored at once, scored at once from two
+        # vertices, and one level above the closed form
+        for seed in range(20):
+            g = random_graph(interior + 1 + seed % 3, 0.5, (0.1, 10.0), (0.1, 10.0), seed=seed)
+            s = VertexSet.of(range(interior, g.vertex_count))
+            assert psi_outcome(dirichlet_content_exact, g, s) == psi_outcome(
+                psi_by_generic_tree, g, s)
