@@ -18,20 +18,24 @@ quantity) or is eliminated by Kron reduction. Sets that share a prefix
 share its eliminations. Every elimination is `resistance.kron_step`,
 the one step behind every energy of the library: it only adds
 nonnegative terms (`w_ik += (w_ij / d_j) w_jk`, with `d_j` a sum of
-conductances), so nothing cancels. Each walk is depth first over stacks
-of partial networks, each level one vectorised step for the whole
-stack; a stack is cut in half while its children would exceed
-CHUNK_ENTRIES numbers, keeping only a running minimum. The leaves are
-scored in closed form from a few entries of each network, each choice's
-energy a sum of them, or for an elimination theirs plus kron_step's
-fill, `resistance.kron_fill`, so the leaf networks are never built.
-psi's tree is a full binary one, and its walk, in
-dirichlet_content_exact, carries only networks and keys: both halves of
-a stack's children come from one copy, masses are read at the leaves
-from a table over the masks, and the last two vertices are scored
-together from their six entries (_last_two). psi2's choices are masked
-and three-way; psi2 alone walks the generic tree, _tree_minimum, which
-scores its last vertex from three entries (_leaves). The level-set
+conductances), so nothing cancels. Each enumeration walks its own tree,
+depth first over stacks of partial networks that carry only their keys:
+each level copies a stack once for all of its children, eliminates one
+part by kron_step and merges the others into a terminal; a stack is cut
+in half while its children would exceed CHUNK_ENTRIES numbers, keeping
+only a running minimum. The leaves are scored in closed form from a few
+entries of each network, each choice's energy a sum of them, or for an
+elimination theirs plus kron_step's fill, `resistance.kron_fill`, so the
+leaf networks are never built, and masses are read at the leaves from
+one table over the masks, each summed in the order the vertices are
+decided. psi's tree is a full binary one (dirichlet_content_exact), its
+last two vertices scored together from their six entries (_last_two),
+its masses from _running_mass_by_mask. psi2's is three-way
+(neumann_content_exact), with A opened only once B is nonempty: just one
+network of a stack, its first, can have B empty, and the children it
+may not have are sliced off. Its last vertex is scored from three
+entries, and it reads its masses from phi's table (_mass_by_mask),
+as it decides the vertices from the highest id down. The level-set
 sweep eliminates through `resistance.kron_slots`, as every pinned
 problem does, along one path per set A: in the potential's order every
 A is a prefix and every B a suffix, so one pass reads the energies of
@@ -107,7 +111,9 @@ class ContentResult:
 def _mass_by_mask(masses: np.ndarray) -> np.ndarray:
     """mu(mask) for every mask of the vertices, each summed as
     mu(mask without its lowest bit) + mu(lowest bit): the masks whose
-    lowest bit is b are filled in one step, from the highest b down."""
+    lowest bit is b are filled in one step, from the highest b down.
+    phi reads it, and so does psi2: each entry adds the vertices in the
+    order psi2's walk decides them, from the highest id down."""
     nbits = len(masses)
     out = np.zeros(1 << nbits)
     for b in range(nbits - 1, -1, -1):
@@ -193,138 +199,6 @@ class _RunningMin:
         if not self.ratios.size:
             return None
         return float(self.ratios[0]), int(self.keys[0])
-
-
-def _pick(keep: Optional[np.ndarray]):
-    """The networks that keep marks (None for all) as an index: a slice,
-    which reads a view with no gather, when they form one run, else their
-    positions."""
-    if keep is None:
-        return slice(None)
-    at = np.flatnonzero(keep)
-    if at.size and at[-1] - at[0] == at.size - 1:
-        return slice(at[0], at[-1] + 1)
-    return at
-
-
-def _branch(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: int,
-            choices: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decide the first node of every network in a stack of _tree_minimum,
-    psi2's walk.
-
-    A stack of m networks is a (k, k, m) array of conductances among each
-    network's undecided vertices, then its two terminal nodes; mu and key,
-    shaped (2, m), hold each terminal's mass and mask. `choices` lists
-    (keep, terminal): the networks marked by keep (None for all) get a
-    child in which the first node merges into that terminal, or is
-    Kron-eliminated (`kron_step`) for terminal None. A merge adds the
-    first node's conductances to the terminal's. Diagonal entries are
-    never read.
-    """
-    row, rest = net[0, 1:], net[1:, 1:]
-    picks = [_pick(keep) for keep, _ in choices]
-    rs = [row[:, rows] for rows in picks]
-    out = np.empty(rest.shape[:2] + (sum(r.shape[1] for r in rs),))
-    out_mu = np.empty((2, out.shape[2]))
-    out_key = np.empty((2, out.shape[2]), dtype=np.int64)
-    at = 0
-    for rows, r, (_, terminal) in zip(picks, rs, choices):
-        here = slice(at, at + r.shape[1])
-        at += r.shape[1]
-        child = out[:, :, here]
-        out_mu[:, here], out_key[:, here] = mu[:, rows], key[:, rows]
-        child[...] = rest[:, :, rows]
-        if terminal is None:
-            kron_step(r, child)
-        else:
-            child[terminal - 2] += r
-            child[:, terminal - 2] += r
-            out_mu[terminal, here] += mass
-            out_key[terminal, here] |= bit
-    return out, out_mu, out_key
-
-
-def _leaves(net: np.ndarray, mu: np.ndarray, key: np.ndarray, mass: float, bit: int,
-            choices: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The leaves below a stack with one vertex left (k = 3), as (energy,
-    mu, key) for the children of _branch, in their order, with no leaf
-    network built.
-
-    Each network has three entries: r0 = net[0, 1] and r1 = net[0, 2],
-    the vertex's conductances to the terminals, and e = net[1, 2], the
-    terminals' own. The energy, the terminals' conductance in the child,
-    is e + kron_fill(r0, r1, r0 + r1) if the vertex is eliminated, the
-    fill kron_step would add (a pivot of 0 or inf gives NaN), e + r1 if
-    it merges into the first terminal and e + r0 if into the second; mu
-    and key change as in _branch.
-    """
-    r0, r1, e = net[0, 1], net[0, 2], net[1, 2]
-    picks = [_pick(keep) for keep, _ in choices]
-    bases = [e[rows] for rows in picks]
-    energy = np.empty(sum(base.size for base in bases))
-    out_mu = np.empty((2, energy.size))
-    out_key = np.empty((2, energy.size), dtype=np.int64)
-    at = 0
-    for rows, base, (_, terminal) in zip(picks, bases, choices):
-        here = slice(at, at + base.size)
-        at += base.size
-        out_mu[:, here], out_key[:, here] = mu[:, rows], key[:, rows]
-        if terminal is None:
-            a, b = r0[rows], r1[rows]
-            np.add(base, kron_fill(a, b, a + b), out=energy[here])
-        else:
-            np.add(base, (r1, r0)[terminal][rows], out=energy[here])
-            out_mu[terminal, here] += mass
-            out_key[terminal, here] |= bit
-    return energy, out_mu, out_key
-
-
-def _tree_minimum(network: np.ndarray, mass: np.ndarray, bits: np.ndarray, options,
-                  score) -> Optional[tuple[float, int]]:
-    """(ratio, key) of the winning leaf of a decision tree of Kron
-    eliminations, walked depth first over stacks of partial networks, or
-    None if no leaf is scored. psi2 is its one caller; psi walks its
-    binary tree itself (dirichlet_content_exact).
-
-    `network` is the (k, k) network of the vertices in the order they are
-    decided, then the two terminal nodes (see _branch); the i-th vertex
-    decided has mass mass[i] and key mask bits[i]. options(key, left)
-    gives the choices of _branch for a stack whose vertex at hand leaves
-    `left` vertices undecided; score(energy, mu, key) turns the reduced
-    conductance between the terminals at the leaves into (ratios, keys).
-    A stack whose children would exceed CHUNK_ENTRIES numbers is cut in
-    half first; the deferred half is copied, so it does not keep its
-    parent alive. A stack with one vertex left is then scored by _leaves,
-    in closed form from its three entries, so no leaf network is built;
-    every other stack branches. psi2 decides at least two vertices, so
-    the root has k >= 4.
-
-    A reduced conductance or a pivot that overflows spreads inf or NaN to
-    the energy, which raises NotRepresentable (the diagonal is never
-    read, so its overflow is harmless). A ratio that overflows is inf and
-    never wins.
-    """
-    f = len(mass)
-    best = _RunningMin()
-    pending = [(network[:, :, None], np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int64))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        while pending:
-            net, mu, key = stack = pending.pop()
-            k, _, m = net.shape
-            i = f + 2 - k
-            choices = options(key, k - 3)
-            if m > 1 and len(choices) * m * (k - 1) ** 2 > CHUNK_ENTRIES:
-                pending.append(tuple(x[..., m // 2:].copy() for x in stack))
-                pending.append(tuple(x[..., :m // 2] for x in stack))
-            elif k == 3:
-                energy, mu, key = _leaves(net, mu, key, mass[i], bits[i], choices)
-                if not np.isfinite(energy).all():
-                    raise errors.NotRepresentable(
-                        "a reduced conductance overflowed in double precision")
-                best.offer(*score(energy, mu, key))
-            else:
-                pending.append(_branch(net, mu, key, mass[i], bits[i], choices))
-    return best.winner
 
 
 def _prefix_sums(fraction: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,8 +388,8 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     The boundary is collapsed into one grounded node S, and the interior
     is taken in id order: each vertex merges into A or is eliminated. The
     full binary tree is walked depth first over stacks of partial
-    networks that carry only their keys (psi2's masked three-way tree
-    goes through _tree_minimum). Each level builds both halves of a
+    networks that carry only their keys, as psi2's three-way tree in
+    neumann_content_exact does. Each level builds both halves of a
     stack's children from one copy: in the first the vertex's row is
     added to A's row and column, in the second it is eliminated by
     kron_step. A stack whose children would exceed CHUNK_ENTRIES numbers
@@ -583,11 +457,29 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
     Each unordered pair is scored once, oriented so that A has the smaller
     canonical key, which for disjoint sets means B holds the largest vertex
     of A u B. The vertices are taken from the highest id down, and each is
-    eliminated or merges into A or B (see _tree_minimum): the first vertex
-    that is not eliminated goes to B, and A opens only once B is nonempty.
-    A branch with B empty is dropped once it can no longer fill both sides,
-    and a leaf with A empty is skipped. At a leaf the reduced A-B
-    conductance is the energy 1/R(A, B). Guarded at n = 12.
+    eliminated or merges into A or B: the first vertex that is not
+    eliminated goes to B, and A opens only once B is nonempty. The tree is
+    walked depth first over stacks of partial networks that carry only
+    their keys, (2, m) masks of A and B; a stack whose children would
+    exceed CHUNK_ENTRIES numbers is cut in half first, and the deferred
+    half is copied.
+
+    Only a network whose decided vertices were all eliminated has B empty,
+    so a stack holds at most one, and always first (the spine): children
+    come in the order eliminated, merged into A, merged into B, and a cut
+    keeps network 0 in the first half. Each level is one copy of the
+    stack, sliced so that the spine gets no A child, nor an elimination
+    unless two vertices would remain to fill both sides. The first part
+    is eliminated by kron_step; a merge adds the vertex's row to the
+    terminal's row and column. So no leaf has B
+    empty: the last vertex is scored in closed form from three entries,
+    r0 and r1 to A and B and e between them, as e + kron_fill(r0, r1, r0 +
+    r1), e + r1 and e + r0, and the leaves with A empty are skipped. The
+    energy is the reduced A-B conductance 1/R(A, B); mu(A) and mu(B) are
+    read at the leaves from phi's table (_mass_by_mask), which adds the
+    lowest bit last, as the vertices are decided. An energy that is not
+    finite (an overflow, or a pivot of 0 or inf) raises NotRepresentable.
+    Guarded at n = 12.
     """
     n = graph.vertex_count
     if n > NEUMANN_ENUM_LIMIT:
@@ -596,23 +488,53 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
         raise errors.EmptySet("two-sided content needs two vertices")
     require_positive_mass(graph)
 
-    # the vertices from the highest id down, then the terminals A and B
+    # the vertices from the highest id down, then the terminals A and B, so
+    # a network of k nodes decides vertex k - 3
     net = np.zeros((n + 2, n + 2))
     net[:n, :n] = graph.conductance_matrix[::-1, ::-1]
-
-    def options(key, left):
-        has_b = key[1] != 0
-        # eliminate (while B is empty, only if two vertices would remain to
-        # fill both sides), join A once B has a vertex, or join B
-        return [(has_b | (left > 1), None), (has_b, 0), (None, 1)]
-
-    def score(energy, mu, key):
-        keep = key[0] != 0  # B always has a vertex at a leaf
-        mu_a, mu_b, key_a, key_b = (x[keep] for x in (*mu, *key))
-        return (1.0 / mu_a + 1.0 / mu_b) * energy[keep], (key_a << n) | key_b
-
-    value, key = _tree_minimum(net, graph.mass_vector[::-1], np.int64(1) << np.arange(n)[::-1],
-                               options, score)  # n >= 2 always yields a pair
+    best = _RunningMin()
+    pending = [(net[:, :, None], np.zeros((2, 1), dtype=np.int64))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = _mass_by_mask(graph.mass_vector)
+        while pending:
+            net, key = pending.pop()
+            k, _, m = net.shape
+            if m > 1 and 3 * m * (k - 1) ** 2 > CHUNK_ENTRIES:
+                pending.append((net[..., m // 2:].copy(), key[:, m // 2:].copy()))
+                pending.append((net[..., :m // 2], key[:, :m // 2]))
+                continue
+            # network 0 is the spine if its B is empty: it gets no A child,
+            # nor an elimination unless two vertices would remain after it,
+            # so no leaf has B empty
+            spine = int(key[1, 0] == 0)
+            gone = spine if k <= 4 else 0
+            # the children: eliminated, then merged into A from to_a, then
+            # merged into B from to_b
+            to_a, to_b = m - gone, 2 * m - gone - spine
+            key = np.concatenate((key[:, gone:], key[:, spine:], key), axis=1)
+            key[0, to_a:to_b] |= 1 << (k - 3)
+            key[1, to_b:] |= 1 << (k - 3)
+            if k == 3:
+                r0, r1, e = net[0, 1], net[0, 2], net[1, 2]
+                energy = np.concatenate((e + kron_fill(r0, r1, r0 + r1), e + r1, e + r0))
+                if not np.isfinite(energy).all():
+                    raise errors.NotRepresentable(
+                        "a reduced conductance overflowed in double precision")
+                keep = key[0] != 0
+                key_a, key_b = key[:, keep]
+                best.offer((1.0 / mass[key_a] + 1.0 / mass[key_b]) * energy[keep],
+                           (key_a << n) | key_b)
+            else:
+                row, rest = net[0, 1:], net[1:, 1:]
+                out = np.concatenate((rest[..., gone:], rest[..., spine:], rest), axis=2)
+                kron_step(row[:, gone:], out[..., :to_a])
+                into_a, into_b = out[..., to_a:to_b], out[..., to_b:]
+                into_a[-2] += row[:, spine:]
+                into_a[:, -2] += row[:, spine:]
+                into_b[-1] += row
+                into_b[:, -1] += row
+                pending.append((out, key))
+    value, key = best.winner  # n >= 2 always yields a pair
     key = int(key)
     return ContentResult(value=value, witness_a=VertexSet.from_mask(key >> n),
                          witness_b=VertexSet.from_mask(key & ((1 << n) - 1)))
@@ -628,14 +550,14 @@ def neumann_content_sweep(graph: WeightedGraph, x: np.ndarray) -> ContentResult:
     exact value, often equal to it when x is the fundamental mode.
 
     In x order (a stable sort) every A is a prefix and every B a suffix.
-    One network per A, stacked last as in _branch, starts with a terminal
-    alpha holding A's rows, summed once in x order; the vertices after A
-    are Kron-eliminated in x order (`resistance.kron_slots`, so nothing
-    cancels), and before the first vertex of each nonnegative level the
-    energy 1/R(A, B) is the sum, in row order, of alpha's reduced
-    conductances to the vertices left, which are B. The stack is cut
-    under CHUNK_ENTRIES numbers; no network reads another's numbers, so
-    no cut changes a bit.
+    One network per A, stacked on the last axis as in the exact
+    enumerations, starts with a terminal alpha holding A's rows, summed
+    once in x order; the vertices after A are Kron-eliminated in x order
+    (`resistance.kron_slots`, so nothing cancels), and before the first
+    vertex of each nonnegative level the energy 1/R(A, B) is the sum, in
+    row order, of alpha's reduced conductances to the vertices left,
+    which are B. The stack is cut under CHUNK_ENTRIES numbers; no network
+    reads another's numbers, so no cut changes a bit.
     """
     x = as_potential(graph, x)
     require_both_signs(x)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardy_spectral import (ContentResult, VertexSet, WeightedGraph, components, content,
+from hardy_spectral import (VertexSet, WeightedGraph, components, content,
                             dirichlet_content_exact, dirichlet_eigenvalue,
                             effective_resistance, errors, isoperimetric_exact, laplacian,
                             neumann_content_exact, hardy_path, neumann_content_sweep,
@@ -20,13 +20,16 @@ from hardy_spectral import (ContentResult, VertexSet, WeightedGraph, components,
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
                                     NEUMANN_ENUM_LIMIT, _mass_by_mask, _running_mass_by_mask,
                                     _RunningMin)
-from hardy_spectral.graph import conductance_to, interior_of
+from hardy_spectral.graph import conductance_to
 from hardy_spectral.resistance import kron_step, pinned_energies
 from hardy_spectral.spectral import TIE_RTOL
 from hardy_spectral.rng import Xorshift64Star
 
 from conftest import (corpus_boundary, corpus_graph, extreme_weight_fuzz, oracle_laplacian,
                       random_vector, sample_without_replacement, stiff_graph)
+import generic_tree
+from generic_tree import (branch_leaves, psi2_by_generic_tree, psi2_options, psi_by_generic_tree,
+                          psi_options)
 
 # Exact ties come out of floating point a few ulps apart; genuinely
 # different ratios on the symmetric graphs below differ by far more.
@@ -475,54 +478,6 @@ class TestDecisionTree:
             g = corpus_graph(i, 3, 8)
             self._same_with_tiny_stacks(g, corpus_boundary(g, i), monkeypatch)
 
-    def test_one_step_is_the_same_for_any_stack(self):
-        # every child comes out bit for bit the same in a stack as alone,
-        # also for rows of more than 8 conductances, where numpy would sum
-        # a lone row in another order
-        rng = np.random.default_rng(3)
-        for k in (3, 6, 14):
-            w = rng.uniform(0.1, 10.0, (k, k, 5))
-            net = w + w.transpose(1, 0, 2)
-            mu = rng.uniform(0.0, 3.0, (2, 5))
-            key = rng.integers(0, 1 << 20, (2, 5))
-            choices = [(None, None), (np.array([1, 0, 1, 1, 0], dtype=bool), 0), (None, 1)]
-            whole = content._branch(net, mu, key, 0.5, 1 << 21, choices)
-            alone = [content._branch(net[..., i:i + 1], mu[:, i:i + 1], key[:, i:i + 1],
-                                     0.5, 1 << 21, [(None if keep is None else keep[i:i + 1],
-                                                     terminal) for keep, terminal in choices])
-                     for i in range(5)]
-            # children come in order of the choices, each in stack order
-            order = [(c, i) for c, (keep, _) in enumerate(choices)
-                     for i in range(5) if keep is None or keep[i]]
-            for pos, (c, i) in enumerate(order):
-                before = sum(1 for keep, _ in choices[:c] if keep is None or keep[i])
-                for got, ref in zip(whole, alone[i]):
-                    assert got[..., pos].tobytes() == ref[..., before].tobytes()
-
-    def test_contiguous_keep_reads_a_slice_with_the_same_bits(self, monkeypatch):
-        # a keep that marks one run of networks is read as a view; the
-        # children must be the bits the gather gives
-        rng = np.random.default_rng(5)
-        m = 7
-        runs = [(0, m), (1, m), (0, 3), (2, 5), (4, 5)]
-        for k in (3, 6, 14):
-            w = rng.uniform(0.1, 10.0, (k, k, m))
-            net = w + w.transpose(1, 0, 2)
-            mu = rng.uniform(0.0, 3.0, (2, m))
-            key = rng.integers(0, 1 << 20, (2, m))
-            for lo, hi in runs:
-                keep = np.zeros(m, dtype=bool)
-                keep[lo:hi] = True
-                choices = [(keep, None), (keep, 0), (None, 1), (keep, 1)]
-                assert isinstance(content._pick(keep), slice)
-                sliced = content._branch(net, mu, key, 0.5, 1 << 21, choices)
-                with monkeypatch.context() as patch:
-                    patch.setattr(content, "_pick", lambda keep: (
-                        np.arange(m) if keep is None else np.flatnonzero(keep)))
-                    gathered = content._branch(net, mu, key, 0.5, 1 << 21, choices)
-                for got, ref in zip(sliced, gathered):
-                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-
     @staticmethod
     def _same_with_tiny_stacks(g, s, monkeypatch):
         results = []
@@ -697,6 +652,8 @@ class TestIsoperimetricOracle:
             assert_cuts_within_summation_error(table, exact, g.edge_count)
 
     def test_mass_table_matches_the_bitwise_loop(self):
+        # phi's and psi2's table: each mass adds the lowest bit last, the
+        # order in which psi2's walk, from the highest id down, decides them
         masses = [2.0 ** (7 * i) / 3.0 for i in range(-5, 6)]
         table = _mass_by_mask(np.array(masses))
         for mask in range(1, 1 << len(masses)):
@@ -962,13 +919,6 @@ class TestSweepElimination:
             neumann_content_sweep(overflowing_pivot_graph(), np.array([-1.0, 0.5, 1.0]))
 
 
-def branch_leaves(net, mu, key, mass, bit, choices):
-    """The reference for content._leaves: the (2, 2) children that
-    _branch builds, eliminating with kron_step, read at [0, 1]."""
-    out, out_mu, out_key = content._branch(net, mu, key, mass, bit, choices)
-    return out[0, 1], out_mu, out_key
-
-
 def leaf_stack(rng, m, k=3):
     """A random (k, k, m) stack of networks with k - 2 vertices left (one
     by default), its terminals' masses and keys: conductances spread over
@@ -983,47 +933,14 @@ def leaf_stack(rng, m, k=3):
     return net, mu, key
 
 
-def psi_options(key, left):
-    return [(None, 0), (None, None)]
-
-
-def psi2_options(key, left):
-    """The choices neumann_content_exact gives the vertex at hand."""
-    has_b = key[1] != 0
-    return [(has_b | (left > 1), None), (has_b, 0), (None, 1)]
-
-
-def psi_by_generic_tree(g, s):
-    """psi by its former route, the oracle of dirichlet_content_exact's
-    own walk: the generic walk content._tree_minimum with psi's choices
-    (merge into A, then eliminate), a running mass and psi's score."""
-    inside = interior_of(g, s)[None]
-    interior = np.flatnonzero(inside[0])
-    f = interior.size
-    net = np.zeros((f + 2, f + 2))
-    net[:f, :f] = g.conductance_matrix[interior[:, None], interior]
-    net[:f, -1] = net[-1, :f] = conductance_to(g, ~inside)[0, interior]
-
-    def score(energy, mu, key):
-        keep = mu[0] > 0.0
-        return energy[keep] / mu[0][keep], key[0][keep]
-
-    winner = content._tree_minimum(net, g.mass_vector[interior], np.int64(1) << np.arange(f),
-                                   psi_options, score)
-    if winner is None:
-        raise errors.ZeroInteriorMass("every interior subset has zero mass")
-    value, key = winner
-    return ContentResult(value=value, witness_a=VertexSet.of(
-        v for p, v in enumerate(interior) if key >> p & 1), witness_b=None)
-
-
-def psi_outcome(psi, g, s):
-    """(value's hex, witness), or (error class, message) for a typed error."""
+def outcome(content_of, *args):
+    """(value's hex, witnesses), or (error class, message) for a typed
+    error."""
     try:
-        res = psi(g, s)
+        res = content_of(*args)
     except errors.HardySpectralError as exc:
         return type(exc), str(exc)
-    return res.value.hex(), res.witness_a
+    return res.value.hex(), res.witness_a, res.witness_b
 
 
 def psi_walk_cases():
@@ -1051,15 +968,17 @@ LAST_VERTEX_TIE_GRAPHS = {
 
 
 class TestClosedFormLeaves:
-    """psi2's tree scores its last vertex from three entries of each
-    network (content._leaves) instead of building the (2, 2) leaf
-    networks. The reference is the tree's former path, _branch with
-    kron_step; for psi it is psi_by_generic_tree on that path.
+    """The trees score their last vertex from three entries of each
+    network instead of building the (2, 2) leaf networks: psi2 in
+    neumann_content_exact, psi in _last_two, and the former route in
+    generic_tree._leaves. The reference builds the leaf networks:
+    generic_tree._branch with kron_step (branch_leaves), also patched
+    into the former routes, psi_by_generic_tree and psi2_by_generic_tree.
 
-    Against the mutation that rewrites the leaf's elimination as
-    a * b / d: the bit-for-bit test, the pivot test (through its
-    representable 1e200 triangle), the root-is-leaf test and the tie
-    test on the star of conductance 0.1 fail. The n = 2 test cannot: its
+    Against the mutation that rewrites psi2's leaf elimination as
+    a * b / d: the pivot test (through its representable 1e200 triangle),
+    the tie test on the star of conductance 0.1 and both of
+    TestPsi2Walk's former-route tests fail. The n = 2 test cannot: its
     one eliminated leaf has an empty A, so a = 0 and both forms give 0;
     it pins the value and witness of the smallest psi2."""
 
@@ -1074,19 +993,19 @@ class TestClosedFormLeaves:
                 masks = [psi_options(key, 0), psi2_options(key, 0)]
                 masks += [[(keep, None), (keep, 0), (~keep, 1)] for keep in runs]
                 for choices in masks:
-                    got = content._leaves(net, mu, key, 0.5, 1 << 21, choices)
+                    got = generic_tree._leaves(net, mu, key, 0.5, 1 << 21, choices)
                     ref = branch_leaves(net, mu, key, 0.5, 1 << 21, choices)
                     for g, r in zip(got, ref):
                         assert g.shape == r.shape and g.tobytes() == r.tobytes()
 
     def test_zero_and_overflowing_pivots_raise_and_huge_conductances_do_not(self):
-        score = lambda energy, mu, key: (energy, key[0])  # noqa: E731
-        # the last vertex meets neither terminal: its pivot is 0
-        net = np.zeros((3, 3))
-        net[1, 2] = net[2, 1] = 1.0
-        with pytest.raises(errors.NotRepresentable, match="overflowed"):
-            content._tree_minimum(net, np.ones(1), np.ones(1, dtype=np.int64),
-                                  lambda key, left: [(None, None), (None, 0)], score)
+        # vertex 0, the last psi2 decides, meets only 1, through 1e-300; once
+        # 1 is eliminated with 2 (1e300) in A or B, its fills 1e-300 / 1e300
+        # * 1e300 underflow to 0, so 0's pivot is 0
+        zero = WeightedGraph((1.0,) * 4, ((0, 1, 1e-300), (1, 2, 1e300), (2, 3, 1.0)))
+        for psi2 in (neumann_content_exact, psi2_by_generic_tree):
+            with pytest.raises(errors.NotRepresentable, match="overflowed"):
+                psi2(zero)
         # the last vertex decided meets both terminals through 1e308, so its
         # pivot overflows: interior {0, 1} in id order for psi, and the ids
         # from the highest down for psi2
@@ -1106,26 +1025,11 @@ class TestClosedFormLeaves:
             assert big.value == pytest.approx(1e200 * unit.value, rel=1e-14)
             assert (big.witness_a, big.witness_b) == (unit.witness_a, unit.witness_b)
 
-    def test_root_is_the_leaf_level(self, monkeypatch):
+    def test_root_is_the_leaf_level(self):
         # an interior of one vertex: its energy is its conductance to S
         g = path_graph([1.0, 0.3, 2.0], [0.1, 0.2])
         res = dirichlet_content_exact(g, VertexSet.of([0, 2]))
         assert res.value.hex() == ((0.1 + 0.2) / 0.3).hex() and res.witness_a.members == (1,)
-        # roots of one vertex whose terminals already hold conductance, every
-        # choice scored by its energy: the elimination always wins, as
-        # r0 r1 / (r0 + r1) <= min(r0, r1)
-        rng = np.random.default_rng(13)
-        every = lambda key, left: [(None, None), (None, 0), (None, 1)]  # noqa: E731
-        score = lambda energy, mu, key: (energy, 2 * key[0] + key[1])  # noqa: E731
-        for _ in range(40):
-            net = leaf_stack(rng, 1)[0][..., 0]
-            net[0, 1:] = net[1:, 0] = rng.uniform(0.1, 10.0, 2)
-            args = (net, np.ones(1), np.ones(1, dtype=np.int64), every, score)
-            got = content._tree_minimum(*args)
-            with monkeypatch.context() as patch:
-                patch.setattr(content, "_leaves", branch_leaves)
-                ref = content._tree_minimum(*args)
-            assert got[0].hex() == ref[0].hex() and got[1] == ref[1] == 0
 
     def test_psi2_of_two_vertices(self):
         g = WeightedGraph((0.3, 0.7), ((0, 1, 0.1),))
@@ -1143,8 +1047,8 @@ class TestClosedFormLeaves:
         g = LAST_VERTEX_TIE_GRAPHS[name]
         s = VertexSet.of([0])
         got = dirichlet_content_exact(g, s), neumann_content_exact(g)
-        monkeypatch.setattr(content, "_leaves", branch_leaves)
-        ref = psi_by_generic_tree(g, s), neumann_content_exact(g)
+        monkeypatch.setattr(generic_tree, "_leaves", branch_leaves)
+        ref = psi_by_generic_tree(g, s), psi2_by_generic_tree(g)
         for a, b in zip(got, ref):
             assert a.value.hex() == b.value.hex()
             assert (a.witness_a, a.witness_b) == (b.witness_a, b.witness_b)
@@ -1158,7 +1062,8 @@ class TestPsiWalk:
     """psi walks its own binary tree (dirichlet_content_exact): stacks of
     networks and keys only, masses from a table read at the leaves, and
     the last two vertices scored in closed form (content._last_two). The
-    reference is psi's former route, the generic walk _tree_minimum.
+    reference is psi's former route, the generic walk
+    generic_tree._tree_minimum.
 
     Against the mutation that rewrites either elimination of _last_two
     as a * b / d (the fills of the second-to-last vertex, or the last
@@ -1169,8 +1074,8 @@ class TestPsiWalk:
         monkeypatch.setattr(content, "CHUNK_ENTRIES", entries)
         kinds = set()
         for g, s in psi_walk_cases():
-            got = psi_outcome(dirichlet_content_exact, g, s)
-            assert got == psi_outcome(psi_by_generic_tree, g, s)
+            got = outcome(dirichlet_content_exact, g, s)
+            assert got == outcome(psi_by_generic_tree, g, s)
             kinds.add(got[0] if isinstance(got[0], type) else "value")
         assert kinds == {"value", errors.NotRepresentable, errors.ZeroInteriorMass}
 
@@ -1181,8 +1086,10 @@ class TestPsiWalk:
             for _ in range(20):
                 net, mu, key = leaf_stack(rng, 64, k=4)
                 energy, got_key = content._last_two(net, key[0], bits)
-                children = content._branch(net, mu, key, 0.5, bits[0], psi_options(key, 1))
-                ref, _, ref_key = content._leaves(*children, 0.5, bits[1], psi_options(key, 0))
+                children = generic_tree._branch(net, mu, key, 0.5, bits[0],
+                                                psi_options(key, 1))
+                ref, _, ref_key = generic_tree._leaves(*children, 0.5, bits[1],
+                                                       psi_options(key, 0))
                 assert energy.shape == ref.shape and energy.tobytes() == ref.tobytes()
                 assert got_key.tobytes() == ref_key[0].tobytes()
 
@@ -1220,5 +1127,100 @@ class TestPsiWalk:
         for seed in range(20):
             g = random_graph(interior + 1 + seed % 3, 0.5, (0.1, 10.0), (0.1, 10.0), seed=seed)
             s = VertexSet.of(range(interior, g.vertex_count))
-            assert psi_outcome(dirichlet_content_exact, g, s) == psi_outcome(
+            assert outcome(dirichlet_content_exact, g, s) == outcome(
                 psi_by_generic_tree, g, s)
+
+
+def psi2_walk_cases():
+    """Graphs for psi2's walk against its former route: the corpus, the tie
+    graphs, stiff graphs, random graphs of 2 to 12 vertices, the
+    extreme-weight fuzz and one graph past each guard."""
+    for i in range(40):
+        yield corpus_graph(i)
+    for graphs in (TIE_GRAPHS, TREE_TIE_GRAPHS, LAST_VERTEX_TIE_GRAPHS):
+        yield from graphs.values()
+    for ratio in (1e3, 1e6, 1e9, 1e12):
+        for seed in range(20):
+            yield stiff_graph(seed, ratio, ratio)
+    for n in range(2, NEUMANN_ENUM_LIMIT + 1):
+        for seed in range(2):
+            yield random_graph(n, 0.4, (0.1, 10.0), (0.1, 10.0), seed=seed)
+    for _, g in extreme_weight_fuzz():
+        if g is not None:
+            yield g
+    yield WeightedGraph((1.0,), ())
+    yield random_graph(NEUMANN_ENUM_LIMIT + 1, 0.4, (0.1, 10.0), (0.1, 10.0), seed=0)
+    yield split_edge(path_graph([1.0, 1.0], [2.0]), (0, 1), [0.5, 0.5])
+
+
+def pair_count(n):
+    """The unordered pairs of disjoint nonempty sets of n vertices: of the
+    3^n labellings by (neither, A, B), those with A or B empty are dropped
+    (2 * 2^n - 1 of them) and the rest come in mirror pairs."""
+    return (3 ** n - 2 ** (n + 1) + 1) // 2
+
+
+class TestPsi2Walk:
+    """psi2 walks its own three-way tree (neumann_content_exact): stacks
+    of networks and (2, m) keys only, at most one network per stack with
+    B empty, always the first, masses from a table read at the leaves, and
+    the last vertex scored in closed form. The reference is psi2's former
+    route, the generic walk generic_tree._tree_minimum.
+
+    Against the mutation that gives the network with B empty an A child,
+    and the one that lets it be eliminated with two vertices left (k = 4),
+    the former-route test and test_scores_each_unordered_pair_once
+    fail."""
+
+    @pytest.mark.parametrize("entries", [content.CHUNK_ENTRIES, 16])
+    def test_same_bits_and_errors_as_the_former_route(self, entries, monkeypatch):
+        # at 16 entries every stack is cut to one network, so a network's
+        # bits must not depend on its stack; n = 9 already has rows of ten
+        # conductances, and n = 10 to 12 would take half a minute there
+        monkeypatch.setattr(content, "CHUNK_ENTRIES", entries)
+        kinds = set()
+        for g in psi2_walk_cases():
+            if entries == 16 and 9 < g.vertex_count <= NEUMANN_ENUM_LIMIT:
+                continue
+            got = outcome(neumann_content_exact, g)
+            assert got == outcome(psi2_by_generic_tree, g)
+            kinds.add(got[0] if isinstance(got[0], type) else "value")
+        assert kinds == {"value", errors.NotRepresentable, errors.EmptySet, errors.TooLarge,
+                         errors.ZeroMass}
+
+    def test_scores_each_unordered_pair_once(self, monkeypatch):
+        keys = []
+
+        class Counting(_RunningMin):
+            def offer(self, ratios, keys_of):
+                keys.append(keys_of)
+                super().offer(ratios, keys_of)
+
+        monkeypatch.setattr(content, "_RunningMin", Counting)
+        monkeypatch.setattr(generic_tree, "_RunningMin", Counting)
+        for n in range(2, NEUMANN_ENUM_LIMIT + 1):
+            g = random_graph(n, 0.4, (0.1, 10.0), (0.1, 10.0), seed=n)
+            routes = (neumann_content_exact, psi2_by_generic_tree) if n <= 9 else (
+                neumann_content_exact,)
+            for psi2 in routes:
+                keys.clear()
+                psi2(g)
+                scored = np.concatenate(keys)
+                a, b = scored >> n, scored & ((1 << n) - 1)
+                assert scored.size == np.unique(scored).size == pair_count(n)
+                assert (a != 0).all() and (a & b == 0).all() and (a < b).all()
+
+    def test_no_stack_of_children_passes_chunk_entries(self, monkeypatch):
+        # kron_step gets the first part of a stack's children, a view of
+        # the one copy that holds them all; at n = 12 the stacks near the
+        # leaves are cut
+        children = []
+
+        def step(r, rest):
+            children.append(rest.base.size)
+            kron_step(r, rest)
+
+        monkeypatch.setattr(content, "kron_step", step)
+        neumann_content_exact(random_graph(NEUMANN_ENUM_LIMIT, 0.4, (0.1, 10.0), (0.1, 10.0),
+                                           seed=5))
+        assert 2 * max(children) > content.CHUNK_ENTRIES >= max(children)
