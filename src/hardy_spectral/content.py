@@ -27,22 +27,20 @@ only a running minimum. The leaves are scored in closed form from a few
 entries of each network, each choice's energy a sum of them, or for an
 elimination theirs plus kron_step's fill, `resistance.kron_fill`, so the
 leaf networks are never built, and masses are read at the leaves from
-one table over the masks, each summed in the order the vertices are
-decided. psi's tree is a full binary one (dirichlet_content_exact), its
-last two vertices scored together from their six entries (_last_two),
-its masses from _running_mass_by_mask. psi2's is three-way
-(neumann_content_exact), with A opened only once B is nonempty: just one
-network of a stack, its first, can have B empty, and the children it
-may not have are sliced off. Its last vertex is scored from three
-entries, and it reads its masses from phi's table (_mass_by_mask),
-as it decides the vertices from the highest id down. The level-set
+one table over the masks (_mass_by_mask), each summed from its lowest
+bit up. psi's tree is a full binary one (dirichlet_content_exact), its
+last two vertices scored together from their six entries (_last_two).
+psi2's is three-way (neumann_content_exact), with A opened only once B
+is nonempty: just one network of a stack, its first, can have B empty,
+and the children it may not have are sliced off. Its last vertex is
+scored from three entries. The level-set
 sweep eliminates through `resistance.kron_slots`, as every pinned
 problem does, along one path per set A: in the potential's order every
 A is a prefix and every B a suffix, so one pass reads the energies of
 all of A's pairs.
 The isoperimetric constant needs no energy: one table holds the cut of
-every mask, grown one vertex at a time by adding conductances, another
-the mass of every mask, and the masks of A are scored against both in
+every mask, grown one vertex at a time by adding conductances, and the
+masks of A are scored against it and the same table of masses in
 chunks of the same bound.
 
 Ties are decided by the canonical keys (A's, then B's), never by the
@@ -110,16 +108,13 @@ class ContentResult:
 
 def _mass_by_mask(masses: np.ndarray) -> np.ndarray:
     """mu(mask) for every mask of the vertices, each summed as
-    mu(mask without its lowest bit) + mu(lowest bit): the masks whose
-    lowest bit is b are filled in one step, from the highest b down.
-    phi reads it, and so does psi2: each entry adds the vertices in the
-    order psi2's walk decides them, from the highest id down."""
-    nbits = len(masses)
-    out = np.zeros(1 << nbits)
-    for b in range(nbits - 1, -1, -1):
-        # every (2 << b)-th mask has no bit up to b; 1 << b further on is
-        # the same mask with bit b
-        np.add(out[::2 << b], masses[b], out=out[1 << b::2 << b])
+    mu(mask without its highest bit) + mu(highest bit): the running sum
+    of its bits from the lowest up. The masks whose highest bit is b are
+    filled in one step, from the lowest b up. psi, psi2 and phi all read
+    it."""
+    out = np.zeros(1 << len(masses))
+    for b, m in enumerate(masses):
+        np.add(out[:1 << b], m, out=out[1 << b:2 << b])
     return out
 
 
@@ -340,17 +335,6 @@ def hardy_path_eigenvalue(masses, conductances,
     return value, lower, upper
 
 
-def _running_mass_by_mask(masses: np.ndarray) -> np.ndarray:
-    """mu(mask) for every mask of the vertices, each summed as
-    mu(mask without its highest bit) + mu(highest bit): the running sum
-    of its bits from the lowest up. The masks whose highest bit is b are
-    filled in one step, from the lowest b up."""
-    out = np.zeros(1 << len(masses))
-    for b, m in enumerate(masses):
-        np.add(out[:1 << b], m, out=out[1 << b:2 << b])
-    return out
-
-
 def _last_two(net: np.ndarray, key: np.ndarray, bits) -> tuple[np.ndarray, np.ndarray]:
     """The leaves below a stack of psi's networks with two vertices left
     (k = 4), or one (k = 3, a root), as (energy, key) with no network
@@ -396,11 +380,11 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     is cut in half first, and the deferred half is copied. The last two
     vertices are scored in closed form by _last_two. At a leaf the
     reduced A-S conductance is the energy 1/R(S, A), and mu(A) is read
-    from one table over the masks (_running_mass_by_mask), summed in the
-    order the vertices are decided. Zero-mass subsets are skipped (their
-    ratio is +inf). An energy that is not finite (an overflow, or a
-    pivot of 0 or inf) raises NotRepresentable. Guarded at interior size
-    20.
+    from one table over the masks (_mass_by_mask), summed from the
+    lowest bit up, the order the vertices are decided. Zero-mass
+    subsets are skipped (their ratio is +inf). An energy that is not
+    finite (an overflow, or a pivot of 0 or inf) raises NotRepresentable.
+    Guarded at interior size 20.
     """
     inside = interior_of(graph, boundary)[None]
     interior = np.flatnonzero(inside[0])
@@ -419,7 +403,7 @@ def dirichlet_content_exact(graph: WeightedGraph, boundary: VertexSet) -> Conten
     best = _RunningMin()
     pending = [(net[:, :, None], np.zeros(1, dtype=np.int64))]
     with np.errstate(over="ignore", invalid="ignore"):
-        mass = _running_mass_by_mask(graph.mass_vector[interior])
+        mass = _mass_by_mask(graph.mass_vector[interior])
         while pending:
             net, key = pending.pop()
             k, _, m = net.shape
@@ -476,10 +460,9 @@ def neumann_content_exact(graph: WeightedGraph) -> ContentResult:
     r0 and r1 to A and B and e between them, as e + kron_fill(r0, r1, r0 +
     r1), e + r1 and e + r0, and the leaves with A empty are skipped. The
     energy is the reduced A-B conductance 1/R(A, B); mu(A) and mu(B) are
-    read at the leaves from phi's table (_mass_by_mask), which adds the
-    lowest bit last, as the vertices are decided. An energy that is not
-    finite (an overflow, or a pivot of 0 or inf) raises NotRepresentable.
-    Guarded at n = 12.
+    read at the leaves from psi's and phi's table (_mass_by_mask), summed
+    from the lowest bit up. An energy that is not finite (an overflow,
+    or a pivot of 0 or inf) raises NotRepresentable. Guarded at n = 12.
     """
     n = graph.vertex_count
     if n > NEUMANN_ENUM_LIMIT:
@@ -614,7 +597,8 @@ def isoperimetric_exact(graph: WeightedGraph) -> ContentResult:
     bipartitions (vertex 0 fixed on the A side, so A's mask is odd).
 
     Every cut is read from one table of sums of conductances (see
-    _cut_by_mask), every side's mass from one table of sums of masses.
+    _cut_by_mask), every side's mass from one table of sums of masses
+    (_mass_by_mask).
     The masks run in chunks of CHUNK_ENTRIES into the running minimum with
     the mask as key, so ratios within TIE_RTOL tie and the smallest mask
     wins. Guarded at n = 20.

@@ -11,6 +11,17 @@ def first_error(results):
     return next((r for r in results if isinstance(r, HardySpectralError)), None)
 
 
+def unraised(exc: HardySpectralError) -> HardySpectralError:
+    """A copy of a typed error as before it was raised: the same class,
+    message and attributes, with no traceback and no chained error. Kept
+    in place of the error, it holds no frame, so run state that keeps it
+    holds no cycle through the frames; raised in place of the error, it
+    starts a traceback of its own."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(exc.__dict__)
+    return copy
+
+
 # -- graph validation ------------------------------------------------------
 
 class GraphValidationError(HardySpectralError):

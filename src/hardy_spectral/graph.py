@@ -581,7 +581,7 @@ def zero_crossings(graph: WeightedGraph, potentials) -> tuple[
     try:
         require_positive_mass(graph)
     except errors.ZeroMass as exc:
-        failed = [exc] * len(f)
+        failed = [errors.unraised(exc)] * len(f)
     else:
         both_signs = (f < 0.0).any(axis=1) & (f > 0.0).any(axis=1)
         failed = [None if ok else errors.SignCondition("potential must take both strict signs")

@@ -228,7 +228,7 @@ def _piece_modes(graph: WeightedGraph, ground: np.ndarray, pieces: list, width: 
         lam, x = _eigenpairs(w, to_zero, mass, 0, pad)
     except errors.HardySpectralError as exc:
         if len(pieces) == 1:
-            return [exc]
+            return [errors.unraised(exc)]
         return [mode for one in pieces for mode in _piece_modes(graph, ground, [one], width)]
     return [(piece, lam_i, x_i[:len(piece)])
             for (_, piece), lam_i, x_i in zip(pieces, lam.tolist(), x)]
@@ -316,7 +316,7 @@ def finish_dirichlet(graph: WeightedGraph, mode) -> SpectralResult:
     of `ground_modes`: raises its typed error, else zero-pads the piece's
     eigenvector onto the rest of the graph, canonically signed."""
     if isinstance(mode, errors.HardySpectralError):
-        raise mode
+        raise errors.unraised(mode)
     piece, lam, x_piece = mode
     x = np.zeros(graph.vertex_count)
     x[piece] = x_piece

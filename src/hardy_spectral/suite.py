@@ -147,7 +147,8 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
     gives.
 
     Returns each part of the run by its name in the memo, its result or the
-    typed error that stopped it, or None if no wanted suite needs it:
+    typed error that stopped it (unraised), or None if no wanted suite
+    needs it:
     "lambda_dirichlet", its SpectralResult; "pinch_modes", the
     `ground_modes` entries of the pinch suite's sides, negative then
     positive for each potential that pinched, and per potential None or
@@ -171,18 +172,18 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
         try:
             problems.append(pose_dirichlet(graph, q.pinned()))
         except errors.HardySpectralError as exc:
-            dirichlet = exc
+            dirichlet = errors.unraised(exc)
     if "pinch" in wanted or "ressum" in wanted:
         try:
             pinch_fs, ressum_fs, words = _draws(graph, wanted, samples, seed)
         except errors.HardySpectralError as exc:
-            pinch = ressum = exc
+            pinch = ressum = errors.unraised(exc)
         else:
             if "pinch" in wanted:
                 try:
                     mode = [quantize_zeros(q.get("lambda2").eigenvector)]
                 except errors.HardySpectralError as exc:
-                    pinch, pinch_fs = exc, pinch_fs[:0]
+                    pinch, pinch_fs = errors.unraised(exc), pinch_fs[:0]
                 else:
                     pinch_fs = np.concatenate([mode, pinch_fs])
             sides, ground, failed = pinched_sides(graph, np.concatenate([pinch_fs, ressum_fs]))
@@ -199,7 +200,7 @@ def _pose(q: Quantities, wanted: list, samples: int, seed: int) -> dict:
         try:
             dirichlet = finish_dirichlet(graph, next(modes))
         except errors.HardySpectralError as exc:
-            dirichlet = exc
+            dirichlet = errors.unraised(exc)
     if "pinch" in wanted and pinch is None:
         pinch = list(modes), pinch_failed
     return {"lambda_dirichlet": dirichlet, "pinch_modes": pinch, "ressum_draws": ressum}
@@ -224,10 +225,12 @@ class Quantities:
     """The quantities `verify` and `analyze` report for one graph and
     boundary, and the parts of the run behind them, each solved at most
     once, on first use, into one memo. A typed failure, raised or returned
-    by its solver, is kept too: asking again raises it again instead of
-    solving again. A quantity enters `report` only through `record`, at
-    once, so a suite that fails later still keeps the quantities it
-    solved. The memo holds results only, and `record` times its own `get`
+    by its solver, is kept too, as `errors.unraised` copies it: asking
+    again raises a fresh copy instead of solving again, so the memo holds
+    no traceback and no ask's traceback grows with the asks before it. A
+    quantity enters `report` only through `record`, at once, so a suite
+    that fails later still keeps the quantities it solved. The memo holds
+    results only, and `record` times its own `get`
     call: every reported quantity is first asked for by its `record`, so
     that time is its solve, with any part of the run it solves first.
     lambda_dirichlet, "pinch_modes" and "ressum_draws" are read from the
@@ -255,10 +258,11 @@ class Quantities:
             try:
                 self._solved[name] = _SOLVERS[name](self)
             except errors.HardySpectralError as exc:
-                self._solved[name] = exc
+                self._solved[name] = errors.unraised(exc)
+                raise
         result = self._solved[name]
         if isinstance(result, errors.HardySpectralError):
-            raise result
+            raise errors.unraised(result)
         return result
 
     def record(self, name: str):

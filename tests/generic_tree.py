@@ -197,8 +197,11 @@ def psi_by_generic_tree(g, s):
 
 def psi2_by_generic_tree(graph):
     """psi2 by its former route, the oracle of neumann_content_exact's own
-    walk: _tree_minimum with psi2's choices, a running mass and psi2's
-    score, behind the same guards."""
+    walk: _tree_minimum with psi2's choices and psi2's score, behind the
+    same guards. The score reads mu(A) and mu(B) from the library's table
+    (content._mass_by_mask), summed from the lowest bit up, as psi2 does,
+    not from the walk's running masses, which add the vertices from the
+    highest id down."""
     n = graph.vertex_count
     if n > content.NEUMANN_ENUM_LIMIT:
         raise errors.TooLarge(n, content.NEUMANN_ENUM_LIMIT)
@@ -210,10 +213,12 @@ def psi2_by_generic_tree(graph):
     net = np.zeros((n + 2, n + 2))
     net[:n, :n] = graph.conductance_matrix[::-1, ::-1]
 
+    mass = content._mass_by_mask(graph.mass_vector)
+
     def score(energy, mu, key):
         keep = key[0] != 0  # B always has a vertex at a leaf
-        mu_a, mu_b, key_a, key_b = (x[keep] for x in (*mu, *key))
-        return (1.0 / mu_a + 1.0 / mu_b) * energy[keep], (key_a << n) | key_b
+        key_a, key_b = key[:, keep]
+        return (1.0 / mass[key_a] + 1.0 / mass[key_b]) * energy[keep], (key_a << n) | key_b
 
     value, key = _tree_minimum(net, graph.mass_vector[::-1], np.int64(1) << np.arange(n)[::-1],
                                psi2_options, score)  # n >= 2 always yields a pair

@@ -18,8 +18,7 @@ from hardy_spectral import (VertexSet, WeightedGraph, components, content,
                             neumann_eigenvalue, path_graph, pinch, random_graph, run_suite,
                             split_edge)
 from hardy_spectral.content import (DIRICHLET_ENUM_LIMIT, ISOPERIMETRIC_ENUM_LIMIT,
-                                    NEUMANN_ENUM_LIMIT, _mass_by_mask, _running_mass_by_mask,
-                                    _RunningMin)
+                                    NEUMANN_ENUM_LIMIT, _mass_by_mask, _RunningMin)
 from hardy_spectral.graph import conductance_to
 from hardy_spectral.resistance import kron_step, pinned_energies
 from hardy_spectral.spectral import TIE_RTOL
@@ -652,26 +651,14 @@ class TestIsoperimetricOracle:
             assert_cuts_within_summation_error(table, exact, g.edge_count)
 
     def test_mass_table_matches_the_bitwise_loop(self):
-        # phi's and psi2's table: each mass adds the lowest bit last, the
-        # order in which psi2's walk, from the highest id down, decides them
+        # the one table of psi, psi2 and phi: each mass is the running sum
+        # of its bits from the lowest up, so it adds the highest bit last
         masses = [2.0 ** (7 * i) / 3.0 for i in range(-5, 6)]
         table = _mass_by_mask(np.array(masses))
-        for mask in range(1, 1 << len(masses)):
-            low = mask & -mask
-            assert table[mask] == table[mask ^ low] + masses[low.bit_length() - 1]
-        assert table[0] == 0.0
-
-    def test_psi_mass_table_adds_the_highest_bit_last(self):
-        # psi's table: each mass is the running sum of its bits from the
-        # lowest up, the order in which psi's walk decides the vertices
-        masses = [2.0 ** (7 * i) / 3.0 for i in range(-5, 6)]
-        table = _running_mass_by_mask(np.array(masses))
         for mask in range(1, 1 << len(masses)):
             high = 1 << (mask.bit_length() - 1)
             assert table[mask] == table[mask ^ high] + masses[high.bit_length() - 1]
         assert table[0] == 0.0
-        # the sums round, so the two orders give two tables
-        assert not np.array_equal(table, _mass_by_mask(np.array(masses)))
 
 
 class TestGuardSizes:

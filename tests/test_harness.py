@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import importlib
 import importlib.util
 import io
@@ -10,6 +11,7 @@ import re
 import struct
 import subprocess
 import sys
+import traceback
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -661,6 +663,85 @@ class TestJointPosing:
         assert rows["dirichlet"].reason == rows["path_reduction"].reason == str(want.value)
         assert all(c.holds for name, c in rows.items()
                    if name not in ("dirichlet", "path_reduction"))
+
+
+def _garbage_after(work) -> int:
+    """The objects the cyclic collector frees after `work()`, run with
+    the collector off."""
+    gc.collect()
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        if was_on:
+            gc.enable()
+
+
+class TestFailedRunsLeaveNoCycle:
+    """A run keeps each failed part as `errors.unraised` copies it, with
+    no traceback and no chained error, and raises a fresh copy at each
+    ask: so a run that fails leaves no reference cycle through its
+    frames, and no ask's traceback grows with the asks before it."""
+
+    PATH14 = path_graph([1.0] * 14, [1.0] * 13)
+
+    @pytest.mark.parametrize("graph, boundary, suites, samples", [
+        (PATH14, VertexSet.of([0]), None, 3),  # psi2 past its guard
+        (PATH14, VertexSet.of([0]), ["neumann"], 0),
+        (path_graph([1.0, 0.0, 1.0], [1.0, 1.0]), VertexSet.of([0]), None, 3),  # ZeroMass rows
+        (stiff_graph(122, 1e16, 1e16), VertexSet.of([0]), None, 3),  # lambda2 fails
+        (WeightedGraph((1.0,), ()), VertexSet.of([0]), None, 3),  # no draw, no boundary
+        (corpus_graph(9), None, None, 3),  # no boundary
+        # the Dirichlet eigenproblem fails in its ground_modes stack
+        (next(g for t, g in extreme_weight_fuzz() if t == 1), VertexSet.of([0]), ["dirichlet"],
+         0),
+    ], ids=["path14", "path14-neumann", "zero-mass", "failed-mode", "one-vertex",
+            "no-boundary", "dirichlet-overflow"])
+    def test_a_failing_run_leaves_nothing_to_collect(self, graph, boundary, suites, samples):
+        def work():
+            rep = run_suite(graph, boundary=boundary, suites=suites, samples=samples)
+            assert not rep.all_hold
+
+        assert _garbage_after(work) == 0
+
+    def test_a_failing_analyze_leaves_nothing_to_collect(self, tmp_path, capsys):
+        path = tmp_path / "path14.wgr"
+        path.write_text(serialize_wgr(self.PATH14), encoding="utf-8")
+        cli._parser()  # built once per process, with cycles of argparse's own
+        assert _garbage_after(lambda: main(["analyze", str(path)])) == 0
+        assert "psi2 unavailable" in capsys.readouterr().err
+
+    def test_each_ask_of_a_failed_quantity_has_a_traceback_of_its_own(self):
+        g = self.PATH14
+        q = suite.Quantities(g, None, suite.blank_report(g, 0, 0.0), (["neumann"], 0, 0))
+        depths, texts = [], set()
+        for _ in range(4):
+            with pytest.raises(errors.TooLarge) as got:
+                q.get("psi2")
+            depths.append(len(list(traceback.walk_tb(got.value.__traceback__))))
+            texts.add((str(got.value), got.value.size, got.value.limit))
+        # the first ask raises the solver's own error, each later one a
+        # copy raised from the memo
+        assert depths[1:] == [depths[1]] * 3 and depths[1] < depths[0]
+        assert texts == {(str(errors.TooLarge(14, content.NEUMANN_ENUM_LIMIT)), 14,
+                          content.NEUMANN_ENUM_LIMIT)}
+
+    def test_unraised_keeps_class_text_and_attributes_only(self):
+        try:
+            try:
+                raise KeyError("below")
+            except KeyError:
+                raise errors.TooLarge(14, 12) from None
+        except errors.TooLarge as exc:
+            raised = exc
+        copy = errors.unraised(raised)
+        assert type(copy) is errors.TooLarge and copy is not raised
+        assert (str(copy), copy.args, vars(copy)) == (str(raised), raised.args, vars(raised))
+        assert raised.__traceback__ is not None and raised.__context__ is not None
+        assert copy.__traceback__ is None and copy.__context__ is None
+        assert copy.__cause__ is None and not copy.__suppress_context__
 
 
 class TestCli:
