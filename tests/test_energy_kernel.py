@@ -652,13 +652,31 @@ class TestIsoperimetricOracle:
 
     def test_mass_table_matches_the_bitwise_loop(self):
         # the one table of psi, psi2 and phi: each mass is the running sum
-        # of its bits from the lowest up, so it adds the highest bit last
+        # of its bits from the lowest up, as a plain loop over the bits adds them
+        masses = [2.0 ** (7 * i) / 3.0 for i in range(-5, 6)]
+        table = _mass_by_mask(np.array(masses))
+        for mask in range(1 << len(masses)):
+            total = 0.0
+            for i in range(len(masses)):
+                if mask >> i & 1:
+                    total += masses[i]
+            assert table[mask] == total
+
+    def test_psi_mass_table_adds_the_highest_bit_last(self):
+        # psi's table, now also psi2's and phi's: each mass adds its highest
+        # bit last, the order in which psi's walk decides the vertices
         masses = [2.0 ** (7 * i) / 3.0 for i in range(-5, 6)]
         table = _mass_by_mask(np.array(masses))
         for mask in range(1, 1 << len(masses)):
             high = 1 << (mask.bit_length() - 1)
             assert table[mask] == table[mask ^ high] + masses[high.bit_length() - 1]
         assert table[0] == 0.0
+        # the sums round, so adding the lowest bit last gives another table
+        lowest_last = np.zeros(1 << len(masses))
+        for mask in range(1, 1 << len(masses)):
+            low = mask & -mask
+            lowest_last[mask] = lowest_last[mask ^ low] + masses[low.bit_length() - 1]
+        assert not np.array_equal(table, lowest_last)
 
 
 class TestGuardSizes:
